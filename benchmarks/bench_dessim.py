@@ -1,25 +1,28 @@
-"""DES at production scale — 3,000-GPU month-long trace, heap vs batched core.
+"""DES at production scale — 3,000-GPU month-long trace through ``run()``.
 
 The paper's production claims (Fig-1 diurnal swing, Fig-14/16 replays)
 are made at thousands of GPUs over weeks; this regenerator replays a
-seeded 3,000-GPU, 30-day diurnal multi-tenant trace through both
-simulator cores and measures event throughput.  The batched core drains
+seeded 3,000-GPU, 30-day diurnal multi-tenant trace through the
+simulator's event core and measures event throughput.  The core drains
 coincident events in one pass, advances all running jobs with one
 vectorized step, skips reschedules at quiescent decision points, and
 shares Role-2 plan searches across same-class jobs — none of which may
-change a single event: the two logs must stay byte-identical.
+change a single event, so at smoke size the log is held byte-identical
+to ``run_reference()``'s (the oracle is O(n²): a month would take minutes).
 
-Regenerates: wall cost and event throughput for both cores, and the
-batched/heap speedup.  Asserts byte-identical ``EventLog`` fingerprints
-and, at full scale, the >= 10x speedup the batched core exists for.
+Regenerates: wall cost and event throughput of the month replay over
+``REPEATS`` repeats.  The deleted heap-queue core's last datapoint — 61.3 s
+against 3.9 s on this trace, x15.8 — stays in ``BENCH_dessim.json``.
 """
 
+import statistics
 import time
 
 from repro.hw import microbench_cluster, production_cluster
 from repro.sched import ClusterSimulator, EasyScalePolicy, diurnal_trace
 
 from benchmarks.conftest import (
+    SMOKE,
     print_header,
     print_table,
     record_trajectory,
@@ -31,10 +34,7 @@ NUM_JOBS = smoke_scale(2000, 60)
 DAYS = smoke_scale(30, 0.5)
 MEAN_DURATION_S = smoke_scale(8 * 3600.0, 4 * 3600.0)
 SEED = 11
-#: full-scale acceptance bar; the smoke trace is too small for the
-#: asymptotic win (quiescent rounds and class sharing need scale), so it
-#: only checks the batched core is not pathologically slower
-MIN_SPEEDUP = smoke_scale(10.0, 0.2)
+REPEATS = smoke_scale(3, 1)
 
 
 def _build_cluster():
@@ -48,61 +48,46 @@ def run_experiment():
 
     def replay(core):
         sim = ClusterSimulator(_build_cluster(), jobs, EasyScalePolicy(True))
-        runner = {"heap": sim.run, "batched": sim.run_batched}[core]
         start = time.perf_counter()
-        result = runner()
-        elapsed = time.perf_counter() - start
-        return elapsed, result
+        result = getattr(sim, core)()
+        return time.perf_counter() - start, result
 
-    heap_s, heap_result = replay("heap")
-    batched_s, batched_result = replay("batched")
+    repeats = [replay("run") for _ in range(REPEATS)]
     return {
-        "jobs": jobs,
-        "heap_s": heap_s,
-        "batched_s": batched_s,
-        "heap_result": heap_result,
-        "batched_result": batched_result,
+        "run_s": [elapsed for elapsed, _ in repeats],
+        "results": [result for _, result in repeats],
+        "reference": replay("run_reference")[1] if SMOKE else None,
     }
 
 
 def test_dessim_month_trace_replay(run_once):
     r = run_once(run_experiment)
+    result = r["results"][0]
 
-    # bitwise contract first: a speedup only counts if it is the *same*
-    # simulation, event for event
-    assert (
-        r["batched_result"].events.fingerprint()
-        == r["heap_result"].events.fingerprint()
-    )
-    assert r["batched_result"].jcts == r["heap_result"].jcts
+    # bitwise contract first: a timing only counts if every repeat is the
+    # *same* simulation, event for event — and the oracle's, where it fits
+    fingerprint = result.events.fingerprint()
+    assert all(x.events.fingerprint() == fingerprint for x in r["results"])
+    if r["reference"] is not None:
+        assert r["reference"].events.fingerprint() == fingerprint
+        assert r["reference"].jcts == result.jcts
 
-    events = len(r["heap_result"].events)
-    heap_eps = events / r["heap_s"]
-    batched_eps = events / r["batched_s"]
-    speedup = r["heap_s"] / r["batched_s"]
-
+    events = len(result.events)
+    median_s = statistics.median(r["run_s"])
     print_header(
         f"DES core scaling: {GPUS} GPUs, {NUM_JOBS} jobs, {DAYS}-day diurnal trace"
     )
     print_table(
-        ["core", "wall (s)", "events/s"],
-        [
-            ["heap", f"{r['heap_s']:.2f}", f"{heap_eps:,.0f}"],
-            ["batched", f"{r['batched_s']:.2f}", f"{batched_eps:,.0f}"],
-        ],
+        ["repeat", "wall (s)", "events/s"],
+        [[i, f"{s:.2f}", f"{events / s:,.0f}"] for i, s in enumerate(r["run_s"])],
         fmt="12",
     )
-    print(f"\nbatched/heap event-throughput speedup x{speedup:.1f} "
-          f"({events} events, fingerprints identical)")
-
-    assert speedup >= MIN_SPEEDUP, (
-        f"batched core speedup x{speedup:.2f} below the x{MIN_SPEEDUP} bar"
-    )
+    print(f"\nmedian {median_s:.2f} s, {events / median_s:,.0f} events/s "
+          f"({events} events, {len(result.completed)}/{NUM_JOBS} jobs completed)")
+    assert len(result.completed) == NUM_JOBS
 
     record_trajectory(
         "dessim", "month_trace",
         {"gpus": GPUS, "jobs": NUM_JOBS, "days": DAYS, "shape": "diurnal"},
-        {"heap_s": [r["heap_s"]], "batched_s": [r["batched_s"]],
-         "speedup_x": [speedup]},
-        directions={"speedup_x": "higher"},
+        {"batched_s": r["run_s"]},
     )

@@ -27,7 +27,7 @@ def smoke_scale(full, reduced):
     return reduced if SMOKE else full
 
 
-def record_trajectory(area, bench, params, metric_samples, directions=None):
+def record_trajectory(area, bench, params, metric_samples):
     """Append wall-clock samples to the area's ``BENCH_<area>.json``.
 
     Opt-in via ``REPRO_BENCH_RECORD=1``: figure regenerators time real
@@ -42,8 +42,7 @@ def record_trajectory(area, bench, params, metric_samples, directions=None):
     from repro.obs.bench import record_samples
 
     return record_samples(
-        area, bench, {**dict(params), "smoke": SMOKE}, metric_samples,
-        directions=directions,
+        area, bench, {**dict(params), "smoke": SMOKE}, metric_samples
     )
 
 

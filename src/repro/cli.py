@@ -699,12 +699,7 @@ def _cmd_trace_sim(args: argparse.Namespace) -> int:
             sim = ClusterSimulator(
                 build_cluster(), jobs, policies[name](), faults=fault_plan
             )
-            runner = {
-                "heap": sim.run,
-                "batched": sim.run_batched,
-                "reference": sim.run_reference,
-            }[args.core]
-            result = runner()
+            result = sim.run() if args.core == "batched" else sim.run_reference()
             print(
                 f"{result.policy:<16} avg JCT {result.average_jct:>10.1f} s   "
                 f"makespan {result.makespan:>10.1f} s   "
@@ -1167,14 +1162,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "factors, e.g. {\"scale\": {\"t4\": 0.8}} — "
                             "profiler-measured corrections to the static "
                             "capability table")
-    trace.add_argument("--core", default="heap",
-                       choices=["heap", "batched", "reference"],
-                       help="discrete-event core: 'heap' (single priority "
-                            "queue, default), 'batched' (coalesced event "
-                            "drain + vectorized job advance + incremental "
-                            "arbitration — the production-scale fast path), "
-                            "or 'reference' (the linear candidate scan) — "
-                            "all three produce byte-identical event streams")
+    trace.add_argument("--core", default="batched",
+                       choices=["batched", "reference"],
+                       help="discrete-event core: 'batched' (default: one "
+                            "event queue, coalesced event drain, vectorized "
+                            "job advance, memoized arbitration) or "
+                            "'reference' (its oracle: linear candidate scan, "
+                            "scalar advance, brute arbitration — slow at "
+                            "scale) — byte-identical event streams")
 
     faults = sub.add_parser(
         "faults", help="deterministic fault injection (plan generation, replay)"

@@ -13,7 +13,7 @@ against the static run:
   It expands the plan into a *static* list of timed
   :class:`MembershipAction`\\ s at construction — each event plus the
   deadlines it implies (warm-up completion, blacklist expiry, reclaim
-  deadline) — so both simulator event cores (heap and reference scan)
+  deadline) — so both simulator event cores (``run`` and ``run_reference``)
   see identical decision times and emit identical event streams.
 """
 
@@ -101,7 +101,7 @@ class SimMembershipDriver:
 
     All decision times are derivable from the plan alone (event times
     plus ``at_time + magnitude`` deadlines), which is what keeps the
-    heap event core and the reference scan byte-identical: neither core
+    queue-driven ``run`` and the reference scan byte-identical: neither core
     ever discovers a new decision time at runtime.
 
     ``max_unavailable`` is enforced here: a due ``drain`` beyond the cap
@@ -162,7 +162,7 @@ class SimMembershipDriver:
         return self._cursor >= len(self._actions) and not self._deferred_drains
 
     def times(self) -> Iterator[float]:
-        """Every static decision time (for heap-core pre-enqueue)."""
+        """Every static decision time (``run()`` pre-enqueues them)."""
         for action in self._actions:
             yield action.at_time
 

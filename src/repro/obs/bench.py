@@ -281,11 +281,10 @@ def record_samples(
     bench: str,
     params: Mapping[str, Any],
     metric_samples: Mapping[str, Sequence[float]],
-    directions: Optional[Mapping[str, str]] = None,
     directory: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Build a record and append it to the area's trajectory file."""
-    record = make_record(area, bench, params, metric_samples, directions=directions)
+    record = make_record(area, bench, params, metric_samples)
     traj = Trajectory.load(area, trajectory_path(area, directory))
     traj.append(record)
     traj.save()
@@ -424,10 +423,6 @@ class BenchSpec:
     #: fn(smoke) -> (params, {metric: one_sample}); called once per repeat
     fn: Callable[[bool], Tuple[Dict[str, Any], Dict[str, float]]]
     description: str = ""
-    #: per-metric direction overrides (default "lower"); e.g. a speedup
-    #: ratio is higher-is-better and must not be scaled or inverted by
-    #: the regression comparator
-    directions: Optional[Dict[str, str]] = None
 
 
 def _bench_sched_plan_round(smoke: bool) -> Tuple[Dict[str, Any], Dict[str, float]]:
@@ -545,13 +540,13 @@ def _bench_determinism_kernel(smoke: bool) -> Tuple[Dict[str, Any], Dict[str, fl
 
 
 def _bench_dessim_replay(smoke: bool) -> Tuple[Dict[str, Any], Dict[str, float]]:
-    """Month-shaped trace replay: heap core vs batched core wall cost.
+    """Month-shaped trace replay: ``run()`` vs ``run_reference()`` wall cost.
 
     A scaled-down cousin of ``benchmarks/bench_dessim.py`` (which replays
     the full 3,000-GPU month): a diurnal trace on a production-mix pool,
-    replayed under EasyScale-heter by the heap core and the batched core.
-    The two event logs must stay byte-identical — the speedup is only a
-    speedup if it is the *same* simulation.
+    replayed under EasyScale-heter by the event core and by its oracle.
+    The two event logs must stay byte-identical — a timing is only worth
+    recording if it is the *same* simulation.
     """
     from repro.hw import microbench_cluster, production_cluster
     from repro.sched import ClusterSimulator, EasyScalePolicy, diurnal_trace
@@ -567,23 +562,18 @@ def _bench_dessim_replay(smoke: bool) -> Tuple[Dict[str, Any], Dict[str, float]]
 
     def replay(core: str) -> Tuple[float, str]:
         sim = ClusterSimulator(build(), jobs, EasyScalePolicy(True))
-        runner = sim.run if core == "heap" else sim.run_batched
         t0 = time.perf_counter()
-        result = runner()
+        result = getattr(sim, core)()
         return time.perf_counter() - t0, result.events.fingerprint()
 
-    heap_s, heap_fp = replay("heap")
-    batched_s, batched_fp = replay("batched")
-    if heap_fp != batched_fp:
+    reference_s, reference_fp = replay("run_reference")
+    batched_s, batched_fp = replay("run")
+    if reference_fp != batched_fp:
         raise RuntimeError(
-            f"batched core diverged from heap core: {batched_fp} != {heap_fp}"
+            f"run() diverged from run_reference(): {batched_fp} != {reference_fp}"
         )
     params = {"jobs": len(jobs), "gpus": gpus, "shape": "diurnal", "smoke": smoke}
-    return params, {
-        "heap_s": heap_s,
-        "batched_s": batched_s,
-        "speedup_x": heap_s / batched_s if batched_s > 0 else 1.0,
-    }
+    return params, {"batched_s": batched_s, "reference_s": reference_s}
 
 
 #: The built-in per-PR benches, keyed by area.
@@ -602,8 +592,7 @@ BENCHES: Dict[str, BenchSpec] = {
     ),
     "dessim": BenchSpec(
         "dessim", "trace_replay", _bench_dessim_replay,
-        "diurnal trace replay: heap core vs batched core wall cost",
-        directions={"speedup_x": "higher"},
+        "diurnal trace replay: event core vs reference core wall cost",
     ),
 }
 
@@ -641,8 +630,7 @@ def run_benches(
             for name, value in metrics.items():
                 samples.setdefault(name, []).append(value)
         record = record_samples(
-            area, spec.name, params, samples,
-            directions=spec.directions, directory=directory,
+            area, spec.name, params, samples, directory=directory
         )
         traj = Trajectory.load(area, trajectory_path(area, directory))
         rows = compare_trajectory(traj, threshold=threshold)

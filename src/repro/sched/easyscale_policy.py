@@ -82,15 +82,16 @@ class EasyScalePolicy(SchedulingPolicy):
 
     # ------------------------------------------------------------------
     def reschedule(self, sim: ClusterSimulator, now: float) -> None:
-        # the simulator's active set is the seed filter under the heap and
-        # reference cores, and an incrementally maintained list under the
-        # batched core — identical contents either way
+        # the simulator's active set is the seed filter under
+        # run_reference and an incrementally maintained list under run()
+        # — identical contents either way
         active = [r for r in sim.active_jobs() if r.agent is not None]
-        # under the batched core, Role-1 replans and Role-2 proposals go
-        # through availability-keyed memos: only jobs whose clamped
+        # under run(), Role-1 replans and Role-2 proposals go through
+        # availability-keyed memos: only jobs whose clamped
         # ownership/free vectors or capability generation changed are
-        # re-scored
-        incremental = getattr(sim, "incremental_scheduling", False)
+        # re-scored.  run_reference leaves the flag off, so the brute
+        # branches below stay the memos' whole-trace oracle.
+        incremental = sim.incremental_scheduling
 
         # Role-1: re-plan everyone on current ownership (idempotent); the
         # incremental path skips jobs whose plan inputs are unchanged —

@@ -75,8 +75,8 @@ class EventLog:
         """SHA-256 over the canonical event stream.
 
         Two logs fingerprint identically iff every event matches in time,
-        kind, and payload — the simulator fast-path tests use this to
-        assert the heap core reproduces the reference core byte-for-byte.
+        kind, and payload — the simulator core-equivalence tests use this
+        to assert ``run`` reproduces ``run_reference`` byte-for-byte.
         """
         import hashlib
 

@@ -2,8 +2,8 @@
 
 Capacity must grow as hosts join and shrink as they leave; drains and
 blacklists preempt gracefully (zero lost work) while forceful removals
-are abrupt; and the heap fast path must emit an event stream
-byte-identical to the reference linear-scan core under any plan.
+are abrupt; and ``run()`` must emit an event stream byte-identical to
+the reference linear-scan core under any plan.
 """
 
 import pytest

@@ -1,96 +1,64 @@
-"""Heap event core vs the reference linear scan: identical event streams.
+"""``run()`` vs ``run_reference()`` on small fixed traces.
 
-``ClusterSimulator.run`` (priority queue, lazy invalidation) must
-reproduce ``ClusterSimulator.run_reference`` (the seed candidate-min
-loop) *exactly* — every event's time, kind, and payload; every JCT; the
-makespan; the fault accounting — across policies, traces, and fault
-plans.
+The regimes a hand-check can follow — a handful of jobs, the fixed fault
+plan, seeded random plans, bursty arrivals, a ``max_time`` cutoff — on
+the comparison helper and plans of ``test_simulator_batched.py`` (every
+event's time, kind, and payload; every JCT; the makespan; the fault
+accounting).  Kept as its own module under its original class name
+("heap" was the event core's name when it had no SoA mirror) because
+these test ids are on the repo's test floor.
 """
 
 import pytest
 
-from repro.faults import FaultEvent, FaultPlan, random_sim_plan
+from repro.faults import random_sim_plan
 from repro.hw import microbench_cluster
-from repro.sched import (
-    ClusterSimulator,
-    EasyScalePolicy,
-    YarnCapacityScheduler,
-    generate_trace,
+from repro.sched import ClusterSimulator, generate_trace
+
+from tests.sched.test_simulator_batched import (
+    FIXED_PLAN,
+    POLICIES,
+    assert_cores_identical,
 )
 
-POLICIES = {
-    "yarn": YarnCapacityScheduler,
-    "homo": lambda: EasyScalePolicy(False),
-    "heter": lambda: EasyScalePolicy(True),
-}
-
-FIXED_PLAN = FaultPlan(events=(
-    FaultEvent(kind="slowdown", at_time=300.0, magnitude=2.0),
-    FaultEvent(kind="restart_delay", at_time=400.0, magnitude=60.0),
-    FaultEvent(kind="node_preempt", at_time=600.0, magnitude=2.0),
-    FaultEvent(kind="checkpoint_corrupt", at_time=700.0),
-    FaultEvent(kind="worker_crash", at_time=900.0),
-    FaultEvent(kind="gpu_revoke", at_time=1100.0),
-), seed=5)
-
-
-def _pair(policy_factory, jobs, plan=None, max_time=10_000_000.0):
-    heap = ClusterSimulator(
-        microbench_cluster(), jobs, policy_factory(), faults=plan
-    ).run(max_time=max_time)
-    reference = ClusterSimulator(
-        microbench_cluster(), jobs, policy_factory(), faults=plan
-    ).run_reference(max_time=max_time)
-    return heap, reference
-
-
-def _assert_identical(heap, reference):
-    assert heap.events.as_tuples() == reference.events.as_tuples()
-    assert heap.events.fingerprint() == reference.events.fingerprint()
-    assert heap.jcts == reference.jcts
-    assert heap.makespan == reference.makespan
-    assert heap.allocation_timeline == reference.allocation_timeline
-    assert heap.preemptions == reference.preemptions
-    assert heap.recovery_seconds == reference.recovery_seconds
-    assert heap.lost_work_seconds == reference.lost_work_seconds
+TRAINING_POLICIES = ("heter", "homo", "yarn")
 
 
 class TestHeapMatchesReference:
-    @pytest.mark.parametrize("name", sorted(POLICIES))
+    @pytest.mark.parametrize("name", TRAINING_POLICIES)
     def test_clean_trace(self, name):
         jobs = generate_trace(num_jobs=8, seed=11)
-        _assert_identical(*_pair(POLICIES[name], jobs))
+        assert_cores_identical(POLICIES[name], jobs)
 
-    @pytest.mark.parametrize("name", sorted(POLICIES))
+    @pytest.mark.parametrize("name", TRAINING_POLICIES)
     def test_fixed_fault_plan(self, name):
         jobs = generate_trace(num_jobs=4, seed=11)
-        _assert_identical(*_pair(POLICIES[name], jobs, plan=FIXED_PLAN))
+        assert_cores_identical(POLICIES[name], jobs, faults=FIXED_PLAN)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_fault_plans(self, seed):
         jobs = generate_trace(num_jobs=5, seed=seed)
         plan = random_sim_plan(seed, horizon_s=2000.0)
-        _assert_identical(*_pair(POLICIES["heter"], jobs, plan=plan))
+        assert_cores_identical(POLICIES["heter"], jobs, faults=plan)
 
     def test_max_time_cutoff(self):
         # truncation happens at the same decision point on both cores
         jobs = generate_trace(num_jobs=6, seed=3)
-        _assert_identical(*_pair(POLICIES["homo"], jobs, max_time=900.0))
+        assert_cores_identical(POLICIES["homo"], jobs, max_time=900.0)
 
     def test_bursty_arrivals(self):
         jobs = generate_trace(
             num_jobs=10, seed=7, mean_interarrival_s=5, mean_duration_s=300
         )
-        _assert_identical(*_pair(POLICIES["heter"], jobs))
+        assert_cores_identical(POLICIES["heter"], jobs)
 
     def test_fingerprint_is_discriminating(self):
         # sanity: the fingerprint is not constant across different runs
-        a = ClusterSimulator(
-            microbench_cluster(), generate_trace(num_jobs=3, seed=1),
-            POLICIES["heter"](),
-        ).run()
-        b = ClusterSimulator(
-            microbench_cluster(), generate_trace(num_jobs=3, seed=2),
-            POLICIES["heter"](),
-        ).run()
-        assert a.events.fingerprint() != b.events.fingerprint()
+        a, b = (
+            ClusterSimulator(
+                microbench_cluster(), generate_trace(num_jobs=3, seed=seed),
+                POLICIES["heter"](),
+            ).run().events.fingerprint()
+            for seed in (1, 2)
+        )
+        assert a != b

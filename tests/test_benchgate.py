@@ -74,8 +74,8 @@ def test_gate_flat_on_rerun_then_fails_on_injected_slowdown(tmp_path):
 def test_dessim_area_gates_standalone(tmp_path):
     """``bench gate --area dessim`` (smoke sizes): record twice, gate flat.
 
-    The dessim bench replays the same diurnal trace under the heap core
-    and the batched core and refuses to report a speedup unless the two
+    The dessim bench replays the same diurnal trace under ``run()`` and
+    ``run_reference()`` and refuses to record a timing unless the two
     event logs are byte-identical, so a green gate here also re-proves
     core equivalence in the CI loop.
     """

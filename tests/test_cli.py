@@ -81,13 +81,32 @@ class TestCommands:
         assert "easyscale-homo" in out
         assert "plan cache" in out  # companion fast-path stats surface
 
-    def test_trace_sim_cores_agree(self, capsys):
-        assert main(["trace-sim", "--policy", "heter", "--jobs", "5",
-                     "--core", "heap"]) == 0
-        heap_out = capsys.readouterr().out
-        assert main(["trace-sim", "--policy", "heter", "--jobs", "5",
-                     "--core", "reference"]) == 0
-        assert capsys.readouterr().out == heap_out
+    def test_trace_sim_cores_agree(self, tmp_path, capsys):
+        from repro.faults import random_sim_plan
+
+        plan = tmp_path / "sim.json"
+        random_sim_plan(7, horizon_s=3000.0, max_events=5).save(plan)
+
+        def result_lines(core):
+            assert main(["trace-sim", "--policy", "heter", "--jobs", "5",
+                         "--faults", str(plan), "--core", core]) == 0
+            # "plan cache:" is a per-core diagnostic: the batched core's
+            # proposal memo answers searches the reference core repeats
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if "plan cache:" not in line]
+
+        batched = result_lines("batched")
+        assert "avg JCT" in batched[0] and "preemption(s)" in batched[1]
+        assert result_lines("reference") == batched
+
+    def test_trace_sim_default_core_is_batched(self):
+        assert build_parser().parse_args(["trace-sim"]).core == "batched"
+
+    def test_trace_sim_heap_core_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["trace-sim", "--jobs", "3", "--core", "heap"])
+        assert err.value.code == 2
+        assert "invalid choice: 'heap'" in capsys.readouterr().err
 
     def test_trace_sim_yarn_has_no_cache_stats(self, capsys):
         assert main(["trace-sim", "--policy", "yarn", "--jobs", "4"]) == 0

@@ -106,6 +106,32 @@ def test_lint_walk_covers_batched_core_modules():
         assert expected in files, f"lint gate does not see {expected}"
 
 
+def test_one_event_core_and_one_oracle():
+    # the simulator's event core is ClusterSimulator.run; its old name
+    # survives as one alias line for the frozen benchmarks/e2e only, and
+    # the sim->policy channel is a declared attribute, never duck-typed
+    import glob
+
+    from repro.sched import ClusterSimulator
+
+    old_name = "run_" + "batched"
+    assert getattr(ClusterSimulator, old_name) is ClusterSimulator.run
+    paths = [os.path.join(REPO_ROOT, "README.md")]
+    for sub in ("src", "tests", "examples"):
+        paths.extend(_python_files(os.path.join(REPO_ROOT, sub)))
+    paths.extend(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
+    paths.extend(glob.glob(os.path.join(REPO_ROOT, "benchmarks", "bench_*.py")))
+    assert len(paths) > 100
+    uses = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                assert 'getattr(sim, "incremental_' + 'scheduling"' not in line, path
+                if old_name in line:
+                    uses.append((os.path.relpath(path, REPO_ROOT), line.strip()))
+    assert uses == [("src/repro/sched/simulator.py", f"{old_name} = run")], uses
+
+
 def test_lint_walk_covers_flight_recorder_modules():
     # pin the always-on flight recorder and the divergence forensics so a
     # restructuring cannot silently drop them from the gate
