@@ -4,14 +4,15 @@ The §3.4 proposal loop queries the companion database once per
 (GPU type × scale-out chunk) per scheduling round; at Fig-8 scale
 (3 GPU types, maxP=16, 16 GPUs available per type) the seed brute-force
 enumerator expands ~17^3 count vectors per query.  The fast path memoizes
-results under the normalized availability vector, dominance-prunes top-K
-searches, and answers scale-out hypotheticals incrementally
-(``best_plan_delta``), so steady-state rounds — capability table
-unchanged — cost dict lookups.
+results under the normalized availability vector, scores a miss as one
+NumPy grid expression with the ``Σ N_i·C_i`` dominance bound as a mask,
+and answers scale-out hypotheticals incrementally (``best_plan_delta``),
+so steady-state rounds — capability table unchanged — cost dict lookups.
 
 Regenerates: planning cost for one full scheduling round across >= 8 jobs
 under three regimes — seed brute force (``enumerate_plans_reference``),
-cold fast path (empty caches, pruning only), warm fast path (caches hot).
+cold fast path (empty caches: grid kernel + bound mask), warm fast path
+(caches hot).
 Asserts the warm round is >= 5x cheaper than the cold one and that every
 fast-path answer equals the brute-force oracle's.
 """

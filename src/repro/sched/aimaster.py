@@ -24,6 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.engine import WorkerAssignment
 from repro.sched.intra import IntraJobScheduler, ResourceProposal, plan_to_assignment
+from repro.sched.perfmodel import aggregate_capability
 
 
 class ThroughputMonitor:
@@ -173,9 +174,7 @@ class AIMaster:
             # attribute the aggregate bias proportionally to each type's
             # contribution (single-type plans get exact attribution)
             share = n * self.scheduler.companion.capability[gtype]
-            total = sum(
-                m * self.scheduler.companion.capability[t] for t, m, _ in plan.alloc
-            )
+            total = aggregate_capability(plan, self.scheduler.companion.capability)
             if total <= 0:
                 continue
             est_share = estimated * share / total / max(n, 1)

@@ -27,31 +27,43 @@ database memoizes aggressively:
   the capability table's **generation** counter bumps — which every
   mutation path (``report_measurement``, ``apply_calibration``, direct
   item assignment) does automatically via :class:`_CapabilityTable`;
-- top-K searches apply **dominance pruning**: a GPU-count vector whose
+- a miss scores its whole candidate space as **one array expression**
+  (:meth:`CompanionModule._search`): GPU-count vectors × their ``2^T``
+  floor/ceil EST splits, Eq. (1a–1d) evaluated elementwise by
+  :func:`~repro.sched.perfmodel.grid_waste` in the scalar model's
+  float-operation order; only the candidates tied at the top become
+  :class:`Plan` objects;
+- **dominance pruning** masks the vector axis: a count vector whose
   aggregate capability ``Σ N_i·C_i`` — an upper bound on Eq. (1d)
-  throughput, since waste ≥ 0 — cannot beat the current K-th best is
-  never expanded into EST splits.  Visiting vectors in decreasing-bound
-  order turns the check into an early exit;
+  throughput, since waste ≥ 0 — is strictly below the current K-th best
+  is dropped before its EST splits are expanded;
 - :meth:`best_plan_delta` scores a scale-out hypothesis ``owned +
-  chunk×gtype`` incrementally: the hypothetical plan space is the owned
-  space (already cached from Role-1) plus only the *slab* of vectors
-  using more than the owned count of ``gtype``.
+  chunk×gtype`` incrementally: the owned space's best (cached from
+  Role-1) against only the *slab* of vectors using more than the owned
+  count of ``gtype``, with the owned best as the slab's starting floor.
 
 All three return **exactly** what the seed brute-force enumerator
 (:meth:`enumerate_plans_reference`) returns — same plans, same ranking —
 which the property suite in ``tests/sched/test_companion_fastpath.py``
 asserts.  To make that contract exact under ties, ranking uses the total
-order ``(-throughput, total_gpus, alloc)``.
+order ``(-throughput, total_gpus, alloc)``.  The reference and its scalar
+helpers stay as that oracle (and serve ``enumerate_plans``); no query on
+the scheduling path runs them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
-from repro.sched.perfmodel import Plan, ScoredPlan, estimated_throughput
+from repro.sched.perfmodel import Plan, ScoredPlan, estimated_throughput, fold, grid_waste
 from repro.sched.plancache import MISS, PlanCache, availability_key
+
+#: a query without a floor scores this many highest-bound vectors first
+_SEED_VECTORS = 32
 
 
 def _rank_key(scored: ScoredPlan) -> Tuple[float, int, Tuple[Tuple[str, int, int], ...]]:
@@ -80,31 +92,24 @@ class _CapabilityTable(dict):
         self._owner = owner
         super().__init__(data)
 
-    def __setitem__(self, key: str, value: float) -> None:
-        super().__setitem__(key, value)
-        self._owner._bump_generation()
 
-    def __delitem__(self, key: str) -> None:
-        super().__delitem__(key)
-        self._owner._bump_generation()
+def _bumping(name: str):
+    """``dict.<name>`` followed by a generation bump on the owning companion."""
+    mutate = getattr(dict, name)
 
-    def update(self, *args, **kwargs) -> None:  # type: ignore[override]
-        super().update(*args, **kwargs)
+    def guarded(self, *args, **kwargs):
+        result = mutate(self, *args, **kwargs)
         self._owner._bump_generation()
+        return result
 
-    def pop(self, *args):  # type: ignore[override]
-        value = super().pop(*args)
-        self._owner._bump_generation()
-        return value
+    return guarded
 
-    def clear(self) -> None:
-        super().clear()
-        self._owner._bump_generation()
 
-    def setdefault(self, key: str, default: float = None):  # type: ignore[override]
-        if key not in self:
-            self._owner._bump_generation()
-        return super().setdefault(key, default)
+# every dict method that can change the contents (``|=`` is ``__ior__``, which
+# does not go through ``update``); tests walk ``dir(dict)`` against this list
+for _name in ("__setitem__", "__delitem__", "__ior__", "update", "pop", "popitem",
+              "clear", "setdefault"):
+    setattr(_CapabilityTable, _name, _bumping(_name))
 
 
 class CompanionModule:
@@ -139,8 +144,7 @@ class CompanionModule:
         self.correction_band = (float(lo), float(hi))
         #: (gtype, estimate, measurement, clamped) tuples observed
         self.observations: List[Tuple[str, float, float, bool]] = []
-        # --- fast path state (before the capability table, whose
-        # constructor may bump the generation) ---
+        # --- fast path state ---
         self._generation = 0
         self._full_cache = PlanCache("companion_full", maxsize=cache_size)
         self._topk_cache = PlanCache("companion_topk", maxsize=cache_size)
@@ -205,7 +209,7 @@ class CompanionModule:
     def _ests_for_counts(self, counts: Mapping[str, int]) -> Iterable[Dict[str, int]]:
         """Proportional-to-capability EST split, floor/ceil enumerated."""
         types = sorted(counts)
-        total_cap = sum(counts[t] * self.capability[t] for t in types)
+        total_cap = fold(counts[t] * self.capability[t] for t in types)
         if total_cap <= 0:
             return
         ideal = {t: self.max_p * self.capability[t] / total_cap for t in types}
@@ -270,7 +274,7 @@ class CompanionModule:
         cached = self._topk_cache.get((key, top_k))
         if cached is not MISS:
             return list(cached)
-        plans = self._search_topk(key, top_k)
+        plans = self._search({t: (0, cap) for t, cap in key}, top_k, []) if key else []
         self._topk_cache.put((key, top_k), plans)
         return list(plans)
 
@@ -279,52 +283,98 @@ class CompanionModule:
         return plans[0] if plans else None
 
     # ------------------------------------------------------------------
-    # pruned / incremental search
+    # grid search
     # ------------------------------------------------------------------
-    def _upper_bound(self, counts: Mapping[str, int]) -> float:
-        """Aggregate capability ``Σ N_i·C_i`` ≥ Eq. (1d) throughput."""
-        return sum(n * self.capability[t] for t, n in counts.items())
+    def _count_grid(self, ranges: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """Count vectors as a ``(T, V)`` array from per-type ``(lo, hi)`` ranges.
 
-    def _ordered_vectors(
-        self, vectors: Iterable[Mapping[str, int]]
-    ) -> List[Tuple[float, Tuple[Tuple[str, int], ...], Dict[str, int]]]:
-        """Decorate count vectors with bounds, best-first (deterministic)."""
-        decorated = [
-            (self._upper_bound(counts), tuple(sorted(counts.items())), dict(counts))
-            for counts in vectors
-        ]
-        decorated.sort(key=lambda item: (-item[0], item[1]))
-        return decorated
-
-    def _search_topk(
-        self, key: Tuple[Tuple[str, int], ...], top_k: int
-    ) -> List[ScoredPlan]:
-        """Best-first top-K search with the dominance bound as early exit.
-
-        Equivalent to ``enumerate_plans_reference(...)[:top_k]``: a vector
-        is skipped only when its throughput upper bound is *strictly*
-        below the current K-th best — a bound exactly equal to the floor
-        must still be expanded because the ``(total_gpus, alloc)``
-        tie-break can place one of its plans inside the top K.
+        The array form of :meth:`_candidate_counts`: the box of ranges
+        (one non-zero count per vector under ``homogeneous_only``) cut to
+        ``1 <= Σ N_i <= maxP``.
         """
-        available = dict(key)
-        best: List[ScoredPlan] = []
-        floor: Optional[float] = None
-        seen: set = set()
-        for bound, _, counts in self._ordered_vectors(self._candidate_counts(available)):
-            if floor is not None and bound < floor:
-                # vectors are bound-sorted: nothing below can recover
-                self.vectors_pruned += 1
-                if obs.is_enabled():
-                    obs.metrics().counter("sched_plan_vectors_pruned_total").inc()
-                break
-            candidates = self._score_counts(counts, seen)
-            if not candidates:
-                continue
-            best = sorted(best + candidates, key=_rank_key)[:top_k]
+        spans = [hi - lo + 1 for lo, hi in ranges]
+        if self.homogeneous_only:
+            grid = np.zeros((len(spans), sum(spans)), dtype=np.int64)
+            ends = np.cumsum(spans)
+            for i, (lo, hi) in enumerate(ranges):
+                grid[i, ends[i] - spans[i]:ends[i]] = np.arange(lo, hi + 1)
+        else:
+            grid = np.empty([len(spans)] + spans, dtype=np.int64)
+            for i, (lo, hi) in enumerate(ranges):  # axis i counts type i
+                grid[i] = np.arange(lo, hi + 1).reshape((-1,) + (1,) * (len(spans) - 1 - i))
+            grid = grid.reshape(len(spans), -1)
+        total = grid.sum(axis=0)
+        return grid[:, (total >= 1) & (total <= self.max_p)]
+
+    def _search(
+        self, ranges: Mapping[str, Tuple[int, int]], top_k: int, best: List[ScoredPlan]
+    ) -> List[ScoredPlan]:
+        """Merge the plans of a count grid into ``best``, the ranked top K so far.
+
+        The aggregate capability ``Σ N_i·C_i`` bounds a count vector's
+        throughput from above (waste >= 0), so once ``best`` is full,
+        vectors whose bound is *strictly* under its K-th throughput are
+        masked out before any EST split is expanded — a bound equal to
+        that floor stays, because the ``(total_gpus, alloc)`` tie-break
+        may prefer one of its plans.  A query that arrives without a full
+        ``best`` takes its floor from the ``_SEED_VECTORS`` highest-bound
+        vectors, scored first.
+        """
+        types = sorted(ranges)
+        counts = self._count_grid([ranges[t] for t in types])
+        capability = [self.capability[t] for t in types]
+        if min(capability) <= 0:
+            raise ValueError(f"capabilities must be positive, got {dict(self.capability)}")
+        c = np.array(capability)[:, None]
+        bound = fold(counts * c)
+        stages = [np.ones_like(bound, dtype=bool)]
+        if len(best) < top_k and bound.size > _SEED_VECTORS:
+            head = bound >= np.partition(bound, -_SEED_VECTORS)[-_SEED_VECTORS]
+            stages = [head, ~head]
+        expanded = 0
+        for stage in stages:
             if len(best) == top_k:
-                floor = best[-1].throughput
+                stage = stage & (bound >= best[-1].throughput)
+            best = self._score(types, counts[:, stage], c, bound[stage], top_k, best)
+            expanded += int(stage.sum())
+        pruned = bound.size - expanded
+        self.vectors_scored += expanded
+        self.vectors_pruned += pruned
+        if pruned and obs.is_enabled():
+            obs.metrics().counter("sched_plan_vectors_pruned_total").inc(pruned)
         return best
+
+    def _score(self, types, counts, c, bound, top_k: int, best: List[ScoredPlan]):
+        """Expand ``counts`` into EST splits, score all, merge the top into ``best``.
+
+        The array form of :meth:`_ests_for_counts` + Eq. (1): axes are
+        (GPU type, count vector, split), each type's ESTs-per-GPU is the
+        floor or the ceiling of its proportional-to-capability share, and
+        only the candidates that can enter the top K become ``Plan``s.
+        """
+        if not bound.size:
+            return best
+        n, c = counts[:, :, None], c[:, :, None]
+        used = n > 0
+        # split k takes type i's floor (0) or ceiling (1): bit i of k
+        ceil = np.arange(1 << len(types)) >> np.arange(len(types))[:, None, None] & 1
+        a = (np.maximum(1, (self.max_p * c / bound[:, None]).astype(np.int64)) + ceil) * used
+        throughput = bound[:, None] - grid_waste(n, a, c, self.max_p)
+        # no plan: a split "choice" for a type the vector does not use, or
+        # nothing left after waste (infeasible candidates waste +inf)
+        throughput[(ceil > used).any(axis=0) | (throughput <= 0)] = -np.inf
+        floor = best[-1].throughput if len(best) == top_k else 0.0
+        if throughput.size > top_k:
+            floor = max(floor, np.partition(throughput, -top_k, axis=None)[-top_k])
+        found = [
+            ScoredPlan(
+                Plan.build({t: (int(n[i, v, 0]), int(a[i, v, k])) for i, t in enumerate(types)},
+                           self.max_p),
+                float(throughput[v, k]),
+            )
+            for v, k in zip(*np.nonzero(throughput >= floor))
+        ]
+        return sorted(best + found, key=_rank_key)[:top_k]
 
     def best_plan_delta(
         self, owned: Mapping[str, int], gtype: str, chunk: int
@@ -332,12 +382,12 @@ class CompanionModule:
         """Best plan under ``owned + chunk×gtype``, scored incrementally.
 
         Exactly ``best_plan({**owned, gtype: owned.get(gtype, 0) + chunk})``
-        — but instead of re-enumerating the full hypothetical space, it
-        takes the better of (a) the cached best plan for ``owned`` and
-        (b) the best plan in the *slab* of count vectors that use more
-        than the owned count of ``gtype``; those two sets partition the
-        hypothetical space.  The slab search reuses the dominance bound
-        with the owned best as its initial floor.
+        — but instead of re-scoring the full hypothetical space, it takes
+        the better of (a) the cached best plan for ``owned`` and (b) the
+        best plan in the *slab* of count vectors with ``old_cap < n_gtype
+        <= new_cap`` (every other type keeps its owned cap); those two
+        sets partition the hypothetical space.  The owned best seeds the
+        slab's dominance bound.
         """
         if chunk <= 0:
             raise ValueError(f"chunk must be positive, got {chunk}")
@@ -356,52 +406,13 @@ class CompanionModule:
         cached = self._delta_cache.get(delta_key)
         if cached is not MISS:
             return cached
-        best = base
-        seen: set = set()
-        slab = self._slab_vectors(owned, gtype, old_cap, new_cap)
-        for bound, _, counts in self._ordered_vectors(slab):
-            if best is not None and bound < best.throughput:
-                self.vectors_pruned += 1
-                if obs.is_enabled():
-                    obs.metrics().counter("sched_plan_vectors_pruned_total").inc()
-                break
-            for candidate in self._score_counts(counts, seen):
-                if best is None or _rank_key(candidate) < _rank_key(best):
-                    best = candidate
+        # a homogeneous plan in the slab uses gtype alone
+        ranges = {} if self.homogeneous_only else {t: (0, cap) for t, cap in owned_key}
+        ranges[gtype] = (old_cap + 1, new_cap)
+        found = self._search(ranges, 1, [base] if base else [])
+        best = found[0] if found else None
         self._delta_cache.put(delta_key, best)
         return best
-
-    def _slab_vectors(
-        self, owned: Mapping[str, int], gtype: str, old_cap: int, new_cap: int
-    ) -> Iterable[Dict[str, int]]:
-        """Count vectors with ``old_cap < n_gtype <= new_cap``.
-
-        These are exactly the hypothetical-space vectors absent from the
-        owned space (every other type keeps its owned cap).
-        """
-        lo = max(old_cap + 1, 1)
-        if self.homogeneous_only:
-            for n in range(lo, new_cap + 1):
-                yield {gtype: n}
-            return
-        others = [
-            t
-            for t in sorted(owned)
-            if t != gtype and owned[t] > 0 and t in self.capability
-        ]
-        ranges = [
-            range(0, min(owned[t], self.max_p, self.max_gpus_per_type) + 1)
-            for t in others
-        ]
-        for n in range(lo, new_cap + 1):
-            if n > self.max_p:
-                break
-            for counts in itertools.product(*ranges):
-                if n + sum(counts) > self.max_p:
-                    continue
-                vector = {t: c for t, c in zip(others, counts) if c > 0}
-                vector[gtype] = n
-                yield vector
 
     # ------------------------------------------------------------------
     # bias correction

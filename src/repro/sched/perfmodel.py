@@ -17,12 +17,30 @@ computes:
 A perfectly balanced homogeneous plan has zero waste and throughput equal
 to the aggregate capability; mixing a slow GPU type with too many ESTs
 drives ``f_overload`` up and strands the fast GPUs' capability.
+
+Float-operation order is part of the contract
+---------------------------------------------
+
+Throughputs rank plans, plans decide grants, grants are simulator events:
+the *bits* of Eq. (1d) reach every ``EventLog.fingerprint()``.  So the
+two sums over GPU types — ``Σ N_i·C_i`` and the Eq. (1c) imbalance — are
+written once, in :func:`fold`, as a plain left-to-right IEEE fold over
+the types in sorted order.  ``builtins.sum`` is not that: from Python
+3.12 on it compensates float sums (Neumaier), so the same plan scored
+on 3.11 and 3.12 could differ in the last bit.  The scalar functions
+here (the oracle the companion's ``enumerate_plans_reference`` is built
+from) and :func:`grid_waste` (the array kernel that scores a whole
+candidate grid at once) both go through :func:`fold` with the same
+per-term expressions, so they agree bit for bit with each other and
+across interpreter versions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -78,6 +96,25 @@ class Plan:
         return len(self.alloc) == 1
 
 
+def fold(terms: Iterable):
+    """``((0.0 + t_0) + t_1) + ...`` — left to right, nothing compensated.
+
+    The one place the Eq. (1) accumulations over GPU types are spelled
+    out (see the module docs).  ``terms`` is a sequence of floats, or an
+    array whose *first* axis is the type axis: iterating either yields
+    one term per type, and ``+`` is elementwise on arrays.
+    """
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def aggregate_capability(plan: Plan, capability: Mapping[str, float]) -> float:
+    """``Σ N_i·C_i``: Eq. (1d) before waste, and its upper bound."""
+    return fold(n * capability[gtype] for gtype, n, _ in plan.alloc)
+
+
 def overload_factor(plan: Plan, capability: Mapping[str, float]) -> float:
     """Eq. (1b): the bottleneck GPU's seconds-per-global-step."""
     worst = 0.0
@@ -103,15 +140,7 @@ def waste(plan: Plan, capability: Mapping[str, float]) -> float:
         raise ValueError(
             f"infeasible plan: capacity {plan.n_est_capacity} < maxP {plan.max_p}"
         )
-    f = overload_factor(plan, capability)
-    imbalance = sum(
-        n * (capability[gtype] - a / f) for gtype, n, a in plan.alloc
-    )
-    over_provision = (plan.n_est_capacity - plan.max_p) / f
-    total = imbalance + over_provision
-    if -_WASTE_EPS < total < 0.0:
-        return 0.0
-    return total
+    return observed_waste(plan, capability, overload_factor(plan, capability))
 
 
 def observed_waste(
@@ -125,9 +154,7 @@ def observed_waste(
     """
     if f_observed <= 0:
         raise ValueError(f"observed overload factor must be positive, got {f_observed}")
-    imbalance = sum(
-        n * (capability[gtype] - a / f_observed) for gtype, n, a in plan.alloc
-    )
+    imbalance = fold(n * (capability[gtype] - a / f_observed) for gtype, n, a in plan.alloc)
     over_provision = (plan.n_est_capacity - plan.max_p) / f_observed
     total = imbalance + over_provision
     if -_WASTE_EPS < total < 0.0:
@@ -137,8 +164,28 @@ def observed_waste(
 
 def estimated_throughput(plan: Plan, capability: Mapping[str, float]) -> float:
     """Eq. (1d): aggregate mini-batches/second after subtracting waste."""
-    aggregate = sum(n * capability[gtype] for gtype, n, _ in plan.alloc)
-    return aggregate - waste(plan, capability)
+    return aggregate_capability(plan, capability) - waste(plan, capability)
+
+
+def grid_waste(n: np.ndarray, a: np.ndarray, c: np.ndarray, max_p: int) -> np.ndarray:
+    """Eq. (1a–1c) for a whole grid of candidate plans at once.
+
+    All three arrays carry the GPU-type axis first and broadcast against
+    each other behind it: ``n[i]`` GPUs of type ``i`` hosting ``a[i]``
+    ESTs each (both 0 where a candidate does not use the type), ``c[i]``
+    the type's capability.  Every expression is the array form of the
+    scalar line it mirrors in :func:`overload_factor` /
+    :func:`observed_waste` — same operands, same order, same
+    :func:`fold` — so a candidate's waste has the bits :func:`waste`
+    gives its :class:`Plan`, and ``fold(n * c) - grid_waste(...)`` those
+    of :func:`estimated_throughput`.  Infeasible candidates (1a), which
+    :func:`waste` refuses, waste ``+inf``.
+    """
+    f = (a / c).max(axis=0)
+    n_est = (n * a).sum(axis=0)
+    total = fold(n * (c - a / f)) + (n_est - max_p) / f
+    total = np.where((-_WASTE_EPS < total) & (total < 0.0), 0.0, total)
+    return np.where(n_est >= max_p, total, np.inf)
 
 
 @dataclass(frozen=True)

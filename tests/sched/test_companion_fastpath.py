@@ -11,12 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sched.companion import CompanionModule
+from repro.sched.companion import CompanionModule, _CapabilityTable, _SEED_VECTORS
 from repro.sched.plancache import MISS, PlanCache, availability_key
 
 CAP = {"v100": 9.0, "p100": 4.0, "t4": 3.0}
 
 TYPES = ("v100", "p100", "t4")
+
+#: every ``dir(dict)`` name that cannot change a dict's contents; any other
+#: name must be overridden by ``_CapabilityTable`` (see the mutator tests)
+DICT_READ_ONLY = frozenset({
+    "__class__", "__class_getitem__", "__contains__", "__delattr__", "__dir__",
+    "__doc__", "__eq__", "__format__", "__ge__", "__getattribute__",
+    "__getitem__", "__getstate__", "__gt__", "__hash__", "__init_subclass__",
+    "__iter__", "__le__", "__len__", "__lt__", "__ne__", "__new__", "__or__",
+    "__reduce__", "__reduce_ex__", "__repr__", "__reversed__", "__ror__",
+    "__setattr__", "__sizeof__", "__str__", "__subclasshook__", "copy",
+    "fromkeys", "get", "items", "keys", "values",
+})
 
 
 class TestPlanCache:
@@ -121,6 +133,38 @@ class TestCacheBehaviour:
         g = comp.generation
         comp.capability.setdefault("t4", 3.0)
         assert comp.generation > g
+        g = comp.generation
+        comp.capability |= {"t4": 2.5}
+        assert comp.generation > g and comp.capability["t4"] == 2.5
+        assert type(comp.capability) is _CapabilityTable  # |= keeps the container
+        g = comp.generation
+        assert comp.capability.popitem() == ("t4", 2.5)
+        assert comp.generation > g
+        g = comp.generation
+        del comp.capability["p100"]
+        assert comp.generation > g
+        g = comp.generation
+        comp.capability.clear()
+        assert comp.generation > g
+
+    def test_no_dict_mutator_is_left_unguarded(self):
+        # a mutator dict grows in a later Python shows up here: it is
+        # neither known read-only nor overridden by the table
+        unguarded = set(dir(dict)) - DICT_READ_ONLY - set(vars(_CapabilityTable))
+        assert not unguarded, f"_CapabilityTable does not guard {sorted(unguarded)}"
+
+    @pytest.mark.parametrize("mutate", [
+        lambda table: table.__ior__({"v100": 3.0, "p100": 1.0}),
+        lambda table: [table.popitem() for _ in range(2)],
+    ], ids=["ior", "popitem"])
+    def test_in_place_or_and_popitem_leave_no_stale_plan(self, mutate):
+        comp = CompanionModule(max_p=2, capability={"t4": 3.0, "p100": 4.0, "v100": 10.0})
+        avail = {"v100": 2, "t4": 2}
+        assert comp.best_plan(avail).throughput == 20.0
+        mutate(comp.capability)
+        fresh = comp.best_plan(avail)
+        assert fresh == comp.enumerate_plans_reference(avail)[0]
+        assert fresh.throughput == 6.0
 
 
 class TestPruning:
@@ -129,7 +173,28 @@ class TestPruning:
         avail = {"v100": 8, "p100": 8, "t4": 8}
         top = comp.best_plans(avail, top_k=3)
         assert comp.vectors_pruned > 0
+        # every count vector with 1 <= sum <= maxP was either masked by the
+        # bound or expanded, and the seed head was expanded before any mask
+        assert comp.vectors_pruned + comp.vectors_scored == 164
+        assert comp.vectors_scored >= _SEED_VECTORS
         assert top == comp.enumerate_plans_reference(avail)[:3]
+
+    def test_delta_seeds_the_bound_with_the_owned_best(self):
+        comp = CompanionModule(max_p=8, capability=dict(CAP))
+        owned = {"v100": 4, "t4": 4}
+        comp.best_plan(owned)
+        scored, pruned = comp.vectors_scored, comp.vectors_pruned
+        got = comp.best_plan_delta(owned, "p100", 4)
+        # slab: 1..4 p100 x 0..4 v100 x 0..4 t4 with sum <= 8 — all 80
+        # accounted for, most of them masked without expansion
+        assert (comp.vectors_scored - scored) + (comp.vectors_pruned - pruned) == 80
+        assert comp.vectors_pruned - pruned > comp.vectors_scored - scored
+        assert got == comp.enumerate_plans_reference({"v100": 4, "t4": 4, "p100": 4})[0]
+
+    def test_non_positive_capability_is_refused(self):
+        comp = CompanionModule(max_p=4, capability={"v100": 9.0, "t4": 0.0})
+        with pytest.raises(ValueError, match="positive"):
+            comp.best_plan({"v100": 2, "t4": 2})
 
     def test_delta_matches_full_search(self):
         comp = CompanionModule(max_p=6, capability=dict(CAP))
@@ -157,29 +222,44 @@ class TestPruning:
             comp.best_plan_delta({"v100": 1}, "v100", 0)
 
 
+#: four known types at most; "a100" is never in a capability table
+KNOWN = TYPES + ("k80",)
+QUERYABLE = KNOWN + ("a100",)
+
+
 def _availability(draw):
+    # zero counts, unknown types, and counts past every cap (maxP, the
+    # per-type cap of 4) all occur
     avail = {}
-    for gtype in TYPES + ("a100",):
+    for gtype in QUERYABLE:
         if draw(st.booleans()):
-            avail[gtype] = draw(st.integers(0, 5))
+            avail[gtype] = draw(st.integers(0, 6))
     return avail
+
+
+def _capabilities(draw, types):
+    # equal capabilities tie whole families of plans on throughput, so the
+    # (total_gpus, alloc) tie-break — prefix allocs like (p100) against
+    # (p100, v100) included — decides the ranking
+    if draw(st.booleans()):
+        return dict.fromkeys(types, draw(st.sampled_from([0.25, 1.0, 3.0, 16.0])))
+    return {t: draw(st.floats(0.25, 16.0)) for t in types}
 
 
 class TestEquivalenceProperties:
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_fastpath_equals_bruteforce_under_interleaving(self, data):
         """Random query/mutation interleavings never desynchronize the
         cache: every fast-path answer equals the brute-force oracle run
         against the *current* capability table."""
         draw = data.draw
         types = draw(
-            st.lists(st.sampled_from(TYPES), min_size=1, max_size=3, unique=True)
+            st.lists(st.sampled_from(KNOWN), min_size=1, max_size=4, unique=True)
         )
-        caps = {t: draw(st.floats(0.25, 16.0)) for t in types}
         comp = CompanionModule(
-            max_p=draw(st.integers(1, 6)),
-            capability=caps,
+            max_p=draw(st.integers(1, 16)),
+            capability=_capabilities(draw, types),
             homogeneous_only=draw(st.booleans()),
             max_gpus_per_type=4,
         )
@@ -203,7 +283,7 @@ class TestEquivalenceProperties:
                 )
             elif op == "delta":
                 owned = _availability(draw)
-                gtype = draw(st.sampled_from(TYPES + ("a100",)))
+                gtype = draw(st.sampled_from(QUERYABLE))
                 chunk = draw(st.integers(1, 4))
                 got = comp.best_plan_delta(owned, gtype, chunk)
                 if gtype in comp.capability:
@@ -216,6 +296,8 @@ class TestEquivalenceProperties:
             elif op == "calibrate":
                 gtype = draw(st.sampled_from(types))
                 comp.capability[gtype] = draw(st.floats(0.25, 16.0))
+                if draw(st.booleans()):
+                    comp.capability |= _capabilities(draw, types)
             elif op == "report":
                 gtype = draw(st.sampled_from(types))
                 comp.report_measurement(

@@ -1,12 +1,16 @@
 """Eq. (1a)-(1d): hand-computed cases and model invariants."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sched.perfmodel import (
     Plan,
+    aggregate_capability,
     estimated_throughput,
+    fold,
+    grid_waste,
     observed_waste,
     overload_factor,
     waste,
@@ -146,3 +150,46 @@ class TestInvariants:
         plan = Plan.build({"v100": (1, 1)}, max_p=1)
         with pytest.raises(ValueError):
             overload_factor(plan, {"v100": 0.0})
+
+
+class TestFloatOrderContract:
+    # three terms whose plain left-to-right sum loses the 1.0 that a
+    # compensated sum (builtins.sum on Python >= 3.12, math.fsum) keeps
+    TERMS = [1e16, 1.0, -1e16]
+
+    def test_fold_is_the_plain_left_to_right_sum(self):
+        assert fold(self.TERMS) == (0.0 + 1e16 + 1.0) + -1e16 == 0.0
+        assert fold([]) == 0.0
+
+    def test_fold_iterates_the_first_axis_of_an_array(self):
+        terms = np.array([[t, 2 * t] for t in self.TERMS])
+        assert fold(terms).tolist() == [0.0, 0.0]
+
+    def test_aggregate_uses_the_fold(self):
+        # one GPU per type, folded in sorted type order: 1e16 + 1 - 1e16
+        plan = Plan.build({"a": (1, 1), "b": (1, 1), "c": (1, 1)}, max_p=3)
+        caps = dict(zip("abc", self.TERMS))
+        assert aggregate_capability(plan, caps) == 0.0
+
+    @given(
+        counts=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+        ests=st.lists(st.integers(1, 6), min_size=3, max_size=3),
+        caps=st.lists(st.floats(0.25, 16.0), min_size=3, max_size=3),
+        max_p=st.integers(1, 16),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_grid_kernel_has_the_scalar_bits(self, counts, ests, caps, max_p):
+        if not any(counts):
+            return
+        types = ("p100", "t4", "v100")
+        capability = dict(zip(types, caps))
+        plan = Plan.build(dict(zip(types, zip(counts, ests))), max_p=max_p)
+        n = np.array(counts)[:, None]
+        a = np.array(ests)[:, None] * (n > 0)
+        c = np.array(caps)[:, None]
+        got = grid_waste(n, a, c, max_p)[0]
+        if not plan.is_feasible:
+            assert got == np.inf
+        else:
+            assert got == waste(plan, capability)
+            assert fold(n * c)[0] - got == estimated_throughput(plan, capability)

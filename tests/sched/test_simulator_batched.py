@@ -10,10 +10,16 @@ deterministic cases pin the regimes the sweep samples only occasionally
 (colocation, shapes, membership), and ``GOLDEN`` pins the streams across
 the commit that deleted the third (plain ``heapq``) core.
 
+``TestPlanSearchOracle`` is the same idea one layer down: the production
+plan search (the NumPy grid kernel in ``repro.sched.companion``) against
+a test-side companion that answers every query from the scalar
+brute-force enumerator, compared on a whole contended trace.
+
 This module owns the shared plans and the comparison helper;
 ``test_simulator_fastpath.py`` holds the small fixed-trace cases on top
-of them.  Class and module names are the ones the repo's test floor
-lists (``ThreeCore`` dates from the third core).
+of them (its 13 ids are on the repo's test floor, more than one PR may
+retire, so it stays a module of its own).  Class and module names are
+the ones the floor lists (``ThreeCore`` dates from the third core).
 """
 
 import math
@@ -23,10 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultEvent, FaultPlan, random_sim_plan
-from repro.hw import microbench_cluster
+from repro.hw import microbench_cluster, production_cluster
 from repro.membership import HostEvent, HostSpec, MembershipPlan
 from repro.sched import (
     ClusterSimulator,
+    CompanionModule,
     EasyScalePolicy,
     ServingColocationPolicy,
     YarnCapacityScheduler,
@@ -34,6 +41,7 @@ from repro.sched import (
     generate_trace,
     heavy_tail_trace,
 )
+from repro.sched.trace import GPU_DEMAND
 
 CORES = ("run", "run_reference")
 
@@ -212,6 +220,47 @@ class TestBatchedResultParity:
         sim.run_reference()
         assert not sim.incremental_scheduling
         assert policy.inter.proposal_memo_hits == policy.inter.proposal_memo_misses == 0
+
+
+class ScalarOracleCompanion(CompanionModule):
+    """Answers every search from the scalar brute-force enumerator: no
+    grid kernel, no bound mask, no slab, no cache."""
+
+    searches = 0
+
+    def best_plans(self, available, top_k=3):
+        type(self).searches += 1
+        return self.enumerate_plans_reference(available)[:top_k]
+
+    def best_plan_delta(self, owned, gtype, chunk):
+        hypothetical = dict(owned)
+        if gtype in self.capability:
+            hypothetical[gtype] = hypothetical.get(gtype, 0) + chunk
+        return self.best_plan(hypothetical)
+
+
+class TestPlanSearchOracle:
+    def test_contended_trace_replays_identically_on_the_scalar_search(self, monkeypatch):
+        # the whole-trace form of the fast-path property: 60 jobs on 32
+        # GPUs queue for hours, so the scheduler searches at every arrival
+        # and completion; one throughput bit or one tie broken differently
+        # anywhere would move a grant and with it the event stream
+        jobs = diurnal_trace(num_jobs=60, seed=2023, days=0.5, demand=GPU_DEMAND)
+
+        def replay():
+            sim = ClusterSimulator(production_cluster(32), jobs, EasyScalePolicy(True))
+            return sim.run()
+
+        production = replay()
+        monkeypatch.setattr(
+            "repro.sched.easyscale_policy.CompanionModule", ScalarOracleCompanion
+        )
+        oracle = replay()
+        assert ScalarOracleCompanion.searches > 500
+        assert len(production.completed) == len(jobs)
+        assert production.average_jct > 10 * 3600  # contended: jobs wait for GPUs
+        assert oracle.events.fingerprint() == production.events.fingerprint()
+        assert oracle.jcts == production.jcts
 
 
 class TestSingleShot:
