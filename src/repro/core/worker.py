@@ -82,9 +82,12 @@ def execute_local_step(
         for micro_x, micro_y in micro_slices(x, y, micro_batches):
             loss = spec.forward_loss(model, micro_x, micro_y)
             if arrival_sink is not None:
+                arrived = set(arrival_sink)
+
                 def on_grad(tensor) -> None:
                     name = (param_names_by_id or {}).get(id(tensor))
-                    if name is not None and name not in arrival_sink:
+                    if name is not None and name not in arrived:
+                        arrived.add(name)
                         arrival_sink.append(name)
 
                 with leaf_grad_hook(on_grad):

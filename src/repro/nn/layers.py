@@ -18,7 +18,7 @@ automatically analyzes a DL model by scanning the PyTorch nn.Module".
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -83,13 +83,16 @@ class Conv2d(Module):
         )
 
 
-class BatchNorm2d(Module):
-    """Batch normalization over (N, H, W) with tracked running statistics.
+class _BatchNorm(Module):
+    """Batch normalization with tracked running statistics.
 
     The running mean/var buffers are the canonical example of implicit
     framework state (§3.3): they are updated as a side effect of the forward
     pass and must ride along in checkpoints for bitwise restarts.
     """
+
+    #: axes the statistics reduce over (everything but the channel axis)
+    axes: Tuple[int, ...]
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
         super().__init__()
@@ -100,28 +103,27 @@ class BatchNorm2d(Module):
         self.bias = Parameter(np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
-        self.register_buffer("num_batches_tracked", np.asarray(0, dtype=np.int64))
+
+    def _affine(self) -> Tuple[Tensor, Tensor]:
+        """``(weight, bias)`` as they broadcast against the input."""
+        raise NotImplementedError
 
     def forward(self, x: Tensor) -> Tensor:
+        w, b = self._affine()
         if self.training:
-            mean = ops.mean_over(x, (0, 2, 3), keepdims=True)
-            centered = x - mean
-            var = ops.mean_over(centered * centered, (0, 2, 3), keepdims=True)
-            n = x.shape[0] * x.shape[2] * x.shape[3]
-            unbiased = var.data.reshape(-1) * (n / max(n - 1, 1))
+            out, mean, var = ops.batch_norm(x, w, b, self.eps, self.axes)
+            n = x.size // self.num_features
+            unbiased = var.reshape(-1) * (n / max(n - 1, 1))
             journal = current_bn_journal()
             if journal is not None:
                 # data-parallel harness defers folding to virtual-rank order
-                journal.append((self, mean.data.reshape(-1).copy(), unbiased.copy()))
+                journal.append((self, mean.reshape(-1).copy(), unbiased.copy()))
             else:
-                self.fold_stats(mean.data.reshape(-1), unbiased)
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
-            centered = x - mean
-        inv_std = (var + self.eps) ** -0.5
-        w = self.weight.reshape(1, self.num_features, 1, 1)
-        b = self.bias.reshape(1, self.num_features, 1, 1)
+                self.fold_stats(mean.reshape(-1), unbiased)
+            return out
+        stat_shape = [1 if axis in self.axes else -1 for axis in range(x.ndim)]
+        centered = x - Tensor(self.running_mean.reshape(stat_shape))
+        inv_std = (Tensor(self.running_var.reshape(stat_shape)) + self.eps) ** -0.5
         return centered * inv_std * w + b
 
     def fold_stats(self, batch_mean: np.ndarray, batch_var_unbiased: np.ndarray) -> None:
@@ -134,51 +136,35 @@ class BatchNorm2d(Module):
             "running_var",
             ((1 - self.momentum) * self.running_var + self.momentum * batch_var_unbiased).astype(np.float32),
         )
+
+
+class BatchNorm2d(_BatchNorm):
+    """Batch normalization over (N, H, W) of (N, C, H, W) inputs."""
+
+    axes = (0, 2, 3)
+
+    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
+        super().__init__(num_features, eps, momentum)
+        self.register_buffer("num_batches_tracked", np.asarray(0, dtype=np.int64))
+
+    def _affine(self) -> Tuple[Tensor, Tensor]:
+        # real reshape nodes: they delay the affine leaves' gradient until
+        # everything upstream of the input has received its own
+        shape = (1, self.num_features, 1, 1)
+        return self.weight.reshape(shape), self.bias.reshape(shape)
+
+    def fold_stats(self, batch_mean: np.ndarray, batch_var_unbiased: np.ndarray) -> None:
+        super().fold_stats(batch_mean, batch_var_unbiased)
         self._set_buffer("num_batches_tracked", self.num_batches_tracked + 1)
 
 
-class BatchNorm1d(Module):
+class BatchNorm1d(_BatchNorm):
     """Batch normalization over (N,) for (N, C) inputs."""
 
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.weight = Parameter(np.ones(num_features, dtype=np.float32))
-        self.bias = Parameter(np.zeros(num_features, dtype=np.float32))
-        self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
-        self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
+    axes = (0,)
 
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mean = x.mean(axis=0, keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=0, keepdims=True)
-            n = x.shape[0]
-            unbiased = var.data.reshape(-1) * (n / max(n - 1, 1))
-            journal = current_bn_journal()
-            if journal is not None:
-                journal.append((self, mean.data.reshape(-1).copy(), unbiased.copy()))
-            else:
-                self.fold_stats(mean.data.reshape(-1), unbiased)
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1))
-            var = Tensor(self.running_var.reshape(1, -1))
-            centered = x - mean
-        inv_std = (var + self.eps) ** -0.5
-        return centered * inv_std * self.weight + self.bias
-
-    def fold_stats(self, batch_mean: np.ndarray, batch_var_unbiased: np.ndarray) -> None:
-        """Apply one momentum update of the running statistics."""
-        self._set_buffer(
-            "running_mean",
-            ((1 - self.momentum) * self.running_mean + self.momentum * batch_mean).astype(np.float32),
-        )
-        self._set_buffer(
-            "running_var",
-            ((1 - self.momentum) * self.running_var + self.momentum * batch_var_unbiased).astype(np.float32),
-        )
+    def _affine(self) -> Tuple[Tensor, Tensor]:
+        return self.weight, self.bias
 
 
 class LayerNorm(Module):

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro import obs
 from repro.hw.cluster import Cluster
+from repro.sched.perfmodel import fold
 from repro.sched.trace import TraceJob
 from repro.utils.events import EventLog
 
@@ -150,7 +151,7 @@ class SimResult:
         finished = self.completed
         if not finished:
             return float("inf")
-        return sum(j.completion_time - j.job.arrival_time for j in finished) / len(finished)
+        return fold(j.completion_time - j.job.arrival_time for j in finished) / len(finished)
 
     @property
     def jcts(self) -> List[float]:

@@ -110,19 +110,22 @@ def _matmul_f64_accumulate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _matmul_f32_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """P100 dialect: straight float32 BLAS accumulation."""
-    return np.matmul(a.astype(np.float32), b.astype(np.float32))
+    return np.matmul(a.astype(np.float32, copy=False), b.astype(np.float32, copy=False))
 
 
 def _matmul_splitk(a: np.ndarray, b: np.ndarray, block: int) -> np.ndarray:
-    """Split-K GEMM: accumulate K-dimension in ``block``-sized float32 chunks."""
-    a = a.astype(np.float32)
-    b = b.astype(np.float32)
-    k = a.shape[-1]
-    out = None
-    for start in range(0, k, block):
-        part = np.matmul(a[..., start : start + block], b[..., start : start + block, :])
-        out = part if out is None else out + part
-    assert out is not None
+    """Split-K GEMM: accumulate K-dimension in ``block``-sized float32 chunks.
+
+    One BLAS call per chunk on views of the operands, partials added in
+    place left to right.  Stacking the chunks into one batched ``matmul``
+    would route them through NumPy's strided fallback — a different
+    accumulation order, different bits.
+    """
+    a = a.astype(np.float32, copy=False)
+    b = b.astype(np.float32, copy=False)
+    out = np.matmul(a[..., :block], b[..., :block, :])
+    for start in range(block, a.shape[-1], block):
+        out += np.matmul(a[..., start : start + block], b[..., start : start + block, :])
     return out
 
 
@@ -252,14 +255,18 @@ def _reduce_sequential(x: np.ndarray, axis, keepdims: bool) -> np.ndarray:
             total = np.float32(total + np.add.reduce(chunk, dtype=np.float32))
         out = np.float32(total)
         return np.reshape(out, (1,) * x.ndim) if keepdims else np.asarray(out, dtype=np.float32)
-    moved = np.moveaxis(x, axis, -1)
-    n = moved.shape[-1]
-    acc = np.zeros(moved.shape[:-1], dtype=np.float32)
-    block = 64
-    for start in range(0, n, block):
-        acc = acc + np.add.reduce(moved[..., start : start + block], axis=-1, dtype=np.float32)
+    shape = list(x.shape)
     if keepdims:
-        acc = np.expand_dims(acc, axis)
+        shape[axis] = 1
+    else:
+        del shape[axis]
+    # starting from zeros is part of the bits: 0.0 + -0.0 is +0.0
+    acc = np.zeros(shape, dtype=np.float32)
+    window = [slice(None)] * x.ndim
+    block = 64
+    for start in range(0, x.shape[axis], block):
+        window[axis] = slice(start, start + block)
+        acc += np.add.reduce(x[tuple(window)], axis=axis, dtype=np.float32, keepdims=keepdims)
     return acc
 
 

@@ -8,10 +8,19 @@ for the paper's determinism story:
   the big D2 penalty in Fig. 12 (the agnostic GEMM replaces the vendor one).
 - ``embedding`` backward dispatches through :func:`repro.tensor.kernels.scatter_add`,
   which is the "atomic vs deterministic kernel" switch D0 controls.
+
+The three composites that make up a conv model — :func:`batch_norm`,
+:func:`conv2d` (per group) and :func:`mean_over`/:func:`sum_over` — are one
+autograd node each, with a hand-written backward that performs the float
+operations of the primitive-op spelling in the same order through the same
+registry kernels (docs/DETERMINISM.md, "What a change to ``repro.tensor``
+may not move").  The primitive-op spellings live on as the test oracle in
+``tests/tensor/reference_ops.py``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -19,7 +28,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from repro.tensor import kernels
 from repro.tensor.context import current_context
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, _swap_last, _unbroadcast
 from repro.utils.rng import RNGBundle
 
 
@@ -28,23 +37,109 @@ from repro.utils.rng import RNGBundle
 # ---------------------------------------------------------------------------
 
 
-def sum_over(x: Tensor, axes: Union[int, Tuple[int, ...]], keepdims: bool = False) -> Tensor:
-    """Sum over one or several axes (chained single-axis registry reductions)."""
+def _chain_reduce(data: np.ndarray, axes: Tuple[int, ...], keepdims: bool) -> np.ndarray:
+    """Single-axis registry reductions, highest axis first.
+
+    The axis order is part of the bits (each step rounds to float32) and,
+    under ``BASELINE_POLICY``, so is the number of registry calls.
+    """
+    ctx = current_context()
+    for axis in sorted(axes, reverse=True):
+        data = kernels.reduce_sum(
+            data, axis=axis, keepdims=keepdims, dialect=ctx.dialect, policy=ctx.policy
+        )
+    return data
+
+
+def _inv_count(shape: Tuple[int, ...], axes: Tuple[int, ...]) -> np.float32:
+    """``1/n`` of a mean over ``axes``, rounded once to float32."""
+    return np.float32(1.0 / math.prod(shape[axis] for axis in axes))
+
+
+def _reduce_over(
+    x: Tensor, axes: Union[int, Tuple[int, ...]], keepdims: bool, mean: bool
+) -> Tensor:
+    """Sum (or mean) over ``axes`` as one node whose backward is one broadcast."""
     if isinstance(axes, int):
         axes = (axes,)
-    out = x
-    for axis in sorted(axes, reverse=True):
-        out = out.sum(axis=axis, keepdims=keepdims)
+    data = _chain_reduce(x.data, axes, keepdims)
+    scale = _inv_count(x.shape, axes) if mean else None
+    out = x._make(data * scale if mean else data, (x,))
+    kept = list(x.shape)
+    for axis in axes:
+        kept[axis] = 1
+
+    def _backward() -> None:
+        if x.requires_grad:
+            g = out.grad * scale if mean else out.grad
+            x._accumulate(np.broadcast_to(g.reshape(kept), x.shape))
+
+    out._backward = _backward
     return out
 
 
+def sum_over(x: Tensor, axes: Union[int, Tuple[int, ...]], keepdims: bool = False) -> Tensor:
+    """Sum over one or several axes (chained single-axis registry reductions)."""
+    return _reduce_over(x, axes, keepdims, mean=False)
+
+
 def mean_over(x: Tensor, axes: Union[int, Tuple[int, ...]], keepdims: bool = False) -> Tensor:
-    if isinstance(axes, int):
-        axes = (axes,)
-    count = 1
-    for axis in axes:
-        count *= x.shape[axis]
-    return sum_over(x, axes, keepdims=keepdims) * (1.0 / count)
+    """Mean over one or several axes: the registry sums, then one float32 scale."""
+    return _reduce_over(x, axes, keepdims, mean=True)
+
+
+# ---------------------------------------------------------------------------
+# batch normalisation
+# ---------------------------------------------------------------------------
+
+
+def batch_norm(
+    x: Tensor, weight: Tensor, bias: Tensor, eps: float, axes: Tuple[int, ...]
+) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Training-mode batch normalisation over ``axes`` as one autograd node.
+
+    ``weight`` and ``bias`` must already broadcast against ``x``: they are
+    parents of the node in the order ``(x, weight, bias)``, which is what
+    fixes when the affine leaves receive their gradient relative to
+    everything upstream of ``x`` (and so DDP's bucket layout).  Returns the
+    output plus the batch mean and biased variance (``keepdims`` shape) for
+    the running-statistics update.
+
+    Forward and backward perform the float operations of the primitive-op
+    spelling (``tests/tensor/reference_ops.py``) in the same order, with
+    the statistics going through the registry and the gradient folds
+    through :func:`_unbroadcast`'s plain NumPy sums.
+    """
+    inv_count = _inv_count(x.shape, axes)
+    mean = _chain_reduce(x.data, axes, True) * inv_count
+    centered = x.data + (-mean)
+    var = _chain_reduce(centered * centered, axes, True) * inv_count
+    var_eps = var + np.float32(eps)
+    inv_std = var_eps**-0.5
+    normed = centered * inv_std
+    out = x._make(normed * weight.data + bias.data, (x, weight, bias))
+
+    def _backward() -> None:
+        g = out.grad
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        if weight.requires_grad:
+            weight._accumulate(_unbroadcast(g * normed, weight.shape))
+        if not x.requires_grad:
+            return
+        g_normed = g * weight.data
+        g_inv_std = _unbroadcast(g_normed * centered, inv_std.shape)
+        g_var = g_inv_std * -0.5 * var_eps**-1.5
+        through_var = g_var * inv_count * centered
+        # centered feeds normed once and its own square twice: three terms,
+        # added in the order the composed graph accumulated them
+        g_centered = g_normed * inv_std + through_var + through_var
+        x._accumulate(g_centered)
+        g_mean = -_unbroadcast(g_centered, mean.shape)
+        x._accumulate(np.broadcast_to(g_mean * inv_count, x.shape))
+
+    out._backward = _backward
+    return out, mean, var
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +261,11 @@ def _im2col_forward(
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
     n, c, h, w = x.shape
     out_h, out_w = _conv_geometry(h, w, kh, kw, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad:-pad, pad:-pad] = x
+    else:
+        xp = x
     sn, sc, sh, sw = xp.strides
     windows = as_strided(
         xp,
@@ -215,6 +314,36 @@ def im2col(x: Tensor, kh: int, kw: int, stride: int = 1, pad: int = 0) -> Tuple[
     return out, (out_h, out_w)
 
 
+def _conv2d_group(x: Tensor, weight: Tensor, stride: int, padding: int) -> Tensor:
+    """One group's convolution as a single node: im2col -> registry GEMM -> reshape.
+
+    Backward issues the two registry GEMMs of ``w2d.matmul(cols)`` in that
+    op's order (weight gradient first — the autotuner picks variants by
+    call count) on operands laid out as the composed graph laid them out.
+    The weight is accumulated before the input, so a conv weight receives
+    its gradient before anything upstream of ``x`` does.
+    """
+    n = x.shape[0]
+    c_out, c_in, kh, kw = weight.shape
+    cols, (out_h, out_w) = _im2col_forward(x.data, kh, kw, stride, padding)
+    w2d = weight.data.reshape(c_out, c_in * kh * kw)
+    ctx = current_context()
+    out_data = kernels.matmul(w2d, cols, dialect=ctx.dialect, policy=ctx.policy)
+    out = x._make(out_data.reshape(n, c_out, out_h, out_w), (weight, x))
+
+    def _backward() -> None:
+        g = np.ascontiguousarray(out.grad).reshape(n, c_out, out_h * out_w)
+        if weight.requires_grad:
+            grad_w = kernels.matmul(g, _swap_last(cols), dialect=ctx.dialect, policy=ctx.policy)
+            weight._accumulate(_unbroadcast(grad_w, w2d.shape).reshape(weight.shape))
+        if x.requires_grad:
+            grad_cols = kernels.matmul(_swap_last(w2d), g, dialect=ctx.dialect, policy=ctx.policy)
+            x._accumulate(_col2im(grad_cols, x.shape, kh, kw, stride, padding, out_h, out_w))
+
+    out._backward = _backward
+    return out
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -223,14 +352,14 @@ def conv2d(
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
-    """2-D convolution as im2col + registry GEMM.
+    """2-D convolution as im2col + registry GEMM, one autograd node per group.
 
     ``groups`` supports depthwise/grouped convs (ShuffleNetV2).  Because the
     contraction is a registry matmul, the output bits depend on the device
     dialect unless the active policy is hardware-agnostic (D2).
     """
-    n, c_in, _, _ = x.shape
-    c_out, c_in_g, kh, kw = weight.shape
+    c_in = x.shape[1]
+    c_out, c_in_g = weight.shape[:2]
     if c_in % groups or c_out % groups:
         raise ValueError("channels must be divisible by groups")
     if c_in_g != c_in // groups:
@@ -239,22 +368,15 @@ def conv2d(
         )
 
     if groups == 1:
-        cols, (out_h, out_w) = im2col(x, kh, kw, stride, padding)
-        w2d = weight.reshape(c_out, c_in_g * kh * kw)
-        out = w2d.matmul(cols)  # (n, c_out, out_h*out_w) via broadcasting
-        out = out.reshape(n, c_out, out_h, out_w)
+        out = _conv2d_group(x, weight, stride, padding)
     else:
-        group_outs = []
-        out_h = out_w = None
-        x_groups = chunk(x, groups, axis=1)
-        w_groups = chunk(weight, groups, axis=0)
-        for xg, wg in zip(x_groups, w_groups):
-            cols, (out_h, out_w) = im2col(xg, kh, kw, stride, padding)
-            w2d = wg.reshape(c_out // groups, c_in_g * kh * kw)
-            og = w2d.matmul(cols).reshape(n, c_out // groups, out_h, out_w)
-            group_outs.append(og)
-        out = concat(group_outs, axis=1)
-
+        out = concat(
+            [
+                _conv2d_group(xg, wg, stride, padding)
+                for xg, wg in zip(chunk(x, groups, axis=1), chunk(weight, groups, axis=0))
+            ],
+            axis=1,
+        )
     if bias is not None:
         out = out + bias.reshape(1, c_out, 1, 1)
     return out

@@ -18,6 +18,11 @@ Design notes
   contributions back onto the parents' shapes.
 - ``no_grad()`` scopes inference passes (metric evaluation) so they don't
   build graphs.
+- A graph is single-use: ``backward()`` drops each node's closure as soon
+  as it has run, so the saved operands are released during the pass, the
+  nodes die by reference count when the caller drops the root, and a second
+  ``backward()`` through any of them raises.  ``.grad`` stays readable on
+  every node that is still referenced.
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ def _as_array(value: Union["Tensor", np.ndarray, Scalar]) -> np.ndarray:
 class Tensor:
     """An array with an optional autograd tape entry."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "_prev", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "_prev", "name", "__weakref__")
 
     def __init__(
         self,
@@ -196,7 +201,9 @@ class Tensor:
         """Run reverse-mode accumulation from this tensor.
 
         ``grad`` defaults to ones (only valid for scalar outputs, matching
-        PyTorch's convention for ``loss.backward()``).
+        PyTorch's convention for ``loss.backward()``).  The graph is freed
+        as it is traversed; backpropagating through any of its nodes again
+        raises ``RuntimeError``.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -204,7 +211,6 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar backward()")
             grad = np.ones_like(self.data)
-        self.grad = np.asarray(grad, dtype=np.float32).reshape(self.data.shape).copy()
 
         topo: List[Tensor] = []
         visited = set()
@@ -217,14 +223,24 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
+            if node._prev and node._backward_fn is None:
+                raise RuntimeError(
+                    "backward() through a graph that an earlier backward() already freed"
+                )
             stack.append((node, True))
             for parent in node._prev:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        self.grad = np.asarray(grad, dtype=np.float32).reshape(self.data.shape).copy()
+        # A closure holds its op's saved operands and refers to its own
+        # output node: a cycle that only the cyclic collector would free.
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            backward_fn = node._backward_fn
+            if backward_fn is not None:
+                node._backward_fn = None
+                if node.grad is not None:
+                    backward_fn()
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -350,12 +366,10 @@ class Tensor:
                 return
             g = out.grad
             if axis is None:
-                grad = np.broadcast_to(np.asarray(g).reshape(()), self.shape)
-            else:
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                grad = np.broadcast_to(g, self.shape)
-            self._accumulate(np.ascontiguousarray(grad))
+                g = g.reshape(())
+            elif not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         out._backward = _backward
         return out
@@ -431,7 +445,17 @@ class Tensor:
         def _backward() -> None:
             if self.requires_grad:
                 grad = np.zeros_like(self.data)
-                np.add.at(grad, index, out.grad)
+                # a basic index selects each element at most once, so the
+                # scatter is a plain in-place add; only fancy indices can
+                # repeat and need the unbuffered np.add.at
+                parts = index if isinstance(index, tuple) else (index,)
+                if all(
+                    part is None or part is Ellipsis or isinstance(part, (int, np.integer, slice))
+                    for part in parts
+                ):
+                    grad[index] += out.grad
+                else:
+                    np.add.at(grad, index, out.grad)
                 self._accumulate(grad)
 
         out._backward = _backward

@@ -1,5 +1,7 @@
 """Eq. (1a)-(1d): hand-computed cases and model invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,26 @@ class TestFloatOrderContract:
         plan = Plan.build({"a": (1, 1), "b": (1, 1), "c": (1, 1)}, max_p=3)
         caps = dict(zip("abc", self.TERMS))
         assert aggregate_capability(plan, caps) == 0.0
+
+    def test_average_jct_uses_the_fold(self):
+        # sim.avg_jct_s is a bound-0 benchmark quantity, and builtins.sum
+        # compensates on Python >= 3.12: it would keep the 2.0 that the
+        # plain fold (and Python 3.10/3.11) loses
+        from repro.sched.simulator import JobRuntime, SimResult
+        from repro.sched.trace import TraceJob
+        from repro.utils.events import EventLog
+
+        jcts = [1e16, 1.0, 1.0]
+        jobs = [
+            JobRuntime(
+                TraceJob(f"j{i}", "resnet50", 0.0, 1, "v100", 1.0),
+                remaining_work=0.0, status="done", completion_time=jct,
+            )
+            for i, jct in enumerate(jcts)
+        ]
+        result = SimResult("p", jobs, EventLog(), makespan=1e16, allocation_timeline=[])
+        assert result.jcts == jcts
+        assert result.average_jct == (1e16 + 1.0 + 1.0) / 3 != math.fsum(jcts) / 3
 
     @given(
         counts=st.lists(st.integers(0, 5), min_size=3, max_size=3),

@@ -177,3 +177,97 @@ class TestEngineBehavior:
         loss = (a * 2).sum()
         loss.backward()
         assert a.grad.dtype == np.float32
+
+
+class TestGraphLifetime:
+    """``backward()`` drops each node's closure: the graph dies by refcount."""
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        a = Tensor(_rand((3,)), requires_grad=True)
+        loss = (a * 2).sum()
+        loss.backward()
+        first = a.grad.copy()
+        with pytest.raises(RuntimeError, match="already freed"):
+            loss.backward()
+        np.testing.assert_array_equal(a.grad, first)  # refused, not half-applied
+
+    def test_backward_through_a_shared_freed_subgraph_raises(self):
+        a = Tensor(_rand((3,)), requires_grad=True)
+        shared = a * 2
+        shared.sum().backward()
+        with pytest.raises(RuntimeError, match="already freed"):
+            (shared * 3).sum().backward()
+
+    def test_leaf_can_feed_a_new_graph_after_backward(self):
+        a = Tensor(np.float32([1.0, 2.0]), requires_grad=True)
+        (a * 2).sum().backward()
+        (a * 3).sum().backward()  # gradients accumulate across graphs
+        np.testing.assert_array_equal(a.grad, [5.0, 5.0])
+
+    def test_gradients_stay_readable_after_the_free(self):
+        a = Tensor(np.float32([1.0, 2.0]), requires_grad=True)
+        hidden = a * 3
+        loss = hidden.sum()
+        loss.backward()
+        np.testing.assert_array_equal(a.grad, [3.0, 3.0])
+        np.testing.assert_array_equal(hidden.grad, [1.0, 1.0])
+        assert loss.grad.shape == loss.shape
+        assert all(node._backward is None for node in (loss, hidden))
+
+    def test_interior_nodes_die_with_the_loss_without_the_cyclic_collector(self):
+        import gc
+        import weakref
+
+        from repro.tensor import ops
+
+        x = Tensor(_rand((2, 3, 4, 4), 1), requires_grad=True)
+        weight = Tensor(_rand((3, 3, 3, 3), 2), requires_grad=True)
+        scale = Tensor(_rand((1, 3, 1, 1), 3), requires_grad=True)
+        shift = Tensor(_rand((1, 3, 1, 1), 4), requires_grad=True)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            conv = ops.conv2d(x, weight, padding=1)
+            normed, _, _ = ops.batch_norm(conv, scale, shift, 1e-5, (0, 2, 3))
+            hidden = normed.relu()
+            loss = ops.mean_over(hidden[:, 1:], (0, 1, 2, 3))
+            interior = [weakref.ref(node) for node in (conv, normed, hidden, loss)]
+            loss.backward()
+            del conv, normed, hidden, loss
+            assert [ref() for ref in interior] == [None] * 4
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert x.grad is not None and weight.grad is not None
+
+
+class TestGetitemScatter:
+    """Basic indices scatter with ``+=``, fancy ones with ``np.add.at``."""
+
+    @pytest.mark.parametrize("index", [
+        2,
+        -1,
+        slice(1, 4),
+        slice(None, None, -2),
+        (slice(None), 1),
+        (Ellipsis, slice(0, 2)),
+        (1, None, slice(None)),
+        (slice(None), slice(1, 3), 0),
+        np.int64(3),
+        [0, 0, 3],  # repeats: the unbuffered path
+        (slice(None), [1, 1, 2]),
+        np.array([True, False, True, False, True]),
+    ], ids=repr)
+    def test_same_bits_as_add_at(self, index):
+        from tests.tensor.reference_ops import getitem_add_at
+
+        data = _rand((5, 4, 3), 5)
+        grads = []
+        for getitem in (lambda t: t[index], lambda t: getitem_add_at(t, index)):
+            x = Tensor(data.copy(), requires_grad=True)
+            picked = getitem(x)
+            seed = _rand(picked.shape, 6)
+            seed.reshape(-1)[::2] = -0.0  # 0.0 + -0.0 is +0.0: part of the bits
+            picked.backward(seed)
+            grads.append(x.grad.tobytes())
+        assert grads[0] == grads[1]

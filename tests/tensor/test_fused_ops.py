@@ -1,0 +1,380 @@
+"""Fused autograd nodes == the composed spellings they replaced, bit for bit.
+
+Environment-independent counterpart of ``test_golden_bits.py``: both sides
+run here, on this BLAS, so the comparison holds wherever the tests run.
+Each property builds the same surrounding graph twice — once around the
+fused op from ``repro.tensor.ops``, once around the primitive-op oracle in
+``tests/tensor/reference_ops.py`` — and compares ``tobytes()`` of the
+output, every gradient, the batch statistics, and the order in which leaf
+tensors received their gradient (DDP's bucket layout follows it).
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+from typing import Callable, Dict, List, Sequence
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro import nn
+from repro.tensor import (
+    BASELINE_POLICY,
+    D0_POLICY,
+    D2_POLICY,
+    Tensor,
+    execution_context,
+    global_autotuner,
+    kernels,
+    ops,
+)
+from repro.tensor.tensor import leaf_grad_hook
+
+from tests.tensor import reference_ops
+
+#: the four dialects (three vendor ones under D0, the agnostic one under
+#: D2) plus the baseline policy, whose autotuner and atomic-interleave
+#: counter pick kernel variants by *call count*
+CONFIGS = [
+    ("v100", D0_POLICY),
+    ("p100", D0_POLICY),
+    ("t4", D0_POLICY),
+    ("v100", D2_POLICY),
+    ("v100", BASELINE_POLICY),
+    ("t4", BASELINE_POLICY),
+]
+config_strategy = st.sampled_from(CONFIGS)
+
+
+def _signed_zero_array(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal draws with a fifth of the entries forced to +0.0 and to -0.0."""
+    arr = rng.normal(size=shape).astype(np.float32)
+    pick = rng.random(size=shape)
+    arr[pick < 0.2] = 0.0
+    arr[pick < 0.1] = -0.0
+    return arr
+
+
+def _run(
+    op: Callable[[Tensor, Dict[str, Tensor]], Sequence[object]],
+    leaves: Dict[str, np.ndarray],
+    config,
+    seed: int,
+    op_first: bool,
+) -> Dict[str, object]:
+    """Build ``leaves -> x -> {op, two more consumers} -> loss`` and backprop.
+
+    ``x`` has a leaf upstream of it (so "before/after everything upstream
+    of x" is observable in the arrival order), is ReLU-masked (exact zeros
+    in the data, signed zeros in the gradients) and feeds two consumers
+    beside ``op`` — at least three gradient contributions, whose
+    accumulation order is part of the bits.
+    """
+    dialect, policy = config
+    global_autotuner().reset()
+    kernels._atomic_interleave = 0
+    rng = np.random.default_rng(seed)
+    tensors = {name: Tensor(data.copy(), requires_grad=True) for name, data in leaves.items()}
+    names = {id(t): name for name, t in tensors.items()}
+    arrival: List[str] = []
+    with execution_context(dialect, policy):
+        x = (tensors["input"] * tensors["gate"]).relu()
+        out, *stats = op(x, tensors)
+        head = (out * Tensor(_signed_zero_array(rng, out.shape))).relu().sum()
+        side = (x * Tensor(_signed_zero_array(rng, x.shape))).sum() + (x * x).sum()
+        loss = head + side if op_first else side + head
+        with leaf_grad_hook(lambda t: arrival.append(names[id(t)])):
+            loss.backward()
+    result: Dict[str, object] = {
+        "out": out.data.tobytes(),
+        "loss": loss.data.tobytes(),
+        "x.grad": x.grad.tobytes(),
+        "arrival": arrival,
+        "stats": [np.asarray(s).tobytes() for s in stats],
+    }
+    for name, tensor in tensors.items():
+        result[f"{name}.grad"] = tensor.grad.tobytes()
+    return result
+
+
+def _assert_same(fused: Dict[str, object], oracle: Dict[str, object]) -> None:
+    assert fused.keys() == oracle.keys()
+    for key in fused:
+        assert fused[key] == oracle[key], f"{key} differs from the composed oracle"
+
+
+class TestBatchNorm:
+    @given(
+        n=st.integers(1, 4), c=st.integers(1, 4), h=st.integers(1, 5), w=st.integers(1, 5),
+        config=config_strategy, seed=st.integers(0, 2**16), op_first=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_2d_matches_composed_graph(self, n, c, h, w, config, seed, op_first):
+        rng = np.random.default_rng(seed)
+        leaves = {
+            "input": _signed_zero_array(rng, (n, c, h, w)),
+            "gate": rng.normal(size=(1, c, 1, 1)).astype(np.float32),
+            "weight": rng.normal(size=(c,)).astype(np.float32),
+            "bias": rng.normal(size=(c,)).astype(np.float32),
+        }
+
+        def build(module):
+            def op(x, t):
+                shape = (1, c, 1, 1)
+                return module.batch_norm(
+                    x, t["weight"].reshape(shape), t["bias"].reshape(shape), 1e-5, (0, 2, 3)
+                )
+            return op
+
+        _assert_same(
+            _run(build(ops), leaves, config, seed, op_first),
+            _run(build(reference_ops), leaves, config, seed, op_first),
+        )
+
+    @given(
+        n=st.integers(1, 6), c=st.integers(1, 5),
+        config=config_strategy, seed=st.integers(0, 2**16), op_first=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_1d_matches_composed_graph(self, n, c, config, seed, op_first):
+        # BatchNorm1d hands the (C,) leaves in directly, so they receive
+        # their gradient *before* everything upstream of x
+        rng = np.random.default_rng(seed)
+        leaves = {
+            "input": _signed_zero_array(rng, (n, c)),
+            "gate": rng.normal(size=(1, c)).astype(np.float32),
+            "weight": rng.normal(size=(c,)).astype(np.float32),
+            "bias": rng.normal(size=(c,)).astype(np.float32),
+        }
+
+        def build(module):
+            return lambda x, t: module.batch_norm(x, t["weight"], t["bias"], 1e-5, (0,))
+
+        _assert_same(
+            _run(build(ops), leaves, config, seed, op_first),
+            _run(build(reference_ops), leaves, config, seed, op_first),
+        )
+
+    @pytest.mark.parametrize("layer_cls, shape, axes", [
+        (nn.BatchNorm2d, (3, 4, 2, 5), (0, 2, 3)),
+        (nn.BatchNorm1d, (6, 4), (0,)),
+    ])
+    def test_layers_fold_the_oracle_statistics(self, layer_cls, shape, axes):
+        layer = layer_cls(4)
+        x = np.random.default_rng(3).normal(size=shape).astype(np.float32)
+        out = layer(Tensor(x))
+        w, b = layer._affine()
+        ref_out, mean, var = reference_ops.batch_norm(Tensor(x), w, b, layer.eps, axes)
+        assert out.data.tobytes() == ref_out.data.tobytes()
+        n = x.size // 4
+        expected = nn.BatchNorm1d(4)
+        expected.fold_stats(mean.reshape(-1), var.reshape(-1) * (n / (n - 1)))
+        assert layer.running_mean.tobytes() == expected.running_mean.tobytes()
+        assert layer.running_var.tobytes() == expected.running_var.tobytes()
+
+    def test_eval_mode_uses_running_statistics_and_keeps_gradients(self):
+        layer = nn.BatchNorm2d(3)
+        layer.fold_stats(np.float32([0.5, -1.0, 2.0]), np.float32([4.0, 0.25, 1.0]))
+        layer.eval()
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 2, 2)).astype(np.float32),
+                   requires_grad=True)
+        before = layer.running_mean.copy()
+        out = layer(x)
+        mean = layer.running_mean.reshape(1, 3, 1, 1)
+        var = layer.running_var.reshape(1, 3, 1, 1)
+        np.testing.assert_allclose(out.data, (x.data - mean) / np.sqrt(var + 1e-5), rtol=1e-5)
+        out.sum().backward()
+        assert x.grad is not None and layer.weight.grad is not None
+        assert layer.running_mean.tobytes() == before.tobytes()
+
+
+class TestConv2d:
+    @given(
+        n=st.integers(1, 3), groups=st.integers(1, 2),
+        c_in_g=st.integers(1, 3), c_out_g=st.integers(1, 3),
+        h=st.integers(1, 6), w=st.integers(1, 6), kernel=st.sampled_from([1, 3]),
+        stride=st.integers(1, 2), pad=st.integers(0, 1), with_bias=st.booleans(),
+        config=config_strategy, seed=st.integers(0, 2**16), op_first=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_composed_graph(
+        self, n, groups, c_in_g, c_out_g, h, w, kernel, stride, pad, with_bias,
+        config, seed, op_first,
+    ):
+        assume(h + 2 * pad >= kernel and w + 2 * pad >= kernel)
+        rng = np.random.default_rng(seed)
+        c_in, c_out = groups * c_in_g, groups * c_out_g
+        leaves = {
+            "input": _signed_zero_array(rng, (n, c_in, h, w)),
+            "gate": rng.normal(size=(1, c_in, 1, 1)).astype(np.float32),
+            "weight": _signed_zero_array(rng, (c_out, c_in_g, kernel, kernel)),
+        }
+        if with_bias:
+            leaves["bias"] = rng.normal(size=(c_out,)).astype(np.float32)
+
+        def build(module):
+            def op(x, t):
+                return [module.conv2d(x, t["weight"], t.get("bias"), stride, pad, groups)]
+            return op
+
+        _assert_same(
+            _run(build(ops), leaves, config, seed, op_first),
+            _run(build(reference_ops), leaves, config, seed, op_first),
+        )
+
+    @pytest.mark.parametrize("input_grad", [False, True])
+    def test_conv_on_a_leaf_input(self, input_grad):
+        # the stem conv: without an input gradient only the weight GEMM
+        # runs; with one, the weight still receives its gradient first
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        seen = []
+        for module in (ops, reference_ops):
+            global_autotuner().reset()
+            weight = Tensor(w.copy(), requires_grad=True)
+            image = Tensor(x.copy(), requires_grad=input_grad)
+            arrival = []
+            with execution_context("v100", BASELINE_POLICY), leaf_grad_hook(
+                lambda t: arrival.append("weight" if t is weight else "image")
+            ):
+                module.conv2d(image, weight, padding=1).sum().backward()
+            assert arrival == (["weight", "image"] if input_grad else ["weight"])
+            seen.append((weight.grad.tobytes(), image.grad.tobytes() if input_grad else None))
+        assert seen[0] == seen[1]
+
+
+class TestLayerArrivalOrder:
+    """When each layer's leaves receive their gradient, relative to upstream.
+
+    The order feeds ``rebuild_from_arrival``: a fused batch-norm whose
+    parents were the bare ``(x, weight, bias)`` leaves computed identical
+    gradients and still changed the trained bits through the bucket layout.
+    """
+
+    @staticmethod
+    def _arrival(layer, x_shape):
+        from repro.utils.rng import RNGBundle
+
+        upstream = nn.Linear(x_shape[-1], x_shape[-1], RNGBundle(0))
+        names = {id(upstream.weight): "upstream.weight", id(upstream.bias): "upstream.bias"}
+        names.update({id(p): name for name, p in layer.named_parameters()})
+        x = upstream(Tensor(np.random.default_rng(1).normal(size=x_shape).astype(np.float32)))
+        arrival = []
+        with leaf_grad_hook(lambda t: arrival.append(names[id(t)])):
+            layer(x).sum().backward()
+        return arrival
+
+    def test_batchnorm2d_affine_arrives_after_upstream(self):
+        assert self._arrival(nn.BatchNorm2d(3), (2, 3, 4, 4)) == [
+            "upstream.bias", "upstream.weight", "weight", "bias",
+        ]
+
+    def test_batchnorm1d_affine_arrives_before_upstream(self):
+        assert self._arrival(nn.BatchNorm1d(4), (5, 4)) == [
+            "bias", "weight", "upstream.bias", "upstream.weight",
+        ]
+
+    def test_conv_weight_arrives_before_upstream_and_bias_after(self):
+        from repro.utils.rng import RNGBundle
+
+        conv = nn.Conv2d(3, 2, 3, RNGBundle(2), padding=1)
+        assert self._arrival(conv, (2, 3, 4, 4)) == [
+            "weight", "upstream.bias", "upstream.weight", "bias",
+        ]
+
+
+class TestReduceOver:
+    @given(
+        shape=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        data=st.data(), keepdims=st.booleans(), mean=st.booleans(),
+        config=config_strategy, seed=st.integers(0, 2**16), op_first=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_composed_graph(self, shape, data, keepdims, mean, config, seed, op_first):
+        axes = tuple(data.draw(
+            st.lists(st.integers(0, len(shape) - 1), min_size=1, max_size=len(shape), unique=True)
+        ))
+        rng = np.random.default_rng(seed)
+        leaves = {
+            "input": _signed_zero_array(rng, tuple(shape)),
+            "gate": rng.normal(size=tuple(shape)).astype(np.float32),
+        }
+        name = "mean_over" if mean else "sum_over"
+
+        def build(module):
+            return lambda x, t: [getattr(module, name)(x, axes, keepdims=keepdims)]
+
+        _assert_same(
+            _run(build(ops), leaves, config, seed, op_first),
+            _run(build(reference_ops), leaves, config, seed, op_first),
+        )
+
+    def test_int_axis(self):
+        x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
+        out = ops.mean_over(x, 1)
+        np.testing.assert_array_equal(out.data, [1.0, 4.0])
+        out.sum().backward()
+        np.testing.assert_allclose(x.grad, np.full((2, 3), 1 / 3, dtype=np.float32))
+
+
+class TestSplitKGemm:
+    @pytest.mark.parametrize("k", [1, 15, 16, 17, 576])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided", "batched"])
+    def test_same_bits_as_the_copying_loop(self, k, layout):
+        rng = np.random.default_rng(k)
+        if layout == "batched":
+            a = _signed_zero_array(rng, (9, k))
+            b = _signed_zero_array(rng, (3, k, 21))
+        elif layout == "transposed":
+            a = _signed_zero_array(rng, (k, 9)).T
+            b = _signed_zero_array(rng, (3, 21, k)).swapaxes(-1, -2)
+        elif layout == "strided":
+            a = _signed_zero_array(rng, (9, 2 * k))[:, ::2]
+            b = _signed_zero_array(rng, (2, k, 3, 21))[:, :, 1]
+        else:
+            a = _signed_zero_array(rng, (9, k))
+            b = _signed_zero_array(rng, (k, 21))
+        for block in (16, max(8, k // 2)):
+            got = kernels._matmul_splitk(a, b, block)
+            assert got.tobytes() == reference_ops.matmul_splitk(a, b, block).tobytes()
+        assert kernels._matmul_agnostic(a, b).tobytes() == reference_ops.matmul_splitk(a, b, 16).tobytes()
+        # astype's default order="K" keeps a transposed operand transposed,
+        # and the layout is part of the bits (BLAS sums a C-ordered copy
+        # of the same values in another order)
+        direct = np.matmul(a.astype(np.float32), b.astype(np.float32))
+        assert kernels._matmul_f32_direct(a, b).tobytes() == direct.tobytes()
+
+    def test_operands_are_not_copied(self):
+        a = np.ones((64, 4096), dtype=np.float32)
+        b = np.ones((4096, 8), dtype=np.float32)
+        for fn in (kernels._matmul_agnostic, kernels._matmul_t4, kernels._matmul_f32_direct):
+            fn(a, b)  # warm BLAS buffers
+            tracemalloc.start()
+            try:
+                fn(a, b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < b.nbytes, f"{fn.__name__} allocated {peak} bytes: an operand copy"
+
+
+class TestReduceSequential:
+    @given(
+        shape=st.lists(st.sampled_from([1, 2, 3, 7, 63, 64, 65, 130]), min_size=1, max_size=3),
+        data=st.data(), keepdims=st.booleans(), transpose=st.booleans(), step=st.integers(1, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_the_moveaxis_route(self, shape, data, keepdims, transpose, step, seed):
+        x = _signed_zero_array(np.random.default_rng(seed), tuple(shape))
+        if transpose:
+            x = x.T
+        x = x[::step]
+        axis = data.draw(st.integers(-x.ndim, x.ndim - 1))
+        got = kernels._reduce_sequential(x, axis, keepdims)
+        want = reference_ops.reduce_sequential(x, axis, keepdims)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
