@@ -35,20 +35,62 @@ Gives the repository's main entry points a shell surface:
   prints the latest-vs-previous verdict per metric; ``bench gate``
   exits non-zero on any regression, for CI (see docs/BENCHMARKS.md).
 
-Exit codes: 0 success; 2 missing/malformed input file; 3 failed
-self-test; 4 divergent audit trails or fingerprints (``obs diff-audit``,
-``obs why``, ``faults replay``, ``membership replay``,
-``train --faults/--hosts --verify``); 5
-performance regression (``bench gate``).  ``obs postmortem`` renders a
-flight-recorder bundle (0 readable / 2 unreadable); ``obs why`` adds a
-ranked cause attribution on top of the diff-audit contract.
+Exit codes: README.md#cli-exit-codes is the table; the constants below spell it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+# The exit-code table.  Every command returns one of these; 2 is returned
+# from exactly one place, the ``_BadInput`` handler in :func:`main`.
+OK, BAD_INPUT, SELFTEST_FAILED, DIVERGED, REGRESSED = 0, 2, 3, 4, 5
+
+
+class _BadInput(Exception):
+    """A user-named input or output the CLI cannot use.  The message is
+    ``<path>[:<line>]: <why>``; :func:`main` prints it and returns 2."""
+
+
+def _load(loader, path, *args):
+    """The one input boundary: ``loader(path, *args)`` for a user-named file.
+
+    An ``OSError`` (missing, a directory, unreadable, unwritable) or a
+    ``ValueError`` (malformed, ``UnicodeDecodeError`` included) *from that
+    call* becomes :class:`_BadInput` naming the path.  Commands load every
+    input and claim every output before they build anything, so a
+    ``ValueError`` from training or simulating is still a traceback.
+    """
+    import os
+
+    try:
+        return loader(path, *args)
+    except (OSError, ValueError) as err:
+        why = err.strerror.lower() if isinstance(err, OSError) and err.strerror else str(err)
+        # loaders that know where (``path:line: …``, ``dir/BENCH_x.json: …``) already say so
+        located = why.startswith((f"{path}:", os.path.join(path, "")))
+        raise _BadInput(why if located else f"{path}: {why}") from err
+
+
+def _load_log(loader, path):
+    """:func:`_load` for the JSONL logs (telemetry, span trace, audit
+    trail): a damaged trailing line is tolerated by the codec and reported
+    here; a log with nothing in it cannot answer any question."""
+    log = _load(loader, path)
+    if log.truncated:
+        print(f"warning: {path} has a truncated trailing line (skipped)")
+    if not len(log):
+        raise _BadInput(f"{path}: no records")
+    return log
+
+
+def _claim(*paths: Optional[str]) -> None:
+    """Open every output path for append now, so an unwritable one is bad
+    input before any work starts rather than a traceback after it."""
+    for path in filter(None, paths):
+        _load(lambda p: open(p, "a", encoding="utf-8").close(), path)
 
 
 def _cmd_list_workloads(args: argparse.Namespace) -> int:
@@ -63,7 +105,7 @@ def _cmd_list_workloads(args: argparse.Namespace) -> int:
             f"{spec.params_gb:>10.3f} {spec.throughput['v100']:>9.1f} "
             f"{str(spec.conv_heavy):>10}"
         )
-    return 0
+    return OK
 
 
 def _parse_stage(stage: str):
@@ -82,24 +124,73 @@ def _parse_stage(stage: str):
     return gpus
 
 
+def _roster_pool(plan):
+    """The GPU pool a membership plan's initial roster provides."""
+    from repro.hw import gpu_type
+
+    return [gpu_type(h.gtype.upper()) for h in plan.initial_hosts for _ in range(h.slots)]
+
+
+def _build_job(args: argparse.Namespace, batches_per_commit: int = 1):
+    """``(spec, dataset, config, optimizer factory)`` from the
+    :func:`_job_args` flags — the positional head of every engine,
+    controller and contrast constructor, so callers splat it."""
+    from repro.core import EasyScaleJobConfig, determinism_from_label
+    from repro.models import get_workload
+    from repro.optim import SGD
+
+    spec = get_workload(args.workload)
+    dataset = spec.build_dataset(args.samples, seed=args.seed)
+    config = EasyScaleJobConfig(
+        num_ests=args.ests, seed=args.seed, batch_size=args.batch_size,
+        determinism=determinism_from_label(args.determinism),
+        batches_per_commit=batches_per_commit,
+    )
+
+    def optimizer(model):
+        return SGD(model.named_parameters(), lr=args.lr, momentum=0.9)
+
+    return spec, dataset, config, optimizer
+
+
+def _print_run(controller, stats) -> None:
+    """What a controller run reports, for ``train`` and ``replay`` alike."""
+    mstats = getattr(controller, "mstats", None)  # MembershipController only
+    if mstats is not None:
+        print(mstats.describe())
+    print(stats.describe())
+    print(f"clock: {controller.clock:.1f}s = {controller.compute_s:.1f}s "
+          f"compute + {stats.downtime_s:.1f}s downtime")
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     import os
 
     from repro import obs
+    from repro.faults import FaultPlan
+    from repro.membership import MembershipPlan
+    from repro.utils.telemetry import RunLog
 
     # REPRO_TRACE=1 turns tracing on without a flag (the same switch the
     # benchmark suite honours); REPRO_TRACE_PATH overrides the output.
     env_trace = os.environ.get("REPRO_TRACE") == "1"
     if env_trace and not args.trace:
         args.trace = os.environ.get("REPRO_TRACE_PATH", "repro_trace.jsonl")
+    # every named input, then every named output, before anything is built
+    hosts = _load(MembershipPlan.load, args.hosts) if args.hosts else None
+    faults = _load(FaultPlan.load, args.faults) if args.faults else None
+    _claim(args.trace, args.audit)
+    telemetry = _load(RunLog, args.telemetry) if args.telemetry else None
     if args.trace or args.audit:
         # a fault-recovery or membership run restores to earlier steps and
         # re-records them, which a plain audit trail would reject
         obs.configure(enabled=True, audit_path=args.audit,
                       audit_rewind=bool(args.faults or args.hosts))
     try:
-        return _run_train(args)
+        return _run_train(args, hosts, faults, telemetry)
     finally:
+        if telemetry is not None:
+            telemetry.close()
         if args.trace:
             # the backend has been closed by now, so pool-child shards are
             # already merged into the global tracer — the saved trace (and
@@ -119,72 +210,47 @@ def _cmd_train(args: argparse.Namespace) -> int:
             obs.reset()
 
 
-def _run_train(args: argparse.Namespace) -> int:
-    from repro.core import (
-        EasyScaleEngine,
-        EasyScaleJobConfig,
-        WorkerAssignment,
-        determinism_from_label,
-    )
-    from repro.ddp import DDPTrainer, ddp_heter_config, ddp_homo_config
+def _run_train(args: argparse.Namespace, hosts, faults, telemetry) -> int:
+    """Build the job, drive it in one of the three ``train`` modes, then
+    the one epilogue: profiler flush, telemetry, ``--verify`` verdict."""
+    from repro.core import EasyScaleEngine, WorkerAssignment
+    from repro.exec import ProcessPoolBackend, SerialBackend
     from repro.hw import static_capability
-    from repro.models import get_workload
     from repro.obs.profiler import OnlineProfiler
-    from repro.optim import SGD
     from repro.utils.fingerprint import fingerprint_state_dict
-    from repro.utils.telemetry import RunLog
 
-    spec = get_workload(args.workload)
-    dataset = spec.build_dataset(args.samples, seed=args.seed)
-    determinism = determinism_from_label(args.determinism)
-
-    def optimizer(model):
-        return SGD(model.named_parameters(), lr=args.lr, momentum=0.9)
-
+    job = spec, dataset, config, optimizer = _build_job(args, args.commit_every)
     stages = [_parse_stage(s) for s in args.schedule]
-    config = EasyScaleJobConfig(
-        num_ests=args.ests, seed=args.seed, batch_size=args.batch_size,
-        determinism=determinism,
-        batches_per_commit=getattr(args, "commit_every", 1),
+    total = args.steps_per_stage * len(stages)
+    profiler = None
+    if args.profile:
+        capability = static_capability(spec, config.determinism.kernel_policy)
+        profiler = OnlineProfiler(static_capability=capability)
+    backend = (
+        ProcessPoolBackend(max_workers=args.workers, transport=args.transport)
+        if args.backend in ("process", "pool")
+        else SerialBackend()
     )
-    profiler = (
-        OnlineProfiler(
-            static_capability=static_capability(spec, determinism.kernel_policy)
-        )
-        if args.profile
-        else None
-    )
-    telemetry = RunLog(args.telemetry) if args.telemetry else None
-    backend = _build_backend(args)
-
-    try:
-        if args.hosts:
-            return _train_with_membership(
-                args, spec, dataset, config, optimizer, telemetry,
-                profiler, backend,
+    sinks = dict(telemetry=telemetry, profiler=profiler, backend=backend)
+    with backend:
+        if hosts is not None or faults is not None:
+            engine, reference_pool, label = _drive_controller(
+                job, stages[0], hosts, faults, total, **sinks
             )
-        if args.faults:
-            return _train_with_faults(
-                args, spec, dataset, config, optimizer, stages, telemetry,
-                profiler, backend,
+        else:
+            engine = EasyScaleEngine(
+                *job, WorkerAssignment.balanced(stages[0], args.ests), **sinks
             )
-
-        engine = EasyScaleEngine(
-            spec, dataset, config, optimizer,
-            WorkerAssignment.balanced(stages[0], args.ests),
-            telemetry=telemetry, profiler=profiler, backend=backend,
-        )
-        total = 0
-        for i, gpus in enumerate(stages):
-            if i > 0:
-                engine = engine.reconfigure(WorkerAssignment.balanced(gpus, args.ests))
-                print(f"reconfigured to stage {i}: {[g.name for g in gpus]}")
-            losses = engine.train_steps(args.steps_per_stage)
-            total += len(losses)
-            print(f"stage {i}: steps {total - len(losses)}..{total - 1}, "
-                  f"last loss {losses[-1]:.6f}")
-    finally:
-        backend.close()
+            done = 0
+            for i, gpus in enumerate(stages):
+                if i > 0:
+                    engine = engine.reconfigure(WorkerAssignment.balanced(gpus, args.ests))
+                    print(f"reconfigured to stage {i}: {[g.name for g in gpus]}")
+                losses = engine.train_steps(args.steps_per_stage)
+                done += len(losses)
+                print(f"stage {i}: steps {done - len(losses)}..{done - 1}, "
+                      f"last loss {losses[-1]:.6f}")
+            reference_pool, label = None, f"DDP-{args.ests}GPU"
 
     if profiler is not None:
         profiler.flush()
@@ -193,382 +259,174 @@ def _run_train(args: argparse.Namespace) -> int:
         if telemetry is not None:
             telemetry.profile(engine.global_step, profiler.summary())
     if telemetry is not None:
-        telemetry.close()
         print(f"telemetry written to {args.telemetry}")
+    if not args.verify:
+        return OK
 
-    if args.verify:
-        heter = determinism.heterogeneous
-        ddp_config = (
-            ddp_heter_config(args.ests, ["v100"] * args.ests, seed=args.seed,
-                             batch_size=args.batch_size)
-            if heter
-            else ddp_homo_config(args.ests, seed=args.seed, batch_size=args.batch_size)
+    if reference_pool is not None:
+        # controller modes: the same EasyScale job, undisturbed, on the starting pool
+        reference = EasyScaleEngine(*job, WorkerAssignment.balanced(reference_pool, args.ests))
+    else:
+        from repro.ddp import DDPConfig, DDPTrainer
+
+        # DDP on as many V100s as ESTs, under the job's kernel policy
+        ddp_config = DDPConfig(
+            world_size=args.ests, seed=args.seed, batch_size=args.batch_size,
+            policy=config.determinism.kernel_policy,
         )
         reference = DDPTrainer(spec, dataset, ddp_config, optimizer)
-        reference.train_steps(total)
-        same = fingerprint_state_dict(engine.model.state_dict()) == fingerprint_state_dict(
-            reference.model.state_dict()
-        )
-        print(f"bitwise vs DDP-{args.ests}GPU reference: {'IDENTICAL' if same else 'DIFFERENT'}")
-        return 0 if same else 2
-    return 0
-
-
-def _build_backend(args):
-    """The execution backend selected by ``train --backend/--workers``."""
-    from repro.exec import ProcessPoolBackend, SerialBackend
-
-    if getattr(args, "backend", "serial") in ("process", "pool"):
-        return ProcessPoolBackend(
-            max_workers=args.workers,
-            transport=getattr(args, "transport", "shm"),
-        )
-    return SerialBackend()
-
-
-def _train_with_faults(args, spec, dataset, config, optimizer, stages,
-                       telemetry, profiler, backend=None) -> int:
-    """``train --faults PLAN``: drive the job through the resilience
-    controller instead of the manual reconfiguration schedule.  The first
-    ``--schedule`` stage is the starting pool; the plan decides what gets
-    taken away."""
-    from repro.faults import FaultPlan, ResilienceController
-
-    try:
-        plan = FaultPlan.load(args.faults)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.faults}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    total = args.steps_per_stage * len(stages)
-    print(plan.describe())
-    controller = ResilienceController(
-        spec, dataset, config, optimizer, stages[0], plan,
-        telemetry=telemetry, profiler=profiler, backend=backend,
+    reference.train_steps(total)
+    same = fingerprint_state_dict(engine.model.state_dict()) == fingerprint_state_dict(
+        reference.model.state_dict()
     )
+    print(f"bitwise vs {label} reference: {'IDENTICAL' if same else 'DIFFERENT'}")
+    return OK if same else DIVERGED
+
+
+def _drive_controller(job, pool, hosts, faults, total: int, **sinks):
+    """``train --faults`` / ``train --hosts``: one drive over the
+    :class:`~repro.faults.controller.ResilienceController` interface; the
+    modes differ only in how the controller is built and in the pool the
+    ``--verify`` reference trains on.  ``--faults`` starts on the first
+    ``--schedule`` stage and the plan decides what gets taken away;
+    ``--hosts`` starts on the plan's initial roster (``--schedule`` only
+    sets the step count), host events grow and shrink it at step
+    boundaries, and ``--faults`` may run alongside."""
+    if hosts is not None:
+        from repro.membership import MembershipController
+
+        print(hosts.describe())
+        pool, label = _roster_pool(hosts), "static EasyScale"
+        controller = MembershipController(*job, hosts, faults=faults, **sinks)
+    else:
+        from repro.faults import ResilienceController
+
+        print(faults.describe())
+        label = "fault-free EasyScale"
+        controller = ResilienceController(*job, pool, faults, **sinks)
     stats = controller.run(total)
     if controller.losses:
         print(f"{total} steps survived the plan; "
               f"last loss {controller.losses[-1][-1]:.6f}")
-    print(stats.describe())
-    print(f"clock: {controller.clock:.1f}s = {controller.compute_s:.1f}s "
-          f"compute + {stats.downtime_s:.1f}s downtime")
-
-    if profiler is not None:
-        profiler.flush()
-        print()
-        print(profiler.describe())
-    if telemetry is not None:
-        telemetry.close()
-        print(f"telemetry written to {args.telemetry}")
-
-    if args.verify:
-        from repro.core import EasyScaleEngine, WorkerAssignment
-        from repro.utils.fingerprint import fingerprint_state_dict
-
-        reference = EasyScaleEngine(
-            spec, dataset, config, optimizer,
-            WorkerAssignment.balanced(stages[0], args.ests),
-        )
-        reference.train_steps(total)
-        same = fingerprint_state_dict(
-            controller.engine.model.state_dict()
-        ) == fingerprint_state_dict(reference.model.state_dict())
-        print(f"bitwise vs fault-free EasyScale reference: "
-              f"{'IDENTICAL' if same else 'DIFFERENT'}")
-        return 0 if same else 4
-    return 0
+    _print_run(controller, stats)
+    return controller.engine, pool, label
 
 
-def _roster_pool(plan):
-    """The GPU pool a membership plan's initial roster provides."""
-    from repro.hw.gpu import gpu_type
-
-    pool = []
-    for host in plan.initial_hosts:
-        pool.extend([gpu_type(host.gtype.upper())] * host.slots)
-    return pool
-
-
-def _train_with_membership(args, spec, dataset, config, optimizer,
-                           telemetry, profiler, backend=None) -> int:
-    """``train --hosts PLAN``: drive the job through the membership
-    controller.  The plan's initial roster is the starting pool — the
-    ``--schedule`` stages are ignored — and host events grow and shrink
-    it at step boundaries.  ``--faults`` may run alongside."""
-    from repro.faults import FaultPlan
-    from repro.membership import MembershipController, MembershipPlan
-
-    try:
-        plan = MembershipPlan.load(args.hosts)
-        faults = FaultPlan.load(args.faults) if args.faults else None
-    except FileNotFoundError as err:
-        print(f"error: no such file: {err.filename}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    total = args.steps_per_stage * len(args.schedule)
+def _save_plan(args: argparse.Namespace, plan, noun: str) -> int:
+    _load(plan.save, args.out)
     print(plan.describe())
-    controller = MembershipController(
-        spec, dataset, config, optimizer, plan, faults=faults,
-        telemetry=telemetry, profiler=profiler, backend=backend,
-    )
-    stats = controller.run(total)
-    if controller.losses:
-        print(f"{total} steps survived the plan; "
-              f"last loss {controller.losses[-1][-1]:.6f}")
-    print(controller.mstats.describe())
-    print(stats.describe())
-    print(f"clock: {controller.clock:.1f}s = {controller.compute_s:.1f}s "
-          f"compute + {stats.downtime_s:.1f}s downtime")
-
-    if profiler is not None:
-        profiler.flush()
-        print()
-        print(profiler.describe())
-    if telemetry is not None:
-        telemetry.close()
-        print(f"telemetry written to {args.telemetry}")
-
-    if args.verify:
-        from repro.core import EasyScaleEngine, WorkerAssignment
-        from repro.utils.fingerprint import fingerprint_state_dict
-
-        reference = EasyScaleEngine(
-            spec, dataset, config, optimizer,
-            WorkerAssignment.balanced(_roster_pool(plan), args.ests),
-        )
-        reference.train_steps(total)
-        same = fingerprint_state_dict(
-            controller.engine.model.state_dict()
-        ) == fingerprint_state_dict(reference.model.state_dict())
-        print(f"bitwise vs static EasyScale reference: "
-              f"{'IDENTICAL' if same else 'DIFFERENT'}")
-        return 0 if same else 4
-    return 0
+    print(f"{noun} plan written to {args.out} "
+          f"(replay with: repro {args.command} replay --plan {args.out})")
+    return OK
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    try:
-        if args.faults_command == "gen":
-            return _run_faults_gen(args)
-        if args.faults_command == "replay":
-            return _run_faults_replay(args)
-    except FileNotFoundError as err:
-        print(f"error: no such file: {err.filename}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled faults subcommand {args.faults_command!r}")
-
-
-def _run_faults_gen(args: argparse.Namespace) -> int:
-    from repro.faults import random_plan
-
-    plan = random_plan(
-        args.seed,
-        horizon_steps=args.steps,
-        num_gpus=args.gpus,
-        max_events=args.events,
-        note=args.note or "",
-    )
-    plan.save(args.out)
-    print(plan.describe())
-    print(f"fault plan written to {args.out} "
-          f"(replay with: repro faults replay --plan {args.out})")
-    return 0
-
-
-def _run_faults_replay(args: argparse.Namespace) -> int:
-    from repro import obs
-    from repro.core import (
-        EasyScaleEngine,
-        EasyScaleJobConfig,
-        WorkerAssignment,
-        determinism_from_label,
-    )
-    from repro.faults import FaultPlan, ResilienceController, run_contrast
-    from repro.models import get_workload
-    from repro.optim import SGD
-
-    plan = FaultPlan.load(args.plan)
-    spec = get_workload(args.workload)
-    dataset = spec.build_dataset(args.samples, seed=args.seed)
-    gpus = _parse_stage(args.gpus)
-    config = EasyScaleJobConfig(
-        num_ests=args.ests, seed=args.seed, batch_size=args.batch_size,
-        determinism=determinism_from_label(args.determinism),
-    )
-
-    def optimizer(model):
-        return SGD(model.named_parameters(), lr=args.lr, momentum=0.9)
-
+def _replay_job(args: argparse.Namespace, plan):
+    job = _build_job(args)
     print(plan.describe())
     if not plan.step_events:
         print("warning: plan has no step-triggered events "
               "(time-triggered plans are for trace-sim)")
+    return job
 
-    if args.contrast:
-        result = run_contrast(
-            spec, dataset, config, optimizer, gpus, plan,
-            total_steps=args.steps, base_lr=args.lr,
-        )
-        print(result.describe())
-        return 0 if result.easyscale_consistent else 4
 
-    # leg 1: the fault-free reference, audited per step
+def _replay(args: argparse.Namespace, plan, pool, leg: str, build) -> int:
+    """reference leg → controller leg → ``diff_audits``, behind both
+    ``replay`` subcommands.  ``build(job, **kwargs)`` constructs the
+    controller under ``plan``; ``leg`` names its audit file."""
+    from repro import obs
+    from repro.core import EasyScaleEngine, WorkerAssignment
+
     ref_path = f"{args.audit}.ref.jsonl" if args.audit else None
-    obs.configure(enabled=True, audit=True, audit_path=ref_path)
-    reference = EasyScaleEngine(
-        spec, dataset, config, optimizer,
-        WorkerAssignment.balanced(gpus, args.ests),
-    )
-    reference.train_steps(args.steps)
-    ref_trail = obs.audit_trail()
-
-    # leg 2: the same job under the plan; the trail must allow rewinds
-    # because recoveries re-record the steps they re-execute
-    fault_path = f"{args.audit}.fault.jsonl" if args.audit else None
-    obs.configure(enabled=True, audit=True, audit_path=fault_path,
-                  audit_rewind=True)
+    leg_path = f"{args.audit}.{leg}.jsonl" if args.audit else None
+    _claim(ref_path, leg_path)
+    job = _replay_job(args, plan)
     try:
-        controller = ResilienceController(
-            spec, dataset, config, optimizer, gpus, plan,
-            snapshot_interval=args.snapshot_interval,
-        )
+        # leg 1: the plan-free reference on the starting pool, audited per step
+        obs.configure(enabled=True, audit=True, audit_path=ref_path)
+        reference = EasyScaleEngine(*job, WorkerAssignment.balanced(pool, args.ests))
+        reference.train_steps(args.steps)
+        ref_trail = obs.audit_trail()
+        # leg 2: the same job under the plan; the trail must allow rewinds
+        # because recoveries re-record the steps they re-execute
+        obs.configure(enabled=True, audit=True, audit_path=leg_path,
+                      audit_rewind=True)
+        controller = build(job, snapshot_interval=args.snapshot_interval)
         stats = controller.run(args.steps)
-        fault_trail = obs.audit_trail()
+        leg_trail = obs.audit_trail()
     finally:
         obs.reset()
 
-    print(stats.describe())
-    print(f"clock: {controller.clock:.1f}s = {controller.compute_s:.1f}s "
-          f"compute + {stats.downtime_s:.1f}s downtime")
-    diff = obs.diff_audits(ref_trail, fault_trail)
+    _print_run(controller, stats)
+    diff = obs.diff_audits(ref_trail, leg_trail)
     print(diff.describe())
     if args.audit:
-        print(f"audit trails written to {ref_path} and {fault_path}")
+        print(f"audit trails written to {ref_path} and {leg_path}")
     print("replay:", "BITWISE-IDENTICAL" if diff.identical else "DIVERGED")
-    return 0 if diff.identical else 4
+    return OK if diff.identical else DIVERGED
 
 
-def _cmd_membership(args: argparse.Namespace) -> int:
-    try:
-        if args.membership_command == "gen":
-            return _run_membership_gen(args)
-        if args.membership_command == "replay":
-            return _run_membership_replay(args)
-    except FileNotFoundError as err:
-        print(f"error: no such file: {err.filename}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    raise AssertionError(
-        f"unhandled membership subcommand {args.membership_command!r}"
+def _cmd_faults(args: argparse.Namespace) -> int:
+    from repro.faults import FaultPlan, ResilienceController, random_plan, run_contrast
+
+    if args.faults_command == "gen":
+        plan = random_plan(
+            args.seed,
+            horizon_steps=args.steps,
+            num_gpus=args.gpus,
+            max_events=args.events,
+            note=args.note or "",
+        )
+        return _save_plan(args, plan, "fault")
+
+    plan = _load(FaultPlan.load, args.plan)
+    gpus = _parse_stage(args.gpus)
+    if args.contrast:
+        result = run_contrast(
+            *_replay_job(args, plan), gpus, plan,
+            total_steps=args.steps, base_lr=args.lr,
+        )
+        print(result.describe())
+        return OK if result.easyscale_consistent else DIVERGED
+    return _replay(
+        args, plan, gpus, "fault",
+        lambda job, **kwargs: ResilienceController(*job, gpus, plan, **kwargs),
     )
 
 
-def _run_membership_gen(args: argparse.Namespace) -> int:
+def _cmd_membership(args: argparse.Namespace) -> int:
     from repro.membership import (
         HostSpec,
+        MembershipController,
+        MembershipPlan,
         random_membership_plan,
         rolling_upgrade_plan,
     )
 
-    if args.rolling is not None:
-        if args.rolling < 2:
-            print("error: --rolling needs at least 2 hosts", file=sys.stderr)
-            return 2
-        hosts = [HostSpec(f"host{i}", "v100", 1) for i in range(args.rolling)]
-        plan = rolling_upgrade_plan(
-            hosts,
-            start_step=1,
-            max_unavailable=args.max_unavailable,
-            note=args.note or f"rolling upgrade of {args.rolling} hosts",
-        )
-    else:
-        plan = random_membership_plan(
-            args.seed,
-            horizon_steps=args.steps,
-            max_events=args.events,
-            note=args.note or "",
-        )
-    plan.save(args.out)
-    print(plan.describe())
-    print(f"membership plan written to {args.out} "
-          f"(replay with: repro membership replay --plan {args.out})")
-    return 0
+    if args.membership_command == "gen":
+        if args.rolling is None:
+            plan = random_membership_plan(
+                args.seed,
+                horizon_steps=args.steps,
+                max_events=args.events,
+                note=args.note or "",
+            )
+        elif args.rolling < 2:
+            raise _BadInput("--rolling needs at least 2 hosts")
+        else:
+            hosts = [HostSpec(f"host{i}", "v100", 1) for i in range(args.rolling)]
+            plan = rolling_upgrade_plan(
+                hosts,
+                start_step=1,
+                max_unavailable=args.max_unavailable,
+                note=args.note or f"rolling upgrade of {args.rolling} hosts",
+            )
+        return _save_plan(args, plan, "membership")
 
-
-def _run_membership_replay(args: argparse.Namespace) -> int:
-    from repro import obs
-    from repro.core import (
-        EasyScaleEngine,
-        EasyScaleJobConfig,
-        WorkerAssignment,
-        determinism_from_label,
+    plan = _load(MembershipPlan.load, args.plan)
+    return _replay(
+        args, plan, _roster_pool(plan), "member",
+        lambda job, **kwargs: MembershipController(*job, plan, **kwargs),
     )
-    from repro.membership import MembershipController, MembershipPlan
-    from repro.models import get_workload
-    from repro.optim import SGD
-
-    plan = MembershipPlan.load(args.plan)
-    spec = get_workload(args.workload)
-    dataset = spec.build_dataset(args.samples, seed=args.seed)
-    pool = _roster_pool(plan)
-    config = EasyScaleJobConfig(
-        num_ests=args.ests, seed=args.seed, batch_size=args.batch_size,
-        determinism=determinism_from_label(args.determinism),
-    )
-
-    def optimizer(model):
-        return SGD(model.named_parameters(), lr=args.lr, momentum=0.9)
-
-    print(plan.describe())
-    if not plan.step_events:
-        print("warning: plan has no step-triggered events "
-              "(time-triggered plans are for trace-sim)")
-
-    # leg 1: the static reference on the initial roster, audited per step
-    ref_path = f"{args.audit}.ref.jsonl" if args.audit else None
-    obs.configure(enabled=True, audit=True, audit_path=ref_path)
-    reference = EasyScaleEngine(
-        spec, dataset, config, optimizer,
-        WorkerAssignment.balanced(pool, args.ests),
-    )
-    reference.train_steps(args.steps)
-    ref_trail = obs.audit_trail()
-
-    # leg 2: the same job under the membership plan; the trail must allow
-    # rewinds because forceful recoveries re-record re-executed steps
-    member_path = f"{args.audit}.member.jsonl" if args.audit else None
-    obs.configure(enabled=True, audit=True, audit_path=member_path,
-                  audit_rewind=True)
-    try:
-        controller = MembershipController(
-            spec, dataset, config, optimizer, plan,
-            snapshot_interval=args.snapshot_interval,
-        )
-        stats = controller.run(args.steps)
-        member_trail = obs.audit_trail()
-    finally:
-        obs.reset()
-
-    print(controller.mstats.describe())
-    print(stats.describe())
-    print(f"clock: {controller.clock:.1f}s = {controller.compute_s:.1f}s "
-          f"compute + {stats.downtime_s:.1f}s downtime")
-    diff = obs.diff_audits(ref_trail, member_trail)
-    print(diff.describe())
-    if args.audit:
-        print(f"audit trails written to {ref_path} and {member_path}")
-    print("replay:", "BITWISE-IDENTICAL" if diff.identical else "DIVERGED")
-    return 0 if diff.identical else 4
 
 
 def _load_calibration(path: str) -> dict:
@@ -622,6 +480,7 @@ def _plan_cache_totals(result) -> Optional[Tuple[int, int, float]]:
 
 def _cmd_trace_sim(args: argparse.Namespace) -> int:
     from repro import obs
+    from repro.faults import FaultPlan
     from repro.hw import microbench_cluster, production_cluster
     from repro.obs.report import save_events_jsonl
     from repro.sched import (
@@ -633,72 +492,46 @@ def _cmd_trace_sim(args: argparse.Namespace) -> int:
         heavy_tail_trace,
     )
 
-    calibration = None
-    if args.calibrate:
-        try:
-            calibration = _load_calibration(args.calibrate)
-        except FileNotFoundError as err:
-            print(f"error: no such file: {err.filename}", file=sys.stderr)
-            return 2
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+    # every named input, then every named output, before anything is simulated
+    calibration = _load(_load_calibration, args.calibrate) if args.calibrate else None
+    fault_plan = _load(FaultPlan.load, args.faults) if args.faults else None
+    names = ["yarn", "homo", "heter"] if args.policy == "all" else [args.policy]
+    # one events file per policy when replaying several
+    event_paths = {
+        name: args.events if len(names) == 1 else f"{args.events}.{name}"
+        for name in names
+        if args.events
+    }
+    _claim(args.trace, *event_paths.values())
+    if calibration is not None:
         print(f"calibrated capability scales: {calibration}")
-
-    fault_plan = None
-    if args.faults:
-        from repro.faults import FaultPlan
-
-        try:
-            fault_plan = FaultPlan.load(args.faults)
-        except FileNotFoundError:
-            print(f"error: no such file: {args.faults}", file=sys.stderr)
-            return 2
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        if not fault_plan.time_events:
-            print(f"warning: {args.faults} has no time-triggered events "
-                  "(step-triggered plans are for 'faults replay')")
+    if fault_plan is not None and not fault_plan.time_events:
+        print(f"warning: {args.faults} has no time-triggered events "
+              "(step-triggered plans are for 'faults replay')")
 
     if args.trace:
         obs.configure(enabled=True, clock="sim")
+    sized = dict(num_jobs=args.jobs, seed=args.seed)
     if args.shape == "diurnal":
-        jobs = diurnal_trace(
-            num_jobs=args.jobs,
-            seed=args.seed,
-            days=args.days,
-            mean_duration_s=args.duration,
-        )
+        jobs = diurnal_trace(**sized, days=args.days, mean_duration_s=args.duration)
     elif args.shape == "heavy-tail":
-        jobs = heavy_tail_trace(
-            num_jobs=args.jobs,
-            seed=args.seed,
-            mean_interarrival_s=args.interarrival,
-        )
+        jobs = heavy_tail_trace(**sized, mean_interarrival_s=args.interarrival)
     else:
         jobs = generate_trace(
-            num_jobs=args.jobs,
-            seed=args.seed,
-            mean_interarrival_s=args.interarrival,
-            mean_duration_s=args.duration,
+            **sized, mean_interarrival_s=args.interarrival, mean_duration_s=args.duration
         )
-    build_cluster = (
-        (lambda: production_cluster(args.cluster_gpus))
-        if args.cluster_gpus
-        else microbench_cluster
-    )
-    policies = {
-        "yarn": YarnCapacityScheduler,
-        "homo": lambda: EasyScalePolicy(False, capability_scale=calibration),
-        "heter": lambda: EasyScalePolicy(True, capability_scale=calibration),
-    }
-    names = list(policies) if args.policy == "all" else [args.policy]
     try:
         for name in names:
-            sim = ClusterSimulator(
-                build_cluster(), jobs, policies[name](), faults=fault_plan
+            policy = (
+                YarnCapacityScheduler()
+                if name == "yarn"
+                else EasyScalePolicy(name == "heter", capability_scale=calibration)
             )
+            if args.cluster_gpus:
+                cluster = production_cluster(args.cluster_gpus)
+            else:
+                cluster = microbench_cluster()
+            sim = ClusterSimulator(cluster, jobs, policy, faults=fault_plan)
             result = sim.run() if args.core == "batched" else sim.run_reference()
             print(
                 f"{result.policy:<16} avg JCT {result.average_jct:>10.1f} s   "
@@ -719,62 +552,32 @@ def _cmd_trace_sim(args: argparse.Namespace) -> int:
                     f"hit ratio {ratio:.1%}"
                 )
             if args.events:
-                # one file per policy when replaying several
-                path = (
-                    args.events
-                    if len(names) == 1
-                    else f"{args.events}.{name}"
-                )
-                count = save_events_jsonl(result.events, path)
-                print(f"{count} events written to {path} (see: repro obs report)")
+                count = save_events_jsonl(result.events, event_paths[name])
+                print(f"{count} events written to {event_paths[name]} "
+                      f"(see: repro obs report)")
     finally:
         if args.trace:
             obs.tracer().close()
             obs.tracer().save(args.trace)
             print(f"span trace written to {args.trace}")
             obs.reset()
-    return 0
-
-
-def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro import obs
-
-    try:
-        return _run_obs(args, obs)
-    except FileNotFoundError as err:
-        print(f"error: no such file: {err.filename}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    return OK
 
 
 def _is_telemetry_file(path: str) -> bool:
-    """True when the first JSON line looks like a RunLog record rather
-    than a span-trace record (telemetry kinds vs span/instant)."""
-    import json
-
+    """True when the first row looks like a RunLog record rather than a
+    span-trace record (telemetry kinds vs meta/span/instant)."""
+    from repro.utils.jsonl import read_jsonl
     from repro.utils.telemetry import _ALLOWED_KINDS
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                return False
-            return isinstance(row, dict) and row.get("kind") in _ALLOWED_KINDS
-    return False
+    rows, _ = read_jsonl(path, limit=1)
+    return bool(rows) and rows[0][1].get("kind") in _ALLOWED_KINDS
 
 
 def _summarize_telemetry(path: str) -> int:
     from repro.utils.telemetry import RunLog
 
-    log = RunLog.load(path)
-    if log.truncated:
-        print(f"warning: {path} has a truncated trailing line (skipped)")
+    log = _load_log(RunLog.load, path)
     kinds = {}
     for record in log.records:
         kinds[record.kind] = kinds.get(record.kind, 0) + 1
@@ -797,36 +600,28 @@ def _summarize_telemetry(path: str) -> int:
         if observed:
             print(f"    calibrated capability: "
                   f"{ {k: round(v, 3) for k, v in sorted(observed.items())} }")
-    return 0
+    return OK
 
 
-def _run_obs(args: argparse.Namespace, obs) -> int:
+def _cmd_obs(args: argparse.Namespace) -> int:
+    from repro import obs
+
     if args.obs_command == "summarize":
-        if _is_telemetry_file(args.trace_file):
+        if _load(_is_telemetry_file, args.trace_file):
             return _summarize_telemetry(args.trace_file)
-        tracer = obs.SpanTracer.load(args.trace_file)
-        if getattr(tracer, "truncated", False):
-            print(f"warning: {args.trace_file} has a truncated trailing line (skipped)")
-        spans = [r for r in tracer.records if r["kind"] == "span"]
-        instants = [r for r in tracer.records if r["kind"] == "instant"]
-        if not spans and not instants:
-            print(f"no records in {args.trace_file}")
-            return 0
-        print(f"{len(spans)} spans, {len(instants)} instants from {args.trace_file}")
+        tracer = _load_log(obs.SpanTracer.load, args.trace_file)
+        spans = sum(r["kind"] == "span" for r in tracer.records)
+        print(f"{spans} spans, {len(tracer) - spans} instants from {args.trace_file}")
         print(tracer.flame_summary(limit=args.limit))
-        return 0
+        return OK
 
     if args.obs_command == "profile":
         import json
 
         from repro.obs.profiler import ProfilerConfig, profile_from_trace
 
-        tracer = obs.SpanTracer.load(args.trace_file)
-        if getattr(tracer, "truncated", False):
-            print(f"warning: {args.trace_file} has a truncated trailing line (skipped)")
-        if not tracer.records:
-            print(f"no records in {args.trace_file}")
-            return 0
+        tracer = _load_log(obs.SpanTracer.load, args.trace_file)
+        _claim(args.json)
         static = None
         if args.workload:
             from repro.hw import static_capability
@@ -838,11 +633,9 @@ def _run_obs(args: argparse.Namespace, obs) -> int:
             straggler_factor=args.factor,
             straggler_windows=args.consecutive,
         )
-        profiler = profile_from_trace(
-            tracer.records, config=config, static_capability=static
-        )
+        profiler = profile_from_trace(tracer.records, config=config, static_capability=static)
         if not profiler.windows_closed and not profiler.observed_capability:
-            raise ValueError(
+            raise _BadInput(
                 f"{args.trace_file}: no worker.local_step spans to profile "
                 "(produce one with: repro train <workload> --trace PATH)"
             )
@@ -851,26 +644,27 @@ def _run_obs(args: argparse.Namespace, obs) -> int:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(profiler.summary(), fh, indent=2, sort_keys=True)
             print(f"profile summary written to {args.json}")
-        return 0
+        return OK
 
     if args.obs_command == "report":
         import json
 
-        from repro.obs.report import (
-            ClusterUtilizationReport,
-            events_from_trace,
-            load_events_jsonl,
-        )
+        from repro.obs.report import ClusterUtilizationReport, events_from_trace
+        from repro.utils.jsonl import read_jsonl
 
-        rows = load_events_jsonl(args.events_file)
-        if rows and rows[0].get("kind") in ("span", "instant"):
+        numbered, truncated = _load(read_jsonl, args.events_file, "event line")
+        _claim(args.html, args.json)
+        if truncated:
+            print(f"warning: {args.events_file} has a truncated trailing line (skipped)")
+        rows = [row for _, row in numbered]
+        if rows and rows[0].get("kind") in ("meta", "span", "instant"):
             rows = events_from_trace(rows)  # a span trace: use sched instants
-        if not rows:
-            raise ValueError(
+        report = ClusterUtilizationReport.from_events(rows)
+        if not report.jobs:
+            raise _BadInput(
                 f"{args.events_file}: no simulator events found "
                 "(produce a log with: repro trace-sim --events PATH)"
             )
-        report = ClusterUtilizationReport.from_events(rows)
         print(report.to_text())
         if args.html:
             with open(args.html, "w", encoding="utf-8") as fh:
@@ -880,58 +674,48 @@ def _run_obs(args: argparse.Namespace, obs) -> int:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(report.summary(), fh, indent=2, sort_keys=True)
             print(f"JSON summary written to {args.json}")
-        return 0
+        return OK
 
     if args.obs_command == "export-trace":
-        tracer = obs.SpanTracer.load(args.trace_file)
+        tracer = _load_log(obs.SpanTracer.load, args.trace_file)
         out = args.output or (args.trace_file + ".chrome.json")
-        tracer.save_chrome_trace(out)
+        _load(tracer.save_chrome_trace, out)
         print(f"{len(tracer)} records exported to {out} "
               f"(load in chrome://tracing or https://ui.perfetto.dev)")
-        return 0
+        return OK
 
     if args.obs_command == "diff-audit":
-        a = obs.AuditTrail.load(args.audit_a)
-        b = obs.AuditTrail.load(args.audit_b)
-        for path, trail in ((args.audit_a, a), (args.audit_b, b)):
-            if trail.truncated:
-                print(f"warning: {path} has a truncated trailing line (skipped)")
+        a = _load_log(obs.AuditTrail.load, args.audit_a)
+        b = _load_log(obs.AuditTrail.load, args.audit_b)
         diff = obs.diff_audits(a, b)
         print(f"A: {len(a)} steps ({args.audit_a})")
         print(f"B: {len(b)} steps ({args.audit_b})")
         print(diff.describe())
-        return 0 if diff.identical else 4
+        return OK if diff.identical else DIVERGED
 
     if args.obs_command == "postmortem":
-        from repro.obs import flightrec
-
-        bundle = flightrec.load_bundle(args.bundle)
-        print(flightrec.render_bundle(bundle, tail=args.tail))
-        return 0
+        bundle = _load(obs.load_bundle, args.bundle)
+        print(obs.render_bundle(bundle, tail=args.tail))
+        return OK
 
     if args.obs_command == "why":
-        from repro.obs import flightrec
-        from repro.obs.forensics import analyze_divergence, trail_from_bundle
 
-        def _load_side(path):
+        def load_side(path):
             """A side is either an audit-trail JSONL or a postmortem bundle."""
-            if flightrec.is_bundle_file(path):
-                bundle = flightrec.load_bundle(path)
-                return trail_from_bundle(bundle), bundle.get("events") or []
-            trail = obs.AuditTrail.load(path)
-            if trail.truncated:
-                print(f"warning: {path} has a truncated trailing line (skipped)")
-            return trail, None
+            if obs.is_bundle_file(path):
+                bundle = _load(obs.load_bundle, path)
+                return obs.trail_from_bundle(bundle), bundle.get("events") or []
+            return _load_log(obs.AuditTrail.load, path), None
 
-        trail_a, events_a = _load_side(args.trail_a)
-        trail_b, events_b = _load_side(args.trail_b)
-        report = analyze_divergence(
+        trail_a, events_a = load_side(args.trail_a)
+        trail_b, events_b = load_side(args.trail_b)
+        report = obs.analyze_divergence(
             trail_a, trail_b, events_a=events_a, events_b=events_b, window=args.window
         )
         print(f"A: {len(trail_a)} steps ({args.trail_a})")
         print(f"B: {len(trail_b)} steps ({args.trail_b})")
         print(report.describe())
-        return 0 if report.identical else 4
+        return OK if report.identical else DIVERGED
 
     raise AssertionError(f"unhandled obs subcommand {args.obs_command!r}")
 
@@ -949,7 +733,7 @@ def _cmd_colocation(args: argparse.Namespace) -> int:
     print(f"alloc ratio : {day1_alloc:.1%} -> {day2_alloc:.1%}")
     print(f"utilization : {day1_util:.1%} -> {day2_util:.1%}")
     print(f"preemptions : {stats.preemptions_day2}   failures: {stats.failures_day2}")
-    return 0
+    return OK
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
@@ -959,7 +743,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     print("\nself-test", "PASSED" if report.passed else "FAILED")
-    return 0 if report.passed else 3
+    return OK if report.passed else SELFTEST_FAILED
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -978,21 +762,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
               f"(homogeneous GPUs recommended)")
         for name in report.vendor_kernel_modules:
             print(f"  - {name}")
-    return 0
-
-
-def _bench_areas(args: argparse.Namespace) -> List[str]:
-    from repro.obs.bench import AREAS
-
-    if not args.area or "all" in args.area:
-        return list(AREAS)
-    return list(dict.fromkeys(args.area))  # dedupe, keep order
+    return OK
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs import bench
 
-    areas = _bench_areas(args)
+    areas = list(dict.fromkeys(args.area or ["all"]))  # dedupe, keep order
+    if "all" in areas:
+        areas = list(bench.AREAS)
 
     if args.bench_command == "run":
         results = bench.run_benches(
@@ -1015,45 +793,67 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   f"({result.record['git_sha']} @ {result.record['timestamp']})")
             for row in result.rows:
                 print(f"  {row.describe()}")
-        return 0
+        return OK
 
+    # compare and gate read the same trajectories; a directory with none
+    # in it is bad input (a gate with nothing to check must not pass)
+    rows, regressed = _load(
+        lambda directory: bench.gate_trajectories(
+            areas, directory=directory, threshold=args.threshold
+        ),
+        args.dir or bench.bench_dir(),
+    )
+    for row in rows:
+        print(row.describe())
     if args.bench_command == "compare":
-        rows, regressed = _load_gate_rows(bench, areas, args)
-        if rows is None:
-            return 2
-        for row in rows:
-            print(row.describe())
         print(f"{len(rows)} metrics: "
               f"{sum(r.status == 'improved' for r in rows)} improved, "
               f"{sum(r.status == 'flat' for r in rows)} flat, "
               f"{len(regressed)} regressed, "
               f"{sum(r.status == 'baseline' for r in rows)} baseline")
-        return 0
-
-    if args.bench_command == "gate":
-        rows, regressed = _load_gate_rows(bench, areas, args)
-        if rows is None:
-            return 2
-        for row in rows:
-            print(row.describe())
-        if regressed:
-            print(f"bench gate: FAILED — {len(regressed)} regressed metric(s)")
-            return 5
-        print(f"bench gate: ok ({len(rows)} metrics within tolerance)")
-        return 0
-
-    raise AssertionError(f"unhandled bench subcommand {args.bench_command!r}")
+        return OK
+    if regressed:
+        print(f"bench gate: FAILED — {len(regressed)} regressed metric(s)")
+        return REGRESSED
+    print(f"bench gate: ok ({len(rows)} metrics within tolerance)")
+    return OK
 
 
-def _load_gate_rows(bench, areas, args):
-    """Shared compare/gate loader; ``(None, None)`` on missing trajectories."""
-    try:
-        return bench.gate_trajectories(
-            areas, directory=args.dir, threshold=args.threshold
-        )
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None, None
+def _job_args(parser, samples: int, determinism: str, *own,
+              ests_help=None, determinism_help=None) -> None:
+    """Declare the flags :func:`_build_job` reads, for ``train`` and both
+    ``replay``s.  ``own`` — ``(flag, kwargs)`` pairs — are the subcommand's
+    step and pool flags, declared between ``--samples`` and
+    ``--determinism`` where ``--help`` has always listed them."""
+    parser.add_argument("--ests", type=int, default=4, help=ests_help)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--batch-size", type=int, default=8)
+    parser.add_argument("--lr", type=float, default=0.05)
+    parser.add_argument("--samples", type=int, default=samples)
+    for flag, kwargs in own:
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--determinism", default=determinism,
+                        choices=["D0", "D1", "D0+D2", "D1+D2"],
+                        help=determinism_help)
+
+
+def _replay_args(parser, leg: str, plan_help: str, determinism_help: str, *own) -> None:
+    """The flags :func:`_replay` reads, for ``faults replay`` and
+    ``membership replay``; ``leg`` names the controller leg's audit file."""
+    parser.add_argument("--plan", required=True, metavar="PATH", help=plan_help)
+    parser.add_argument("--workload", default="resnet18")
+    _job_args(
+        parser, 64, "D1+D2",
+        ("--steps", dict(type=int, default=12,
+                         help="global steps to train (default 12)")),
+        *own,
+        determinism_help=determinism_help,
+    )
+    parser.add_argument("--snapshot-interval", type=int, default=4,
+                        help="periodic checkpoint interval in steps (default 4)")
+    parser.add_argument("--audit", metavar="PREFIX", default=None,
+                        help="also write PREFIX.ref.jsonl and "
+                             f"PREFIX.{leg}.jsonl audit trails")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1066,19 +866,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="run an elastic EasyScale job")
     train.add_argument("workload")
-    train.add_argument("--ests", type=int, default=4, help="number of logical workers")
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--batch-size", type=int, default=8)
-    train.add_argument("--lr", type=float, default=0.05)
-    train.add_argument("--samples", type=int, default=256)
-    train.add_argument("--steps-per-stage", type=int, default=4)
-    train.add_argument(
-        "--schedule",
-        nargs="+",
-        default=["4xV100", "2xV100", "1xV100"],
-        help="GPU stages, e.g. 4xV100 2xV100 1xV100+2xP100",
+    _job_args(
+        train, 256, "D1",
+        ("--steps-per-stage", dict(type=int, default=4)),
+        ("--schedule", dict(nargs="+", default=["4xV100", "2xV100", "1xV100"],
+                            help="GPU stages, e.g. 4xV100 2xV100 1xV100+2xP100")),
+        ests_help="number of logical workers",
     )
-    train.add_argument("--determinism", default="D1", choices=["D0", "D1", "D0+D2", "D1+D2"])
     train.add_argument("--backend", default="serial",
                        choices=["serial", "process", "pool"],
                        help="execution backend: 'serial' steps workers "
@@ -1198,27 +992,14 @@ def build_parser() -> argparse.ArgumentParser:
              "resilience-controller run under a plan, then diff their "
              "determinism audit trails (exit 0 identical, 4 divergent)",
     )
-    replay.add_argument("--plan", required=True, metavar="PATH",
-                        help="fault plan JSON (from: repro faults gen)")
-    replay.add_argument("--workload", default="resnet18")
-    replay.add_argument("--ests", type=int, default=4)
-    replay.add_argument("--seed", type=int, default=0)
-    replay.add_argument("--batch-size", type=int, default=8)
-    replay.add_argument("--lr", type=float, default=0.05)
-    replay.add_argument("--samples", type=int, default=64)
-    replay.add_argument("--steps", type=int, default=12,
-                        help="global steps to train (default 12)")
-    replay.add_argument("--gpus", default="2xV100+2xT4",
-                        help="GPU pool, e.g. 2xV100+2xT4 (default)")
-    replay.add_argument("--determinism", default="D1+D2",
-                        choices=["D0", "D1", "D0+D2", "D1+D2"],
-                        help="heterogeneous pools need D2 for bitwise "
-                             "identity across recoveries (default D1+D2)")
-    replay.add_argument("--snapshot-interval", type=int, default=4,
-                        help="periodic checkpoint interval in steps (default 4)")
-    replay.add_argument("--audit", metavar="PREFIX", default=None,
-                        help="also write PREFIX.ref.jsonl and "
-                             "PREFIX.fault.jsonl audit trails")
+    _replay_args(
+        replay, "fault",
+        "fault plan JSON (from: repro faults gen)",
+        "heterogeneous pools need D2 for bitwise identity across recoveries "
+        "(default D1+D2)",
+        ("--gpus", dict(default="2xV100+2xT4",
+                        help="GPU pool, e.g. 2xV100+2xT4 (default)")),
+    )
     replay.add_argument("--contrast", action="store_true",
                         help="instead of the audit diff, run the four-way "
                              "contrast against a checkpoint-restart elastic "
@@ -1258,25 +1039,12 @@ def build_parser() -> argparse.ArgumentParser:
              "the plan, then diff their determinism audit trails "
              "(exit 0 identical, 4 divergent)",
     )
-    mreplay.add_argument("--plan", required=True, metavar="PATH",
-                         help="membership plan JSON (from: repro membership gen)")
-    mreplay.add_argument("--workload", default="resnet18")
-    mreplay.add_argument("--ests", type=int, default=4)
-    mreplay.add_argument("--seed", type=int, default=0)
-    mreplay.add_argument("--batch-size", type=int, default=8)
-    mreplay.add_argument("--lr", type=float, default=0.05)
-    mreplay.add_argument("--samples", type=int, default=64)
-    mreplay.add_argument("--steps", type=int, default=12,
-                         help="global steps to train (default 12)")
-    mreplay.add_argument("--determinism", default="D1+D2",
-                         choices=["D0", "D1", "D0+D2", "D1+D2"],
-                         help="heterogeneous rosters need D2 for bitwise "
-                              "identity across reconfigurations (default D1+D2)")
-    mreplay.add_argument("--snapshot-interval", type=int, default=4,
-                         help="periodic checkpoint interval in steps (default 4)")
-    mreplay.add_argument("--audit", metavar="PREFIX", default=None,
-                         help="also write PREFIX.ref.jsonl and "
-                              "PREFIX.member.jsonl audit trails")
+    _replay_args(
+        mreplay, "member",
+        "membership plan JSON (from: repro membership gen)",
+        "heterogeneous rosters need D2 for bitwise identity across "
+        "reconfigurations (default D1+D2)",
+    )
 
     colo = sub.add_parser("colocation", help="two-day serving co-location stats")
     colo.add_argument("--gpus", type=int, default=3000)
@@ -1419,7 +1187,11 @@ COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except _BadInput as err:
+        print(f"error: {err}", file=sys.stderr)
+        return BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.utils.jsonl import read_jsonl
+
 #: Fields compared for divergence; policy/dialects are context only.
 COMPARED_FIELDS = ("params", "buckets", "rng", "loader")
 
@@ -73,7 +75,11 @@ class AuditRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "AuditRecord":
-        payload = json.loads(line)
+        return cls.from_row(json.loads(line))
+
+    @classmethod
+    def from_row(cls, payload: Mapping[str, Any]) -> "AuditRecord":
+        """Build a record from an already-decoded JSON object."""
         try:
             return cls(
                 step=int(payload["step"]),
@@ -106,6 +112,8 @@ class AuditTrail:
     def __init__(self, path: Optional[str] = None, allow_rewind: bool = False) -> None:
         self.records: List[AuditRecord] = []
         self.allow_rewind = allow_rewind
+        #: set by :meth:`load` when the file ended in a partial line
+        self.truncated = False
         self._path = os.fspath(path) if path is not None else None
         self._fh = open(self._path, "a", encoding="utf-8") if self._path else None
 
@@ -166,20 +174,11 @@ class AuditTrail:
         """Load a trail; tolerant of a truncated trailing line (flagged via
         ``truncated``), strict elsewhere with path/line-number context."""
         trail = cls()
-        trail.truncated = False  # type: ignore[attr-defined]
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        last_content = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        rows, trail.truncated = read_jsonl(path, "audit record")
+        for lineno, row in rows:
             try:
-                trail.records.append(AuditRecord.from_json(line))
-            except (json.JSONDecodeError, ValueError) as err:
-                if lineno - 1 == last_content and isinstance(err, json.JSONDecodeError):
-                    trail.truncated = True  # type: ignore[attr-defined]
-                    continue
+                trail.records.append(AuditRecord.from_row(row))
+            except (TypeError, ValueError) as err:
                 raise ValueError(f"{path}:{lineno}: malformed audit record: {err}") from err
         return trail
 

@@ -659,8 +659,8 @@ def gate_trajectories(
         rows.extend(compare_trajectory(Trajectory.load(area, path), threshold=threshold))
     if not seen_any:
         raise FileNotFoundError(
-            f"no BENCH_*.json trajectory found for areas {list(areas)} in "
-            f"{directory or bench_dir()} (run: repro bench run)"
+            f"{directory or bench_dir()}: no BENCH_*.json trajectory found for "
+            f"areas {list(areas)} (run: repro bench run)"
         )
     regressed = [r for r in rows if r.status == "regressed"]
     return rows, regressed

@@ -43,6 +43,8 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
+from repro.utils.jsonl import read_jsonl
+
 #: Bundle schema version.
 BUNDLE_FORMAT_VERSION = 1
 
@@ -194,7 +196,7 @@ class FlightRecorder:
         for directory in dirs:
             pattern = os.path.join(directory, f"shard-*{SHARD_FLIGHT_SUFFIX}")
             for path in sorted(_glob.glob(pattern)):
-                events = _load_shard(path)
+                events = [row for _, row in read_jsonl(path, "flight shard")[0]]
                 with self._lock:
                     for event in events:
                         self.seq += 1
@@ -291,26 +293,6 @@ class FlightRecorder:
             path = os.path.join(directory, f"{stem}-{suffix}.json")
             suffix += 1
         return path
-
-
-def _load_shard(path: str) -> List[Dict[str, Any]]:
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    last_content = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
-    for lineno, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as err:
-            if lineno == last_content:
-                continue  # child died mid-write; everything before is good
-            raise ValueError(f"{path}:{lineno + 1}: malformed flight shard: {err}") from err
-        if isinstance(payload, dict):
-            events.append(payload)
-    return events
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.utils.jsonl import read_jsonl
+
 #: event kinds the report understands; anything else is ignored
 _ALLOC_KINDS = (
     "cluster_capacity",
@@ -465,18 +467,9 @@ th {{ background: #f3f3f3; }}
 
 def load_events_jsonl(path: str) -> List[Dict[str, Any]]:
     """Read an event stream saved as JSON lines (tolerates a trailing
-    truncated line, mirroring :meth:`SpanTracer.load`)."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                break
-    return events
+    truncated line, mirroring :meth:`SpanTracer.load`; a damaged line
+    anywhere else raises ``ValueError("{path}:{lineno}: ...")``)."""
+    return [row for _, row in read_jsonl(path, "event line")[0]]
 
 
 def save_events_jsonl(events: Iterable[Any], path: str) -> int:

@@ -27,6 +27,8 @@ import time
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.utils.jsonl import read_jsonl
+
 #: JSONL schema version for saved traces.
 TRACE_FORMAT_VERSION = 1
 
@@ -68,23 +70,8 @@ def load_shard_records(path: str) -> List[Dict[str, Any]]:
     A pool child killed mid-write (terminate on ``close()``) may leave a
     partial last line; everything before it is still good data.
     """
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    last_content = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
-    for lineno, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as err:
-            if lineno == last_content:
-                continue
-            raise ValueError(f"{path}:{lineno + 1}: malformed shard line: {err}") from err
-        if isinstance(payload, dict) and payload.get("kind") in ("span", "instant"):
-            records.append(payload)
-    return records
+    rows, _ = read_jsonl(path, "shard line")
+    return [row for _, row in rows if row.get("kind") in ("span", "instant")]
 
 
 class SimClock:
@@ -208,6 +195,8 @@ class SpanTracer:
         self._open: Dict[int, _SpanCtx] = {}
         #: total records ever emitted (>= len(records) once the ring wraps)
         self.emitted = 0
+        #: set by :meth:`load` when the file ended in a partial line
+        self.truncated = False
 
     # ------------------------------------------------------------------
     # clock and per-thread state
@@ -414,28 +403,19 @@ class SpanTracer:
         else raises with the file path and line number.
         """
         tracer = cls()
-        tracer.truncated = False  # type: ignore[attr-defined]
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        last_content = max(
-            (i for i, line in enumerate(lines) if line.strip()), default=-1
-        )
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as err:
-                if lineno - 1 == last_content:
-                    tracer.truncated = True  # type: ignore[attr-defined]
-                    continue
-                raise ValueError(f"{path}:{lineno}: malformed trace line: {err}") from err
-            if payload.get("kind") == "meta":
+        rows, tracer.truncated = read_jsonl(path, "trace line")
+        for lineno, payload in rows:
+            kind = payload.get("kind")
+            if kind == "meta":
                 if payload.get("clock") == "sim":
                     tracer.sim_clock = SimClock()
-                continue
-            tracer._record(payload)
+            elif kind in ("span", "instant") and "name" in payload:
+                tracer._record(payload)
+            else:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed trace line: not a meta, span "
+                    f"or instant record: {sorted(payload)[:6]}"
+                )
         return tracer
 
     # ------------------------------------------------------------------

@@ -14,6 +14,9 @@ relies on:
   round-trips for checkpoints.
 - :mod:`repro.utils.events` — a tiny structured event log used by the
   cluster simulator and the benchmarks to report timelines.
+- :mod:`repro.utils.jsonl` — the one JSONL read contract (damaged tail
+  tolerated and flagged, anything else ``path:lineno``) under every log
+  loader.
 """
 
 from repro.utils.rng import RNGBundle, derive_seed, SeedError

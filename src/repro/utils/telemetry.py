@@ -15,6 +15,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.utils.jsonl import read_jsonl
+
 _ALLOWED_KINDS = ("step", "scale_event", "checkpoint", "eval", "note", "profile")
 
 
@@ -37,14 +39,17 @@ class Record:
 
     @classmethod
     def from_json(cls, line: str) -> "Record":
-        payload = json.loads(line)
+        return cls.from_row(json.loads(line))
+
+    @classmethod
+    def from_row(cls, row: Dict[str, Any]) -> "Record":
+        """Build a record from an already-decoded JSON object."""
+        payload = dict(row)
         try:
             kind = payload.pop("kind")
             step = payload.pop("step")
         except KeyError as err:
-            raise ValueError(
-                f"telemetry record missing required field {err}: {line[:80]!r}"
-            ) from err
+            raise ValueError(f"telemetry record missing required field {err}") from err
         return cls(kind=kind, step=int(step), data=payload)
 
 
@@ -139,21 +144,10 @@ class RunLog:
         :class:`ValueError` carrying the file path and line number.
         """
         log = cls()
-        log.truncated = False
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        last_content = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        rows, log.truncated = read_jsonl(path, "telemetry line")
+        for lineno, row in rows:
             try:
-                log.records.append(Record.from_json(line))
-            except json.JSONDecodeError as err:
-                if lineno - 1 == last_content:
-                    log.truncated = True
-                    continue
-                raise ValueError(f"{path}:{lineno}: malformed telemetry line: {err}") from err
-            except ValueError as err:
+                log.records.append(Record.from_row(row))
+            except (TypeError, ValueError) as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from err
         return log

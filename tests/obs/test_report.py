@@ -161,6 +161,34 @@ class TestRoundTrip:
         rows = load_events_jsonl(path)
         assert len(rows) == 8
 
+    def test_mid_file_damage_is_an_error_not_a_shorter_log(self, tmp_path, capsys):
+        # the old reader stopped at the first undecodable line, so a log
+        # damaged on line 3 produced a confident report of lines 1-2
+        from repro.cli import main
+
+        path = tmp_path / "ev.jsonl"
+        save_events_jsonl(tiny_log(), str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = "garbage"
+        path.write_text("\n".join(lines[:5]) + "\n")
+        with pytest.raises(ValueError, match=r"ev\.jsonl:3: malformed event line"):
+            load_events_jsonl(str(path))
+        assert main(["obs", "report", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {path}:3:") and "utilization" not in out
+
+    def test_damaged_last_line_loads_with_a_warning(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "ev.jsonl")
+        save_events_jsonl(tiny_log(), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"time": 99, "kind": "job_su')  # crash mid-write
+        assert main(["obs", "report", path]) == 0
+        out = capsys.readouterr().out
+        assert f"warning: {path} has a truncated trailing line (skipped)" in out
+        assert "(2 jobs, 2 completed)" in out
+
     def test_events_from_trace_instants(self):
         records = [
             {"kind": "instant", "cat": "sched", "name": "job_submit",

@@ -70,6 +70,24 @@ class TestCommands:
         assert code == 0
         assert "IDENTICAL" in capsys.readouterr().out
 
+    def test_train_verify_divergence_exits_four(self, capsys):
+        # D0 cannot survive a 4 -> 2 GPU scale event; DIFFERENT is a
+        # divergence verdict (4), not malformed input (2)
+        code = main(
+            [
+                "train",
+                "resnet18",
+                "--ests", "4",
+                "--samples", "64",
+                "--steps-per-stage", "2",
+                "--schedule", "4xV100", "2xV100",
+                "--determinism", "D0",
+                "--verify",
+            ]
+        )
+        assert "DIFFERENT" in capsys.readouterr().out
+        assert code == 4
+
     def test_colocation(self, capsys):
         assert main(["colocation", "--gpus", "300", "--training-demand", "50"]) == 0
         out = capsys.readouterr().out

@@ -132,6 +132,55 @@ def test_one_event_core_and_one_oracle():
     assert uses == [("src/repro/sched/simulator.py", f"{old_name} = run")], uses
 
 
+def test_cli_has_one_bad_input_exit_and_reads_flags_as_attributes():
+    # the input contract lives once: loads become _BadInput at the _load
+    # boundary, and main() holds the only handler that turns an exception
+    # into an exit status — so no command can grow its own "except
+    # FileNotFoundError: return 2" copy, and anything else stays a traceback
+    import ast
+
+    with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as handle:
+        source = handle.read()
+    returning = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ExceptHandler)
+        and any(isinstance(inner, ast.Return) for inner in ast.walk(node))
+    ]
+    assert [ast.unparse(h.type) for h in returning] == ["_BadInput"]
+    returns = [n for n in ast.walk(returning[0]) if isinstance(n, ast.Return)]
+    assert [ast.unparse(r.value) for r in returns] == ["BAD_INPUT"]
+    assert source.count("BAD_INPUT") == 2  # the exit-code table and that handler
+    assert "return 2" not in source and "exit(2" not in source
+    # every flag a command reads is declared by its parser
+    assert "getattr(args" not in source
+
+
+def test_jsonl_tail_tolerance_lives_in_one_module():
+    # "a damaged trailing line is tolerated, anything else is path:lineno"
+    # is one function; a JSONDecodeError handled inside a per-line loop
+    # anywhere else is a seventh hand-written JSONL reader.  Single-document
+    # loaders (plans, bundles, BENCH_*.json, calibration) parse outside any
+    # loop and keep their own path-prefixed errors.
+    import ast
+
+    owners = set()
+    for path in _python_files(SRC):
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        rel = os.path.relpath(path, SRC)
+        if "last_content" in source:
+            owners.add(rel)
+        for loop in ast.walk(ast.parse(source)):
+            if isinstance(loop, (ast.For, ast.While)) and any(
+                isinstance(node, ast.ExceptHandler)
+                and node.type is not None
+                and "JSONDecodeError" in ast.unparse(node.type)
+                for node in ast.walk(loop)
+            ):
+                owners.add(rel)
+    assert owners == {os.path.join("utils", "jsonl.py")}
+
+
 def test_lint_walk_covers_flight_recorder_modules():
     # pin the always-on flight recorder and the divergence forensics so a
     # restructuring cannot silently drop them from the gate
