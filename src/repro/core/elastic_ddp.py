@@ -53,13 +53,21 @@ class ElasticDDP:
         self.capacity = bucket_capacity_elems
         self.algorithm = allreduce_algorithm
         self.record_mapping = record_mapping
+        #: persistent flatten staging buffers, one per (bucket, vrank);
+        #: invalidated automatically when the bucket layout changes
+        self._flat_cache = FlatBufferCache()
+        self.forget_mapping()
+
+    def forget_mapping(self) -> None:
+        """(Re)start from the reverse-registration mapping, unreconstructed.
+
+        The state of a fresh process — and what a scale event leaves a job
+        without D1 in, since nothing recorded the mapping across it.
+        """
         self.buckets = build_initial_buckets(self.param_order, self.param_sizes, self.capacity)
         #: True once arrival-order reconstruction has happened (or has been
         #: restored from a checkpoint) — reconstruction runs at most once
         self.reconstructed = False
-        #: persistent flatten staging buffers, one per (bucket, vrank);
-        #: invalidated automatically when the bucket layout changes
-        self._flat_cache = FlatBufferCache()
 
     # ------------------------------------------------------------------
     # synchronization

@@ -2,10 +2,12 @@
 
 The engine ties the pieces together: ``nEST`` logical workers execute on
 however many physical workers the current :class:`WorkerAssignment`
-provides, gradients are synchronized over virtual ranks by
-:class:`~repro.core.elastic_ddp.ElasticDDP`, and on every resource change
-an on-demand checkpoint carries the EST contexts + extra states + the
-single parameter replica to the new configuration.
+provides, and gradients are synchronized over virtual ranks by
+:class:`~repro.core.elastic_ddp.ElasticDDP`.  A graceful resource change
+(:meth:`EasyScaleEngine.reconfigure`) hands the live EST contexts, extra
+states and the single parameter replica to the new worker set; the
+on-demand checkpoint carries exactly that state as bytes whenever it has
+to outlive the process — periodic snapshots, fault recovery, disk.
 
 The headline contract, asserted by the integration tests: for a job with
 ``nEST = n`` under D1 (homogeneous) or D1+D2 (heterogeneous), the model
@@ -156,10 +158,6 @@ class EasyScaleEngine:
         backend: Union[None, str, ExecutionBackend] = None,
         _restore: Optional[Checkpoint] = None,
     ) -> None:
-        if assignment.num_ests != config.num_ests:
-            raise ValueError(
-                f"assignment covers {assignment.num_ests} ESTs, job declares {config.num_ests}"
-            )
         self.spec = spec
         self.config = config
         self.dataset = dataset
@@ -208,16 +206,51 @@ class EasyScaleEngine:
         self.sim_time = 0.0
         self.loss_history: List[List[float]] = []
 
+        workers = self._make_workers(assignment)
         if _restore is not None:
             self._load_checkpoint(_restore)
-
-        self._build_workers(assignment)
+        self._install_workers(assignment, workers)
 
     # ------------------------------------------------------------------
     # worker construction / reconfiguration
     # ------------------------------------------------------------------
-    def _build_workers(self, assignment: WorkerAssignment) -> None:
+    def _make_workers(self, assignment: WorkerAssignment) -> List[EasyScaleWorker]:
+        """The worker set ``assignment`` describes, over the live ESTs.
+
+        Everything that can refuse an assignment (EST count, memory fit
+        under ``validate_memory``) raises here, before any engine state,
+        log or observer has seen the scale event.
+        """
+        if assignment.num_ests != self.config.num_ests:
+            raise ValueError(
+                f"assignment covers {assignment.num_ests} ESTs, "
+                f"job declares {self.config.num_ests}"
+            )
+        est_by_vrank = {est.vrank: est for est in self.ests}
+        return [
+            EasyScaleWorker(
+                worker_id=i,
+                gpu=gpu,
+                ests=[est_by_vrank[v] for v in vranks],
+                spec=self.spec,
+                policy=self.config.determinism.kernel_policy,
+                validate_memory=self.config.validate_memory,
+                micro_batches=self.config.micro_batches,
+                fault_hook=(
+                    self.fault_injector.on_local_step
+                    if self.fault_injector is not None
+                    else None
+                ),
+            )
+            for i, (gpu, vranks) in enumerate(zip(assignment.gpus, assignment.est_map))
+        ]
+
+    def _install_workers(
+        self, assignment: WorkerAssignment, workers: List[EasyScaleWorker]
+    ) -> None:
+        """Make ``workers`` the current set and tell every observer."""
         self.assignment = assignment
+        self.workers = workers
         flightrec.set_context(
             determinism=self.config.determinism.label,
             dialects=[g.dialect for g in assignment.gpus],
@@ -245,47 +278,40 @@ class EasyScaleEngine:
             obs.metrics().counter("engine_scale_events_total").inc()
         if self.profiler is not None:
             self.profiler.on_scale_event([g.name for g in assignment.gpus])
-        est_by_vrank = {est.vrank: est for est in self.ests}
-        self.workers = [
-            EasyScaleWorker(
-                worker_id=i,
-                gpu=gpu,
-                ests=[est_by_vrank[v] for v in vranks],
-                spec=self.spec,
-                policy=self.config.determinism.kernel_policy,
-                validate_memory=self.config.validate_memory,
-                micro_batches=self.config.micro_batches,
-                fault_hook=(
-                    self.fault_injector.on_local_step
-                    if self.fault_injector is not None
-                    else None
-                ),
-            )
-            for i, (gpu, vranks) in enumerate(zip(assignment.gpus, assignment.est_map))
-        ]
 
     def reconfigure(self, assignment: WorkerAssignment) -> "EasyScaleEngine":
-        """Scale in/out: on-demand checkpoint, then resume on new workers.
+        """Scale in/out at a global-step boundary: the live ESTs, model,
+        optimizer, scheduler, bucket mapping and loader (cursor and queuing
+        buffer included) are handed to a new worker set.
 
-        Returns a fresh engine (the old one is dead, like the restarted
-        processes of the real system).  Bitwise continuity is guaranteed
-        under D1; under bare D0 the gradient-bucket mapping is lost, which
-        is the paper's demonstrated divergence.
+        Nothing is serialised — the state never leaves the process; a
+        checkpoint is for bytes that must outlive it (periodic snapshots,
+        fault recovery, disk), and ``tests/core/test_reconfigure_midepoch.py``
+        holds this hand-over equal to that round trip at every step index.
+        Returns the engine to continue on (this one).  A refused assignment
+        raises before anything has changed.  ``sim_time`` and
+        ``loss_history`` run on across the scale event.  Bitwise continuity
+        is guaranteed under D1; under bare D0 the gradient-bucket mapping
+        is lost, which is the paper's demonstrated divergence.
         """
-        ckpt = self.checkpoint()
-        return EasyScaleEngine.from_checkpoint(
-            self.spec,
-            self.dataset,
-            ckpt,
-            self.optimizer_factory,
-            assignment,
-            transform=self.transform,
-            scheduler_factory=self.scheduler_factory,
-            telemetry=self.telemetry,
-            profiler=self.profiler,
-            fault_injector=self.fault_injector,
-            backend=self.backend,
-        )
+        with obs.span(
+            "engine.reconfigure",
+            cat="engine",
+            step=self.global_step,
+            gpus=[g.name for g in assignment.gpus],
+        ):
+            workers = self._make_workers(assignment)
+            # the new workers start from a committed boundary: flush any
+            # RNG/BN write-back the backend deferred for the old ones
+            self.backend.commit()
+            for est in self.ests:
+                est.staged_grads = None
+            if not self.config.determinism.record_bucket_mapping:
+                # without D1 nothing records the mapping across a restart:
+                # the next step re-observes arrival order (Fig. 9)
+                self.elastic_ddp.forget_mapping()
+            self._install_workers(assignment, workers)
+        return self
 
     # ------------------------------------------------------------------
     # training

@@ -14,6 +14,14 @@ state drawn from the :class:`QueuingBuffer`; states for prefetched-but-
 unconsumed batches are part of the checkpoint's extra state, so a resumed
 job replays identical augmentation.
 
+What is a pure function is computed once: a data worker gathers samples
+through :meth:`Dataset.gather` (built on first touch, then one fancy-index
+copy per batch), the loader's ranks share one permutation per epoch, and
+a batch nobody prefetched derives its RNG state on demand — only if a
+transform is about to draw from it (``int64`` inputs and transform-less
+jobs never do).  The queue entry is consumed either way, so ``pending()``
+and the checkpoint bytes do not depend on whether anything drew.
+
 The pool also carries an explicit *timing model* (worker launch latency,
 per-sample cost) so the benchmarks can report the paper's first-batch
 latency effect (§5.1.2: sharing cut first-mini-batch time by 67.1% by
@@ -23,10 +31,11 @@ launching 4 instead of 32 workers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.data.datasets import Dataset
 from repro.data.sampler import BatchPlan, DistributedSampler
 from repro.data.transforms import Transform
@@ -91,22 +100,19 @@ class DataWorker:
         dataset: Dataset,
         indices: np.ndarray,
         transform: Optional[Transform],
-        rng_state: Dict[str, Any],
+        rng_state: Callable[[], Dict[str, Any]],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Materialize one mini-batch under the handed-in RNG state."""
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = rng_state
-        xs: List[np.ndarray] = []
-        ys: List[Any] = []
-        for index in indices:
-            x, y = dataset[int(index)]
-            if transform is not None and isinstance(x, np.ndarray) and x.dtype != np.int64:
-                x = transform(x, rng)
-            xs.append(x)
-            ys.append(y)
+        """Materialize one mini-batch under the handed-in RNG state.
+
+        ``rng_state()`` is called only when the transform is about to
+        draw; samples are augmented in batch order from that one stream.
+        """
+        x_batch, y_batch = dataset.gather(indices)
+        if transform is not None and x_batch.dtype != np.int64:
+            rng = np.random.Generator(np.random.PCG64(0))
+            rng.bit_generator.state = rng_state()
+            x_batch = np.stack([transform(x, rng) for x in x_batch])
         self.batches_processed += 1
-        x_batch = np.stack(xs)
-        y_batch = np.asarray(ys)
         return x_batch, y_batch
 
 
@@ -158,12 +164,12 @@ class SharedDataLoader:
         self.workers = [DataWorker(i) for i in range(num_workers)]
         self._next_worker = 0
         self.queue = QueuingBuffer()
-        self._plans: Dict[int, BatchPlan] = {}
-        for rank in range(num_replicas):
-            sampler = DistributedSampler(
-                len(dataset), num_replicas, rank, shuffle=shuffle, seed=seed
+        self._plans: Dict[int, BatchPlan] = {
+            sampler.rank: BatchPlan(sampler, batch_size)
+            for sampler in DistributedSampler.replicas(
+                len(dataset), num_replicas, shuffle=shuffle, seed=seed
             )
-            self._plans[rank] = BatchPlan(sampler, batch_size)
+        }
 
     @property
     def steps_per_epoch(self) -> int:
@@ -181,17 +187,24 @@ class SharedDataLoader:
     def load(self, est_rank: int, epoch: int, step: int) -> Tuple[np.ndarray, np.ndarray]:
         if not 0 <= est_rank < self.num_replicas:
             raise IndexError(f"est_rank {est_rank} out of range")
-        plan = self._plans[est_rank]
-        plan.sampler.set_epoch(epoch)
-        indices = plan.batch(step)
-        key = (est_rank, epoch, step)
-        try:
-            state = self.queue.consume(key)
-        except KeyError:
-            state = batch_rng_state(self.seed, est_rank, epoch, step)
-        worker = self.workers[self._next_worker]
-        self._next_worker = (self._next_worker + 1) % len(self.workers)
-        return worker.process(self.dataset, indices, self.transform, state)
+        with obs.span("data.load", cat="data", vrank=est_rank, epoch=epoch, step=step):
+            plan = self._plans[est_rank]
+            plan.sampler.set_epoch(epoch)
+            indices = plan.batch(step)
+            key = (est_rank, epoch, step)
+            try:
+                prefetched = self.queue.consume(key)
+            except KeyError:
+                prefetched = None
+
+            def rng_state() -> Dict[str, Any]:
+                if prefetched is not None:
+                    return prefetched
+                return batch_rng_state(self.seed, *key)
+
+            worker = self.workers[self._next_worker]
+            self._next_worker = (self._next_worker + 1) % len(self.workers)
+            return worker.process(self.dataset, indices, self.transform, rng_state)
 
     # ------------------------------------------------------------------
     # checkpoint plumbing (extra state)

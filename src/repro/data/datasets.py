@@ -19,11 +19,16 @@ each dataset here is a deterministic generator matched in shape:
 Every sample is a pure function of ``(seed, index)``: datasets are *not*
 materialized, so a 100k-sample "ImageNet-like" costs nothing until sampled,
 and two workers fetching the same index always see identical bytes.
+``dataset[i]`` builds the sample every time; :meth:`Dataset.gather`, which
+the data workers use, builds each sample on first touch and keeps it, so
+epochs, ranks and loaders that revisit an index gather bytes already built
+(one fancy-index copy per batch) instead of re-seating a generator per
+sample.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -33,11 +38,40 @@ from repro.utils.rng import derive_seed
 class Dataset:
     """Map-style dataset: ``len`` + ``__getitem__`` → (input, target)."""
 
+    #: ``(built, inputs, targets)``: which samples :meth:`gather` has built,
+    #: and their stacked bytes — per instance, allocated on first touch
+    _store: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
     def __len__(self) -> int:
         raise NotImplementedError
 
     def __getitem__(self, index: int):
         raise NotImplementedError
+
+    def gather(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``np.stack`` of the inputs and ``np.asarray`` of the targets at
+        ``indices``, each sample built on first touch and kept.
+
+        The store is private and a fancy index always copies, so a batch
+        never aliases a stored sample.  Pages of the store are touched only
+        as samples are built: resident memory follows the samples actually
+        visited, not ``len(self)``.
+        """
+        store = self._store
+        missing = indices if store is None else indices[~store[0][indices]]
+        for index in missing:
+            x, y = self[int(index)]
+            if store is None:  # the first sample ever built fixes shape and dtype
+                x, y = np.asarray(x), np.asarray(y)
+                store = self._store = (
+                    np.zeros(len(self), dtype=bool),
+                    np.empty((len(self), *x.shape), dtype=x.dtype),
+                    np.empty((len(self), *y.shape), dtype=y.dtype),
+                )
+            built, inputs, targets = store
+            inputs[index], targets[index], built[index] = x, y, True
+        _, inputs, targets = store
+        return inputs[indices], targets[indices]
 
     def _check_index(self, index: int) -> int:
         index = int(index)

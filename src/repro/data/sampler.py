@@ -13,7 +13,7 @@ gets the same number of samples, then strided sharding.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Dict, Iterator, List
 
 import numpy as np
 
@@ -45,6 +45,23 @@ class DistributedSampler:
         self.epoch = 0
         self.num_samples = -(-dataset_len // num_replicas)  # ceil
         self.total_size = self.num_samples * num_replicas
+        #: the latest epoch's padded global order, ``{epoch: order}``; the
+        #: samplers :meth:`replicas` builds share one, so a job draws each
+        #: epoch's permutation once, not once per rank
+        self._orders: Dict[int, np.ndarray] = {}
+
+    @classmethod
+    def replicas(
+        cls, dataset_len: int, num_replicas: int, shuffle: bool = True, seed: int = 0
+    ) -> List["DistributedSampler"]:
+        """One sampler per rank, all reading the same per-epoch permutation."""
+        samplers = [
+            cls(dataset_len, num_replicas, rank, shuffle=shuffle, seed=seed)
+            for rank in range(num_replicas)
+        ]
+        for sampler in samplers:
+            sampler._orders = samplers[0]._orders
+        return samplers
 
     def set_epoch(self, epoch: int) -> None:
         """Reseed the shuffle for a new epoch (same call as PyTorch DDP).
@@ -74,8 +91,14 @@ class DistributedSampler:
         return order
 
     def indices(self) -> np.ndarray:
-        """This rank's index stream for the current epoch."""
-        return self._global_order()[self.rank :: self.num_replicas]
+        """This rank's index stream for the current epoch (a read-only view)."""
+        order = self._orders.get(self.epoch)
+        if order is None:
+            order = self._global_order()
+            order.setflags(write=False)  # every rank's batches are views of it
+            self._orders.clear()
+            self._orders[self.epoch] = order
+        return order[self.rank :: self.num_replicas]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices().tolist())
@@ -98,8 +121,6 @@ class BatchPlan:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.sampler = sampler
         self.batch_size = batch_size
-        self._cache_epoch: int = -1
-        self._cached: np.ndarray | None = None
 
     @property
     def steps_per_epoch(self) -> int:
@@ -108,11 +129,7 @@ class BatchPlan:
     def batch(self, step: int) -> np.ndarray:
         if not 0 <= step < self.steps_per_epoch:
             raise IndexError(f"step {step} out of range [0, {self.steps_per_epoch})")
-        if self._cache_epoch != self.sampler.epoch:
-            self._cached = self.sampler.indices()
-            self._cache_epoch = self.sampler.epoch
-        assert self._cached is not None
-        return self._cached[step * self.batch_size : (step + 1) * self.batch_size]
+        return self.sampler.indices()[step * self.batch_size : (step + 1) * self.batch_size]
 
     def batches(self) -> List[np.ndarray]:
         return [self.batch(i) for i in range(self.steps_per_epoch)]

@@ -3,21 +3,25 @@
 Extends the :class:`~repro.faults.controller.ResilienceController` with
 the *anticipated* half of elasticity.  Every boundary-negotiated
 membership change (join, drain, blacklist, reclaim deadline, rejoin) is
-a **graceful** transition: the in-flight step finishes, an on-demand
-checkpoint is taken at the current step, and the engine is rebuilt on
-the new pool — zero lost work, by the same construction as a graceful
-``gpu_revoke``.  ``forceful_remove`` events are translated into abrupt
+a **graceful** transition: the in-flight step finishes and the engine
+hands its live state to a worker set on the new pool
+(:meth:`EasyScaleEngine.reconfigure`) — zero lost work, nothing
+serialised.  ``forceful_remove`` events are translated into abrupt
 ``node_preempt`` fault events at construction, so forceful host loss
 routes through the *existing* recovery machinery (snapshot fallback,
 retry/backoff, MTTR accounting) and still recovers bitwise.
 
 Rolling upgrades: due ``drain`` events enter a FIFO queue and at most
 ``plan.max_unavailable`` are released per step boundary — the classic
-``maxUnavailable`` knob, one drained-and-checkpointed host per wave.
+``maxUnavailable`` knob, one drained host per wave.
 
 Accounting: membership downtime (restart delays on each reconfigure) is
 charged to the inherited ``stats.downtime_s``, keeping the exact clock
-decomposition ``clock == compute_s + downtime_s``.
+decomposition ``clock == compute_s + downtime_s``.  That controller clock
+is also the deadline clock: warm-up, reclaim and blacklist windows are
+stamped and compared on it, because it is the one clock that only moves
+forward — through scale events, recoveries that rewind the engine to an
+older step, and the restart delays themselves.
 :class:`MembershipStats` additionally tracks per-kind transition counts
 and ``lost_work_seconds`` — compute seconds re-executed because a
 forceful removal fell back to an older snapshot; graceful-only plans
@@ -30,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core.engine import EasyScaleEngine
 from repro.faults.controller import ResilienceController
 from repro.faults.injector import FaultSignal
 from repro.faults.schedule import FaultEvent, FaultPlan
@@ -194,7 +197,7 @@ class MembershipController(ResilienceController):
         if event.kind == "announce":
             host = self.registry.add(Host(event.host, event.gtype, event.slots))
             self.registry.transition(event.host, WARMING)
-            host.warm_until = self.engine.sim_time + event.magnitude
+            host.warm_until = self.clock + event.magnitude
             self._note("announce", host, step)
         elif event.kind == "ready":
             host = self.registry.get(event.host)
@@ -206,21 +209,24 @@ class MembershipController(ResilienceController):
         elif event.kind == "reclaim_notice":
             host = self.registry.get(event.host)
             self.registry.transition(event.host, DRAINING)
-            host.drain_deadline = self.engine.sim_time + event.magnitude
+            host.drain_deadline = self.clock + event.magnitude
             self.mstats.reclaim_notices += 1
             self._note("reclaim_notice", host, step)
         elif event.kind == "blacklist":
             host = self.registry.get(event.host)
             was_serving = host.serving
             self.registry.transition(event.host, BLACKLISTED)
-            host.blacklist_until = self.engine.sim_time + event.magnitude
             self.mstats.blacklists += 1
             self._note("blacklist", host, step)
             if was_serving:
                 self._reconfigure("blacklist", host, step)
+            # the window opens once the job runs without the host: stamped
+            # before the restart delay, a short blacklist would expire
+            # inside its own reconfigure
+            host.blacklist_until = self.clock + event.magnitude
 
     def _apply_deadlines(self, step: int) -> None:
-        now = self.engine.sim_time
+        now = self.clock
         for host in list(self.registry):
             if (
                 host.state == WARMING
@@ -274,18 +280,17 @@ class MembershipController(ResilienceController):
     # graceful reconfiguration (zero lost work by construction)
     # ------------------------------------------------------------------
     def _reconfigure(self, op: str, host: Host, step: int) -> None:
-        """Checkpoint at the current step, rebuild on the new pool.
+        """Hand the live job to a worker set on the new pool.
 
-        The on-demand checkpoint carries the *current* global step — the
-        in-flight step finished at this boundary — so the restored
-        engine re-executes nothing: membership transitions lose no work.
+        The in-flight step finished at this boundary and the engine
+        carries on from its own state, so nothing is re-executed:
+        membership transitions lose no work.
         """
         pool = self._active_pool()
         if not pool:
             raise ValueError(
                 f"membership plan removes all serving capacity at step {step}"
             )
-        ckpt = self.engine.checkpoint()
         delay = self.restart_delay_s + self._pending_delay
         self._pending_delay = 0.0
         self.stats.downtime_s += delay
@@ -298,20 +303,7 @@ class MembershipController(ResilienceController):
             step=step,
             gpus=[g.name for g in assignment.gpus],
         )
-        self.engine = EasyScaleEngine.from_checkpoint(
-            self.spec,
-            self.dataset,
-            ckpt,
-            self.optimizer_factory,
-            assignment,
-            transform=self.transform,
-            scheduler_factory=self.scheduler_factory,
-            config=self.config,
-            telemetry=self.telemetry,
-            profiler=self.profiler,
-            fault_injector=self.injector,
-            backend=self.backend,
-        )
+        self.engine = self.engine.reconfigure(assignment)
 
     # ------------------------------------------------------------------
     # forceful removals (the abrupt recovery path)

@@ -12,7 +12,8 @@ Every host moves through a fixed graph::
   an explicit ``ready`` event or when its warm-up deadline passes;
 - ``ACTIVE`` — serving capacity;
 - ``DRAINING`` — scheduled for graceful removal (in-flight work finishes,
-  an on-demand checkpoint is taken, then the host leaves);
+  the job's live state moves to the remaining workers, then the host
+  leaves);
 - ``BLACKLISTED`` — pulled from service with an expiry, after which it
   rejoins ``ACTIVE``;
 - ``REMOVED`` — terminal.

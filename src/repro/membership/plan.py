@@ -28,10 +28,10 @@ Event kinds (``magnitude`` is kind-specific, always in *seconds*):
 ``blacklist``         the host is pulled from service; ``magnitude`` is
                       the expiry after which it rejoins (ACTIVE)
 ``drain``             graceful removal: the in-flight step finishes and
-                      an on-demand checkpoint is taken before the host
-                      leaves (zero lost work); rolling upgrades queue
-                      drains and release at most ``max_unavailable`` at
-                      a time
+                      the job's live state moves to the remaining
+                      workers before the host leaves (zero lost work);
+                      rolling upgrades queue drains and release at most
+                      ``max_unavailable`` at a time
 ``reclaim_notice``    spot reclaim with notice: the host keeps serving
                       for ``magnitude`` seconds, then drains gracefully
 ``forceful_remove``   the host vanishes without notice — routed through
@@ -62,7 +62,7 @@ MEMBERSHIP_KINDS = (
 )
 
 #: Kinds whose capacity change is negotiated at a step boundary (the host
-#: side stays reachable long enough for an on-demand checkpoint).
+#: side stays reachable long enough to hand its state over).
 GRACEFUL_MEMBERSHIP_KINDS = frozenset(set(MEMBERSHIP_KINDS) - {"forceful_remove"})
 
 #: Kinds that (eventually) remove the host's capacity.

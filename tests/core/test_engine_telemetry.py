@@ -76,3 +76,50 @@ class TestEngineTelemetry:
             spec, dataset, config, sgd_factory(), WorkerAssignment.balanced([V100] * 2, 2)
         )
         engine.train_steps(1)  # no error without a sink
+
+
+class TestScaleEventSpans:
+    """The span stream and the flight ring name the layer that did the
+    work: a graceful scale event is ``engine.reconfigure`` — no checkpoint
+    is saved or restored — and a batch is a ``data.load``."""
+
+    def test_reconfigure_and_load_spans(self, spec, dataset):
+        from repro import obs
+        from repro.faults.manager import CheckpointManager
+        from repro.obs import flightrec
+
+        obs.configure(enabled=True)
+        try:
+            engine = make_engine(spec, dataset, None)
+            engine.train_steps(1)
+            engine = engine.reconfigure(WorkerAssignment.balanced([V100], 2))
+            engine.train_steps(1)
+            spans = obs.tracer().records
+            ring = [event["kind"] for event in flightrec.recorder().events]
+
+            reconfigure = [r for r in spans if r["name"] == "engine.reconfigure"]
+            assert [r["args"] for r in reconfigure] == [{"step": 1, "gpus": ["V100"]}]
+            scale_events = [r for r in spans if r["name"] == "engine.scale_event"]
+            assert [r["args"]["step"] for r in scale_events] == [0, 1]
+            loads = [r["args"] for r in spans if r["name"] == "data.load"]
+            assert loads == [
+                {"vrank": v, "epoch": 0, "step": s} for s in (0, 1) for v in (0, 1)
+            ]
+            assert all(
+                r["path"].endswith("worker.local_step;data.load")
+                for r in spans if r["name"] == "data.load"
+            )
+            checkpointing = {"engine.checkpoint_save", "engine.checkpoint_restore"}
+            assert not checkpointing & ({r["name"] for r in spans} | set(ring))
+
+            # ... and both still fire where a checkpoint really is taken
+            manager = CheckpointManager()
+            EasyScaleEngine.from_checkpoint(
+                spec, dataset, manager.decode(manager.take(engine)), sgd_factory(),
+                WorkerAssignment.balanced([V100], 2),
+            )
+            names = {r["name"] for r in obs.tracer().records}
+            ring = {event["kind"] for event in flightrec.recorder().events}
+            assert checkpointing <= names and checkpointing <= ring
+        finally:
+            obs.reset()

@@ -73,6 +73,81 @@ class TestDeterminism:
         assert x.dtype == np.int64  # tokens passed through untouched
 
 
+class TestComputedOnce:
+    """Pure functions of (seed, index | epoch | batch key) are not redone."""
+
+    def test_each_sample_is_built_once(self, dataset, monkeypatch):
+        built = []
+        build = type(dataset).__getitem__
+        monkeypatch.setattr(
+            type(dataset), "__getitem__",
+            lambda self, index: built.append(index) or build(self, index),
+        )
+        loaders = [make_loader(dataset), make_loader(dataset, transform=False)]
+        for loader in loaders:
+            for epoch in range(2):
+                for step in range(loader.steps_per_epoch):
+                    for rank in range(4):
+                        loader.load(rank, epoch, step)
+        # 128 samples over 4 ranks x 8 per batch: every epoch visits all
+        assert sorted(built) == list(range(128))
+
+    def test_unsampled_dataset_stores_nothing(self):
+        big = SyntheticImageDataset(100_000, seed=3)
+        loader = make_loader(big)
+        assert big._store is None
+        loader.load(0, 0, 0)
+        built, inputs, _ = big._store
+        assert built.sum() == 8 and inputs.shape[0] == 100_000
+
+    def test_epoch_permutation_drawn_once_per_loader(self, dataset, monkeypatch):
+        from repro.data.sampler import DistributedSampler
+
+        draws = []
+        draw = DistributedSampler._global_order
+        monkeypatch.setattr(
+            DistributedSampler, "_global_order",
+            lambda self: draws.append(self.epoch) or draw(self),
+        )
+        loader = make_loader(dataset)
+        for epoch in range(3):
+            for step in range(loader.steps_per_epoch):
+                for rank in range(4):
+                    loader.load(rank, epoch, step)
+        assert draws == [0, 1, 2]
+
+    def test_rng_state_derived_only_when_a_transform_draws(self, dataset, monkeypatch):
+        import repro.data.dataloader as dataloader
+        from repro.data.datasets import SyntheticQADataset
+
+        derived = []
+        derive = dataloader.batch_rng_state
+        monkeypatch.setattr(
+            dataloader, "batch_rng_state",
+            lambda *key: derived.append(key) or derive(*key),
+        )
+        make_loader(dataset, transform=False).load(0, 0, 0)
+        tokens = SharedDataLoader(
+            SyntheticQADataset(64, seed=1), num_replicas=2, batch_size=4, seed=2,
+            transform=default_image_augmentation(),
+        )
+        tokens.load(0, 0, 0)
+        assert derived == []  # nothing would have drawn from it
+        augmented = make_loader(dataset)
+        augmented.load(2, 0, 1)
+        assert derived == [(11, 2, 0, 1)]
+        augmented.prefetch(2, 0, 2)  # derives at prefetch time ...
+        augmented.load(2, 0, 2)  # ... and the load reuses that state
+        assert derived == [(11, 2, 0, 1), (11, 2, 0, 2)]
+
+    def test_queue_entry_consumed_even_when_nothing_draws(self, dataset):
+        loader = make_loader(dataset, transform=False)
+        loader.prefetch(0, 0, 0)
+        loader.prefetch(1, 0, 0)
+        loader.load(0, 0, 0)
+        assert list(loader.export_state()["pending"]) == [(1, 0, 0)]
+
+
 class TestQueuingBuffer:
     def test_commit_consume(self):
         q = QueuingBuffer()

@@ -130,6 +130,51 @@ class TestGracefulTransitions:
         ops = [op for op, h, _ in controller.mstats.log if h == "t4-host1"]
         assert ops == ["blacklist", "rejoin"]
 
+    @pytest.mark.parametrize("kind, closing", [
+        ("blacklist", "rejoin"), ("reclaim_notice", "reclaim"),
+    ])
+    def test_equal_windows_span_equal_boundaries(self, env, kind, closing):
+        # deadlines run on the controller's monotone clock: on the
+        # engine's sim_time, which used to restart at every rebuild, the
+        # same 2.0 s blacklist lasted 6 boundaries from step 2 and 10 from
+        # step 6 (an earlier scale event had rewound the clock under it)
+        spec, dataset, config = env
+        total = 24
+        engine = EasyScaleEngine(
+            spec, dataset, config, sgd_factory(),
+            WorkerAssignment.balanced([gpu_type(g) for g in POOL], 4),
+        )
+        engine.train_steps(total)
+        static = fingerprint_state_dict(engine.model.state_dict())
+
+        spans = []
+        for at_step in (2, 6):
+            plan = MembershipPlan(
+                initial_hosts=ROSTER,
+                events=(
+                    # an unrelated scale event first, so the window is
+                    # never the run's first rebuild
+                    HostEvent(kind="drain", host="v100-host1", at_step=1),
+                    HostEvent(kind=kind, host="t4-host1", at_step=at_step,
+                              magnitude=2.0),
+                ),
+            )
+            controller = MembershipController(
+                spec, dataset, config, sgd_factory(), plan,
+            )
+            controller.run(total)
+            closed = next(
+                s for op, _, s in controller.mstats.log if op == closing
+            )
+            spans.append(closed - at_step)
+            assert controller.mstats.lost_work_seconds == 0.0
+            assert controller.stats.incidents == []
+            assert fingerprint_state_dict(
+                controller.engine.model.state_dict()
+            ) == static
+        assert min(spans) >= 1  # never inside its own reconfigure
+        assert abs(spans[0] - spans[1]) <= 1, spans
+
     def test_spot_reclaim_with_notice(self, env, reference):
         # the host keeps serving through the notice window, then drains
         # gracefully at the deadline — capacity only leaves at the end

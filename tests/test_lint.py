@@ -155,6 +155,35 @@ def test_cli_has_one_bad_input_exit_and_reads_flags_as_attributes():
     assert "getattr(args" not in source
 
 
+def test_one_graceful_path_and_one_restore_site():
+    # a scale event hands live state over (EasyScaleEngine.reconfigure);
+    # a checkpoint is restored only where bytes crossed a crash — the
+    # resilience controller.  A second from_checkpoint( call under src/
+    # is a rebuild-by-checkpoint path growing back.
+    import ast
+
+    callers = []
+    for path in sorted(_python_files(SRC)):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "from_checkpoint"
+            ):
+                callers.append(os.path.relpath(path, SRC))
+            if isinstance(node, ast.FunctionDef) and node.name == "reconfigure":
+                called = {
+                    inner.func.attr
+                    for inner in ast.walk(node)
+                    if isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Attribute)
+                }
+                assert not called & {"checkpoint", "from_checkpoint", "to_bytes"}, path
+    assert callers == [os.path.join("faults", "controller.py")]
+
+
 def test_jsonl_tail_tolerance_lives_in_one_module():
     # "a damaged trailing line is tolerated, anything else is path:lineno"
     # is one function; a JSONDecodeError handled inside a per-line loop
