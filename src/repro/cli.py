@@ -29,8 +29,8 @@ Gives the repository's main entry points a shell surface:
   audit trails.  ``train --hosts PLAN`` trains through the controller.
 
 - ``bench`` — performance-regression observatory: ``bench run`` times
-  the built-in benches (sched plan round, parallel pool step,
-  determinism kernel) and appends schema-versioned records to the
+  the built-in benches (sched plan round, determinism kernel, DES
+  trace replay) and appends schema-versioned records to the
   repo-root ``BENCH_<area>.json`` trajectory files; ``bench compare``
   prints the latest-vs-previous verdict per metric; ``bench gate``
   exits non-zero on any regression, for CI (see docs/BENCHMARKS.md).
@@ -124,6 +124,39 @@ def _parse_stage(stage: str):
     return gpus
 
 
+def _positive(text: str) -> int:
+    """argparse ``type`` of every count flag: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _stage(text: str) -> str:
+    """argparse ``type`` of a ``--schedule`` stage or ``--gpus`` pool: the
+    text itself once :func:`_parse_stage` accepts it and it names a GPU."""
+    try:
+        gpus = _parse_stage(text)
+    except (ValueError, KeyError) as err:
+        raise argparse.ArgumentTypeError(f"bad GPU stage {text!r}: {err.args[0]}") from None
+    if not gpus:
+        raise argparse.ArgumentTypeError(f"GPU stage {text!r} names no GPU")
+    return text
+
+
+def _workload(name: str):
+    """The registry entry for a user-named workload."""
+    from repro.models import get_workload
+
+    try:
+        return get_workload(name)
+    except KeyError as err:
+        raise _BadInput(err.args[0]) from None
+
+
 def _roster_pool(plan):
     """The GPU pool a membership plan's initial roster provides."""
     from repro.hw import gpu_type
@@ -131,20 +164,18 @@ def _roster_pool(plan):
     return [gpu_type(h.gtype.upper()) for h in plan.initial_hosts for _ in range(h.slots)]
 
 
-def _build_job(args: argparse.Namespace, batches_per_commit: int = 1):
+def _build_job(args: argparse.Namespace):
     """``(spec, dataset, config, optimizer factory)`` from the
     :func:`_job_args` flags — the positional head of every engine,
     controller and contrast constructor, so callers splat it."""
     from repro.core import EasyScaleJobConfig, determinism_from_label
-    from repro.models import get_workload
     from repro.optim import SGD
 
-    spec = get_workload(args.workload)
+    spec = _workload(args.workload)
     dataset = spec.build_dataset(args.samples, seed=args.seed)
     config = EasyScaleJobConfig(
         num_ests=args.ests, seed=args.seed, batch_size=args.batch_size,
         determinism=determinism_from_label(args.determinism),
-        batches_per_commit=batches_per_commit,
     )
 
     def optimizer(model):
@@ -219,7 +250,7 @@ def _run_train(args: argparse.Namespace, hosts, faults, telemetry) -> int:
     from repro.obs.profiler import OnlineProfiler
     from repro.utils.fingerprint import fingerprint_state_dict
 
-    job = spec, dataset, config, optimizer = _build_job(args, args.commit_every)
+    job = spec, dataset, config, optimizer = _build_job(args)
     stages = [_parse_stage(s) for s in args.schedule]
     total = args.steps_per_stage * len(stages)
     profiler = None
@@ -227,7 +258,7 @@ def _run_train(args: argparse.Namespace, hosts, faults, telemetry) -> int:
         capability = static_capability(spec, config.determinism.kernel_policy)
         profiler = OnlineProfiler(static_capability=capability)
     backend = (
-        ProcessPoolBackend(max_workers=args.workers, transport=args.transport)
+        ProcessPoolBackend(max_workers=args.workers)
         if args.backend in ("process", "pool")
         else SerialBackend()
     )
@@ -369,6 +400,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan, ResilienceController, random_plan, run_contrast
 
     if args.faults_command == "gen":
+        if args.steps < 2:
+            raise _BadInput("--steps needs at least 2 steps")
         plan = random_plan(
             args.seed,
             horizon_steps=args.steps,
@@ -404,6 +437,8 @@ def _cmd_membership(args: argparse.Namespace) -> int:
 
     if args.membership_command == "gen":
         if args.rolling is None:
+            if args.steps < 2:
+                raise _BadInput("--steps needs at least 2 steps")
             plan = random_membership_plan(
                 args.seed,
                 horizon_steps=args.steps,
@@ -625,9 +660,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         static = None
         if args.workload:
             from repro.hw import static_capability
-            from repro.models import get_workload
 
-            static = static_capability(get_workload(args.workload))
+            static = static_capability(_workload(args.workload))
         config = ProfilerConfig(
             window_size=args.window,
             straggler_factor=args.factor,
@@ -748,10 +782,9 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     from repro.core import scan_model
-    from repro.models import get_workload
     from repro.utils.rng import RNGBundle
 
-    spec = get_workload(args.workload)
+    spec = _workload(args.workload)
     report = scan_model(spec.build_model(RNGBundle(0)))
     if report.d2_recommended:
         print(f"{args.workload}: no vendor-kernel reliance; D2 is cheap "
@@ -825,11 +858,11 @@ def _job_args(parser, samples: int, determinism: str, *own,
     ``replay``s.  ``own`` — ``(flag, kwargs)`` pairs — are the subcommand's
     step and pool flags, declared between ``--samples`` and
     ``--determinism`` where ``--help`` has always listed them."""
-    parser.add_argument("--ests", type=int, default=4, help=ests_help)
+    parser.add_argument("--ests", type=_positive, default=4, help=ests_help)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--batch-size", type=int, default=8)
+    parser.add_argument("--batch-size", type=_positive, default=8)
     parser.add_argument("--lr", type=float, default=0.05)
-    parser.add_argument("--samples", type=int, default=samples)
+    parser.add_argument("--samples", type=_positive, default=samples)
     for flag, kwargs in own:
         parser.add_argument(flag, **kwargs)
     parser.add_argument("--determinism", default=determinism,
@@ -844,12 +877,12 @@ def _replay_args(parser, leg: str, plan_help: str, determinism_help: str, *own) 
     parser.add_argument("--workload", default="resnet18")
     _job_args(
         parser, 64, "D1+D2",
-        ("--steps", dict(type=int, default=12,
+        ("--steps", dict(type=_positive, default=12,
                          help="global steps to train (default 12)")),
         *own,
         determinism_help=determinism_help,
     )
-    parser.add_argument("--snapshot-interval", type=int, default=4,
+    parser.add_argument("--snapshot-interval", type=_positive, default=4,
                         help="periodic checkpoint interval in steps (default 4)")
     parser.add_argument("--audit", metavar="PREFIX", default=None,
                         help="also write PREFIX.ref.jsonl and "
@@ -868,8 +901,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("workload")
     _job_args(
         train, 256, "D1",
-        ("--steps-per-stage", dict(type=int, default=4)),
-        ("--schedule", dict(nargs="+", default=["4xV100", "2xV100", "1xV100"],
+        ("--steps-per-stage", dict(type=_positive, default=4)),
+        ("--schedule", dict(nargs="+", type=_stage,
+                            default=["4xV100", "2xV100", "1xV100"],
                             help="GPU stages, e.g. 4xV100 2xV100 1xV100+2xP100")),
         ests_help="number of logical workers",
     )
@@ -879,20 +913,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "in-process; 'process' (alias 'pool') runs each "
                             "worker's compute in a persistent process pool "
                             "(bitwise-identical results; see docs/EXECUTION.md)")
-    train.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="process-pool size for --backend process "
-                            "(default: min(4, CPU count))")
-    train.add_argument("--transport", default="shm", choices=["shm", "pickle"],
-                       help="gradient/state transport for --backend process: "
-                            "'shm' (default) moves state broadcast and "
-                            "gradient buckets through shared-memory slabs "
-                            "with overlapped per-bucket collection; 'pickle' "
-                            "is the result-queue path (both bitwise-identical)")
-    train.add_argument("--commit-every", type=int, default=1, metavar="K",
-                       help="commit cadence (batches_per_commit): flush "
-                            "RNG/BN-journal write-back into the parent every "
-                            "K steps instead of per step; checkpoints, eval, "
-                            "and drive boundaries always flush (default: 1)")
+    train.add_argument("--workers", type=_positive, default=None, metavar="N",
+                       help="process-pool slots for --backend process; "
+                            "worker w runs in slot w mod N (default: 4)")
     train.add_argument("--verify", action="store_true", help="compare bitwise vs DDP")
     train.add_argument("--trace", metavar="PATH", default=None,
                        help="record a span trace (JSONL) of the run")
@@ -922,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("trace-sim", help="replay a job trace")
     trace.add_argument("--policy", default="all", choices=["yarn", "homo", "heter", "all"])
-    trace.add_argument("--jobs", type=int, default=30)
+    trace.add_argument("--jobs", type=_positive, default=30)
     trace.add_argument("--seed", type=int, default=4)
     trace.add_argument("--interarrival", type=float, default=45.0)
     trace.add_argument("--duration", type=float, default=1200.0)
@@ -937,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--days", type=float, default=30.0,
                        help="horizon in days for --shape diurnal "
                             "(default 30)")
-    trace.add_argument("--cluster-gpus", type=int, default=None,
+    trace.add_argument("--cluster-gpus", type=_positive, default=None,
                        help="simulate a production_cluster of this many "
                             "GPUs (e.g. 3000) instead of the 64-GPU "
                             "microbench cluster")
@@ -974,12 +997,12 @@ def build_parser() -> argparse.ArgumentParser:
         "gen", help="generate a seeded random fault plan (JSON)"
     )
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--steps", type=int, default=12,
+    gen.add_argument("--steps", type=_positive, default=12,
                      help="horizon in global steps (default 12)")
-    gen.add_argument("--gpus", type=int, default=4,
+    gen.add_argument("--gpus", type=_positive, default=4,
                      help="GPUs in the target pool — bounds how much "
                           "capacity the plan may take away (default 4)")
-    gen.add_argument("--events", type=int, default=4,
+    gen.add_argument("--events", type=_positive, default=4,
                      help="maximum events in the plan (default 4)")
     gen.add_argument("--out", metavar="PATH", default="fault_plan.json",
                      help="output path (default fault_plan.json)")
@@ -997,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fault plan JSON (from: repro faults gen)",
         "heterogeneous pools need D2 for bitwise identity across recoveries "
         "(default D1+D2)",
-        ("--gpus", dict(default="2xV100+2xT4",
+        ("--gpus", dict(type=_stage, default="2xV100+2xT4",
                         help="GPU pool, e.g. 2xV100+2xT4 (default)")),
     )
     replay.add_argument("--contrast", action="store_true",
@@ -1017,15 +1040,15 @@ def build_parser() -> argparse.ArgumentParser:
         "gen", help="generate a seeded membership plan (JSON)"
     )
     mgen.add_argument("--seed", type=int, default=0)
-    mgen.add_argument("--steps", type=int, default=12,
+    mgen.add_argument("--steps", type=_positive, default=12,
                       help="horizon in global steps (default 12)")
-    mgen.add_argument("--events", type=int, default=4,
+    mgen.add_argument("--events", type=_positive, default=4,
                       help="maximum host events in the plan (default 4)")
-    mgen.add_argument("--rolling", type=int, default=None, metavar="HOSTS",
+    mgen.add_argument("--rolling", type=_positive, default=None, metavar="HOSTS",
                       help="instead of random churn, emit a rolling-upgrade "
                            "plan draining all but one of HOSTS single-V100 "
                            "hosts, --max-unavailable at a time")
-    mgen.add_argument("--max-unavailable", type=int, default=1,
+    mgen.add_argument("--max-unavailable", type=_positive, default=1,
                       help="hosts drained per wave with --rolling (default 1)")
     mgen.add_argument("--out", metavar="PATH", default="membership_plan.json",
                       help="output path (default membership_plan.json)")
@@ -1047,7 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     colo = sub.add_parser("colocation", help="two-day serving co-location stats")
-    colo.add_argument("--gpus", type=int, default=3000)
+    colo.add_argument("--gpus", type=_positive, default=3000)
     colo.add_argument("--seed", type=int, default=2021)
     colo.add_argument("--training-demand", type=int, default=500)
 
@@ -1093,7 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     why.add_argument("trail_a", help="audit-trail JSONL or postmortem bundle")
     why.add_argument("trail_b", help="audit-trail JSONL or postmortem bundle")
-    why.add_argument("--window", type=int, default=8,
+    why.add_argument("--window", type=_positive, default=8,
                      help="steps before the divergence to walk back (default 8)")
 
     profile = obs_sub.add_parser(
@@ -1106,11 +1129,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="normalize against this workload's static "
                               "capability table (heterogeneous-aware "
                               "straggler detection)")
-    profile.add_argument("--window", type=int, default=8,
+    profile.add_argument("--window", type=_positive, default=8,
                          help="steps per profiling window (default 8)")
     profile.add_argument("--factor", type=float, default=1.5,
                          help="straggler threshold vs peer median (default 1.5)")
-    profile.add_argument("--consecutive", type=int, default=3,
+    profile.add_argument("--consecutive", type=_positive, default=3,
                          help="consecutive slow windows before flagging (default 3)")
     profile.add_argument("--json", metavar="PATH", default=None,
                          help="also write the JSON profile summary")
@@ -1135,7 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _bench_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--area", action="append", default=None,
-                       choices=["sched", "parallel", "determinism", "dessim", "all"],
+                       choices=["sched", "determinism", "dessim", "all"],
                        help="bench area (repeatable; default all)")
         p.add_argument("--dir", metavar="PATH", default=None,
                        help="trajectory directory (default: repo root, or "
@@ -1148,7 +1171,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="time the built-in benches and append trajectory records"
     )
     _bench_common(bench_run)
-    bench_run.add_argument("--repeats", type=int, default=5,
+    bench_run.add_argument("--repeats", type=_positive, default=5,
                            help="samples per metric (default 5; medians and "
                                 "p10/p90 are computed over these)")
     bench_run.add_argument("--smoke", action="store_true",

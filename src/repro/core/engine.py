@@ -117,22 +117,12 @@ class EasyScaleJobConfig:
     #: gradient accumulation per EST (activation memory shrinks by the
     #: same factor — lets big effective batches fit small GPUs)
     micro_batches: int = 1
-    #: commit cadence: every k-th step carries ``StepRequest.commit=True``
-    #: and flushes any backend-deferred RNG/BN write-back into the parent
-    #: state.  1 (default) commits every step — the serial-identical
-    #: behaviour; larger values let the pool backend skip per-step
-    #: write-back between boundaries.  Checkpoints, evaluation, and the
-    #: end of every training drive force a flush regardless, so any state
-    #: the job can observe is always at a committed boundary.
-    batches_per_commit: int = 1
 
     def __post_init__(self) -> None:
         if self.num_ests <= 0:
             raise ValueError("num_ests must be positive")
         if self.micro_batches <= 0:
             raise ValueError("micro_batches must be positive")
-        if self.batches_per_commit <= 0:
-            raise ValueError("batches_per_commit must be positive")
         if self.batch_size % self.micro_batches != 0:
             raise ValueError(
                 f"batch_size {self.batch_size} not divisible into "
@@ -301,9 +291,6 @@ class EasyScaleEngine:
             gpus=[g.name for g in assignment.gpus],
         ):
             workers = self._make_workers(assignment)
-            # the new workers start from a committed boundary: flush any
-            # RNG/BN write-back the backend deferred for the old ones
-            self.backend.commit()
             for est in self.ests:
                 est.staged_grads = None
             if not self.config.determinism.record_bucket_mapping:
@@ -378,14 +365,6 @@ class EasyScaleEngine:
         arrival: Optional[List[str]] = (
             [] if not self.elastic_ddp.reconstructed else None
         )
-        cadence = self.config.batches_per_commit
-        # per-step audits fingerprint EST RNG states, so audited runs
-        # always commit — the fingerprints must match the serial loop's
-        commit = (
-            cadence <= 1
-            or (self.global_step + 1) % cadence == 0
-            or (obs.is_enabled() and obs.audit_trail() is not None)
-        )
         request = StepRequest(
             workers=self.workers,
             model=self.model,
@@ -396,7 +375,6 @@ class EasyScaleEngine:
             load_batch=lambda vrank: self.loader.load(vrank, self.epoch, self.step_in_epoch),
             arrival_sink=arrival,
             layout=self.elastic_ddp.buckets,
-            commit=commit,
         )
         results = self.backend.run_step(request)
         step_time = 0.0
@@ -489,16 +467,12 @@ class EasyScaleEngine:
 
     def train_steps(self, num_steps: int) -> List[float]:
         """Run ``num_steps`` global steps; returns the last EST's losses."""
-        losses = [self.run_global_step()[-1] for _ in range(num_steps)]
-        # leave the job at a committed boundary whatever the cadence
-        self.backend.commit()
-        return losses
+        return [self.run_global_step()[-1] for _ in range(num_steps)]
 
     def train_epochs(self, num_epochs: int) -> None:
         target = self.epoch + num_epochs
         while self.epoch < target:
             self.run_global_step()
-        self.backend.commit()
 
     def evaluate(self, dataset: Dataset, num_samples: int = 256) -> float:
         """Task-appropriate quality metric on a held-out dataset.
@@ -509,8 +483,6 @@ class EasyScaleEngine:
         """
         from repro.ddp.metrics import evaluate_workload
 
-        # eval-mode BN reads running stats: flush any deferred folding
-        self.backend.commit()
         score = evaluate_workload(self.spec, self.model, dataset, num_samples)
         if self.telemetry is not None:
             self.telemetry.eval(self.global_step, "accuracy", score)
@@ -522,9 +494,6 @@ class EasyScaleEngine:
     def checkpoint(self) -> Checkpoint:
         """Snapshot at a global-step boundary (the only legal point)."""
         flightrec.record("engine.checkpoint_save", step=self.global_step)
-        # a checkpoint snapshots EST RNG + BN state: flush deferred
-        # write-back so the snapshot is at a committed boundary
-        self.backend.commit()
         with obs.span("engine.checkpoint_save", cat="engine", step=self.global_step):
             return self._checkpoint()
 
@@ -553,7 +522,6 @@ class EasyScaleEngine:
                 "allreduce_algorithm": self.config.allreduce_algorithm,
                 "num_data_workers": self.config.num_data_workers,
                 "micro_batches": self.config.micro_batches,
-                "batches_per_commit": self.config.batches_per_commit,
             },
         )
 
@@ -567,9 +535,6 @@ class EasyScaleEngine:
             self._restore_checkpoint(ckpt)
 
     def _restore_checkpoint(self, ckpt: Checkpoint) -> None:
-        # the restored state predates any steps whose write-back the
-        # backend still banks; applying them later would corrupt it
-        self.backend.discard_pending()
         if ckpt.num_ests != self.config.num_ests:
             raise ValueError(
                 f"checkpoint has {ckpt.num_ests} ESTs, job declares {self.config.num_ests}"
@@ -618,7 +583,6 @@ class EasyScaleEngine:
                 allreduce_algorithm=str(ckpt.meta.get("allreduce_algorithm", "ring")),
                 num_data_workers=int(ckpt.meta.get("num_data_workers", 2)),
                 micro_batches=int(ckpt.meta.get("micro_batches", 1)),
-                batches_per_commit=int(ckpt.meta.get("batches_per_commit", 1)),
             )
         return cls(
             spec,

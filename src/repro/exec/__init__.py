@@ -10,9 +10,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Type, Union
 
 from repro.exec.base import ExecutionBackend, StepRequest
-from repro.exec.pool import TRANSPORTS, ProcessPoolBackend
+from repro.exec.pool import ProcessPoolBackend
 from repro.exec.serial import SerialBackend
-from repro.exec.shm import ShmTransport, SlabPlan, shm_available
+from repro.exec.shm import ShmTransport, SlabPlan
 
 #: registry consulted by :func:`resolve_backend` and ``cli train --backend``
 #: ("pool" is an alias for the process-pool backend)
@@ -52,7 +52,6 @@ def resolve_backend(
 
 __all__ = [
     "BACKENDS",
-    "TRANSPORTS",
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
@@ -60,5 +59,4 @@ __all__ = [
     "SlabPlan",
     "StepRequest",
     "resolve_backend",
-    "shm_available",
 ]

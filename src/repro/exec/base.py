@@ -19,10 +19,10 @@ The contract every backend must honour, and the tests pin bitwise:
    workers' fault hooks mutate parent state (loader cursors, injector
    exactly-once bookkeeping); backends must invoke them in the serial
    order: worker 0's ESTs, then worker 1's, ...
-4. **State write-back.**  EST RNG streams advance, ``staged_grads`` are
-   staged, and BN journals reference the *parent's* model layers on
-   return — a checkpoint taken after the step is byte-identical across
-   backends.
+4. **State write-back, every step.**  EST RNG streams advance,
+   ``staged_grads`` are staged, and BN journals reference the *parent's*
+   model layers on return — a checkpoint taken after any step is
+   byte-identical across backends.
 """
 
 from __future__ import annotations
@@ -64,12 +64,6 @@ class StepRequest:
     arrival_sink: Optional[List[str]]
     #: current bucket layout — the unit of gradient shipping
     layout: "BucketAssignment"
-    #: when False, the backend may defer RNG/BN-journal write-back into
-    #: the parent's state until the next committed step (or an explicit
-    #: :meth:`ExecutionBackend.commit`).  The engine keeps this True on
-    #: every ``batches_per_commit``-th step, for audit-trail runs, and
-    #: for backends that never defer (serial).
-    commit: bool = True
 
 
 class ExecutionBackend(ABC):
@@ -97,22 +91,7 @@ class ExecutionBackend(ABC):
         return 0
 
     def commit(self) -> None:
-        """Flush any write-back deferred by ``StepRequest.commit=False``.
-
-        After this returns, the parent's EST RNG streams and BN running
-        stats are bitwise what per-step write-back would have produced.
-        The engine calls it before checkpoints, evaluation, and at the
-        end of every training drive.  No-op for backends that never
-        defer.
-        """
-
-    def discard_pending(self) -> None:
-        """Drop deferred write-back without applying it.
-
-        Called on checkpoint restore: the restored state predates the
-        deferred steps, so applying their banked RNG/BN write-back would
-        corrupt it.  No-op for backends that never defer.
-        """
+        """No-op, every step writes back; the frozen benchmarks/e2e epilogue calls it."""
 
     def close(self) -> None:
         """Release backend resources (pools).  Idempotent."""

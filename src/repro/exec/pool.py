@@ -18,32 +18,21 @@ determinism argument, in the order things happen:
    serial path calls — under the worker's dialect/policy and the EST's
    shipped RNG state.
 3. **Per-bucket flat shipping is byte-pure.**  Children flatten
-   gradients into the engine's current bucket layout; flatten/unflatten
-   are pure byte moves (no arithmetic), so the reconstructed
-   per-parameter gradients are bitwise what the serial path produced —
-   whether the flat bytes travel by pickle through the pool's result
-   queue (``transport="pickle"``) or by shared-memory slab
-   (``transport="shm"``, the default; see :mod:`repro.exec.shm`).
+   gradients into the engine's current bucket layout, straight into a
+   shared-memory slab (:mod:`repro.exec.shm`); flatten/unflatten are
+   pure byte moves (no arithmetic), so the reconstructed per-parameter
+   gradients are bitwise what the serial path produced.
 4. **Fixed merge order.**  Results are assembled in *submission* order
    (worker 0 first), never completion order, and each worker's ESTs stay
-   in local order.  The shm transport *collects* finished buckets in
-   publication order — overlapping the parent's unflatten copies with
-   still-running child compute — but collection fills a keyed staging
-   map; the merge that the engine's reduction sees is always the
-   submission order, so the association cannot depend on which child
-   finished first.
-5. **State write-back.**  Advanced RNG states are restored into the
-   parent's EST objects, gradients are staged, and BN journal entries
-   are re-bound (by module name) to the parent's layers so folding
-   happens on the authoritative replica in virtual-rank order.  With a
-   commit cadence (``batches_per_commit > 1``) the RNG/BN write-back is
-   deferred: the backend banks each step's advanced RNG states and
-   journal entries and applies them — in the exact per-step order the
-   serial loop would have — at the next commit boundary, checkpoint, or
-   explicit :meth:`commit`.  Between boundaries the parent's EST/BN
-   state lags, but nothing reads it: children receive the banked RNG
-   states, and BN running buffers are never read by training-mode
-   forward.
+   in local order.  Finished buckets are *collected* in publication
+   order — overlapping the parent's unflatten copies with still-running
+   child compute — but collection fills a keyed staging map; the merge
+   that the engine's reduction sees is always the submission order, so
+   the association cannot depend on which child finished first.
+5. **State write-back, every step.**  Advanced RNG states are restored
+   into the parent's EST objects, gradients are staged, and BN journal
+   entries are re-bound (by module name) to the parent's layers so
+   folding happens on the authoritative replica in virtual-rank order.
 
 What cannot be parallelized: policies that keep *process-global* mutable
 kernel state — the autotuner's profiling counters and the "atomic"
@@ -56,7 +45,6 @@ backend rejects such policies up front with a clear error.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue as queue_mod
 import shutil
 import sys
@@ -74,9 +62,6 @@ from repro.exec.shm import ShmTransport, SlabPlan, state_specs_of
 from repro.hw.timing import context_switch_time, minibatch_time
 from repro.utils.rng import RNGBundle
 
-#: valid ``ProcessPoolBackend(transport=...)`` values
-TRANSPORTS = ("shm", "pickle")
-
 # ---------------------------------------------------------------------------
 # child-process side
 # ---------------------------------------------------------------------------
@@ -85,8 +70,8 @@ TRANSPORTS = ("shm", "pickle")
 #: param-id->name, module-id->name).  Lives for the pool's lifetime.
 _REPLICAS: Dict[Tuple[str, int], Tuple[Any, Dict[str, Any], Dict[int, str], Dict[int, str]]] = {}
 
-#: the backend's bucket-publication queue (shm transport only), installed
-#: by the pool initializer
+#: the backend's bucket-publication queue, installed by the pool
+#: initializer
 _READY_QUEUE = None
 
 
@@ -125,12 +110,12 @@ def _get_replica(spec, seed: int):
 def _run_worker_task(task: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Execute one physical worker's local steps in a pool child.
 
-    Returns one payload per EST, in local order: the loss, per-bucket
-    gradient manifests (flat arrays under the pickle transport, slab
-    publications under shm), the advanced RNG state, the BN journal
-    keyed by module *name* (layer objects don't cross process
-    boundaries), and — for vrank 0 on a reconstruction step — the
-    gradient arrival order.
+    Gradients leave through the slab: each bucket is flattened into this
+    vrank's region and published on the ready queue.  Returns one
+    payload per EST, in local order: the loss, the advanced RNG state,
+    the BN journal keyed by module *name* (layer objects don't cross
+    process boundaries), and — for vrank 0 on a reconstruction step —
+    the gradient arrival order.
 
     Observability: the parent ships its :class:`~repro.obs.ObsConfig`
     snapshot with every task; the child bootstraps ``repro.obs`` from it
@@ -160,16 +145,13 @@ def _run_worker_task_inner(
 ) -> List[Dict[str, Any]]:
     spec = task["spec"]
     model, named_params, names_by_id, modules_by_id = _get_replica(spec, task["seed"])
-    desc = task.get("shm")
-    if desc is not None:
-        # zero-copy broadcast: the parent wrote its state into the slab
-        # once for the whole step; load_state_dict copies out of the
-        # read-only views into this child's replica
-        model.load_state_dict(shm_mod.child_read_state(desc))
-    else:
-        model.load_state_dict(task["state"])
+    desc = task["shm"]
+    # zero-copy broadcast: the parent wrote its state into the slab once
+    # for the whole step; load_state_dict copies out of the read-only
+    # views into this child's replica
+    model.load_state_dict(shm_mod.child_read_state(desc))
     layout = BucketAssignment.from_state(task["layout"])
-    seq = task.get("seq")
+    seq = task["seq"]
     out: List[Dict[str, Any]] = []
     for vrank, rng_state, x, y in task["ests"]:
         rng = RNGBundle(0)
@@ -208,31 +190,22 @@ def _run_worker_task_inner(
             obs.metrics().counter(
                 "exec_child_local_steps_total", gpu=task.get("gpu", "?")
             ).inc()
-        buckets: List[Tuple[Tuple[str, ...], Optional[np.ndarray]]] = []
         for bucket_idx, names in enumerate(layout.buckets):
+            # flatten straight into this vrank's slab region, then publish
+            # through the queue — the queue send is the cross-process
+            # happens-before for the slab bytes
             present = tuple(n for n in names if n in grads)
-            if desc is not None:
-                # shm transport: flatten straight into this vrank's slab
-                # region, then publish through the queue — the queue send
-                # is the cross-process happens-before for the slab bytes
-                elems = sum(int(grads[n].size) for n in present)
-                if present:
-                    sub = BucketAssignment([list(present)])
-                    sub.flatten_bucket_into(
-                        0, grads, shm_mod.child_grad_view(desc, vrank, bucket_idx, elems)
-                    )
-                _READY_QUEUE.put((seq, vrank, bucket_idx, present, elems))
-                buckets.append((present, None))
-            elif present:
+            elems = sum(int(grads[n].size) for n in present)
+            if present:
                 sub = BucketAssignment([list(present)])
-                buckets.append((present, sub.flatten_bucket(0, grads)))
-            else:
-                buckets.append(((), None))
+                sub.flatten_bucket_into(
+                    0, grads, shm_mod.child_grad_view(desc, vrank, bucket_idx, elems)
+                )
+            _READY_QUEUE.put((seq, vrank, bucket_idx, present, elems))
         out.append(
             {
                 "vrank": vrank,
                 "loss": loss,
-                "buckets": buckets,
                 "rng": rng.get_state(),
                 "journal": [
                     (modules_by_id[id(layer)], mean, var) for layer, mean, var in journal
@@ -261,14 +234,13 @@ class ProcessPoolBackend(ExecutionBackend):
     registered kernels — falling back to ``spawn``, where
     :func:`_child_init` re-hydrates them.
 
-    ``transport`` selects how the heavy per-step payloads travel:
-    ``"shm"`` (default) broadcasts model state and collects flat gradient
-    buckets through :class:`~repro.exec.shm.ShmTransport` slabs —
-    zero-copy, with per-bucket collection overlapped against still-running
-    child compute; ``"pickle"`` is the original result-queue path, kept
-    for benchmarking and as the fallback where shared memory is
-    unavailable.  Both are bitwise-identical by construction (the flat
-    bytes are the same; only the carrier differs).
+    The heavy per-step payloads travel through
+    :class:`~repro.exec.shm.ShmTransport` slabs: model state is broadcast
+    and flat gradient buckets are collected zero-copy, with per-bucket
+    collection overlapped against still-running child compute.
+    ``transport`` names that one carrier: the keyword exists because the
+    frozen ``benchmarks/e2e`` passes it, and any value but ``"shm"`` is a
+    ``ValueError``.
 
     Placement is *sticky*: the pool is a row of single-child slots and
     physical worker ``w`` always dispatches to slot ``w % max_workers``.
@@ -297,22 +269,16 @@ class ProcessPoolBackend(ExecutionBackend):
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be positive")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; available: {TRANSPORTS}"
-            )
-        if transport == "shm" and not shm_mod.shm_available():  # pragma: no cover
-            flightrec.record("exec.shm_unavailable", fallback="pickle")
-            transport = "pickle"
+        if transport != "shm":
+            raise ValueError(f"unknown transport {transport!r}; only 'shm' exists")
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
         self.start_method = start_method
         self.max_workers = int(max_workers or 4)
-        self.transport = transport
         self._pool = None
-        #: shm slab set (lazily built on the first shm-transport step)
+        #: shm slab set (lazily built on the first step)
         self._shm: Optional[ShmTransport] = None
         #: bucket-publication queue shared by every slot's child
         self._ready_queue = None
@@ -320,14 +286,6 @@ class ProcessPoolBackend(ExecutionBackend):
         #: step aborted mid-collection can never leak stale buckets into
         #: the next step's drain loop
         self._seq = 0
-        #: deferred commit-cadence state: vrank -> advanced RNG state, and
-        #: (module name, mean, var) BN entries in exact serial fold order
-        self._pending_rng: Dict[int, Any] = {}
-        self._pending_journal: List[Tuple[str, np.ndarray, np.ndarray]] = []
-        #: parent-side refs from the most recent step, so commit() can
-        #: flush pending state without a request in hand
-        self._last_ests: Dict[int, Any] = {}
-        self._last_layers: Dict[str, Any] = {}
         #: scratch directory for the children's per-pid obs shards; created
         #: lazily the first time a step runs with observability enabled
         self._shard_dir: Optional[str] = None
@@ -347,7 +305,7 @@ class ProcessPoolBackend(ExecutionBackend):
         """
         if self._pool is None:
             self._pool = []
-        if self.transport == "shm" and self._ready_queue is None:
+        if self._ready_queue is None:
             self._ready_queue = self._ctx.Queue()
         while len(self._pool) <= index:
             from repro.tensor.kernels import export_matmul_variants
@@ -377,7 +335,6 @@ class ProcessPoolBackend(ExecutionBackend):
         return obs.collect_shards(self._shard_dir)
 
     def close(self) -> None:
-        self.commit()
         if self._pool is not None:
             # drain outstanding tasks' shards before tearing the slots down
             for slot in self._pool:
@@ -419,34 +376,6 @@ class ProcessPoolBackend(ExecutionBackend):
             self.close()
         except Exception:
             pass
-
-    # -- commit cadence --------------------------------------------------
-    def commit(self) -> None:
-        """Flush deferred RNG/BN write-back (no-op when nothing pends).
-
-        Applies the banked per-step BN journal entries to the parent's
-        layers in the exact order the serial loop would have folded them,
-        and restores each EST's latest advanced RNG state — after which
-        the parent's state is bitwise what per-step write-back would have
-        produced.  Called by the engine at checkpoint/eval boundaries and
-        at the end of ``train_steps``/``train_epochs``.
-        """
-        for name, mean, var in self._pending_journal:
-            self._last_layers[name].fold_stats(mean, var)
-        self._pending_journal = []
-        for vrank, rng_state in self._pending_rng.items():
-            self._last_ests[vrank].rng.set_state(rng_state)
-        self._pending_rng = {}
-
-    def discard_pending(self) -> None:
-        """Drop deferred write-back without applying it (restore path).
-
-        A checkpoint restore rewinds the engine past the steps whose
-        write-back is banked here; applying them afterwards would corrupt
-        the restored state, so the engine discards on every restore.
-        """
-        self._pending_journal = []
-        self._pending_rng = {}
 
     # -- validation -----------------------------------------------------
     @staticmethod
@@ -490,12 +419,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 if worker.fault_hook is not None:
                     worker.fault_hook(worker.worker_id, est.vrank)
                 x, y = request.load_batch(est.vrank)
-                # mid-cadence, the authoritative RNG stream is the banked
-                # one, not the (stale) parent EST object's
-                rng_state = self._pending_rng.get(est.vrank, None)
-                if rng_state is None:
-                    rng_state = est.rng.get_state()
-                ests.append((est.vrank, rng_state, x, y))
+                ests.append((est.vrank, est.rng.get_state(), x, y))
             tasks.append(
                 {
                     "spec": request.spec,
@@ -513,13 +437,10 @@ class ProcessPoolBackend(ExecutionBackend):
                 }
             )
 
-        # Phase 2: broadcast state (slab write or per-task pickle), then
-        # dispatch everything (worker w -> slot w % max_workers)
+        # Phase 2: broadcast state (one slab write), then dispatch
+        # everything (worker w -> slot w % max_workers)
         self._seq += 1
-        if self.transport == "shm":
-            grads_by_vrank = self._dispatch_shm(request, tasks, est_by_vrank)
-        else:
-            grads_by_vrank = self._dispatch_pickle(request, tasks)
+        self._broadcast_state(request, tasks, est_by_vrank)
         handles = [
             self._ensure_slot(task["worker"] % self.max_workers).apply_async(
                 _run_worker_task, (task,)
@@ -527,9 +448,7 @@ class ProcessPoolBackend(ExecutionBackend):
             for task in tasks
         ]
 
-        if self.transport == "shm":
-            self._collect_buckets(request, handles, est_by_vrank, grads_by_vrank)
-
+        grads_by_vrank = self._collect_buckets(request, handles, est_by_vrank)
         results = self._assemble(request, handles, est_by_vrank, grads_by_vrank)
         if obs.is_enabled():
             registry = obs.metrics()
@@ -537,8 +456,8 @@ class ProcessPoolBackend(ExecutionBackend):
             registry.counter("exec_pool_tasks_total", backend=self.name).inc(len(tasks))
         return results
 
-    # -- phase 2 helpers: broadcast -------------------------------------
-    def _dispatch_shm(self, request, tasks, est_by_vrank) -> Dict[int, Dict[str, np.ndarray]]:
+    # -- phase 2 helper: broadcast --------------------------------------
+    def _broadcast_state(self, request, tasks, est_by_vrank) -> None:
         """Write state into the slab once and attach descriptors to tasks."""
         if self._shm is None:
             self._shm = ShmTransport()
@@ -563,10 +482,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 obs.metrics().counter(
                     "exec_shm_slab_rebuilds_total", backend=self.name
                 ).inc()
-        with obs.span(
-            "exec.state_broadcast", cat="exec", backend=self.name,
-            transport=self.transport,
-        ):
+        with obs.span("exec.state_broadcast", cat="exec", backend=self.name):
             nbytes = self._shm.write_state(live_state)
         if obs.is_enabled():
             obs.metrics().counter(
@@ -576,31 +492,22 @@ class ProcessPoolBackend(ExecutionBackend):
         for task in tasks:
             task["shm"] = desc
             task["seq"] = self._seq
-        return {}
 
-    def _dispatch_pickle(self, request, tasks) -> Dict[int, Dict[str, np.ndarray]]:
-        """Attach a pickled state copy to every task (original transport)."""
-        state = request.model.state_dict()
-        state_nbytes = sum(np.asarray(v).nbytes for v in state.values())
-        for task in tasks:
-            task["state"] = state
-        if obs.is_enabled():
-            obs.metrics().counter(
-                "exec_pickle_bytes_total", payload="state"
-            ).inc(state_nbytes * len(tasks))
-        return {}
-
-    # -- phase 3: overlapped shm collection ------------------------------
-    def _collect_buckets(self, request, handles, est_by_vrank, grads_by_vrank) -> None:
+    # -- phase 3: overlapped collection ----------------------------------
+    def _collect_buckets(
+        self, request, handles, est_by_vrank
+    ) -> Dict[int, Dict[str, np.ndarray]]:
         """Drain bucket publications as children produce them.
 
         Children publish each finished (vrank, bucket) through the ready
         queue the moment its slab region is written; the parent unflattens
         it immediately — overlapping its own copy-out with the remaining
         child compute instead of blocking on whole-worker ``handle.get()``.
-        Publications land in a keyed map, so arrival order never reaches
-        the caller: :meth:`_assemble` walks submission order regardless.
+        Publications land in the returned vrank-keyed map, so arrival
+        order never reaches the caller: :meth:`_assemble` walks submission
+        order regardless.
         """
+        grads_by_vrank: Dict[int, Dict[str, np.ndarray]] = {}
         param_shapes = {n: p.data.shape for n, p in request.named_params.items()}
         expected = len(est_by_vrank) * self._shm.plan.num_buckets
         got = 0
@@ -640,25 +547,16 @@ class ProcessPoolBackend(ExecutionBackend):
             obs.metrics().counter(
                 "exec_shm_bytes_total", direction="gradients"
             ).inc(shm_bytes)
+        return grads_by_vrank
 
     # -- phase 4: fixed-order assembly + write-back ----------------------
     def _assemble(self, request, handles, est_by_vrank, grads_by_vrank):
         from repro.core.worker import LocalStepResult
 
-        param_shapes = {n: p.data.shape for n, p in request.named_params.items()}
         parent_layers = dict(request.model.named_modules())
-        self._last_ests = dict(est_by_vrank)
-        self._last_layers = parent_layers
-        if request.commit:
-            # fold the banked (earlier-step) journal entries and RNG
-            # states BEFORE this step's own write-back, preserving the
-            # serial per-step order end to end
-            self.commit()
         arrival_seen = (
             set(request.arrival_sink) if request.arrival_sink is not None else None
         )
-        pickle_bytes = 0
-        step_journal: Dict[int, list] = {}
         results: List[LocalStepResult] = []
         for worker, handle in zip(request.workers, handles):
             with obs.span(
@@ -674,17 +572,8 @@ class ProcessPoolBackend(ExecutionBackend):
             for position, payload in enumerate(payloads):
                 vrank = payload["vrank"]
                 grads = grads_by_vrank.get(vrank, {})
-                for names, flat in payload["buckets"]:
-                    if flat is None:
-                        continue  # shm transport: already collected
-                    sub = BucketAssignment([list(names)])
-                    grads.update(sub.unflatten_bucket(0, flat, param_shapes))
-                    pickle_bytes += flat.nbytes
                 est = est_by_vrank[vrank]
-                if request.commit:
-                    est.rng.set_state(payload["rng"])
-                else:
-                    self._pending_rng[vrank] = payload["rng"]
+                est.rng.set_state(payload["rng"])
                 est.staged_grads = grads
                 if payload["arrival"] is not None and request.arrival_sink is not None:
                     # seen-set merge: the sink stays an ordered list, but
@@ -693,37 +582,19 @@ class ProcessPoolBackend(ExecutionBackend):
                         if name not in arrival_seen:
                             arrival_seen.add(name)
                             request.arrival_sink.append(name)
-                journal = [
-                    (name, mean, var) for name, mean, var in payload["journal"]
-                ]
-                if not request.commit:
-                    step_journal[vrank] = journal
                 results.append(
                     LocalStepResult(
                         vrank=vrank,
                         loss=payload["loss"],
                         grads=grads,
-                        bn_journal=(
-                            [
-                                (parent_layers[name], mean, var)
-                                for name, mean, var in journal
-                            ]
-                            if request.commit
-                            else []
-                        ),
+                        bn_journal=[
+                            (parent_layers[name], mean, var)
+                            for name, mean, var in payload["journal"]
+                        ],
                         compute_time=per_batch,
                         exposed_copy_time=(
                             switch if position < len(payloads) - 1 else 0.0
                         ),
                     )
                 )
-        if not request.commit:
-            # bank this step's journal in the order the engine would have
-            # folded it: ascending virtual rank within the step
-            for vrank in sorted(step_journal):
-                self._pending_journal.extend(step_journal[vrank])
-        if obs.is_enabled() and pickle_bytes:
-            obs.metrics().counter(
-                "exec_pickle_bytes_total", payload="gradients"
-            ).inc(pickle_bytes)
         return results

@@ -1,14 +1,12 @@
 """Zero-copy shared-memory transport for the process-pool backend.
 
-The pickle transport ships the full model ``state_dict`` *to* every pool
-child and every flat gradient bucket *back* through the pool's result
-queue — two serialization passes whose cost grows linearly with model
-size and worker count.  This module replaces both directions with
-``multiprocessing.shared_memory`` slabs:
+Model state travels *to* every pool child and every flat gradient bucket
+travels *back* through ``multiprocessing.shared_memory`` slabs, so
+neither direction is serialized through the pool's pipes:
 
 - one **state slab**, written once per step by the parent and read by
-  every child (the broadcast direction collapses from one pickled copy
-  per task to a single memcpy into the slab);
+  every child (the broadcast is a single memcpy into the slab, however
+  many children read it);
 - one **gradient slab per virtual-rank slot**, sized from the bucket
   layout exactly like a :class:`~repro.comm.bucketing.FlatBufferCache`
   buffer row, written by the child that hosts the vrank this step and
@@ -40,20 +38,10 @@ from __future__ import annotations
 
 import os
 import sys
+from multiprocessing import shared_memory as _shared_memory
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - present on every supported platform since 3.8
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic builds only
-    _shared_memory = None
-
-
-def shm_available() -> bool:
-    """Whether ``multiprocessing.shared_memory`` exists on this build."""
-    return _shared_memory is not None
-
 
 #: (name, dtype string, shape) — the identity of one state-dict array
 ArraySpec = Tuple[str, str, Tuple[int, ...]]
@@ -181,11 +169,6 @@ class ShmTransport:
     """Parent-owned slab set: create, broadcast, read back, unlink once."""
 
     def __init__(self) -> None:
-        if not shm_available():  # pragma: no cover - exotic builds only
-            raise RuntimeError(
-                "multiprocessing.shared_memory is unavailable on this build; "
-                "use ProcessPoolBackend(transport='pickle')"
-            )
         self.plan: Optional[SlabPlan] = None
         self._state_shm = None
         self._grad_shm: Dict[int, Any] = {}
@@ -375,10 +358,9 @@ def child_grad_view(
 ) -> np.ndarray:
     """Writable float32 view over the child's own bucket region.
 
-    Flatten straight into this (``flatten_bucket_into``) — the zero-copy
-    replacement for building a fresh array and pickling it back.  The
-    write is NOT visible to the parent until the caller publishes
-    (vrank, bucket) through the backend's ready-queue.
+    Flatten straight into this (``flatten_bucket_into``); no array is
+    built or sent back.  The write is NOT visible to the parent until the
+    caller publishes (vrank, bucket) through the backend's ready-queue.
     """
     plan: SlabPlan = desc["plan"]
     shm = _attach(desc["grad_names"][vrank])

@@ -423,11 +423,6 @@ class ResilienceController:
             downtime_s=delay,
             clock_at_fault=self.clock - delay,
         )
-        # the failed engine is abandoned here: any RNG/BN write-back the
-        # backend deferred for its steps must never reach the rebuilt
-        # engine's state.  A checkpoint restore discards on its own, but
-        # the cold-restart path below never restores — drop it explicitly.
-        self.backend.discard_pending()
         assignment = self._plan_assignment()
         flightrec.record(
             "resilience.replan",

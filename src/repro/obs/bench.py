@@ -1,7 +1,7 @@
 """Benchmark telemetry and regression gating: the ``BENCH_*.json`` trajectory.
 
 Every performance claim this repository makes — scheduling-round cost,
-pool-backend speedup, determinism-kernel overhead — is only worth the
+determinism-kernel overhead, DES replay cost — is only worth the
 commit it rode in on if the *next* commit can prove it did not regress.
 This module is that proof chain:
 
@@ -9,8 +9,10 @@ This module is that proof chain:
   repeats, stamped with the machine fingerprint, git SHA, and UTC time,
   schema-versioned so old trajectories stay readable;
 - a **trajectory**: an append-only ``BENCH_<area>.json`` file at the repo
-  root (``BENCH_sched.json``, ``BENCH_parallel.json``,
-  ``BENCH_determinism.json``) holding those records in commit order;
+  root (``BENCH_sched.json``, ``BENCH_determinism.json``,
+  ``BENCH_dessim.json``) holding those records in commit order
+  (``BENCH_parallel.json`` is retired history: the pool is timed by
+  ``benchmarks/e2e``);
 - a **comparator**: noise-aware classification of each metric as
   improved / flat / regressed against the previous trajectory entry with
   the same bench name and parameters.  "Noise-aware" means the relative
@@ -56,7 +58,7 @@ DEFAULT_THRESHOLD = 0.30
 MIN_TRUSTED_REPEATS = 3
 
 #: Trajectory areas and their repo-root file names.
-AREAS: Tuple[str, ...] = ("sched", "parallel", "determinism", "dessim")
+AREAS: Tuple[str, ...] = ("sched", "determinism", "dessim")
 
 STATUSES = ("improved", "flat", "regressed", "baseline")
 
@@ -468,50 +470,6 @@ def _bench_sched_plan_round(smoke: bool) -> Tuple[Dict[str, Any], Dict[str, floa
     return params, {"cold_s": cold, "warm_s": warm}
 
 
-def _bench_parallel_pool_step(smoke: bool) -> Tuple[Dict[str, Any], Dict[str, float]]:
-    """Per-step wall cost of the serial loop vs the process pool."""
-    from repro.core import (
-        EasyScaleEngine,
-        EasyScaleJobConfig,
-        WorkerAssignment,
-        determinism_from_label,
-    )
-    from repro.exec import ProcessPoolBackend, SerialBackend
-    from repro.hw import gpu_type
-    from repro.models import get_workload
-    from repro.optim import SGD
-
-    steps = 2 if smoke else 4
-    workers = 2
-    spec = get_workload("resnet18")
-    dataset = spec.build_dataset(64, seed=7)
-    config = EasyScaleJobConfig(
-        num_ests=workers, seed=0, batch_size=8,
-        determinism=determinism_from_label("D1+D2"),
-    )
-
-    def optimizer(model):
-        return SGD(model.named_parameters(), lr=0.05, momentum=0.9)
-
-    def run(backend) -> float:
-        engine = EasyScaleEngine(
-            spec, dataset, config, optimizer,
-            WorkerAssignment.balanced([gpu_type("V100")] * workers, workers),
-            backend=backend,
-        )
-        engine.train_steps(1)  # warm-up: pool creation + replica builds
-        t0 = time.perf_counter()
-        engine.train_steps(steps)
-        return (time.perf_counter() - t0) / steps
-
-    serial_s = run(SerialBackend())
-    with ProcessPoolBackend(max_workers=workers) as pool:
-        pool_s = run(pool)
-    params = {"workload": "resnet18", "workers": workers, "steps": steps,
-              "batch_size": 8, "smoke": smoke}
-    return params, {"serial_step_s": serial_s, "pool_step_s": pool_s}
-
-
 def _bench_determinism_kernel(smoke: bool) -> Tuple[Dict[str, Any], Dict[str, float]]:
     """Vendor-dialect vs hardware-agnostic (D2) GEMM kernel cost."""
     import numpy as np
@@ -581,10 +539,6 @@ BENCHES: Dict[str, BenchSpec] = {
     "sched": BenchSpec(
         "sched", "plan_round", _bench_sched_plan_round,
         "cold vs warm companion plan-search cost for one scheduling round",
-    ),
-    "parallel": BenchSpec(
-        "parallel", "pool_step", _bench_parallel_pool_step,
-        "per-step wall cost, serial loop vs process pool",
     ),
     "determinism": BenchSpec(
         "determinism", "kernel_overhead", _bench_determinism_kernel,

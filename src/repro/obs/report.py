@@ -144,6 +144,10 @@ class ClusterUtilizationReport:
         ``capacity`` overrides the ``cluster_capacity`` event if both are
         present; with neither, peak concurrent allocation per type is used
         as a lower-bound stand-in (idle numbers then underestimate).
+
+        One pass, linear in events: a job's holdings change only at its own
+        events, so it accrues GPU-seconds there (and once at the end) and
+        moves the starved-job count by its own before/after state.
         """
         rows = [n for n in (_normalize(e) for e in events) if n is not None]
         rows.sort(key=lambda r: r[0])
@@ -159,39 +163,34 @@ class ClusterUtilizationReport:
         contended_free = 0.0
         last_time = 0.0
         end_time = rows[-1][0] if rows else 0.0
+        #: submitted, unfinished jobs holding zero GPUs right now
+        starved = 0
 
-        def lane(job_id: str) -> _JobLane:
-            if job_id not in jobs:
-                jobs[job_id] = _JobLane(job_id=job_id)
-            return jobs[job_id]
-
-        def free_capacity() -> int:
-            if not cap:
-                return 0
+        def free_capacity() -> int:  # only asked while ``cap`` is known
             return max(0, sum(cap.values()) - sum(held_by_type.values()))
 
-        def any_starved(now: float) -> bool:
-            return any(
-                j.submit_time is not None
-                and j.done_time is None
-                and j.total_held == 0
-                for j in jobs.values()
-            )
+        def is_starved(j: _JobLane) -> bool:
+            return j.submit_time is not None and j.done_time is None and j.total_held == 0
 
         for time, kind, payload in rows:
             # accrue contended-free GPU-seconds over [last_time, time)
-            if time > last_time and cap and any_starved(last_time):
+            if time > last_time and cap and starved:
                 contended_free += free_capacity() * (time - last_time)
-            for j in jobs.values():
-                j._accrue(time)
             last_time = time
 
-            if kind == "cluster_capacity" and not capacity:
-                cap = {str(k).lower(): int(v) for k, v in payload.items()}
-            elif kind == "job_submit":
-                lane(str(payload.get("job", "?"))).submit_time = time
+            if kind == "cluster_capacity":
+                if not capacity:
+                    cap = {str(k).lower(): int(v) for k, v in payload.items()}
+                continue
+            if kind not in _ALLOC_KINDS:
+                continue
+            job_id = str(payload.get("job", "?"))
+            j = jobs.get(job_id) or jobs.setdefault(job_id, _JobLane(job_id=job_id))
+            j._accrue(time)
+            starved -= is_starved(j)
+            if kind == "job_submit":
+                j.submit_time = time
             elif kind == "scale_out":
-                j = lane(str(payload.get("job", "?")))
                 gtype = str(payload.get("gtype", "?")).lower()
                 count = int(payload.get("gpus", 0))
                 if j.first_grant is None and count > 0:
@@ -203,7 +202,6 @@ class ClusterUtilizationReport:
                 j.timeline.append((time, j.total_held))
                 allocation_timeline.append((time, total_allocated))
             elif kind in ("scale_in", "preempt"):
-                j = lane(str(payload.get("job", "?")))
                 gtype = str(payload.get("gtype", "?")).lower()
                 count = int(payload.get("gpus", 0))
                 if count:
@@ -215,7 +213,6 @@ class ClusterUtilizationReport:
                 if kind == "preempt":
                     j.preempt_times.append(time)
             elif kind == "job_done":
-                j = lane(str(payload.get("job", "?")))
                 j.done_time = time
                 released = j.total_held
                 for gtype, count in j.held.items():
@@ -224,14 +221,15 @@ class ClusterUtilizationReport:
                 total_allocated = max(0, total_allocated - released)
                 j.timeline.append((time, 0))
                 allocation_timeline.append((time, total_allocated))
+            starved += is_starved(j)
 
         span = horizon if horizon is not None else end_time
-        # close the books at the horizon
-        if span > last_time:
-            if cap and any_starved(last_time):
-                contended_free += free_capacity() * (span - last_time)
-            for j in jobs.values():
-                j._accrue(span)
+        # close the books: every job through the last event, and on to the
+        # horizon when it lies beyond
+        if span > last_time and cap and starved:
+            contended_free += free_capacity() * (span - last_time)
+        for j in jobs.values():
+            j._accrue(max(span, last_time))
 
         if not cap:
             cap = dict(peak_by_type)

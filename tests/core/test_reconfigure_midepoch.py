@@ -130,7 +130,7 @@ class Case:
     before: tuple  # GPU names of the starting allocation
     after: tuple  # ... and of the one scaled to
     num_ests: int = 2
-    pool: bool = False  # ProcessPoolBackend, committing every 3rd step
+    pool: bool = False  # ProcessPoolBackend
     augment: bool = False
     scheduler: bool = False
 
@@ -159,7 +159,6 @@ def _case_engine(case, dataset, backend):
     config = EasyScaleJobConfig(
         num_ests=case.num_ests, seed=3, batch_size=4,
         determinism=determinism_from_label(case.determinism),
-        batches_per_commit=3 if case.pool else 1,
     )
     return EasyScaleEngine(
         spec, dataset, config, sgd_factory(), _assignment(case.before, case.num_ests),
@@ -230,10 +229,7 @@ def test_live_handover_equals_checkpoint_round_trip_at_every_step(case_id, throu
             live, twin = (_case_engine(case, dataset, b) for b in backends)
             assert live.steps_per_epoch == 4
             for engine in (live, twin):
-                # no train_steps(): it would commit, and under the pool the
-                # scale event is meant to land between commit boundaries
-                for _ in range(step):
-                    engine.run_global_step()
+                engine.train_steps(step)
                 # a data worker ran ahead: the queue entry must cross over
                 engine.loader.prefetch(0, engine.epoch, engine.step_in_epoch)
             history = [list(row) for row in live.loss_history]

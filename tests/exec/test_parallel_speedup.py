@@ -4,8 +4,8 @@ The pool only earns its keep when the per-step numpy compute dominates the
 state-shipping overhead and real cores exist to run workers concurrently.
 This benchmark pins the acceptance bar: with 4 pool workers on a machine
 with at least 4 CPUs, a 4-worker ResNet job steps at least 2x faster
-than the serial loop — the shared-memory transport removes the pickled
-state broadcast and gradient return that capped the old bar at 1.5x.
+than the serial loop — state and gradients move through shared-memory
+slabs, so the parent's share of a step is the reduce and the optimizer.
 Skipped (not failed) on smaller machines — the bitwise contract is
 covered by the functional suites regardless.
 """
@@ -58,7 +58,7 @@ def _run(backend, steps):
 )
 def test_pool_speedup_on_resnet():
     serial_s, serial_fp = _run(SerialBackend(), MEASURED_STEPS)
-    with ProcessPoolBackend(max_workers=4, transport="shm") as backend:
+    with ProcessPoolBackend(max_workers=4) as backend:
         pool_s, pool_fp = _run(backend, MEASURED_STEPS)
     assert pool_fp == serial_fp  # faster, and still bitwise-identical
     speedup = serial_s / pool_s

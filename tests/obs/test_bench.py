@@ -118,7 +118,7 @@ class TestTrajectory:
     def test_append_rejects_cross_area_record(self, tmp_path):
         traj = Trajectory("sched", str(tmp_path / "BENCH_sched.json"))
         with pytest.raises(ValueError, match="does not match trajectory"):
-            traj.append(make_record("parallel", "b", {}, {"t": [1.0]}))
+            traj.append(make_record("dessim", "b", {}, {"t": [1.0]}))
 
     def test_record_samples_appends(self, tmp_path):
         for _ in range(2):
@@ -208,13 +208,13 @@ class TestCompareTrajectory:
 
 class TestGate:
     def test_gate_collects_regressions_across_areas(self, tmp_path):
-        for area, medians in (("sched", [1.0, 1.0]), ("parallel", [1.0, 2.0])):
+        for area, medians in (("sched", [1.0, 1.0]), ("dessim", [1.0, 2.0])):
             for median in medians:
                 record_samples(area, "b", {}, {"t": [median] * 5},
                                directory=str(tmp_path))
         rows, regressed = gate_trajectories(AREAS, directory=str(tmp_path))
         assert len(rows) == 2
-        assert [r.area for r in regressed] == ["parallel"]
+        assert [r.area for r in regressed] == ["dessim"]
 
     def test_gate_without_trajectories_fails_loudly(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="BENCH_"):

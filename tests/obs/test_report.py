@@ -1,6 +1,8 @@
 """Cluster utilization report: folding, metrics, renderers, round-trip."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.report import (
     ClusterUtilizationReport,
@@ -94,6 +96,68 @@ class TestFolding:
         assert report.horizon == 0.0
         assert report.jobs == {}
         assert report.total_idle_gpu_seconds == 0.0
+
+
+CAPACITY = {"v100": 4, "t4": 2}
+
+
+def _by_definition(rows, horizon):
+    """Busy GPU-seconds per type as Σ held·dt and contended-free as Σ free·dt
+    over the gaps with a starved job — every job looked at in every gap,
+    the quadratic definition the one-pass fold has to equal."""
+    held, cluster, submitted, done = {}, {}, set(), set()
+    busy, contended, last = {}, 0.0, 0.0
+    for time, kind, job, gtype, gpus in rows + [(max(horizon, rows[-1][0]), "end", "", "", 0)]:
+        for (_, held_type), count in held.items():
+            busy[held_type] = busy.get(held_type, 0.0) + count * (time - last)
+        if any(not any(n for (j, _), n in held.items() if j == waiting)
+               for waiting in submitted - done):
+            free = sum(CAPACITY.values()) - sum(cluster.values())
+            contended += max(0, free) * (time - last)
+        last = time
+        if kind == "job_submit":
+            submitted.add(job)
+        elif kind == "scale_out":
+            held[job, gtype] = held.get((job, gtype), 0) + gpus
+            cluster[gtype] = cluster.get(gtype, 0) + gpus
+        elif kind in ("scale_in", "preempt"):  # a job cannot return what it does not hold
+            held[job, gtype] = max(0, held.get((job, gtype), 0) - gpus)
+            cluster[gtype] = max(0, cluster.get(gtype, 0) - gpus)
+        elif kind == "job_done":
+            done.add(job)
+            for key in [key for key in held if key[0] == job]:
+                cluster[key[1]] = max(0, cluster[key[1]] - held.pop(key))
+    return busy, contended
+
+
+_EVENT = st.tuples(
+    st.integers(0, 5),  # seconds since the previous event
+    st.sampled_from(["job_submit", "scale_out", "scale_in", "preempt", "job_done"]),
+    st.sampled_from(["a", "b", "c"]),  # nothing says a job was ever submitted
+    st.sampled_from(list(CAPACITY)),
+    st.integers(0, 3),
+)
+
+
+@given(events=st.lists(_EVENT, min_size=1, max_size=40), past_the_end=st.integers(-3, 9))
+@settings(max_examples=200, deadline=None)
+def test_one_pass_fold_equals_the_definition(events, past_the_end):
+    rows, now = [], 0.0
+    for gap, kind, job, gtype, gpus in events:
+        now += gap
+        rows.append((now, kind, job, gtype, gpus))
+    horizon = max(0.0, now + past_the_end)
+    report = ClusterUtilizationReport.from_events(
+        [{"time": 0.0, "kind": "cluster_capacity", "payload": CAPACITY}]
+        + [{"time": time, "kind": kind, "payload": {"job": job, "gtype": gtype, "gpus": gpus}}
+           for time, kind, job, gtype, gpus in rows],
+        horizon=horizon,
+    )
+    busy, contended = _by_definition(rows, horizon)
+    for gtype in CAPACITY:
+        assert report.busy_gpu_seconds.get(gtype, 0.0) == pytest.approx(busy.get(gtype, 0.0))
+    assert report.contended_free_gpu_seconds == pytest.approx(contended)
+    assert report.horizon == horizon
 
 
 class TestRenderers:

@@ -51,7 +51,7 @@ def test_gate_flat_on_rerun_then_fails_on_injected_slowdown(tmp_path):
     for _ in range(2):
         proc = _repro(run_args, tmp_path)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-    for area in ("sched", "parallel", "determinism", "dessim"):
+    for area in ("sched", "determinism", "dessim"):
         assert (tmp_path / f"BENCH_{area}.json").exists()
 
     gate = _repro(["bench", "gate"], tmp_path)

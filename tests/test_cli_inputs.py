@@ -3,7 +3,8 @@ with every way a file can be damaged.
 
 Each cell must exit 2 with one ``error: <path>…`` line on stderr — or, where
 the JSONL codec tolerates a damaged *trailing* line, exit 0 with the
-truncation warning — and must never show a traceback.  Every cell fails
+truncation warning — and must never show a traceback.  A flag value no run
+could use gets the same treatment (``BAD_FLAGS``).  Every cell fails
 before any training or simulation starts, so the whole table runs in
 seconds; a loader that wrongly accepted a damaged plan would show up as a
 slow cell that trains.
@@ -219,6 +220,61 @@ def test_unwritable_output_is_reported_before_any_work(argv, started, good, tmp_
     assert code == 2, (out, err)
     assert err.startswith("error: ") and nodir in err
     assert started not in out and "Traceback" not in out + err
+
+
+# a flag value no run could use (or a flag that no longer exists) is bad
+# input too: argparse's own exit for the ones a ``type`` can judge,
+# ``_BadInput`` for a name or a bound tighter than > 0
+BAD_FLAGS = [
+    ["train", "resnet18", "--transport", "shm"],
+    ["train", "resnet18", "--commit-every", "2"],
+    ["train", "resnet18", "--ests", "0"],
+    ["train", "resnet18", "--batch-size", "0"],
+    ["train", "resnet18", "--samples", "0"],
+    ["train", "resnet18", "--steps-per-stage", "0"],
+    ["train", "resnet18", "--backend", "pool", "--workers", "0"],
+    ["train", "resnet18", "--backend", "pool", "--workers", "-1"],
+    ["train", "resnet18", "--schedule", "0xV100"],
+    ["train", "resnet18", "--schedule", "2xH100"],
+    ["train", "resnet18", "--schedule", "twoxV100"],
+    ["train", "nosuchmodel"],
+    ["scan", "nosuchmodel"],
+    ["trace-sim", "--jobs", "0"],
+    ["trace-sim", "--jobs", "2", "--cluster-gpus", "0"],
+    ["faults", "gen", "--steps", "0"],
+    ["faults", "gen", "--steps", "1"],
+    ["faults", "gen", "--gpus", "0"],
+    ["faults", "gen", "--events", "0"],
+    ["faults", "replay", "--plan", "{fault_plan}", "--gpus", "0xV100"],
+    ["faults", "replay", "--plan", "{fault_plan}", "--steps", "0"],
+    ["faults", "replay", "--plan", "{fault_plan}", "--snapshot-interval", "0"],
+    ["membership", "gen", "--steps", "1"],
+    ["membership", "gen", "--events", "0"],
+    ["membership", "gen", "--rolling", "3", "--max-unavailable", "0"],
+    ["colocation", "--gpus", "0"],
+    ["obs", "profile", "{span_trace}", "--window", "0"],
+    ["obs", "profile", "{span_trace}", "--consecutive", "0"],
+    ["obs", "profile", "{span_trace}", "--workload", "nosuchmodel"],
+    ["obs", "why", "{audit_trail}", "{audit_trail}", "--window", "0"],
+    ["bench", "run", "--repeats", "0"],
+    ["bench", "run", "--area", "parallel"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS, ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_bad_flag_value(argv, good, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # ``gen`` writes its default --out here if it gets that far
+    try:
+        code = main([arg.format(**good) for arg in argv])
+    except SystemExit as exit_:  # argparse exits by itself
+        code = exit_.code
+    out, err = capsys.readouterr()
+    assert code == 2, (out, err)
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert "Traceback" not in out + err
+    assert not os.listdir(tmp_path)
+    for started in ("stage 0", "avg JCT", "written", "replay:", "alloc ratio", "appended"):
+        assert started not in out
 
 
 def test_good_files_are_good(good, tmp_path, capsys):

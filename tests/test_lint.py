@@ -106,30 +106,68 @@ def test_lint_walk_covers_batched_core_modules():
         assert expected in files, f"lint gate does not see {expected}"
 
 
-def test_one_event_core_and_one_oracle():
-    # the simulator's event core is ClusterSimulator.run; its old name
-    # survives as one alias line for the frozen benchmarks/e2e only, and
-    # the sim->policy channel is a declared attribute, never duck-typed
+def _lines_of_code_and_docs():
+    """``(relative path, stripped line)`` over everything a reader meets:
+    src, tests, examples, docs, README and the figure benches (not the
+    frozen benchmarks/e2e, not the PR log)."""
     import glob
 
-    from repro.sched import ClusterSimulator
-
-    old_name = "run_" + "batched"
-    assert getattr(ClusterSimulator, old_name) is ClusterSimulator.run
     paths = [os.path.join(REPO_ROOT, "README.md")]
     for sub in ("src", "tests", "examples"):
         paths.extend(_python_files(os.path.join(REPO_ROOT, sub)))
     paths.extend(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
     paths.extend(glob.glob(os.path.join(REPO_ROOT, "benchmarks", "bench_*.py")))
     assert len(paths) > 100
-    uses = []
     for path in paths:
         with open(path, encoding="utf-8") as handle:
             for line in handle:
-                assert 'getattr(sim, "incremental_' + 'scheduling"' not in line, path
-                if old_name in line:
-                    uses.append((os.path.relpath(path, REPO_ROOT), line.strip()))
+                yield os.path.relpath(path, REPO_ROOT), line.strip()
+
+
+def test_one_event_core_and_one_oracle():
+    # the simulator's event core is ClusterSimulator.run; its old name
+    # survives as one alias line for the frozen benchmarks/e2e only, and
+    # the sim->policy channel is a declared attribute, never duck-typed
+    from repro.sched import ClusterSimulator
+
+    old_name = "run_" + "batched"
+    assert getattr(ClusterSimulator, old_name) is ClusterSimulator.run
+    uses = []
+    for path, line in _lines_of_code_and_docs():
+        assert 'getattr(sim, "incremental_' + 'scheduling"' not in line, path
+        if old_name in line:
+            uses.append((path, line))
     assert uses == [("src/repro/sched/simulator.py", f"{old_name} = run")], uses
+
+
+def test_one_road_through_the_pool():
+    # shm is the transport and every step writes back: the switches, the
+    # banked state and the fallback are gone by name, not just unused.  The
+    # frozen benchmarks/e2e still names the shm transport by keyword and
+    # calls the backend's commit hook; ProcessPoolBackend keeps that one
+    # keyword value and ExecutionBackend that one no-op for it, and nothing
+    # here may lean on either.  (Spelled split so this file does not match
+    # itself.)
+    gone = [
+        "batches_per_" + "commit", "commit_" + "every", "discard_" + "pending",
+        "_pending_" + "rng", "_pending_" + "journal", "TRANS" + "PORTS",
+        "shm_" + "available", "exec_pickle_" + "bytes_total", "backend.commit" + "(",
+    ]
+    flags = ["--trans" + "port", "--commit-" + "every"]
+    keyword = "transport" + "="
+    flag_uses, keyword_uses = [], []
+    for path, line in _lines_of_code_and_docs():
+        for name in gone:
+            assert name not in line, (path, line)
+        flag_uses.extend((path, flag) for flag in flags if flag in line)
+        if keyword in line:
+            keyword_uses.append((path, line))
+    # the removed flags appear only as the two exit-2 rows of the CLI table
+    assert flag_uses == [("tests/test_cli_inputs.py", flag) for flag in flags], flag_uses
+    # the keyword appears only where its other values are refused
+    assert keyword_uses == [
+        ("tests/exec/test_shm_transport.py", f"ProcessPoolBackend({keyword}name)")
+    ], keyword_uses
 
 
 def test_cli_has_one_bad_input_exit_and_reads_flags_as_attributes():
