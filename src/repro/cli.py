@@ -135,6 +135,26 @@ def _positive(text: str) -> int:
     return value
 
 
+def _positive_float(text: str, above: float = 0.0) -> float:
+    """argparse ``type`` of every rate, span and factor flag: a finite
+    float > ``above``.  ``nan`` and ``inf`` parse as floats and then
+    simulate nothing (``completed 0/N``) or poison every replica."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = above
+    if not above < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number above {above:g}, got {text!r}"
+        )
+    return value
+
+
+def _above_one(text: str) -> float:
+    """``obs profile --factor``: a straggler is *slower* than its peers' median."""
+    return _positive_float(text, above=1.0)
+
+
 def _stage(text: str) -> str:
     """argparse ``type`` of a ``--schedule`` stage or ``--gpus`` pool: the
     text itself once :func:`_parse_stage` accepts it and it names a GPU."""
@@ -162,6 +182,18 @@ def _roster_pool(plan):
     from repro.hw import gpu_type
 
     return [gpu_type(h.gtype.upper()) for h in plan.initial_hosts for _ in range(h.slots)]
+
+
+def _ests_cover(args: argparse.Namespace, *pools) -> None:
+    """``--ests`` against every pool a balanced split will be asked of (an
+    EST for each GPU at least): a refusal is bad input, before any work."""
+    from repro.core import WorkerAssignment
+
+    for pool in pools:
+        try:
+            WorkerAssignment.balanced(pool, args.ests)
+        except ValueError as err:
+            raise _BadInput(f"--ests {args.ests}: {err}") from None
 
 
 def _build_job(args: argparse.Namespace):
@@ -210,6 +242,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     # every named input, then every named output, before anything is built
     hosts = _load(MembershipPlan.load, args.hosts) if args.hosts else None
     faults = _load(FaultPlan.load, args.faults) if args.faults else None
+    stages = [_parse_stage(s) for s in args.schedule]
+    if hosts is None and faults is None:
+        _ests_cover(args, *stages)
+    elif args.verify:  # a controller plans its own split; --verify's reference is balanced
+        _ests_cover(args, _roster_pool(hosts) if hosts is not None else stages[0])
     _claim(args.trace, args.audit)
     telemetry = _load(RunLog, args.telemetry) if args.telemetry else None
     if args.trace or args.audit:
@@ -218,7 +255,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         obs.configure(enabled=True, audit_path=args.audit,
                       audit_rewind=bool(args.faults or args.hosts))
     try:
-        return _run_train(args, hosts, faults, telemetry)
+        return _run_train(args, stages, hosts, faults, telemetry)
     finally:
         if telemetry is not None:
             telemetry.close()
@@ -241,7 +278,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             obs.reset()
 
 
-def _run_train(args: argparse.Namespace, hosts, faults, telemetry) -> int:
+def _run_train(args: argparse.Namespace, stages, hosts, faults, telemetry) -> int:
     """Build the job, drive it in one of the three ``train`` modes, then
     the one epilogue: profiler flush, telemetry, ``--verify`` verdict."""
     from repro.core import EasyScaleEngine, WorkerAssignment
@@ -251,7 +288,6 @@ def _run_train(args: argparse.Namespace, hosts, faults, telemetry) -> int:
     from repro.utils.fingerprint import fingerprint_state_dict
 
     job = spec, dataset, config, optimizer = _build_job(args)
-    stages = [_parse_stage(s) for s in args.schedule]
     total = args.steps_per_stage * len(stages)
     profiler = None
     if args.profile:
@@ -369,6 +405,7 @@ def _replay(args: argparse.Namespace, plan, pool, leg: str, build) -> int:
 
     ref_path = f"{args.audit}.ref.jsonl" if args.audit else None
     leg_path = f"{args.audit}.{leg}.jsonl" if args.audit else None
+    _ests_cover(args, pool)
     _claim(ref_path, leg_path)
     job = _replay_job(args, plan)
     try:
@@ -861,7 +898,7 @@ def _job_args(parser, samples: int, determinism: str, *own,
     parser.add_argument("--ests", type=_positive, default=4, help=ests_help)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--batch-size", type=_positive, default=8)
-    parser.add_argument("--lr", type=float, default=0.05)
+    parser.add_argument("--lr", type=_positive_float, default=0.05)
     parser.add_argument("--samples", type=_positive, default=samples)
     for flag, kwargs in own:
         parser.add_argument(flag, **kwargs)
@@ -947,8 +984,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--policy", default="all", choices=["yarn", "homo", "heter", "all"])
     trace.add_argument("--jobs", type=_positive, default=30)
     trace.add_argument("--seed", type=int, default=4)
-    trace.add_argument("--interarrival", type=float, default=45.0)
-    trace.add_argument("--duration", type=float, default=1200.0)
+    trace.add_argument("--interarrival", type=_positive_float, default=45.0)
+    trace.add_argument("--duration", type=_positive_float, default=1200.0)
     trace.add_argument("--shape", default="bursty",
                        choices=["bursty", "diurnal", "heavy-tail"],
                        help="arrival/runtime shape: 'bursty' (Philly-like "
@@ -957,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "ignored, --days sets the horizon), or "
                             "'heavy-tail' (Pareto runtimes, production "
                             "demand mix)")
-    trace.add_argument("--days", type=float, default=30.0,
+    trace.add_argument("--days", type=_positive_float, default=30.0,
                        help="horizon in days for --shape diurnal "
                             "(default 30)")
     trace.add_argument("--cluster-gpus", type=_positive, default=None,
@@ -1131,7 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "straggler detection)")
     profile.add_argument("--window", type=_positive, default=8,
                          help="steps per profiling window (default 8)")
-    profile.add_argument("--factor", type=float, default=1.5,
+    profile.add_argument("--factor", type=_above_one, default=1.5,
                          help="straggler threshold vs peer median (default 1.5)")
     profile.add_argument("--consecutive", type=_positive, default=3,
                          help="consecutive slow windows before flagging (default 3)")
@@ -1163,7 +1200,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dir", metavar="PATH", default=None,
                        help="trajectory directory (default: repo root, or "
                             "$REPRO_BENCH_DIR)")
-        p.add_argument("--threshold", type=float, default=0.30,
+        p.add_argument("--threshold", type=_positive_float, default=0.30,
                        help="relative regression tolerance before noise "
                             "widening (default 0.30)")
 

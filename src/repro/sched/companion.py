@@ -54,6 +54,7 @@ the scheduling path runs them.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -115,6 +116,15 @@ for _name in ("__setitem__", "__delitem__", "__ior__", "update", "pop", "popitem
 class CompanionModule:
     """Plan database + capability profile for one job."""
 
+    #: read-only after construction: the plan caches, and the job classes
+    #: the inter-job scheduler interns, assume the plan space's shape is
+    #: fixed — assignment raises ``AttributeError``
+    max_p = property(attrgetter("_max_p"))
+    max_gpus_per_type = property(attrgetter("_max_gpus_per_type"))
+    homogeneous_only = property(attrgetter("_homogeneous_only"))
+    #: bumped on every capability mutation; keys cache validity
+    generation = property(attrgetter("_generation"))
+
     def __init__(
         self,
         max_p: int,
@@ -134,10 +144,10 @@ class CompanionModule:
             raise ValueError(
                 f"correction band must satisfy 0 < lo <= 1 <= hi, got {correction_band}"
             )
-        self.max_p = max_p
-        self.homogeneous_only = homogeneous_only
+        self._max_p = max_p
+        self._homogeneous_only = homogeneous_only
         self.bias_threshold = bias_threshold
-        self.max_gpus_per_type = max_gpus_per_type
+        self._max_gpus_per_type = max_gpus_per_type
         #: per-report multiplicative correction clamp: one garbage
         #: measurement (a stall mid-reconfiguration) may pull ``C_i`` by at
         #: most this factor, never collapse it toward 0 or infinity
@@ -158,11 +168,6 @@ class CompanionModule:
     # ------------------------------------------------------------------
     # cache plumbing
     # ------------------------------------------------------------------
-    @property
-    def generation(self) -> int:
-        """Bumped on every capability mutation; keys cache validity."""
-        return self._generation
-
     def _bump_generation(self) -> None:
         self._generation += 1
         self._full_cache.invalidate()

@@ -17,10 +17,9 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional
 
 from repro.sched.companion import CompanionModule
-from repro.sched.inter import InterJobScheduler
+from repro.sched.inter import Ask, InterJobScheduler
 from repro.sched.intra import IntraJobScheduler, ResourceProposal
 from repro.sched.perfmodel import estimated_throughput
-from repro.sched.plancache import availability_key
 from repro.sched.simulator import ClusterSimulator, JobRuntime, SchedulingPolicy
 
 
@@ -85,22 +84,24 @@ class EasyScalePolicy(SchedulingPolicy):
         # the simulator's active set is the seed filter under
         # run_reference and an incrementally maintained list under run()
         # — identical contents either way
-        active = [r for r in sim.active_jobs() if r.agent is not None]
-        # under run(), Role-1 replans and Role-2 proposals go through
-        # availability-keyed memos: only jobs whose clamped
-        # ownership/free vectors or capability generation changed are
-        # re-scored.  run_reference leaves the flag off, so the brute
+        active = [
+            r for r in sim.active_jobs() if r.agent is not None and r.status != "done"
+        ]
+        # under run(), each job's (class, clamped ownership) key is derived
+        # once per call — again only for jobs this call grants — and serves
+        # both the Role-1 skip test and the Role-2 memo.  run_reference
+        # leaves the flag off (no ask, no skip, no memo), so the brute
         # branches below stay the memos' whole-trace oracle.
         incremental = sim.incremental_scheduling
+        asks = [self.inter.ask(r.agent, r.owned) if incremental else None for r in active]
 
         # Role-1: re-plan everyone on current ownership (idempotent); the
         # incremental path skips jobs whose plan inputs are unchanged —
         # their rate/current_plan are already the values a re-plan would
         # produce, because apply_best_plan is deterministic in them
-        for runtime in active:
-            if incremental and runtime.agent.applied_plan_key == self._plan_key(runtime):
-                continue
-            self._apply_plan(runtime)
+        for runtime, ask in zip(active, asks):
+            if ask is None or runtime.agent.applied_plan_key != ask[2]:
+                self._apply_plan(runtime, ask)
 
         # Role-2 + inter-job arbitration, iterated until the free pool is
         # drained or nobody wants more
@@ -108,24 +109,20 @@ class EasyScalePolicy(SchedulingPolicy):
             free = sim.free_by_type()
             if sum(free.values()) == 0:
                 break
-            proposals: List[ResourceProposal] = []
-            for runtime in active:
-                if runtime.status == "done":
-                    continue
-                if incremental:
-                    proposals.extend(
-                        self.inter.proposals_for(runtime.agent, runtime.owned, free)
-                    )
-                else:
+            if incremental:
+                proposals = self.inter.proposals_for(asks, free)
+            else:
+                proposals: List[ResourceProposal] = []
+                for runtime in active:
                     proposals.extend(runtime.agent.propose(runtime.owned, free))
             grants = self.inter.arbitrate(proposals, free)
             if not grants:
                 break
-            by_job = {r.job.job_id: r for r in active}
+            by_job = {r.job.job_id: i for i, r in enumerate(active)}
             for grant in grants:
-                runtime = by_job[grant.job_id]
-                sim.grant(runtime, grant.gtype, grant.gpus)
-                self._apply_plan(runtime)
+                i = by_job[grant.job_id]
+                sim.grant(active[i], grant.gtype, grant.gpus)
+                asks[i] = self._apply_plan(active[i])
 
     # ------------------------------------------------------------------
     def on_preempt(self, sim: ClusterSimulator, runtime: JobRuntime, now: float) -> None:
@@ -142,21 +139,12 @@ class EasyScalePolicy(SchedulingPolicy):
                 runtime.rate = 0.0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _plan_key(runtime: JobRuntime) -> tuple:
-        """Everything :meth:`_apply_plan`'s outcome depends on."""
-        companion = runtime.agent.companion
-        return (
-            availability_key(
-                runtime.owned,
-                companion.capability,
-                companion.max_p,
-                companion.max_gpus_per_type,
-            ),
-            companion.generation,
-        )
-
-    def _apply_plan(self, runtime: JobRuntime) -> None:
-        scored = runtime.agent.apply_best_plan(runtime.owned)
+    def _apply_plan(self, runtime: JobRuntime, ask: Optional[Ask] = None) -> Ask:
+        """Role-1 on the job's current ownership, stamped with the ask it
+        answers (derived here unless the caller already holds it)."""
+        agent = runtime.agent
+        scored = agent.apply_best_plan(runtime.owned)
         runtime.rate = scored.throughput if scored else 0.0
-        runtime.agent.applied_plan_key = self._plan_key(runtime)
+        ask = ask or self.inter.ask(agent, runtime.owned)
+        agent.applied_plan_key = ask[2]
+        return ask

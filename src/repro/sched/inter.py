@@ -35,73 +35,62 @@ class Grant:
     gpus: int
 
 
+class JobClass:
+    """One interned Role-2 class: the jobs whose companion parameterization
+    (capability *contents*, ``maxP``, per-type cap, plan shape) and proposal
+    menu (``scaleout_chunks``, ``top_k``) are equal.  Identity is the id."""
+
+    __slots__ = ("types", "cap", "menu", "delta_memo")
+
+    def __init__(self, types: frozenset, cap: int, menu: Tuple[int, ...]) -> None:
+        self.types = types
+        #: the enumeration cap ``min(maxP, max_gpus_per_type)``
+        self.cap = cap
+        self.menu = menu
+        #: ``propose()``'s inner ``best_plan_delta`` searches, keyed by
+        #: (clamped owned, gtype, chunk): two proposal passes that differ
+        #: only in their free vectors share every search they have in common
+        self.delta_memo: Dict[tuple, object] = {}
+
+
+#: one job's question to a round: its agent, its live ownership dict, and
+#: the ``(JobClass, clamped ownership)`` key every answer depends on
+Ask = Tuple[IntraJobScheduler, Mapping[str, int], tuple]
+
+
 class InterJobScheduler:
     """Greedy speedup-per-GPU arbitration over submitted proposals."""
 
     def __init__(self) -> None:
         self.grant_log: List[Grant] = []
-        #: incremental-arbitration memo, shared across *all* jobs of the
-        #: same class: the key folds the companion's full parameterization
-        #: (capability-table contents, caps, plan-shape flags, proposal
-        #: menu) with the clamped ownership and free vectors — every
-        #: input that Role-2 proposal generation depends on
+        #: class key (by content) -> its one record
+        self._classes: Dict[tuple, JobClass] = {}
+        #: agent -> (validity stamp, record) of its last lookup
+        self._class_of: Dict[IntraJobScheduler, Tuple[tuple, JobClass]] = {}
+        #: incremental-arbitration memo, shared across *all* jobs of a
+        #: class: ``(ask key, free-pool fit key)`` -> the first asker's
+        #: proposals
         self._proposal_memo: Dict[tuple, List[ResourceProposal]] = {}
-        #: second-level memo for propose() misses: per-job-class caches of
-        #: the inner best_plan_delta searches, keyed by (clamped owned,
-        #: gtype, chunk) — two proposal passes that differ only in their
-        #: free vectors still share every plan search they have in common
-        self._delta_memo: Dict[tuple, Dict[tuple, object]] = {}
         self.proposal_memo_hits = 0
         self.proposal_memo_misses = 0
 
     # ------------------------------------------------------------------
-    # incremental Role-2: only re-score jobs whose availability changed
+    # incremental Role-2: the class, not the job, is what a round asks
     # ------------------------------------------------------------------
-    def proposals_for(
-        self,
-        agent: IntraJobScheduler,
-        owned: Mapping[str, int],
-        free: Mapping[str, int],
-    ) -> List[ResourceProposal]:
-        """Role-2 proposals with class-level availability memoization.
+    def job_class(self, agent: IntraJobScheduler) -> JobClass:
+        """The agent's class, interned by content behind a validity stamp.
 
-        :meth:`IntraJobScheduler.propose` is — apart from the ``job_id``
-        stamped into each proposal — a pure function of (a) the
-        companion's parameterization (capability-table *contents*, which
-        calibration mutates, plus ``maxP`` / per-type caps / plan-shape
-        flag) and the agent's proposal menu, (b) the job's ownership
-        vector clamped to the enumeration caps (:func:`availability_key`
-        — raw counts beyond the caps cannot change any plan score), and
-        (c) how many chunks of the sorted scale-out menu fit each free
-        pool — the per-type *fit count*, not the exact free count.  The
-        memo key is exactly that tuple, so it is shared across every job
-        of the
-        same *class*: a saturated 3,000-GPU queue holds hundreds of
-        pending zero-ownership jobs per workload/size class, and one plan
-        search serves all of them (the cached proposals are re-stamped
-        with the asking job's id).  ``current_plan``, which feeds the
-        speedup filter, is itself a deterministic function of the same
-        clamped ownership and capability table, so it needs no key term.
-
-        Memo hits skip the agent's ``sched.propose`` flight-recorder
-        entry (forensic telemetry, not part of the :class:`EventLog`
-        equivalence surface).
+        The stamp is ``companion.generation`` (bumped by every capability
+        mutator; the companion's plan-shape scalars are read-only) plus
+        the agent's assignable menu, so no way of changing an agent's
+        class leaves a stale record; two companions with equal tables and
+        different generations still share one class.
         """
         companion = agent.companion
-        owned_key = availability_key(
-            owned, companion.capability, companion.max_p, companion.max_gpus_per_type
-        )
-        # propose() reads the free pool only through "which chunks of the
-        # sorted menu fit this type" (the chunk loop breaks at the first
-        # chunk > free; per-chunk scores never see the exact count), so
-        # the key folds each type down to its fit count — free counts of
-        # 5, 6, and 7 against menu (1, 2, 4, 8) are all the same pool
-        chunks = agent.scaleout_chunks
-        free_key = tuple(
-            (t, fits)
-            for t, v in sorted(free.items())
-            if t in companion.capability and (fits := bisect_right(chunks, int(v))) > 0
-        )
+        stamp = (companion.generation, agent.scaleout_chunks, agent.top_k)
+        known = self._class_of.get(agent)
+        if known is not None and known[0] == stamp:
+            return known[1]
         key = (
             tuple(sorted(companion.capability.items())),
             companion.max_p,
@@ -109,30 +98,85 @@ class InterJobScheduler:
             companion.homogeneous_only,
             agent.scaleout_chunks,
             agent.top_k,
-            owned_key,
-            free_key,
         )
-        cached = self._proposal_memo.get(key)
-        if cached is not None:
-            self.proposal_memo_hits += 1
-            if obs.is_enabled():
-                obs.metrics().counter(
-                    "sched_proposal_memo_total", result="hit"
-                ).inc()
-            if cached and cached[0].job_id != agent.job_id:
-                return [replace(p, job_id=agent.job_id) for p in cached]
-            return list(cached)
-        self.proposal_memo_misses += 1
+        job_class = self._classes.get(key)
+        if job_class is None:
+            job_class = self._classes[key] = JobClass(
+                frozenset(companion.capability),
+                min(companion.max_p, companion.max_gpus_per_type),
+                agent.scaleout_chunks,
+            )
+        self._class_of[agent] = (stamp, job_class)
+        return job_class
+
+    def ask(self, agent: IntraJobScheduler, owned: Mapping[str, int]) -> Ask:
+        """Derive the agent's key for its current ownership.
+
+        Role-1's plan and Role-2's proposals are — apart from the job id
+        — pure functions of the class and the ownership clamped to the
+        enumeration cap (:func:`availability_key`; raw counts beyond the
+        cap cannot change any plan score).  Derived per call, never cached
+        across calls: ``owned`` is mutated in place by the simulator.
+        """
+        job_class = self.job_class(agent)
+        cap = job_class.cap
+        return agent, owned, (job_class, availability_key(owned, job_class.types, cap, cap))
+
+    def proposals_for(
+        self, asks: Sequence[Ask], free: Mapping[str, int]
+    ) -> List[ResourceProposal]:
+        """One round's Role-2 proposals, every asker's in ask order.
+
+        ``propose()`` reads the free pool only through "which chunks of
+        the sorted menu fit this type" (the chunk loop breaks at the first
+        chunk > free), so the memo folds ``free`` down to per-type *fit
+        counts* — 5, 6 and 7 free against menu (1, 2, 4, 8) are one pool —
+        computed once per round per (menu, type set).  Asks with one key
+        share one memo lookup; every asker still counts as a hit or a miss
+        (the first of a class to ask a new question pays the plan search),
+        and the cached proposals are re-stamped with each asker's job id.
+        Memo hits skip the agent's ``sched.propose`` flight-recorder entry
+        (forensic telemetry, not part of the :class:`EventLog` surface).
+        """
+        fit_keys: Dict[tuple, tuple] = {}
+        answers: Dict[tuple, List[ResourceProposal]] = {}
+        proposals: List[ResourceProposal] = []
+        misses = 0
+        for agent, owned, key in asks:
+            cached = answers.get(key)
+            if cached is None:
+                job_class = key[0]
+                scope = (job_class.menu, job_class.types)
+                free_key = fit_keys.get(scope)
+                if free_key is None:
+                    free_key = fit_keys[scope] = tuple(
+                        (t, fits)
+                        for t, v in sorted(free.items())
+                        if t in job_class.types
+                        and (fits := bisect_right(job_class.menu, int(v))) > 0
+                    )
+                cached = self._proposal_memo.get((key, free_key))
+                if cached is None:
+                    misses += 1
+                    cached = self._proposal_memo[key, free_key] = agent.propose(
+                        owned, free, delta_cache=job_class.delta_memo
+                    )
+                answers[key] = cached
+            if cached:
+                if cached[0].job_id == agent.job_id:
+                    proposals.extend(cached)
+                else:
+                    proposals.extend(replace(p, job_id=agent.job_id) for p in cached)
+        hits = len(asks) - misses
+        self.proposal_memo_hits += hits
+        self.proposal_memo_misses += misses
         if obs.is_enabled():
-            obs.metrics().counter("sched_proposal_memo_total", result="miss").inc()
-        # key[:6] is the class identity (capability contents, caps, plan
-        # shape, proposal menu) without the owned/free terms: the right
-        # scope for sharing raw plan searches across proposal passes
-        proposals = agent.propose(
-            owned, free, delta_cache=self._delta_memo.setdefault(key[:6], {})
-        )
-        self._proposal_memo[key] = proposals
-        return list(proposals)
+            for result, count in (("hit", hits), ("miss", misses)):
+                if count:
+                    obs.metrics().counter(
+                        "sched_proposal_memo_total", result=result
+                    ).inc(count)
+        return proposals
 
     def arbitrate(
         self,

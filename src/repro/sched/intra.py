@@ -99,9 +99,9 @@ class IntraJobScheduler:
         self.top_k = top_k
         self.current_plan: Optional[Plan] = None
         self._previous_plan: Optional[Plan] = None
-        #: the (clamped ownership, capability generation) key the current
-        #: plan/rate were last computed from — lets the incremental
-        #: scheduling path skip Role-1 replans whose inputs are unchanged
+        #: the (job class, clamped ownership) key the current plan/rate
+        #: were last computed from — lets the incremental scheduling path
+        #: skip Role-1 replans whose inputs are unchanged
         self.applied_plan_key: Optional[tuple] = None
 
     @property

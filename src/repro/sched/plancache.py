@@ -141,8 +141,10 @@ def availability_key(
     max_gpus_per_type)`` — two availability vectors that enumerate the
     same plan space map to the same key.
     """
-    return tuple(
-        (t, min(int(available[t]), max_p, max_gpus_per_type))
-        for t in sorted(available)
-        if available[t] > 0 and t in capability
-    )
+    cap = min(max_p, max_gpus_per_type)
+    items = available.items()
+    return tuple([
+        (t, cap if n > cap else int(n))
+        for t, n in (sorted(items) if len(items) > 1 else items)
+        if n > 0 and t in capability
+    ])

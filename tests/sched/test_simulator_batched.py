@@ -131,6 +131,20 @@ GOLDEN = {
 }
 
 
+#: summed plan-cache ``(hits, misses)`` and proposal-memo ``(hits, misses)``
+#: of ``run()`` on the same cases, recorded at 32dd050 (before the class
+#: became Role-2's unit): the events pin *what* was decided, these pin how
+#: the caches and the memo are partitioned.  A change that shares or splits
+#: either on purpose re-records them and says by how much.
+GOLDEN_COUNTS = {
+    "homo": ((606, 652), (352, 73)),
+    "heter": ((606, 652), (352, 73)),
+    "coloc": ((642, 691), (433, 111)),
+    "heter+faults": ((714, 812), (432, 129)),
+    "heter+membership": ((606, 652), (372, 73)),
+}
+
+
 class TestThreeCoreEquivalence:
     @given(seed=st.integers(0, 200), num_jobs=st.integers(4, 16))
     @settings(max_examples=8, deadline=None)
@@ -177,6 +191,21 @@ class TestThreeCoreEquivalence:
             # restart_delay and checkpoint_corrupt have no victim: they
             # surface only through the next preemption's accounting
             assert result.preemptions > 0 and result.recovery_seconds > 0
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_COUNTS))
+    def test_golden_cache_and_memo_counts(self, case):
+        extras = {"heter+faults": {"faults": FIXED_PLAN},
+                  "heter+membership": {"membership": membership_plan()}}.get(case, {})
+        policy = POLICIES[case.split("+")[0]]()
+        jobs = generate_trace(num_jobs=20, seed=3)
+        result = ClusterSimulator(microbench_cluster(), jobs, policy, **extras).run()
+        assert result.events.fingerprint() == GOLDEN[case]
+        stats = [
+            cache for r in result.jobs for cache in r.agent.companion.cache_stats().values()
+        ]
+        plan_cache = (sum(c["hits"] for c in stats), sum(c["misses"] for c in stats))
+        memo = (policy.inter.proposal_memo_hits, policy.inter.proposal_memo_misses)
+        assert (plan_cache, memo) == GOLDEN_COUNTS[case]
 
     def test_max_time_cutoff(self):
         # truncation happens at the same decision point on both cores

@@ -224,7 +224,9 @@ def test_unwritable_output_is_reported_before_any_work(argv, started, good, tmp_
 
 # a flag value no run could use (or a flag that no longer exists) is bad
 # input too: argparse's own exit for the ones a ``type`` can judge,
-# ``_BadInput`` for a name or a bound tighter than > 0
+# ``_BadInput`` for a name or a bound between two flags (``--ests`` under
+# the width of a pool it must cover).  ``nan``/``inf`` are floats to
+# ``float()``: two of these rows used to exit 0 printing ``completed 0/5``
 BAD_FLAGS = [
     ["train", "resnet18", "--transport", "shm"],
     ["train", "resnet18", "--commit-every", "2"],
@@ -256,6 +258,28 @@ BAD_FLAGS = [
     ["obs", "profile", "{span_trace}", "--consecutive", "0"],
     ["obs", "profile", "{span_trace}", "--workload", "nosuchmodel"],
     ["obs", "why", "{audit_trail}", "{audit_trail}", "--window", "0"],
+    ["train", "resnet18", "--lr", "0"],
+    ["train", "resnet18", "--lr", "nan"],
+    ["train", "resnet18", "--ests", "2", "--steps-per-stage", "2"],
+    ["train", "resnet18", "--ests", "2", "--trace", "t.jsonl", "--telemetry", "run.jsonl"],
+    ["train", "resnet18", "--schedule", "2xV100", "8xV100"],
+    ["train", "resnet18", "--ests", "2", "--faults", "{fault_plan}", "--verify"],
+    ["train", "resnet18", "--ests", "1", "--hosts", "{membership_plan}", "--verify"],
+    ["trace-sim", "--jobs", "5", "--duration", "-5"],
+    ["trace-sim", "--jobs", "5", "--duration", "0"],
+    ["trace-sim", "--jobs", "5", "--duration", "inf"],
+    ["trace-sim", "--jobs", "5", "--shape", "diurnal", "--days", "nan"],
+    ["trace-sim", "--jobs", "5", "--shape", "diurnal", "--days", "0"],
+    ["trace-sim", "--jobs", "5", "--shape", "diurnal", "--days", "-2"],
+    ["trace-sim", "--jobs", "5", "--interarrival", "0"],
+    ["trace-sim", "--jobs", "5", "--interarrival", "nan"],
+    ["faults", "replay", "--plan", "{fault_plan}", "--ests", "2"],
+    ["faults", "replay", "--plan", "{fault_plan}", "--lr", "-1"],
+    ["membership", "replay", "--plan", "{membership_plan}", "--ests", "1", "--audit", "aud"],
+    ["obs", "profile", "{span_trace}", "--factor", "1.0"],
+    ["obs", "profile", "{span_trace}", "--factor", "nan"],
+    ["bench", "gate", "--threshold", "0"],
+    ["bench", "compare", "--threshold", "inf"],
     ["bench", "run", "--repeats", "0"],
     ["bench", "run", "--area", "parallel"],
 ]

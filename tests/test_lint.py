@@ -140,6 +140,36 @@ def test_one_event_core_and_one_oracle():
     assert uses == [("src/repro/sched/simulator.py", f"{old_name} = run")], uses
 
 
+def test_the_class_key_and_the_ownership_clamp_live_once():
+    # Role-2's unit is the job class: its identity is built in one place
+    # (InterJobScheduler.job_class interns it) and an ownership vector is
+    # clamped by one function (availability_key) — a second spelling of
+    # either is a per-job key derivation growing back.  (Spelled split so
+    # this file does not match itself.)
+    import re
+
+    class_key = "sorted(companion.capab" + "ility.items())"
+    gone = "_plan" + "_key("
+    builds, key_defs = [], []
+    for path, line in _lines_of_code_and_docs():
+        assert gone not in line, (path, line)
+        if not path.startswith("src/repro/sched/"):
+            continue
+        if class_key in line:
+            builds.append(path)
+        named = re.match(r"def (\w*(?:key|clamp)\w*)\(", line)
+        if named:
+            key_defs.append((path, named.group(1)))
+    assert builds == ["src/repro/sched/inter.py"], builds
+    # the clamp, the companion's one-line wrapper over it, and the plan
+    # ranking order (no ownership in it)
+    assert sorted(key_defs) == [
+        ("src/repro/sched/companion.py", "_key"),
+        ("src/repro/sched/companion.py", "_rank_key"),
+        ("src/repro/sched/plancache.py", "availability" + "_key"),
+    ], key_defs
+
+
 def test_one_road_through_the_pool():
     # shm is the transport and every step writes back: the switches, the
     # banked state and the fallback are gone by name, not just unused.  The
