@@ -124,15 +124,34 @@ def _parse_stage(stage: str):
     return gpus
 
 
-def _positive(text: str) -> int:
-    """argparse ``type`` of every count flag: an integer >= 1."""
+def _positive(text: str, least: int = 1) -> int:
+    """argparse ``type`` of every count flag: an integer >= ``least``."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
     return value
+
+
+def _non_negative(text: str) -> int:
+    """``colocation --training-demand``: a cap may be zero, but a negative one
+    flows through ``min(..., cap)`` into a silent wrong answer."""
+    return _positive(text, least=0)
+
+
+def _seed(text: str) -> int:
+    """argparse ``type`` of every ``--seed``: whatever ``repro.utils.rng``
+    accepts (``SeedError`` is a ``ValueError``, as is ``int()``'s)."""
+    from repro.utils.rng import _check_seed
+
+    try:
+        return _check_seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer seed in [0, 2**63-1], got {text!r}"
+        ) from None
 
 
 def _positive_float(text: str, above: float = 0.0) -> float:
@@ -896,7 +915,7 @@ def _job_args(parser, samples: int, determinism: str, *own,
     step and pool flags, declared between ``--samples`` and
     ``--determinism`` where ``--help`` has always listed them."""
     parser.add_argument("--ests", type=_positive, default=4, help=ests_help)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--batch-size", type=_positive, default=8)
     parser.add_argument("--lr", type=_positive_float, default=0.05)
     parser.add_argument("--samples", type=_positive, default=samples)
@@ -983,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace-sim", help="replay a job trace")
     trace.add_argument("--policy", default="all", choices=["yarn", "homo", "heter", "all"])
     trace.add_argument("--jobs", type=_positive, default=30)
-    trace.add_argument("--seed", type=int, default=4)
+    trace.add_argument("--seed", type=_seed, default=4)
     trace.add_argument("--interarrival", type=_positive_float, default=45.0)
     trace.add_argument("--duration", type=_positive_float, default=1200.0)
     trace.add_argument("--shape", default="bursty",
@@ -1033,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = faults_sub.add_parser(
         "gen", help="generate a seeded random fault plan (JSON)"
     )
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--steps", type=_positive, default=12,
                      help="horizon in global steps (default 12)")
     gen.add_argument("--gpus", type=_positive, default=4,
@@ -1076,7 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
     mgen = membership_sub.add_parser(
         "gen", help="generate a seeded membership plan (JSON)"
     )
-    mgen.add_argument("--seed", type=int, default=0)
+    mgen.add_argument("--seed", type=_seed, default=0)
     mgen.add_argument("--steps", type=_positive, default=12,
                       help="horizon in global steps (default 12)")
     mgen.add_argument("--events", type=_positive, default=4,
@@ -1108,8 +1127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     colo = sub.add_parser("colocation", help="two-day serving co-location stats")
     colo.add_argument("--gpus", type=_positive, default=3000)
-    colo.add_argument("--seed", type=int, default=2021)
-    colo.add_argument("--training-demand", type=int, default=500)
+    colo.add_argument("--seed", type=_seed, default=2021)
+    colo.add_argument("--training-demand", type=_non_negative, default=500)
 
     scan = sub.add_parser("scan", help="D2-eligibility scan for a workload")
     scan.add_argument("workload")

@@ -17,8 +17,9 @@ trace.  :meth:`ClusterSimulator.run` is the production core: one
 ``heapq`` priority queue of arrival/fault/membership/round/completion
 events (lazily invalidated, ``(time, seq)``-ordered) under a NumPy
 structure-of-arrays mirror of the running jobs (vectorized
-``advance``/``predicted_completion``), an incrementally maintained active
-set, and memoized inter-job arbitration.
+``advance``/``predicted_completion``, point-edited for the jobs a decision
+point moved), an incrementally maintained active set, and memoized
+inter-job arbitration.
 :meth:`ClusterSimulator.run_reference` is its oracle: the original linear
 candidate scan with scalar per-job arithmetic and un-memoized
 arbitration, small enough to check by reading.  Elementwise float64 NumPy
@@ -29,7 +30,9 @@ so ``run`` is bit-exact against the reference, not merely close.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +42,9 @@ from repro.hw.cluster import Cluster
 from repro.sched.perfmodel import fold
 from repro.sched.trace import TraceJob
 from repro.utils.events import EventLog
+
+#: sort key of the active set and of the running-set mirror's rows
+_INDEX = attrgetter("index")
 
 
 @dataclass
@@ -62,6 +68,9 @@ class JobRuntime:
     faults: List[Tuple[str, float]] = field(default_factory=list)
     #: policy-private state (e.g. the intra-job scheduler)
     agent: object = None
+    #: position in the simulator's arrival-sorted ``runtimes``: the sort
+    #: key of the active set and of the running-set mirror's rows
+    index: int = 0
 
     @property
     def total_owned(self) -> int:
@@ -88,7 +97,16 @@ class JobRuntime:
 
 
 class SchedulingPolicy:
-    """Reallocates GPUs at every decision point."""
+    """Reallocates GPUs at every decision point.
+
+    The rule :meth:`ClusterSimulator.run` rests on: a policy changes a
+    job's ``rate`` / ``status`` / ``reconfig_until`` / ``fault_slowdown``
+    only at a decision point where that job went through
+    :meth:`~ClusterSimulator.grant`, :meth:`~ClusterSimulator.revoke` or
+    :meth:`~ClusterSimulator.preempt` (those mark the job for the
+    running-set mirror's point edit), and never reads ``remaining_work``,
+    which under ``run()`` lags the mirror between fault/membership points.
+    """
 
     name = "abstract"
 
@@ -214,8 +232,8 @@ class ClusterSimulator:
         self._extra_restart_delay = 0.0
         self._checkpoints_corrupt = 0
         self.runtimes = [
-            JobRuntime(job=j, remaining_work=j.total_work)
-            for j in sorted(jobs, key=lambda j: j.arrival_time)
+            JobRuntime(job=j, remaining_work=j.total_work, index=i)
+            for i, j in enumerate(sorted(jobs, key=lambda j: j.arrival_time))
         ]
         # mirror simulator events into the span tracer when observability
         # is on, so trace-sim runs export one merged timeline
@@ -229,6 +247,10 @@ class ClusterSimulator:
         #: ``None`` under :meth:`run_reference`, which keeps the seed's
         #: full-list scan
         self._active: Optional[List[JobRuntime]] = None
+        #: :meth:`run`: the jobs whose mirrored fields this decision point
+        #: may have moved (see :meth:`_touch`); ``None`` under
+        #: :meth:`run_reference`
+        self._touched: Optional[List[JobRuntime]] = None
         #: the sim→policy channel, set by the two cores and nothing else:
         #: True under :meth:`run` (policies may skip unchanged Role-1
         #: replans and answer Role-2 proposals from the inter-scheduler's
@@ -252,8 +274,17 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # allocation helpers used by policies
     # ------------------------------------------------------------------
+    def _touch(self, runtime: JobRuntime) -> None:
+        """Mark a job whose ``status`` / ``rate`` / ``fault_slowdown`` /
+        ``reconfig_until`` this decision point may move — here or in the
+        policy code that called in: :meth:`run` point-edits its mirror row
+        once the policy returns."""
+        if self._touched is not None:
+            self._touched.append(runtime)
+
     def grant(self, runtime: JobRuntime, gtype: str, count: int) -> None:
         """Allocate ``count`` GPUs of a type to a job (with restart cost)."""
+        self._touch(runtime)
         canonical = _canonical(gtype)
         self.cluster.allocate(runtime.job.job_id, canonical, count)
         runtime.owned[gtype] = runtime.owned.get(gtype, 0) + count
@@ -266,6 +297,7 @@ class ClusterSimulator:
         )
 
     def revoke(self, runtime: JobRuntime, gtype: str, count: int) -> None:
+        self._touch(runtime)
         canonical = _canonical(gtype)
         held = runtime.owned.get(gtype, 0)
         if count > held:
@@ -347,7 +379,10 @@ class ClusterSimulator:
         checkpoint — an abrupt preemption also loses the progress made
         since the last periodic checkpoint.  Emits a structured
         ``preempt`` event and notifies the policy via ``on_preempt``.
+        Reads and moves ``remaining_work``, so it belongs to the fault and
+        membership decision points, where the objects are authoritative.
         """
+        self._touch(runtime)
         removed: List[Tuple[str, int]] = []
         remaining = max(0, count)  # 0 = crash/restart without GPU loss
         # prefer the requested type, then drain largest holdings first
@@ -422,6 +457,7 @@ class ClusterSimulator:
             self.events.emit(self.now, "fault", fault=event.kind, wasted=True)
             return
         if event.kind == "slowdown":
+            self._touch(victim)
             victim.fault_slowdown = max(victim.fault_slowdown, float(event.magnitude))
             victim.faults.append((event.kind, self.now))
             self.events.emit(
@@ -583,6 +619,7 @@ class ClusterSimulator:
 
     def _complete(self, runtime: JobRuntime) -> None:
         """Mark one running job finished."""
+        self._touch(runtime)
         runtime.status = "done"
         runtime.completion_time = self.now
         runtime.rate = 0.0
@@ -623,17 +660,23 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # the event core (heap queue + vectorized decision points)
     # ------------------------------------------------------------------
-    def _iterate(self, t_next: float, state: "_BatchedState", mutating: bool) -> None:
+    def _iterate(
+        self, t_next: float, state: "_BatchedState", arrival: bool, scalar: bool
+    ) -> None:
         """One decision point of :meth:`run`.
 
         Identical observable behavior to the loop body of
         :meth:`run_reference`, but:
 
-        - progress accrual runs vectorized over the persistent SoA
-          mirror, written back to the job objects only when ``mutating``
-          (an arrival, fault, or membership entry is due — scalar code is
-          about to read/modify job state);
-        - the completion scan reads the mirror on quiet points;
+        - progress accrual runs vectorized over the persistent SoA mirror.
+          Only a ``scalar`` point (a fault or membership entry is due, or
+          the first point) writes it back first — scalar code is about to
+          read and move ``remaining_work`` — scans the objects for
+          completions and rebuilds the mirror afterwards;
+        - every other point (``arrival``, completion, round) reads the
+          completions off the mirror and then point-edits the rows of the
+          jobs it touched (:meth:`_touch`), leaving the mirror ahead of
+          the objects;
         - the policy is *skipped* at decision points where nothing
           observable changed since a reschedule that emitted no events —
           valid only for ``fixpoint_reschedule`` policies, whose
@@ -642,10 +685,11 @@ class ClusterSimulator:
           :class:`EventLog` is untouched).
         """
         arrived = self._active
+        touched = self._touched
         state.advance(self.now, t_next)
         self.now = t_next
 
-        if mutating:
+        if scalar:
             state.writeback()
             changed = self._apply_due(arrived)
             done = [
@@ -654,26 +698,29 @@ class ClusterSimulator:
                 if r.status == "running" and r.remaining_work <= self.WORK_EPS
             ]
         else:
-            changed = False
-            # no mid-body mutation: the mirror's post-advance remaining
-            # work is exact, and its job order is the arrival order the
-            # scalar scan would have used
+            changed = arrival and self._apply_due(arrived)
+            # an arrival hook may have started a job: its row must exist
+            # before the mirror is asked which rows are finished (the
+            # closing sync below edits it again, to the policy's last word)
+            state.sync(touched)
             done = state.completed_jobs()
         for runtime in done:
             self._complete(runtime)
+            del arrived[bisect_left(arrived, runtime.index, key=_INDEX)]
         if done:
             changed = True
-            arrived[:] = [r for r in arrived if r.status != "done"]
 
         if changed or not self._quiescent or not self.policy.fixpoint_reschedule:
             events_before = len(self.events)
             self.policy.reschedule(self, self.now)
-            emitted = len(self.events) != events_before
-            self._quiescent = self.policy.fixpoint_reschedule and not emitted
-            if changed or emitted or not self.policy.fixpoint_reschedule:
-                # job state moved outside the mirror (or the policy gives
-                # no fixpoint guarantee): rebuild from the objects
-                state.refresh(arrived)
+            self._quiescent = (
+                self.policy.fixpoint_reschedule and len(self.events) == events_before
+            )
+        if scalar:
+            state.refresh(arrived)
+        else:
+            state.sync(touched)
+        touched.clear()
         self._timeline.append((self.now, self.cluster.allocated_count()))
 
     def run(self, max_time: float = 10_000_000.0) -> SimResult:
@@ -697,7 +744,8 @@ class ClusterSimulator:
         - a **structure-of-arrays mirror** of the running jobs turns
           per-job ``advance``/``predicted_completion``/completion checks
           into vectorized NumPy float64 expressions (elementwise IEEE
-          ops: bit-identical to the scalar arithmetic);
+          ops: bit-identical to the scalar arithmetic), and is edited row
+          by row for the jobs a decision point moved, not rebuilt;
         - runs of coincident events are **drained in one pass**: every
           queue entry at the chosen timestamp is consumed before the
           decision point executes, instead of being popped and discarded
@@ -714,6 +762,7 @@ class ClusterSimulator:
         """
         self._claim()
         arrived = self._active = []
+        self._touched = []
         self.incremental_scheduling = True
         runtimes = self.runtimes
 
@@ -740,11 +789,11 @@ class ClusterSimulator:
         #: generation counter for the single min-ETA completion entry;
         #: entries stamped with an older generation are stale predictions
         eta_gen = 0
-        MUTATING = ("arrival", "fault", "membership")
+        SCALAR = ("fault", "membership")
 
         while True:
             t_next: Optional[float] = None
-            mutating = False
+            arrival = scalar = False
             while heap:
                 time, _, kind, data = heapq.heappop(heap)
                 if processed_until is not None and time <= processed_until:
@@ -754,12 +803,12 @@ class ClusterSimulator:
                         continue  # superseded prediction
                 elif kind == "round":
                     # the reference only schedules rounds while work runs;
-                    # statuses cannot change between the last refresh and
-                    # this pop, so the mirror's liveness flag is exact
+                    # statuses cannot change between the last mirror edit
+                    # and this pop, so the mirror's liveness flag is exact
                     if not state.any_running:
                         continue
                 t_next = time
-                mutating = kind in MUTATING
+                arrival, scalar = kind == "arrival", kind in SCALAR
                 break
             if t_next is None or t_next > max_time:
                 break
@@ -767,18 +816,18 @@ class ClusterSimulator:
             # point below batches everything due at t_next regardless of
             # which entry surfaced it.  Every arrival and every fault or
             # membership time after t=0 has a queue entry, so the drained
-            # kinds tell exactly whether scalar mutation paths can fire at
-            # this point; the first decision point is always treated as
-            # mutating because t<=0 faults/membership fire via due()
-            # without an entry.
+            # kinds tell exactly whether a job arrives and whether scalar
+            # fault/membership code can fire at this point; the first
+            # decision point is always scalar because t<=0
+            # faults/membership fire via due() without an entry.
             while heap and heap[0][0] == t_next:
                 kind = heapq.heappop(heap)[2]
-                if kind in MUTATING:
-                    mutating = True
+                arrival = arrival or kind == "arrival"
+                scalar = scalar or kind in SCALAR
             if processed_until is None:
-                mutating = True
+                scalar = True
 
-            self._iterate(t_next, state, mutating)
+            self._iterate(t_next, state, arrival, scalar)
             processed_until = t_next
 
             if self._arrival_cursor >= len(runtimes) and not arrived:
@@ -873,14 +922,15 @@ class ClusterSimulator:
 class _BatchedState:
     """Structure-of-arrays mirror of the running jobs, for ``run()``.
 
-    The mirror is *persistent*: :meth:`advance` updates the remaining-work
-    vector in place across decision points and only lazily writes the
-    values back to the :class:`JobRuntime` objects (:meth:`writeback`)
-    when scalar code is about to read them — so a quiescent periodic
-    round costs a handful of vector ops, not a Python loop over every
-    running job.  :meth:`refresh` rebuilds the mirror from the objects
-    whenever job state changed outside it (arrivals, completions, faults,
-    membership, grants).
+    One row per running job, in arrival order (``completed_jobs``
+    promises it, and an elastic policy may start an earlier arrival after
+    a later one — so rows are inserted and deleted in place, never
+    swap-removed).  :meth:`advance` steps the remaining-work vector in
+    place and the objects lag it (``stale``) until a row leaves or
+    :meth:`writeback` runs; :meth:`sync` edits the rows of the jobs a
+    decision point touched; :meth:`refresh` rebuilds everything from the
+    objects — the path of the rare scalar points, and what an edited
+    mirror must equal (``tests/sched/test_simulator_batched.py``).
 
     Every array op mirrors the scalar arithmetic of
     :meth:`JobRuntime.advance` / :meth:`JobRuntime.predicted_completion`
@@ -888,36 +938,68 @@ class _BatchedState:
     reassociate elementwise expressions), so fingerprints are bit-exact.
     """
 
-    __slots__ = ("jobs", "remaining", "eff_rate", "reconfig", "any_running", "stale")
+    __slots__ = (
+        "jobs", "_rows", "remaining", "eff_rate", "reconfig", "any_running", "stale"
+    )
 
     def __init__(self) -> None:
         self.jobs: List[JobRuntime] = []
-        self.remaining = np.empty(0, dtype=np.float64)
-        self.eff_rate = np.empty(0, dtype=np.float64)
-        self.reconfig = np.empty(0, dtype=np.float64)
-        self.any_running = False
+        #: (remaining, eff_rate, reconfig) x capacity; the three public
+        #: vectors are views of its first ``len(jobs)`` columns
+        self._rows = np.empty((3, 0), dtype=np.float64)
+        self._view()
         #: True while the remaining-work vector is ahead of the objects
         self.stale = False
+
+    def _view(self) -> None:
+        n = len(self.jobs)
+        self.remaining, self.eff_rate, self.reconfig = self._rows[:, :n]
+        self.any_running = n > 0
 
     def refresh(self, active: List[JobRuntime]) -> None:
         """Rebuild the mirror from the job objects (after syncing them)."""
         self.writeback()
-        jobs = [r for r in active if r.status == "running"]
-        self.jobs = jobs
+        jobs = self.jobs = [r for r in active if r.status == "running"]
         n = len(jobs)
-        self.any_running = n > 0
-        self.remaining = np.fromiter(
-            (r.remaining_work for r in jobs), dtype=np.float64, count=n
-        )
-        rate = np.fromiter((r.rate for r in jobs), dtype=np.float64, count=n)
-        slowdown = np.fromiter(
-            (r.fault_slowdown for r in jobs), dtype=np.float64, count=n
-        )
-        self.reconfig = np.fromiter(
-            (r.reconfig_until for r in jobs), dtype=np.float64, count=n
-        )
-        # JobRuntime.effective_rate: rate / fault_slowdown if rate > 0 else 0
-        self.eff_rate = np.where(rate > 0.0, rate / np.where(rate > 0.0, slowdown, 1.0), 0.0)
+        rows = self._rows = np.empty((3, n), dtype=np.float64)
+        rows[0] = np.fromiter((r.remaining_work for r in jobs), dtype=np.float64, count=n)
+        rows[1] = np.fromiter((r.effective_rate for r in jobs), dtype=np.float64, count=n)
+        rows[2] = np.fromiter((r.reconfig_until for r in jobs), dtype=np.float64, count=n)
+        self._view()
+
+    def sync(self, touched: List[JobRuntime]) -> None:
+        """Point-edit the rows of the ``touched`` jobs.
+
+        A job that became ``running`` gets a row at its arrival position,
+        with the object's ``remaining_work``; a row that stays re-reads
+        ``effective_rate`` / ``reconfig_until`` (its ``remaining`` is the
+        mirror's to keep); a row whose job left is written back to the
+        object and deleted.  Driven by each job's final state, so a job
+        touched twice is edited to the same row twice.
+        """
+        if not touched:
+            return
+        jobs, rows = self.jobs, self._rows
+        for runtime in touched:
+            n = len(jobs)
+            row = bisect_left(jobs, runtime.index, key=_INDEX)
+            present = row < n and jobs[row] is runtime
+            if runtime.status == "running":
+                if not present:
+                    if n == rows.shape[1]:
+                        rows = np.empty((3, max(8, 2 * n)), dtype=np.float64)
+                        rows[:, :n] = self._rows[:, :n]
+                        self._rows = rows
+                    rows[:, row + 1 : n + 1] = rows[:, row:n]
+                    rows[0, row] = runtime.remaining_work
+                    jobs.insert(row, runtime)
+                rows[1, row] = runtime.effective_rate
+                rows[2, row] = runtime.reconfig_until
+            elif present:
+                runtime.remaining_work = rows.item(0, row)
+                rows[:, row : n - 1] = rows[:, row + 1 : n]
+                del jobs[row]
+        self._view()
 
     def writeback(self) -> None:
         """Scatter the advanced remaining-work values back to the objects."""

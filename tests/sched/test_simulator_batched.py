@@ -23,6 +23,7 @@ the ones the floor lists (``ThreeCore`` dates from the third core).
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,8 @@ from repro.sched import (
     generate_trace,
     heavy_tail_trace,
 )
-from repro.sched.trace import GPU_DEMAND
+from repro.sched.simulator import _BatchedState
+from repro.sched.trace import GPU_DEMAND, TraceJob
 
 CORES = ("run", "run_reference")
 
@@ -80,10 +82,58 @@ def membership_plan():
     )
 
 
+def run_checking_mirror(sim, **kwargs):
+    """``sim.run()``, with the edited running-set mirror compared against a
+    rebuilt one (``_BatchedState().refresh(active)``) after every decision
+    point: the same job objects in the same order, ``eff_rate`` /
+    ``reconfig`` equal by bytes, ``any_running`` equal.
+
+    ``remaining`` is compared against the objects wherever the staleness
+    flag says they are authoritative.  Where the mirror is ahead of them a
+    rebuild cannot see it, so the rows are held against a scalar twin —
+    ``JobRuntime.advance`` itself, on copies: a row joins the twin with the
+    object's value (authoritative on entry), is advanced like the
+    reference core would, and on leaving must have been written back to
+    its object with exactly the twin's value.
+    """
+    iterate = sim._iterate
+    twin = {}  # arrival index -> remaining work by scalar arithmetic
+
+    def checked(t_next, state, arrival, scalar):
+        for runtime in state.jobs:
+            copy = replace(runtime, remaining_work=twin[runtime.index])
+            copy.advance(sim.now, t_next)
+            twin[runtime.index] = copy.remaining_work
+        before = list(state.jobs)
+        iterate(t_next, state, arrival, scalar)
+        rebuilt = _BatchedState()
+        rebuilt.refresh(sim.active_jobs())
+        where = f"{sim.policy.name} t={sim.now}"
+        assert [id(r) for r in state.jobs] == [id(r) for r in rebuilt.jobs], where
+        assert state.any_running == rebuilt.any_running, where
+        assert state.eff_rate.tobytes() == rebuilt.eff_rate.tobytes(), where
+        assert state.reconfig.tobytes() == rebuilt.reconfig.tobytes(), where
+        if state.stale:
+            for runtime in before:
+                if runtime.status != "running":
+                    assert runtime.remaining_work == twin.pop(runtime.index), where
+            for runtime in state.jobs:
+                twin.setdefault(runtime.index, runtime.remaining_work)
+            assert state.remaining.tolist() == [twin[r.index] for r in state.jobs], where
+        else:
+            assert state.remaining.tobytes() == rebuilt.remaining.tobytes(), where
+            twin.clear()
+            twin.update((r.index, r.remaining_work) for r in state.jobs)
+
+    sim._iterate = checked
+    return sim.run(**kwargs)
+
+
 def assert_cores_identical(policy_factory, jobs, faults=None, membership=False,
                            max_time=10_000_000.0, label=""):
-    """Replay on both cores, compare everything a caller can observe, and
-    check GPU conservation on each; returns ``run()``'s result."""
+    """Replay on both cores (``run()`` under :func:`run_checking_mirror`),
+    compare everything a caller can observe, and check GPU conservation on
+    each; returns ``run()``'s result."""
     results = {}
     for core in CORES:
         plan = membership_plan() if membership else None
@@ -95,7 +145,8 @@ def assert_cores_identical(policy_factory, jobs, faults=None, membership=False,
         ceiling = sim.cluster.total() + sum(
             e.slots for e in (plan.events if plan else ()) if e.kind == "announce"
         )
-        result = results[core] = getattr(sim, core)(max_time=max_time)
+        replay = run_checking_mirror if core == "run" else ClusterSimulator.run_reference
+        result = results[core] = replay(sim, max_time=max_time)
         assert all(0 <= gpus <= ceiling for _, gpus in result.allocation_timeline), (
             f"{label} {core}: allocation outside [0, {ceiling}]"
         )
@@ -114,6 +165,9 @@ def assert_cores_identical(policy_factory, jobs, faults=None, membership=False,
     assert fast.preemptions == reference.preemptions, label
     assert fast.recovery_seconds == reference.recovery_seconds, label
     assert fast.lost_work_seconds == reference.lost_work_seconds, label
+    assert [r.remaining_work for r in fast.jobs] == [
+        r.remaining_work for r in reference.jobs
+    ], label
     return fast
 
 
@@ -192,6 +246,11 @@ class TestThreeCoreEquivalence:
             # surface only through the next preemption's accounting
             assert result.preemptions > 0 and result.recovery_seconds > 0
 
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_membership_plan(self, name):
+        jobs = generate_trace(num_jobs=18, seed=9)
+        assert_cores_identical(POLICIES[name], jobs, membership=True, label=name)
+
     @pytest.mark.parametrize("case", sorted(GOLDEN_COUNTS))
     def test_golden_cache_and_memo_counts(self, case):
         extras = {"heter+faults": {"faults": FIXED_PLAN},
@@ -249,6 +308,97 @@ class TestBatchedResultParity:
         sim.run_reference()
         assert not sim.incremental_scheduling
         assert policy.inter.proposal_memo_hits == policy.inter.proposal_memo_misses == 0
+
+
+class EagerYarn(YarnCapacityScheduler):
+    """Admits from the arrival hook, so a grant lands inside ``_apply_due``
+    — before the completion scan of an arrival-only decision point."""
+
+    def on_job_arrival(self, sim, runtime):
+        super().on_job_arrival(sim, runtime)
+        self.reschedule(sim, sim.now)
+
+
+class TestMirrorEdits:
+    """Ways into and out of the running-set mirror that the shipped
+    policies on the shared traces reach rarely or never; every replay runs
+    under :func:`run_checking_mirror` (edited == rebuilt at each point)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grant_from_the_arrival_hook(self, seed):
+        jobs = generate_trace(num_jobs=30, seed=seed)
+        result = assert_cores_identical(EagerYarn, jobs, label=f"seed={seed}")
+        submits = {e.time for e in result.events.of_kind("job_submit")}
+        assert submits & {e.time for e in result.events.of_kind("scale_out")}
+
+    def test_out_of_order_start_inserts_mid_mirror(self, monkeypatch):
+        # EasyScale starts an earlier arrival after a later one is already
+        # running: its row goes *between* rows (the slice move), not last
+        middle = []
+        sync = _BatchedState.sync
+
+        def recording(state, touched):
+            old = {id(r) for r in state.jobs}
+            sync(state, touched)
+            middle.extend(
+                i for i, r in enumerate(state.jobs)
+                if id(r) not in old and any(id(k) in old for k in state.jobs[i + 1:])
+            )
+
+        monkeypatch.setattr(_BatchedState, "sync", recording)
+        jobs = generate_trace(num_jobs=30, seed=2, mean_interarrival_s=30.0)
+        assert_cores_identical(POLICIES["heter"], jobs)
+        assert middle
+
+    def test_preempted_gang_job_reenters_with_the_objects_remaining_work(self):
+        # a gang job evicted by a vanishing host waits (pending, out of the
+        # mirror) until a completion frees its full gang, then is granted
+        # at that completion point — a sync insert, not a rebuild — and
+        # its row must start from the object's value, lost work included.
+        # (FIXED_PLAN's node_preempt cannot show this: the victim's own
+        # GPUs return to the free pool, so it is re-admitted at the fault
+        # point itself, through ``refresh``.)
+        jobs = [
+            TraceJob("gang", "resnet50", 0.0, 32, "v100", 32 * 9.0 * 3000),
+            TraceJob("small", "resnet50", 10.0, 2, "v100", 2 * 9.0 * 1500),
+        ]
+        results = {}
+        for core in CORES:
+            plan = MembershipPlan(
+                initial_hosts=(HostSpec("member-v", "v100", 2),),
+                events=(HostEvent(kind="forceful_remove", host="member-v", at_time=700.0),),
+            )
+            sim = ClusterSimulator(
+                microbench_cluster(), jobs, YarnCapacityScheduler(), membership=plan
+            )
+            if core == "run":
+                gang, seen = sim.runtimes[0], []
+                iterate = sim._iterate
+
+                def spying(t_next, state, arrival, scalar):
+                    iterate(t_next, state, arrival, scalar)
+                    row = [float(v) for r, v in zip(state.jobs, state.remaining) if r is gang]
+                    seen.append((sim.now, scalar, row, gang.status, gang.remaining_work))
+
+                sim._iterate = spying
+                results[core] = run_checking_mirror(sim)
+            else:
+                results[core] = sim.run_reference()
+        fast, reference = results["run"], results["run_reference"]
+        assert fast.events.fingerprint() == reference.events.fingerprint()
+        assert [r.remaining_work for r in fast.jobs] == [r.remaining_work for r in reference.jobs]
+
+        (preempt,) = fast.events.of_kind("preempt")
+        assert preempt.time == 700.0 and preempt.payload["lost_s"] == 100.0
+        evicted = next(i for i, point in enumerate(seen) if point[0] == 700.0)
+        assert seen[evicted - 1][2] and seen[evicted][1:4] == (True, [], "pending")
+        waiting = seen[evicted][4]
+        # 700 s of progress minus the 100 s since the last checkpoint boundary
+        assert waiting == pytest.approx(32 * 9.0 * (3000 - 600))
+        back = next(i for i in range(evicted, len(seen)) if seen[i][2])
+        assert seen[back][0] > 700.0 and not seen[back][1]  # a completion point
+        assert seen[back][2:] == ([waiting], "running", waiting)
+        assert fast.events.of_kind("job_done")[0].time == seen[back][0]
 
 
 class ScalarOracleCompanion(CompanionModule):

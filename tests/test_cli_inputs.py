@@ -282,6 +282,17 @@ BAD_FLAGS = [
     ["bench", "compare", "--threshold", "inf"],
     ["bench", "run", "--repeats", "0"],
     ["bench", "run", "--area", "parallel"],
+    # every --seed is the range repro.utils.rng accepts (these four were
+    # SeedError tracebacks, exit 1); a negative --training-demand used to
+    # exit 0 printing a shrunken "alloc ratio"
+    ["train", "resnet18", "--steps", "1", "--seed", "-1"],
+    ["trace-sim", "--jobs", "5", "--seed", "-1"],
+    ["trace-sim", "--jobs", "5", "--seed", "99999999999999999999"],
+    ["trace-sim", "--jobs", "5", "--seed", "1.5"],
+    ["faults", "gen", "--seed", "-1"],
+    ["membership", "gen", "--seed", "-1"],
+    ["colocation", "--seed", "-1"],
+    ["colocation", "--training-demand", "-3"],
 ]
 
 

@@ -170,6 +170,33 @@ def test_the_class_key_and_the_ownership_clamp_live_once():
     ], key_defs
 
 
+def test_the_stale_window_is_a_rule():
+    # under run() a running job's remaining work lives in the simulator's
+    # mirror and the object lags it between fault/membership points, so no
+    # other scheduler module may mention the field (the SchedulingPolicy
+    # docstring states the rule); and the mirror is rebuilt from the objects
+    # in one place, _BatchedState.refresh — a second rebuild loop is the
+    # per-event constant growing back.  (Spelled split so this file does
+    # not match itself.)
+    import ast
+
+    field, rebuild = "remaining_" + "work", "from" + "iter"
+    simulator = "src/repro/sched/simulator.py"
+    mentions = {
+        path for path, line in _lines_of_code_and_docs()
+        if path.startswith("src/repro/sched/") and (field in line or rebuild in line)
+    }
+    assert mentions == {simulator}, mentions
+    with open(os.path.join(REPO_ROOT, simulator), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    rebuilders = [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == rebuild for n in ast.walk(node))
+    ]
+    assert rebuilders == ["refresh"], rebuilders
+
+
 def test_one_road_through_the_pool():
     # shm is the transport and every step writes back: the switches, the
     # banked state and the fallback are gone by name, not just unused.  The
