@@ -41,6 +41,7 @@ Exit codes: README.md#cli-exit-codes is the table; the constants below spell it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence, Tuple
 
@@ -1267,10 +1268,17 @@ COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except _BadInput as err:
         print(f"error: {err}", file=sys.stderr)
         return BAD_INPUT
+    except BrokenPipeError:
+        # the reader left (``| head``): done, and the exit flush must not
+        # raise into the same closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return OK
 
 
 if __name__ == "__main__":

@@ -49,9 +49,6 @@ class BucketAssignment:
         """Hashable identity of this layout (flat-buffer cache key)."""
         return tuple(tuple(bucket) for bucket in self.buckets)
 
-    def bucket_elems(self, bucket_idx: int, sizes: Mapping[str, int]) -> int:
-        return sum(int(sizes[name]) for name in self.buckets[bucket_idx])
-
     def flatten_bucket(
         self, bucket_idx: int, grads: Mapping[str, np.ndarray]
     ) -> np.ndarray:

@@ -214,9 +214,3 @@ class SharedDataLoader:
 
     def import_state(self, state: Dict[str, Any]) -> None:
         self.queue.restore(state["pending"])
-
-    # ------------------------------------------------------------------
-    # timing model queries (benchmarks)
-    # ------------------------------------------------------------------
-    def first_batch_latency(self) -> float:
-        return self.timing.first_batch_latency(len(self.workers), self.batch_size)

@@ -78,18 +78,6 @@ class ExecutionBackend(ABC):
         EST-position) order.  May raise a ``FaultSignal`` out of a
         worker's fault hook exactly like the serial loop does."""
 
-    def collect_observability(self) -> int:
-        """Fold any out-of-process observability into the parent's state.
-
-        Backends that execute compute in other processes (the pool) merge
-        their children's span/metric shards into the global ``repro.obs``
-        tracer and registry here, so a saved trace covers every process
-        that did work.  In-process backends have nothing to collect.
-        Idempotent; also invoked by :meth:`close`.  Returns the number of
-        span records merged.
-        """
-        return 0
-
     def commit(self) -> None:
         """No-op, every step writes back; the frozen benchmarks/e2e epilogue calls it."""
 

@@ -79,13 +79,6 @@ class Cluster:
             return sum(self._totals.values())
         return self._totals.get(type_name, 0)
 
-    def free(self, type_name: Optional[str] = None) -> List[GPU]:
-        if type_name is not None:
-            return list(self._free_lists.get(type_name, ()))
-        merged = [gpu for lst in self._free_lists.values() for gpu in lst]
-        merged.sort(key=_pool_position)
-        return merged
-
     def free_count(self, type_name: Optional[str] = None) -> int:
         if type_name is None:
             return sum(len(lst) for lst in self._free_lists.values())

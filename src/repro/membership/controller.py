@@ -71,27 +71,6 @@ class MembershipStats:
     #: (op, host_id, step) in occurrence order
     log: List[Tuple[str, str, int]] = field(default_factory=list)
 
-    @property
-    def reconfigurations(self) -> int:
-        return (
-            self.joins + self.drains + self.reclaims + self.blacklists
-            + self.rejoins
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "joins": self.joins,
-            "drains": self.drains,
-            "reclaim_notices": self.reclaim_notices,
-            "reclaims": self.reclaims,
-            "blacklists": self.blacklists,
-            "rejoins": self.rejoins,
-            "forceful_removals": self.forceful_removals,
-            "deferred_drains": self.deferred_drains,
-            "lost_work_seconds": self.lost_work_seconds,
-            "log": [list(entry) for entry in self.log],
-        }
-
     def describe(self) -> str:
         lines = [
             f"{self.joins} join(s), {self.drains} drain(s) "

@@ -226,9 +226,6 @@ class MembershipPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self):
-        return iter(self.events)
-
     # ------------------------------------------------------------------
     @property
     def step_events(self) -> Tuple[HostEvent, ...]:

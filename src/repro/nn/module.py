@@ -84,10 +84,6 @@ class Module:
             child_prefix = f"{prefix}.{child_name}" if prefix else child_name
             yield from child.named_modules(child_prefix)
 
-    def modules(self) -> Iterator["Module"]:
-        for _, module in self.named_modules():
-            yield module
-
     # ------------------------------------------------------------------
     # mode
     # ------------------------------------------------------------------

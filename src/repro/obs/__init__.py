@@ -158,9 +158,6 @@ class _NullSpan:
     def __exit__(self, *exc: Any) -> bool:
         return False
 
-    def set(self, **attrs: Any) -> "_NullSpan":
-        return self
-
 
 _NULL_SPAN = _NullSpan()
 

@@ -231,9 +231,6 @@ class NullRegistry:
     def to_prometheus_text(self) -> str:
         return ""
 
-    def reset(self) -> None:
-        pass
-
 
 NULL_REGISTRY = NullRegistry()
 
@@ -281,13 +278,6 @@ class MetricsRegistry:
             if key not in self._histograms:
                 self._histograms[key] = Histogram(buckets or DEFAULT_BUCKETS)
             return self._histograms[key]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._kinds.clear()
 
     # ------------------------------------------------------------------
     # queries

@@ -121,11 +121,6 @@ class _SpanCtx:
         self._path = ""
         self._tid = 0
 
-    def set(self, **attrs: Any) -> "_SpanCtx":
-        """Attach extra attributes to the span while it is open."""
-        self.args.update(attrs)
-        return self
-
     def __enter__(self) -> "_SpanCtx":
         stack = self._tracer._stack()
         stack.append(self.name)
@@ -361,12 +356,6 @@ class SpanTracer:
                 self.emitted += 1
                 count += 1
         return count
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self._tracks.clear()
-            self.emitted = 0
 
     @property
     def records(self) -> List[Dict[str, Any]]:

@@ -80,16 +80,6 @@ class MultiStepLR(LRScheduler):
         passed = sum(1 for m in self.milestones if m <= self.last_epoch)
         return self.base_lr * self.gamma**passed
 
-    def state_dict(self):
-        state = super().state_dict()
-        state.update({"milestones": list(self.milestones), "gamma": self.gamma})
-        return state
-
-    def load_state_dict(self, state) -> None:
-        self.milestones = list(state["milestones"])
-        self.gamma = float(state["gamma"])
-        super().load_state_dict(state)
-
 
 class CosineAnnealingLR(LRScheduler):
     """Cosine decay from base LR to ``eta_min`` over ``t_max`` epochs."""
@@ -104,13 +94,3 @@ class CosineAnnealingLR(LRScheduler):
     def get_lr(self) -> float:
         progress = min(self.last_epoch, self.t_max) / self.t_max
         return self.eta_min + (self.base_lr - self.eta_min) * 0.5 * (1 + math.cos(math.pi * progress))
-
-    def state_dict(self):
-        state = super().state_dict()
-        state.update({"t_max": self.t_max, "eta_min": self.eta_min})
-        return state
-
-    def load_state_dict(self, state) -> None:
-        self.t_max = int(state["t_max"])
-        self.eta_min = float(state["eta_min"])
-        super().load_state_dict(state)

@@ -189,9 +189,3 @@ class AIMaster:
             else:
                 kept.append(pending)
         self.pending = kept
-
-    # ------------------------------------------------------------------
-    # conveniences
-    # ------------------------------------------------------------------
-    def current_assignment(self) -> Optional[WorkerAssignment]:
-        return self.scheduler.current_assignment()

@@ -192,17 +192,3 @@ def grid_waste(n: np.ndarray, a: np.ndarray, c: np.ndarray, max_p: int) -> np.nd
 class ScoredPlan:
     plan: Plan
     throughput: float
-
-    @property
-    def throughput_per_gpu(self) -> float:
-        return self.throughput / plan_gpus(self.plan)
-
-
-def plan_gpus(plan: Plan) -> int:
-    """Total GPUs a plan allocates (convenience for scoring)."""
-    return plan.total_gpus
-
-
-def score_plan(plan: Plan, capability: Mapping[str, float]) -> ScoredPlan:
-    """Attach the Eq. (1d) throughput estimate to a plan."""
-    return ScoredPlan(plan=plan, throughput=estimated_throughput(plan, capability))

@@ -85,9 +85,6 @@ class PlanCache:
         self.stats = PlanCacheStats()
         self._store: Dict[Hashable, Any] = {}
 
-    def __len__(self) -> int:
-        return len(self._store)
-
     def get(self, key: Hashable) -> Any:
         """The cached value, or :data:`MISS`."""
         value = self._store.get(key, MISS)

@@ -100,12 +100,6 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_array(value: Union["Tensor", np.ndarray, Scalar]) -> np.ndarray:
-    if isinstance(value, Tensor):
-        return value.data
-    return np.asarray(value, dtype=np.float32)
-
-
 class Tensor:
     """An array with an optional autograd tape entry."""
 
@@ -241,9 +235,6 @@ class Tensor:
                 node._backward_fn = None
                 if node.grad is not None:
                     backward_fn()
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # ------------------------------------------------------------------
     # arithmetic

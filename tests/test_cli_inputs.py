@@ -13,6 +13,8 @@ slow cell that trains.
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -332,3 +334,23 @@ def test_good_files_are_good(good, tmp_path, capsys):
         assert main(argv) == 0, argv
     out = capsys.readouterr().out
     assert "1 jobs" in out  # ``obs report`` found the span trace's sched instants
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["mid-print", "exit-flush"])
+def test_closed_stdout_is_not_an_error(unbuffered):
+    """``repro ... | head -1``: the reader leaves after the first line while
+    the two EasyScale policies are still to be simulated and printed — the
+    next ``print`` meets the closed pipe, or (block-buffered) the final flush."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "trace-sim", "--policy", "all", "--jobs", "6"],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    if unbuffered:
+        assert proc.stdout.readline().startswith(b"yarn-cs")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert not err
