@@ -71,8 +71,10 @@ def execute_local_step(
     ``arrival_sink``, when given, records gradient readiness order during
     backward (callers gate it to virtual rank 0, matching DDP's bucket
     reconstruction observer).  Returns ``(mean micro loss, grads by
-    parameter name, BN journal)``; gradients are detached copies scaled
-    for gradient accumulation.
+    parameter name, BN journal)``; gradients are scaled for gradient
+    accumulation.  A leaf's ``.grad`` is an array nothing else refers to
+    (``Tensor._accumulate``) and the next ``zero_grad`` only drops the
+    model's reference, so it is handed over as it is, not copied.
     """
     from repro.tensor.tensor import leaf_grad_hook
 
@@ -97,7 +99,7 @@ def execute_local_step(
             micro_losses.append(loss.item())
     scale = np.float32(1.0 / micro_batches)
     grads = {
-        name: (param.grad * scale if micro_batches > 1 else param.grad.copy())
+        name: (param.grad * scale if micro_batches > 1 else param.grad)
         for name, param in named_params.items()
         if param.grad is not None
     }
@@ -158,10 +160,10 @@ class EasyScaleWorker:
         """Execute one local step per EST, in local order, time-sliced.
 
         ``load_batch(vrank)`` supplies the EST's mini-batch; gradients are
-        copied out ("swapped to CPU") and the model's grads cleared between
-        ESTs, which is exactly the context switch.  If ``arrival_sink`` is
-        given, the first EST's backward records gradient arrival order into
-        it (bucket-reconstruction observation).
+        staged on the EST ("swapped to CPU") and the model's grads cleared
+        between ESTs, which is exactly the context switch.  If
+        ``arrival_sink`` is given, the first EST's backward records gradient
+        arrival order into it (bucket-reconstruction observation).
         """
         results: List[LocalStepResult] = []
         per_batch = minibatch_time(self.spec, self.gpu, self.policy) * self.slowdown

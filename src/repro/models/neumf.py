@@ -42,7 +42,8 @@ class NeuMF(nn.Module):
         users, items = pairs[:, 0], pairs[:, 1]
         gmf = self.user_gmf(users) * self.item_gmf(items)
         mlp_in = ops.concat([self.user_mlp(users), self.item_mlp(items)], axis=1)
-        mlp = self.fc2(self.fc1(mlp_in).relu()).relu()
+        hidden = ops.linear(mlp_in, self.fc1.weight, self.fc1.bias, relu=True)
+        mlp = ops.linear(hidden, self.fc2.weight, self.fc2.bias, relu=True)
         fused = ops.concat([gmf, mlp], axis=1)
         return self.out(fused).reshape(-1)
 

@@ -46,10 +46,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight.T)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return ops.linear(x, self.weight, self.bias)
 
 
 class Conv2d(Module):

@@ -28,7 +28,10 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean squared error against a constant target."""
-    diff = pred - Tensor(np.asarray(target, dtype=np.float32))
+    target = np.asarray(target, dtype=np.float32)
+    if target.shape != pred.shape:
+        raise ValueError(f"target shape {target.shape} mismatches pred shape {pred.shape}")
+    diff = pred - Tensor(target)
     return (diff * diff).mean()
 
 
@@ -37,13 +40,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     Uses the identity ``max(x,0) - x*y + log(1 + exp(-|x|))``.
     """
-    t = Tensor(np.asarray(targets, dtype=np.float32))
-    x = logits
-    relu_x = x.relu()
-    # -|x| built so its gradient (-sign(x)) flows through x
-    neg_abs = x * Tensor(np.sign(-x.data))
-    log_term = (neg_abs.exp() + 1.0).log()
-    return (relu_x - x * t + log_term).mean()
+    return ops.bce_with_logits(logits, targets)
 
 
 def smooth_l1(pred: Tensor, target: np.ndarray, beta: float = 1.0) -> Tensor:

@@ -31,6 +31,10 @@ class Parameter(Tensor):
 class Module:
     """Base class with automatic parameter/submodule/buffer registration."""
 
+    #: bumped by every registration or removal of a parameter or submodule,
+    #: in any module: a held ``parameters()`` list of an older version is stale
+    _structure_version = 0
+
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_buffers", OrderedDict())
@@ -42,10 +46,28 @@ class Module:
     # ------------------------------------------------------------------
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
-            self._parameters[name] = value
+            home = self._parameters
         elif isinstance(value, Module):
-            self._modules[name] = value
+            home = self._modules
+        else:
+            home = None
+        self._register(home, name, value)
         object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        self._register(None, name, None)
+        object.__delattr__(self, name)
+
+    def _register(self, home: Optional[OrderedDict], name: str, value) -> None:
+        """Bind ``name`` in table ``home`` (keeping its position) and in no other."""
+        for table in (self._parameters, self._modules):
+            if table is home:
+                table[name] = value
+            elif name in table:
+                del table[name]
+            else:
+                continue
+            Module._structure_version += 1
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         self._buffers[name] = np.asarray(value)
@@ -69,7 +91,12 @@ class Module:
             yield from child.named_parameters(child_prefix)
 
     def parameters(self) -> List[Parameter]:
-        return [p for _, p in self.named_parameters()]
+        """The parameters in registration order (walked once per structure version)."""
+        version, held = self.__dict__.get("_held_parameters", (None, ()))
+        if version != Module._structure_version:
+            held = tuple(p for _, p in self.named_parameters())
+            object.__setattr__(self, "_held_parameters", (Module._structure_version, held))
+        return list(held)
 
     def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         for name, buf in self._buffers.items():
@@ -161,7 +188,7 @@ class Sequential(Module):
         super().__init__()
         self.layers = list(layers)
         for i, layer in enumerate(layers):
-            self._modules[str(i)] = layer
+            self._register(self._modules, str(i), layer)
 
     def forward(self, x):
         for layer in self.layers:
@@ -185,7 +212,7 @@ class ModuleList(Module):
             self.append(module)
 
     def append(self, module: Module) -> None:
-        self._modules[str(len(self._list))] = module
+        self._register(self._modules, str(len(self._list)), module)
         self._list.append(module)
 
     def __iter__(self):

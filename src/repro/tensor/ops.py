@@ -124,7 +124,7 @@ def batch_norm(
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
         if weight.requires_grad:
-            weight._accumulate(_unbroadcast(g * normed, weight.shape))
+            weight._accumulate(_unbroadcast(g * normed, weight.shape), True)
         if not x.requires_grad:
             return
         g_normed = g * weight.data
@@ -134,12 +134,85 @@ def batch_norm(
         # centered feeds normed once and its own square twice: three terms,
         # added in the order the composed graph accumulated them
         g_centered = g_normed * inv_std + through_var + through_var
-        x._accumulate(g_centered)
+        x._accumulate(g_centered, True)
         g_mean = -_unbroadcast(g_centered, mean.shape)
         x._accumulate(np.broadcast_to(g_mean * inv_count, x.shape))
 
     out._backward = _backward
     return out, mean, var
+
+
+# ---------------------------------------------------------------------------
+# linear (+ ReLU) and the binary cross-entropy loss
+# ---------------------------------------------------------------------------
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor], relu: bool = False) -> Tensor:
+    """``x @ weight.T + bias`` (then ``max(·, 0)`` under ``relu``) as one node.
+
+    ``weight.T`` stays a node of its own and the fused node's parents are
+    ``(x, weight.T, bias)``: gradients arrive in reversed-topological
+    order, and that transpose node is what makes a ``Linear`` weight
+    receive its gradient after everything upstream of ``x`` while the bias
+    receives its before.  Backward is the composed spelling's, in its
+    order: ReLU mask, bias fold, input GEMM, weight GEMM.
+    """
+    wt = weight.T
+    ctx = current_context()
+    data = kernels.matmul(x.data, wt.data, dialect=ctx.dialect, policy=ctx.policy)
+    if bias is not None:
+        data = data + bias.data
+    if relu:
+        data = np.maximum(data, 0.0)
+    out = x._make(data, (x, wt) if bias is None else (x, wt, bias))
+
+    def _backward() -> None:
+        # max(pre, 0) > 0 exactly where pre > 0
+        g = out.grad * (data > 0) if relu else out.grad
+        if bias is not None and bias.requires_grad:
+            grad_bias = _unbroadcast(g, bias.shape)
+            bias._accumulate(grad_bias, grad_bias is not out.grad)
+        if x.requires_grad:
+            grad_x = kernels.matmul(g, _swap_last(wt.data), dialect=ctx.dialect, policy=ctx.policy)
+            x._accumulate(_unbroadcast(grad_x, x.shape), True)
+        if wt.requires_grad:
+            grad_wt = kernels.matmul(_swap_last(x.data), g, dialect=ctx.dialect, policy=ctx.policy)
+            wt._accumulate(_unbroadcast(grad_wt, wt.shape), True)
+
+    out._backward = _backward
+    return out
+
+
+def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean of ``max(x, 0) - x*t + log(1 + exp(-|x|))`` as one node.
+
+    The sum goes through the registry and is scaled by one float32
+    ``1/n``; backward hands ``x`` the composed graph's three contributions
+    one by one in its order (ReLU, ``-x*t``, log term): summing them first
+    would associate differently whenever ``x`` already holds a gradient.
+    """
+    t = np.asarray(targets, dtype=np.float32)
+    x = logits.data
+    if t.shape != x.shape:
+        raise ValueError(f"targets shape {t.shape} mismatches logits shape {x.shape}")
+    sign = np.sign(-x)
+    e = np.exp(x * sign)
+    p = e + np.float32(1.0)
+    terms = np.maximum(x, 0.0) + -(x * t) + np.log(p)
+    ctx = current_context()
+    total = kernels.reduce_sum(terms, axis=None, dialect=ctx.dialect, policy=ctx.policy)
+    scale = np.float32(1.0 / x.size)
+    out = logits._make(np.asarray(total, dtype=np.float32) * scale, (logits,))
+
+    def _backward() -> None:
+        if logits.requires_grad:
+            g = out.grad * scale
+            logits._accumulate(g * (x > 0), True)
+            logits._accumulate((-g) * t, True)
+            logits._accumulate(((g / p) * e) * sign, True)
+
+    out._backward = _backward
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +242,7 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
         if x.requires_grad:
             grad = np.zeros_like(x.data)
             grad[rows, indices] = out.grad
-            x._accumulate(grad)
+            x._accumulate(grad, True)
 
     out._backward = _backward
     return out
@@ -181,19 +254,18 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    datas = [t.data for t in tensors]
-    out_data = np.concatenate(datas, axis=axis)
-    parents = tuple(tensors)
-    out = tensors[0]._make(out_data, parents)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    out = tensors[0]._make(out_data, tuple(tensors))
 
     def _backward() -> None:
-        for tensor, start, end in zip(tensors, offsets[:-1], offsets[1:]):
+        index = [slice(None)] * out_data.ndim
+        start = 0
+        for tensor in tensors:
+            end = start + tensor.shape[axis]
             if tensor.requires_grad:
-                slicer = [slice(None)] * out_data.ndim
-                slicer[axis] = slice(int(start), int(end))
-                tensor._accumulate(out.grad[tuple(slicer)])
+                index[axis] = slice(start, end)
+                tensor._accumulate(out.grad[tuple(index)])
+            start = end
 
     out._backward = _backward
     return out
@@ -308,7 +380,7 @@ def im2col(x: Tensor, kh: int, kw: int, stride: int = 1, pad: int = 0) -> Tuple[
 
     def _backward() -> None:
         if x.requires_grad:
-            x._accumulate(_col2im(out.grad, x.data.shape, kh, kw, stride, pad, out_h, out_w))
+            x._accumulate(_col2im(out.grad, x.data.shape, kh, kw, stride, pad, out_h, out_w), True)
 
     out._backward = _backward
     return out, (out_h, out_w)
@@ -335,10 +407,10 @@ def _conv2d_group(x: Tensor, weight: Tensor, stride: int, padding: int) -> Tenso
         g = np.ascontiguousarray(out.grad).reshape(n, c_out, out_h * out_w)
         if weight.requires_grad:
             grad_w = kernels.matmul(g, _swap_last(cols), dialect=ctx.dialect, policy=ctx.policy)
-            weight._accumulate(_unbroadcast(grad_w, w2d.shape).reshape(weight.shape))
+            weight._accumulate(_unbroadcast(grad_w, w2d.shape).reshape(weight.shape), True)
         if x.requires_grad:
             grad_cols = kernels.matmul(_swap_last(w2d), g, dialect=ctx.dialect, policy=ctx.policy)
-            x._accumulate(_col2im(grad_cols, x.shape, kh, kw, stride, padding, out_h, out_w))
+            x._accumulate(_col2im(grad_cols, x.shape, kh, kw, stride, padding, out_h, out_w), True)
 
     out._backward = _backward
     return out
@@ -420,7 +492,7 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None, paddin
         grad = grad_flat.reshape(n, c, hp, wp)
         if padding:
             grad = grad[:, :, padding:-padding, padding:-padding]
-        x._accumulate(grad)
+        x._accumulate(grad, True)
 
     out._backward = _backward
     return out
@@ -458,7 +530,7 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
             flat_idx = indices.reshape(-1)
             flat_grad = out.grad.reshape(-1, weight.data.shape[1])
             kernels.scatter_add(grad, flat_idx, flat_grad, policy=ctx.policy)
-            weight._accumulate(grad)
+            weight._accumulate(grad, True)
 
     out._backward = _backward
     return out

@@ -177,14 +177,24 @@ class Tensor:
     # ------------------------------------------------------------------
     def _make(self, data: np.ndarray, parents: Tuple["Tensor", ...]) -> "Tensor":
         """Create the output node of an op, respecting grad mode."""
-        if grad_enabled() and any(p.requires_grad for p in parents):
-            return Tensor(data, requires_grad=True, _prev=parents)
+        if grad_enabled():
+            for parent in parents:
+                if parent.requires_grad:
+                    return Tensor(data, requires_grad=True, _prev=parents)
         return Tensor(data, requires_grad=False)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        grad = grad.astype(np.float32, copy=False)
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add one gradient contribution.
+
+        ``owned`` says the calling op computed ``grad`` itself and nothing
+        else refers to it, so a first contribution is kept instead of
+        copied; a pass-through op (a view of ``out.grad``) must leave it
+        False.  A kept array is C-ordered, as the copy would have been.
+        """
+        if grad.dtype != np.float32:
+            grad, owned = grad.astype(np.float32), True
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if owned and grad.flags.c_contiguous else grad.copy()
         else:
             self.grad = self.grad + grad
         if _GRAD_HOOKS.hooks and self.requires_grad and not self._prev:
@@ -206,24 +216,26 @@ class Tensor:
                 raise RuntimeError("grad must be provided for non-scalar backward()")
             grad = np.ones_like(self.data)
 
+        # leaves have no closure to run and no parents to order: only the
+        # op nodes are scheduled, in the order a walk over all nodes gives
         topo: List[Tensor] = []
         visited = set()
-        stack: List[Tuple[Tensor, bool]] = [(self, False)]
+        stack: List[Tuple[Tensor, bool]] = [(self, False)] if self._prev else []
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
-            if node._prev and node._backward_fn is None:
+            visited.add(node)
+            if node._backward_fn is None:
                 raise RuntimeError(
                     "backward() through a graph that an earlier backward() already freed"
                 )
             stack.append((node, True))
             for parent in node._prev:
-                if id(parent) not in visited:
+                if parent._prev and parent not in visited:
                     stack.append((parent, False))
 
         self.grad = np.asarray(grad, dtype=np.float32).reshape(self.data.shape).copy()
@@ -259,7 +271,7 @@ class Tensor:
 
         def _backward() -> None:
             if self.requires_grad:
-                self._accumulate(-out.grad)
+                self._accumulate(-out.grad, True)
 
         out._backward = _backward
         return out
@@ -277,9 +289,9 @@ class Tensor:
 
         def _backward() -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad * other_t.data, self.shape))
+                self._accumulate(_unbroadcast(out.grad * other_t.data, self.shape), True)
             if other_t.requires_grad:
-                other_t._accumulate(_unbroadcast(out.grad * self.data, other_t.shape))
+                other_t._accumulate(_unbroadcast(out.grad * self.data, other_t.shape), True)
 
         out._backward = _backward
         return out
@@ -292,10 +304,10 @@ class Tensor:
 
         def _backward() -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad / other_t.data, self.shape))
+                self._accumulate(_unbroadcast(out.grad / other_t.data, self.shape), True)
             if other_t.requires_grad:
                 other_t._accumulate(
-                    _unbroadcast(-out.grad * self.data / (other_t.data**2), other_t.shape)
+                    _unbroadcast(-out.grad * self.data / (other_t.data**2), other_t.shape), True
                 )
 
         out._backward = _backward
@@ -311,7 +323,7 @@ class Tensor:
 
         def _backward() -> None:
             if self.requires_grad:
-                self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
+                self._accumulate(out.grad * exponent * self.data ** (exponent - 1), True)
 
         out._backward = _backward
         return out
@@ -330,12 +342,12 @@ class Tensor:
                 grad_a = kernels.matmul(
                     g, _swap_last(other.data), dialect=ctx.dialect, policy=ctx.policy
                 )
-                self._accumulate(_unbroadcast(grad_a, self.shape))
+                self._accumulate(_unbroadcast(grad_a, self.shape), True)
             if other.requires_grad:
                 grad_b = kernels.matmul(
                     _swap_last(self.data), g, dialect=ctx.dialect, policy=ctx.policy
                 )
-                other._accumulate(_unbroadcast(grad_b, other.shape))
+                other._accumulate(_unbroadcast(grad_b, other.shape), True)
 
         out._backward = _backward
         return out
@@ -384,13 +396,13 @@ class Tensor:
                 mask = (self.data == np.max(self.data)).astype(np.float32)
                 # split gradient among ties deterministically
                 mask /= np.maximum(mask.sum(), 1.0)
-                self._accumulate(mask * np.asarray(g).reshape(()))
+                self._accumulate(mask * np.asarray(g).reshape(()), True)
             else:
                 expanded = np.max(self.data, axis=axis, keepdims=True)
                 mask = (self.data == expanded).astype(np.float32)
                 mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
                 gg = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(mask * gg)
+                self._accumulate(mask * gg, True)
 
         out._backward = _backward
         return out
@@ -412,16 +424,16 @@ class Tensor:
 
     def transpose(self, *axes: int) -> "Tensor":
         axes_t: Optional[Tuple[int, ...]] = tuple(axes) if axes else None
-        out = self._make(np.transpose(self.data, axes_t), (self,))
+        out = self._make(self.data.transpose(axes_t), (self,))
 
         def _backward() -> None:
             if not self.requires_grad:
                 return
             if axes_t is None:
-                self._accumulate(np.transpose(out.grad))
+                self._accumulate(out.grad.transpose())
             else:
                 inverse = np.argsort(axes_t)
-                self._accumulate(np.transpose(out.grad, inverse))
+                self._accumulate(out.grad.transpose(inverse))
 
         out._backward = _backward
         return out
@@ -447,7 +459,7 @@ class Tensor:
                     grad[index] += out.grad
                 else:
                     np.add.at(grad, index, out.grad)
-                self._accumulate(grad)
+                self._accumulate(grad, True)
 
         out._backward = _backward
         return out
@@ -460,7 +472,7 @@ class Tensor:
 
         def _backward() -> None:
             if self.requires_grad:
-                self._accumulate(out.grad * (self.data > 0))
+                self._accumulate(out.grad * (self.data > 0), True)
 
         out._backward = _backward
         return out
@@ -470,7 +482,7 @@ class Tensor:
 
         def _backward() -> None:
             if self.requires_grad:
-                self._accumulate(out.grad * out.data)
+                self._accumulate(out.grad * out.data, True)
 
         out._backward = _backward
         return out
@@ -480,7 +492,7 @@ class Tensor:
 
         def _backward() -> None:
             if self.requires_grad:
-                self._accumulate(out.grad / self.data)
+                self._accumulate(out.grad / self.data, True)
 
         out._backward = _backward
         return out
@@ -490,7 +502,7 @@ class Tensor:
 
         def _backward() -> None:
             if self.requires_grad:
-                self._accumulate(out.grad * (1.0 - out.data**2))
+                self._accumulate(out.grad * (1.0 - out.data**2), True)
 
         out._backward = _backward
         return out
@@ -501,7 +513,7 @@ class Tensor:
 
         def _backward() -> None:
             if self.requires_grad:
-                self._accumulate(out.grad * out.data * (1.0 - out.data))
+                self._accumulate(out.grad * out.data * (1.0 - out.data), True)
 
         out._backward = _backward
         return out
@@ -512,4 +524,4 @@ class Tensor:
 
 def _swap_last(arr: np.ndarray) -> np.ndarray:
     """Transpose the last two axes (batched matmul transpose)."""
-    return np.swapaxes(arr, -1, -2)
+    return arr.swapaxes(-1, -2)

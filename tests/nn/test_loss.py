@@ -46,6 +46,11 @@ class TestMSE:
         x = Tensor(_rand((6,), 1), requires_grad=True)
         check_grad(lambda: mse_loss(x, np.zeros(6, np.float32)), [x])
 
+    def test_misshaped_target_is_refused_not_broadcast(self):
+        # (8,) against (8, 1) used to broadcast to (8, 8) and average 64 terms
+        with pytest.raises(ValueError, match=r"\(8, 1\).*\(8,\)"):
+            mse_loss(Tensor(_rand((8,), 1)), np.zeros((8, 1), np.float32))
+
 
 class TestBCE:
     def test_matches_reference(self):
@@ -66,6 +71,10 @@ class TestBCE:
         x = Tensor(_rand((5,), 3), requires_grad=True)
         t = np.float32([1, 0, 1, 1, 0])
         check_grad(lambda: bce_with_logits(x, t), [x])
+
+    def test_misshaped_targets_are_refused_not_broadcast(self):
+        with pytest.raises(ValueError, match=r"\(8, 1\).*\(8,\)"):
+            bce_with_logits(Tensor(_rand((8,), 1)), np.zeros((8, 1), np.float32))
 
 
 class TestSmoothL1:

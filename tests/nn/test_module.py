@@ -53,6 +53,69 @@ class TestRegistration:
             m._set_buffer("missing", np.zeros(1))
 
 
+class TestRebindingAndRemoval:
+    """A name that stops being a parameter / submodule leaves every listing."""
+
+    def test_parameter_rebound_to_none_is_unregistered(self):
+        m = nn.Linear(4, 3, RNGBundle(0))
+        m.bias = None
+        assert m.bias is None
+        assert [n for n, _ in m.named_parameters()] == ["weight"]
+        assert list(m.state_dict()) == ["weight"]
+
+    def test_deleted_parameter_is_unregistered(self):
+        m = nn.Linear(4, 3, RNGBundle(0))
+        del m.weight
+        assert not hasattr(m, "weight")
+        assert [n for n, _ in m.named_parameters()] == ["bias"]
+        with pytest.raises(AttributeError):
+            del m.weight
+
+    def test_deleted_submodule_is_unregistered(self):
+        m = Branch()
+        del m.left
+        assert [n for n, _ in m.named_modules()] == ["", "right"]
+        assert [n for n, _ in m.named_parameters()] == ["right.weight"]
+
+    def test_kind_change_moves_between_tables(self):
+        m = Branch()
+        m.left = Parameter(np.zeros(2, np.float32))
+        assert [n for n, _ in m.named_parameters()] == ["left", "right.weight"]
+        assert [n for n, _ in m.named_modules()] == ["", "right"]
+        m.left = Leaf(4)
+        assert [n for n, _ in m.named_parameters()] == ["right.weight", "left.weight"]
+
+    def test_same_kind_rebinding_keeps_its_position(self):
+        m = nn.Linear(4, 3, RNGBundle(0))
+        replacement = Parameter(np.zeros((3, 4), np.float32))
+        m.weight = replacement
+        assert [n for n, _ in m.named_parameters()] == ["weight", "bias"]
+        assert m.parameters()[0] is replacement
+
+    def test_held_parameter_list_follows_an_edit_of_a_child(self):
+        m = Branch()
+        before = m.parameters()
+        assert [p.data.size for p in before] == [2, 3]
+        assert m.parameters() is not before  # callers get their own list
+        m.right.weight = Parameter(np.zeros(5, np.float32))
+        assert [p.data.size for p in m.parameters()] == [2, 5]
+        m.left.extra = Parameter(np.zeros(7, np.float32))
+        assert [p.data.size for p in m.parameters()] == [2, 7, 5]
+        del m.left.weight
+        assert [p.data.size for p in m.parameters()] == [7, 5]
+        m.right.weight.grad = np.ones(5, np.float32)
+        m.zero_grad()
+        assert m.right.weight.grad is None
+
+    def test_containers_invalidate_a_held_list(self):
+        blocks = nn.ModuleList([Leaf(2)])
+        assert len(blocks.parameters()) == 1
+        blocks.append(Leaf(3))
+        assert [p.data.size for p in blocks.parameters()] == [2, 3]
+        seq = nn.Sequential(Leaf(2), Leaf(3))
+        assert [n for n, _ in seq.named_parameters()] == ["0.weight", "1.weight"]
+
+
 class TestTrainEval:
     def test_mode_propagates(self):
         m = Branch()

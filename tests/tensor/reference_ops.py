@@ -2,11 +2,13 @@
 
 Until PR 17 ``BatchNorm``, ``conv2d`` and ``mean_over``/``sum_over`` were
 written as chains of primitive :class:`~repro.tensor.Tensor` ops (~17 graph
-nodes per batch-norm layer).  ``repro.tensor.ops`` now builds one node per
-layer with a hand-written backward; these are the old definitions, kept
-verbatim as the reference the fused nodes must match **bit for bit** —
-output, every gradient, and the order in which leaves receive theirs.
-Likewise the pre-PR-17 bodies of the two kernels whose bookkeeping changed.
+nodes per batch-norm layer), and until PR 24 so were ``Linear`` (+ ReLU)
+and ``bce_with_logits`` (11 nodes).  ``repro.tensor.ops`` now builds one
+node per layer with a hand-written backward; these are the old
+definitions, kept verbatim as the reference the fused nodes must match
+**bit for bit** — output, every gradient, and the order in which leaves
+receive theirs.  Likewise the pre-PR-17 bodies of the two kernels whose
+bookkeeping changed.
 
 Nothing under ``src/`` may import this module.
 """
@@ -59,6 +61,28 @@ def batch_norm(
     var = mean_over(centered * centered, axes, keepdims=True)
     inv_std = (var + eps) ** -0.5
     return centered * inv_std * weight + bias, mean.data, var.data
+
+
+# ---------------------------------------------------------------------------
+# linear (+ ReLU) and binary cross-entropy, as nn.Linear / nn.loss spelled them
+# ---------------------------------------------------------------------------
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor], relu: bool = False) -> Tensor:
+    out = x.matmul(weight.T)
+    if bias is not None:
+        out = out + bias
+    return out.relu() if relu else out
+
+
+def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
+    t = Tensor(np.asarray(targets, dtype=np.float32))
+    x = logits
+    relu_x = x.relu()
+    # -|x| built so its gradient (-sign(x)) flows through x
+    neg_abs = x * Tensor(np.sign(-x.data))
+    log_term = (neg_abs.exp() + 1.0).log()
+    return (relu_x - x * t + log_term).mean()
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,209 @@ class TestConv2d:
         assert seen[0] == seen[1]
 
 
+class TestLinear:
+    @given(
+        lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        k=st.integers(1, 40), out=st.integers(1, 5),
+        with_bias=st.booleans(), relu=st.booleans(),
+        config=config_strategy, seed=st.integers(0, 2**16), op_first=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_composed_graph(self, lead, k, out, with_bias, relu, config, seed, op_first):
+        # 2-D activations (NeuMF, the classifier heads) and 3-D ones
+        # (ELECTRA / Swin: the weight GEMM is batched and folded back)
+        rng = np.random.default_rng(seed)
+        leaves = {
+            "input": _signed_zero_array(rng, (*lead, k)),
+            "gate": rng.normal(size=(k,)).astype(np.float32),
+            "weight": _signed_zero_array(rng, (out, k)),
+        }
+        if with_bias:
+            leaves["bias"] = rng.normal(size=(out,)).astype(np.float32)
+
+        def build(module):
+            return lambda x, t: [module.linear(x, t["weight"], t.get("bias"), relu)]
+
+        _assert_same(
+            _run(build(ops), leaves, config, seed, op_first),
+            _run(build(reference_ops), leaves, config, seed, op_first),
+        )
+
+    @pytest.mark.parametrize("input_grad", [False, True])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_linear_on_a_leaf_input(self, config, relu, input_grad):
+        # the first layer of an MLP: without an input gradient only the
+        # weight GEMM runs (the baseline autotuner counts calls)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(5, 7)).astype(np.float32)
+        w, b = _signed_zero_array(rng, (3, 7)), rng.normal(size=(3,)).astype(np.float32)
+        seen = []
+        for module in (ops, reference_ops):
+            global_autotuner().reset()
+            leaves = {
+                "x": Tensor(x.copy(), requires_grad=input_grad),
+                "weight": Tensor(w.copy(), requires_grad=True),
+                "bias": Tensor(b.copy(), requires_grad=True),
+            }
+            names = {id(t): name for name, t in leaves.items()}
+            arrival = []
+            with execution_context(*config), leaf_grad_hook(lambda t: arrival.append(names[id(t)])):
+                out = module.linear(leaves["x"], leaves["weight"], leaves["bias"], relu)
+                (out * out).sum().backward()
+            assert arrival == (["bias", "x", "weight"] if input_grad else ["bias", "weight"])
+            seen.append([out.data.tobytes()] + [
+                t.grad.tobytes() for t in leaves.values() if t.requires_grad
+            ])
+        assert seen[0] == seen[1]
+
+    def test_layer_routes_through_the_fused_node(self):
+        from repro.utils.rng import RNGBundle
+
+        layer = nn.Linear(4, 3, RNGBundle(1))
+        out = layer(Tensor(np.ones((2, 4), dtype=np.float32)))
+        _, wt, bias = out._prev
+        assert wt._prev == (layer.weight,) and bias is layer.bias
+
+
+def _logits_array(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal draws salted with signed zeros and logits large enough to saturate."""
+    arr = rng.normal(size=shape).astype(np.float32) * 3
+    pick = rng.random(size=shape)
+    for bound, value in ((0.1, 0.0), (0.2, -0.0), (0.25, 40.0), (0.3, -40.0), (0.33, 1e4), (0.36, -1e4)):
+        arr[(pick < bound) & (pick >= bound - 0.1)] = value
+    return arr
+
+
+class TestBceWithLogits:
+    @given(
+        shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        config=config_strategy, seed=st.integers(0, 2**16), op_first=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_composed_graph(self, shape, config, seed, op_first):
+        results = []
+        for module in (ops, reference_ops):
+            dialect, policy = config
+            global_autotuner().reset()
+            kernels._atomic_interleave = 0
+            rng = np.random.default_rng(seed)
+            logits = Tensor(_logits_array(rng, tuple(shape)), requires_grad=True)
+            gate = Tensor(np.ones(tuple(shape), dtype=np.float32), requires_grad=True)
+            targets = (rng.random(size=tuple(shape)) < 0.5).astype(np.float32)
+            weight = _signed_zero_array(rng, tuple(shape))
+            arrival = []
+            with execution_context(dialect, policy):
+                x = logits * gate  # the logits' exact zeros and saturating values survive
+                loss = module.bce_with_logits(x, targets)
+                side = (x * Tensor(weight)).sum() + (x * x).sum()
+                total = loss * 3.0 + side if op_first else side + loss * 3.0
+                with leaf_grad_hook(lambda t: arrival.append("logits" if t is logits else "gate")):
+                    total.backward()
+            results.append({
+                "loss": loss.data.tobytes(), "total": total.data.tobytes(),
+                "x.grad": x.grad.tobytes(), "logits.grad": logits.grad.tobytes(),
+                "gate.grad": gate.grad.tobytes(), "arrival": arrival,
+            })
+        _assert_same(*results)
+
+    def test_loss_routes_through_the_fused_node(self):
+        x = Tensor(np.float32([0.5, -2.0, 0.0]), requires_grad=True)
+        loss = nn.bce_with_logits(x, np.float32([1.0, 0.0, 1.0]))
+        assert loss._prev == (x,)
+        assert loss.data.tobytes() == reference_ops.bce_with_logits(
+            Tensor(x.data), np.float32([1.0, 0.0, 1.0])
+        ).data.tobytes()
+
+
+def _graph_nodes(root: Tensor) -> List[Tensor]:
+    """Every tensor reachable from ``root`` through ``_prev`` (leaves included)."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._prev)
+    return list(seen.values())
+
+
+def test_neumf_forward_and_loss_is_at_most_16_graph_nodes():
+    from repro.models import get_workload
+    from repro.utils.rng import RNGBundle
+
+    spec = get_workload("neumf")
+    model = spec.build_model(RNGBundle(7))
+    xs, ys = zip(*[spec.build_dataset(8, seed=7)[i] for i in range(8)])
+    loss = spec.forward_loss(model, np.stack(xs), np.asarray(ys))
+    ops_nodes = [node for node in _graph_nodes(loss) if node._prev]
+    assert len(ops_nodes) <= 16, len(ops_nodes)  # 30 when every layer was composed
+
+
+class TestGradientOwnership:
+    """``_accumulate`` keeps a first contribution the op owns; nothing may alias it."""
+
+    @given(seed=st.integers(0, 2**16), relu=st.booleans(), config=config_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_no_grad_aliases_another_grad_or_a_saved_operand(self, seed, relu, config):
+        from repro.utils.rng import RNGBundle
+
+        rng = np.random.default_rng(seed)
+
+        def leaf(*shape):
+            return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+        table, w1, b1, w2, b2, scale = leaf(6, 4), leaf(5, 8), leaf(5), leaf(3, 5), leaf(3), leaf(1, 8)
+        full_bias, square = leaf(4, 5), leaf(3, 3)
+        rows = rng.integers(0, 6, size=(4,))
+        with execution_context(*config), nn.use_rng(RNGBundle(seed)):
+            emb = ops.embedding(table, rows)                       # owning
+            wide = ops.concat([emb, emb.relu()], axis=1) * scale   # pass-through, then owning
+            hidden = ops.linear(wide, w1, b1, relu)                # owning, bias folds
+            hidden = hidden.reshape(2, 2, 5).transpose(1, 0, 2)    # two views
+            logits = ops.linear(hidden, w2, b2)                    # 3-D, no ReLU
+            picked = logits[0] + logits[1]                         # scatter + pass-through
+            # a bias of the output's shape: its gradient *is* the incoming one
+            flat = ops.linear(wide, w1, full_bias) + (-b1) / 2.0
+            loss = (
+                ops.bce_with_logits(picked.matmul(square), (rng.random((2, 3)) < 0.5))
+                + flat.exp().sum() + ops.mean_over(picked.tanh(), (0, 1))
+            )
+            nodes = _graph_nodes(loss)
+            loss.backward()
+        graded = [node for node in nodes if node.grad is not None]
+        assert {id(t) for t in (table, w1, b1, w2, b2, scale, full_bias, square)} <= {id(t) for t in graded}
+        for i, node in enumerate(graded):
+            assert node.grad.dtype == np.float32 and node.grad.flags.c_contiguous
+            for other in graded[i + 1:]:
+                assert not np.shares_memory(node.grad, other.grad)
+            for other in nodes:
+                assert not np.shares_memory(node.grad, other.data)
+
+    def test_staged_gradients_of_two_ests_never_alias(self):
+        from repro.core.est import EasyScaleThread
+        from repro.core.worker import EasyScaleWorker
+        from repro.data.dataloader import SharedDataLoader
+        from repro.hw import V100
+        from repro.models import get_workload
+        from repro.utils.rng import RNGBundle
+
+        spec = get_workload("neumf")
+        model = spec.build_model(RNGBundle(5))
+        loader = SharedDataLoader(spec.build_dataset(64, seed=3), num_replicas=2, batch_size=8, seed=5)
+        ests = [EasyScaleThread(5, vrank) for vrank in range(2)]
+        worker = EasyScaleWorker(0, V100, ests, spec, D2_POLICY, validate_memory=False)
+        named = dict(model.named_parameters())
+        worker.run_global_step(model, load_batch=lambda v: loader.load(v, 0, 0), named_params=named)
+        first, second = (est.staged_grads for est in ests)
+        assert first.keys() == second.keys() == named.keys()
+        arrays = list(first.values()) + list(second.values())
+        for i, grad in enumerate(arrays):
+            for other in arrays[i + 1:]:
+                assert not np.shares_memory(grad, other)
+            for param in named.values():
+                assert param.grad is None and not np.shares_memory(grad, param.data)
+
+
 class TestLayerArrivalOrder:
     """When each layer's leaves receive their gradient, relative to upstream.
 
@@ -284,6 +487,33 @@ class TestLayerArrivalOrder:
         assert self._arrival(conv, (2, 3, 4, 4)) == [
             "weight", "upstream.bias", "upstream.weight", "bias",
         ]
+
+    def test_linear_bias_arrives_before_upstream_and_weight_after(self):
+        # the transpose node under a Linear weight is what makes it late
+        from repro.utils.rng import RNGBundle
+
+        assert self._arrival(nn.Linear(4, 3, RNGBundle(2)), (5, 4)) == [
+            "bias", "upstream.bias", "upstream.weight", "weight",
+        ]
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_two_linear_layers_arrive_as_b2_b_x_w_w2(self, relu):
+        rng = np.random.default_rng(4)
+        leaves = {
+            "x": (6, 4), "w": (5, 4), "b": (5,), "w2": (3, 5), "b2": (3,),
+        }
+        tensors = {
+            name: Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+            for name, shape in leaves.items()
+        }
+        names = {id(t): name for name, t in tensors.items()}
+        for module in (ops, reference_ops):
+            arrival = []
+            hidden = module.linear(tensors["x"], tensors["w"], tensors["b"], relu)
+            out = module.linear(hidden, tensors["w2"], tensors["b2"])
+            with leaf_grad_hook(lambda t: arrival.append(names[id(t)])):
+                out.sum().backward()
+            assert arrival == ["b2", "b", "x", "w", "w2"]
 
 
 class TestReduceOver:

@@ -8,7 +8,11 @@ per model and kernel configuration a sha256 over two iterations' loss,
 parameter gradients and buffers, per model the order in which leaf
 parameters received their gradient (it feeds DDP's ``rebuild_from_arrival``
 and so decides bucket layout), and the final ``EasyScaleEngine``
-fingerprint of the ``train_conv_serial`` benchmark configuration.
+fingerprint of the ``train_conv_serial`` benchmark configuration.  Two
+entries were added later, each recorded at the parent of the PR that first
+touched the code they pin (PR 24's parent, 784bf59, existing values
+reproduced in the same run): ``swintransformer`` and ``"engine neumf
+elastic"``, the ``train_rec_elastic`` configuration.
 
 GEMM bits depend on the BLAS build and the kernels it picks for this CPU,
 so the table carries a ``STAMP``; on any other stamp every test here
@@ -32,7 +36,10 @@ from repro.tensor.tensor import leaf_grad_hook
 from repro.utils.fingerprint import fingerprint_state_dict
 from repro.utils.rng import RNGBundle
 
-MODELS = ("resnet18", "resnet50", "vgg19", "shufflenetv2", "yolov3", "neumf", "electra")
+MODELS = (
+    "resnet18", "resnet50", "vgg19", "shufflenetv2", "yolov3", "neumf", "electra",
+    "swintransformer",
+)
 CONFIGS = {
     "v100/D0": ("v100", D0_POLICY),
     "p100/D0": ("p100", D0_POLICY),
@@ -120,12 +127,60 @@ def train_conv_serial_fingerprint(steps: int = 12) -> str:
     return fingerprint_state_dict(engine.model.state_dict())
 
 
+#: ``benchmarks/e2e/workloads.py::ELASTIC_STAGES``, spelled out (that tree is frozen)
+ELASTIC_STAGES = (
+    ("V100",) * 4,
+    ("V100",) * 2,
+    ("V100", "P100", "T4"),
+    ("T4",),
+    ("P100", "P100", "T4", "T4"),
+)
+
+
+def neumf_elastic_fingerprint(steps: int = 20) -> str:
+    """``train_rec_elastic`` at seed 7: 8 ESTs, a new GPU mix every 2 steps."""
+    from repro.core import (
+        EasyScaleEngine,
+        EasyScaleJobConfig,
+        WorkerAssignment,
+        determinism_from_label,
+    )
+    from repro.exec import SerialBackend
+    from repro.hw import gpu_type
+    from repro.optim import SGD
+
+    def assignment(stage):
+        return WorkerAssignment.balanced([gpu_type(name) for name in stage], 8)
+
+    spec = get_workload("neumf")
+    config = EasyScaleJobConfig(
+        num_ests=8, seed=7, batch_size=8, determinism=determinism_from_label("D1+D2")
+    )
+    engine = EasyScaleEngine(
+        spec,
+        spec.build_dataset(512, seed=7),
+        config,
+        lambda model: SGD(model.named_parameters(), lr=0.05, momentum=0.9),
+        assignment(ELASTIC_STAGES[0]),
+        backend=SerialBackend(),
+    )
+    engine.run_global_step()
+    for index in range(steps):
+        if index and index % 2 == 0:
+            engine = engine.reconfigure(assignment(ELASTIC_STAGES[(index // 2) % 5]))
+        engine.run_global_step()
+    return fingerprint_state_dict(engine.model.state_dict())
+
+
 def _arrival_digest(arrival: List[str]) -> str:
     return hashlib.sha256(" ".join(arrival).encode()).hexdigest()[:16]
 
 
 def record() -> Dict[str, object]:
-    golden: Dict[str, object] = {"engine": train_conv_serial_fingerprint()}
+    golden: Dict[str, object] = {
+        "engine": train_conv_serial_fingerprint(),
+        "engine neumf elastic": neumf_elastic_fingerprint(),
+    }
     for model_name in MODELS:
         arrivals = set()
         for label, (dialect, policy) in CONFIGS.items():
@@ -140,6 +195,7 @@ def record() -> Dict[str, object]:
 STAMP = "numpy 2.4.6 / scipy-openblas 0.3.31.188.0 / probe 79f563334e3a09cb"
 GOLDEN: Dict[str, str] = {
     "engine": "a57555d973cd08e452e763ceca359f92b0f4b48015105d4e599c89c2af74d93f",
+    "engine neumf elastic": "0d26109ef43b19dd960b1e99d8d26b0525a7f4c076258c7d8217044e2108ce91",
     "resnet18 v100/D0": "c1ad5030075159923c9c457f80d95426f344ce3336cfef012b6a1d8e9faf7c59",
     "resnet18 p100/D0": "094b9f46b8603a880fddfdfd291066e9692a17cdad14af59dd9ddd4451a1874b",
     "resnet18 t4/D0": "9df1c55dc7a417b4ee3f8c8bf2592233a55bea386db13c567b1cb708345d3db4",
@@ -175,6 +231,11 @@ GOLDEN: Dict[str, str] = {
     "electra t4/D0": "2ebebdabba20c042e43cc45ab2efea22ef4eb6f59d95ff163db298af315adead",
     "electra v100/D2": "722ce7e9a2117d5480ad908643821fe57bfcad3ec6e21a33e644ff9e206767ab",
     "electra arrival": "c7f6212dac8200bd",
+    "swintransformer v100/D0": "99435ef8f00cddd3b6fdd9fb162f147167318ca1c4c2247dc064638258243c3d",
+    "swintransformer p100/D0": "9d13c17877252dce94f5008546fe4ad80e6f1186305da40dffd5899de52e9549",
+    "swintransformer t4/D0": "316547049a5a701eb86cb97fd43b461fe688da275e191eac7b44636b74e57266",
+    "swintransformer v100/D2": "6645c84ce138011591c8efd8f2b2e2f3ba3f7c2ace686ab5aaa0c5a2d38a5dfc",
+    "swintransformer arrival": "dcd816c7900a4979",
 }
 
 
@@ -198,6 +259,11 @@ def test_model_bits_and_arrival_order_unchanged(model_name):
 def test_train_conv_serial_engine_fingerprint_unchanged():
     _require_stamp()
     assert train_conv_serial_fingerprint() == GOLDEN["engine"]
+
+
+def test_train_rec_elastic_engine_fingerprint_unchanged():
+    _require_stamp()
+    assert neumf_elastic_fingerprint() == GOLDEN["engine neumf elastic"]
 
 
 if __name__ == "__main__":

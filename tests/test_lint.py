@@ -227,6 +227,41 @@ def test_one_road_through_the_pool():
     ], keyword_uses
 
 
+def test_one_node_per_layer_and_one_owner_rule():
+    # Linear and the BCE loss are one fused node each (repro.tensor.ops);
+    # their composed spellings live only in tests/tensor/reference_ops.py.
+    # Whether a gradient contribution is the caller's to give away is a
+    # fact about how the op computed it, so only the ops themselves may
+    # say so.  (Spelled split so this file does not match itself.)
+    import ast
+
+    composed = ".matmul(self." + "weight.T)"
+    for path, line in _lines_of_code_and_docs():
+        if path.startswith(("src/repro/nn/", "src/repro/models/")):
+            assert composed not in line, (path, line)
+
+    with open(os.path.join(SRC, "nn", "loss.py"), encoding="utf-8") as handle:
+        loss_module = ast.parse(handle.read())
+    (bce,) = [n for n in loss_module.body if getattr(n, "name", "") == "bce_with_" + "logits"]
+    arithmetic = [n for n in ast.walk(bce) if isinstance(n, (ast.BinOp, ast.UnaryOp, ast.Compare))]
+    assert not arithmetic and isinstance(bce.body[-1], ast.Return), ast.dump(bce)
+
+    owners = set()
+    for root in ("src", "tests", "examples", "benchmarks"):
+        for path in _python_files(os.path.join(REPO_ROOT, root)):
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            for node in ast.walk(ast.parse(text)) if "_accumulate(" in text else ():
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_accumulate"
+                    and len(node.args) + len(node.keywords) > 1
+                ):
+                    owners.add(os.path.relpath(path, REPO_ROOT))
+    assert owners == {"src/repro/tensor/ops.py", "src/repro/tensor/tensor.py"}, owners
+
+
 def test_every_exported_name_resolves():
     # an ``__all__`` entry whose definition was deleted breaks
     # ``from repro.x import *`` and nothing else, so nothing else notices
