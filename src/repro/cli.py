@@ -280,10 +280,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if telemetry is not None:
             telemetry.close()
         if args.trace:
-            # the backend has been closed by now, so pool-child shards are
-            # already merged into the global tracer — the saved trace (and
-            # Chrome export) covers every process that did work; close()
-            # flushes spans a crash left open so the export stays matched
+            # pool children's spans rode each task result back and were
+            # merged into the global tracer step by step — the saved trace
+            # (and Chrome export) covers every process that did work;
+            # close() flushes spans a crash left open so the export stays
+            # matched
             obs.tracer().close()
             obs.tracer().save(args.trace)
             print(f"span trace written to {args.trace}")

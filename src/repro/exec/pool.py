@@ -46,9 +46,7 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_mod
-import shutil
 import sys
-import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -107,37 +105,35 @@ def _get_replica(spec, seed: int):
     return cached
 
 
-def _run_worker_task(task: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _run_worker_task(task: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one physical worker's local steps in a pool child.
 
     Gradients leave through the slab: each bucket is flattened into this
-    vrank's region and published on the ready queue.  Returns one
-    payload per EST, in local order: the loss, the advanced RNG state,
-    the BN journal keyed by module *name* (layer objects don't cross
-    process boundaries), and — for vrank 0 on a reconstruction step —
-    the gradient arrival order.
+    vrank's region and published on the ready queue.  Returns
+    ``{"ests": [...], "obs": ...}``.  ``ests`` holds one payload per EST,
+    in local order: the loss, the advanced RNG state, the BN journal
+    keyed by module *name* (layer objects don't cross process
+    boundaries), and — for vrank 0 on a reconstruction step — the
+    gradient arrival order.  ``obs`` is :func:`repro.obs.export_child`.
 
     Observability: the parent ships its :class:`~repro.obs.ObsConfig`
     snapshot with every task; the child bootstraps ``repro.obs`` from it
-    (a per-process global the pool would otherwise leave disabled), spans
-    its per-EST compute, and flushes per-pid shards the parent later
-    merges.  Pure observation — none of it touches the numerics.
+    (a per-process global the pool would otherwise leave disabled) and
+    spans its per-EST compute.  A failed task attaches its export to the
+    exception as ``child_obs``, so the parent's postmortem still sees
+    this child's flight events.  Pure observation — none of it touches
+    the numerics.
     """
     from repro.core.worker import execute_local_step
 
     obs.configure_from(task.get("obs"))
     flightrec.ensure_child()
-    flight_dir = task.get("flight")
     try:
-        return _run_worker_task_inner(task, execute_local_step)
-    finally:
-        # ship this child's flight-ring tail even when the task failed —
-        # the parent's postmortem dump merges these shards
-        if flight_dir is not None:
-            try:
-                flightrec.flush_shard(flight_dir)
-            except OSError:  # pragma: no cover - scratch dir vanished
-                pass
+        ests = _run_worker_task_inner(task, execute_local_step)
+    except Exception as exc:
+        exc.child_obs = obs.export_child()
+        raise
+    return {"ests": ests, "obs": obs.export_child()}
 
 
 def _run_worker_task_inner(
@@ -213,7 +209,6 @@ def _run_worker_task_inner(
                 "arrival": arrival,
             }
         )
-    obs.flush_shard()
     return out
 
 
@@ -229,7 +224,7 @@ class ProcessPoolBackend(ExecutionBackend):
     units, not throughput units: one child per *physical worker*, created
     lazily as worker ids appear, even on a single-core machine — the
     children idle between steps, and per-process isolation (replica
-    cache, obs shard, trace lane) is the point.  ``start_method``
+    cache, flight ring, trace lane) is the point.  ``start_method``
     defaults to ``fork`` where available — cheapest, and it inherits
     registered kernels — falling back to ``spawn``, where
     :func:`_child_init` re-hydrates them.
@@ -286,14 +281,6 @@ class ProcessPoolBackend(ExecutionBackend):
         #: step aborted mid-collection can never leak stale buckets into
         #: the next step's drain loop
         self._seq = 0
-        #: scratch directory for the children's per-pid obs shards; created
-        #: lazily the first time a step runs with observability enabled
-        self._shard_dir: Optional[str] = None
-        #: scratch directory for the children's flight-recorder shards;
-        #: created on the first step regardless of the obs switch (the
-        #: flight recorder is always on) and registered with the parent's
-        #: recorder so a postmortem dump merges child history
-        self._flight_dir: Optional[str] = None
 
     # -- lifecycle ------------------------------------------------------
     def _ensure_slot(self, index: int):
@@ -319,24 +306,10 @@ class ProcessPoolBackend(ExecutionBackend):
             )
         return self._pool[index]
 
-    def collect_observability(self) -> int:
-        """Merge the children's span/metric shards into the parent's obs.
-
-        Child spans arrive stamped with their pid (one Chrome process
-        lane per pool worker) and child metrics gain a ``pid`` label.
-        Shards are consumed on merge, so calling this after every few
-        steps or once at ``close()`` yields the same totals.  Collection
-        is keyed on the shard directory existing, NOT on the obs switch:
-        shards written while observability was on must survive the parent
-        turning it off between the last step and ``close()``.
-        """
-        if self._shard_dir is None:
-            return 0
-        return obs.collect_shards(self._shard_dir)
-
     def close(self) -> None:
         if self._pool is not None:
-            # drain outstanding tasks' shards before tearing the slots down
+            # each step merged its tasks' obs before returning or
+            # re-raising: there is nothing left to collect here
             for slot in self._pool:
                 slot.close()
             for slot in self._pool:
@@ -350,26 +323,12 @@ class ProcessPoolBackend(ExecutionBackend):
             # children are gone (slots joined above): unlink exactly once
             self._shm.close()
             self._shm = None
-        self.collect_observability()
-        if self._shard_dir is not None:
-            shutil.rmtree(self._shard_dir, ignore_errors=True)
-            self._shard_dir = None
-        if self._flight_dir is not None:
-            # fold the children's remaining flight history into the
-            # parent ring before dropping the scratch directory
-            try:
-                flightrec.collect_shards(self._flight_dir)
-            except OSError:  # pragma: no cover - scratch dir vanished
-                pass
-            flightrec.detach_shard_dir(self._flight_dir)
-            shutil.rmtree(self._flight_dir, ignore_errors=True)
-            self._flight_dir = None
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
         try:
             if sys.is_finalizing():
-                # interpreter shutdown: module globals (obs, shutil, the
-                # mp machinery) may already be torn down — close() would
+                # interpreter shutdown: module globals (obs, the mp
+                # machinery) may already be torn down — close() would
                 # raise through them, and the OS reclaims pools and shm
                 # anyway (the parent's resource tracker unlinks slabs)
                 return
@@ -400,14 +359,7 @@ class ProcessPoolBackend(ExecutionBackend):
         # These mutate injector/loader state and may raise a FaultSignal;
         # nothing has been dispatched yet when they do.
         need_arrival = request.arrival_sink is not None
-        obs_snapshot = None
-        if obs.is_enabled():
-            if self._shard_dir is None:
-                self._shard_dir = tempfile.mkdtemp(prefix="repro-obs-shards-")
-            obs_snapshot = obs.config_snapshot(shard_dir=self._shard_dir)
-        if self._flight_dir is None:
-            self._flight_dir = tempfile.mkdtemp(prefix="repro-flight-shards-")
-            flightrec.attach_shard_dir(self._flight_dir)
+        obs_snapshot = obs.config_snapshot() if obs.is_enabled() else None
         layout_state = request.layout.to_state()
         est_by_vrank = {
             est.vrank: est for worker in request.workers for est in worker.ests
@@ -433,7 +385,6 @@ class ProcessPoolBackend(ExecutionBackend):
                     "worker": worker.worker_id,
                     "gpu": worker.gpu.name,
                     "obs": obs_snapshot,
-                    "flight": self._flight_dir,
                 }
             )
 
@@ -505,7 +456,8 @@ class ProcessPoolBackend(ExecutionBackend):
         child compute instead of blocking on whole-worker ``handle.get()``.
         Publications land in the returned vrank-keyed map, so arrival
         order never reaches the caller: :meth:`_assemble` walks submission
-        order regardless.
+        order regardless.  A failed child task ends the drain through
+        :meth:`_wait_all`, which re-raises its exception.
         """
         grads_by_vrank: Dict[int, Dict[str, np.ndarray]] = {}
         param_shapes = {n: p.data.shape for n, p in request.named_params.items()}
@@ -522,11 +474,9 @@ class ProcessPoolBackend(ExecutionBackend):
                         timeout=0.05
                     )
                 except queue_mod.Empty:
-                    # surface a failed child task instead of spinning; a
-                    # successful-but-early handle is a cached no-op get()
-                    for handle in handles:
-                        if handle.ready():
-                            handle.get()
+                    # surface a failed child task instead of spinning
+                    if any(h.ready() and not h.successful() for h in handles):
+                        self._wait_all(request, handles)
                     continue
                 if seq != self._seq:
                     continue  # stale publication from an aborted step
@@ -550,14 +500,17 @@ class ProcessPoolBackend(ExecutionBackend):
         return grads_by_vrank
 
     # -- phase 4: fixed-order assembly + write-back ----------------------
-    def _assemble(self, request, handles, est_by_vrank, grads_by_vrank):
-        from repro.core.worker import LocalStepResult
+    def _wait_all(self, request, handles) -> List[List[Dict[str, Any]]]:
+        """Wait for every task of the step and merge each child's obs.
 
-        parent_layers = dict(request.model.named_modules())
-        arrival_seen = (
-            set(request.arrival_sink) if request.arrival_sink is not None else None
-        )
-        results: List[LocalStepResult] = []
+        Merges run in submission order and cover failed tasks too (their
+        export rides the exception as ``child_obs``), so a crash
+        postmortem holds every child's flight events.  The first failure
+        is re-raised only once the last handle is in.  Returns each
+        task's per-EST payloads, in submission order.
+        """
+        ests: List[List[Dict[str, Any]]] = []
+        failure: Optional[BaseException] = None
         for worker, handle in zip(request.workers, handles):
             with obs.span(
                 "exec.worker_task",
@@ -566,7 +519,27 @@ class ProcessPoolBackend(ExecutionBackend):
                 worker=worker.worker_id,
                 gpu=worker.gpu.name,
             ):
-                payloads = handle.get()
+                try:
+                    result = handle.get()
+                except Exception as exc:
+                    failure = failure or exc
+                    result = {"ests": [], "obs": getattr(exc, "child_obs", None)}
+            if result["obs"] is not None:
+                obs.merge_child(result["obs"])
+            ests.append(result["ests"])
+        if failure is not None:
+            raise failure
+        return ests
+
+    def _assemble(self, request, handles, est_by_vrank, grads_by_vrank):
+        from repro.core.worker import LocalStepResult
+
+        parent_layers = dict(request.model.named_modules())
+        arrival_seen = (
+            set(request.arrival_sink) if request.arrival_sink is not None else None
+        )
+        results: List[LocalStepResult] = []
+        for worker, payloads in zip(request.workers, self._wait_all(request, handles)):
             per_batch = minibatch_time(worker.spec, worker.gpu, worker.policy) * worker.slowdown
             switch = context_switch_time(worker.spec, worker.gpu) * worker.slowdown
             for position, payload in enumerate(payloads):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.audit import (
     AuditDiff,
@@ -55,13 +55,12 @@ from repro.obs.bench import (
     run_benches,
 )
 from repro.obs.trace import (
-    SHARD_SPAN_SUFFIX,
     SimClock,
     SpanTracer,
     flame_summary,
-    load_shard_records,
     records_to_chrome_trace,
 )
+from repro.obs import flightrec
 from repro.obs.flightrec import (
     BUNDLE_FORMAT_VERSION,
     FlightRecorder,
@@ -95,8 +94,8 @@ __all__ = [
     "ObsConfig",
     "config_snapshot",
     "configure_from",
-    "flush_shard",
-    "collect_shards",
+    "export_child",
+    "merge_child",
     "BENCH_SCHEMA_VERSION",
     "BenchSpec",
     "ComparisonRow",
@@ -105,8 +104,6 @@ __all__ = [
     "gate_trajectories",
     "make_record",
     "run_benches",
-    "SHARD_SPAN_SUFFIX",
-    "load_shard_records",
     "tracer",
     "metrics",
     "audit_trail",
@@ -170,9 +167,8 @@ _audit: Optional[AuditTrail] = None
 _generation: int = 0
 #: the parent generation a child last applied via configure_from
 _applied_generation: Optional[int] = None
-_shard_dir: Optional[str] = None
-#: tracer.emitted watermark of records already written to this process's shard
-_shard_flushed: int = 0
+#: tracer.emitted watermark of records already shipped by export_child
+_exported: int = 0
 
 
 @dataclass(frozen=True)
@@ -182,15 +178,12 @@ class ObsConfig:
     Built by :func:`config_snapshot` in the parent and applied by
     :func:`configure_from` inside spawned/forked pool workers, so child
     processes become first-class obs citizens instead of silently running
-    with the module's per-process default (disabled) state.  ``shard_dir``
-    is where the child's :func:`flush_shard` writes its per-pid span and
-    metric shards for the parent to merge via :func:`collect_shards`.
+    with the module's per-process default (disabled) state.
     """
 
     enabled: bool = True
     clock: str = "wall"
     ring_size: int = 65536
-    shard_dir: Optional[str] = None
     generation: int = 0
 
 
@@ -202,7 +195,6 @@ def configure(
     audit: bool = False,
     audit_path: Optional[str] = None,
     audit_rewind: bool = False,
-    shard_dir: Optional[str] = None,
 ) -> None:
     """(Re)configure the global observability state.
 
@@ -212,11 +204,9 @@ def configure(
     trail; everything else costs nothing until a span/metric fires.
     ``audit_rewind`` permits non-increasing steps on the trail — required
     for fault-recovery runs, which restore to an earlier step and
-    re-record the steps they re-execute.  ``shard_dir`` makes this
-    process write its spans/metrics as per-pid shards on
-    :func:`flush_shard` (used inside pool children).
+    re-record the steps they re-execute.
     """
-    global _enabled, _tracer, _metrics, _audit, _generation, _shard_dir, _shard_flushed
+    global _enabled, _tracer, _metrics, _audit, _generation, _exported
     if _audit is not None:
         _audit.close()
     _enabled = bool(enabled)
@@ -228,21 +218,15 @@ def configure(
         else None
     )
     _generation += 1
-    _shard_dir = shard_dir
-    _shard_flushed = 0
+    _exported = 0
 
 
-def config_snapshot(shard_dir: Optional[str] = None) -> ObsConfig:
-    """Snapshot the current global configuration for shipping to children.
-
-    ``shard_dir`` overrides (or sets) where the receiving process should
-    write its shards; the parent itself usually has none.
-    """
+def config_snapshot() -> ObsConfig:
+    """Snapshot the current global configuration for shipping to children."""
     return ObsConfig(
         enabled=_enabled,
         clock="sim" if _tracer.sim_clock is not None else "wall",
         ring_size=_tracer.ring_size,
-        shard_dir=shard_dir if shard_dir is not None else _shard_dir,
         generation=_generation,
     )
 
@@ -268,71 +252,48 @@ def configure_from(config: Optional[ObsConfig]) -> None:
         enabled=config.enabled,
         clock=config.clock,
         ring_size=config.ring_size,
-        shard_dir=config.shard_dir,
     )
     _applied_generation = config.generation
 
 
-def flush_shard() -> Optional[str]:
-    """Write this process's new span records and metrics to its shards.
+def export_child() -> Dict[str, Any]:
+    """What a pool child ships home with each task's result (picklable).
 
-    Appends records emitted since the previous flush to
-    ``<shard_dir>/shard-<pid>.spans.jsonl`` (each stamped with this
-    process's pid) and rewrites ``shard-<pid>.metrics.json`` with the
-    full metrics state.  Returns the span-shard path, or ``None`` when
-    disabled or no shard directory is configured.
+    ``spans``: the span records emitted since the previous export, each
+    stamped with this process's pid (its own Chrome process lane in the
+    parent).  ``metrics``: the registry's :meth:`~MetricsRegistry.to_state`,
+    after which a fresh registry is installed — the child ships a delta,
+    so the parent's additive merge is exact however often it runs.  Both
+    are empty while obs is off.  ``flight``: the flight-recorder events
+    since the previous export, always (the recorder is always on).
     """
-    global _shard_flushed
-    if not _enabled or _shard_dir is None:
-        return None
-    from repro.obs.trace import append_shard_records, shard_span_path
-
+    global _exported, _metrics
     pid = os.getpid()
-    records = _tracer.records
-    # the ring may have dropped early records; flush whatever of the
-    # unflushed tail is still held
-    pending = min(_tracer.emitted - _shard_flushed, len(records))
-    path = shard_span_path(_shard_dir, pid)
-    if pending > 0:
-        append_shard_records(path, records[-pending:], pid=pid)
-        _shard_flushed = _tracer.emitted
-    metrics_path = os.path.join(_shard_dir, f"shard-{pid}.metrics.json")
-    import json
+    spans: List[Dict[str, Any]] = []
+    state: List[Dict[str, Any]] = []
+    if _enabled:
+        records = _tracer.records
+        # the ring may have dropped early records; ship whatever of the
+        # unshipped tail it still holds
+        pending = min(_tracer.emitted - _exported, len(records))
+        spans = [dict(r, pid=pid) for r in records[len(records) - pending:]]
+        _exported = _tracer.emitted
+        state = _metrics.to_state()
+        _metrics = MetricsRegistry()
+    flight = [dict(e, pid=pid) for e in flightrec.recorder().export()]
+    return {"pid": pid, "spans": spans, "metrics": state, "flight": flight}
 
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump({"pid": pid, "state": _metrics.to_state()}, fh, sort_keys=True)
-    return path
 
+def merge_child(payload: Dict[str, Any]) -> None:
+    """Fold one :func:`export_child` payload into this process's obs state.
 
-def collect_shards(shard_dir: str, label: str = "pid") -> int:
-    """Merge child shards into this process's tracer and metrics.
-
-    Every span record is ingested carrying its child ``pid`` (rendered as
-    its own process lane by the Chrome exporter); every child metric
-    series is folded into the parent registry with an extra
-    ``{label}="<pid>"`` label so per-worker counts stay distinguishable.
-    Consumed shard files are deleted — collecting twice never
-    double-counts.  Returns the number of span records merged.
+    Spans keep their child ``pid``; child metric series gain a
+    ``pid="<pid>"`` label so per-worker counts stay distinguishable;
+    flight events join the recorder's ring, where a postmortem finds them.
     """
-    import glob
-    import json
-
-    from repro.obs.trace import SHARD_SPAN_SUFFIX, load_shard_records
-
-    merged = 0
-    for path in sorted(glob.glob(os.path.join(shard_dir, f"shard-*{SHARD_SPAN_SUFFIX}"))):
-        records = load_shard_records(path)
-        _tracer.ingest(records)
-        merged += len(records)
-        os.unlink(path)
-    for path in sorted(glob.glob(os.path.join(shard_dir, "shard-*.metrics.json"))):
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        _metrics.merge_state(
-            payload.get("state", []), extra_labels={label: str(payload.get("pid", "?"))}
-        )
-        os.unlink(path)
-    return merged
+    _tracer.ingest(payload["spans"])
+    _metrics.merge_state(payload["metrics"], extra_labels={"pid": str(payload["pid"])})
+    flightrec.recorder().ingest(payload["flight"])
 
 
 def reset() -> None:

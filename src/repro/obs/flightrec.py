@@ -25,16 +25,15 @@ environment/machine fingerprint, and the git SHA.  ``repro obs
 postmortem <bundle>`` renders it; ``repro obs why`` feeds its events to
 the divergence forensics.
 
-Pool children flush their ring as per-pid ``shard-<pid>.flight.jsonl``
-files (the same shard idiom as :func:`repro.obs.flush_shard`); the
-parent attaches the shard directory so a dump — even one triggered by an
-exception propagating out of a child task — merges every process's
-recent history into the bundle.
+Pool children ship the events recorded since their last export with
+every task result (:func:`repro.obs.export_child`; a failed task attaches
+them to the exception it raises), and the parent folds them into its ring
+before the step returns or re-raises — so a dump, even one triggered by
+an exception out of a child task, holds every process's recent history.
 """
 
 from __future__ import annotations
 
-import glob as _glob
 import json
 import os
 import sys
@@ -43,13 +42,8 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-from repro.utils.jsonl import read_jsonl
-
 #: Bundle schema version.
 BUNDLE_FORMAT_VERSION = 1
-
-#: File suffix of per-pid flight shards written by pool children.
-SHARD_FLIGHT_SUFFIX = ".flight.jsonl"
 
 #: Default ring capacity (events) and audit-tail length (records).
 DEFAULT_RING_SIZE = 512
@@ -57,10 +51,6 @@ DEFAULT_AUDIT_KEEP = 32
 
 #: Environment variable overriding the postmortem output directory.
 POSTMORTEM_DIR_ENV = "REPRO_POSTMORTEM_DIR"
-
-
-def shard_flight_path(shard_dir: str, pid: int) -> str:
-    return os.path.join(shard_dir, f"shard-{pid}{SHARD_FLIGHT_SUFFIX}")
 
 
 class FlightRecorder:
@@ -90,9 +80,8 @@ class FlightRecorder:
         self._audits: deque = deque(maxlen=audit_keep)
         self._context: Dict[str, Any] = {}
         self._lock = threading.Lock()
-        self._shard_dirs: List[str] = []
-        #: watermark of events already written to this process's shard
-        self._shard_flushed = 0
+        #: watermark of events already shipped by :meth:`export`
+        self._exported = 0
         #: total events ever recorded (>= len(ring) once it wraps)
         self.seq = 0
         #: path of the most recent bundle written by :meth:`dump`
@@ -146,64 +135,21 @@ class FlightRecorder:
         return len(self._events)
 
     # ------------------------------------------------------------------
-    # cross-process shards (the PR-6 idiom, flight-event flavored)
+    # cross-process hand-off (see repro.obs.export_child / merge_child)
     # ------------------------------------------------------------------
-    def attach_shard_dir(self, shard_dir: str) -> None:
-        """Register a directory where children flush flight shards.
-
-        :meth:`dump` and :func:`collect_shards` consume shards from every
-        attached directory, so a parent-side postmortem covers the pool
-        children's recent history too.
-        """
+    def export(self) -> List[Dict[str, Any]]:
+        """The events recorded since the previous export (a pool child's share)."""
         with self._lock:
-            if shard_dir not in self._shard_dirs:
-                self._shard_dirs.append(shard_dir)
+            pending = min(self.seq - self._exported, len(self._events))
+            self._exported = self.seq
+            return list(self._events)[len(self._events) - pending:]
 
-    def detach_shard_dir(self, shard_dir: str) -> None:
+    def ingest(self, events: List[Dict[str, Any]]) -> None:
+        """Append another process's exported events, re-sequenced into this ring."""
         with self._lock:
-            if shard_dir in self._shard_dirs:
-                self._shard_dirs.remove(shard_dir)
-
-    def flush_shard(self, shard_dir: str) -> Optional[str]:
-        """Append this process's unflushed events to its per-pid shard.
-
-        Called by pool children after each task (mirroring
-        :func:`repro.obs.flush_shard`).  Returns the shard path, or
-        ``None`` when there was nothing new to write.
-        """
-        with self._lock:
-            pending = min(self.seq - self._shard_flushed, len(self._events))
-            if pending <= 0:
-                return None
-            tail = list(self._events)[-pending:]
-            self._shard_flushed = self.seq
-        pid = os.getpid()
-        path = shard_flight_path(shard_dir, pid)
-        with open(path, "a", encoding="utf-8") as fh:
-            for event in tail:
-                fh.write(json.dumps(dict(event, pid=pid), sort_keys=True, default=str) + "\n")
-        return path
-
-    def collect_shards(self, shard_dir: Optional[str] = None) -> int:
-        """Merge (and consume) child flight shards into this ring.
-
-        With no argument, drains every attached directory.  A shard line
-        truncated by a dying child is skipped, like every other JSONL
-        loader in :mod:`repro.obs`.
-        """
-        dirs = [shard_dir] if shard_dir is not None else list(self._shard_dirs)
-        merged = 0
-        for directory in dirs:
-            pattern = os.path.join(directory, f"shard-*{SHARD_FLIGHT_SUFFIX}")
-            for path in sorted(_glob.glob(pattern)):
-                events = [row for _, row in read_jsonl(path, "flight shard")[0]]
-                with self._lock:
-                    for event in events:
-                        self.seq += 1
-                        self._events.append(dict(event, seq=self.seq))
-                merged += len(events)
-                os.unlink(path)
-        return merged
+            for event in events:
+                self.seq += 1
+                self._events.append(dict(event, seq=self.seq))
 
     # ------------------------------------------------------------------
     # postmortem bundles
@@ -226,12 +172,7 @@ class FlightRecorder:
         "vrank", "dialect", "kind"}`` — filled in by whoever observed the
         failure (the engine resolves the dialect from its assignment, so
         the bundle names the failing hardware even with tracing off).
-        Child flight shards from attached directories are merged first.
         """
-        try:
-            self.collect_shards()
-        except OSError:  # a shard dir may already be gone at teardown
-            pass
         from repro.obs.bench import git_sha, machine_fingerprint
 
         metrics_snapshot = None
@@ -330,7 +271,7 @@ def configure(
 
 
 def reset() -> None:
-    """Fresh default recorder (ring, context, and shard watermark cleared)."""
+    """Fresh default recorder (ring, context, and export watermark cleared)."""
     configure()
 
 
@@ -338,8 +279,8 @@ def ensure_child() -> FlightRecorder:
     """Give a pool child its own recorder, dropping fork-inherited state.
 
     A ``fork``-started child inherits the parent's ring with a zero
-    shard watermark, so its first :func:`flush_shard` would re-ship the
-    parent's events and the merge would double-count them.  Called at
+    export watermark, so its first export would re-ship the parent's
+    events and the merge would double-count them.  Called at
     the top of every pool task; a no-op in the process that created the
     current recorder (including ``spawn`` children, whose module state
     is fresh).
@@ -374,22 +315,6 @@ def dump(
     path: Optional[str] = None,
 ) -> str:
     return _recorder.dump(reason, exc=exc, crash=crash, path=path)
-
-
-def flush_shard(shard_dir: str) -> Optional[str]:
-    return _recorder.flush_shard(shard_dir)
-
-
-def collect_shards(shard_dir: Optional[str] = None) -> int:
-    return _recorder.collect_shards(shard_dir)
-
-
-def attach_shard_dir(shard_dir: str) -> None:
-    _recorder.attach_shard_dir(shard_dir)
-
-
-def detach_shard_dir(shard_dir: str) -> None:
-    _recorder.detach_shard_dir(shard_dir)
 
 
 # ---------------------------------------------------------------------------

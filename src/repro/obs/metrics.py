@@ -333,8 +333,8 @@ class MetricsRegistry:
 
         Unlike :meth:`snapshot` (whose keys are pre-formatted
         ``name{labels}`` strings), this keeps labels as a mapping so a
-        receiving registry can re-key them — the cross-process shard
-        format consumed by :meth:`merge_state`.
+        receiving registry can re-key them — what a pool child ships
+        (:func:`repro.obs.export_child`) and :meth:`merge_state` consumes.
         """
         with self._lock:
             state: List[Dict[str, Any]] = []

@@ -32,46 +32,11 @@ from repro.utils.jsonl import read_jsonl
 #: JSONL schema version for saved traces.
 TRACE_FORMAT_VERSION = 1
 
-#: File suffix of per-pid span shards written by child processes
-#: (see :func:`repro.obs.flush_shard` / :func:`repro.obs.collect_shards`).
-SHARD_SPAN_SUFFIX = ".spans.jsonl"
-
 #: Synthetic Chrome-trace thread-id bases for derived lanes.  Real thread
 #: ids are masked to 16 bits and simulator tracks start at 0x10000, so
 #: these ranges never collide with either.
 EST_LANE_BASE = 0x20000
 WORKER_LANE_BASE = 0x30000
-
-
-def shard_span_path(shard_dir: str, pid: int) -> str:
-    return f"{shard_dir}/shard-{pid}{SHARD_SPAN_SUFFIX}"
-
-
-def append_shard_records(path: str, records: Iterable[Dict[str, Any]],
-                         pid: Optional[int] = None) -> int:
-    """Append span records to a per-process shard file (JSONL).
-
-    Each record is stamped with ``pid`` so the merged trace keeps one
-    process lane per pool worker.  Returns the number of lines written.
-    """
-    written = 0
-    with open(path, "a", encoding="utf-8") as fh:
-        for record in records:
-            if pid is not None:
-                record = dict(record, pid=pid)
-            fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-            written += 1
-    return written
-
-
-def load_shard_records(path: str) -> List[Dict[str, Any]]:
-    """Read a span-shard JSONL file, skipping a truncated trailing line.
-
-    A pool child killed mid-write (terminate on ``close()``) may leave a
-    partial last line; everything before it is still good data.
-    """
-    rows, _ = read_jsonl(path, "shard line")
-    return [row for _, row in rows if row.get("kind") in ("span", "instant")]
 
 
 class SimClock:
@@ -343,10 +308,10 @@ class SpanTracer:
             return self._tracks[label]
 
     def ingest(self, records: Iterable[Dict[str, Any]]) -> int:
-        """Fold externally produced records (e.g. child shards) into the ring.
+        """Fold externally produced records (e.g. a pool child's) into the ring.
 
         Records pass through unmodified — in particular a ``pid`` field
-        stamped by :func:`append_shard_records` survives, keeping each
+        stamped by :func:`repro.obs.export_child` survives, keeping each
         source process on its own lane in the Chrome export.
         """
         count = 0
@@ -454,7 +419,7 @@ def records_to_chrome_trace(
     """Convert span/instant records to the Chrome ``trace_event`` dict.
 
     Every record's ``pid`` (0 = the parent process; pool children stamp
-    their real pid via shard collection) becomes a Chrome *process* lane,
+    their real pid via :func:`repro.obs.export_child`) becomes a Chrome *process* lane,
     and worker/EST identity becomes a named *thread* lane within it, so a
     merged multi-process trace renders as separate tracks in
     ``chrome://tracing`` / Perfetto instead of one collapsed row.

@@ -1,13 +1,11 @@
 """The JSONL read contract, stated once.
 
-Every log this repository writes — ``RunLog`` telemetry, span traces and
-their per-pid shards, audit trails, flight-recorder shards, simulator
-event logs — is one JSON object per line, appended and flushed as the run
+Every log this repository writes — ``RunLog`` telemetry, span traces,
+audit trails, simulator event logs — is one JSON object per line, appended and flushed as the run
 goes.  A crash mid-``write`` can therefore damage exactly one place: the
 last line.  :func:`read_jsonl` is the only reader of that format; the
-loaders (``RunLog.load``, ``SpanTracer.load``, ``load_shard_records``,
-``AuditTrail.load``, ``load_events_jsonl``, the flight-shard collector)
-turn its rows into their own record types and nothing else.
+loaders (``RunLog.load``, ``SpanTracer.load``, ``AuditTrail.load``,
+``load_events_jsonl``) turn its rows into their own record types and nothing else.
 """
 
 from __future__ import annotations

@@ -318,31 +318,34 @@ class TestPoolIntegration:
 
 
 # ---------------------------------------------------------------------------
-# satellite regressions: close()/shard collection and shutdown safety
+# satellite regressions: child obs across an obs switch, and shutdown safety
 # ---------------------------------------------------------------------------
 
 
 def test_close_collects_shards_even_after_obs_disabled(env):
-    """Regression: ``close()`` used to gate shard collection on the obs
-    switch, silently dropping child spans recorded while it was on."""
+    """Regression: child spans recorded while obs was on must survive the
+    parent turning it off before ``close()``.  They ride each task result
+    and are merged as the step returns, into the tracer of that step."""
     spec, dataset = env
     obs.configure(enabled=True)
     try:
         backend = ProcessPoolBackend(max_workers=2)
         engine = _engine((spec, dataset), backend)
         engine.train_steps(1)
+        tracer = obs.tracer()
         # flip observability off between the last step and close(): this
-        # installs a fresh (empty) tracer, but the children's shards are
-        # already on disk and must still be merged into it
+        # installs a fresh (empty) tracer, and the step's tracer keeps
+        # what its children shipped
         obs.configure(enabled=False)
         assert not obs.tracer().records
         backend.close()
         child_spans = [
             r
-            for r in obs.tracer().records
+            for r in tracer.records
             if r["name"] == "exec.child_local_step"
         ]
-        assert child_spans, "child shards were dropped on close()"
+        assert child_spans, "child spans were dropped"
+        assert not obs.tracer().records  # close() merges nothing late
     finally:
         obs.reset()
 

@@ -6,7 +6,6 @@ failing step, worker, and active kernel dialect — because the flight
 recorder is always on, unlike every other obs surface.
 """
 
-import json
 import os
 
 import pytest
@@ -143,51 +142,41 @@ def test_bundle_includes_open_spans_when_obs_enabled(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# shard flush / collect (pool-child merge path)
+# export / ingest (pool-child merge path)
 # ---------------------------------------------------------------------------
 
 
-def test_flush_and_collect_shards_roundtrip(tmp_path):
+def test_flush_and_collect_shards_roundtrip():
     child = flightrec.FlightRecorder()
     child.record("exec.child_local_step", vrank=0)
     child.record("exec.child_local_step", vrank=1)
-    shard = child.flush_shard(str(tmp_path))
-    assert shard is not None and shard.endswith(flightrec.SHARD_FLIGHT_SUFFIX)
-    # second flush with nothing new writes nothing
-    assert child.flush_shard(str(tmp_path)) is None
+    first = child.export()
+    assert [e["vrank"] for e in first] == [0, 1]
+    # a second export with nothing new ships nothing
+    assert child.export() == []
     child.record("exec.child_local_step", vrank=2)
-    child.flush_shard(str(tmp_path))
+    second = child.export()
 
     parent = flightrec.FlightRecorder()
     parent.record("engine.step", step=0)
-    merged = parent.collect_shards(str(tmp_path))
-    assert merged == 3
+    parent.ingest([dict(e, pid=123) for e in first + second])
     events = parent.events
     assert [e.get("vrank") for e in events if "vrank" in e] == [0, 1, 2]
-    assert all("pid" in e for e in events if "vrank" in e)
-    # consumed on merge
-    assert parent.collect_shards(str(tmp_path)) == 0
+    assert all(e["pid"] == 123 for e in events if "vrank" in e)
+    assert [e["seq"] for e in events] == [1, 2, 3, 4]  # re-sequenced
+    assert parent.seq == 4
 
 
 def test_dump_merges_attached_shard_dirs(tmp_path):
+    # what a child exported before the parent's dump is in the bundle
     child = flightrec.FlightRecorder()
     child.record("exec.child_local_step", vrank=5)
-    child.flush_shard(str(tmp_path))
     parent = flightrec.FlightRecorder(directory=str(tmp_path))
-    parent.attach_shard_dir(str(tmp_path))
+    parent.ingest(child.export())
     parent.record("engine.step", step=2)
     bundle = flightrec.load_bundle(parent.dump("merge"))
     vranks = [e.get("vrank") for e in bundle["events"] if "vrank" in e]
     assert vranks == [5]
-
-
-def test_truncated_shard_line_is_skipped(tmp_path):
-    path = flightrec.shard_flight_path(str(tmp_path), 123)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"kind": "engine.step", "step": 0}) + "\n")
-        fh.write('{"kind": "engine.step", "st')  # child died mid-write
-    rec = flightrec.FlightRecorder()
-    assert rec.collect_shards(str(tmp_path)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -361,42 +361,7 @@ class TestChromeLanes:
 
 
 class TestShards:
-    """Per-pid shard files: append, load, and fold into a tracer."""
-
-    def test_append_load_round_trip(self, tmp_path):
-        from repro.obs.trace import (
-            append_shard_records,
-            load_shard_records,
-            shard_span_path,
-        )
-
-        tracer = SpanTracer()
-        with tracer.span("child_work", step=3):
-            pass
-        path = shard_span_path(str(tmp_path), pid=123)
-        append_shard_records(path, tracer.records, pid=123)
-        append_shard_records(path, tracer.records, pid=123)  # append, not clobber
-        loaded = load_shard_records(path)
-        assert len(loaded) == 2
-        assert all(r["pid"] == 123 for r in loaded)
-        assert all(r["name"] == "child_work" for r in loaded)
-
-    def test_load_skips_truncated_tail(self, tmp_path):
-        from repro.obs.trace import (
-            append_shard_records,
-            load_shard_records,
-            shard_span_path,
-        )
-
-        tracer = SpanTracer()
-        with tracer.span("ok"):
-            pass
-        path = shard_span_path(str(tmp_path), pid=9)
-        append_shard_records(path, tracer.records, pid=9)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "span", "name": "torn')
-        loaded = load_shard_records(path)
-        assert [r["name"] for r in loaded] == ["ok"]
+    """Records from another process fold into a tracer."""
 
     def test_ingest_folds_foreign_records(self):
         tracer = SpanTracer()

@@ -262,6 +262,34 @@ def test_one_node_per_layer_and_one_owner_rule():
     assert owners == {"src/repro/tensor/ops.py", "src/repro/tensor/tensor.py"}, owners
 
 
+def test_child_observability_rides_the_task_result():
+    # a pool child's spans, metrics and flight events come home in its
+    # task result through one export/merge pair; the per-pid files, their
+    # scratch directories and the knob naming them are gone by name.
+    # (Spelled split so this file does not match itself.)
+    import re
+
+    gone = [
+        "flush_" + "shard", "collect_" + "shards", "shard_" + "dir",
+        "SHARD_SPAN_" + "SUFFIX", "SHARD_FLIGHT_" + "SUFFIX",
+        "collect_" + "observability", "mk" + "dtemp",
+    ]
+    defs = []
+    for path in _python_files(SRC):
+        rel = os.path.relpath(path, REPO_ROOT)
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                for name in gone:
+                    assert name not in line, (rel, line.strip())
+                named = re.match(r"\s*def ((?:export|merge)_child)\(", line)
+                if named:
+                    defs.append((rel, named.group(1)))
+    assert sorted(defs) == [
+        ("src/repro/obs/__init__.py", "export_child"),
+        ("src/repro/obs/__init__.py", "merge_child"),
+    ], defs
+
+
 def test_every_exported_name_resolves():
     # an ``__all__`` entry whose definition was deleted breaks
     # ``from repro.x import *`` and nothing else, so nothing else notices
