@@ -15,14 +15,14 @@ Gives the repository's main entry points a shell surface:
   trace-sim event log (``obs report``).  ``train --trace/--audit/--profile``
   and ``trace-sim --trace/--events`` produce the input files.
 - ``faults`` — deterministic fault injection: ``faults gen`` writes a
-  seeded random :class:`~repro.faults.schedule.FaultPlan` JSON file;
+  seeded random :class:`~repro.faults.schedule.EventPlan` of faults;
   ``faults replay`` runs the fault-free reference and a
   :class:`~repro.faults.controller.ResilienceController` run under the
   plan, then proves the two bitwise-identical by diffing their audit
   trails.  ``train --faults PLAN`` trains through the controller.
 - ``membership`` — cluster membership scenarios: ``membership gen``
-  writes a seeded :class:`~repro.membership.plan.MembershipPlan` JSON
-  file (random host churn, or ``--rolling N`` for a rolling-upgrade
+  writes a seeded :class:`~repro.faults.schedule.EventPlan` of host
+  events (random host churn, or ``--rolling N`` for a rolling-upgrade
   drain); ``membership replay`` runs the static reference and a
   :class:`~repro.membership.controller.MembershipController` run under
   the plan, then proves the two bitwise-identical by diffing their
@@ -250,8 +250,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     import os
 
     from repro import obs
-    from repro.faults import FaultPlan
-    from repro.membership import MembershipPlan
+    from repro.faults import EventPlan
     from repro.utils.telemetry import RunLog
 
     # REPRO_TRACE=1 turns tracing on without a flag (the same switch the
@@ -260,8 +259,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if env_trace and not args.trace:
         args.trace = os.environ.get("REPRO_TRACE_PATH", "repro_trace.jsonl")
     # every named input, then every named output, before anything is built
-    hosts = _load(MembershipPlan.load, args.hosts) if args.hosts else None
-    faults = _load(FaultPlan.load, args.faults) if args.faults else None
+    hosts = _load(EventPlan.load, args.hosts, "host") if args.hosts else None
+    faults = _load(EventPlan.load, args.faults, "fault") if args.faults else None
     stages = [_parse_stage(s) for s in args.schedule]
     if hosts is None and faults is None:
         _ests_cover(args, *stages)
@@ -455,21 +454,17 @@ def _replay(args: argparse.Namespace, plan, pool, leg: str, build) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.faults import FaultPlan, ResilienceController, random_plan, run_contrast
+    from repro.faults import EventPlan, ResilienceController, random_plan, run_contrast
 
     if args.faults_command == "gen":
         if args.steps < 2:
             raise _BadInput("--steps needs at least 2 steps")
         plan = random_plan(
-            args.seed,
-            horizon_steps=args.steps,
-            num_gpus=args.gpus,
-            max_events=args.events,
-            note=args.note or "",
+            args.seed, horizon_steps=args.steps, num_gpus=args.gpus, max_events=args.events
         )
         return _save_plan(args, plan, "fault")
 
-    plan = _load(FaultPlan.load, args.plan)
+    plan = _load(EventPlan.load, args.plan, "fault")
     gpus = _parse_stage(args.gpus)
     if args.contrast:
         result = run_contrast(
@@ -485,23 +480,15 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_membership(args: argparse.Namespace) -> int:
-    from repro.membership import (
-        HostSpec,
-        MembershipController,
-        MembershipPlan,
-        random_membership_plan,
-        rolling_upgrade_plan,
-    )
+    from repro.faults import EventPlan, HostSpec, random_membership_plan, rolling_upgrade_plan
+    from repro.membership import MembershipController
 
     if args.membership_command == "gen":
         if args.rolling is None:
             if args.steps < 2:
                 raise _BadInput("--steps needs at least 2 steps")
             plan = random_membership_plan(
-                args.seed,
-                horizon_steps=args.steps,
-                max_events=args.events,
-                note=args.note or "",
+                args.seed, horizon_steps=args.steps, max_events=args.events
             )
         elif args.rolling < 2:
             raise _BadInput("--rolling needs at least 2 hosts")
@@ -511,11 +498,11 @@ def _cmd_membership(args: argparse.Namespace) -> int:
                 hosts,
                 start_step=1,
                 max_unavailable=args.max_unavailable,
-                note=args.note or f"rolling upgrade of {args.rolling} hosts",
+                note=f"rolling upgrade of {args.rolling} hosts",
             )
         return _save_plan(args, plan, "membership")
 
-    plan = _load(MembershipPlan.load, args.plan)
+    plan = _load(EventPlan.load, args.plan, "host")
     return _replay(
         args, plan, _roster_pool(plan), "member",
         lambda job, **kwargs: MembershipController(*job, plan, **kwargs),
@@ -573,7 +560,7 @@ def _plan_cache_totals(result) -> Optional[Tuple[int, int, float]]:
 
 def _cmd_trace_sim(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.faults import FaultPlan
+    from repro.faults import EventPlan
     from repro.hw import microbench_cluster, production_cluster
     from repro.obs.report import save_events_jsonl
     from repro.sched import (
@@ -587,7 +574,7 @@ def _cmd_trace_sim(args: argparse.Namespace) -> int:
 
     # every named input, then every named output, before anything is simulated
     calibration = _load(_load_calibration, args.calibrate) if args.calibrate else None
-    fault_plan = _load(FaultPlan.load, args.faults) if args.faults else None
+    fault_plan = _load(EventPlan.load, args.faults, "fault") if args.faults else None
     names = ["yarn", "homo", "heter"] if args.policy == "all" else [args.policy]
     # one events file per policy when replaying several
     event_paths = {
@@ -624,7 +611,7 @@ def _cmd_trace_sim(args: argparse.Namespace) -> int:
                 cluster = production_cluster(args.cluster_gpus)
             else:
                 cluster = microbench_cluster()
-            sim = ClusterSimulator(cluster, jobs, policy, faults=fault_plan)
+            sim = ClusterSimulator(cluster, jobs, policy, plan=fault_plan)
             result = sim.run() if args.core == "batched" else sim.run_reference()
             print(
                 f"{result.policy:<16} avg JCT {result.average_jct:>10.1f} s   "
@@ -1064,8 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="maximum events in the plan (default 4)")
     gen.add_argument("--out", metavar="PATH", default="fault_plan.json",
                      help="output path (default fault_plan.json)")
-    gen.add_argument("--note", default=None,
-                     help="free-text note stored in the plan")
 
     replay = faults_sub.add_parser(
         "replay",
@@ -1110,8 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="hosts drained per wave with --rolling (default 1)")
     mgen.add_argument("--out", metavar="PATH", default="membership_plan.json",
                       help="output path (default membership_plan.json)")
-    mgen.add_argument("--note", default=None,
-                      help="free-text note stored in the plan")
 
     mreplay = membership_sub.add_parser(
         "replay",

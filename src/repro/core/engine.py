@@ -44,7 +44,7 @@ from repro.utils.rng import RNGBundle, derive_seed
 from repro.utils.telemetry import RunLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->faults cycle
-    from repro.faults.injector import FaultInjector
+    from repro.faults.injector import StepDeliverer
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ class EasyScaleEngine:
         scheduler_factory: Optional[Callable[[Optimizer], LRScheduler]] = None,
         telemetry: Optional["RunLog"] = None,
         profiler: Optional["OnlineProfiler"] = None,
-        fault_injector: Optional["FaultInjector"] = None,
+        fault_injector: Optional["StepDeliverer"] = None,
         backend: Union[None, str, ExecutionBackend] = None,
         _restore: Optional[Checkpoint] = None,
     ) -> None:
@@ -569,7 +569,7 @@ class EasyScaleEngine:
         config: Optional[EasyScaleJobConfig] = None,
         telemetry: Optional["RunLog"] = None,
         profiler: Optional["OnlineProfiler"] = None,
-        fault_injector: Optional["FaultInjector"] = None,
+        fault_injector: Optional["StepDeliverer"] = None,
         backend: Union[None, str, ExecutionBackend] = None,
     ) -> "EasyScaleEngine":
         """Resume a job from an on-demand checkpoint on a new allocation."""

@@ -1,12 +1,13 @@
-"""repro.faults: deterministic fault injection and bitwise-safe recovery.
+"""repro.faults: deterministic scale events and bitwise-safe recovery.
 
 The subsystem has four layers, composing bottom-up:
 
 - :mod:`repro.faults.schedule` — seeded, JSON-round-trippable
-  :class:`FaultPlan`\\ s of timed :class:`FaultEvent`\\ s;
-- :mod:`repro.faults.injector` — :class:`FaultInjector` hooks firing plan
-  events inside the live engine/workers (and :class:`SimFaultInjector`
-  for the cluster simulator's sim-time domain);
+  :class:`EventPlan`\\ s of timed :class:`PlanEvent`\\ s, every kind (fault
+  or host) one row of the :data:`KINDS` table;
+- :mod:`repro.faults.injector` — :class:`StepDeliverer` firing plan
+  events inside the live engine/workers and its controllers, and
+  :class:`SimDriver` for the cluster simulator's sim-time domain;
 - :mod:`repro.faults.manager` — :class:`CheckpointManager` keeping
   CRC-verified periodic snapshots with retention;
 - :mod:`repro.faults.controller` — :class:`ResilienceController` driving
@@ -14,7 +15,8 @@ The subsystem has four layers, composing bottom-up:
 
 :mod:`repro.faults.contrast` runs the Fig-2-style experiment contrasting
 EasyScale's bitwise recovery against elastic baselines under the same
-plans.
+plans.  :mod:`repro.membership` adds the host lifecycle and its
+controller.
 """
 
 from repro.faults.contrast import ContrastResult, run_contrast, segments_from_plan
@@ -25,47 +27,53 @@ from repro.faults.controller import (
     ResilienceStats,
 )
 from repro.faults.injector import (
-    FaultInjector,
     FaultSignal,
     NodePreemptSignal,
-    SimFaultInjector,
+    SimDriver,
+    StepDeliverer,
     WorkerCrashSignal,
 )
 from repro.faults.manager import CheckpointManager, Snapshot
 from repro.faults.schedule import (
-    ABRUPT_KINDS,
-    CAPACITY_KINDS,
     FAULT_KINDS,
-    GRACEFUL_KINDS,
+    KINDS,
+    MEMBERSHIP_KINDS,
     PLAN_FORMAT_VERSION,
-    FaultEvent,
-    FaultPlan,
+    EventPlan,
+    HostSpec,
+    PlanEvent,
+    kinds,
+    random_membership_plan,
     random_plan,
     random_sim_plan,
+    rolling_upgrade_plan,
 )
 
 __all__ = [
-    "ABRUPT_KINDS",
-    "CAPACITY_KINDS",
     "FAULT_KINDS",
-    "GRACEFUL_KINDS",
+    "KINDS",
+    "MEMBERSHIP_KINDS",
     "PLAN_FORMAT_VERSION",
     "CheckpointManager",
     "ContrastResult",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
+    "EventPlan",
     "FaultSignal",
+    "HostSpec",
     "NodePreemptSignal",
+    "PlanEvent",
     "RecoveryFailedError",
     "RecoveryIncident",
     "ResilienceController",
     "ResilienceStats",
-    "SimFaultInjector",
+    "SimDriver",
     "Snapshot",
+    "StepDeliverer",
     "WorkerCrashSignal",
+    "kinds",
+    "random_membership_plan",
     "random_plan",
     "random_sim_plan",
+    "rolling_upgrade_plan",
     "run_contrast",
     "segments_from_plan",
 ]

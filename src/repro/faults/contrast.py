@@ -7,7 +7,7 @@ being **consistent**.  A TorchElastic-style restart rebuilds loaders from
 the new world size and rescales the learning rate, so the faulted run
 optimizes a different trajectory than the fault-free one.
 
-This module runs the four-way experiment for one :class:`FaultPlan`:
+This module runs the four-way experiment for one :class:`EventPlan`:
 
 =====================  ==========================================
 EasyScale, fault-free  reference parameter fingerprint
@@ -33,14 +33,14 @@ from repro.data.datasets import Dataset
 from repro.elastic.base import ElasticBaselineTrainer, ScalingStrategy, TrainSegment
 from repro.elastic.torchelastic import TorchElasticScaling
 from repro.faults.controller import ResilienceController, ResilienceStats
-from repro.faults.schedule import CAPACITY_KINDS, FaultPlan
+from repro.faults.schedule import EventPlan, kinds
 from repro.hw.gpu import GPUType, gpu_type
 from repro.models.registry import WorkloadSpec
 from repro.utils.fingerprint import fingerprint_state_dict
 
 
 def segments_from_plan(
-    plan: FaultPlan,
+    plan: EventPlan,
     initial_world: int,
     total_epochs: int,
     horizon_steps: int,
@@ -63,7 +63,7 @@ def segments_from_plan(
     # epoch boundary (0..total_epochs) for each capacity event, in order
     cuts: List[tuple] = []
     for event in plan.step_events:
-        if event.kind not in CAPACITY_KINDS:
+        if event.kind not in kinds("fault", removes=True):
             continue
         cost = int(event.magnitude) if event.kind == "node_preempt" else 1
         epoch = round((event.at_step / horizon_steps) * total_epochs)
@@ -178,7 +178,7 @@ def run_contrast(
     config: EasyScaleJobConfig,
     optimizer_factory: Callable,
     gpus: Sequence[Union[str, GPUType]],
-    plan: FaultPlan,
+    plan: EventPlan,
     total_steps: int,
     baseline_epochs: int = 2,
     strategy: Optional[ScalingStrategy] = None,

@@ -2,7 +2,7 @@
 
 The controller is the supervision loop the paper's AIMaster implies but
 never spells out (§4): it drives an :class:`EasyScaleEngine` through a
-:class:`~repro.faults.schedule.FaultPlan` and keeps the job's bitwise
+:class:`~repro.faults.schedule.EventPlan` and keeps the job's bitwise
 guarantee through every failure.  Its state machine:
 
 ::
@@ -41,13 +41,13 @@ from repro.core.checkpoint import Checkpoint, CheckpointCorruptError
 from repro.core.engine import EasyScaleEngine, EasyScaleJobConfig, WorkerAssignment
 from repro.data.datasets import Dataset
 from repro.faults.injector import (
-    FaultInjector,
     FaultSignal,
     NodePreemptSignal,
+    StepDeliverer,
     WorkerCrashSignal,
 )
 from repro.faults.manager import CheckpointManager
-from repro.faults.schedule import FaultEvent, FaultPlan
+from repro.faults.schedule import EventPlan, PlanEvent
 from repro.hw.gpu import GPUType, gpu_type
 from repro.hw.timing import static_capability
 from repro.models.registry import WorkloadSpec
@@ -167,7 +167,7 @@ class ResilienceController:
         config: EasyScaleJobConfig,
         optimizer_factory: Callable,
         gpus: Sequence[Union[str, GPUType]],
-        plan: FaultPlan,
+        plan: EventPlan,
         snapshot_interval: int = 4,
         retention: int = 4,
         snapshot_dir: Optional[str] = None,
@@ -204,7 +204,7 @@ class ResilienceController:
             g if isinstance(g, GPUType) else gpu_type(str(g).upper()) for g in gpus
         ]
         self.plan = plan
-        self.injector = FaultInjector(plan)
+        self.injector = StepDeliverer(plan)
         self.manager = CheckpointManager(
             interval=snapshot_interval, retention=retention, directory=snapshot_dir
         )
@@ -310,7 +310,7 @@ class ResilienceController:
         for event in self.injector.boundary_events(step):
             self._handle_graceful(event)
 
-    def _note_fault(self, event: FaultEvent) -> None:
+    def _note_fault(self, event: PlanEvent) -> None:
         self.stats.faults_injected += 1
         flightrec.record(
             "resilience.detect",
@@ -328,7 +328,7 @@ class ResilienceController:
             )
             obs.metrics().counter("faults_injected_total", kind=event.kind).inc()
 
-    def _handle_graceful(self, event: FaultEvent) -> None:
+    def _handle_graceful(self, event: PlanEvent) -> None:
         self._note_fault(event)
         if event.kind == "slowdown":
             victim = event.target_worker(len(self.engine.workers))
@@ -358,7 +358,7 @@ class ResilienceController:
         restore_step = int(ckpt.extra["global_step"]) if ckpt is not None else 0
         self._recover(event, ckpt, restore_step=restore_step, retries=retries)
 
-    def _shrink_pool(self, event: FaultEvent, count: int) -> None:
+    def _shrink_pool(self, event: PlanEvent, count: int) -> None:
         """Remove ``count`` GPUs (never the last one) from the pool."""
         count = max(1, count)
         preferred = event.target_gtype()
@@ -406,7 +406,7 @@ class ResilienceController:
 
     def _recover(
         self,
-        event: FaultEvent,
+        event: PlanEvent,
         ckpt: Optional[Checkpoint],
         restore_step: int,
         retries: int,

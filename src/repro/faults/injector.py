@@ -1,22 +1,30 @@
-"""Fault injection hooks for the engine, workers, and simulator.
+"""Delivering a plan's events: one step-domain and one sim-domain deliverer.
 
-The injector is the bridge between a declarative
-:class:`~repro.faults.schedule.FaultPlan` and the live system.  It fires
-each event exactly once, at a deterministic point:
+Both take an :class:`~repro.faults.schedule.EventPlan` of any kinds and
+fire each event exactly once, at a deterministic point.
 
-- **engine hook** — :meth:`FaultInjector.on_step_boundary` is called by
+:class:`StepDeliverer` serves a live engine.  Its one :meth:`~StepDeliverer.due`
+consumes the unfired events of some kinds whose ``at_step`` has arrived;
+everything else is a kind filter over it:
+
+- **engine hook** — :meth:`StepDeliverer.on_step_boundary` is called by
   :meth:`EasyScaleEngine._run_global_step` before any batch is loaded; a
-  due ``node_preempt`` raises :class:`NodePreemptSignal` there.
-- **worker hook** — :meth:`FaultInjector.on_local_step` is called by
+  due ``node_preempt`` or ``forceful_remove`` raises
+  :class:`NodePreemptSignal` there.
+- **worker hook** — :meth:`StepDeliverer.on_local_step` is called by
   :class:`~repro.core.worker.EasyScaleWorker` at the start of every EST
   local step; a due ``worker_crash`` raises :class:`WorkerCrashSignal`
   *mid-step*, after sibling ESTs may already have mutated shared state —
   exactly the situation where only a checkpoint-based restore can keep
   the bitwise guarantee.
-- **controller events** — graceful kinds (``gpu_revoke``, ``slowdown``,
-  ``checkpoint_corrupt``, ``restart_delay``) are pulled by the
-  :class:`~repro.faults.controller.ResilienceController` at each step
-  boundary via :meth:`boundary_events`.
+- **controller events** — graceful kinds are pulled at each step
+  boundary: the fault kinds by the
+  :class:`~repro.faults.controller.ResilienceController` via
+  :meth:`StepDeliverer.boundary_events`, the host kinds by the
+  :class:`~repro.membership.controller.MembershipController`.
+
+:class:`SimDriver` serves the cluster simulator's sim-time domain from a
+static action list.
 
 Signals deliberately do **not** derive from ``Exception`` subclasses the
 training stack catches anywhere — they propagate through the engine to
@@ -25,19 +33,23 @@ whoever supervises it, like a process death would.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, List, Optional, Tuple
 
-from repro.faults.schedule import GRACEFUL_KINDS, FaultEvent, FaultPlan
+from repro.faults.schedule import EventPlan, PlanEvent, kinds
 from repro.obs import flightrec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->faults cycle
     from repro.core.engine import EasyScaleEngine
 
+#: abrupt kinds that take GPUs away: raised at the engine's step boundary
+_PREEMPT_KINDS = kinds(graceful=False, removes=True)
+_GRACEFUL_FAULT_KINDS = kinds("fault", graceful=True)
+
 
 class FaultSignal(Exception):
     """Base class for injected failures surfacing out of the engine."""
 
-    def __init__(self, event: FaultEvent, detail: str = "") -> None:
+    def __init__(self, event: PlanEvent, detail: str = "") -> None:
         self.event = event
         where = (
             f"step {event.at_step}" if event.at_step is not None
@@ -49,7 +61,7 @@ class FaultSignal(Exception):
 class WorkerCrashSignal(FaultSignal):
     """A worker process died mid-step; its in-memory state is gone."""
 
-    def __init__(self, event: FaultEvent, worker_id: int, vrank: int) -> None:
+    def __init__(self, event: PlanEvent, worker_id: int, vrank: int) -> None:
         self.worker_id = worker_id
         self.vrank = vrank
         super().__init__(event, detail=f" (worker {worker_id}, during EST {vrank})")
@@ -59,26 +71,29 @@ class NodePreemptSignal(FaultSignal):
     """A node was reclaimed; several GPUs vanish at once."""
 
 
-class FaultInjector:
+class StepDeliverer:
     """Fire a plan's step-triggered events into a live engine, exactly once.
 
-    The injector carries no numerical state and never touches the model,
-    RNG, or loader — attaching one to a fault-free plan is a bitwise
-    no-op.  It survives engine rebuilds (``from_checkpoint`` passes it
-    through), and because fired events stay fired, a fault is not
-    re-raised when the recovered engine re-executes the same step.
+    An event is due once its ``at_step`` has arrived (``<=``): the
+    supervising loop visits every step boundary in order and a recovery
+    only rewinds, so each event still fires at its own step, and fired
+    events stay fired — a fault is not re-raised when the recovered engine
+    re-executes the same step.  The deliverer carries no numerical state
+    and never touches the model, RNG, or loader (attaching one to an empty
+    plan is a bitwise no-op); it survives engine rebuilds
+    (``from_checkpoint`` passes it through).
     """
 
-    def __init__(self, plan: FaultPlan) -> None:
+    def __init__(self, plan: EventPlan) -> None:
         self.plan = plan
-        self._events: List[FaultEvent] = list(plan.step_events)
+        self._events: Tuple[PlanEvent, ...] = plan.step_events
         self._fired: set = set()
         self._current_step: Optional[int] = None
         self._num_workers: int = 1
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Forget fired state (reuse the injector for a fresh run)."""
+        """Forget fired state (reuse the deliverer for a fresh run)."""
         self._fired.clear()
         self._current_step = None
         self._num_workers = 1
@@ -91,12 +106,26 @@ class FaultInjector:
     def exhausted(self) -> bool:
         return len(self._fired) == len(self._events)
 
-    def _due(self, step: int, kinds) -> Iterator[Tuple[int, FaultEvent]]:
+    def due(
+        self,
+        step: int,
+        kinds: Collection[str],
+        where: Optional[Callable[[PlanEvent], bool]] = None,
+    ) -> Iterator[PlanEvent]:
+        """Consume, in plan order, the unfired events of ``kinds`` due at
+        ``step`` (and accepted by ``where``).  Lazy: an event is marked
+        fired as it is yielded, so a caller that stops early leaves the
+        rest pending."""
         for idx, event in enumerate(self._events):
-            if idx in self._fired or event.at_step != step:
+            if idx in self._fired or event.at_step > step or event.kind not in kinds:
                 continue
-            if event.kind in kinds:
-                yield idx, event
+            if where is None or where(event):
+                self._fired.add(idx)
+                yield event
+
+    def pending_events(self) -> List[PlanEvent]:
+        """Events not yet fired (diagnostics / completeness checks)."""
+        return [e for i, e in enumerate(self._events) if i not in self._fired]
 
     # ------------------------------------------------------------------
     # hooks called by the engine / worker
@@ -105,8 +134,7 @@ class FaultInjector:
         """Called at the top of every global step; may raise a signal."""
         self._current_step = engine.global_step
         self._num_workers = engine.assignment.num_workers
-        for idx, event in self._due(engine.global_step, {"node_preempt"}):
-            self._fired.add(idx)
+        for event in self.due(engine.global_step, _PREEMPT_KINDS):
             flightrec.record(
                 "fault.detect", fault=event.kind, step=engine.global_step
             )
@@ -116,26 +144,27 @@ class FaultInjector:
         """Called by each worker before every EST local step."""
         if self._current_step is None:
             return
-        for idx, event in self._due(self._current_step, {"worker_crash"}):
-            if event.target_worker(self._num_workers) == worker_id:
-                self._fired.add(idx)
-                flightrec.record(
-                    "fault.detect",
-                    fault=event.kind,
-                    step=self._current_step,
-                    worker=worker_id,
-                    vrank=vrank,
-                )
-                raise WorkerCrashSignal(event, worker_id=worker_id, vrank=vrank)
+
+        def victim(event: PlanEvent) -> bool:
+            return event.target_worker(self._num_workers) == worker_id
+
+        for event in self.due(self._current_step, ("worker_crash",), victim):
+            flightrec.record(
+                "fault.detect",
+                fault=event.kind,
+                step=self._current_step,
+                worker=worker_id,
+                vrank=vrank,
+            )
+            raise WorkerCrashSignal(event, worker_id=worker_id, vrank=vrank)
 
     # ------------------------------------------------------------------
     # controller-driven (graceful) events
     # ------------------------------------------------------------------
-    def boundary_events(self, step: int) -> List[FaultEvent]:
-        """Consume the graceful events due at this step boundary."""
-        due: List[FaultEvent] = []
-        for idx, event in self._due(step, GRACEFUL_KINDS):
-            self._fired.add(idx)
+    def boundary_events(self, step: int) -> List[PlanEvent]:
+        """Consume the graceful fault events due at this step boundary."""
+        due = list(self.due(step, _GRACEFUL_FAULT_KINDS))
+        for event in due:
             flightrec.record(
                 "fault.graceful",
                 fault=event.kind,
@@ -143,50 +172,111 @@ class FaultInjector:
                 target=event.target,
                 magnitude=event.magnitude,
             )
-            due.append(event)
         return due
 
-    def pending_events(self) -> List[FaultEvent]:
-        """Events not yet fired (diagnostics / completeness checks)."""
-        return [e for i, e in enumerate(self._events) if i not in self._fired]
+
+#: simulator operations a host event expands to: (at the event time, at
+#: ``at_time + magnitude``); any other kind is one operation of its own name
+_SIM_OPS = {
+    "announce": ("announce", "join"),  # appears; joins once warm
+    "ready": ("join", None),
+    "reclaim_notice": ("reclaim_notice", "reclaim"),  # serves, then drains
+    "blacklist": ("blacklist", "rejoin"),  # out; back after the expiry
+}
+
+#: one timed simulator operation: (time, op, host, event) — ``host`` is
+#: None for a fault, whose ``op`` is its kind
+SimAction = Tuple[float, str, Optional[str], PlanEvent]
 
 
-class SimFaultInjector:
-    """Time-triggered counterpart for the cluster simulator.
+class SimDriver:
+    """Time-domain delivery for the simulator: one static action list.
 
-    The simulator treats each event's ``at_time`` as a decision point:
-    :meth:`next_time` feeds the event loop's candidate times, and
-    :meth:`due` pops every event whose time has arrived.
+    Each host event expands to its operation at ``at_time`` plus the
+    deadline it implies (warm-up completion, blacklist expiry, reclaim
+    deadline); each fault is one operation.  Every decision time is thus
+    derivable from the plan alone, which is what keeps the queue-driven
+    ``run`` and the reference scan byte-identical: neither core ever
+    discovers a new decision time at runtime.
+
+    At one decision point :meth:`due` yields host operations first — in
+    ``(time, op, host)`` order, so a host that joins and a fault that
+    strikes at one point see consistent capacity — then the drains
+    ``max_unavailable`` lets through, then faults in plan order.  A drain
+    beyond the cap is deferred and retried at the next decision point of
+    any kind (it piggybacks on existing decision times instead of minting
+    new ones).  ``registry`` holds every host's lifecycle state.
     """
 
-    def __init__(self, plan: FaultPlan) -> None:
+    def __init__(self, plan: EventPlan) -> None:
         self.plan = plan
-        self._events: List[FaultEvent] = sorted(
-            plan.time_events, key=lambda e: e.trigger
-        )
-        self._cursor = 0
+        self.reset()
 
     def reset(self) -> None:
-        self._cursor = 0
+        # lifecycle imports from repro.membership, whose package imports
+        # the controllers and with them this module
+        from repro.membership.lifecycle import ACTIVE, CANDIDATE, Host, HostRegistry
 
+        self.registry = HostRegistry()
+        for spec in self.plan.initial_hosts:
+            self.registry.add(Host(spec.host_id, spec.gtype, spec.slots, state=ACTIVE))
+        hosts: List[SimAction] = []
+        faults: List[SimAction] = []
+        for event in self.plan.time_events:
+            t = float(event.at_time)
+            if event.family == "fault":
+                faults.append((t, event.kind, None, event))
+                continue
+            if event.kind == "announce":
+                self.registry.add(Host(event.host, event.gtype, event.slots, state=CANDIDATE))
+            now, later = _SIM_OPS.get(event.kind, (event.kind, None))
+            hosts.append((t, now, event.host, event))
+            if later is not None:
+                hosts.append((t + event.magnitude, later, event.host, event))
+        hosts.sort(key=lambda a: a[:3])
+        faults.sort(key=lambda a: a[0])
+        # stable: each family keeps its own order within one time
+        self.actions: Tuple[SimAction, ...] = tuple(
+            sorted(hosts + faults, key=lambda a: (a[0], a[2] is None))
+        )
+        self._cursor = 0
+        #: drains held back by ``max_unavailable``, released FIFO
+        self.deferred: List[SimAction] = []
+        #: drains pushed past a decision point by ``max_unavailable``
+        self.deferrals = 0
+
+    # ------------------------------------------------------------------
     @property
     def exhausted(self) -> bool:
-        return self._cursor >= len(self._events)
+        return self._cursor >= len(self.actions) and not self.deferred
+
+    def times(self) -> Iterator[float]:
+        """Every static decision time (``run()`` pre-enqueues them)."""
+        for action in self.actions:
+            yield action[0]
 
     def next_time(self, after: float) -> Optional[float]:
-        """The earliest un-fired event time strictly after ``after``."""
-        for event in self._events[self._cursor:]:
-            if event.at_time is not None and event.at_time > after:
-                return float(event.at_time)
+        """The earliest pending action time strictly after ``after``."""
+        for action in self.actions[self._cursor:]:
+            if action[0] > after:
+                return action[0]
         return None
 
-    def due(self, now: float) -> List[FaultEvent]:
-        """Pop every event with ``at_time <= now`` (fired exactly once)."""
-        fired: List[FaultEvent] = []
-        while self._cursor < len(self._events):
-            event = self._events[self._cursor]
-            if event.at_time is None or event.at_time > now:
-                break
-            fired.append(event)
+    def due(self, now: float) -> List[SimAction]:
+        """Pop every action due at ``now``, honoring ``max_unavailable``."""
+        hosts: List[SimAction] = []
+        drains, self.deferred = self.deferred, []
+        faults: List[SimAction] = []
+        while self._cursor < len(self.actions) and self.actions[self._cursor][0] <= now:
+            action = self.actions[self._cursor]
             self._cursor += 1
-        return fired
+            if action[2] is None:
+                faults.append(action)
+            elif action[1] == "drain":
+                drains.append(action)
+            else:
+                hosts.append(action)
+        cap = self.plan.max_unavailable
+        self.deferred = drains[cap:]
+        self.deferrals += len(self.deferred)
+        return hosts + drains[:cap] + faults

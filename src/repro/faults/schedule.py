@@ -1,115 +1,188 @@
-"""Declarative, seeded fault plans: failure as a replayable input.
+"""Declarative, seeded event plans: failure and host churn as replayable input.
 
-EasyScale's headline claim (§3.2, §4) is that a job can lose workers at
-*any* moment — crash, preemption, scale-in — and resume on a different
-allocation with a bitwise-identical model.  Exercising that claim needs
-failures that are themselves **deterministic**: a :class:`FaultPlan` is a
-JSON-round-trippable schedule of timed :class:`FaultEvent`\\ s, generated
-from a seed, so any chaotic run can be replayed exactly (``repro faults
-replay``) and any divergence bisected with the audit trail.
+EasyScale's headline claim (§3.2, §4) is that a job can lose or gain
+workers at *any* moment — crash, preemption, drain, join — and resume on
+a different allocation with a bitwise-identical model.  Exercising that
+claim needs scale events that are themselves **deterministic**: an
+:class:`EventPlan` is a JSON-round-trippable schedule of timed
+:class:`PlanEvent`\\ s, generated from a seed, so any chaotic run can be
+replayed exactly (``repro faults replay`` / ``repro membership replay``)
+and any divergence bisected with the audit trail.
 
-Two trigger domains share one event type:
+Two trigger domains share the one event type:
 
 - ``at_step`` — global-step boundaries of a live
-  :class:`~repro.core.engine.EasyScaleEngine` (the injector fires them
-  through the engine/worker hooks);
+  :class:`~repro.core.engine.EasyScaleEngine`, delivered by
+  :class:`~repro.faults.injector.StepDeliverer`;
 - ``at_time`` — simulated seconds inside the
-  :class:`~repro.sched.simulator.ClusterSimulator` (decision points).
+  :class:`~repro.sched.simulator.ClusterSimulator`, delivered by
+  :class:`~repro.faults.injector.SimDriver`.
 
-Event kinds:
-
-========================  =====================================================
-``worker_crash``          a worker process dies mid-step; in-memory state is
-                          unreachable, recovery falls back to the last snapshot
-``gpu_revoke``            graceful scale-in notice: on-demand checkpoint, then
-                          one GPU leaves the pool (zero lost steps)
-``node_preempt``          abrupt removal of ``magnitude`` GPUs (serving spike);
-                          state unreachable, snapshot fallback
-``slowdown``              a worker degrades by ``magnitude``× (modeled time
-                          only — numerics stay bitwise)
-``checkpoint_corrupt``    bit-flip the newest periodic snapshot (the CRC layer
-                          must detect it; recovery retries on an older one)
-``restart_delay``         the next recovery takes ``magnitude`` extra seconds
-========================  =====================================================
+Every kind is one row of :data:`KINDS`: its family (``fault`` strikes a
+job, ``host`` changes the roster), whether it is negotiated at a step
+boundary (graceful) or strikes without warning (abrupt: recovery falls
+back to the last snapshot), whether it takes capacity away, and the rule
+and default of its ``magnitude``.  A plan with host events carries the
+starting roster (``initial_hosts``) and the rolling-upgrade cap
+``max_unavailable``; docs/FAULT_TOLERANCE.md, "Event plans", has the
+table and both file shapes.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 import random
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+from repro.hw.gpu import GPU_TYPES
 
 PLAN_FORMAT_VERSION = 1
 
-#: All recognized fault kinds.
-FAULT_KINDS = (
-    "worker_crash",
-    "gpu_revoke",
-    "node_preempt",
-    "slowdown",
-    "checkpoint_corrupt",
-    "restart_delay",
-)
 
-#: Kinds that strike without warning: the running state is unreachable and
-#: recovery must fall back to the last periodic snapshot.
-ABRUPT_KINDS = frozenset({"worker_crash", "node_preempt"})
+class Kind(NamedTuple):
+    """One row of the kind table."""
 
-#: Kinds that announce themselves at a step boundary: the controller gets
-#: to take an on-demand checkpoint first (zero lost steps).
-GRACEFUL_KINDS = frozenset(set(FAULT_KINDS) - ABRUPT_KINDS)
-
-#: Kinds that remove GPUs from the job's pool.
-CAPACITY_KINDS = frozenset({"gpu_revoke", "node_preempt"})
+    family: str  # "fault" | "host"
+    graceful: bool  # negotiated at a step boundary (False: snapshot fallback)
+    removes: bool  # takes capacity away (eventually, for notices)
+    rule: Tuple[str, float]  # magnitude must be <op> <bound>
+    default: float  # magnitude when the event omits it
 
 
-def validate_event_kinds(raw_events, known_kinds, source: str = "plan") -> None:
-    """Eagerly validate the ``kind`` of every raw (pre-dataclass) event.
+#: The kind table; row order is the order generators draw kinds in.
+KINDS: Dict[str, Kind] = {
+    # a worker process dies mid-step; its in-memory state is unreachable
+    "worker_crash": Kind("fault", False, False, (">", 0.0), 1.0),
+    # scale-in notice: on-demand checkpoint, then one GPU leaves
+    "gpu_revoke": Kind("fault", True, True, (">", 0.0), 1.0),
+    # ``magnitude`` GPUs vanish at once (serving spike)
+    "node_preempt": Kind("fault", False, True, (">", 0.0), 1.0),
+    # a worker degrades by ``magnitude``x (modeled time only)
+    "slowdown": Kind("fault", True, False, (">=", 1.0), 1.0),
+    # bit-flip the newest periodic snapshot (the CRC layer must catch it)
+    "checkpoint_corrupt": Kind("fault", True, False, (">", 0.0), 1.0),
+    # the next recovery takes ``magnitude`` extra seconds
+    "restart_delay": Kind("fault", True, False, (">", 0.0), 1.0),
+    # a new host (``gtype``/``slots``) appears and warms for ``magnitude`` s
+    "announce": Kind("host", True, False, (">=", 0.0), 0.0),
+    # explicit WARMING -> ACTIVE before the warm-up deadline
+    "ready": Kind("host", True, False, (">=", 0.0), 0.0),
+    # pulled from service; rejoins after ``magnitude`` s
+    "blacklist": Kind("host", True, True, (">", 0.0), 0.0),
+    # graceful removal, at most ``max_unavailable`` hosts at a time
+    "drain": Kind("host", True, True, (">=", 0.0), 0.0),
+    # spot reclaim: serves ``magnitude`` s more, then drains
+    "reclaim_notice": Kind("host", True, True, (">", 0.0), 0.0),
+    # the host vanishes without notice (snapshot fallback)
+    "forceful_remove": Kind("host", False, True, (">=", 0.0), 0.0),
+}
 
-    Shared by :meth:`FaultPlan.from_json` and
-    :meth:`repro.membership.plan.MembershipPlan.from_json` so both plan
-    formats reject an unknown kind at parse time with a path-and-index
-    message (``<source>: events[3]: unknown kind 'gpu_revoek'``) instead
-    of a bare dataclass error — or, worse, only at trigger time.
-    """
-    known = tuple(known_kinds)
-    for index, raw in enumerate(raw_events):
-        if not isinstance(raw, dict):
-            raise ValueError(
-                f"{source}: events[{index}]: must be a JSON object, "
-                f"got {type(raw).__name__}"
-            )
-        kind = raw.get("kind")
-        if kind not in known:
-            raise ValueError(
-                f"{source}: events[{index}]: unknown kind {kind!r}; "
-                f"expected one of {known}"
-            )
+_COMPARE = {">": operator.gt, ">=": operator.ge}
+
+
+def kinds(
+    family: Optional[str] = None,
+    graceful: Optional[bool] = None,
+    removes: Optional[bool] = None,
+) -> Tuple[str, ...]:
+    """The kinds whose row matches every given column, in table order."""
+    return tuple(
+        name
+        for name, row in KINDS.items()
+        if family in (None, row.family)
+        and graceful in (None, row.graceful)
+        and removes in (None, row.removes)
+    )
+
+
+FAULT_KINDS = kinds("fault")
+MEMBERSHIP_KINDS = kinds("host")
+
+
+def _check_gtype(gtype: str, who: str) -> str:
+    if gtype.upper() not in GPU_TYPES:
+        raise ValueError(
+            f"{who}: unknown GPU type {gtype!r}; "
+            f"expected one of {sorted(t.lower() for t in GPU_TYPES)}"
+        )
+    return gtype.lower()
+
+
+def _field(state: Dict[str, Any], key: str, kind: type, default: Any = None) -> Any:
+    """``state[key]`` if it has JSON type ``kind`` (bools are not numbers)."""
+    value = state.get(key)
+    if value is None:
+        return default
+    if kind is float and isinstance(value, int):
+        value = float(value)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = {int: "an integer", float: "a number", str: "a string"}[kind]
+        raise ValueError(f"{key} must be {noun}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
-class FaultEvent:
-    """One timed fault.
+class HostSpec:
+    """One host's identity and capability: GPU type and slot count."""
 
-    Exactly one of ``at_step`` / ``at_time`` must be set.  ``target``
-    addresses the victim: ``"worker:<i>"`` (engine worker index, taken
-    modulo the live worker count), a GPU type name (``"t4"``) for
-    revocations, or ``"job:<id>"`` in the simulator; ``None`` lets the
-    injector pick deterministically.  ``magnitude`` is kind-specific: the
-    slowdown factor, the number of preempted GPUs, or the delay seconds.
+    host_id: str
+    gtype: str
+    slots: int = 1
+
+    def __post_init__(self) -> None:
+        if not self.host_id:
+            raise ValueError("host_id must be non-empty")
+        if not self.gtype:
+            raise ValueError(f"{self.host_id}: gtype must be non-empty")
+        object.__setattr__(self, "gtype", _check_gtype(self.gtype, self.host_id))
+        if self.slots < 1:
+            raise ValueError(f"{self.host_id}: slots must be positive")
+
+    def to_state(self) -> Dict[str, Any]:
+        return {"host_id": self.host_id, "gtype": self.gtype, "slots": self.slots}
+
+    @classmethod
+    def from_state(cls, state: Dict[str, Any]) -> "HostSpec":
+        if not isinstance(state, dict):
+            raise ValueError(f"must be a JSON object, got {type(state).__name__}")
+        return cls(
+            host_id=_field(state, "host_id", str, ""),
+            gtype=_field(state, "gtype", str, ""),
+            slots=_field(state, "slots", int, 1),
+        )
+
+
+@dataclass(frozen=True)
+class PlanEvent:
+    """One timed event of any kind in :data:`KINDS`.
+
+    Exactly one of ``at_step`` / ``at_time`` must be set.  Fault kinds
+    address their victim with ``target``: ``"worker:<i>"`` (engine worker
+    index, taken modulo the live worker count), a GPU type name (``"t4"``)
+    for revocations, or ``"job:<id>"`` in the simulator; ``None`` lets the
+    deliverer pick deterministically.  Host kinds name their ``host``;
+    ``announce`` also carries the new host's ``gtype`` and ``slots``.
+    ``magnitude`` follows the kind's rule: the slowdown factor, the
+    preempted GPU count, or a duration in seconds.
     """
 
     kind: str
     at_step: Optional[int] = None
     at_time: Optional[float] = None
     target: Optional[str] = None
-    magnitude: float = 1.0
+    magnitude: Optional[float] = None
+    host: Optional[str] = None
+    gtype: Optional[str] = None
+    slots: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
+        row = KINDS.get(self.kind)
+        if row is None:
             raise ValueError(
-                f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
+                f"unknown event kind {self.kind!r}; expected one of {tuple(KINDS)}"
             )
         if (self.at_step is None) == (self.at_time is None):
             raise ValueError(
@@ -118,14 +191,31 @@ class FaultEvent:
             )
         if self.at_step is not None and self.at_step < 0:
             raise ValueError(f"{self.kind}: at_step must be non-negative")
-        if self.at_time is not None and self.at_time < 0:
-            raise ValueError(f"{self.kind}: at_time must be non-negative")
-        if self.magnitude <= 0:
-            raise ValueError(f"{self.kind}: magnitude must be positive")
-        if self.kind == "slowdown" and self.magnitude < 1.0:
-            raise ValueError("slowdown magnitude is a factor >= 1")
+        if self.at_time is not None and not 0 <= self.at_time < math.inf:
+            raise ValueError(f"{self.kind}: at_time must be finite and non-negative")
+        if self.magnitude is None:
+            object.__setattr__(self, "magnitude", row.default)
+        op, bound = row.rule
+        if not (_COMPARE[op](self.magnitude, bound) and math.isfinite(self.magnitude)):
+            raise ValueError(
+                f"{self.kind}: magnitude must be {op} {bound:g}, got {self.magnitude!r}"
+            )
+        if (row.family == "host") != bool(self.host):
+            need = "needs a host" if row.family == "host" else "takes no host"
+            raise ValueError(f"{self.kind}: {need}")
+        if self.kind == "announce":
+            if not self.gtype:
+                raise ValueError(f"announce for {self.host!r} needs a gtype")
+            if self.slots < 1:
+                raise ValueError(f"announce for {self.host!r}: slots must be positive")
+        if self.gtype is not None:
+            object.__setattr__(self, "gtype", _check_gtype(self.gtype, self.host))
 
     # ------------------------------------------------------------------
+    @property
+    def family(self) -> str:
+        return KINDS[self.kind].family
+
     @property
     def trigger(self) -> float:
         """Sort key within a plan (step index or sim seconds)."""
@@ -166,41 +256,98 @@ class FaultEvent:
             return None
         return self.target.lower()
 
+    def describe(self) -> str:
+        where = (
+            f"step {self.at_step}" if self.at_step is not None
+            else f"t={self.at_time:.1f}s"
+        )
+        if self.family == "fault":
+            extra = f" target={self.target}" if self.target else ""
+            return f"  {where:>12}  {self.kind:<18} magnitude={self.magnitude:g}{extra}"
+        extra = f" {self.slots}x{self.gtype}" if self.gtype is not None else ""
+        if self.magnitude:
+            extra += f" magnitude={self.magnitude:g}s"
+        return f"  {where:>12} {self.kind:<16} {self.host}{extra}"
+
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, Any]:
-        state: Dict[str, Any] = {"kind": self.kind, "magnitude": self.magnitude}
-        if self.at_step is not None:
-            state["at_step"] = self.at_step
-        if self.at_time is not None:
-            state["at_time"] = self.at_time
-        if self.target is not None:
-            state["target"] = self.target
+        state: Dict[str, Any] = {"kind": self.kind}
+        for key in ("host", "at_step", "at_time", "target"):
+            if getattr(self, key) is not None:
+                state[key] = getattr(self, key)
+        if self.gtype is not None:
+            state["gtype"] = self.gtype
+            state["slots"] = self.slots
+        if self.family == "fault" or self.magnitude:
+            state["magnitude"] = self.magnitude
         return state
 
     @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "FaultEvent":
+    def from_state(cls, state: Dict[str, Any]) -> "PlanEvent":
+        if not isinstance(state, dict):
+            raise ValueError(f"must be a JSON object, got {type(state).__name__}")
         return cls(
-            kind=str(state["kind"]),
-            at_step=int(state["at_step"]) if state.get("at_step") is not None else None,
-            at_time=float(state["at_time"]) if state.get("at_time") is not None else None,
-            target=str(state["target"]) if state.get("target") is not None else None,
-            magnitude=float(state.get("magnitude", 1.0)),
+            kind=_field(state, "kind", str),
+            at_step=_field(state, "at_step", int),
+            at_time=_field(state, "at_time", float),
+            target=_field(state, "target", str),
+            magnitude=_field(state, "magnitude", float),
+            host=_field(state, "host", str),
+            gtype=_field(state, "gtype", str),
+            slots=_field(state, "slots", int, 1),
         )
 
 
-@dataclass(frozen=True)
-class FaultPlan:
-    """A seeded, ordered schedule of fault events."""
+def _trigger(event: PlanEvent) -> float:
+    return event.trigger
 
-    events: Tuple[FaultEvent, ...]
+
+@dataclass(frozen=True)
+class EventPlan:
+    """A seeded, trigger-ordered schedule of events.
+
+    A plan with host events also carries the starting roster
+    (``initial_hosts``) every host event refers to, unless the host is
+    announced first.  ``max_unavailable`` bounds rolling upgrades: at most
+    that many hosts may be draining at any decision point; further due
+    drains are deferred to later boundaries.
+    """
+
+    events: Tuple[PlanEvent, ...] = ()
     seed: int = 0
     note: str = ""
+    initial_hosts: Tuple[HostSpec, ...] = ()
+    max_unavailable: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
+        object.__setattr__(self, "initial_hosts", tuple(self.initial_hosts))
+        if self.max_unavailable < 1:
+            raise ValueError("max_unavailable must be positive")
         triggers = [e.trigger for e in self.events]
         if triggers != sorted(triggers):
-            raise ValueError("fault plan events must be ordered by trigger")
+            raise ValueError("plan events must be ordered by trigger")
+        known = set()
+        for spec in self.initial_hosts:
+            if spec.host_id in known:
+                raise ValueError(f"duplicate initial host {spec.host_id!r}")
+            known.add(spec.host_id)
+        for event in self.events:
+            if event.family == "fault":
+                continue
+            if not self.initial_hosts:
+                raise ValueError("a plan with host events needs at least one initial host")
+            if event.kind == "announce":
+                if event.host in known:
+                    raise ValueError(
+                        f"announce for {event.host!r}: host already exists"
+                    )
+                known.add(event.host)
+            elif event.host not in known:
+                raise ValueError(
+                    f"{event.kind} for {event.host!r}: host was never "
+                    f"announced and is not in the initial roster"
+                )
 
     def __len__(self) -> int:
         return len(self.events)
@@ -210,15 +357,20 @@ class FaultPlan:
 
     # ------------------------------------------------------------------
     @property
-    def step_events(self) -> Tuple[FaultEvent, ...]:
+    def step_events(self) -> Tuple[PlanEvent, ...]:
         return tuple(e for e in self.events if e.at_step is not None)
 
     @property
-    def time_events(self) -> Tuple[FaultEvent, ...]:
+    def time_events(self) -> Tuple[PlanEvent, ...]:
         return tuple(e for e in self.events if e.at_time is not None)
 
+    def merged(self, other: "EventPlan") -> "EventPlan":
+        """This plan with ``other``'s events added, stably trigger-ordered
+        (at one trigger, this plan's events first)."""
+        return replace(self, events=sorted(self.events + other.events, key=_trigger))
+
     def capacity_cost(self) -> int:
-        """Total GPUs the plan removes from the pool (revokes + preempts)."""
+        """Total GPUs the plan's faults remove from the pool (revokes + preempts)."""
         cost = 0
         for event in self.events:
             if event.kind == "gpu_revoke":
@@ -228,57 +380,83 @@ class FaultPlan:
         return cost
 
     def describe(self) -> str:
-        lines = [f"fault plan (seed {self.seed}, {len(self.events)} events)"]
+        if self.initial_hosts:
+            lines = [
+                f"membership plan (seed {self.seed}, {len(self.initial_hosts)} "
+                f"initial host(s), {len(self.events)} event(s), "
+                f"max_unavailable={self.max_unavailable})"
+            ]
+        else:
+            lines = [f"fault plan (seed {self.seed}, {len(self.events)} events)"]
         if self.note:
             lines.append(f"  note: {self.note}")
-        for event in self.events:
-            where = (
-                f"step {event.at_step}" if event.at_step is not None
-                else f"t={event.at_time:.1f}s"
-            )
-            extra = f" target={event.target}" if event.target else ""
-            lines.append(
-                f"  {where:>12}  {event.kind:<18} magnitude={event.magnitude:g}{extra}"
-            )
+        for spec in self.initial_hosts:
+            lines.append(f"  initial      {spec.host_id:<16} {spec.slots}x{spec.gtype}")
+        lines.extend(event.describe() for event in self.events)
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
     # JSON round trip
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": PLAN_FORMAT_VERSION,
-                "seed": self.seed,
-                "note": self.note,
-                "events": [e.to_state() for e in self.events],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        payload: Dict[str, Any] = {
+            "version": PLAN_FORMAT_VERSION,
+            "seed": self.seed,
+            "note": self.note,
+            "events": [e.to_state() for e in self.events],
+        }
+        if self.initial_hosts:
+            payload["max_unavailable"] = self.max_unavailable
+            payload["initial_hosts"] = [h.to_state() for h in self.initial_hosts]
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, source: str = "fault plan") -> "FaultPlan":
+    def from_json(
+        cls, text: str, source: str = "plan", family: Optional[str] = None
+    ) -> "EventPlan":
+        """Parse a plan; ``family`` (``"fault"`` / ``"host"``) restricts the
+        kinds it may hold, and ``"host"`` requires the roster.  A bad event
+        or roster entry is reported as ``<source>: events[i]: <why>``."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as err:
-            raise ValueError(f"malformed fault plan JSON: {err}") from err
+            raise ValueError(f"malformed plan JSON: {err}") from err
         if not isinstance(payload, dict):
-            raise ValueError("fault plan must be a JSON object")
+            raise ValueError("plan must be a JSON object")
         version = payload.get("version", PLAN_FORMAT_VERSION)
         if version != PLAN_FORMAT_VERSION:
-            raise ValueError(f"unsupported fault plan version {version}")
-        if "events" not in payload:
-            raise ValueError("fault plan is missing the 'events' list")
-        events = payload["events"]
-        if not isinstance(events, list):
-            raise ValueError("fault plan 'events' must be a list")
-        validate_event_kinds(events, FAULT_KINDS, source=source)
-        return cls(
-            events=tuple(FaultEvent.from_state(e) for e in events),
-            seed=int(payload.get("seed", 0)),
-            note=str(payload.get("note", "")),
+            raise ValueError(f"unsupported plan version {version}")
+        if family == "fault" and "initial_hosts" in payload:
+            raise ValueError("a fault plan has no 'initial_hosts' list")
+        if "events" not in payload and "initial_hosts" not in payload:
+            raise ValueError("plan is missing the 'events' list")
+        allowed = kinds(family)
+        parsed = {}
+        for key, parse in (
+            ("events", PlanEvent.from_state), ("initial_hosts", HostSpec.from_state)
+        ):
+            entries = payload.get(key, [])
+            if not isinstance(entries, list):
+                raise ValueError(f"plan '{key}' must be a list")
+            parsed[key] = []
+            for index, entry in enumerate(entries):
+                try:
+                    kind = entry.get("kind") if key == "events" and isinstance(entry, dict) else None
+                    if kind is not None and kind not in allowed:
+                        raise ValueError(f"unknown kind {kind!r}; expected one of {allowed}")
+                    parsed[key].append(parse(entry))
+                except ValueError as err:
+                    raise ValueError(f"{source}: {key}[{index}]: {err}") from None
+        plan = cls(
+            events=tuple(parsed["events"]),
+            initial_hosts=tuple(parsed["initial_hosts"]),
+            seed=_field(payload, "seed", int, 0),
+            note=_field(payload, "note", str, ""),
+            max_unavailable=_field(payload, "max_unavailable", int, 1),
         )
+        if family == "host" and not plan.initial_hosts:
+            raise ValueError("membership plan needs a non-empty 'initial_hosts' list")
+        return plan
 
     def save(self, path) -> None:
         import os
@@ -288,11 +466,11 @@ class FaultPlan:
             fh.write(self.to_json() + "\n")
 
     @classmethod
-    def load(cls, path) -> "FaultPlan":
+    def load(cls, path, family: Optional[str] = None) -> "EventPlan":
         import os
 
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read(), source=os.fspath(path))
+            return cls.from_json(fh.read(), source=os.fspath(path), family=family)
 
 
 # ----------------------------------------------------------------------
@@ -304,9 +482,8 @@ def random_plan(
     num_gpus: int,
     max_events: int = 4,
     kinds: Sequence[str] = FAULT_KINDS,
-    note: str = "",
-) -> FaultPlan:
-    """Generate a step-triggered plan that a job on ``num_gpus`` survives.
+) -> EventPlan:
+    """Generate a step-triggered fault plan that a job on ``num_gpus`` survives.
 
     Deterministic in ``seed``.  Capacity-removing events (revokes,
     preempts) are bounded so at least one GPU always survives; events land
@@ -324,11 +501,11 @@ def random_plan(
         raise ValueError(f"unknown fault kinds: {sorted(bad)}")
     rng = random.Random(seed)
     budget = num_gpus - 1  # GPUs we may remove while keeping the job alive
-    events: List[FaultEvent] = []
+    events: List[PlanEvent] = []
     num_events = rng.randint(1, max_events)
     for _ in range(num_events):
         kind = rng.choice(list(kinds))
-        if kind in CAPACITY_KINDS and budget <= 0:
+        if KINDS[kind].removes and budget <= 0:
             kind = "worker_crash"  # deterministic downgrade: pool exhausted
         step = rng.randint(1, horizon_steps - 1)
         target: Optional[str] = None
@@ -347,10 +524,10 @@ def random_plan(
         elif kind == "restart_delay":
             magnitude = round(rng.uniform(5.0, 60.0), 1)
         events.append(
-            FaultEvent(kind=kind, at_step=step, target=target, magnitude=magnitude)
+            PlanEvent(kind=kind, at_step=step, target=target, magnitude=magnitude)
         )
     events.sort(key=lambda e: (e.trigger, e.kind))
-    return FaultPlan(events=tuple(events), seed=seed, note=note)
+    return EventPlan(events=tuple(events), seed=seed)
 
 
 def random_sim_plan(
@@ -358,13 +535,12 @@ def random_sim_plan(
     horizon_s: float,
     max_events: int = 6,
     kinds: Sequence[str] = FAULT_KINDS,
-    note: str = "",
-) -> FaultPlan:
-    """Generate a time-triggered plan for the cluster simulator."""
+) -> EventPlan:
+    """Generate a time-triggered fault plan for the cluster simulator."""
     if horizon_s <= 0:
         raise ValueError("horizon must be positive")
     rng = random.Random(seed)
-    events: List[FaultEvent] = []
+    events: List[PlanEvent] = []
     for _ in range(rng.randint(1, max(max_events, 1))):
         kind = rng.choice(list(kinds))
         at_time = round(rng.uniform(0.05, 0.95) * horizon_s, 1)
@@ -375,6 +551,110 @@ def random_sim_plan(
             magnitude = round(rng.uniform(1.5, 3.0), 2)
         elif kind == "restart_delay":
             magnitude = round(rng.uniform(10.0, 120.0), 1)
-        events.append(FaultEvent(kind=kind, at_time=at_time, magnitude=magnitude))
+        events.append(PlanEvent(kind=kind, at_time=at_time, magnitude=magnitude))
     events.sort(key=lambda e: (e.trigger, e.kind))
-    return FaultPlan(events=tuple(events), seed=seed, note=note)
+    return EventPlan(events=tuple(events), seed=seed)
+
+
+def rolling_upgrade_plan(
+    hosts: Sequence[HostSpec],
+    start_step: int = 1,
+    max_unavailable: int = 1,
+    keep: int = 1,
+    note: str = "rolling upgrade",
+) -> EventPlan:
+    """Drain every host except the last ``keep`` in roster order.
+
+    All drains are *due* at ``start_step``; ``max_unavailable`` makes the
+    controller release them one wave at a time — the canonical rolling
+    upgrade shape.
+    """
+    hosts = tuple(hosts)
+    if keep < 1:
+        raise ValueError("a rolling upgrade must keep at least one host")
+    if len(hosts) <= keep:
+        raise ValueError("nothing to drain: roster is not larger than 'keep'")
+    events = tuple(
+        PlanEvent(kind="drain", host=spec.host_id, at_step=start_step)
+        for spec in hosts[: len(hosts) - keep]
+    )
+    return EventPlan(
+        initial_hosts=hosts,
+        events=events,
+        max_unavailable=max_unavailable,
+        note=note,
+    )
+
+
+def random_membership_plan(
+    seed: int,
+    horizon_steps: int,
+    initial_hosts: Optional[Sequence[HostSpec]] = None,
+    max_events: int = 4,
+) -> EventPlan:
+    """Generate a step-triggered membership plan a job survives.
+
+    Deterministic in ``seed``.  Removal events are bounded so at least
+    one host is always left serving; events land on steps
+    ``1..horizon_steps-1`` (step 0 is left alone so every run has an
+    uncorrupted initial snapshot and a non-empty starting pool).
+    """
+    if horizon_steps < 2:
+        raise ValueError("horizon must span at least 2 steps")
+    if max_events < 1:
+        raise ValueError("max_events must be positive")
+    rng = random.Random(seed)
+    roster: Tuple[HostSpec, ...] = tuple(
+        initial_hosts
+        if initial_hosts is not None
+        else (
+            HostSpec("v100-host0", "v100", 1),
+            HostSpec("v100-host1", "v100", 1),
+            HostSpec("t4-host0", "t4", 1),
+            HostSpec("t4-host1", "t4", 1),
+        )
+    )
+    # only roster hosts receive removal events: an event may sort to an
+    # earlier step than an elastic host's announce, and a host gets at
+    # most one lifecycle-changing event (no drain of a blacklisted host)
+    touched: set = set()
+    events: List[PlanEvent] = []
+    announced = 0
+    for _ in range(rng.randint(1, max_events)):
+        step = rng.randint(1, horizon_steps - 1)
+        kind = rng.choice(MEMBERSHIP_KINDS)
+        if kind == "ready":
+            kind = "announce"  # ready only makes sense after an announce
+        if KINDS[kind].removes:
+            # keep at least one roster host serving at all times
+            candidates = [s.host_id for s in roster if s.host_id not in touched]
+            if len(candidates) <= 1:
+                kind = "announce"
+            else:
+                host = rng.choice(candidates)
+                touched.add(host)
+                if kind == "reclaim_notice":
+                    magnitude = float(rng.choice([15.0, 30.0, 60.0]))
+                elif kind == "blacklist":
+                    magnitude = float(rng.choice([20.0, 40.0, 80.0]))
+                else:
+                    magnitude = 0.0
+                events.append(
+                    PlanEvent(kind=kind, host=host, at_step=step, magnitude=magnitude)
+                )
+                continue
+        # announce a fresh elastic host (warm-up in seconds, may be 0)
+        host = f"elastic-{seed}-{announced}"
+        announced += 1
+        events.append(
+            PlanEvent(
+                kind="announce",
+                host=host,
+                at_step=step,
+                gtype=rng.choice(["v100", "t4"]),
+                slots=1,
+                magnitude=float(rng.choice([0.0, 10.0, 30.0])),
+            )
+        )
+    events.sort(key=lambda e: (e.trigger, e.kind, e.host))
+    return EventPlan(initial_hosts=roster, events=tuple(events), seed=seed)

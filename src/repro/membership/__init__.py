@@ -1,35 +1,26 @@
 """repro.membership: cluster membership — the anticipated half of elasticity.
 
-Where :mod:`repro.faults` models failures that *strike*, this subsystem
-models hosts that *negotiate*: announce themselves and warm up, drain
-gracefully one wave at a time during rolling upgrades, get blacklisted
-with an expiry, or leave with a spot-reclaim notice.  Four layers,
-composing bottom-up:
+Where faults model failures that *strike*, host events model hosts that
+*negotiate*: announce themselves and warm up, drain gracefully one wave
+at a time during rolling upgrades, get blacklisted with an expiry, or
+leave with a spot-reclaim notice.  Both are kinds of one
+:class:`~repro.faults.schedule.EventPlan` (the ``host`` family), and one
+deliverer per domain fires them (:mod:`repro.faults.injector`).  This
+package adds two layers on top:
 
-- :mod:`repro.membership.plan` — seeded, JSON-round-trippable
-  :class:`MembershipPlan`\\ s of timed :class:`HostEvent`\\ s over a
-  roster of :class:`HostSpec`\\ s;
 - :mod:`repro.membership.lifecycle` — the per-host state machine
   (``CANDIDATE → WARMING → ACTIVE → DRAINING → REMOVED``, plus
   ``BLACKLISTED`` with expiry) with validated transitions;
-- :mod:`repro.membership.discovery` — :class:`HostDiscovery` replaying
-  a plan's step events into the live engine, and
-  :class:`SimMembershipDriver` expanding it into static decision times
-  for the cluster simulator's two event cores;
 - :mod:`repro.membership.controller` — :class:`MembershipController`
   converting lifecycle edges into scheduler events on top of the
   :class:`~repro.faults.controller.ResilienceController`: graceful
-  transitions checkpoint at the current step (zero lost work), forceful
-  removals take the abrupt recovery path — and either way the run stays
-  bitwise-identical to the static one (``repro membership replay``).
+  transitions hand the live job over at the current step (zero lost
+  work), forceful removals take the abrupt recovery path — and either
+  way the run stays bitwise-identical to the static one (``repro
+  membership replay``).
 """
 
 from repro.membership.controller import MembershipController, MembershipStats
-from repro.membership.discovery import (
-    HostDiscovery,
-    MembershipAction,
-    SimMembershipDriver,
-)
 from repro.membership.lifecycle import (
     ACTIVE,
     BLACKLISTED,
@@ -43,42 +34,19 @@ from repro.membership.lifecycle import (
     HostRegistry,
     InvalidTransitionError,
 )
-from repro.membership.plan import (
-    GRACEFUL_MEMBERSHIP_KINDS,
-    MEMBERSHIP_FORMAT_VERSION,
-    MEMBERSHIP_KINDS,
-    REMOVAL_KINDS,
-    HostEvent,
-    HostSpec,
-    MembershipPlan,
-    random_membership_plan,
-    rolling_upgrade_plan,
-)
 
 __all__ = [
     "ACTIVE",
     "BLACKLISTED",
     "CANDIDATE",
     "DRAINING",
-    "GRACEFUL_MEMBERSHIP_KINDS",
     "HOST_STATES",
     "Host",
-    "HostDiscovery",
-    "HostEvent",
     "HostRegistry",
-    "HostSpec",
     "InvalidTransitionError",
-    "MEMBERSHIP_FORMAT_VERSION",
-    "MEMBERSHIP_KINDS",
-    "MembershipAction",
     "MembershipController",
-    "MembershipPlan",
     "MembershipStats",
-    "REMOVAL_KINDS",
     "REMOVED",
-    "SimMembershipDriver",
     "TRANSITIONS",
     "WARMING",
-    "random_membership_plan",
-    "rolling_upgrade_plan",
 ]

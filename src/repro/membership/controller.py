@@ -6,10 +6,12 @@ membership change (join, drain, blacklist, reclaim deadline, rejoin) is
 a **graceful** transition: the in-flight step finishes and the engine
 hands its live state to a worker set on the new pool
 (:meth:`EasyScaleEngine.reconfigure`) — zero lost work, nothing
-serialised.  ``forceful_remove`` events are translated into abrupt
-``node_preempt`` fault events at construction, so forceful host loss
-routes through the *existing* recovery machinery (snapshot fallback,
-retry/backoff, MTTR accounting) and still recovers bitwise.
+serialised.  Host events and any fault plan run alongside share one
+:class:`~repro.faults.injector.StepDeliverer`.  A ``forceful_remove`` is
+abrupt: the engine hook raises it like a ``node_preempt``, and it
+recovers as the ``node_preempt`` of the host's GPUs through the
+*existing* recovery machinery (snapshot fallback, retry/backoff, MTTR
+accounting) — still bitwise.
 
 Rolling upgrades: due ``drain`` events enter a FIFO queue and at most
 ``plan.max_unavailable`` are released per step boundary — the classic
@@ -36,9 +38,8 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.faults.controller import ResilienceController
 from repro.faults.injector import FaultSignal
-from repro.faults.schedule import FaultEvent, FaultPlan
+from repro.faults.schedule import EventPlan, PlanEvent, kinds
 from repro.hw.gpu import GPUType, gpu_type
-from repro.membership.discovery import HostDiscovery
 from repro.membership.lifecycle import (
     ACTIVE,
     BLACKLISTED,
@@ -48,8 +49,10 @@ from repro.membership.lifecycle import (
     Host,
     HostRegistry,
 )
-from repro.membership.plan import HostEvent, MembershipPlan
 from repro.obs import flightrec
+
+#: host kinds the controller applies at a step boundary
+_BOUNDARY_KINDS = kinds("host", graceful=True)
 
 
 @dataclass
@@ -89,8 +92,8 @@ class MembershipController(ResilienceController):
 
     The starting GPU pool is the plan's initial roster; capacity then
     grows and shrinks as the plan's host events fire at step boundaries.
-    An optional ``faults`` plan can run alongside (both injectors share
-    the boundary hook).
+    An optional ``faults`` plan can run alongside: its events join the
+    host events in one deliverer.
     """
 
     def __init__(
@@ -99,53 +102,31 @@ class MembershipController(ResilienceController):
         dataset,
         config,
         optimizer_factory,
-        plan: MembershipPlan,
-        faults: Optional[FaultPlan] = None,
+        plan: EventPlan,
+        faults: Optional[EventPlan] = None,
         **kwargs,
     ) -> None:
-        self.membership_plan = plan
         self.registry = HostRegistry()
         for host_spec in plan.initial_hosts:
             self.registry.add(
                 Host(host_spec.host_id, host_spec.gtype, host_spec.slots, state=ACTIVE)
             )
         self.mstats = MembershipStats()
-        self.discovery = HostDiscovery(plan)
         self._drain_queue: List[str] = []
         #: compute_s recorded at each step boundary; the gap between a
         #: recovery's restore step and the fault step is re-executed work
         self._compute_at_step: Dict[int, float] = {}
-        # forceful removals route through the abrupt recovery path: each
-        # becomes a node_preempt fault event addressed at the host's GPU
-        # type, merged (trigger-ordered) with any user-supplied plan
-        synthesized: List[FaultEvent] = []
-        self._forceful_hosts: Dict[FaultEvent, List[str]] = {}
-        for event in plan.step_events:
-            if event.kind != "forceful_remove":
-                continue
-            host_spec = plan.host_spec(event.host)
-            fault = FaultEvent(
-                kind="node_preempt",
-                at_step=event.at_step,
-                target=host_spec.gtype,
-                magnitude=float(host_spec.slots),
-            )
-            synthesized.append(fault)
-            self._forceful_hosts.setdefault(fault, []).append(event.host)
-        merged = sorted(
-            list(synthesized) + list(faults.events if faults is not None else ()),
-            key=lambda e: (e.trigger, e.kind),
-        )
-        fault_plan = FaultPlan(
-            events=tuple(merged), seed=plan.seed, note="membership-forceful"
-        )
+        if faults is not None:
+            # at one step a fault plan's graceful events apply in kind order
+            by_kind = sorted(faults.events, key=lambda e: (e.trigger, e.kind))
+            plan = plan.merged(EventPlan(events=by_kind))
         super().__init__(
             spec,
             dataset,
             config,
             optimizer_factory,
             self._active_pool(),
-            fault_plan,
+            plan,
             **kwargs,
         )
 
@@ -164,15 +145,13 @@ class MembershipController(ResilienceController):
     # ------------------------------------------------------------------
     def _on_boundary(self, step: int) -> None:
         self._compute_at_step[step] = self.compute_s
-        for event in self.discovery.due(step):
+        for event in self.injector.due(step, _BOUNDARY_KINDS):
             self._apply_event(event, step)
         self._apply_deadlines(step)
         self._release_drains(step)
         super()._on_boundary(step)
 
-    def _apply_event(self, event: HostEvent, step: int) -> None:
-        if event.kind == "forceful_remove":
-            return  # routed through the synthesized fault plan
+    def _apply_event(self, event: PlanEvent, step: int) -> None:
         if event.kind == "announce":
             host = self.registry.add(Host(event.host, event.gtype, event.slots))
             self.registry.transition(event.host, WARMING)
@@ -237,7 +216,7 @@ class MembershipController(ResilienceController):
     def _release_drains(self, step: int) -> None:
         """Pop at most ``max_unavailable`` queued drains (rolling wave)."""
         released = 0
-        while self._drain_queue and released < self.membership_plan.max_unavailable:
+        while self._drain_queue and released < self.plan.max_unavailable:
             host = self.registry.get(self._drain_queue.pop(0))
             self.registry.transition(host.host_id, DRAINING)
             self.registry.transition(host.host_id, REMOVED)
@@ -288,14 +267,19 @@ class MembershipController(ResilienceController):
     # forceful removals (the abrupt recovery path)
     # ------------------------------------------------------------------
     def _handle_abrupt(self, signal: FaultSignal) -> None:
-        host_id = None
-        queue = self._forceful_hosts.get(signal.event)
-        if queue:
-            host_id = queue.pop(0)
-            host = self.registry.get(host_id)
-            self.registry.transition(host_id, REMOVED)
+        event = signal.event
+        if event.kind == "forceful_remove":
+            host = self.registry.get(event.host)
+            self.registry.transition(host.host_id, REMOVED)
             self.mstats.forceful_removals += 1
             self._note("forceful_remove", host, self.engine.global_step)
+            # recovered as the node_preempt of the host's GPUs
+            signal.event = PlanEvent(
+                kind="node_preempt",
+                at_step=event.at_step,
+                target=host.gtype,
+                magnitude=float(host.slots),
+            )
         super()._handle_abrupt(signal)
         # compute spent since the restore step's boundary is re-executed
         incident = self.stats.incidents[-1]
@@ -303,7 +287,7 @@ class MembershipController(ResilienceController):
         if base is not None:
             self.mstats.lost_work_seconds += max(0.0, self.compute_s - base)
 
-    def _shrink_pool(self, event: FaultEvent, count: int) -> None:
+    def _shrink_pool(self, event: PlanEvent, count: int) -> None:
         # the registry is the source of truth; fall back to the parent's
         # keep-one-survivor guard only if a plan removed everything
         pool = self._active_pool()

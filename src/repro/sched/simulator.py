@@ -190,9 +190,8 @@ class ClusterSimulator:
         policy: SchedulingPolicy,
         reconfig_delay: float = 15.0,
         round_interval: float = 120.0,
-        faults: Optional[object] = None,
+        plan: Optional[object] = None,
         checkpoint_interval: float = 600.0,
-        membership: Optional[object] = None,
     ) -> None:
         if reconfig_delay < 0 or round_interval <= 0:
             raise ValueError("invalid simulator timing parameters")
@@ -205,27 +204,18 @@ class ClusterSimulator:
         #: jobs checkpoint every this many simulated seconds; an abrupt
         #: fault loses the progress made since the last boundary
         self.checkpoint_interval = checkpoint_interval
-        self.fault_injector = None
-        if faults is not None:
-            from repro.faults.injector import SimFaultInjector
+        #: the plan's :class:`~repro.faults.injector.SimDriver` (faults and
+        #: host events, one action list), or None
+        self.driver = None
+        if plan is not None:
+            from repro.faults.injector import SimDriver
 
-            self.fault_injector = SimFaultInjector(faults)
-        self.membership = None
-        if membership is not None:
-            from repro.hw.cluster import Machine
-            from repro.hw.gpu import gpu_type
-            from repro.membership.discovery import SimMembershipDriver
-
-            self.membership = SimMembershipDriver(membership)
+            self.driver = SimDriver(plan)
             # the plan's initial roster is extra capacity on top of the
             # base cluster, added before the capacity event below so the
             # saved stream self-describes the true starting inventory
-            for spec in membership.initial_hosts:
-                cluster.add_machine(
-                    Machine.build(
-                        spec.host_id, gpu_type(_canonical(spec.gtype)), spec.slots
-                    )
-                )
+            for spec in plan.initial_hosts:
+                self._add_host(spec.host_id, spec.gtype, spec.slots)
         self.preemptions = 0
         self.recovery_seconds = 0.0
         self.lost_work_seconds = 0.0
@@ -511,10 +501,14 @@ class ClusterSimulator:
             self.preempt(victim, take, gtype, abrupt=abrupt, kind=kind)
         self.cluster.remove_free(canonical, min(slots, self.cluster.free_count(canonical)))
 
-    def _apply_membership(self, action, arrived: List[JobRuntime]) -> None:
-        """Apply one due membership action to registry, cluster, policy."""
+    def _add_host(self, host_id: str, gtype: str, slots: int) -> None:
         from repro.hw.cluster import Machine
         from repro.hw.gpu import gpu_type
+
+        self.cluster.add_machine(Machine.build(host_id, gpu_type(_canonical(gtype)), slots))
+
+    def _apply_membership(self, op: str, host_id: str, arrived: List[JobRuntime]) -> None:
+        """Apply one due host operation to registry, cluster, policy."""
         from repro.membership.lifecycle import (
             ACTIVE,
             BLACKLISTED,
@@ -523,9 +517,8 @@ class ClusterSimulator:
             WARMING,
         )
 
-        registry = self.membership.registry
-        host = registry.get(action.host_id)
-        op = action.op
+        registry = self.driver.registry
+        host = registry.get(host_id)
         was_serving = host.serving
 
         def emit(kind: str) -> None:
@@ -542,11 +535,7 @@ class ClusterSimulator:
             if op == "rejoin" and host.state != BLACKLISTED:
                 return  # removed while blacklisted: the expiry is moot
             registry.transition(host.host_id, ACTIVE)
-            self.cluster.add_machine(
-                Machine.build(
-                    host.host_id, gpu_type(_canonical(host.gtype)), host.slots
-                )
-            )
+            self._add_host(host.host_id, host.gtype, host.slots)
             emit(f"host_{op}")
             self.policy.on_join(self, self.now, host.gtype, host.slots)
         elif op == "reclaim_notice":
@@ -592,8 +581,9 @@ class ClusterSimulator:
         self._ran = True
 
     def _apply_due(self, arrived: List[JobRuntime]) -> bool:
-        """Admit the arrivals, then apply the membership actions, then the
-        faults due at ``now``; True when any of them fired."""
+        """Admit the arrivals, then apply the plan's actions due at ``now``
+        (host operations, then faults: :meth:`SimDriver.due`); True when
+        any of them fired."""
         changed = False
         while (
             self._arrival_cursor < len(self.runtimes)
@@ -605,15 +595,12 @@ class ClusterSimulator:
             changed = True
             self.events.emit(self.now, "job_submit", job=runtime.job.job_id)
             self.policy.on_job_arrival(self, runtime)
-        if self.membership is not None:
-            # membership precedes faults: a host that joins and a fault
-            # that strikes at one decision point see consistent capacity
-            for action in self.membership.due(self.now):
-                self._apply_membership(action, arrived)
-                changed = True
-        if self.fault_injector is not None:
-            for event in self.fault_injector.due(self.now):
-                self._apply_fault(event, arrived)
+        if self.driver is not None:
+            for _, op, host, event in self.driver.due(self.now):
+                if host is None:
+                    self._apply_fault(event, arrived)
+                else:
+                    self._apply_membership(op, host, arrived)
                 changed = True
         return changed
 
@@ -669,8 +656,8 @@ class ClusterSimulator:
         :meth:`run_reference`, but:
 
         - progress accrual runs vectorized over the persistent SoA mirror.
-          Only a ``scalar`` point (a fault or membership entry is due, or
-          the first point) writes it back first — scalar code is about to
+          Only a ``scalar`` point (a plan entry is due, a drain was
+          deferred, or the first point) writes it back first — scalar code is about to
           read and move ``remaining_work`` — scans the objects for
           completions and rebuilds the mirror afterwards;
         - every other point (``arrival``, completion, round) reads the
@@ -767,17 +754,12 @@ class ClusterSimulator:
         runtimes = self.runtimes
 
         seeds = [(r.job.arrival_time, "arrival") for r in runtimes]
-        # a fault or membership action at exactly t=0 is never its own
-        # decision point in the reference core (candidates are strictly
-        # after `now`); it fires via due() at the first real decision
-        # point, so it is not enqueued
-        if self.fault_injector is not None:
-            t = self.fault_injector.next_time(0.0)
-            while t is not None:
-                seeds.append((t, "fault"))
-                t = self.fault_injector.next_time(t)
-        if self.membership is not None:
-            seeds.extend((t, "membership") for t in self.membership.times() if t > 0.0)
+        # a plan action at exactly t=0 is never its own decision point in
+        # the reference core (candidates are strictly after `now`); it
+        # fires via due() at the first real decision point, so it is not
+        # enqueued
+        if self.driver is not None:
+            seeds.extend((t, "plan") for t in self.driver.times() if t > 0.0)
         heap: List[Tuple[float, int, str, object]] = [
             (t, seq, kind, None) for seq, (t, kind) in enumerate(seeds)
         ]
@@ -789,7 +771,6 @@ class ClusterSimulator:
         #: generation counter for the single min-ETA completion entry;
         #: entries stamped with an older generation are stale predictions
         eta_gen = 0
-        SCALAR = ("fault", "membership")
 
         while True:
             t_next: Optional[float] = None
@@ -808,23 +789,24 @@ class ClusterSimulator:
                     if not state.any_running:
                         continue
                 t_next = time
-                arrival, scalar = kind == "arrival", kind in SCALAR
+                arrival, scalar = kind == "arrival", kind == "plan"
                 break
             if t_next is None or t_next > max_time:
                 break
             # drain the whole run of coincident entries now: the decision
             # point below batches everything due at t_next regardless of
-            # which entry surfaced it.  Every arrival and every fault or
-            # membership time after t=0 has a queue entry, so the drained
-            # kinds tell exactly whether a job arrives and whether scalar
-            # fault/membership code can fire at this point; the first
-            # decision point is always scalar because t<=0
-            # faults/membership fire via due() without an entry.
+            # which entry surfaced it.  Every arrival and every plan action
+            # time after t=0 has a queue entry, so the drained kinds tell
+            # exactly whether a job arrives and whether the plan's scalar
+            # code can fire at this point.  Two points are scalar without
+            # an entry: the first, because t<=0 actions fire via due()
+            # there, and the one after a drain was deferred, because the
+            # reference core releases it at its next decision point
             while heap and heap[0][0] == t_next:
                 kind = heapq.heappop(heap)[2]
                 arrival = arrival or kind == "arrival"
-                scalar = scalar or kind in SCALAR
-            if processed_until is None:
+                scalar = scalar or kind == "plan"
+            if processed_until is None or (self.driver is not None and self.driver.deferred):
                 scalar = True
 
             self._iterate(t_next, state, arrival, scalar)
@@ -887,14 +869,10 @@ class ClusterSimulator:
             if any(r.status == "running" for r in arrived):
                 next_round = (int(self.now / self.round_interval) + 1) * self.round_interval
                 candidates.append(next_round)
-            if self.fault_injector is not None:
-                fault_time = self.fault_injector.next_time(self.now)
-                if fault_time is not None:
-                    candidates.append(fault_time)
-            if self.membership is not None:
-                member_time = self.membership.next_time(self.now)
-                if member_time is not None:
-                    candidates.append(member_time)
+            if self.driver is not None:
+                plan_time = self.driver.next_time(self.now)
+                if plan_time is not None:
+                    candidates.append(plan_time)
             if not candidates:
                 break
             t_next = min(candidates)

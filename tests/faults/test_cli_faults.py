@@ -5,14 +5,14 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.faults import FaultEvent, FaultPlan, random_sim_plan
+from repro.faults import EventPlan, PlanEvent, random_sim_plan
 
 
 @pytest.fixture
 def small_plan(tmp_path):
     path = tmp_path / "plan.json"
-    FaultPlan(events=(
-        FaultEvent(kind="gpu_revoke", at_step=2),
+    EventPlan(events=(
+        PlanEvent(kind="gpu_revoke", at_step=2),
     ), seed=1).save(path)
     return str(path)
 
@@ -22,7 +22,7 @@ class TestGen:
         out = str(tmp_path / "plan.json")
         assert main(["faults", "gen", "--seed", "3", "--steps", "10",
                      "--gpus", "4", "--out", out]) == 0
-        plan = FaultPlan.load(out)
+        plan = EventPlan.load(out)
         assert plan.seed == 3 and len(plan) >= 1
         assert "fault plan written" in capsys.readouterr().out
 
@@ -30,7 +30,7 @@ class TestGen:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         main(["faults", "gen", "--seed", "9", "--out", a])
         main(["faults", "gen", "--seed", "9", "--out", b])
-        assert FaultPlan.load(a) == FaultPlan.load(b)
+        assert EventPlan.load(a) == EventPlan.load(b)
 
 
 class TestReplay:

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import EasyScaleJobConfig, determinism_from_label
 from repro.faults import (
-    FaultEvent,
-    FaultPlan,
+    EventPlan,
+    PlanEvent,
     run_contrast,
     segments_from_plan,
 )
@@ -15,18 +15,18 @@ from tests.conftest import sgd_factory
 
 class TestSegmentsFromPlan:
     def test_no_capacity_events_is_one_segment(self):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="slowdown", at_step=3, magnitude=2.0),
-            FaultEvent(kind="checkpoint_corrupt", at_step=5),
+        plan = EventPlan(events=(
+            PlanEvent(kind="slowdown", at_step=3, magnitude=2.0),
+            PlanEvent(kind="checkpoint_corrupt", at_step=5),
         ))
         segments = segments_from_plan(plan, initial_world=4, total_epochs=3,
                                       horizon_steps=10)
         assert [(s.world_size, s.epochs) for s in segments] == [(4, 3)]
 
     def test_capacity_events_cut_and_shrink(self):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="gpu_revoke", at_step=5),
-            FaultEvent(kind="node_preempt", at_step=8, magnitude=2.0),
+        plan = EventPlan(events=(
+            PlanEvent(kind="gpu_revoke", at_step=5),
+            PlanEvent(kind="node_preempt", at_step=8, magnitude=2.0),
         ))
         segments = segments_from_plan(plan, initial_world=4, total_epochs=4,
                                       horizon_steps=10)
@@ -36,15 +36,15 @@ class TestSegmentsFromPlan:
         ]
 
     def test_world_never_drops_below_one(self):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="node_preempt", at_step=2, magnitude=9.0),
+        plan = EventPlan(events=(
+            PlanEvent(kind="node_preempt", at_step=2, magnitude=9.0),
         ))
         segments = segments_from_plan(plan, initial_world=2, total_epochs=2,
                                       horizon_steps=4)
         assert segments[-1].world_size == 1
 
     def test_validation(self):
-        plan = FaultPlan(events=())
+        plan = EventPlan(events=())
         with pytest.raises(ValueError):
             segments_from_plan(plan, initial_world=0, total_epochs=2,
                                horizon_steps=4)
@@ -64,8 +64,8 @@ class TestRunContrast:
             num_ests=4, seed=0, batch_size=8,
             determinism=determinism_from_label("D1+D2"),
         )
-        plan = FaultPlan(events=(
-            FaultEvent(kind="gpu_revoke", at_step=4),
+        plan = EventPlan(events=(
+            PlanEvent(kind="gpu_revoke", at_step=4),
         ), seed=42)
         result = run_contrast(
             spec, dataset, config, sgd_factory(),

@@ -10,8 +10,8 @@ from repro.core import (
     determinism_from_label,
 )
 from repro.faults import (
-    FaultEvent,
-    FaultPlan,
+    EventPlan,
+    PlanEvent,
     RecoveryFailedError,
     ResilienceController,
     random_plan,
@@ -61,7 +61,7 @@ def _fingerprint(controller):
 
 class TestFaultFree:
     def test_empty_plan_matches_reference_bitwise(self, homo_env, homo_reference):
-        controller = _controller(homo_env, FaultPlan(events=()))
+        controller = _controller(homo_env, EventPlan(events=()))
         stats = controller.run(4)
         assert _fingerprint(controller) == homo_reference[4]
         assert stats.faults_injected == 0 and stats.recoveries == 0
@@ -70,7 +70,7 @@ class TestFaultFree:
 
     def test_ctor_validation(self, homo_env):
         spec, dataset, config = homo_env
-        plan = FaultPlan(events=())
+        plan = EventPlan(events=())
         with pytest.raises(ValueError, match="at least one GPU"):
             ResilienceController(spec, dataset, config, sgd_factory(), [], plan)
         with pytest.raises(ValueError, match="max_retries"):
@@ -82,14 +82,14 @@ class TestFaultFree:
         obs.configure(enabled=True, audit=True)
         try:
             with pytest.raises(ValueError, match="audit_rewind"):
-                _controller(homo_env, FaultPlan(events=()))
+                _controller(homo_env, EventPlan(events=()))
         finally:
             obs.reset()
 
 
 class TestGracefulRecovery:
     def test_gpu_revoke_loses_zero_steps(self, homo_env, homo_reference):
-        plan = FaultPlan(events=(FaultEvent(kind="gpu_revoke", at_step=2),))
+        plan = EventPlan(events=(PlanEvent(kind="gpu_revoke", at_step=2),))
         controller = _controller(homo_env, plan)
         stats = controller.run(4)
         assert len(controller.pool) == 1
@@ -101,22 +101,22 @@ class TestGracefulRecovery:
         assert _fingerprint(controller) == homo_reference[4]
 
     def test_slowdown_costs_time_but_not_bits(self, homo_env, homo_reference):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="slowdown", at_step=1, target="worker:0",
+        plan = EventPlan(events=(
+            PlanEvent(kind="slowdown", at_step=1, target="worker:0",
                        magnitude=2.0),
         ))
         slow = _controller(homo_env, plan)
         slow.run(4)
-        clean = _controller(homo_env, FaultPlan(events=()))
+        clean = _controller(homo_env, EventPlan(events=()))
         clean.run(4)
         assert _fingerprint(slow) == homo_reference[4]
         assert slow.stats.recoveries == 0
         assert slow.compute_s > clean.compute_s
 
     def test_restart_delay_charges_the_next_recovery(self, homo_env):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="restart_delay", at_step=1, magnitude=30.0),
-            FaultEvent(kind="gpu_revoke", at_step=2),
+        plan = EventPlan(events=(
+            PlanEvent(kind="restart_delay", at_step=1, magnitude=30.0),
+            PlanEvent(kind="gpu_revoke", at_step=2),
         ))
         controller = _controller(homo_env, plan)
         stats = controller.run(4)
@@ -128,8 +128,8 @@ class TestGracefulRecovery:
 class TestAbruptRecovery:
     def test_worker_crash_falls_back_to_last_snapshot(self, homo_env,
                                                       homo_reference):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="worker_crash", at_step=3, target="worker:1"),
+        plan = EventPlan(events=(
+            PlanEvent(kind="worker_crash", at_step=3, target="worker:1"),
         ))
         controller = _controller(homo_env, plan, snapshot_interval=2)
         stats = controller.run(5)
@@ -143,9 +143,9 @@ class TestAbruptRecovery:
 
     def test_corrupt_snapshot_retries_older_with_backoff(self, homo_env,
                                                          homo_reference):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="checkpoint_corrupt", at_step=3),
-            FaultEvent(kind="worker_crash", at_step=3),
+        plan = EventPlan(events=(
+            PlanEvent(kind="checkpoint_corrupt", at_step=3),
+            PlanEvent(kind="worker_crash", at_step=3),
         ))
         controller = _controller(homo_env, plan, snapshot_interval=2)
         stats = controller.run(5)
@@ -159,9 +159,9 @@ class TestAbruptRecovery:
 
     def test_cold_restart_when_no_snapshot_survives(self, homo_env,
                                                     homo_reference):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="checkpoint_corrupt", at_step=1),
-            FaultEvent(kind="worker_crash", at_step=2),
+        plan = EventPlan(events=(
+            PlanEvent(kind="checkpoint_corrupt", at_step=1),
+            PlanEvent(kind="worker_crash", at_step=2),
         ))
         # interval 10: the step-0 snapshot is the only one, and it dies
         controller = _controller(homo_env, plan, snapshot_interval=10)
@@ -174,9 +174,9 @@ class TestAbruptRecovery:
         assert _fingerprint(controller) == homo_reference[4]
 
     def test_retry_budget_exhaustion_raises(self, homo_env):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="checkpoint_corrupt", at_step=2),
-            FaultEvent(kind="worker_crash", at_step=2),
+        plan = EventPlan(events=(
+            PlanEvent(kind="checkpoint_corrupt", at_step=2),
+            PlanEvent(kind="worker_crash", at_step=2),
         ))
         controller = _controller(homo_env, plan, snapshot_interval=1,
                                  max_retries=1)
@@ -184,8 +184,8 @@ class TestAbruptRecovery:
             controller.run(4)
 
     def test_node_preempt_keeps_one_survivor(self, homo_env, homo_reference):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="node_preempt", at_step=2, magnitude=5.0),
+        plan = EventPlan(events=(
+            PlanEvent(kind="node_preempt", at_step=2, magnitude=5.0),
         ))
         controller = _controller(homo_env, plan, snapshot_interval=2)
         controller.run(4)
@@ -195,9 +195,9 @@ class TestAbruptRecovery:
 
 class TestAccounting:
     def test_clock_decomposes_exactly(self, homo_env):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="gpu_revoke", at_step=1),
-            FaultEvent(kind="worker_crash", at_step=3),
+        plan = EventPlan(events=(
+            PlanEvent(kind="gpu_revoke", at_step=1),
+            PlanEvent(kind="worker_crash", at_step=3),
         ))
         controller = _controller(homo_env, plan)
         stats = controller.run(5)
@@ -208,7 +208,7 @@ class TestAccounting:
         assert all(i.mttr_s is not None for i in stats.incidents)
 
     def test_stats_serialization(self, homo_env):
-        plan = FaultPlan(events=(FaultEvent(kind="gpu_revoke", at_step=1),))
+        plan = EventPlan(events=(PlanEvent(kind="gpu_revoke", at_step=1),))
         controller = _controller(homo_env, plan)
         stats = controller.run(3)
         payload = stats.to_dict()

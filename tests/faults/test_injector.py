@@ -1,13 +1,13 @@
-"""FaultInjector / SimFaultInjector: exactly-once firing and reset."""
+"""StepDeliverer / SimDriver: exactly-once firing and reset."""
 
 import pytest
 
 from repro.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
+    EventPlan,
     NodePreemptSignal,
-    SimFaultInjector,
+    PlanEvent,
+    SimDriver,
+    StepDeliverer,
     WorkerCrashSignal,
 )
 
@@ -26,13 +26,13 @@ class _StubEngine:
 
 
 def _plan(*events, seed=0):
-    return FaultPlan(events=tuple(events), seed=seed)
+    return EventPlan(events=tuple(events), seed=seed)
 
 
 class TestStepInjector:
     def test_node_preempt_fires_exactly_once(self):
-        plan = _plan(FaultEvent(kind="node_preempt", at_step=3, magnitude=2.0))
-        injector = FaultInjector(plan)
+        plan = _plan(PlanEvent(kind="node_preempt", at_step=3, magnitude=2.0))
+        injector = StepDeliverer(plan)
         engine = _StubEngine(global_step=3)
         injector.on_step_boundary(_StubEngine(global_step=2))
         with pytest.raises(NodePreemptSignal) as excinfo:
@@ -43,8 +43,8 @@ class TestStepInjector:
         assert injector.fired_count == 1 and injector.exhausted
 
     def test_worker_crash_targets_one_worker_mid_step(self):
-        plan = _plan(FaultEvent(kind="worker_crash", at_step=1, target="worker:1"))
-        injector = FaultInjector(plan)
+        plan = _plan(PlanEvent(kind="worker_crash", at_step=1, target="worker:1"))
+        injector = StepDeliverer(plan)
         injector.on_step_boundary(_StubEngine(global_step=1, num_workers=2))
         injector.on_local_step(worker_id=0, vrank=0)  # survivor: no raise
         with pytest.raises(WorkerCrashSignal) as excinfo:
@@ -54,19 +54,19 @@ class TestStepInjector:
         assert injector.exhausted
 
     def test_local_hook_inert_before_first_boundary(self):
-        injector = FaultInjector(
-            _plan(FaultEvent(kind="worker_crash", at_step=0))
+        injector = StepDeliverer(
+            _plan(PlanEvent(kind="worker_crash", at_step=0))
         )
         injector.on_local_step(worker_id=0, vrank=0)  # no boundary seen yet
         assert injector.fired_count == 0
 
     def test_boundary_events_consume_graceful_kinds(self):
         plan = _plan(
-            FaultEvent(kind="slowdown", at_step=2, target="worker:0", magnitude=2.0),
-            FaultEvent(kind="checkpoint_corrupt", at_step=2),
-            FaultEvent(kind="worker_crash", at_step=2),
+            PlanEvent(kind="slowdown", at_step=2, target="worker:0", magnitude=2.0),
+            PlanEvent(kind="checkpoint_corrupt", at_step=2),
+            PlanEvent(kind="worker_crash", at_step=2),
         )
-        injector = FaultInjector(plan)
+        injector = StepDeliverer(plan)
         due = injector.boundary_events(2)
         assert sorted(e.kind for e in due) == ["checkpoint_corrupt", "slowdown"]
         assert injector.boundary_events(2) == []  # consumed
@@ -74,27 +74,29 @@ class TestStepInjector:
         assert [e.kind for e in injector.pending_events()] == ["worker_crash"]
 
     def test_reset_restores_the_full_plan(self):
-        plan = _plan(FaultEvent(kind="gpu_revoke", at_step=1))
-        injector = FaultInjector(plan)
+        plan = _plan(PlanEvent(kind="gpu_revoke", at_step=1))
+        injector = StepDeliverer(plan)
         assert len(injector.boundary_events(1)) == 1
         injector.reset()
         assert not injector.exhausted
         assert len(injector.boundary_events(1)) == 1
 
     def test_time_events_are_ignored(self):
-        injector = FaultInjector(
-            _plan(FaultEvent(kind="node_preempt", at_time=10.0))
+        injector = StepDeliverer(
+            _plan(PlanEvent(kind="node_preempt", at_time=10.0))
         )
         injector.on_step_boundary(_StubEngine(global_step=10))
         assert injector.exhausted  # no step events at all
 
 
 class TestSimInjector:
+    """The faults-only face of :class:`SimDriver`: one action per event."""
+
     def _injector(self):
-        return SimFaultInjector(_plan(
-            FaultEvent(kind="slowdown", at_time=10.0, magnitude=2.0),
-            FaultEvent(kind="node_preempt", at_time=25.0),
-            FaultEvent(kind="node_preempt", at_time=40.0),
+        return SimDriver(_plan(
+            PlanEvent(kind="slowdown", at_time=10.0, magnitude=2.0),
+            PlanEvent(kind="node_preempt", at_time=25.0),
+            PlanEvent(kind="node_preempt", at_time=40.0),
         ))
 
     def test_next_time_is_strictly_after(self):
@@ -105,9 +107,9 @@ class TestSimInjector:
 
     def test_due_pops_in_order_exactly_once(self):
         injector = self._injector()
-        assert [e.at_time for e in injector.due(25.0)] == [10.0, 25.0]
+        assert [a[0] for a in injector.due(25.0)] == [10.0, 25.0]
         assert injector.due(25.0) == []
-        assert [e.at_time for e in injector.due(100.0)] == [40.0]
+        assert [a[0] for a in injector.due(100.0)] == [40.0]
         assert injector.exhausted
 
     def test_reset(self):

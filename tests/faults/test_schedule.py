@@ -1,14 +1,13 @@
-"""FaultEvent/FaultPlan: validation, JSON round trip, seeded generation."""
+"""PlanEvent/EventPlan: validation, JSON round trip, seeded generation."""
 
 import pytest
 
 from repro.faults import (
-    ABRUPT_KINDS,
-    CAPACITY_KINDS,
     FAULT_KINDS,
-    GRACEFUL_KINDS,
-    FaultEvent,
-    FaultPlan,
+    KINDS,
+    EventPlan,
+    PlanEvent,
+    kinds,
     random_plan,
     random_sim_plan,
 )
@@ -16,68 +15,72 @@ from repro.faults import (
 
 class TestFaultEventValidation:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultEvent(kind="meteor_strike", at_step=1)
+        with pytest.raises(ValueError, match="unknown event kind"):
+            PlanEvent(kind="meteor_strike", at_step=1)
 
     def test_exactly_one_trigger_required(self):
         with pytest.raises(ValueError, match="exactly one"):
-            FaultEvent(kind="worker_crash")
+            PlanEvent(kind="worker_crash")
         with pytest.raises(ValueError, match="exactly one"):
-            FaultEvent(kind="worker_crash", at_step=1, at_time=1.0)
+            PlanEvent(kind="worker_crash", at_step=1, at_time=1.0)
 
     def test_negative_triggers_rejected(self):
         with pytest.raises(ValueError):
-            FaultEvent(kind="worker_crash", at_step=-1)
+            PlanEvent(kind="worker_crash", at_step=-1)
         with pytest.raises(ValueError):
-            FaultEvent(kind="worker_crash", at_time=-0.5)
+            PlanEvent(kind="worker_crash", at_time=-0.5)
 
     def test_magnitude_must_be_positive(self):
         with pytest.raises(ValueError):
-            FaultEvent(kind="node_preempt", at_step=1, magnitude=0.0)
+            PlanEvent(kind="node_preempt", at_step=1, magnitude=0.0)
 
     def test_slowdown_is_a_factor(self):
-        with pytest.raises(ValueError, match="factor"):
-            FaultEvent(kind="slowdown", at_step=1, magnitude=0.5)
+        with pytest.raises(ValueError, match="magnitude must be >= 1"):
+            PlanEvent(kind="slowdown", at_step=1, magnitude=0.5)
 
     def test_kind_partitions(self):
-        assert ABRUPT_KINDS | GRACEFUL_KINDS == set(FAULT_KINDS)
-        assert not (ABRUPT_KINDS & GRACEFUL_KINDS)
-        assert CAPACITY_KINDS <= set(FAULT_KINDS)
+        abrupt, graceful = kinds("fault", graceful=False), kinds("fault", graceful=True)
+        assert set(abrupt) | set(graceful) == set(FAULT_KINDS)
+        assert not set(abrupt) & set(graceful)
+        assert abrupt == ("worker_crash", "node_preempt")
+        assert kinds("fault", removes=True) == ("gpu_revoke", "node_preempt")
+        assert kinds("host", graceful=False) == ("forceful_remove",)
+        assert all(KINDS[k].default == 1.0 for k in FAULT_KINDS)
 
 
 class TestTargets:
     def test_target_worker_modulo(self):
-        event = FaultEvent(kind="worker_crash", at_step=1, target="worker:5")
+        event = PlanEvent(kind="worker_crash", at_step=1, target="worker:5")
         assert event.target_worker(4) == 1
         assert event.target_worker(2) == 1
         # None targets worker 0 deterministically
-        assert FaultEvent(kind="worker_crash", at_step=1).target_worker(3) == 0
+        assert PlanEvent(kind="worker_crash", at_step=1).target_worker(3) == 0
 
     def test_target_worker_rejects_garbage(self):
-        event = FaultEvent(kind="worker_crash", at_step=1, target="worker:alpha")
+        event = PlanEvent(kind="worker_crash", at_step=1, target="worker:alpha")
         with pytest.raises(ValueError, match="not a worker index"):
             event.target_worker(4)
         with pytest.raises(ValueError, match="num_workers"):
-            FaultEvent(kind="worker_crash", at_step=1).target_worker(0)
+            PlanEvent(kind="worker_crash", at_step=1).target_worker(0)
 
     def test_target_job_and_gtype(self):
-        job = FaultEvent(kind="node_preempt", at_time=5.0, target="job:j-3")
+        job = PlanEvent(kind="node_preempt", at_time=5.0, target="job:j-3")
         assert job.target_job() == "j-3"
         assert job.target_gtype() is None
-        gtype = FaultEvent(kind="gpu_revoke", at_step=2, target="T4")
+        gtype = PlanEvent(kind="gpu_revoke", at_step=2, target="T4")
         assert gtype.target_gtype() == "t4"
         assert gtype.target_job() is None
-        assert FaultEvent(kind="gpu_revoke", at_step=2).target_gtype() is None
+        assert PlanEvent(kind="gpu_revoke", at_step=2).target_gtype() is None
 
 
 class TestFaultPlan:
     def _plan(self):
-        return FaultPlan(
+        return EventPlan(
             events=(
-                FaultEvent(kind="slowdown", at_step=1, target="worker:1",
+                PlanEvent(kind="slowdown", at_step=1, target="worker:1",
                            magnitude=2.5),
-                FaultEvent(kind="gpu_revoke", at_step=3, target="t4"),
-                FaultEvent(kind="node_preempt", at_time=40.0, magnitude=2.0),
+                PlanEvent(kind="gpu_revoke", at_step=3, target="t4"),
+                PlanEvent(kind="node_preempt", at_time=40.0, magnitude=2.0),
             ),
             seed=11,
             note="unit",
@@ -85,9 +88,9 @@ class TestFaultPlan:
 
     def test_events_must_be_ordered(self):
         with pytest.raises(ValueError, match="ordered"):
-            FaultPlan(events=(
-                FaultEvent(kind="worker_crash", at_step=5),
-                FaultEvent(kind="worker_crash", at_step=2),
+            EventPlan(events=(
+                PlanEvent(kind="worker_crash", at_step=5),
+                PlanEvent(kind="worker_crash", at_step=2),
             ))
 
     def test_step_time_split_and_capacity_cost(self):
@@ -99,25 +102,25 @@ class TestFaultPlan:
 
     def test_json_round_trip(self):
         plan = self._plan()
-        assert FaultPlan.from_json(plan.to_json()) == plan
+        assert EventPlan.from_json(plan.to_json()) == plan
 
     def test_save_load_round_trip(self, tmp_path):
         plan = self._plan()
         path = tmp_path / "plan.json"
         plan.save(path)
-        assert FaultPlan.load(path) == plan
+        assert EventPlan.load(path) == plan
 
     def test_from_json_rejects_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
-            FaultPlan.from_json("{nope")
+            EventPlan.from_json("{nope")
         with pytest.raises(ValueError, match="JSON object"):
-            FaultPlan.from_json("[1, 2]")
+            EventPlan.from_json("[1, 2]")
         with pytest.raises(ValueError, match="version"):
-            FaultPlan.from_json('{"version": 99, "events": []}')
+            EventPlan.from_json('{"version": 99, "events": []}')
         with pytest.raises(ValueError, match="missing"):
-            FaultPlan.from_json('{"seed": 1}')
+            EventPlan.from_json('{"seed": 1}')
         with pytest.raises(ValueError, match="list"):
-            FaultPlan.from_json('{"events": {"kind": "worker_crash"}}')
+            EventPlan.from_json('{"events": {"kind": "worker_crash"}}')
 
     def test_describe_mentions_every_event(self):
         text = self._plan().describe()

@@ -2,7 +2,7 @@
 training under many random membership plans on a heterogeneous pool.
 
 The acceptance property of the membership subsystem: for *any* seeded
-:func:`~repro.membership.plan.random_membership_plan`, a D1+D2 job
+:func:`~repro.faults.schedule.random_membership_plan`, a D1+D2 job
 supervised by the :class:`~repro.membership.controller.MembershipController`
 on the default V100+T4 roster finishes with (a) a per-step determinism
 audit trail identical to the static run's, (b) a bitwise-identical final
@@ -26,13 +26,8 @@ from repro.core import (
     determinism_from_label,
 )
 from repro.hw import gpu_type
-from repro.membership import (
-    HostEvent,
-    HostSpec,
-    MembershipController,
-    MembershipPlan,
-    random_membership_plan,
-)
+from repro.faults import EventPlan, HostSpec, PlanEvent, random_membership_plan
+from repro.membership import MembershipController
 from repro.models import get_workload
 from repro.utils.fingerprint import fingerprint_state_dict
 from tests.conftest import sgd_factory
@@ -122,9 +117,9 @@ def test_thirty_second_reclaim_notice_completes_bitwise(env):
     30 s notice spans ~48 step boundaries of modeled time before the
     host actually leaves — and the whole run stays bitwise."""
     total = 56
-    plan = MembershipPlan(
+    plan = EventPlan(
         initial_hosts=ROSTER,
-        events=(HostEvent(kind="reclaim_notice", host="t4-host0",
+        events=(PlanEvent(kind="reclaim_notice", host="t4-host0",
                           at_step=2, magnitude=30.0),),
     )
     ref_trail, ref_fingerprint = static_run(env, total)

@@ -9,15 +9,15 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.membership import HostEvent, HostSpec, MembershipPlan
+from repro.faults import EventPlan, HostSpec, PlanEvent
 
 
 @pytest.fixture
 def small_plan(tmp_path):
     path = tmp_path / "plan.json"
-    MembershipPlan(
+    EventPlan(
         initial_hosts=(HostSpec("v0", "v100", 1), HostSpec("v1", "v100", 1)),
-        events=(HostEvent(kind="drain", host="v1", at_step=2),),
+        events=(PlanEvent(kind="drain", host="v1", at_step=2),),
         seed=1,
     ).save(path)
     return str(path)
@@ -28,7 +28,7 @@ class TestGen:
         out = str(tmp_path / "plan.json")
         assert main(["membership", "gen", "--seed", "3", "--steps", "10",
                      "--out", out]) == 0
-        plan = MembershipPlan.load(out)
+        plan = EventPlan.load(out)
         assert plan.seed == 3 and len(plan) >= 1
         assert "membership plan written" in capsys.readouterr().out
 
@@ -36,12 +36,12 @@ class TestGen:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         main(["membership", "gen", "--seed", "9", "--out", a])
         main(["membership", "gen", "--seed", "9", "--out", b])
-        assert MembershipPlan.load(a) == MembershipPlan.load(b)
+        assert EventPlan.load(a) == EventPlan.load(b)
 
     def test_gen_rolling_emits_drain_waves(self, tmp_path, capsys):
         out = str(tmp_path / "roll.json")
         assert main(["membership", "gen", "--rolling", "4", "--out", out]) == 0
-        plan = MembershipPlan.load(out)
+        plan = EventPlan.load(out)
         assert len(plan.initial_hosts) == 4
         assert [e.kind for e in plan.events] == ["drain"] * 3
         assert plan.max_unavailable == 1
@@ -76,10 +76,10 @@ class TestReplay:
         # its ESTs onto the V100's kernel dialect, so the run must
         # diverge -- and the CLI must say so with exit code 4
         path = tmp_path / "het.json"
-        MembershipPlan(
+        EventPlan(
             initial_hosts=(HostSpec("v0", "v100", 1),
                            HostSpec("t0", "t4", 1)),
-            events=(HostEvent(kind="drain", host="t0", at_step=2),),
+            events=(PlanEvent(kind="drain", host="t0", at_step=2),),
         ).save(path)
         assert main(self.REPLAY_BASE + ["--plan", str(path)]) == 4
         assert "DIVERGED" in capsys.readouterr().out

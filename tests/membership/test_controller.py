@@ -16,17 +16,9 @@ from repro.core import (
     WorkerAssignment,
     determinism_from_label,
 )
-from repro.faults.schedule import FaultEvent, FaultPlan
+from repro.faults import EventPlan, HostSpec, PlanEvent, rolling_upgrade_plan
 from repro.hw import gpu_type
-from repro.membership import (
-    ACTIVE,
-    REMOVED,
-    HostEvent,
-    HostSpec,
-    MembershipController,
-    MembershipPlan,
-    rolling_upgrade_plan,
-)
+from repro.membership import ACTIVE, REMOVED, MembershipController
 from repro.models import get_workload
 from repro.utils.fingerprint import fingerprint_state_dict
 from tests.conftest import sgd_factory
@@ -99,9 +91,9 @@ def assert_bitwise(reference, controller, trail):
 
 class TestGracefulTransitions:
     def test_drain_is_bitwise_with_zero_lost_work(self, env, reference):
-        plan = MembershipPlan(
+        plan = EventPlan(
             initial_hosts=ROSTER,
-            events=(HostEvent(kind="drain", host="t4-host1", at_step=4),),
+            events=(PlanEvent(kind="drain", host="t4-host1", at_step=4),),
         )
         controller, stats, trail = run_plan(env, plan)
         assert_bitwise(reference, controller, trail)
@@ -113,9 +105,9 @@ class TestGracefulTransitions:
 
     def test_blacklist_then_expiry_rejoin(self, env, reference):
         # expiry of ~2 sim-seconds passes a couple of boundaries later
-        plan = MembershipPlan(
+        plan = EventPlan(
             initial_hosts=ROSTER,
-            events=(HostEvent(kind="blacklist", host="t4-host1", at_step=2,
+            events=(PlanEvent(kind="blacklist", host="t4-host1", at_step=2,
                               magnitude=2.0),),
         )
         controller, stats, trail = run_plan(env, plan)
@@ -149,13 +141,13 @@ class TestGracefulTransitions:
 
         spans = []
         for at_step in (2, 6):
-            plan = MembershipPlan(
+            plan = EventPlan(
                 initial_hosts=ROSTER,
                 events=(
                     # an unrelated scale event first, so the window is
                     # never the run's first rebuild
-                    HostEvent(kind="drain", host="v100-host1", at_step=1),
-                    HostEvent(kind=kind, host="t4-host1", at_step=at_step,
+                    PlanEvent(kind="drain", host="v100-host1", at_step=1),
+                    PlanEvent(kind=kind, host="t4-host1", at_step=at_step,
                               magnitude=2.0),
                 ),
             )
@@ -178,9 +170,9 @@ class TestGracefulTransitions:
     def test_spot_reclaim_with_notice(self, env, reference):
         # the host keeps serving through the notice window, then drains
         # gracefully at the deadline — capacity only leaves at the end
-        plan = MembershipPlan(
+        plan = EventPlan(
             initial_hosts=ROSTER,
-            events=(HostEvent(kind="reclaim_notice", host="t4-host0",
+            events=(PlanEvent(kind="reclaim_notice", host="t4-host0",
                               at_step=2, magnitude=2.5),),
         )
         controller, stats, trail = run_plan(env, plan)
@@ -199,9 +191,9 @@ class TestGracefulTransitions:
         assert notice_step == 2 and reclaim_step > notice_step
 
     def test_announce_warm_up_join_grows_pool(self, env, reference):
-        plan = MembershipPlan(
+        plan = EventPlan(
             initial_hosts=ROSTER,
-            events=(HostEvent(kind="announce", host="spot-0", at_step=3,
+            events=(PlanEvent(kind="announce", host="spot-0", at_step=3,
                               gtype="t4", slots=1, magnitude=0.0),),
         )
         controller, stats, trail = run_plan(env, plan)
@@ -211,12 +203,12 @@ class TestGracefulTransitions:
         assert controller.registry.get("spot-0").state == ACTIVE
 
     def test_ready_promotes_before_warm_up_deadline(self, env, reference):
-        plan = MembershipPlan(
+        plan = EventPlan(
             initial_hosts=ROSTER,
             events=(
-                HostEvent(kind="announce", host="spot-0", at_step=2,
+                PlanEvent(kind="announce", host="spot-0", at_step=2,
                           gtype="v100", magnitude=10_000.0),
-                HostEvent(kind="ready", host="spot-0", at_step=5),
+                PlanEvent(kind="ready", host="spot-0", at_step=5),
             ),
         )
         controller, stats, trail = run_plan(env, plan)
@@ -236,9 +228,9 @@ class TestForcefulRemoval:
         # snapshot_interval=3 forces a fallback to the step-3 snapshot, so
         # one step is re-executed (lost work > 0), yet the run still lands
         # bitwise on the static reference
-        plan = MembershipPlan(
+        plan = EventPlan(
             initial_hosts=ROSTER,
-            events=(HostEvent(kind="forceful_remove", host="t4-host1",
+            events=(PlanEvent(kind="forceful_remove", host="t4-host1",
                               at_step=4),),
         )
         controller, stats, trail = run_plan(env, plan, snapshot_interval=3)
@@ -255,9 +247,9 @@ class TestForcefulRemoval:
         assert controller.registry.serving_slots() == 3
 
     def test_forceful_at_snapshot_boundary_loses_nothing(self, env, reference):
-        plan = MembershipPlan(
+        plan = EventPlan(
             initial_hosts=ROSTER,
-            events=(HostEvent(kind="forceful_remove", host="t4-host1",
+            events=(PlanEvent(kind="forceful_remove", host="t4-host1",
                               at_step=4),),
         )
         controller, stats, trail = run_plan(env, plan, snapshot_interval=4)
@@ -318,10 +310,10 @@ class TestRollingUpgrade:
         spec, dataset, config = env
         plan = rolling_upgrade_plan(ROSTER, keep=1, max_unavailable=4)
         # hand-build a roster-emptying plan: drain the keeper too
-        plan = MembershipPlan(
+        plan = EventPlan(
             initial_hosts=ROSTER,
             events=tuple(
-                HostEvent(kind="drain", host=s.host_id, at_step=1)
+                PlanEvent(kind="drain", host=s.host_id, at_step=1)
                 for s in ROSTER
             ),
             max_unavailable=4,
@@ -335,12 +327,12 @@ class TestRollingUpgrade:
 
 class TestFaultsAlongside:
     def test_membership_and_fault_plan_compose(self, env, reference):
-        plan = MembershipPlan(
+        plan = EventPlan(
             initial_hosts=ROSTER,
-            events=(HostEvent(kind="drain", host="v100-host1", at_step=3),),
+            events=(PlanEvent(kind="drain", host="v100-host1", at_step=3),),
         )
-        faults = FaultPlan(
-            events=(FaultEvent(kind="gpu_revoke", at_step=6),), seed=1,
+        faults = EventPlan(
+            events=(PlanEvent(kind="gpu_revoke", at_step=6),), seed=1,
         )
         controller, stats, trail = run_plan(env, plan, faults=faults)
         assert_bitwise(reference, controller, trail)

@@ -15,12 +15,8 @@ from repro import obs
 from repro.core import EasyScaleEngine, EasyScaleJobConfig, WorkerAssignment
 from repro.data.sampler import DistributedSampler
 from repro.hw import gpu_type
-from repro.membership import (
-    HostEvent,
-    HostSpec,
-    MembershipController,
-    MembershipPlan,
-)
+from repro.faults import EventPlan, HostSpec, PlanEvent
+from repro.membership import MembershipController
 from repro.models import get_workload
 from repro.utils.fingerprint import fingerprint_state_dict
 from tests.conftest import sgd_factory
@@ -72,9 +68,9 @@ def reference(env):
 @pytest.mark.parametrize("step", range(TOTAL_STEPS))
 def test_drain_at_every_step_restores_global_order(env, reference, step):
     spec, dataset, config = env
-    plan = MembershipPlan(
+    plan = EventPlan(
         initial_hosts=ROSTER,
-        events=(HostEvent(kind="drain", host="drainee", at_step=step),),
+        events=(PlanEvent(kind="drain", host="drainee", at_step=step),),
     )
     obs.configure(enabled=True, audit=True, audit_rewind=True)
     try:

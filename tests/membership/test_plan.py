@@ -1,21 +1,21 @@
-"""MembershipPlan: validation, JSON round trip, canned/seeded generators.
+"""Host events in the one EventPlan: validation, JSON round trip,
+canned/seeded generators.
 
-Also pins the shared eager kind validator (``validate_event_kinds``) for
-*both* plan families: a malformed ``FaultPlan`` or ``MembershipPlan``
-JSON must fail at load time with the source path and the offending event
-index in the message, not deep inside a replay.
+Also pins the loader's eager kind check for *both* families: a malformed
+fault or membership plan must fail at load time with the source path and
+the offending event index in the message, not deep inside a replay.
 """
 
 import json
 
 import pytest
 
-from repro.faults.schedule import FAULT_KINDS, FaultPlan, validate_event_kinds
-from repro.membership.plan import (
-    MEMBERSHIP_KINDS,
-    HostEvent,
+from repro.faults.schedule import (
+    KINDS,
+    EventPlan,
     HostSpec,
-    MembershipPlan,
+    PlanEvent,
+    kinds,
     random_membership_plan,
     rolling_upgrade_plan,
 )
@@ -45,96 +45,86 @@ class TestHostSpec:
 class TestHostEvent:
     def test_exactly_one_trigger(self):
         with pytest.raises(ValueError, match="exactly one"):
-            HostEvent(kind="drain", host="h", at_step=1, at_time=1.0)
+            PlanEvent(kind="drain", host="h", at_step=1, at_time=1.0)
         with pytest.raises(ValueError, match="exactly one"):
-            HostEvent(kind="drain", host="h")
+            PlanEvent(kind="drain", host="h")
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown membership kind"):
-            HostEvent(kind="explode", host="h", at_step=1)
+        with pytest.raises(ValueError, match="unknown event kind"):
+            PlanEvent(kind="explode", host="h", at_step=1)
 
     def test_announce_needs_gtype(self):
         with pytest.raises(ValueError, match="needs a gtype"):
-            HostEvent(kind="announce", host="h", at_step=1)
+            PlanEvent(kind="announce", host="h", at_step=1)
 
     @pytest.mark.parametrize("kind", ["blacklist", "reclaim_notice"])
     def test_expiry_kinds_need_positive_magnitude(self, kind):
-        with pytest.raises(ValueError, match="positive magnitude"):
-            HostEvent(kind=kind, host="h", at_step=1)
+        with pytest.raises(ValueError, match="magnitude must be > 0"):
+            PlanEvent(kind=kind, host="h", at_step=1)
 
     def test_state_round_trip(self):
-        event = HostEvent(kind="announce", host="h", at_step=3,
+        event = PlanEvent(kind="announce", host="h", at_step=3,
                           gtype="T4", slots=2, magnitude=30.0)
-        assert HostEvent.from_state(event.to_state()) == event
+        assert PlanEvent.from_state(event.to_state()) == event
 
 
 class TestPlanValidation:
     def test_needs_initial_hosts(self):
         with pytest.raises(ValueError, match="at least one initial host"):
-            MembershipPlan(initial_hosts=())
+            EventPlan(events=(PlanEvent(kind="drain", host="h", at_step=1),))
 
     def test_duplicate_initial_hosts_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            MembershipPlan(initial_hosts=(HostSpec("h", "v100"),
+            EventPlan(initial_hosts=(HostSpec("h", "v100"),
                                           HostSpec("h", "t4")))
 
     def test_events_must_be_trigger_ordered(self):
         with pytest.raises(ValueError, match="ordered"):
-            MembershipPlan(
+            EventPlan(
                 initial_hosts=ROSTER,
-                events=(HostEvent(kind="drain", host="v100-host0", at_step=5),
-                        HostEvent(kind="drain", host="v100-host1", at_step=2)),
+                events=(PlanEvent(kind="drain", host="v100-host0", at_step=5),
+                        PlanEvent(kind="drain", host="v100-host1", at_step=2)),
             )
 
     def test_event_for_unknown_host_rejected(self):
         with pytest.raises(ValueError, match="never announced"):
-            MembershipPlan(
+            EventPlan(
                 initial_hosts=ROSTER,
-                events=(HostEvent(kind="drain", host="ghost", at_step=1),),
+                events=(PlanEvent(kind="drain", host="ghost", at_step=1),),
             )
 
     def test_announced_host_may_receive_later_events(self):
-        plan = MembershipPlan(
+        plan = EventPlan(
             initial_hosts=ROSTER,
             events=(
-                HostEvent(kind="announce", host="new", at_step=1, gtype="t4"),
-                HostEvent(kind="drain", host="new", at_step=5),
+                PlanEvent(kind="announce", host="new", at_step=1, gtype="t4"),
+                PlanEvent(kind="drain", host="new", at_step=5),
             ),
         )
         assert len(plan) == 2
 
     def test_reannounce_of_existing_host_rejected(self):
         with pytest.raises(ValueError, match="already exists"):
-            MembershipPlan(
+            EventPlan(
                 initial_hosts=ROSTER,
-                events=(HostEvent(kind="announce", host="t4-host0",
+                events=(PlanEvent(kind="announce", host="t4-host0",
                                   at_step=1, gtype="t4"),),
             )
 
     def test_max_unavailable_must_be_positive(self):
         with pytest.raises(ValueError, match="max_unavailable"):
-            MembershipPlan(initial_hosts=ROSTER, max_unavailable=0)
-
-    def test_host_spec_lookup(self):
-        plan = MembershipPlan(
-            initial_hosts=ROSTER,
-            events=(HostEvent(kind="announce", host="new", at_step=2,
-                              gtype="t4", slots=2),),
-        )
-        assert plan.host_spec("t4-host0") == ROSTER[2]
-        assert plan.host_spec("new") == HostSpec("new", "t4", 2)
-        assert plan.host_spec("ghost") is None
+            EventPlan(initial_hosts=ROSTER, max_unavailable=0)
 
 
 class TestJsonRoundTrip:
     def _plan(self):
-        return MembershipPlan(
+        return EventPlan(
             initial_hosts=ROSTER,
             events=(
-                HostEvent(kind="drain", host="v100-host1", at_step=2),
-                HostEvent(kind="blacklist", host="t4-host0", at_step=4,
+                PlanEvent(kind="drain", host="v100-host1", at_step=2),
+                PlanEvent(kind="blacklist", host="t4-host0", at_step=4,
                           magnitude=30.0),
-                HostEvent(kind="announce", host="spot-0", at_step=6,
+                PlanEvent(kind="announce", host="spot-0", at_step=6,
                           gtype="t4", slots=1, magnitude=10.0),
             ),
             seed=11, note="round trip", max_unavailable=2,
@@ -142,38 +132,38 @@ class TestJsonRoundTrip:
 
     def test_round_trip_is_exact(self):
         plan = self._plan()
-        assert MembershipPlan.from_json(plan.to_json()) == plan
+        assert EventPlan.from_json(plan.to_json()) == plan
 
     def test_save_load(self, tmp_path):
         path = tmp_path / "plan.json"
         plan = self._plan()
         plan.save(path)
-        assert MembershipPlan.load(path) == plan
+        assert EventPlan.load(path) == plan
 
     def test_version_check(self):
         payload = json.loads(self._plan().to_json())
         payload["version"] = 99
         with pytest.raises(ValueError, match="version 99"):
-            MembershipPlan.from_json(json.dumps(payload))
+            EventPlan.from_json(json.dumps(payload))
 
     def test_missing_initial_hosts(self):
         with pytest.raises(ValueError, match="initial_hosts"):
-            MembershipPlan.from_json(json.dumps({"events": []}))
+            EventPlan.from_json(json.dumps({"events": []}), family="host")
 
 
 class TestEagerKindValidation:
-    """Satellite: the shared validator names the source and event index."""
+    """The loader names the source and event index."""
 
     def test_membership_unknown_kind_names_path_and_index(self, tmp_path):
         path = tmp_path / "bad_membership.json"
-        payload = json.loads(MembershipPlan(initial_hosts=ROSTER).to_json())
+        payload = json.loads(EventPlan(initial_hosts=ROSTER).to_json())
         payload["events"] = [
             {"kind": "drain", "host": "t4-host0", "at_step": 1},
             {"kind": "vaporize", "host": "t4-host1", "at_step": 2},
         ]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError) as err:
-            MembershipPlan.load(path)
+            EventPlan.load(path, "host")
         message = str(err.value)
         assert str(path) in message
         assert "events[1]" in message
@@ -186,19 +176,33 @@ class TestEagerKindValidation:
             "events": [{"kind": "meteor_strike", "at_step": 3}],
         }))
         with pytest.raises(ValueError) as err:
-            FaultPlan.load(path)
+            EventPlan.load(path, "fault")
         message = str(err.value)
         assert str(path) in message
         assert "events[0]" in message
         assert "'meteor_strike'" in message
 
     def test_non_object_event_entry_rejected(self):
+        payload = {"initial_hosts": [ROSTER[0].to_state()], "events": ["drain"]}
         with pytest.raises(ValueError, match=r"events\[0\].*JSON object"):
-            validate_event_kinds(["drain"], MEMBERSHIP_KINDS, source="plan")
+            EventPlan.from_json(json.dumps(payload), family="host")
 
     def test_validator_accepts_all_known_kinds(self):
-        events = [{"kind": k} for k in FAULT_KINDS]
-        validate_event_kinds(events, FAULT_KINDS, source="plan")  # no raise
+        # every row of the kind table loads; a family filter takes its own rows
+        def event(kind):
+            state = {"kind": kind, "at_step": 1, "magnitude": 1.0}
+            if kind == "announce":
+                state.update(host="spot", gtype="t4")
+            elif KINDS[kind].family == "host":
+                state.update(host="t4-host0")
+            return state
+
+        payload = {"initial_hosts": [h.to_state() for h in ROSTER],
+                   "events": [event(k) for k in KINDS]}
+        assert [e.kind for e in EventPlan.from_json(json.dumps(payload))] == list(KINDS)
+        assert kinds("fault") + kinds("host") == tuple(KINDS)
+        with pytest.raises(ValueError, match=r"events\[0\]: unknown kind 'worker_crash'"):
+            EventPlan.from_json(json.dumps(payload), family="host")
 
 
 class TestRollingUpgradePlan:
@@ -224,18 +228,16 @@ class TestRandomMembershipPlan:
         assert plan.seed == seed
         assert 1 <= len(plan) <= 4
         assert all(1 <= e.at_step <= 11 for e in plan.events)
-        assert MembershipPlan.from_json(plan.to_json()) == plan
+        assert EventPlan.from_json(plan.to_json()) == plan
 
     def test_deterministic_in_seed(self):
         assert random_membership_plan(5, 12) == random_membership_plan(5, 12)
         assert random_membership_plan(5, 12) != random_membership_plan(6, 12)
 
     def test_removals_keep_a_roster_survivor(self):
-        from repro.membership.plan import REMOVAL_KINDS
-
         for seed in range(50):
             plan = random_membership_plan(seed, horizon_steps=12)
-            removed = {e.host for e in plan.events if e.kind in REMOVAL_KINDS}
+            removed = {e.host for e in plan.events if KINDS[e.kind].removes}
             roster = {s.host_id for s in plan.initial_hosts}
             assert roster - removed, f"seed {seed} removed the whole roster"
 

@@ -8,9 +8,8 @@ the reference linear-scan core under any plan.
 
 import pytest
 
-from repro.faults.schedule import FaultEvent, FaultPlan
+from repro.faults import EventPlan, HostSpec, PlanEvent
 from repro.hw import Cluster, Machine, gpu_type
-from repro.membership import HostEvent, HostSpec, MembershipPlan
 from repro.membership.lifecycle import ACTIVE, REMOVED
 from repro.sched.easyscale_policy import EasyScalePolicy
 from repro.sched.simulator import ClusterSimulator
@@ -38,7 +37,7 @@ ROSTER = (HostSpec("member-v", "v100", 2),)
 
 
 def plan(events=(), roster=ROSTER, **kwargs):
-    return MembershipPlan(initial_hosts=roster, events=tuple(events), **kwargs)
+    return EventPlan(initial_hosts=roster, events=tuple(events), **kwargs)
 
 
 class TestClusterInventory:
@@ -76,7 +75,7 @@ class TestClusterInventory:
 class TestCapacityLifecycle:
     def test_roster_joins_before_capacity_event(self):
         sim = ClusterSimulator(
-            base_cluster(), [], YarnCapacityScheduler(), membership=plan(),
+            base_cluster(), [], YarnCapacityScheduler(), plan=plan(),
         )
         first = next(iter(sim.events))
         assert first.kind == "cluster_capacity"
@@ -84,11 +83,11 @@ class TestCapacityLifecycle:
         assert sim.cluster.total("V100") == 4
 
     def test_announced_host_joins_and_grows_capacity(self):
-        events = [HostEvent(kind="announce", host="spot", at_time=100.0,
+        events = [PlanEvent(kind="announce", host="spot", at_time=100.0,
                             gtype="t4", slots=2, magnitude=50.0)]
         sim = ClusterSimulator(
             base_cluster(), [job(work=2 * 9.0 * 600)], YarnCapacityScheduler(),
-            membership=plan(events),
+            plan=plan(events),
         )
         result = sim.run()
         joins = result.events.of_kind("host_join")
@@ -96,15 +95,15 @@ class TestCapacityLifecycle:
             (150.0, {"host": "spot", "gtype": "t4", "gpus": 2})
         ]
         assert sim.cluster.total("T4") == 2
-        assert sim.membership.registry.get("spot").state == ACTIVE
+        assert sim.driver.registry.get("spot").state == ACTIVE
 
     def test_drain_preempts_holder_gracefully(self):
         # one job holds all four V100s; draining the member host must
         # preempt two of them without losing work, then shrink capacity
-        events = [HostEvent(kind="drain", host="member-v", at_time=200.0)]
+        events = [PlanEvent(kind="drain", host="member-v", at_time=200.0)]
         sim = ClusterSimulator(
             base_cluster(), [job(gpus=4, work=4 * 9.0 * 600)],
-            YarnCapacityScheduler(), membership=plan(events),
+            YarnCapacityScheduler(), plan=plan(events),
         )
         result = sim.run()
         preempts = result.events.of_kind("preempt")
@@ -114,16 +113,16 @@ class TestCapacityLifecycle:
         assert preempts[0].payload["lost_s"] == 0.0
         assert sim.lost_work_seconds == 0.0
         assert sim.cluster.total("V100") == 2
-        assert sim.membership.registry.get("member-v").state == REMOVED
+        assert sim.driver.registry.get("member-v").state == REMOVED
         drains = result.events.of_kind("host_drain")
         assert [e.time for e in drains] == [200.0]
 
     def test_forceful_remove_is_abrupt_and_loses_work(self):
-        events = [HostEvent(kind="forceful_remove", host="member-v",
+        events = [PlanEvent(kind="forceful_remove", host="member-v",
                             at_time=200.0)]
         sim = ClusterSimulator(
             base_cluster(), [job(gpus=4, work=4 * 9.0 * 600)],
-            YarnCapacityScheduler(), membership=plan(events),
+            YarnCapacityScheduler(), plan=plan(events),
         )
         result = sim.run()
         preempts = result.events.of_kind("preempt")
@@ -136,11 +135,11 @@ class TestCapacityLifecycle:
     def test_blacklist_removes_free_same_type_capacity(self):
         # nobody holds the member host's GPUs: blacklisting removes free
         # capacity of its type without touching the running job
-        events = [HostEvent(kind="blacklist", host="member-v", at_time=150.0,
+        events = [PlanEvent(kind="blacklist", host="member-v", at_time=150.0,
                             magnitude=10_000.0)]
         sim = ClusterSimulator(
             base_cluster(), [job(gpus=2, work=2 * 9.0 * 600)],
-            YarnCapacityScheduler(), membership=plan(events),
+            YarnCapacityScheduler(), plan=plan(events),
         )
         result = sim.run()
         assert result.events.of_kind("host_blacklist")
@@ -149,11 +148,11 @@ class TestCapacityLifecycle:
         assert sim.cluster.total("V100") == 2
 
     def test_reclaim_notice_then_deadline(self):
-        events = [HostEvent(kind="reclaim_notice", host="member-v",
+        events = [PlanEvent(kind="reclaim_notice", host="member-v",
                             at_time=100.0, magnitude=30.0)]
         sim = ClusterSimulator(
             base_cluster(), [job(gpus=4, work=4 * 9.0 * 600)],
-            YarnCapacityScheduler(), membership=plan(events),
+            YarnCapacityScheduler(), plan=plan(events),
         )
         result = sim.run()
         notice = result.events.of_kind("host_reclaim_notice")
@@ -179,32 +178,32 @@ class RecordingPolicy(YarnCapacityScheduler):
 
 class TestPolicyHooks:
     def test_on_join_fires_with_capacity_details(self):
-        events = [HostEvent(kind="announce", host="spot", at_time=100.0,
+        events = [PlanEvent(kind="announce", host="spot", at_time=100.0,
                             gtype="t4", slots=2, magnitude=50.0)]
         policy = RecordingPolicy()
         ClusterSimulator(
             base_cluster(), [job(work=2 * 9.0 * 600)], policy,
-            membership=plan(events),
+            plan=plan(events),
         ).run()
         assert policy.joins == [(150.0, "t4", 2)]
 
     def test_on_slowdown_fires_from_fault_path(self):
         policy = RecordingPolicy()
-        faults = FaultPlan(
-            events=(FaultEvent(kind="slowdown", at_time=100.0,
+        faults = EventPlan(
+            events=(PlanEvent(kind="slowdown", at_time=100.0,
                                magnitude=2.0),),
         )
         ClusterSimulator(
-            base_cluster(), [job(work=2 * 9.0 * 600)], policy, faults=faults,
+            base_cluster(), [job(work=2 * 9.0 * 600)], policy, plan=faults,
         ).run()
         assert policy.slowdowns == [(100.0, "j0", 2.0)]
 
 
 FULL_PLAN_EVENTS = (
-    HostEvent(kind="announce", host="spot", at_time=90.0, gtype="t4",
+    PlanEvent(kind="announce", host="spot", at_time=90.0, gtype="t4",
               slots=2, magnitude=30.0),
-    HostEvent(kind="drain", host="member-v", at_time=200.0),
-    HostEvent(kind="blacklist", host="spot", at_time=400.0, magnitude=100.0),
+    PlanEvent(kind="drain", host="member-v", at_time=200.0),
+    PlanEvent(kind="blacklist", host="spot", at_time=400.0, magnitude=100.0),
 )
 
 
@@ -223,7 +222,7 @@ class TestHeapMatchesReference:
         for runner in ("run", "run_reference"):
             sim = ClusterSimulator(
                 base_cluster(), jobs, make_policy(),
-                membership=plan(FULL_PLAN_EVENTS),
+                plan=plan(FULL_PLAN_EVENTS),
             )
             result = getattr(sim, runner)()
             fingerprints.append(result.events.fingerprint())
@@ -235,7 +234,7 @@ class TestHeapMatchesReference:
         for runner in ("run", "run_reference"):
             sim = ClusterSimulator(
                 base_cluster(), [job(gpus=4, work=4 * 9.0 * 500)],
-                YarnCapacityScheduler(), membership=plan(FULL_PLAN_EVENTS),
+                YarnCapacityScheduler(), plan=plan(FULL_PLAN_EVENTS),
             )
             result = getattr(sim, runner)()
             for kind in kinds:

@@ -17,7 +17,7 @@ from repro.core import (
     WorkerAssignment,
     determinism_from_label,
 )
-from repro.faults import FaultEvent, FaultPlan, FaultInjector, WorkerCrashSignal
+from repro.faults import EventPlan, PlanEvent, StepDeliverer, WorkerCrashSignal
 from repro.hw import gpu_type
 from repro.models import get_workload
 from repro.obs import flightrec
@@ -194,14 +194,14 @@ def test_worker_crash_with_tracing_off_names_step_worker_dialect(tmp_path):
         num_ests=2, seed=0, batch_size=4,
         determinism=determinism_from_label("D1+D2"),
     )
-    plan = FaultPlan(
+    plan = EventPlan(
         seed=0,
-        events=(FaultEvent("worker_crash", at_step=2, target="worker:1"),),
+        events=(PlanEvent("worker_crash", at_step=2, target="worker:1"),),
     )
     engine = EasyScaleEngine(
         spec, dataset, config, sgd_factory(),
         WorkerAssignment.balanced([gpu_type("V100"), gpu_type("T4")], 2),
-        fault_injector=FaultInjector(plan),
+        fault_injector=StepDeliverer(plan),
     )
     engine.run_global_step()
     engine.run_global_step()

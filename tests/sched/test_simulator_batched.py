@@ -29,9 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultEvent, FaultPlan, random_sim_plan
+from repro.faults import EventPlan, HostSpec, PlanEvent, random_sim_plan
 from repro.hw import microbench_cluster, production_cluster
-from repro.membership import HostEvent, HostSpec, MembershipPlan
 from repro.sched import (
     ClusterSimulator,
     CompanionModule,
@@ -59,27 +58,46 @@ POLICIES = {
     "coloc": lambda: ServingColocationPolicy(_serving_demand),
 }
 
-FIXED_PLAN = FaultPlan(events=(
-    FaultEvent(kind="slowdown", at_time=300.0, magnitude=2.0),
-    FaultEvent(kind="restart_delay", at_time=400.0, magnitude=60.0),
-    FaultEvent(kind="node_preempt", at_time=600.0, magnitude=2.0),
-    FaultEvent(kind="checkpoint_corrupt", at_time=700.0),
-    FaultEvent(kind="worker_crash", at_time=900.0),
-    FaultEvent(kind="gpu_revoke", at_time=1100.0),
+FIXED_PLAN = EventPlan(events=(
+    PlanEvent(kind="slowdown", at_time=300.0, magnitude=2.0),
+    PlanEvent(kind="restart_delay", at_time=400.0, magnitude=60.0),
+    PlanEvent(kind="node_preempt", at_time=600.0, magnitude=2.0),
+    PlanEvent(kind="checkpoint_corrupt", at_time=700.0),
+    PlanEvent(kind="worker_crash", at_time=900.0),
+    PlanEvent(kind="gpu_revoke", at_time=1100.0),
 ), seed=5)
 
 
 def membership_plan():
-    return MembershipPlan(
+    return EventPlan(
         initial_hosts=(HostSpec("member-v", "v100", 2),),
         events=(
-            HostEvent(kind="announce", host="spot", at_time=90.0,
+            PlanEvent(kind="announce", host="spot", at_time=90.0,
                       gtype="t4", slots=2, magnitude=30.0),
-            HostEvent(kind="drain", host="member-v", at_time=200.0),
-            HostEvent(kind="blacklist", host="spot", at_time=400.0,
+            PlanEvent(kind="drain", host="member-v", at_time=200.0),
+            PlanEvent(kind="blacklist", host="spot", at_time=400.0,
                       magnitude=100.0),
         ),
     )
+
+
+def combined_plan():
+    """``FIXED_PLAN`` plus :func:`membership_plan` plus two one-slot hosts
+    drained together at the ``node_preempt`` time: with ``max_unavailable``
+    1 one drain is released there, ahead of the fault, and the other is
+    deferred.  A host event also meets a fault at t = 400 (``blacklist``
+    and ``restart_delay``): the case pins the cross-family order at a
+    point, recorded before faults and host events shared one driver."""
+    base = membership_plan()
+    return EventPlan(
+        initial_hosts=base.initial_hosts + (
+            HostSpec("member-a", "t4", 1), HostSpec("member-b", "t4", 1),
+        ),
+        events=base.events + (
+            PlanEvent(kind="drain", host="member-a", at_time=600.0),
+            PlanEvent(kind="drain", host="member-b", at_time=600.0),
+        ),
+    ).merged(FIXED_PLAN)
 
 
 def run_checking_mirror(sim, **kwargs):
@@ -129,17 +147,13 @@ def run_checking_mirror(sim, **kwargs):
     return sim.run(**kwargs)
 
 
-def assert_cores_identical(policy_factory, jobs, faults=None, membership=False,
-                           max_time=10_000_000.0, label=""):
+def assert_cores_identical(policy_factory, jobs, plan=None, max_time=10_000_000.0, label=""):
     """Replay on both cores (``run()`` under :func:`run_checking_mirror`),
     compare everything a caller can observe, and check GPU conservation on
     each; returns ``run()``'s result."""
     results = {}
     for core in CORES:
-        plan = membership_plan() if membership else None
-        sim = ClusterSimulator(
-            microbench_cluster(), jobs, policy_factory(), faults=faults, membership=plan
-        )
+        sim = ClusterSimulator(microbench_cluster(), jobs, policy_factory(), plan=plan)
         # the most the inventory can ever hold: the starting roster plus
         # every host the plan announces later
         ceiling = sim.cluster.total() + sum(
@@ -182,6 +196,8 @@ GOLDEN = {
     "coloc": "fa6a32280a14d961b16c9caf734983577cda5311f551777143fc15066fa9a0ac",
     "heter+faults": "c134c1fc42eb5fd95e9971fed3f52a47329dabd1c03b0e8adf71dfca716132c8",
     "heter+membership": "979c6b7692b9650892ec31bf0f89362a70b7c1861688e5b06f41eda2874f2d20",
+    "heter+faults+membership":
+        "96464e5c9fa784400beeb1071f170f032199a9b1a9572788d3d361ad5298472a",
 }
 
 
@@ -196,6 +212,14 @@ GOLDEN_COUNTS = {
     "coloc": ((642, 691), (433, 111)),
     "heter+faults": ((714, 812), (432, 129)),
     "heter+membership": ((606, 652), (372, 73)),
+    "heter+faults+membership": ((714, 812), (446, 129)),
+}
+
+#: the plan of each ``heter+...`` golden case
+PLANS = {
+    "heter+faults": lambda: FIXED_PLAN,
+    "heter+membership": membership_plan,
+    "heter+faults+membership": combined_plan,
 }
 
 
@@ -204,12 +228,9 @@ class TestThreeCoreEquivalence:
     @settings(max_examples=8, deadline=None)
     def test_random_traces_with_faults_and_membership(self, seed, num_jobs):
         jobs = generate_trace(num_jobs=num_jobs, seed=seed)
-        faults = random_sim_plan(seed=seed, horizon_s=4000.0)
+        plan = membership_plan().merged(random_sim_plan(seed=seed, horizon_s=4000.0))
         for name, factory in POLICIES.items():
-            assert_cores_identical(
-                factory, jobs, faults=faults, membership=True,
-                label=f"seed={seed} policy={name}",
-            )
+            assert_cores_identical(factory, jobs, plan, label=f"seed={seed} policy={name}")
 
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_clean_trace(self, name):
@@ -219,13 +240,10 @@ class TestThreeCoreEquivalence:
         result = assert_cores_identical(POLICIES[name], jobs, label=name)
         assert result.events.fingerprint() == GOLDEN[name]
 
-    @pytest.mark.parametrize("case,extras", [
-        ("heter+faults", {"faults": FIXED_PLAN}),
-        ("heter+membership", {"membership": True}),
-    ])
-    def test_golden_fault_and_membership_plans(self, case, extras):
+    @pytest.mark.parametrize("case", sorted(PLANS))
+    def test_golden_fault_and_membership_plans(self, case):
         jobs = generate_trace(num_jobs=20, seed=3)
-        result = assert_cores_identical(POLICIES["heter"], jobs, label=case, **extras)
+        result = assert_cores_identical(POLICIES["heter"], jobs, PLANS[case](), label=case)
         assert result.events.fingerprint() == GOLDEN[case]
 
     @pytest.mark.parametrize("name", sorted(POLICIES))
@@ -241,7 +259,7 @@ class TestThreeCoreEquivalence:
     def test_fixed_fault_plan(self):
         jobs = generate_trace(num_jobs=18, seed=9)
         for name, factory in POLICIES.items():
-            result = assert_cores_identical(factory, jobs, faults=FIXED_PLAN, label=name)
+            result = assert_cores_identical(factory, jobs, FIXED_PLAN, label=name)
             # restart_delay and checkpoint_corrupt have no victim: they
             # surface only through the next preemption's accounting
             assert result.preemptions > 0 and result.recovery_seconds > 0
@@ -249,15 +267,14 @@ class TestThreeCoreEquivalence:
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_membership_plan(self, name):
         jobs = generate_trace(num_jobs=18, seed=9)
-        assert_cores_identical(POLICIES[name], jobs, membership=True, label=name)
+        assert_cores_identical(POLICIES[name], jobs, membership_plan(), label=name)
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_COUNTS))
     def test_golden_cache_and_memo_counts(self, case):
-        extras = {"heter+faults": {"faults": FIXED_PLAN},
-                  "heter+membership": {"membership": membership_plan()}}.get(case, {})
+        plan = PLANS[case]() if case in PLANS else None
         policy = POLICIES[case.split("+")[0]]()
         jobs = generate_trace(num_jobs=20, seed=3)
-        result = ClusterSimulator(microbench_cluster(), jobs, policy, **extras).run()
+        result = ClusterSimulator(microbench_cluster(), jobs, policy, plan=plan).run()
         assert result.events.fingerprint() == GOLDEN[case]
         stats = [
             cache for r in result.jobs for cache in r.agent.companion.cache_stats().values()
@@ -364,13 +381,11 @@ class TestMirrorEdits:
         ]
         results = {}
         for core in CORES:
-            plan = MembershipPlan(
+            plan = EventPlan(
                 initial_hosts=(HostSpec("member-v", "v100", 2),),
-                events=(HostEvent(kind="forceful_remove", host="member-v", at_time=700.0),),
+                events=(PlanEvent(kind="forceful_remove", host="member-v", at_time=700.0),),
             )
-            sim = ClusterSimulator(
-                microbench_cluster(), jobs, YarnCapacityScheduler(), membership=plan
-            )
+            sim = ClusterSimulator(microbench_cluster(), jobs, YarnCapacityScheduler(), plan=plan)
             if core == "run":
                 gang, seen = sim.runtimes[0], []
                 iterate = sim._iterate
@@ -399,6 +414,25 @@ class TestMirrorEdits:
         assert seen[back][0] > 700.0 and not seen[back][1]  # a completion point
         assert seen[back][2:] == ([waiting], "running", waiting)
         assert fast.events.of_kind("job_done")[0].time == seen[back][0]
+
+
+class TestDeferredDrains:
+    @pytest.mark.parametrize("seed", [34, 35, 39])
+    def test_a_deferred_drain_is_released_at_the_next_point_on_both_cores(self, seed):
+        # three drains due at once under max_unavailable 1: the reference
+        # core releases a held-back drain at its very next decision point,
+        # whatever kind it is, so run() must make that point scalar too
+        # (it used to wait for the next arrival or plan entry)
+        roster = (HostSpec("a", "t4", 1), HostSpec("b", "t4", 1), HostSpec("c", "v100", 2))
+        plan = EventPlan(
+            initial_hosts=roster,
+            events=tuple(PlanEvent(kind="drain", host=h.host_id, at_time=333.0) for h in roster),
+        )
+        result = assert_cores_identical(
+            POLICIES["heter"], generate_trace(num_jobs=12, seed=seed), plan
+        )
+        drains = [e.time for e in result.events.of_kind("host_drain")]
+        assert drains[0] == 333.0 and len(drains) == 3 and drains[2] > drains[1] > 333.0
 
 
 class ScalarOracleCompanion(CompanionModule):

@@ -33,13 +33,13 @@ class TestHeapMatchesReference:
     @pytest.mark.parametrize("name", TRAINING_POLICIES)
     def test_fixed_fault_plan(self, name):
         jobs = generate_trace(num_jobs=4, seed=11)
-        assert_cores_identical(POLICIES[name], jobs, faults=FIXED_PLAN)
+        assert_cores_identical(POLICIES[name], jobs, FIXED_PLAN)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_fault_plans(self, seed):
         jobs = generate_trace(num_jobs=5, seed=seed)
         plan = random_sim_plan(seed, horizon_s=2000.0)
-        assert_cores_identical(POLICIES["heter"], jobs, faults=plan)
+        assert_cores_identical(POLICIES["heter"], jobs, plan)
 
     def test_max_time_cutoff(self):
         # truncation happens at the same decision point on both cores

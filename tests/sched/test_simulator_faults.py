@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import FaultEvent, FaultPlan, random_sim_plan
+from repro.faults import EventPlan, PlanEvent, random_sim_plan
 from repro.hw import microbench_cluster
 from repro.obs.report import ClusterUtilizationReport
 from repro.sched.easyscale_policy import EasyScalePolicy
@@ -16,13 +16,13 @@ def _jobs(n=4, seed=11):
 
 
 def _plan():
-    return FaultPlan(events=(
-        FaultEvent(kind="slowdown", at_time=300.0, magnitude=2.0),
-        FaultEvent(kind="restart_delay", at_time=400.0, magnitude=60.0),
-        FaultEvent(kind="node_preempt", at_time=600.0, magnitude=2.0),
-        FaultEvent(kind="checkpoint_corrupt", at_time=700.0),
-        FaultEvent(kind="worker_crash", at_time=900.0),
-        FaultEvent(kind="gpu_revoke", at_time=1100.0),
+    return EventPlan(events=(
+        PlanEvent(kind="slowdown", at_time=300.0, magnitude=2.0),
+        PlanEvent(kind="restart_delay", at_time=400.0, magnitude=60.0),
+        PlanEvent(kind="node_preempt", at_time=600.0, magnitude=2.0),
+        PlanEvent(kind="checkpoint_corrupt", at_time=700.0),
+        PlanEvent(kind="worker_crash", at_time=900.0),
+        PlanEvent(kind="gpu_revoke", at_time=1100.0),
     ), seed=5)
 
 
@@ -51,7 +51,7 @@ class TestSimulatedFaults:
             microbench_cluster(), jobs, EasyScalePolicy(True)
         ).run()
         faulted = ClusterSimulator(
-            microbench_cluster(), jobs, EasyScalePolicy(True), faults=_plan()
+            microbench_cluster(), jobs, EasyScalePolicy(True), plan=_plan()
         ).run()
         assert len(faulted.completed) == len(jobs)
         assert faulted.preemptions > 0
@@ -63,7 +63,7 @@ class TestSimulatedFaults:
     def test_yarn_requeues_preempted_gangs(self):
         jobs = _jobs()
         result = ClusterSimulator(
-            microbench_cluster(), jobs, YarnCapacityScheduler(), faults=_plan()
+            microbench_cluster(), jobs, YarnCapacityScheduler(), plan=_plan()
         ).run()
         assert len(result.completed) == len(jobs)
         assert result.preemptions > 0
@@ -71,7 +71,7 @@ class TestSimulatedFaults:
     def test_fault_events_reach_the_event_log(self):
         result = ClusterSimulator(
             microbench_cluster(), _jobs(), EasyScalePolicy(True),
-            faults=_plan(),
+            plan=_plan(),
         ).run()
         preempts = result.events.of_kind("preempt")
         assert preempts
@@ -86,7 +86,7 @@ class TestSimulatedFaults:
     def test_report_renders_preemptions(self):
         result = ClusterSimulator(
             microbench_cluster(), _jobs(), EasyScalePolicy(True),
-            faults=_plan(),
+            plan=_plan(),
         ).run()
         report = ClusterUtilizationReport.from_events(list(result.events))
         assert report.preemptions == result.preemptions
@@ -97,16 +97,16 @@ class TestSimulatedFaults:
         assert "preempt" in html
 
     def test_checkpoint_interval_bounds_lost_work(self):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="node_preempt", at_time=500.0),
+        plan = EventPlan(events=(
+            PlanEvent(kind="node_preempt", at_time=500.0),
         ))
         tight = ClusterSimulator(
             microbench_cluster(), _jobs(), EasyScalePolicy(True),
-            faults=plan, checkpoint_interval=60.0,
+            plan=plan, checkpoint_interval=60.0,
         ).run()
         loose = ClusterSimulator(
             microbench_cluster(), _jobs(), EasyScalePolicy(True),
-            faults=plan, checkpoint_interval=3600.0,
+            plan=plan, checkpoint_interval=3600.0,
         ).run()
         assert tight.lost_work_seconds <= loose.lost_work_seconds
 
@@ -122,6 +122,6 @@ class TestSimulatedFaults:
         jobs = _jobs()
         plan = random_sim_plan(seed, horizon_s=2000.0)
         result = ClusterSimulator(
-            microbench_cluster(), jobs, EasyScalePolicy(True), faults=plan
+            microbench_cluster(), jobs, EasyScalePolicy(True), plan=plan
         ).run()
         assert len(result.completed) == len(jobs)

@@ -252,6 +252,8 @@ CLI_LINES = [
     ("train resnet18 --ests 4 --samples 256 --batch-size 8 --steps-per-stage 14 "
      "--schedule 4xV100 --determinism D1+D2 --hosts churn.json --verify", 0),
     ("train resnet18 --hosts roll.json --samples 128 --verify", 0),
+    ("train resnet18 --ests 4 --samples 256 --batch-size 8 --steps-per-stage 14 "
+     "--schedule 4xV100 --determinism D1+D2 --hosts churn.json --faults plan.json --verify", 0),
     # the regression observatory, in a directory of its own
     ("bench run --smoke --repeats 2 --dir bench", 0),
     ("bench run --area determinism --smoke --repeats 3 --dir bench", 0),

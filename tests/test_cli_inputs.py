@@ -67,8 +67,7 @@ DAMAGES = ["missing", "directory", "empty", "non_utf8", "mid_garbage",
 @pytest.fixture(scope="module")
 def good(tmp_path_factory):
     """One small valid file per role, written by the library's own writers."""
-    from repro.faults import FaultEvent, FaultPlan, random_sim_plan
-    from repro.membership import HostEvent, HostSpec, MembershipPlan
+    from repro.faults import EventPlan, HostSpec, PlanEvent, random_sim_plan
     from repro.obs import flightrec
     from repro.obs.audit import AuditRecord, AuditTrail
     from repro.obs.report import save_events_jsonl
@@ -79,11 +78,11 @@ def good(tmp_path_factory):
     root = tmp_path_factory.mktemp("good")
     path = {role: str(root / name) for role, name in FILES.items()}
 
-    FaultPlan(events=(FaultEvent(kind="gpu_revoke", at_step=2),), seed=1).save(path["fault_plan"])
+    EventPlan(events=(PlanEvent(kind="gpu_revoke", at_step=2),), seed=1).save(path["fault_plan"])
     random_sim_plan(7, horizon_s=3000.0, max_events=3).save(path["sim_fault_plan"])
-    MembershipPlan(
+    EventPlan(
         initial_hosts=(HostSpec("v0", "v100", 1), HostSpec("v1", "v100", 1)),
-        events=(HostEvent(kind="drain", host="v1", at_step=2),),
+        events=(PlanEvent(kind="drain", host="v1", at_step=2),),
     ).save(path["membership_plan"])
     with open(path["calibration"], "w", encoding="utf-8") as fh:
         json.dump({"scale": {"t4": 0.5, "p100": 0.9}}, fh, indent=2)
@@ -185,6 +184,50 @@ def test_damaged_input(row, how, good, tmp_path, capsys):
     # nothing was trained or simulated on the way to the error
     for started in ("stage 0", "survived the plan", "avg JCT", "replay:", "contrast"):
         assert started not in out
+
+
+# plan files that are valid JSON objects but not valid plans: each entry is
+# rejected by the one plan loader with its location.  Each row used to be
+# a traceback or to load silently wrong (``2.7`` as step 2, NaN as a time)
+HOSTS = [{"host_id": "v0", "gtype": "v100", "slots": 1}, {"host_id": "v1", "gtype": "v100"}]
+BAD_PLANS = [
+    ("event without host", "membership_plan",
+     {"initial_hosts": HOSTS, "events": [{"kind": "drain", "at_step": 2}]}, "events[0]: drain"),
+    ("step is a list", "fault_plan",
+     {"events": [{"kind": "gpu_revoke", "at_step": [1]}]}, "events[0]: at_step"),
+    ("host entry not an object", "membership_plan",
+     {"initial_hosts": HOSTS + [3], "events": []}, "initial_hosts[2]: must be a JSON object"),
+    ("unknown initial gtype", "membership_plan",
+     {"initial_hosts": [{"host_id": "a", "gtype": "a100"}]}, "initial_hosts[0]: a: unknown GPU type"),
+    ("unknown announce gtype", "membership_plan",
+     {"initial_hosts": HOSTS,
+      "events": [{"kind": "announce", "host": "n", "gtype": "a100", "at_step": 1}]},
+     "events[0]: n: unknown GPU type"),
+    ("fractional step", "fault_plan",
+     {"events": [{"kind": "gpu_revoke", "at_step": 2.7}]}, "events[0]: at_step must be an integer"),
+    ("NaN time", "sim_fault_plan",
+     {"events": [{"kind": "slowdown", "at_time": float("nan"), "magnitude": 2.0}]},
+     "events[0]: slowdown: at_time"),
+    ("infinite magnitude", "fault_plan",
+     {"events": [{"kind": "restart_delay", "at_step": 1, "magnitude": float("inf")}]},
+     "events[0]: restart_delay: magnitude"),
+    ("host kind in a fault plan", "fault_plan",
+     {"events": [{"kind": "drain", "host": "v0", "at_step": 1}]}, "events[0]: unknown kind 'drain'"),
+]
+
+
+@pytest.mark.parametrize("row", BAD_PLANS, ids=[row[0] for row in BAD_PLANS])
+def test_bad_plan_entry(row, tmp_path, capsys):
+    _, role, payload, where = row
+    path = str(tmp_path / FILES[role])
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    argv = next(argv for _, argv, r in ROWS if r == role)
+    code = main([arg.format(path=path) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 2, (out, err)
+    assert err.startswith(f"error: {path}: {where}") and len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in out + err and "replay:" not in out and "avg JCT" not in out
 
 
 @pytest.mark.parametrize("command", ["compare", "gate"])

@@ -26,7 +26,7 @@ from repro.core import (
     determinism_from_label,
 )
 from repro.faults import ResilienceController, random_plan
-from repro.faults.schedule import ABRUPT_KINDS
+from repro.faults.schedule import kinds
 from repro.hw import gpu_type
 from repro.models import get_workload
 from repro.obs import flightrec
@@ -111,7 +111,7 @@ def test_abrupt_faults_leave_crash_bundles_and_recover_bitwise(
 
     # every abrupt fault left an exception bundle naming (kind, step)
     abrupt = {
-        (e.kind, e.at_step) for e in plan.events if e.kind in ABRUPT_KINDS
+        (e.kind, e.at_step) for e in plan.events if e.kind in kinds("fault", graceful=False)
     }
     crash_bundles = [b for b in _bundles(str(bundle_dir)) if b["reason"] == "exception"]
     dumped = {(b["crash"]["kind"], b["crash"]["step"]) for b in crash_bundles}
@@ -124,8 +124,8 @@ def test_abrupt_faults_leave_crash_bundles_and_recover_bitwise(
         if bundle["crash"]["kind"] == "worker_crash":
             assert bundle["crash"]["worker"] is not None
             assert bundle["crash"]["dialect"] in ("v100", "t4")
-        kinds = [e["kind"] for e in bundle["events"]]
-        assert "fault.detect" in kinds and "engine.crash" in kinds
+        recorded = [e["kind"] for e in bundle["events"]]
+        assert "fault.detect" in recorded and "engine.crash" in recorded
 
 
 def _train_audited(tmp_path, name, swap_step):
