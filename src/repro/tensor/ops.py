@@ -20,6 +20,7 @@ may not move").  The primitive-op spellings live on as the test oracle in
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence, Tuple, Union
 
@@ -350,6 +351,30 @@ def _im2col_forward(
     return np.ascontiguousarray(cols), (out_h, out_w)
 
 
+@functools.lru_cache(maxsize=128)
+def _col2im_plan(
+    h: int, w: int, kh: int, kw: int, stride: int, pad: int, out_h: int, out_w: int
+) -> np.ndarray:
+    """Where each kernel offset scatters onto each input pixel, as gather indices.
+
+    Entry ``[k, p]`` (``k = ki*kw + kj``, ``p`` a flat interior pixel) is
+    the flat ``(k, out position)`` column of one channel's ``cols`` that
+    offset ``k`` adds onto ``p``; where no window covers ``p`` at offset
+    ``k`` it is ``kh*kw*out_h*out_w``, the sentinel slot holding +0.0.
+    Read-only: one array per geometry, shared by every call.
+    """
+    ki, kj, oi, oj = np.ix_(np.arange(kh), np.arange(kw), np.arange(out_h), np.arange(out_w))
+    row = oi * stride + ki - pad
+    col = oj * stride + kj - pad
+    inside = (row >= 0) & (row < h) & (col >= 0) & (col < w)
+    k = ki * kw + kj
+    source = k * (out_h * out_w) + oi * out_w + oj
+    plan = np.full((kh * kw, h * w), kh * kw * out_h * out_w, dtype=np.intp)
+    plan[np.broadcast_to(k, inside.shape)[inside], (row * w + col)[inside]] = source[inside]
+    plan.flags.writeable = False
+    return plan
+
+
 def _col2im(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
@@ -360,17 +385,34 @@ def _col2im(
     out_h: int,
     out_w: int,
 ) -> np.ndarray:
+    """Fold ``(n, c*kh*kw, out_h*out_w)`` columns back onto a C-ordered input.
+
+    Every pixel sums its contributions from +0.0 in lexicographic
+    ``(ki, kj)`` order, the order of the strided-add loop that is its
+    oracle in ``tests/tensor/reference_ops.py``.  Offsets that miss a
+    pixel add the +0.0 sentinel: ``x + (+0.0)`` is ``x`` for every sum
+    that started at +0.0 (docs/DETERMINISM.md).
+    """
     n, c, h, w = x_shape
-    grad_padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
-    cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
-    for ki in range(kh):
-        for kj in range(kw):
-            grad_padded[
-                :, :, ki : ki + out_h * stride : stride, kj : kj + out_w * stride : stride
-            ] += cols6[:, :, ki, kj]
-    if pad:
-        return grad_padded[:, :, pad:-pad, pad:-pad]
-    return grad_padded
+    if not pad and stride >= kh and stride >= kw:
+        # windows do not overlap: one strided add onto zeros
+        out = np.zeros(x_shape, dtype=np.float32)
+        sn, sc, sh, sw = out.strides
+        windows = np.ndarray(
+            (n, c, kh, kw, out_h, out_w), np.float32, out, 0,
+            (sn, sc, sh, sw, sh * stride, sw * stride),
+        )
+        windows += cols.reshape(n, c, kh, kw, out_h, out_w)
+        return out
+    plan = _col2im_plan(h, w, kh, kw, stride, pad, out_h, out_w)
+    sentinel = kh * kw * out_h * out_w
+    source = np.empty((sentinel + 1, n * c), dtype=np.float32)
+    source[:sentinel] = cols.reshape(n * c, sentinel).T
+    source[sentinel] = 0.0
+    acc = np.zeros((h * w, n * c), dtype=np.float32)
+    for part in source.take(plan, axis=0):
+        acc += part
+    return acc.T.copy().reshape(n, c, h, w)
 
 
 def im2col(x: Tensor, kh: int, kw: int, stride: int = 1, pad: int = 0) -> Tuple[Tensor, Tuple[int, int]]:

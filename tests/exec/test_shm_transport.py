@@ -7,9 +7,9 @@ The transport's contract is carried by three layers, each pinned here:
   any offset could.
 - :class:`ShmTransport` owns the slabs — rebuild on key change, unlink
   exactly once, loud failure when the model's state plan goes stale.
-- ``ProcessPoolBackend`` moves every step through those slabs and must be
-  bitwise-identical to the serial loop; shm is the only transport, and
-  any other name is refused.
+- ``ProcessPoolBackend`` moves every step through those slabs (its bits
+  equal the serial loop's: ``tests/exec/test_backends.py``); shm is the
+  only transport, and any other name is refused.
 """
 
 import pickle
@@ -30,12 +30,11 @@ from repro.core import (
     WorkerAssignment,
     determinism_from_label,
 )
-from repro.exec import ProcessPoolBackend, SerialBackend
+from repro.exec import ProcessPoolBackend
 from repro.exec import shm as shm_mod
 from repro.exec.shm import ShmTransport, SlabPlan, state_specs_of
 from repro.hw import gpu_type
 from repro.models import get_workload
-from repro.utils.fingerprint import fingerprint_state_dict
 from tests.conftest import sgd_factory
 
 
@@ -259,26 +258,11 @@ def _engine(env, backend, num_ests=2):
 
 class TestPoolIntegration:
     def test_unknown_transport_rejected(self):
+        # shm is the only transport; serial == pool is
+        # tests/exec/test_backends.py::test_headline_elastic_bitwise_across_backends
         for name in ("carrier-pigeon", "pickle"):
             with pytest.raises(ValueError, match="transport"):
                 ProcessPoolBackend(transport=name)
-
-    # The next two ids are on the test floor and the pickle transport they
-    # exercised is gone; they stay one more PR holding what is left of each
-    # (ROADMAP "Small leftovers"), then fold into the test above.
-    def test_shm_and_pickle_and_serial_are_bitwise_equal(self, env):
-        serial = _engine(env, SerialBackend())
-        serial.train_steps(3)
-        with ProcessPoolBackend(max_workers=2) as backend:
-            engine = _engine(env, backend)
-            engine.train_steps(3)
-            assert fingerprint_state_dict(
-                engine.model.state_dict()
-            ) == fingerprint_state_dict(serial.model.state_dict())
-        self.test_unknown_transport_rejected()
-
-    def test_pickle_transport_counts_payload_bytes(self):
-        self.test_unknown_transport_rejected()
 
     def test_slabs_survive_reconfigure_and_rekey_on_layout_change(self, env):
         with ProcessPoolBackend(max_workers=2) as backend:

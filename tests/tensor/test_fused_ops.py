@@ -194,8 +194,8 @@ class TestConv2d:
     @given(
         n=st.integers(1, 3), groups=st.integers(1, 2),
         c_in_g=st.integers(1, 3), c_out_g=st.integers(1, 3),
-        h=st.integers(1, 6), w=st.integers(1, 6), kernel=st.sampled_from([1, 3]),
-        stride=st.integers(1, 2), pad=st.integers(0, 1), with_bias=st.booleans(),
+        h=st.integers(1, 6), w=st.integers(1, 6), kernel=st.integers(1, 3),
+        stride=st.integers(1, 3), pad=st.integers(0, 1), with_bias=st.booleans(),
         config=config_strategy, seed=st.integers(0, 2**16), op_first=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
@@ -244,6 +244,80 @@ class TestConv2d:
             assert arrival == (["weight", "image"] if input_grad else ["weight"])
             seen.append((weight.grad.tobytes(), image.grad.tobytes() if input_grad else None))
         assert seen[0] == seen[1]
+
+
+def _edge_value_array(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal draws salted with ±0.0, ±inf and ±subnormals."""
+    arr = rng.normal(size=shape).astype(np.float32)
+    pick = rng.random(size=shape)
+    edges = (0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 3e-39, -3e-39)
+    for i, value in enumerate(edges):
+        arr[(pick >= i * 0.05) & (pick < (i + 1) * 0.05)] = value
+    return arr
+
+
+#: one resnet18 step at the ``train_conv_serial`` sizes folds these
+#: geometries ``(h, w, kh, kw, stride, pad, out_h, out_w)`` through a plan;
+#: its fourth, the 1x1/s2 shortcut, has no overlapping windows and no plan
+RESNET18_PLANS = (
+    (4, 4, 3, 3, 1, 1, 4, 4),
+    (8, 8, 3, 3, 1, 1, 8, 8),
+    (8, 8, 3, 3, 2, 1, 4, 4),
+)
+
+
+class TestCol2im:
+    @given(
+        n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9),
+        kh=st.integers(1, 5), kw=st.integers(1, 5), stride=st.integers(1, 3),
+        pad=st.integers(0, 2), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_strided_add_loop(self, n, c, h, w, kh, kw, stride, pad, seed):
+        # stride > kernel leaves pixels no window covers; an all-(-0.0)
+        # pixel must come out +0.0, and inf - inf the same NaN
+        assume(h + 2 * pad >= kh and w + 2 * pad >= kw)
+        out_h, out_w = ops._conv_geometry(h, w, kh, kw, stride, pad)
+        cols = _edge_value_array(np.random.default_rng(seed), (n, c * kh * kw, out_h * out_w))
+        geometry = ((n, c, h, w), kh, kw, stride, pad, out_h, out_w)
+        with np.errstate(invalid="ignore"):
+            got = ops._col2im(cols, *geometry)
+            want = reference_ops._col2im(cols, *geometry)
+        assert got.shape == want.shape and got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_a_plan_is_built_once_per_geometry(self):
+        from repro.core import (
+            EasyScaleEngine,
+            EasyScaleJobConfig,
+            WorkerAssignment,
+            determinism_from_label,
+        )
+        from repro.exec import SerialBackend
+        from repro.hw import gpu_type
+        from repro.models import get_workload
+        from repro.optim import SGD
+
+        spec = get_workload("resnet18")
+        engine = EasyScaleEngine(
+            spec,
+            spec.build_dataset(64, seed=7),
+            EasyScaleJobConfig(
+                num_ests=4, seed=7, batch_size=8, determinism=determinism_from_label("D1+D2")
+            ),
+            lambda model: SGD(model.named_parameters(), lr=0.05, momentum=0.9),
+            WorkerAssignment.balanced([gpu_type("V100")] * 2, 4),
+            backend=SerialBackend(),
+        )
+        ops._col2im_plan.cache_clear()
+        engine.run_global_step()
+        built = ops._col2im_plan.cache_info()
+        assert (built.misses, built.currsize) == (len(RESNET18_PLANS), len(RESNET18_PLANS))
+        engine.run_global_step()
+        assert ops._col2im_plan.cache_info().misses == built.misses
+        for geometry in RESNET18_PLANS:
+            assert not ops._col2im_plan(*geometry).flags.writeable
+        assert ops._col2im_plan.cache_info().misses == built.misses
 
 
 class TestLinear:

@@ -445,6 +445,29 @@ def test_one_event_plan_and_one_deliverer_per_domain():
     assert plans == [("src/repro/faults/schedule.py", "EventPlan")], plans
 
 
+def test_col2im_is_one_gather_over_a_cached_plan():
+    # conv backward folds columns back through a per-geometry gather plan;
+    # the padded buffer and its strided-add loop over kernel offsets live
+    # only as the oracle in tests/tensor/reference_ops.py, and the one loop
+    # left in _col2im is the accumulation over gathered offsets.
+    # (Spelled split so this file does not match itself.)
+    import ast
+
+    gone = ["grad" + "_padded", "cols" + "6"]
+    for path in _python_files(os.path.join(SRC, "tensor")):
+        rel = os.path.relpath(path, REPO_ROOT)
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        for name in gone:
+            assert name not in source, (rel, name)
+
+    with open(os.path.join(SRC, "tensor", "ops.py"), encoding="utf-8") as handle:
+        module = ast.parse(handle.read())
+    (col2im,) = [n for n in module.body if getattr(n, "name", "") == "_col2im"]
+    loops = [n for n in ast.walk(col2im) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert len(loops) == 1 and "range" not in ast.unparse(loops[0].iter), ast.unparse(col2im)
+
+
 def test_no_pyflakes_errors():
     pyflakes_api = pytest.importorskip(
         "pyflakes.api", reason="pyflakes not installed; compile check still ran"
