@@ -14,19 +14,15 @@ Gives the repository's main entry points a shell surface:
   (``obs profile``), or build a cluster utilization report from a
   trace-sim event log (``obs report``).  ``train --trace/--audit/--profile``
   and ``trace-sim --trace/--events`` produce the input files.
-- ``faults`` — deterministic fault injection: ``faults gen`` writes a
-  seeded random :class:`~repro.faults.schedule.EventPlan` of faults;
-  ``faults replay`` runs the fault-free reference and a
+- ``faults`` / ``membership`` — one command pair per plan family, built
+  from one table: ``gen`` writes a seeded
+  :class:`~repro.faults.schedule.EventPlan` (faults; or random host
+  churn, or ``--rolling N`` for a rolling-upgrade drain); ``replay`` runs
+  the undisturbed reference and a
   :class:`~repro.faults.controller.ResilienceController` run under the
   plan, then proves the two bitwise-identical by diffing their audit
-  trails.  ``train --faults PLAN`` trains through the controller.
-- ``membership`` — cluster membership scenarios: ``membership gen``
-  writes a seeded :class:`~repro.faults.schedule.EventPlan` of host
-  events (random host churn, or ``--rolling N`` for a rolling-upgrade
-  drain); ``membership replay`` runs the static reference and a
-  :class:`~repro.membership.controller.MembershipController` run under
-  the plan, then proves the two bitwise-identical by diffing their
-  audit trails.  ``train --hosts PLAN`` trains through the controller.
+  trails.  ``train --faults PLAN`` / ``--hosts PLAN`` train through the
+  same controller.
 
 - ``bench`` — performance-regression observatory: ``bench run`` times
   the built-in benches (sched plan round, determinism kernel, DES
@@ -236,14 +232,11 @@ def _build_job(args: argparse.Namespace):
     return spec, dataset, config, optimizer
 
 
-def _print_run(controller, stats) -> None:
+def _print_run(controller) -> None:
     """What a controller run reports, for ``train`` and ``replay`` alike."""
-    mstats = getattr(controller, "mstats", None)  # MembershipController only
-    if mstats is not None:
-        print(mstats.describe())
-    print(stats.describe())
+    print(controller.stats.describe())
     print(f"clock: {controller.clock:.1f}s = {controller.compute_s:.1f}s "
-          f"compute + {stats.downtime_s:.1f}s downtime")
+          f"compute + {controller.stats.downtime_s:.1f}s downtime")
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -371,40 +364,27 @@ def _run_train(args: argparse.Namespace, stages, hosts, faults, telemetry) -> in
 
 
 def _drive_controller(job, pool, hosts, faults, total: int, **sinks):
-    """``train --faults`` / ``train --hosts``: one drive over the
-    :class:`~repro.faults.controller.ResilienceController` interface; the
-    modes differ only in how the controller is built and in the pool the
-    ``--verify`` reference trains on.  ``--faults`` starts on the first
-    ``--schedule`` stage and the plan decides what gets taken away;
-    ``--hosts`` starts on the plan's initial roster (``--schedule`` only
-    sets the step count), host events grow and shrink it at step
-    boundaries, and ``--faults`` may run alongside."""
-    if hosts is not None:
-        from repro.membership import MembershipController
+    """``train --faults`` / ``train --hosts``: one
+    :class:`~repro.faults.controller.ResilienceController` under one plan,
+    started on ``pool`` (the first ``--schedule`` stage) or on the
+    ``--hosts`` roster (``--schedule`` then only sets the step count), with
+    ``--faults`` merged after the host events.  Returns the engine, the
+    starting pool the ``--verify`` reference trains on, and its label."""
+    from repro.faults import ResilienceController
 
-        print(hosts.describe())
-        pool, label = _roster_pool(hosts), "static EasyScale"
-        controller = MembershipController(*job, hosts, faults=faults, **sinks)
-    else:
-        from repro.faults import ResilienceController
-
-        print(faults.describe())
-        label = "fault-free EasyScale"
-        controller = ResilienceController(*job, pool, faults, **sinks)
-    stats = controller.run(total)
+    roster = hosts is not None
+    plan = hosts if roster else faults
+    print(plan.describe())
+    if roster and faults is not None:
+        plan = plan.merged(faults)
+    controller = ResilienceController(*job, None if roster else pool, plan, **sinks)
+    start = list(controller.pool)
+    controller.run(total)
     if controller.losses:
         print(f"{total} steps survived the plan; "
               f"last loss {controller.losses[-1][-1]:.6f}")
-    _print_run(controller, stats)
-    return controller.engine, pool, label
-
-
-def _save_plan(args: argparse.Namespace, plan, noun: str) -> int:
-    _load(plan.save, args.out)
-    print(plan.describe())
-    print(f"{noun} plan written to {args.out} "
-          f"(replay with: repro {args.command} replay --plan {args.out})")
-    return OK
+    _print_run(controller)
+    return controller.engine, start, "static EasyScale" if roster else "fault-free EasyScale"
 
 
 def _replay_job(args: argparse.Namespace, plan):
@@ -416,13 +396,15 @@ def _replay_job(args: argparse.Namespace, plan):
     return job
 
 
-def _replay(args: argparse.Namespace, plan, pool, leg: str, build) -> int:
+def _replay(args: argparse.Namespace, plan, gpus, leg: str) -> int:
     """reference leg → controller leg → ``diff_audits``, behind both
-    ``replay`` subcommands.  ``build(job, **kwargs)`` constructs the
-    controller under ``plan``; ``leg`` names its audit file."""
+    ``replay`` subcommands.  Both legs start on ``gpus``, or on the plan's
+    roster when ``gpus`` is None; ``leg`` names the controller's audit file."""
     from repro import obs
     from repro.core import EasyScaleEngine, WorkerAssignment
+    from repro.faults import ResilienceController
 
+    pool = _roster_pool(plan) if gpus is None else gpus
     ref_path = f"{args.audit}.ref.jsonl" if args.audit else None
     leg_path = f"{args.audit}.{leg}.jsonl" if args.audit else None
     _ests_cover(args, pool)
@@ -438,13 +420,14 @@ def _replay(args: argparse.Namespace, plan, pool, leg: str, build) -> int:
         # because recoveries re-record the steps they re-execute
         obs.configure(enabled=True, audit=True, audit_path=leg_path,
                       audit_rewind=True)
-        controller = build(job, snapshot_interval=args.snapshot_interval)
-        stats = controller.run(args.steps)
+        controller = ResilienceController(*job, gpus, plan,
+                                          snapshot_interval=args.snapshot_interval)
+        controller.run(args.steps)
         leg_trail = obs.audit_trail()
     finally:
         obs.reset()
 
-    _print_run(controller, stats)
+    _print_run(controller)
     diff = obs.diff_audits(ref_trail, leg_trail)
     print(diff.describe())
     if args.audit:
@@ -453,60 +436,111 @@ def _replay(args: argparse.Namespace, plan, pool, leg: str, build) -> int:
     return OK if diff.identical else DIVERGED
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.faults import EventPlan, ResilienceController, random_plan, run_contrast
+def _gen_fault_plan(args: argparse.Namespace):
+    from repro.faults import random_plan
 
-    if args.faults_command == "gen":
+    if args.steps < 2:
+        raise _BadInput("--steps needs at least 2 steps")
+    return random_plan(
+        args.seed, horizon_steps=args.steps, num_gpus=args.gpus, max_events=args.events
+    )
+
+
+def _gen_host_plan(args: argparse.Namespace):
+    from repro.faults import HostSpec, random_membership_plan, rolling_upgrade_plan
+
+    if args.rolling is None:
         if args.steps < 2:
             raise _BadInput("--steps needs at least 2 steps")
-        plan = random_plan(
-            args.seed, horizon_steps=args.steps, num_gpus=args.gpus, max_events=args.events
+        return random_membership_plan(
+            args.seed, horizon_steps=args.steps, max_events=args.events
         )
-        return _save_plan(args, plan, "fault")
+    if args.rolling < 2:
+        raise _BadInput("--rolling needs at least 2 hosts")
+    hosts = [HostSpec(f"host{i}", "v100", 1) for i in range(args.rolling)]
+    return rolling_upgrade_plan(hosts, max_unavailable=args.max_unavailable,
+                                note=f"rolling upgrade of {args.rolling} hosts")
 
-    plan = _load(EventPlan.load, args.plan, "fault")
-    gpus = _parse_stage(args.gpus)
-    if args.contrast:
+
+def _cmd_plan(args: argparse.Namespace) -> int:
+    """``faults`` and ``membership``: ``gen`` writes a plan of the row's
+    family, ``replay`` proves it bitwise (``faults replay --contrast``:
+    the four-way contrast instead)."""
+    from repro.faults import EventPlan, run_contrast
+
+    row = _PLAN_COMMANDS[args.command]
+    if args.plan_command == "gen":
+        plan = row["gen_plan"](args)
+        _load(plan.save, args.out)
+        print(plan.describe())
+        print(f"{row['noun']} plan written to {args.out} "
+              f"(replay with: repro {args.command} replay --plan {args.out})")
+        return OK
+    plan = _load(EventPlan.load, args.plan, row["family"])
+    gpus = _parse_stage(args.gpus) if row["family"] == "fault" else None
+    if gpus is not None and args.contrast:
         result = run_contrast(
             *_replay_job(args, plan), gpus, plan,
             total_steps=args.steps, base_lr=args.lr,
         )
         print(result.describe())
         return OK if result.easyscale_consistent else DIVERGED
-    return _replay(
-        args, plan, gpus, "fault",
-        lambda job, **kwargs: ResilienceController(*job, gpus, plan, **kwargs),
-    )
+    return _replay(args, plan, gpus, row["leg"])
 
 
-def _cmd_membership(args: argparse.Namespace) -> int:
-    from repro.faults import EventPlan, HostSpec, random_membership_plan, rolling_upgrade_plan
-    from repro.membership import MembershipController
-
-    if args.membership_command == "gen":
-        if args.rolling is None:
-            if args.steps < 2:
-                raise _BadInput("--steps needs at least 2 steps")
-            plan = random_membership_plan(
-                args.seed, horizon_steps=args.steps, max_events=args.events
-            )
-        elif args.rolling < 2:
-            raise _BadInput("--rolling needs at least 2 hosts")
-        else:
-            hosts = [HostSpec(f"host{i}", "v100", 1) for i in range(args.rolling)]
-            plan = rolling_upgrade_plan(
-                hosts,
-                start_step=1,
-                max_unavailable=args.max_unavailable,
-                note=f"rolling upgrade of {args.rolling} hosts",
-            )
-        return _save_plan(args, plan, "membership")
-
-    plan = _load(EventPlan.load, args.plan, "host")
-    return _replay(
-        args, plan, _roster_pool(plan), "member",
-        lambda job, **kwargs: MembershipController(*job, plan, **kwargs),
-    )
+#: ``faults`` and ``membership``, one row per plan family: the kinds its
+#: plans may hold, ``gen``'s noun, generator, flags between ``--steps`` and
+#: ``--out`` and ``--out`` default; ``replay``'s audit leg, pool flags
+#: (between ``--samples`` and ``--determinism``) and flags after ``--audit``,
+#: where ``--help`` has always listed them; and the help strings
+_PLAN_COMMANDS = {
+    "faults": dict(
+        family="fault", noun="fault", gen_plan=_gen_fault_plan, out="fault_plan.json",
+        gen=(("--gpus", dict(type=_positive, default=4,
+                             help="GPUs in the target pool — bounds how much capacity "
+                                  "the plan may take away (default 4)")),
+             ("--events", dict(type=_positive, default=4,
+                               help="maximum events in the plan (default 4)"))),
+        leg="fault",
+        pool=(("--gpus", dict(type=_stage, default="2xV100+2xT4",
+                              help="GPU pool, e.g. 2xV100+2xT4 (default)")),),
+        replay=(("--contrast", dict(action="store_true",
+                                    help="instead of the audit diff, run the four-way "
+                                         "contrast against a checkpoint-restart elastic "
+                                         "baseline (shows the baseline diverging)")),),
+        help="deterministic fault injection (plan generation, replay)",
+        gen_help="generate a seeded random fault plan (JSON)",
+        replay_help="prove bitwise recovery: run the fault-free reference and a "
+                    "resilience-controller run under a plan, then diff their "
+                    "determinism audit trails (exit 0 identical, 4 divergent)",
+        plan_help="fault plan JSON (from: repro faults gen)",
+        determinism_help="heterogeneous pools need D2 for bitwise identity across "
+                         "recoveries (default D1+D2)",
+    ),
+    "membership": dict(
+        family="host", noun="membership", gen_plan=_gen_host_plan,
+        out="membership_plan.json",
+        gen=(("--events", dict(type=_positive, default=4,
+                               help="maximum host events in the plan (default 4)")),
+             ("--rolling", dict(type=_positive, default=None, metavar="HOSTS",
+                                help="instead of random churn, emit a rolling-upgrade "
+                                     "plan draining all but one of HOSTS single-V100 "
+                                     "hosts, --max-unavailable at a time")),
+             ("--max-unavailable", dict(type=_positive, default=1,
+                                        help="hosts drained per wave with --rolling "
+                                             "(default 1)"))),
+        leg="member", pool=(), replay=(),
+        help="cluster membership scenarios (plan generation, bitwise replay)",
+        gen_help="generate a seeded membership plan (JSON)",
+        replay_help="prove bitwise membership: run the static reference on the "
+                    "plan's initial roster and a membership-controller run under "
+                    "the plan, then diff their determinism audit trails "
+                    "(exit 0 identical, 4 divergent)",
+        plan_help="membership plan JSON (from: repro membership gen)",
+        determinism_help="heterogeneous rosters need D2 for bitwise identity across "
+                         "reconfigurations (default D1+D2)",
+    ),
+}
 
 
 def _load_calibration(path: str) -> dict:
@@ -915,25 +949,6 @@ def _job_args(parser, samples: int, determinism: str, *own,
                         help=determinism_help)
 
 
-def _replay_args(parser, leg: str, plan_help: str, determinism_help: str, *own) -> None:
-    """The flags :func:`_replay` reads, for ``faults replay`` and
-    ``membership replay``; ``leg`` names the controller leg's audit file."""
-    parser.add_argument("--plan", required=True, metavar="PATH", help=plan_help)
-    parser.add_argument("--workload", default="resnet18")
-    _job_args(
-        parser, 64, "D1+D2",
-        ("--steps", dict(type=_positive, default=12,
-                         help="global steps to train (default 12)")),
-        *own,
-        determinism_help=determinism_help,
-    )
-    parser.add_argument("--snapshot-interval", type=_positive, default=4,
-                        help="periodic checkpoint interval in steps (default 4)")
-    parser.add_argument("--audit", metavar="PREFIX", default=None,
-                        help="also write PREFIX.ref.jsonl and "
-                             f"PREFIX.{leg}.jsonl audit trails")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="EasyScale reproduction command line"
@@ -1033,82 +1048,38 @@ def build_parser() -> argparse.ArgumentParser:
                             "scalar advance, brute arbitration — slow at "
                             "scale) — byte-identical event streams")
 
-    faults = sub.add_parser(
-        "faults", help="deterministic fault injection (plan generation, replay)"
-    )
-    faults_sub = faults.add_subparsers(dest="faults_command", required=True)
-
-    gen = faults_sub.add_parser(
-        "gen", help="generate a seeded random fault plan (JSON)"
-    )
-    gen.add_argument("--seed", type=_seed, default=0)
-    gen.add_argument("--steps", type=_positive, default=12,
-                     help="horizon in global steps (default 12)")
-    gen.add_argument("--gpus", type=_positive, default=4,
-                     help="GPUs in the target pool — bounds how much "
-                          "capacity the plan may take away (default 4)")
-    gen.add_argument("--events", type=_positive, default=4,
-                     help="maximum events in the plan (default 4)")
-    gen.add_argument("--out", metavar="PATH", default="fault_plan.json",
-                     help="output path (default fault_plan.json)")
-
-    replay = faults_sub.add_parser(
-        "replay",
-        help="prove bitwise recovery: run the fault-free reference and a "
-             "resilience-controller run under a plan, then diff their "
-             "determinism audit trails (exit 0 identical, 4 divergent)",
-    )
-    _replay_args(
-        replay, "fault",
-        "fault plan JSON (from: repro faults gen)",
-        "heterogeneous pools need D2 for bitwise identity across recoveries "
-        "(default D1+D2)",
-        ("--gpus", dict(type=_stage, default="2xV100+2xT4",
-                        help="GPU pool, e.g. 2xV100+2xT4 (default)")),
-    )
-    replay.add_argument("--contrast", action="store_true",
-                        help="instead of the audit diff, run the four-way "
-                             "contrast against a checkpoint-restart elastic "
-                             "baseline (shows the baseline diverging)")
-
-    membership = sub.add_parser(
-        "membership",
-        help="cluster membership scenarios (plan generation, bitwise replay)",
-    )
-    membership_sub = membership.add_subparsers(
-        dest="membership_command", required=True
-    )
-
-    mgen = membership_sub.add_parser(
-        "gen", help="generate a seeded membership plan (JSON)"
-    )
-    mgen.add_argument("--seed", type=_seed, default=0)
-    mgen.add_argument("--steps", type=_positive, default=12,
-                      help="horizon in global steps (default 12)")
-    mgen.add_argument("--events", type=_positive, default=4,
-                      help="maximum host events in the plan (default 4)")
-    mgen.add_argument("--rolling", type=_positive, default=None, metavar="HOSTS",
-                      help="instead of random churn, emit a rolling-upgrade "
-                           "plan draining all but one of HOSTS single-V100 "
-                           "hosts, --max-unavailable at a time")
-    mgen.add_argument("--max-unavailable", type=_positive, default=1,
-                      help="hosts drained per wave with --rolling (default 1)")
-    mgen.add_argument("--out", metavar="PATH", default="membership_plan.json",
-                      help="output path (default membership_plan.json)")
-
-    mreplay = membership_sub.add_parser(
-        "replay",
-        help="prove bitwise membership: run the static reference on the "
-             "plan's initial roster and a membership-controller run under "
-             "the plan, then diff their determinism audit trails "
-             "(exit 0 identical, 4 divergent)",
-    )
-    _replay_args(
-        mreplay, "member",
-        "membership plan JSON (from: repro membership gen)",
-        "heterogeneous rosters need D2 for bitwise identity across "
-        "reconfigurations (default D1+D2)",
-    )
+    for name, row in _PLAN_COMMANDS.items():
+        family = sub.add_parser(name, help=row["help"])
+        # the leaf, not the group, names the subcommand: the group's dest
+        # is what argparse reports when the subcommand is missing
+        leaves = family.add_subparsers(dest=f"{name}_command", required=True)
+        gen = leaves.add_parser("gen", help=row["gen_help"])
+        gen.set_defaults(plan_command="gen")
+        gen.add_argument("--seed", type=_seed, default=0)
+        gen.add_argument("--steps", type=_positive, default=12,
+                         help="horizon in global steps (default 12)")
+        for flag, kwargs in row["gen"]:
+            gen.add_argument(flag, **kwargs)
+        gen.add_argument("--out", metavar="PATH", default=row["out"],
+                         help=f"output path (default {row['out']})")
+        replay = leaves.add_parser("replay", help=row["replay_help"])
+        replay.set_defaults(plan_command="replay")
+        replay.add_argument("--plan", required=True, metavar="PATH", help=row["plan_help"])
+        replay.add_argument("--workload", default="resnet18")
+        _job_args(
+            replay, 64, "D1+D2",
+            ("--steps", dict(type=_positive, default=12,
+                             help="global steps to train (default 12)")),
+            *row["pool"],
+            determinism_help=row["determinism_help"],
+        )
+        replay.add_argument("--snapshot-interval", type=_positive, default=4,
+                            help="periodic checkpoint interval in steps (default 4)")
+        replay.add_argument("--audit", metavar="PREFIX", default=None,
+                            help="also write PREFIX.ref.jsonl and "
+                                 f"PREFIX.{row['leg']}.jsonl audit trails")
+        for flag, kwargs in row["replay"]:
+            replay.add_argument(flag, **kwargs)
 
     colo = sub.add_parser("colocation", help="two-day serving co-location stats")
     colo.add_argument("--gpus", type=_positive, default=3000)
@@ -1239,8 +1210,8 @@ COMMANDS = {
     "list-workloads": _cmd_list_workloads,
     "train": _cmd_train,
     "trace-sim": _cmd_trace_sim,
-    "faults": _cmd_faults,
-    "membership": _cmd_membership,
+    "faults": _cmd_plan,
+    "membership": _cmd_plan,
     "colocation": _cmd_colocation,
     "scan": _cmd_scan,
     "self-test": _cmd_selftest,

@@ -11,12 +11,12 @@ The subsystem has four layers, composing bottom-up:
 - :mod:`repro.faults.manager` — :class:`CheckpointManager` keeping
   CRC-verified periodic snapshots with retention;
 - :mod:`repro.faults.controller` — :class:`ResilienceController` driving
-  detect → checkpoint → replan → restore with MTTR accounting.
+  detect → checkpoint → replan → restore with MTTR accounting, and the
+  host lifecycle of a plan with a roster.
 
 :mod:`repro.faults.contrast` runs the Fig-2-style experiment contrasting
 EasyScale's bitwise recovery against elastic baselines under the same
-plans.  :mod:`repro.membership` adds the host lifecycle and its
-controller.
+plans.  :mod:`repro.membership` holds the host lifecycle state machine.
 """
 
 from repro.faults.contrast import ContrastResult, run_contrast, segments_from_plan

@@ -2,8 +2,9 @@
 
 The controller is the supervision loop the paper's AIMaster implies but
 never spells out (§4): it drives an :class:`EasyScaleEngine` through a
-:class:`~repro.faults.schedule.EventPlan` and keeps the job's bitwise
-guarantee through every failure.  Its state machine:
+:class:`~repro.faults.schedule.EventPlan` of any kinds — faults and host
+churn alike — and keeps the job's bitwise guarantee through every scale
+event.  Its state machine:
 
 ::
 
@@ -16,25 +17,35 @@ guarantee through every failure.  Its state machine:
         snapshot; corrupt copies  RESTORE (from_checkpoint, bounded
         skipped with backoff)      retry/backoff) ──▶ RUNNING
 
+A plan with a roster (``initial_hosts``) adds the *anticipated* half of
+elasticity (docs/MEMBERSHIP.md, "With a roster"): the roster's
+:class:`~repro.membership.lifecycle.HostRegistry` is the only source of
+capacity, and every negotiated host change hands the live job to a worker
+set on the new pool (:meth:`EasyScaleEngine.reconfigure`) — zero lost work.
+
 Accounting is explicit, because the paper's JCT claims hinge on it: the
 controller's simulated clock decomposes exactly into ``compute_s`` (the
 engine's own step time, including re-executed steps) plus ``downtime_s``
-(restart delays, injected delays, corruption-retry backoff).  Per
-incident it records the **lost steps** (fault step minus restore step)
-and the **MTTR** — the simulated seconds from the fault until the job
-has re-reached and completed the step it was on when the fault hit.
+(restart delays of recoveries and reconfigurations, injected delays,
+corruption-retry backoff).  It is also the deadline clock of warm-up,
+reclaim and blacklist windows, the one clock that only moves forward.
+Per incident the controller records the **lost steps** (fault step minus
+restore step) and the **MTTR** — the simulated seconds from the fault
+until the job has re-reached and completed the step it was on when the
+fault hit; ``lost_work_seconds`` sums the compute re-executed after
+abrupt events (``0.0`` for a graceful-only plan).
 
 Recovery preserves bitwise identity by construction: every restore path
 goes through checkpoint bytes that round-trip exactly, and re-executed
 steps replay the same RNG streams, batch order, and reduction schedule.
 The property-based chaos tests assert the end-to-end consequence: *any*
-plan yields a final model bitwise-identical to the fault-free run.
+plan yields a final model bitwise-identical to the undisturbed run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.checkpoint import Checkpoint, CheckpointCorruptError
@@ -47,13 +58,33 @@ from repro.faults.injector import (
     WorkerCrashSignal,
 )
 from repro.faults.manager import CheckpointManager
-from repro.faults.schedule import EventPlan, PlanEvent
+from repro.faults.schedule import EventPlan, PlanEvent, kinds
 from repro.hw.gpu import GPUType, gpu_type
 from repro.hw.timing import static_capability
+from repro.membership.lifecycle import (
+    ACTIVE,
+    BLACKLISTED,
+    DRAINING,
+    REMOVED,
+    WARMING,
+    Host,
+    HostRegistry,
+)
 from repro.models.registry import WorkloadSpec
 from repro.obs import flightrec
 from repro.sched.companion import CompanionModule
 from repro.sched.intra import IntraJobScheduler
+
+#: host kinds the controller applies at a step boundary
+_HOST_KINDS = kinds("host", graceful=True)
+
+#: the host kinds that open a window, and how it closes once the deadline
+#: passes: kind -> (state, deadline field, next state, op)
+_WINDOWS = {
+    "announce": (WARMING, "warm_until", ACTIVE, "join"),
+    "blacklist": (BLACKLISTED, "blacklist_until", ACTIVE, "rejoin"),
+    "reclaim_notice": (DRAINING, "drain_deadline", REMOVED, "reclaim"),
+}
 
 
 class RecoveryFailedError(RuntimeError):
@@ -78,6 +109,11 @@ class RecoveryIncident:
         return max(0, self.fault_step - self.restore_step)
 
 
+def _op_count(op: str) -> property:
+    """A host-transition counter, read off the stats' transition log."""
+    return property(lambda stats: sum(o == op for o, _, _ in stats.log))
+
+
 @dataclass
 class ResilienceStats:
     """Lifetime accounting of a controller run."""
@@ -86,6 +122,23 @@ class ResilienceStats:
     recoveries: int = 0
     downtime_s: float = 0.0
     incidents: List[RecoveryIncident] = field(default_factory=list)
+    #: the run had a host roster: :meth:`describe` leads with its line
+    roster: bool = False
+    #: drain releases pushed past a boundary by ``max_unavailable``
+    deferred_drains: int = 0
+    #: compute seconds re-executed because an abrupt event restored an
+    #: older snapshot; graceful transitions contribute exactly zero
+    lost_work_seconds: float = 0.0
+    #: host transitions (op, host_id, step) in occurrence order
+    log: List[Tuple[str, str, int]] = field(default_factory=list)
+
+    joins = _op_count("join")
+    drains = _op_count("drain")
+    reclaim_notices = _op_count("reclaim_notice")
+    reclaims = _op_count("reclaim")
+    blacklists = _op_count("blacklist")
+    rejoins = _op_count("rejoin")
+    forceful_removals = _op_count("forceful_remove")
 
     @property
     def lost_steps(self) -> int:
@@ -127,12 +180,23 @@ class ResilienceStats:
         }
 
     def describe(self) -> str:
-        lines = [
+        lines = []
+        if self.roster:
+            lines.append(
+                f"{self.joins} join(s), {self.drains} drain(s) "
+                f"({self.deferred_drains} deferred), {self.reclaims} reclaim(s), "
+                f"{self.blacklists} blacklist(s), {self.rejoins} rejoin(s), "
+                f"{self.forceful_removals} forceful removal(s), "
+                f"{self.lost_work_seconds:.1f}s work lost"
+            )
+            for op, host, step in self.log:
+                lines.append(f"  step {step:>4}  {op:<16} {host}")
+        lines.append(
             f"{self.faults_injected} fault(s) injected, "
             f"{self.recoveries} recovery(ies), "
             f"{self.lost_steps} step(s) re-executed, "
             f"{self.downtime_s:.1f}s downtime"
-        ]
+        )
         if self.mttr_values:
             lines.append(
                 f"MTTR: mean {self.mean_mttr_s:.1f}s  max {self.max_mttr_s:.1f}s"
@@ -148,12 +212,14 @@ class ResilienceStats:
 
 
 class ResilienceController:
-    """Supervise one EasyScale job through a fault plan.
+    """Supervise one EasyScale job through an event plan.
 
-    The controller owns the GPU pool, a :class:`CheckpointManager` for
-    periodic snapshots, an :class:`IntraJobScheduler` for replanning on
-    survivors, and the engine itself (rebuilt on every recovery, like the
-    restarted processes of the real system).
+    The controller owns the GPU pool, the host registry, a
+    :class:`CheckpointManager` for periodic snapshots, an
+    :class:`IntraJobScheduler` for replanning on survivors, and the engine
+    itself (rebuilt on every recovery, like the restarted processes of the
+    real system).  The starting pool is the plan's roster when it has
+    ``initial_hosts`` (pass ``gpus=None``), and ``gpus`` otherwise.
 
     When an audit trail is active (``obs.configure(audit=True)``), it
     must be created with ``audit_rewind=True`` — recovered runs re-record
@@ -166,7 +232,7 @@ class ResilienceController:
         dataset: Dataset,
         config: EasyScaleJobConfig,
         optimizer_factory: Callable,
-        gpus: Sequence[Union[str, GPUType]],
+        gpus: Optional[Sequence[Union[str, GPUType]]],
         plan: EventPlan,
         snapshot_interval: int = 4,
         retention: int = 4,
@@ -180,47 +246,57 @@ class ResilienceController:
         profiler=None,
         backend=None,
     ) -> None:
-        if not gpus:
+        if gpus and plan.initial_hosts:
+            raise ValueError(
+                "pass gpus or a plan with initial_hosts, not both: "
+                "the roster is the starting pool"
+            )
+        self.plan = plan
+        self.registry = HostRegistry()
+        for host in plan.initial_hosts:
+            self.registry.add(Host(host.host_id, host.gtype, host.slots, state=ACTIVE))
+        self.pool: List[GPUType] = self._active_pool() or [
+            g if isinstance(g, GPUType) else gpu_type(str(g).upper()) for g in gpus or ()
+        ]
+        if not self.pool:
             raise ValueError("controller needs at least one GPU")
         if restart_delay_s < 0 or backoff_s < 0:
             raise ValueError("delays must be non-negative")
         if max_retries < 1:
             raise ValueError("max_retries must be positive")
-        self.spec = spec
-        self.dataset = dataset
         self.config = config
-        self.optimizer_factory = optimizer_factory
-        self.transform = transform
-        self.scheduler_factory = scheduler_factory
-        self.telemetry = telemetry
-        self.profiler = profiler
-        # resolve once so every engine rebuild (recovery, cold restart)
-        # reuses the same backend object — a process pool must survive
+        self._job = (spec, dataset, config, optimizer_factory)
+        self.injector = StepDeliverer(plan)
+        # the backend is resolved once so every engine rebuild (recovery,
+        # cold restart) reuses the same object — a process pool must survive
         # restarts; the controller never closes it (its creator does)
         from repro.exec import resolve_backend
 
-        self.backend = resolve_backend(backend)
-        self.pool: List[GPUType] = [
-            g if isinstance(g, GPUType) else gpu_type(str(g).upper()) for g in gpus
-        ]
-        self.plan = plan
-        self.injector = StepDeliverer(plan)
+        self._engine_kwargs = dict(
+            transform=transform, scheduler_factory=scheduler_factory, telemetry=telemetry,
+            profiler=profiler, fault_injector=self.injector, backend=resolve_backend(backend),
+        )
         self.manager = CheckpointManager(
             interval=snapshot_interval, retention=retention, directory=snapshot_dir
         )
         self.restart_delay_s = restart_delay_s
         self.backoff_s = backoff_s
         self.max_retries = max_retries
-        self.stats = ResilienceStats()
+        self.stats = ResilienceStats(roster=bool(plan.initial_hosts))
         #: engine compute seconds, including re-executed steps
         self.compute_s = 0.0
         #: per-step losses (rewound and overwritten on recovery)
         self.losses: List[List[float]] = []
         self._pending_delay = 0.0
         self._open_incidents: List[RecoveryIncident] = []
+        #: due drains waiting for ``max_unavailable`` room, FIFO
+        self._drain_queue: List[str] = []
+        #: compute_s recorded at each step boundary; the gap between a
+        #: recovery's restore step and the fault step is re-executed work
+        self._compute_at_step: Dict[int, float] = {}
 
         trail = obs.audit_trail()
-        if trail is not None and not getattr(trail, "allow_rewind", False):
+        if trail is not None and not trail.allow_rewind:
             raise ValueError(
                 "the active audit trail forbids rewinds; configure it with "
                 "obs.configure(..., audit_rewind=True) before attaching a "
@@ -234,19 +310,7 @@ class ResilienceController:
                 capability=static_capability(spec, config.determinism.kernel_policy),
             ),
         )
-        self.engine = EasyScaleEngine(
-            spec,
-            dataset,
-            config,
-            optimizer_factory,
-            self._plan_assignment(),
-            transform=transform,
-            scheduler_factory=scheduler_factory,
-            telemetry=telemetry,
-            profiler=profiler,
-            fault_injector=self.injector,
-            backend=self.backend,
-        )
+        self.engine = self._build_engine(self._plan_assignment())
         self.manager.take(self.engine)  # step-0 snapshot: always restorable
 
     # ------------------------------------------------------------------
@@ -256,6 +320,25 @@ class ResilienceController:
     def clock(self) -> float:
         """Simulated job clock: compute plus recovery downtime, exactly."""
         return self.compute_s + self.stats.downtime_s
+
+    def _active_pool(self) -> List[GPUType]:
+        """The serving roster's GPUs, in registration order."""
+        hosts = self.registry.serving_hosts()
+        return [gpu_type(h.gtype.upper()) for h in hosts for _ in range(h.slots)]
+
+    def _build_engine(
+        self, assignment: WorkerAssignment, ckpt: Optional[Checkpoint] = None
+    ) -> EasyScaleEngine:
+        """An engine on ``assignment``: restored from ``ckpt``, or built from
+        the job itself (deterministic in config and seed: the job-submission
+        state)."""
+        if ckpt is None:
+            return EasyScaleEngine(*self._job, assignment, **self._engine_kwargs)
+        spec, dataset, config, optimizer_factory = self._job
+        return EasyScaleEngine.from_checkpoint(
+            spec, dataset, ckpt, optimizer_factory, assignment, config=config,
+            **self._engine_kwargs,
+        )
 
     def _owned(self) -> Dict[str, int]:
         owned: Dict[str, int] = {}
@@ -298,17 +381,119 @@ class ResilienceController:
         return self.stats
 
     # ------------------------------------------------------------------
-    # fault handling
+    # step boundary: host events, deadlines, capped drains, graceful faults
     # ------------------------------------------------------------------
     def _on_boundary(self, step: int) -> None:
-        """Step-boundary hook: consume due graceful plan events.
-
-        Subclasses (the membership controller) extend this to apply
-        their own boundary-negotiated transitions before the fault
-        plan's graceful events fire.
-        """
+        """Consume everything due at this boundary, in the fixed order."""
+        self._compute_at_step[step] = self.compute_s
+        for event in self.injector.due(step, _HOST_KINDS):
+            self._apply_host_event(event, step)
+        self._apply_deadlines(step)
+        self._release_drains(step)
         for event in self.injector.boundary_events(step):
             self._handle_graceful(event)
+
+    def _apply_host_event(self, event: PlanEvent, step: int) -> None:
+        if event.kind == "drain":
+            self._drain_queue.append(event.host)
+            return
+        if event.kind == "announce":
+            self.registry.add(Host(event.host, event.gtype, event.slots))
+        host = self.registry.get(event.host)
+        if event.kind == "ready":
+            if host.state == WARMING:
+                self._advance(host, "warm_until", ACTIVE, "join", step)
+            return  # promoted by its warm-up deadline, or gone: a no-op
+        state, deadline, _, _ = _WINDOWS[event.kind]
+        was_serving = host.serving
+        self.registry.transition(host.host_id, state)
+        self._note(event.kind, host, step)
+        if was_serving and not host.serving:  # a blacklisted serving host
+            self._reconfigure(event.kind, host, step)
+        # the window opens once the job runs without the host: stamped
+        # before the restart delay, a short blacklist would expire inside
+        # its own reconfigure
+        setattr(host, deadline, self.clock + event.magnitude)
+
+    def _apply_deadlines(self, step: int) -> None:
+        now = self.clock
+        for host in list(self.registry):
+            for state, deadline, next_state, op in _WINDOWS.values():
+                due = getattr(host, deadline)
+                if host.state == state and due is not None and now >= due:
+                    self._advance(host, deadline, next_state, op, step)
+
+    def _advance(self, host: Host, deadline: str, state: str, op: str, step: int) -> None:
+        """Clear ``deadline``, move the host to ``state``, hand the job over."""
+        setattr(host, deadline, None)
+        self.registry.transition(host.host_id, state)
+        self._note(op, host, step)
+        self._reconfigure(op, host, step)
+
+    def _release_drains(self, step: int) -> None:
+        """Release at most ``max_unavailable`` queued drains (rolling wave)."""
+        wave = self._drain_queue[: self.plan.max_unavailable]
+        del self._drain_queue[: len(wave)]
+        for host_id in wave:
+            self.registry.transition(host_id, DRAINING)
+            self._advance(self.registry.get(host_id), "drain_deadline", REMOVED, "drain", step)
+        self.stats.deferred_drains += len(self._drain_queue)
+
+    def _reconfigure(self, op: str, host: Host, step: int) -> None:
+        """Hand the live job to a worker set on the new pool.
+
+        The in-flight step finished at this boundary and the engine
+        carries on from its own state, so nothing is re-executed:
+        membership transitions lose no work.
+        """
+        pool = self._active_pool()
+        if not pool:
+            raise ValueError(
+                f"membership plan removes all serving capacity at step {step}"
+            )
+        self._charge_restart()
+        self.pool = pool
+        assignment = self._plan_assignment()
+        flightrec.record(
+            "membership.reconfigure",
+            op=op,
+            host=host.host_id,
+            step=step,
+            gpus=[g.name for g in assignment.gpus],
+        )
+        self.engine = self.engine.reconfigure(assignment)
+
+    def _note(self, op: str, host: Host, step: int) -> None:
+        self.stats.log.append((op, host.host_id, step))
+        flightrec.record(
+            "membership.transition",
+            op=op,
+            host=host.host_id,
+            state=host.state,
+            step=step,
+            serving_slots=self.registry.serving_slots(),
+        )
+        if obs.is_enabled():
+            obs.instant(
+                "membership.transition",
+                cat="membership",
+                op=op,
+                host=host.host_id,
+                state=host.state,
+                step=step,
+            )
+            registry = obs.metrics()
+            registry.counter("membership_transitions_total", op=op).inc()
+            registry.gauge("membership_serving_hosts").set(
+                len(self.registry.serving_hosts())
+            )
+            registry.gauge("membership_serving_slots").set(
+                self.registry.serving_slots()
+            )
+
+    # ------------------------------------------------------------------
+    # fault handling
+    # ------------------------------------------------------------------
 
     def _note_fault(self, event: PlanEvent) -> None:
         self.stats.faults_injected += 1
@@ -348,6 +533,17 @@ class ResilienceController:
 
     def _handle_abrupt(self, signal: FaultSignal) -> None:
         event = signal.event
+        if event.kind == "forceful_remove":
+            host = self.registry.get(event.host)
+            self.registry.transition(host.host_id, REMOVED)
+            self._note("forceful_remove", host, self.engine.global_step)
+            # recovered as the node_preempt of the host's GPUs
+            event = PlanEvent(
+                kind="node_preempt",
+                at_step=event.at_step,
+                target=host.gtype,
+                magnitude=float(host.slots),
+            )
         self._note_fault(event)
         if isinstance(signal, NodePreemptSignal):
             self._shrink_pool(event, count=int(event.magnitude))
@@ -357,9 +553,18 @@ class ResilienceController:
         self.stats.downtime_s += backoff
         restore_step = int(ckpt.extra["global_step"]) if ckpt is not None else 0
         self._recover(event, ckpt, restore_step=restore_step, retries=retries)
+        # compute spent since the restore step's boundary is re-executed
+        base = self._compute_at_step.get(restore_step)
+        if base is not None:
+            self.stats.lost_work_seconds += max(0.0, self.compute_s - base)
 
     def _shrink_pool(self, event: PlanEvent, count: int) -> None:
-        """Remove ``count`` GPUs (never the last one) from the pool."""
+        """Remove ``count`` GPUs (never the last one) from the pool — with
+        a roster, re-read the serving hosts' GPUs (the registry is the only
+        source of capacity), keeping the first survivor if none serve."""
+        if self.plan.initial_hosts:
+            self.pool = self._active_pool() or self.pool[:1]
+            return
         count = max(1, count)
         preferred = event.target_gtype()
         for _ in range(count):
@@ -404,6 +609,14 @@ class ResilienceController:
                 retries += 1
                 backoff += self.backoff_s * (2 ** (retries - 1))
 
+    def _charge_restart(self) -> float:
+        """Charge one restart (a recovery or a reconfiguration) to the
+        downtime: the base delay plus any injected ``restart_delay``."""
+        delay = self.restart_delay_s + self._pending_delay
+        self._pending_delay = 0.0
+        self.stats.downtime_s += delay
+        return delay
+
     def _recover(
         self,
         event: PlanEvent,
@@ -412,9 +625,7 @@ class ResilienceController:
         retries: int,
     ) -> None:
         fault_step = self.engine.global_step
-        delay = self.restart_delay_s + self._pending_delay
-        self._pending_delay = 0.0
-        self.stats.downtime_s += delay
+        delay = self._charge_restart()
         incident = RecoveryIncident(
             kind=event.kind,
             fault_step=fault_step,
@@ -431,22 +642,7 @@ class ResilienceController:
             gpus=[g.name for g in assignment.gpus],
             dialects=[g.dialect for g in assignment.gpus],
         )
-        if ckpt is not None:
-            self.engine = EasyScaleEngine.from_checkpoint(
-                self.spec,
-                self.dataset,
-                ckpt,
-                self.optimizer_factory,
-                assignment,
-                transform=self.transform,
-                scheduler_factory=self.scheduler_factory,
-                config=self.config,
-                telemetry=self.telemetry,
-                profiler=self.profiler,
-                fault_injector=self.injector,
-                backend=self.backend,
-            )
-        else:
+        if ckpt is None:
             # cold restart: every snapshot is gone, so the whole run to
             # this point is lost — worth a postmortem even though the job
             # itself survives (deterministic construction reproduces the
@@ -463,19 +659,8 @@ class ResilienceController:
                 )
             except OSError:
                 pass
-            self.engine = EasyScaleEngine(
-                self.spec,
-                self.dataset,
-                self.config,
-                self.optimizer_factory,
-                assignment,
-                transform=self.transform,
-                scheduler_factory=self.scheduler_factory,
-                telemetry=self.telemetry,
-                profiler=self.profiler,
-                fault_injector=self.injector,
-                backend=self.backend,
-            )
+        self.engine = self._build_engine(assignment, ckpt)
+        if ckpt is None:
             self.manager.take(self.engine)  # re-seed the snapshot chain
         flightrec.record(
             "resilience.restore",

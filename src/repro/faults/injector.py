@@ -18,10 +18,9 @@ everything else is a kind filter over it:
   exactly the situation where only a checkpoint-based restore can keep
   the bitwise guarantee.
 - **controller events** — graceful kinds are pulled at each step
-  boundary: the fault kinds by the
-  :class:`~repro.faults.controller.ResilienceController` via
-  :meth:`StepDeliverer.boundary_events`, the host kinds by the
-  :class:`~repro.membership.controller.MembershipController`.
+  boundary by the :class:`~repro.faults.controller.ResilienceController`:
+  the host kinds through :meth:`StepDeliverer.due`, then the fault kinds
+  through :meth:`StepDeliverer.boundary_events`.
 
 :class:`SimDriver` serves the cluster simulator's sim-time domain from a
 static action list.
@@ -36,6 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Collection, Iterator, List, Optional, Tuple
 
 from repro.faults.schedule import EventPlan, PlanEvent, kinds
+from repro.membership.lifecycle import ACTIVE, CANDIDATE, Host, HostRegistry
 from repro.obs import flightrec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->faults cycle
@@ -213,10 +213,6 @@ class SimDriver:
         self.reset()
 
     def reset(self) -> None:
-        # lifecycle imports from repro.membership, whose package imports
-        # the controllers and with them this module
-        from repro.membership.lifecycle import ACTIVE, CANDIDATE, Host, HostRegistry
-
         self.registry = HostRegistry()
         for spec in self.plan.initial_hosts:
             self.registry.add(Host(spec.host_id, spec.gtype, spec.slots, state=ACTIVE))

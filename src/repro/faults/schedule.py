@@ -82,6 +82,15 @@ KINDS: Dict[str, Kind] = {
 
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 
+#: the kinds after which a host leaves, and what a later step-triggered
+#: event may still name it with (``ready`` is a no-op on a host that is not
+#: warming)
+_MAY_FOLLOW = {
+    "drain": ("ready",),
+    "forceful_remove": ("ready",),
+    "reclaim_notice": ("forceful_remove", "ready"),
+}
+
 
 def kinds(
     family: Optional[str] = None,
@@ -310,7 +319,9 @@ class EventPlan:
     (``initial_hosts``) every host event refers to, unless the host is
     announced first.  ``max_unavailable`` bounds rolling upgrades: at most
     that many hosts may be draining at any decision point; further due
-    drains are deferred to later boundaries.
+    drains are deferred to later boundaries.  Step-triggered host events
+    must describe a possible lifecycle (:data:`_MAY_FOLLOW`), and at least
+    one host is never drained, reclaimed or removed.
     """
 
     events: Tuple[PlanEvent, ...] = ()
@@ -332,7 +343,10 @@ class EventPlan:
             if spec.host_id in known:
                 raise ValueError(f"duplicate initial host {spec.host_id!r}")
             known.add(spec.host_id)
-        for event in self.events:
+        #: host -> (kind, index) of its latest leaving event
+        left: Dict[str, Tuple[str, int]] = {}
+        last = ""  # the leaving event that first named the last host to leave
+        for index, event in enumerate(self.events):
             if event.family == "fault":
                 continue
             if not self.initial_hosts:
@@ -348,6 +362,25 @@ class EventPlan:
                     f"{event.kind} for {event.host!r}: host was never "
                     f"announced and is not in the initial roster"
                 )
+            if event.at_step is None:
+                continue  # the simulator's cluster serves on without the roster
+            named = f"events[{index}]: {event.kind} for {event.host!r}"
+            if event.host in left:
+                kind, at = left[event.host]
+                if event.kind not in _MAY_FOLLOW[kind]:
+                    raise ValueError(
+                        f"{named} after its {kind} at events[{at}]; only "
+                        f"{' or '.join(_MAY_FOLLOW[kind])} may follow"
+                    )
+            elif event.kind in _MAY_FOLLOW:
+                last = named
+            if event.kind in _MAY_FOLLOW:
+                left[event.host] = (event.kind, index)
+        if left and len(left) == len(known):
+            raise ValueError(
+                f"{last} leaves no host the plan never drains, reclaims or "
+                f"removes; keep at least one"
+            )
 
     def __len__(self) -> int:
         return len(self.events)

@@ -47,6 +47,18 @@ def sgd_factory(lr: float = 0.05, momentum: float = 0.9):
     return make
 
 
+def assert_delivered_once(controller, total: int) -> None:
+    """Exactly-once delivery over a controller run to ``total`` steps: the
+    step events still pending are exactly those at or past ``total``, and
+    every fired fault-family event and forceful removal was injected once."""
+    events = controller.plan.step_events
+    assert controller.injector.pending_events() == [e for e in events if e.at_step >= total]
+    fired = [e for e in events if e.at_step < total]
+    assert controller.stats.faults_injected == sum(
+        e.family == "fault" or e.kind == "forceful_remove" for e in fired
+    )
+
+
 def numeric_grad(fn, array: np.ndarray, index, eps: float = 1e-3) -> float:
     """Central-difference derivative of scalar ``fn()`` w.r.t. array[index]."""
     original = float(array[index])

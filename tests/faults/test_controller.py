@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.faults import (
     EventPlan,
+    HostSpec,
     PlanEvent,
     RecoveryFailedError,
     ResilienceController,
@@ -73,6 +74,10 @@ class TestFaultFree:
         plan = EventPlan(events=())
         with pytest.raises(ValueError, match="at least one GPU"):
             ResilienceController(spec, dataset, config, sgd_factory(), [], plan)
+        # a roster is the starting pool: gpus alongside it is ambiguous
+        roster = EventPlan(initial_hosts=(HostSpec("v100-host0", "v100"),))
+        with pytest.raises(ValueError, match="not both"):
+            ResilienceController(spec, dataset, config, sgd_factory(), ["V100"], roster)
         with pytest.raises(ValueError, match="max_retries"):
             _controller(homo_env, plan, max_retries=0)
         with pytest.raises(ValueError, match="non-negative"):

@@ -3,7 +3,7 @@ training under many random membership plans on a heterogeneous pool.
 
 The acceptance property of the membership subsystem: for *any* seeded
 :func:`~repro.faults.schedule.random_membership_plan`, a D1+D2 job
-supervised by the :class:`~repro.membership.controller.MembershipController`
+supervised by the :class:`~repro.faults.controller.ResilienceController`
 on the default V100+T4 roster finishes with (a) a per-step determinism
 audit trail identical to the static run's, (b) a bitwise-identical final
 model, (c) zero lost work when the plan is graceful-only, while the job
@@ -26,11 +26,16 @@ from repro.core import (
     determinism_from_label,
 )
 from repro.hw import gpu_type
-from repro.faults import EventPlan, HostSpec, PlanEvent, random_membership_plan
-from repro.membership import MembershipController
+from repro.faults import (
+    EventPlan,
+    HostSpec,
+    PlanEvent,
+    ResilienceController,
+    random_membership_plan,
+)
 from repro.models import get_workload
 from repro.utils.fingerprint import fingerprint_state_dict
-from tests.conftest import sgd_factory
+from tests.conftest import assert_delivered_once, sgd_factory
 
 pytestmark = pytest.mark.membership
 
@@ -82,8 +87,8 @@ def membership_run(env, plan, total):
     spec, dataset, config = env
     obs.configure(enabled=True, audit=True, audit_rewind=True)
     try:
-        controller = MembershipController(
-            spec, dataset, config, sgd_factory(), plan,
+        controller = ResilienceController(
+            spec, dataset, config, sgd_factory(), None, plan,
         )
         controller.run(total)
         trail = obs.audit_trail()
@@ -106,8 +111,9 @@ def test_random_plans_recover_bitwise(env, reference, seed):
     assert controller.clock == pytest.approx(
         controller.compute_s + controller.stats.downtime_s, abs=1e-12
     ), f"seed {seed}: clock decomposition broken"
+    assert_delivered_once(controller, TOTAL_STEPS)
     if not any(e.kind == "forceful_remove" for e in plan.events):
-        assert controller.mstats.lost_work_seconds == 0.0, (
+        assert controller.stats.lost_work_seconds == 0.0, (
             f"seed {seed}: graceful-only plan lost work"
         )
 
@@ -130,12 +136,12 @@ def test_thirty_second_reclaim_notice_completes_bitwise(env):
     assert fingerprint_state_dict(
         controller.engine.model.state_dict()
     ) == ref_fingerprint
-    assert controller.mstats.reclaim_notices == 1
-    assert controller.mstats.reclaims == 1
-    assert controller.mstats.lost_work_seconds == 0.0
+    assert controller.stats.reclaim_notices == 1
+    assert controller.stats.reclaims == 1
+    assert controller.stats.lost_work_seconds == 0.0
     assert controller.stats.incidents == []
     reclaim_step = next(
-        s for op, _, s in controller.mstats.log if op == "reclaim"
+        s for op, _, s in controller.stats.log if op == "reclaim"
     )
     # the notice window really spanned many boundaries of modeled time
     assert reclaim_step >= 30

@@ -1,4 +1,4 @@
-"""MembershipController acceptance scenarios (tier-1).
+"""Roster-plan acceptance scenarios of the ResilienceController (tier-1).
 
 Every membership transition must leave training bitwise-identical to the
 static run on the initial roster: rolling drains, blacklist-then-expiry
@@ -16,12 +16,18 @@ from repro.core import (
     WorkerAssignment,
     determinism_from_label,
 )
-from repro.faults import EventPlan, HostSpec, PlanEvent, rolling_upgrade_plan
+from repro.faults import (
+    EventPlan,
+    HostSpec,
+    PlanEvent,
+    ResilienceController,
+    rolling_upgrade_plan,
+)
 from repro.hw import gpu_type
-from repro.membership import ACTIVE, REMOVED, MembershipController
+from repro.membership import ACTIVE, REMOVED
 from repro.models import get_workload
 from repro.utils.fingerprint import fingerprint_state_dict
-from tests.conftest import sgd_factory
+from tests.conftest import assert_delivered_once, sgd_factory
 
 TOTAL_STEPS = 12
 ROSTER = (
@@ -66,9 +72,9 @@ def run_plan(env, plan, total=TOTAL_STEPS, faults=None, **kwargs):
     spec, dataset, config = env
     obs.configure(enabled=True, audit=True, audit_rewind=True)
     try:
-        controller = MembershipController(
-            spec, dataset, config, sgd_factory(), plan, faults=faults,
-            **kwargs,
+        controller = ResilienceController(
+            spec, dataset, config, sgd_factory(), None,
+            plan if faults is None else plan.merged(faults), **kwargs,
         )
         stats = controller.run(total)
         trail = obs.audit_trail()
@@ -97,8 +103,8 @@ class TestGracefulTransitions:
         )
         controller, stats, trail = run_plan(env, plan)
         assert_bitwise(reference, controller, trail)
-        assert controller.mstats.drains == 1
-        assert controller.mstats.lost_work_seconds == 0.0
+        assert controller.stats.drains == 1
+        assert controller.stats.lost_work_seconds == 0.0
         assert stats.incidents == []  # graceful: never the recovery path
         assert controller.registry.get("t4-host1").state == REMOVED
         assert controller.registry.serving_slots() == 3
@@ -112,14 +118,14 @@ class TestGracefulTransitions:
         )
         controller, stats, trail = run_plan(env, plan)
         assert_bitwise(reference, controller, trail)
-        assert controller.mstats.blacklists == 1
-        assert controller.mstats.rejoins == 1
-        assert controller.mstats.lost_work_seconds == 0.0
+        assert controller.stats.blacklists == 1
+        assert controller.stats.rejoins == 1
+        assert controller.stats.lost_work_seconds == 0.0
         assert stats.incidents == []
         host = controller.registry.get("t4-host1")
         assert host.state == ACTIVE and host.blacklist_until is None
         assert controller.registry.serving_slots() == 4
-        ops = [op for op, h, _ in controller.mstats.log if h == "t4-host1"]
+        ops = [op for op, h, _ in controller.stats.log if h == "t4-host1"]
         assert ops == ["blacklist", "rejoin"]
 
     @pytest.mark.parametrize("kind, closing", [
@@ -151,15 +157,15 @@ class TestGracefulTransitions:
                               magnitude=2.0),
                 ),
             )
-            controller = MembershipController(
-                spec, dataset, config, sgd_factory(), plan,
+            controller = ResilienceController(
+                spec, dataset, config, sgd_factory(), None, plan,
             )
             controller.run(total)
             closed = next(
-                s for op, _, s in controller.mstats.log if op == closing
+                s for op, _, s in controller.stats.log if op == closing
             )
             spans.append(closed - at_step)
-            assert controller.mstats.lost_work_seconds == 0.0
+            assert controller.stats.lost_work_seconds == 0.0
             assert controller.stats.incidents == []
             assert fingerprint_state_dict(
                 controller.engine.model.state_dict()
@@ -177,16 +183,16 @@ class TestGracefulTransitions:
         )
         controller, stats, trail = run_plan(env, plan)
         assert_bitwise(reference, controller, trail)
-        assert controller.mstats.reclaim_notices == 1
-        assert controller.mstats.reclaims == 1
-        assert controller.mstats.lost_work_seconds == 0.0
+        assert controller.stats.reclaim_notices == 1
+        assert controller.stats.reclaims == 1
+        assert controller.stats.lost_work_seconds == 0.0
         assert stats.incidents == []
         assert controller.registry.get("t4-host0").state == REMOVED
         notice_step = next(
-            s for op, h, s in controller.mstats.log if op == "reclaim_notice"
+            s for op, h, s in controller.stats.log if op == "reclaim_notice"
         )
         reclaim_step = next(
-            s for op, h, s in controller.mstats.log if op == "reclaim"
+            s for op, h, s in controller.stats.log if op == "reclaim"
         )
         assert notice_step == 2 and reclaim_step > notice_step
 
@@ -198,7 +204,7 @@ class TestGracefulTransitions:
         )
         controller, stats, trail = run_plan(env, plan)
         assert_bitwise(reference, controller, trail)
-        assert controller.mstats.joins == 1
+        assert controller.stats.joins == 1
         assert controller.registry.serving_slots() == 5
         assert controller.registry.get("spot-0").state == ACTIVE
 
@@ -213,9 +219,9 @@ class TestGracefulTransitions:
         )
         controller, stats, trail = run_plan(env, plan)
         assert_bitwise(reference, controller, trail)
-        assert controller.mstats.joins == 1
+        assert controller.stats.joins == 1
         join_step = next(
-            s for op, h, s in controller.mstats.log if op == "join"
+            s for op, h, s in controller.stats.log if op == "join"
         )
         assert join_step == 5
 
@@ -235,14 +241,14 @@ class TestForcefulRemoval:
         )
         controller, stats, trail = run_plan(env, plan, snapshot_interval=3)
         assert_bitwise(reference, controller, trail)
-        assert controller.mstats.forceful_removals == 1
-        assert controller.mstats.drains == 0
+        assert controller.stats.forceful_removals == 1
+        assert controller.stats.drains == 0
         assert len(stats.incidents) == 1
         incident = stats.incidents[0]
         assert incident.kind == "node_preempt"
         assert incident.fault_step == 4 and incident.restore_step == 3
         assert incident.lost_steps == 1
-        assert controller.mstats.lost_work_seconds > 0.0
+        assert controller.stats.lost_work_seconds > 0.0
         assert controller.registry.get("t4-host1").state == REMOVED
         assert controller.registry.serving_slots() == 3
 
@@ -255,7 +261,7 @@ class TestForcefulRemoval:
         controller, stats, trail = run_plan(env, plan, snapshot_interval=4)
         assert_bitwise(reference, controller, trail)
         assert stats.incidents[0].lost_steps == 0
-        assert controller.mstats.lost_work_seconds == 0.0
+        assert controller.stats.lost_work_seconds == 0.0
 
 
 class TestRollingUpgrade:
@@ -281,8 +287,8 @@ class TestRollingUpgrade:
 
         obs.configure(enabled=True, audit=True, audit_rewind=True)
         try:
-            controller = MembershipController(
-                spec, dataset, config, sgd_factory(), plan,
+            controller = ResilienceController(
+                spec, dataset, config, sgd_factory(), None, plan,
             )
             stats = controller.run(total)
             trail = obs.audit_trail()
@@ -295,31 +301,34 @@ class TestRollingUpgrade:
             controller.engine.model.state_dict()
         ) == ref_fp
         # exactly one host leaves per step boundary, in roster order
-        drain_log = [(h, s) for op, h, s in controller.mstats.log
+        drain_log = [(h, s) for op, h, s in controller.stats.log
                      if op == "drain"]
         assert drain_log == [("host0", 1), ("host1", 2),
                              ("host2", 3), ("host3", 4)]
-        assert controller.mstats.drains == 4
-        assert controller.mstats.deferred_drains > 0
-        assert controller.mstats.lost_work_seconds == 0.0
+        assert controller.stats.drains == 4
+        assert controller.stats.deferred_drains > 0
+        assert controller.stats.lost_work_seconds == 0.0
         assert stats.incidents == []
         assert controller.registry.serving_slots() == 1
         assert controller.registry.get("host4").state == ACTIVE
 
     def test_plan_removing_all_capacity_fails_loudly(self, env):
         spec, dataset, config = env
-        plan = rolling_upgrade_plan(ROSTER, keep=1, max_unavailable=4)
-        # hand-build a roster-emptying plan: drain the keeper too
+        drains = tuple(
+            PlanEvent(kind="drain", host=s.host_id, at_step=1) for s in ROSTER
+        )
+        # draining every host is refused when the plan is built ...
+        with pytest.raises(ValueError, match="leaves no host"):
+            EventPlan(initial_hosts=ROSTER, events=drains, max_unavailable=4)
+        # ... and a host announced after the roster is gone cannot save it
         plan = EventPlan(
             initial_hosts=ROSTER,
-            events=tuple(
-                PlanEvent(kind="drain", host=s.host_id, at_step=1)
-                for s in ROSTER
-            ),
+            events=drains + (PlanEvent(kind="announce", host="spot-0", at_step=5,
+                                       gtype="v100"),),
             max_unavailable=4,
         )
-        controller = MembershipController(
-            spec, dataset, config, sgd_factory(), plan,
+        controller = ResilienceController(
+            spec, dataset, config, sgd_factory(), None, plan,
         )
         with pytest.raises(ValueError, match="removes all serving capacity"):
             controller.run(TOTAL_STEPS)
@@ -336,5 +345,20 @@ class TestFaultsAlongside:
         )
         controller, stats, trail = run_plan(env, plan, faults=faults)
         assert_bitwise(reference, controller, trail)
-        assert controller.mstats.drains == 1
-        assert stats.faults_injected >= 1
+        assert controller.stats.drains == 1
+        assert_delivered_once(controller, TOTAL_STEPS)
+
+    def test_same_step_faults_apply_in_plan_order(self, env):
+        # a restart_delay listed before a gpu_revoke at one step is charged
+        # to that revoke's recovery: the fault part of a merged plan is
+        # applied in plan order, not re-sorted by kind
+        faults = EventPlan(events=(
+            PlanEvent(kind="restart_delay", at_step=2, magnitude=7.0),
+            PlanEvent(kind="gpu_revoke", at_step=2),
+        ))
+        controller, stats, _ = run_plan(
+            env, EventPlan(initial_hosts=ROSTER), total=3, faults=faults
+        )
+        (incident,) = stats.incidents
+        assert incident.kind == "gpu_revoke"
+        assert incident.downtime_s == controller.restart_delay_s + 7.0

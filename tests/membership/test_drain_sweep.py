@@ -15,8 +15,7 @@ from repro import obs
 from repro.core import EasyScaleEngine, EasyScaleJobConfig, WorkerAssignment
 from repro.data.sampler import DistributedSampler
 from repro.hw import gpu_type
-from repro.faults import EventPlan, HostSpec, PlanEvent
-from repro.membership import MembershipController
+from repro.faults import EventPlan, HostSpec, PlanEvent, ResilienceController
 from repro.models import get_workload
 from repro.utils.fingerprint import fingerprint_state_dict
 from tests.conftest import sgd_factory
@@ -74,8 +73,8 @@ def test_drain_at_every_step_restores_global_order(env, reference, step):
     )
     obs.configure(enabled=True, audit=True, audit_rewind=True)
     try:
-        controller = MembershipController(
-            spec, dataset, config, sgd_factory(), plan,
+        controller = ResilienceController(
+            spec, dataset, config, sgd_factory(), None, plan,
         )
         stats = controller.run(TOTAL_STEPS)
         trail = obs.audit_trail()
@@ -83,8 +82,8 @@ def test_drain_at_every_step_restores_global_order(env, reference, step):
         obs.reset()
 
     # zero lost work, never the recovery path
-    assert controller.mstats.drains == 1
-    assert controller.mstats.lost_work_seconds == 0.0
+    assert controller.stats.drains == 1
+    assert controller.stats.lost_work_seconds == 0.0
     assert stats.incidents == []
 
     # the rebuilt engine's samplers reproduce the uninterrupted run's

@@ -188,13 +188,19 @@ class TestEagerKindValidation:
             EventPlan.from_json(json.dumps(payload), family="host")
 
     def test_validator_accepts_all_known_kinds(self):
-        # every row of the kind table loads; a family filter takes its own rows
+        # every row of the kind table loads; a family filter takes its own rows.
+        # Each host kind names its own host: a drained, reclaimed or removed
+        # host may not be named again
+        hosts = {"announce": "spot", "ready": "spot", "blacklist": "t4-host0",
+                 "drain": "t4-host1", "reclaim_notice": "v100-host1",
+                 "forceful_remove": "v100-host0"}
+
         def event(kind):
             state = {"kind": kind, "at_step": 1, "magnitude": 1.0}
             if kind == "announce":
-                state.update(host="spot", gtype="t4")
-            elif KINDS[kind].family == "host":
-                state.update(host="t4-host0")
+                state.update(gtype="t4")
+            if kind in hosts:
+                state.update(host=hosts[kind])
             return state
 
         payload = {"initial_hosts": [h.to_state() for h in ROSTER],

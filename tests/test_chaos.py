@@ -25,7 +25,7 @@ from repro.faults import ResilienceController, random_plan
 from repro.hw import gpu_type
 from repro.models import get_workload
 from repro.utils.fingerprint import fingerprint_state_dict
-from tests.conftest import sgd_factory
+from tests.conftest import assert_delivered_once, sgd_factory
 
 pytestmark = pytest.mark.chaos
 
@@ -88,6 +88,7 @@ def test_any_fault_plan_recovers_bitwise(env, reference, seed):
         controller.engine.model.state_dict()
     ) == ref_fingerprint
     assert stats.faults_injected == len(plan)
+    assert_delivered_once(controller, TOTAL_STEPS)
     assert all(i.mttr_s is not None for i in stats.incidents)
     assert controller.clock == pytest.approx(
         controller.compute_s + stats.downtime_s, abs=1e-12

@@ -213,6 +213,18 @@ BAD_PLANS = [
      "events[0]: restart_delay: magnitude"),
     ("host kind in a fault plan", "fault_plan",
      {"events": [{"kind": "drain", "host": "v0", "at_step": 1}]}, "events[0]: unknown kind 'drain'"),
+    # impossible lifecycles: both used to train the reference leg, then die
+    # in the controller (InvalidTransitionError; "removes all serving capacity")
+    ("drain after forceful removal", "membership_plan",
+     {"initial_hosts": HOSTS + [{"host_id": "v2", "gtype": "v100"}],
+      "events": [{"kind": "forceful_remove", "host": "v1", "at_step": 2},
+                 {"kind": "drain", "host": "v1", "at_step": 4}]},
+     "events[1]: drain for 'v1' after its forceful_remove"),
+    ("every host drained", "membership_plan",
+     {"initial_hosts": HOSTS,
+      "events": [{"kind": "drain", "host": "v0", "at_step": 2},
+                 {"kind": "drain", "host": "v1", "at_step": 3}]},
+     "events[1]: drain for 'v1' leaves no host"),
 ]
 
 
