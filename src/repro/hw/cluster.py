@@ -12,6 +12,12 @@ position) and an owner map make ``free_by_type``/``allocated_count``/
 ``owned_by`` independent of cluster size, which is what lets the
 discrete-event simulator replay month-long traces on 3,000-GPU pools —
 the seed implementation rescanned every GPU on each of those queries.
+The sorted order is kept by insertion, never by re-sorting: a released
+GPU is bisected into its free list (``insort`` on the pool position, so
+refiling a gang costs O(log n) comparisons per GPU, not a keyed sort of
+the whole ~1,000-GPU list), a granted one is bisected into its owner's
+list, a joined GPU is appended (its position is the largest yet), and
+taking from either end of a free list keeps it sorted.
 Allocation still hands out the lowest-position free GPUs and
 ``remove_free`` still takes the highest-position ones, so every consumer
 sees exactly the seed pool-order semantics.
@@ -147,8 +153,8 @@ class Cluster:
         for gpu in taken:
             gpu.allocate(job_id)
         owned = self._owned.setdefault(job_id, [])
-        owned.extend(taken)
-        owned.sort(key=_pool_position)
+        for gpu in taken:
+            insort(owned, gpu, key=_pool_position)
         return taken
 
     def release(self, job_id: str, gpus: Iterable[GPU]) -> None:
@@ -182,13 +188,9 @@ class Cluster:
 
     def _refile(self, gpus: List[GPU]) -> None:
         """Return released GPUs to their per-type free lists, in order."""
-        by_type: Dict[str, List[GPU]] = {}
+        free_lists = self._free_lists
         for gpu in gpus:
-            by_type.setdefault(gpu.type.name, []).append(gpu)
-        for name, batch in by_type.items():
-            free_list = self._free_lists.setdefault(name, [])
-            free_list.extend(batch)
-            free_list.sort(key=_pool_position)
+            insort(free_lists.setdefault(gpu.type.name, []), gpu, key=_pool_position)
 
 
 def microbench_cluster() -> Cluster:

@@ -471,7 +471,13 @@ def load_events_jsonl(path: str) -> List[Dict[str, Any]]:
 
 
 def save_events_jsonl(events: Iterable[Any], path: str) -> int:
-    """Write an event stream (Event objects or dicts) as JSON lines."""
+    """Write an event stream (Event objects or dicts) as JSON lines.
+
+    One encoder for the file: ``json.dumps(row, sort_keys=True)`` would
+    build a fresh :class:`json.JSONEncoder` per line (it caches only the
+    default one), for the same bytes.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for event in events:
@@ -479,6 +485,6 @@ def save_events_jsonl(events: Iterable[Any], path: str) -> int:
                 row = {"time": event.time, "kind": event.kind, "payload": dict(event.payload)}
             else:
                 row = dict(event)
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(encode(row) + "\n")
             count += 1
     return count

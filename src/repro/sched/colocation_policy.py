@@ -17,7 +17,7 @@ from typing import Callable, Dict, List
 
 from repro.sched.easyscale_policy import EasyScalePolicy
 from repro.sched.inter import InterJobScheduler
-from repro.sched.simulator import ClusterSimulator, JobRuntime
+from repro.sched.simulator import ClusterSimulator, JobRuntime, _canonical
 
 
 class ServingColocationPolicy(EasyScalePolicy):
@@ -75,13 +75,14 @@ class ServingColocationPolicy(EasyScalePolicy):
             if needed <= held:
                 continue
             shortfall = needed - held
-            free = sim.free_by_type().get(gtype, 0)
+            canonical = _canonical(gtype)
+            free = sim.cluster.free_count(canonical)
             if free < shortfall:
                 self._reclaim_from_elastic(sim, now, gtype, shortfall - free)
-                free = sim.free_by_type().get(gtype, 0)
+                free = sim.cluster.free_count(canonical)
             take = min(shortfall, free)
             if take > 0:
-                sim.cluster.allocate(self.SERVING_JOB_ID, _canonical(gtype), take)
+                sim.cluster.allocate(self.SERVING_JOB_ID, canonical, take)
                 self._serving_held[gtype] = held + take
 
     def _reclaim_from_elastic(
@@ -103,7 +104,3 @@ class ServingColocationPolicy(EasyScalePolicy):
             self.preemptions += 1
             # the job scales in; with zero GPUs left it suspends (rate 0)
             self._apply_plan(runtime)
-
-
-def _canonical(name: str) -> str:
-    return {"v100": "V100", "p100": "P100", "t4": "T4"}.get(name.lower(), name)

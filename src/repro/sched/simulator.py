@@ -45,6 +45,7 @@ from repro.utils.events import EventLog
 
 #: sort key of the active set and of the running-set mirror's rows
 _INDEX = attrgetter("index")
+_INF = float("inf")
 
 
 @dataclass
@@ -910,6 +911,15 @@ class _BatchedState:
     objects — the path of the rare scalar points, and what an edited
     mirror must equal (``tests/sched/test_simulator_batched.py``).
 
+    Four vectors per running job: ``remaining``, ``eff_rate`` (the
+    :meth:`advance` multiplier), ``divisor`` and ``reconfig`` (the ETA
+    inputs).  A zero-rate row carries a ``divisor`` of ``+inf`` and a
+    ``reconfig`` of ``-inf``: its ETA is then exactly ``now``, never a
+    candidate, so :meth:`min_eta` needs no mask and no division by zero.
+    ``max(now, reconfig)`` is computed once per decision point, by
+    :meth:`min_eta`, and reused by the next :meth:`advance` from that
+    same ``now``; any edit of the rows drops it.
+
     Every array op mirrors the scalar arithmetic of
     :meth:`JobRuntime.advance` / :meth:`JobRuntime.predicted_completion`
     elementwise in float64 — IEEE-identical (NumPy does not fuse or
@@ -917,21 +927,28 @@ class _BatchedState:
     """
 
     __slots__ = (
-        "jobs", "_rows", "remaining", "eff_rate", "reconfig", "any_running", "stale"
+        "jobs", "_rows", "remaining", "eff_rate", "divisor", "reconfig",
+        "_start", "_start_at", "_scratch", "any_running", "stale",
     )
 
     def __init__(self) -> None:
         self.jobs: List[JobRuntime] = []
-        #: (remaining, eff_rate, reconfig) x capacity; the three public
-        #: vectors are views of its first ``len(jobs)`` columns
-        self._rows = np.empty((3, 0), dtype=np.float64)
+        #: (remaining, eff_rate, divisor, reconfig, start, scratch) x
+        #: capacity; the six vectors are views of its first ``len(jobs)``
+        #: columns, the last two are buffers
+        self._rows = np.empty((6, 0), dtype=np.float64)
         self._view()
         #: True while the remaining-work vector is ahead of the objects
         self.stale = False
 
     def _view(self) -> None:
         n = len(self.jobs)
-        self.remaining, self.eff_rate, self.reconfig = self._rows[:, :n]
+        (
+            self.remaining, self.eff_rate, self.divisor, self.reconfig,
+            self._start, self._scratch,
+        ) = self._rows[:, :n]
+        #: the ``now`` that ``_start`` holds ``max(now, reconfig)`` for
+        self._start_at: Optional[float] = None
         self.any_running = n > 0
 
     def refresh(self, active: List[JobRuntime]) -> None:
@@ -939,10 +956,14 @@ class _BatchedState:
         self.writeback()
         jobs = self.jobs = [r for r in active if r.status == "running"]
         n = len(jobs)
-        rows = self._rows = np.empty((3, n), dtype=np.float64)
+        rows = self._rows = np.empty((6, n), dtype=np.float64)
         rows[0] = np.fromiter((r.remaining_work for r in jobs), dtype=np.float64, count=n)
         rows[1] = np.fromiter((r.effective_rate for r in jobs), dtype=np.float64, count=n)
-        rows[2] = np.fromiter((r.reconfig_until for r in jobs), dtype=np.float64, count=n)
+        rows[3] = np.fromiter((r.reconfig_until for r in jobs), dtype=np.float64, count=n)
+        idle = rows[1] <= 0.0
+        rows[2] = rows[1]
+        rows[2, idle] = _INF
+        rows[3, idle] = -_INF
         self._view()
 
     def sync(self, touched: List[JobRuntime]) -> None:
@@ -965,14 +986,19 @@ class _BatchedState:
             if runtime.status == "running":
                 if not present:
                     if n == rows.shape[1]:
-                        rows = np.empty((3, max(8, 2 * n)), dtype=np.float64)
+                        rows = np.empty((6, max(8, 2 * n)), dtype=np.float64)
                         rows[:, :n] = self._rows[:, :n]
                         self._rows = rows
                     rows[:, row + 1 : n + 1] = rows[:, row:n]
                     rows[0, row] = runtime.remaining_work
                     jobs.insert(row, runtime)
-                rows[1, row] = runtime.effective_rate
-                rows[2, row] = runtime.reconfig_until
+                rate = rows[1, row] = runtime.effective_rate
+                if rate > 0.0:
+                    rows[2, row] = rate
+                    rows[3, row] = runtime.reconfig_until
+                else:
+                    rows[2, row] = _INF
+                    rows[3, row] = -_INF
             elif present:
                 runtime.remaining_work = rows.item(0, row)
                 rows[:, row : n - 1] = rows[:, row + 1 : n]
@@ -988,20 +1014,27 @@ class _BatchedState:
         self.stale = False
 
     def advance(self, t_from: float, t_to: float) -> None:
-        """Vectorized :meth:`JobRuntime.advance` over the running jobs."""
+        """Vectorized :meth:`JobRuntime.advance` over the running jobs.
+
+        Unmasked: a row that does not advance (zero rate, or still in its
+        reconfiguration pause) subtracts an exact ``0.0``, which leaves a
+        non-negative ``remaining`` bit-for-bit unchanged.
+        """
         if not self.jobs:
             return
-        dt = t_to - np.maximum(t_from, self.reconfig)
-        mask = (self.eff_rate > 0.0) & (dt > 0.0)
-        if not mask.any():
-            return
-        stepped = np.maximum(0.0, self.remaining - self.eff_rate * dt)
-        np.copyto(self.remaining, stepped, where=mask)
+        start, step, remaining = self._start, self._scratch, self.remaining
+        if self._start_at != t_from:
+            np.maximum(t_from, self.reconfig, out=start)
+        np.subtract(t_to, start, out=step)
+        np.maximum(step, 0.0, out=step)
+        np.multiply(self.eff_rate, step, out=step)
+        np.subtract(remaining, step, out=remaining)
+        np.maximum(0.0, remaining, out=remaining)
         self.stale = True
 
     def completed_jobs(self) -> List[JobRuntime]:
         """Running jobs at/below the completion epsilon, in arrival order."""
-        if not self.jobs:
+        if not self.jobs or self.remaining.min() > ClusterSimulator.WORK_EPS:
             return []
         idx = np.nonzero(self.remaining <= ClusterSimulator.WORK_EPS)[0]
         return [self.jobs[i] for i in idx.tolist()]
@@ -1017,16 +1050,30 @@ class _BatchedState:
         is identical to :meth:`JobRuntime.predicted_completion`, so the
         minimum is the exact float the reference core would have stepped
         to.  Predictions at or before ``now`` are not candidates, exactly
-        like the reference core's strictly-future candidate scan.
+        like the reference core's strictly-future candidate scan: a
+        zero-rate row predicts exactly ``now``, so only when the plain
+        minimum is not after ``now`` is a masked minimum taken.
         """
         if not self.jobs:
             return None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            etas = np.maximum(now, self.reconfig) + self.remaining / self.eff_rate
-        etas = np.where((self.eff_rate > 0.0) & (etas > now), etas, np.inf)
-        earliest = float(etas.min())
-        return earliest if earliest != float("inf") else None
+        start, etas = self._start, self._scratch
+        np.maximum(now, self.reconfig, out=start)
+        self._start_at = now
+        np.divide(self.remaining, self.divisor, out=etas)
+        np.add(start, etas, out=etas)
+        earliest = etas.min()
+        if not earliest > now:
+            later = etas[etas > now]
+            if not later.size:
+                return None
+            earliest = later.min()
+        earliest = float(earliest)
+        return earliest if earliest != _INF else None
+
+
+#: lower-case policy spelling -> cluster type name
+_CANONICAL = {"v100": "V100", "p100": "P100", "t4": "T4"}
 
 
 def _canonical(name: str) -> str:
-    return {"v100": "V100", "p100": "P100", "t4": "T4"}.get(name.lower(), name)
+    return _CANONICAL.get(name.lower(), name)

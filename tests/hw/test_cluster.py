@@ -1,6 +1,10 @@
 """Cluster inventory: composition, allocation bookkeeping."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw import Cluster, Machine, P100, T4, V100, microbench_cluster, production_cluster
 from repro.hw.gpu import GPU, gpu_type
@@ -78,6 +82,92 @@ class TestAllocation:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
             Cluster([])
+
+
+class KeyedSortCluster(Cluster):
+    """The inventory as it kept its lists before insertion: released GPUs
+    appended to the free list and the whole list re-sorted by pool
+    position, and an owner's list re-sorted after every grant."""
+
+    def allocate(self, job_id, type_name, count):
+        taken = super().allocate(job_id, type_name, count)
+        self._owned[job_id].sort(key=lambda gpu: gpu._pool_index)
+        return taken
+
+    def _refile(self, gpus):
+        by_type = {}
+        for gpu in gpus:
+            by_type.setdefault(gpu.type.name, []).append(gpu)
+        for name, batch in by_type.items():
+            free_list = self._free_lists.setdefault(name, [])
+            free_list.extend(batch)
+            free_list.sort(key=lambda gpu: gpu._pool_index)
+
+
+def small_pool(cls):
+    return cls(
+        [Machine.build(f"v{i}", V100, 8) for i in range(2)]
+        + [Machine.build(f"p{i}", P100, 2) for i in range(3)]
+        + [Machine.build(f"t{i}", T4, 4) for i in range(2)]
+    )
+
+
+TYPES = st.sampled_from(["V100", "P100", "T4"])
+JOBS = st.sampled_from(["a", "b", "c"])
+INVENTORY_OPS = st.one_of(
+    st.tuples(st.just("allocate"), JOBS, TYPES, st.integers(1, 9)),
+    st.tuples(st.just("release"), JOBS, st.integers(0, 2**16)),
+    st.tuples(st.just("release_all"), JOBS),
+    st.tuples(st.just("remove_free"), TYPES, st.integers(0, 4)),
+    st.tuples(st.just("add_machine"), TYPES, st.integers(1, 4)),
+)
+
+
+def positions(gpus):
+    return [gpu._pool_index for gpu in gpus]
+
+
+def apply_inventory_op(cluster, op, serial):
+    """Run one op; return what it handed back (pool positions) or the
+    exception type it raised."""
+    name, *args = op
+    try:
+        if name == "allocate":
+            return positions(cluster.allocate(*args))
+        if name == "release":
+            job, seed = args
+            owned = cluster.owned_by(job)
+            picked = random.Random(seed).sample(owned, random.Random(seed).randint(0, len(owned)))
+            cluster.release(job, picked)
+            return positions(picked)
+        if name == "release_all":
+            return cluster.release_all(*args)
+        if name == "remove_free":
+            return cluster.remove_free(*args)
+        gtype = {"V100": V100, "P100": P100, "T4": T4}[args[0]]
+        cluster.add_machine(Machine.build(f"joined{serial}", gtype, args[1]))
+        return None
+    except RuntimeError as exc:
+        return type(exc)
+
+
+class TestFreeListOrder:
+    @given(ops=st.lists(INVENTORY_OPS, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_lists_stay_sorted_and_hand_out_the_keyed_sort_gpus(self, ops):
+        cluster, twin = small_pool(Cluster), small_pool(KeyedSortCluster)
+        for serial, op in enumerate(ops):
+            got = apply_inventory_op(cluster, op, serial)
+            assert got == apply_inventory_op(twin, op, serial), op
+            for name, free_list in cluster._free_lists.items():
+                indices = positions(free_list)
+                assert all(a < b for a, b in zip(indices, indices[1:])), (op, name)
+                assert indices == positions(twin._free_lists[name]), (op, name)
+            for job in "abc":
+                indices = positions(cluster.owned_by(job))
+                assert all(a < b for a, b in zip(indices, indices[1:])), (op, job)
+                assert indices == positions(twin.owned_by(job)), (op, job)
+            assert cluster.free_by_type() == twin.free_by_type()
 
 
 class TestProductionCluster:

@@ -217,6 +217,24 @@ class TestRoundTrip:
         reloaded = ClusterUtilizationReport.from_events(rows)
         assert reloaded.summary() == direct.summary()
 
+    def test_saved_bytes_are_the_per_line_dumps_spelling(self, tmp_path):
+        # the file is written through one shared encoder; its bytes must be
+        # exactly what json.dumps(row, sort_keys=True) per line would give
+        import json
+
+        log = EventLog()
+        log.emit(-0.0, "fault", job="j\u00e9", detail={"lost": -0.0, "zeta": [1.5, {"b": 2, "a": None}]})
+        log.emit(1e-7, "scale_out", job="作业-ü", gtype="t4", gpus=3.0)
+        log.emit(12.0, "job_done", job="\U0001f680", released=2, ratio=1 / 3)
+        rows = [
+            {"time": event.time, "kind": event.kind, "payload": dict(event.payload)}
+            for event in log
+        ] + [{"kind": "raw", "time": 2.0, "payload": {"nested": {"z": 1e300, "a": 1e-7}}}]
+        path = tmp_path / "events.jsonl"
+        assert save_events_jsonl(list(log) + rows[-1:], str(path)) == len(rows)
+        expected = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_truncated_trailing_line_tolerated(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         save_events_jsonl(tiny_log(), path)

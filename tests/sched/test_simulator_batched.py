@@ -25,6 +25,7 @@ the ones the floor lists (``ThreeCore`` dates from the third core).
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +42,7 @@ from repro.sched import (
     generate_trace,
     heavy_tail_trace,
 )
-from repro.sched.simulator import _BatchedState
+from repro.sched.simulator import JobRuntime, _BatchedState
 from repro.sched.trace import GPU_DEMAND, TraceJob
 
 CORES = ("run", "run_reference")
@@ -414,6 +415,226 @@ class TestMirrorEdits:
         assert seen[back][0] > 700.0 and not seen[back][1]  # a completion point
         assert seen[back][2:] == ([waiting], "running", waiting)
         assert fast.events.of_kind("job_done")[0].time == seen[back][0]
+
+
+class MirrorHarness:
+    """One :class:`_BatchedState` driven call by call and checked, after
+    every call, against scalar twins: a copy of each job that takes the
+    mirror's edits when the mirror does (at ``sync`` / ``refresh``) and
+    advances by :meth:`JobRuntime.advance` itself.  ETAs are held to
+    :meth:`JobRuntime.predicted_completion`, remaining work and written-back
+    values by bytes.  Runs under ``np.errstate(all="raise")``: the mirror
+    must never divide by zero or make a NaN on the way to those bytes.
+    """
+
+    def __init__(self, now, works):
+        self.now = now
+        self.jobs = [
+            JobRuntime(job=TraceJob(f"j{i}", "resnet50", 0.0, 1, "v100", 1.0),
+                       remaining_work=work, index=i)
+            for i, work in enumerate(works)
+        ]
+        self.twins = [replace(r) for r in self.jobs]
+        self.state = _BatchedState()
+        self.touched = []
+        #: ``now`` of the last ``min_eta`` while the start it cached is live
+        self.eta_at = None
+        #: what the run covered: masked-minimum ETAs, and starts dropped
+        #: by an edit between ``min_eta`` and the ``advance`` after it
+        self.fallbacks = self.dropped_starts = 0
+
+    def running(self):
+        return [r for r in self.jobs if self.twins[r.index].status == "running"]
+
+    def check_rows(self):
+        rows = self.running()
+        assert [id(r) for r in self.state.jobs] == [id(r) for r in rows]
+        assert self.state.any_running == bool(rows)
+        assert [v.hex() for v in self.state.remaining.tolist()] == [
+            self.twins[r.index].remaining_work.hex() for r in rows
+        ]
+
+    def edit(self, i, status, rate, slowdown, reconfig, work):
+        runtime = self.jobs[i]
+        runtime.status, runtime.rate, runtime.fault_slowdown = status, rate, slowdown
+        runtime.reconfig_until = self.now + reconfig
+        if self.twins[i].status != "running":
+            runtime.remaining_work = work  # off the mirror the object is authoritative
+        self.touched.append(runtime)
+
+    def _edited(self):
+        if self.eta_at == self.now:
+            self.dropped_starts += 1
+        self.eta_at = None
+
+    def sync(self):
+        self.state.sync(self.touched)
+        for runtime in self.touched:
+            twin = self.twins[runtime.index]
+            if runtime.status == "running":
+                if twin.status != "running":
+                    twin.remaining_work = runtime.remaining_work
+            elif twin.status == "running":
+                assert runtime.remaining_work.hex() == twin.remaining_work.hex()
+            twin.status, twin.rate = runtime.status, runtime.rate
+            twin.fault_slowdown, twin.reconfig_until = runtime.fault_slowdown, runtime.reconfig_until
+        if self.touched:
+            self._edited()
+        self.touched.clear()
+        self.check_rows()
+        # an edited mirror equals a rebuilt one, pads included
+        rebuilt = _BatchedState()
+        rebuilt.refresh(self.jobs)
+        for name in ("eff_rate", "divisor", "reconfig"):
+            assert getattr(self.state, name).tobytes() == getattr(rebuilt, name).tobytes(), name
+
+    def refresh(self):
+        self.state.refresh(self.jobs)
+        for runtime in self.jobs:
+            if self.twins[runtime.index].status == "running":
+                assert runtime.remaining_work.hex() == self.twins[runtime.index].remaining_work.hex()
+        self.twins = [replace(r) for r in self.jobs]
+        self.touched.clear()
+        self._edited()
+        self.check_rows()
+
+    def eta(self):
+        etas = [t.predicted_completion(self.now) for t in self.twins]
+        later = [eta for eta in etas if eta is not None and eta > self.now]
+        want = min(later) if later else None
+        if len(later) < sum(t.status == "running" for t in self.twins):
+            self.fallbacks += 1
+        got = self.state.min_eta(self.now)
+        assert (got is None) == (want is None) and (got is None or got.hex() == want.hex())
+        self.eta_at = self.now
+        return got
+
+    def advance(self, t_to):
+        self.state.advance(self.now, t_to)
+        for twin in self.twins:
+            twin.advance(self.now, t_to)
+        self.now, self.eta_at = t_to, None
+        self.check_rows()
+        eps = ClusterSimulator.WORK_EPS
+        assert [r.index for r in self.state.completed_jobs()] == [
+            r.index for r in self.running() if self.twins[r.index].remaining_work <= eps
+        ]
+
+    def apply(self, op):
+        if op[0] == "edit":
+            self.edit(*op[1:])
+        elif op[0] == "to_eta":  # the run() flow: step to the predicted minimum
+            eta = self.eta()
+            if eta is not None:
+                self.advance(eta)
+        elif op[0] == "advance":
+            self.advance(self.now + op[1])
+        else:
+            getattr(self, op[0])()
+
+
+JUST_ABOVE_EPS = math.nextafter(ClusterSimulator.WORK_EPS, math.inf)
+MIRROR_WORKS = st.sampled_from([0.0, ClusterSimulator.WORK_EPS, JUST_ABOVE_EPS, 1e-3, 2.5, 100.0, 5e4])
+MIRROR_EDITS = st.lists(st.tuples(
+    st.just("edit"), st.integers(0, 5),
+    st.sampled_from(["running", "running", "pending", "done"]),
+    st.sampled_from([0.0, 1e-3, 0.25, 1.0, 3.0, 1e4]),
+    st.sampled_from([1.0, 1.5, 4.0]),
+    st.sampled_from([-30.0, 0.0, 1e-9, 5.0, 40.0]),
+    MIRROR_WORKS,
+), max_size=3)
+#: how the mirror takes a batch of edits; ``()`` leaves them pending, so
+#: the next advance runs on the rows as they were
+MIRROR_TAKES = st.sampled_from([[("sync",)], [("refresh",)], []])
+#: one decision point, shaped like run()'s but with every call optional:
+#: edits, min_eta, more edits (the start it cached must then be dropped),
+#: and a step to the predicted minimum or by a fixed dt
+MIRROR_POINTS = st.builds(
+    lambda edits, take, eta, late, late_take, step: edits + take + eta + late + late_take + [step],
+    MIRROR_EDITS, MIRROR_TAKES, st.sampled_from([[("eta",)], []]), MIRROR_EDITS, MIRROR_TAKES,
+    st.one_of(
+        st.just(("to_eta",)),
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 1e-9, 0.5, 7.0, 60.0])),
+    ),
+)
+
+
+class TestMirrorArithmetic:
+    """``_BatchedState`` call by call against scalar twins
+    (:class:`MirrorHarness`): the unmasked advance, the ``±inf`` pads of
+    zero-rate rows, the masked-minimum fallback and the start vector
+    ``min_eta`` shares with the next ``advance``."""
+
+    @staticmethod
+    def replay(now, works, ops):
+        harness = MirrorHarness(now, works)
+        with np.errstate(all="raise"):
+            for op in ops:
+                harness.apply(op)
+        return harness
+
+    @given(
+        now=st.sampled_from([0.0, 3.0, 1e7, 2.0**34]),
+        works=st.lists(MIRROR_WORKS, min_size=6, max_size=6),
+        points=st.lists(MIRROR_POINTS, max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_call_sequences_match_the_scalar_twins(self, now, works, points):
+        self.replay(now, works, [op for point in points for op in point])
+
+    def test_zero_rate_rows_are_never_candidates(self):
+        # a suspended job (rate 0) beside a paused one and a finishing one:
+        # the plain minimum is the zero-rate row's `now`, so the masked
+        # minimum answers; a zero-rate row never moves
+        ops = [
+            ("edit", 0, "running", 0.0, 1.0, 40.0, 100.0),
+            ("edit", 1, "running", 1.0, 1.0, 5.0, 2.5),
+            ("edit", 2, "running", 0.25, 4.0, 0.0, 100.0),
+            ("sync",), ("to_eta",), ("advance", 60.0), ("to_eta",),
+        ]
+        harness = self.replay(3.0, [100.0] * 6, ops)
+        assert harness.fallbacks == 2
+        assert harness.state.remaining[0] == 100.0
+
+    def test_an_eta_that_rounds_to_now_takes_the_fallback(self):
+        # at now = 1e7 a step of 1e-10 s is below half an ulp: the fast
+        # job's ETA is exactly `now`, not a candidate; the slow one's is
+        ops = [
+            ("edit", 0, "running", 1e4, 1.0, -30.0, ClusterSimulator.WORK_EPS),
+            ("edit", 1, "running", 1.0, 1.0, 0.0, JUST_ABOVE_EPS),
+            ("sync",),
+        ]
+        harness = self.replay(1e7, [0.0] * 6, ops)
+        assert harness.jobs[0].predicted_completion(1e7) == 1e7
+        assert harness.eta() > 1e7 and harness.fallbacks == 1
+        harness.apply(("to_eta",))
+        assert [r.index for r in harness.state.completed_jobs()] == [0, 1]
+
+    def test_remaining_work_at_and_just_above_the_epsilon(self):
+        ops = [
+            ("edit", 0, "running", 1.0, 1.0, 5.0, ClusterSimulator.WORK_EPS),
+            ("edit", 1, "running", 1.0, 1.0, 5.0, JUST_ABOVE_EPS),
+            ("sync",), ("advance", 0.5),
+        ]
+        harness = self.replay(0.0, [0.0] * 6, ops)
+        assert [r.index for r in harness.state.completed_jobs()] == [0]
+        harness.apply(("to_eta",))
+        assert [r.index for r in harness.state.completed_jobs()] == [0, 1]
+
+    @pytest.mark.parametrize("edit", ["sync", "refresh"])
+    def test_an_edit_between_min_eta_and_advance_drops_the_start(self, edit):
+        # min_eta caches max(now, reconfig); the grant below moves a row's
+        # reconfig_until into the future before the advance from that same
+        # `now`, which must not reuse the cached start
+        ops = [
+            ("edit", 0, "running", 1.0, 1.0, 0.0, 100.0),
+            ("sync",), ("eta",),
+            ("edit", 0, "running", 1.0, 1.0, 40.0, 100.0),
+            (edit,), ("advance", 60.0),
+        ]
+        harness = self.replay(3.0, [0.0] * 6, ops)
+        assert harness.dropped_starts == 1
+        assert harness.state.remaining[0] == 80.0
 
 
 class TestDeferredDrains:

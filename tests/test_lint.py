@@ -197,6 +197,46 @@ def test_the_stale_window_is_a_rule():
     assert rebuilders == ["refresh"], rebuilders
 
 
+def test_the_decision_point_is_lean():
+    # one decision point of run() is ~10 NumPy calls on ~130-element
+    # vectors: per-call overhead is the cost, so the ETA and the advance
+    # carry no error-state context, no masks and no allocating select —
+    # zero-rate rows are padded instead (docs/SCHEDULING.md, "Vectorized
+    # advance/ETA").  The one index scan is completed_jobs', behind a
+    # minimum test.  The inventory keeps its lists sorted by insertion,
+    # never by a keyed re-sort of a whole list.
+    import ast
+
+    def parse(*parts):
+        with open(os.path.join(SRC, *parts), encoding="utf-8") as handle:
+            return ast.parse(handle.read())
+
+    def attrs(node):
+        return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+    module = parse("sched", "simulator.py")
+    (state,) = [n for n in module.body if getattr(n, "name", "") == "_BatchedState"]
+    methods = {n.name: n for n in state.body if isinstance(n, ast.FunctionDef)}
+    banned = {"errstate", "where", "nonzero"}
+    for name in ("advance", "min_eta"):
+        assert not attrs(methods[name]) & banned, name
+    scans = [
+        node.name for node in ast.walk(module)
+        if isinstance(node, ast.FunctionDef) and attrs(node) & banned
+    ]
+    assert scans == ["completed_jobs"], scans
+    guard = methods["completed_jobs"].body[1]  # after the docstring
+    assert isinstance(guard, ast.If) and "min" in attrs(guard.test), ast.unparse(guard)
+    assert isinstance(guard.body[0], ast.Return), ast.unparse(guard)
+
+    resorts = [
+        ast.unparse(node) for node in ast.walk(parse("hw", "cluster.py"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "sort" and any(k.arg == "key" for k in node.keywords)
+    ]
+    assert resorts == [], resorts
+
+
 def test_one_road_through_the_pool():
     # shm is the transport and every step writes back: the switches, the
     # banked state and the fallback are gone by name, not just unused.  The
