@@ -23,10 +23,13 @@ proposal loop issues it once per (GPU-type × chunk) per round, so the
 database memoizes aggressively:
 
 - results are cached under the *normalized* availability vector (see
-  :func:`~repro.sched.plancache.availability_key`), invalidated whenever
-  the capability table's **generation** counter bumps — which every
-  mutation path (``report_measurement``, ``apply_calibration``, direct
-  item assignment) does automatically via :class:`_CapabilityTable`;
+  :func:`~repro.sched.plancache.availability_key`), in stores that every
+  companion of one job class shares (:meth:`CompanionModule.share_caches`),
+  and invalidated whenever the capability table's **generation** counter
+  bumps — which every mutation path (``report_measurement``,
+  ``apply_calibration``, direct item assignment) does automatically via
+  :class:`_CapabilityTable`; the companion then leaves the shared stores
+  for fresh private ones until its agent is interned again;
 - a miss scores its whole candidate space as **one array expression**
   (:meth:`CompanionModule._search`): GPU-count vectors × their ``2^T``
   floor/ceil EST splits, Eq. (1a–1d) evaluated elementwise by
@@ -47,8 +50,8 @@ All three return **exactly** what the seed brute-force enumerator
 which the property suite in ``tests/sched/test_companion_fastpath.py``
 asserts.  To make that contract exact under ties, ranking uses the total
 order ``(-throughput, total_gpus, alloc)``.  The reference and its scalar
-helpers stay as that oracle (and serve ``enumerate_plans``); no query on
-the scheduling path runs them.
+helpers stay as that oracle (and serve ``enumerate_plans``, which is not
+cached); no query on the scheduling path runs them.
 """
 
 from __future__ import annotations
@@ -156,7 +159,6 @@ class CompanionModule:
         self.observations: List[Tuple[str, float, float, bool]] = []
         # --- fast path state ---
         self._generation = 0
-        self._full_cache = PlanCache("companion_full", maxsize=cache_size)
         self._topk_cache = PlanCache("companion_topk", maxsize=cache_size)
         self._delta_cache = PlanCache("companion_delta", maxsize=cache_size)
         #: count vectors whose EST expansion the dominance bound skipped
@@ -170,14 +172,23 @@ class CompanionModule:
     # ------------------------------------------------------------------
     def _bump_generation(self) -> None:
         self._generation += 1
-        self._full_cache.invalidate()
         self._topk_cache.invalidate()
         self._delta_cache.invalidate()
 
+    def share_caches(self, topk: dict, delta: dict) -> None:
+        """Answer top-K and delta queries from a job class's stores.
+
+        :meth:`~repro.sched.inter.InterJobScheduler.job_class` calls this
+        when it interns the companion's agent, so a class pays each plan
+        search once; the hit/miss counts stay this companion's.  The next
+        generation bump leaves the stores again.
+        """
+        self._topk_cache.share(topk)
+        self._delta_cache.share(delta)
+
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Hit/miss/invalidation/eviction counts for all three caches."""
+        """Hit/miss/invalidation/eviction counts for both caches."""
         return {
-            "full": self._full_cache.stats.as_dict(),
             "topk": self._topk_cache.stats.as_dict(),
             "delta": self._delta_cache.stats.as_dict(),
         }
@@ -261,21 +272,12 @@ class CompanionModule:
         return scored
 
     def enumerate_plans(self, available: Mapping[str, int]) -> List[ScoredPlan]:
-        """All feasible scored plans under the given free-GPU counts."""
-        key = self._key(available)
-        cached = self._full_cache.get(key)
-        if cached is not MISS:
-            return list(cached)
-        plans = self.enumerate_plans_reference(dict(key))
-        self._full_cache.put(key, plans)
-        return list(plans)
+        """All feasible scored plans under the given free-GPU counts (uncached)."""
+        return self.enumerate_plans_reference(available)
 
     def best_plans(self, available: Mapping[str, int], top_k: int = 3) -> List[ScoredPlan]:
         """Top-K plans; cached and dominance-pruned (see module docs)."""
         key = self._key(available)
-        full = self._full_cache.get(key)
-        if full is not MISS:
-            return list(full[:top_k])
         cached = self._topk_cache.get((key, top_k))
         if cached is not MISS:
             return list(cached)

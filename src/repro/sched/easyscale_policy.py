@@ -87,11 +87,12 @@ class EasyScalePolicy(SchedulingPolicy):
         active = [
             r for r in sim.active_jobs() if r.agent is not None and r.status != "done"
         ]
-        # under run(), each job's (class, clamped ownership) key is derived
-        # once per call — again only for jobs this call grants — and serves
-        # both the Role-1 skip test and the Role-2 memo.  run_reference
-        # leaves the flag off (no ask, no skip, no memo), so the brute
-        # branches below stay the memos' whole-trace oracle.
+        # under run(), each job's (class, clamped ownership) key is re-derived
+        # only when its class or ownership moved since its last ask, and
+        # serves both the Role-1 skip test and the Role-2 memo.  run_reference
+        # leaves the flag off (no skip, no memo), so the brute branches
+        # below stay the memos' whole-trace oracle; its _apply_plan still
+        # asks, so its companions share the class plan stores as well.
         incremental = sim.incremental_scheduling
         asks = [self.inter.ask(r.agent, r.owned) if incremental else None for r in active]
 

@@ -40,7 +40,7 @@ class JobClass:
     (capability *contents*, ``maxP``, per-type cap, plan shape) and proposal
     menu (``scaleout_chunks``, ``top_k``) are equal.  Identity is the id."""
 
-    __slots__ = ("types", "cap", "menu", "delta_memo")
+    __slots__ = ("types", "cap", "menu", "delta_memo", "topk_store", "delta_store")
 
     def __init__(self, types: frozenset, cap: int, menu: Tuple[int, ...]) -> None:
         self.types = types
@@ -51,6 +51,10 @@ class JobClass:
         #: (clamped owned, gtype, chunk): two proposal passes that differ
         #: only in their free vectors share every search they have in common
         self.delta_memo: Dict[tuple, object] = {}
+        #: the plan-cache entries of every member companion (its top-K and
+        #: delta caches read these while its generation is unchanged)
+        self.topk_store: Dict[tuple, object] = {}
+        self.delta_store: Dict[tuple, object] = {}
 
 
 #: one job's question to a round: its agent, its live ownership dict, and
@@ -65,8 +69,9 @@ class InterJobScheduler:
         self.grant_log: List[Grant] = []
         #: class key (by content) -> its one record
         self._classes: Dict[tuple, JobClass] = {}
-        #: agent -> (validity stamp, record) of its last lookup
-        self._class_of: Dict[IntraJobScheduler, Tuple[tuple, JobClass]] = {}
+        #: agent -> [validity stamp, record, ownership snapshot, ask key]
+        #: of its last lookup (the last two belong to its last :meth:`ask`)
+        self._class_of: Dict[IntraJobScheduler, list] = {}
         #: incremental-arbitration memo, shared across *all* jobs of a
         #: class: ``(ask key, free-pool fit key)`` -> the first asker's
         #: proposals
@@ -80,14 +85,15 @@ class InterJobScheduler:
     def job_class(self, agent: IntraJobScheduler) -> JobClass:
         """The agent's class, interned by content behind a validity stamp.
 
-        The stamp is ``companion.generation`` (bumped by every capability
-        mutator; the companion's plan-shape scalars are read-only) plus
-        the agent's assignable menu, so no way of changing an agent's
-        class leaves a stale record; two companions with equal tables and
-        different generations still share one class.
+        The stamp is the companion and its ``generation`` (bumped by every
+        capability mutator; the companion's plan-shape scalars are
+        read-only) plus the agent's assignable menu, so no way of changing
+        an agent's class leaves a stale record; two companions with equal
+        tables and different generations still share one class.  Interning
+        points the companion's plan caches at the class's stores.
         """
         companion = agent.companion
-        stamp = (companion.generation, agent.scaleout_chunks, agent.top_k)
+        stamp = (companion, companion.generation, agent.scaleout_chunks, agent.top_k)
         known = self._class_of.get(agent)
         if known is not None and known[0] == stamp:
             return known[1]
@@ -106,21 +112,30 @@ class InterJobScheduler:
                 min(companion.max_p, companion.max_gpus_per_type),
                 agent.scaleout_chunks,
             )
-        self._class_of[agent] = (stamp, job_class)
+        companion.share_caches(job_class.topk_store, job_class.delta_store)
+        self._class_of[agent] = [stamp, job_class, None, None]
         return job_class
 
     def ask(self, agent: IntraJobScheduler, owned: Mapping[str, int]) -> Ask:
-        """Derive the agent's key for its current ownership.
+        """The agent's key for its current ownership.
 
         Role-1's plan and Role-2's proposals are — apart from the job id
         — pure functions of the class and the ownership clamped to the
         enumeration cap (:func:`availability_key`; raw counts beyond the
-        cap cannot change any plan score).  Derived per call, never cached
-        across calls: ``owned`` is mutated in place by the simulator.
+        cap cannot change any plan score).  The key is kept with the
+        ``tuple(owned.items())`` snapshot it was derived from and
+        re-derived only when the stamp or the snapshot differs: the
+        simulator edits ``owned`` in place, and a snapshot comparison sees
+        every such edit without a version counter at the mutation sites.
         """
         job_class = self.job_class(agent)
-        cap = job_class.cap
-        return agent, owned, (job_class, availability_key(owned, job_class.types, cap, cap))
+        known = self._class_of[agent]
+        snapshot = tuple(owned.items())
+        if known[2] != snapshot:
+            cap = job_class.cap
+            known[2] = snapshot
+            known[3] = (job_class, availability_key(owned, job_class.types, cap, cap))
+        return agent, owned, known[3]
 
     def proposals_for(
         self, asks: Sequence[Ask], free: Mapping[str, int]

@@ -24,6 +24,7 @@ from repro.obs import flightrec
 from repro.sched.companion import CompanionModule
 from repro.sched.perfmodel import Plan, ScoredPlan, estimated_throughput
 from repro.sched.plancache import availability_key
+from repro.sched.simulator import _canonical
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,6 @@ def plan_to_assignment(plan: Plan) -> WorkerAssignment:
             f"plan capacity {plan.n_est_capacity} failed to place {plan.max_p} ESTs"
         )
     return WorkerAssignment(gpus=tuple(gpus), est_map=tuple(tuple(s) for s in est_map))
-
-
-def _canonical(name: str) -> str:
-    return {"v100": "V100", "p100": "P100", "t4": "T4"}.get(name.lower(), name)
 
 
 class IntraJobScheduler:

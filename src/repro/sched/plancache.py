@@ -3,24 +3,30 @@
 The §3.4 proposal loop queries the companion once per (GPU-type × chunk)
 per job per round; at Fig-8 cluster scale that is thousands of calls into
 an ``O(max_gpus_per_type^|types|)`` enumeration.  Almost all of them
-repeat: the free-GPU vector changes slowly, and a job's capability table
-changes only when calibration or bias correction rewrites it.
+repeat: the free-GPU vector changes slowly, a job's capability table
+changes only when calibration or bias correction rewrites it, and many
+jobs share one table.
 
-:class:`PlanCache` is the shared memo store behind
-:meth:`~repro.sched.companion.CompanionModule.enumerate_plans` /
-``best_plans`` / ``best_plan_delta``:
+:class:`PlanCache` is the memo behind
+:meth:`~repro.sched.companion.CompanionModule.best_plans` and
+``best_plan_delta``:
 
 - keys are *normalized* availability vectors (per-type counts clamped to
   ``min(available, maxP, max_gpus_per_type)``, zero/unknown types
   dropped), so availability beyond the enumeration caps hits the same
   entry;
-- the owning companion invalidates the whole store whenever its
-  capability-table **generation** bumps (``apply_calibration``,
-  ``report_measurement``, or any direct mutation);
+- the entries live in a *store* (a plain dict) the cache does not own:
+  :meth:`PlanCache.share` points it at a job class's store, so every
+  companion of that class answers from one set of entries;
+- the owning companion invalidates whenever its capability-table
+  **generation** bumps (``apply_calibration``, ``report_measurement``, or
+  any direct mutation): the cache leaves its store for a fresh private
+  one — never empties it, because other companions may still read it;
 - bounded size with FIFO eviction — the availability-key space is tiny in
   practice, but a pathological caller can never leak memory;
-- hit/miss/invalidation/eviction counts kept locally *and* mirrored into
-  the :mod:`repro.obs` metrics registry when observability is enabled.
+- hit/miss/invalidation/eviction counts kept per cache (so per companion,
+  whichever store it reads) *and* mirrored into the :mod:`repro.obs`
+  metrics registry when observability is enabled.
 
 The cache stores only immutable :class:`~repro.sched.perfmodel.ScoredPlan`
 values; list values are copied on the way out so callers can never corrupt
@@ -73,8 +79,7 @@ class PlanCache:
     """Bounded FIFO memo store with observability counters.
 
     ``name`` labels the metrics series (``sched_plan_cache_*_total``)
-    so the full-enumeration, top-K, and delta caches stay distinguishable
-    on a dashboard.
+    so the top-K and delta caches stay distinguishable on a dashboard.
     """
 
     def __init__(self, name: str, maxsize: int = 512) -> None:
@@ -113,10 +118,18 @@ class PlanCache:
                 ).inc()
         self._store[key] = value
 
+    def share(self, store: Dict[Hashable, Any]) -> None:
+        """Answer from ``store`` (a job class's) from now on; stats stay here."""
+        self._store = store
+
     def invalidate(self) -> None:
-        """Drop every entry (capability-table generation bumped)."""
-        if self._store:
-            self._store.clear()
+        """Forget every entry (capability-table generation bumped).
+
+        The cache moves to a fresh private store instead of emptying the
+        one it reads: that store may be shared, and its entries are still
+        right for the companions that did not change.
+        """
+        self._store = {}
         self.stats.invalidations += 1
         if obs.is_enabled():
             obs.metrics().counter(

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sched.companion import CompanionModule, _CapabilityTable, _SEED_VECTORS
+from repro.sched.inter import InterJobScheduler
+from repro.sched.intra import IntraJobScheduler
 from repro.sched.plancache import MISS, PlanCache, availability_key
 
 CAP = {"v100": 9.0, "p100": 4.0, "t4": 3.0}
@@ -51,6 +53,17 @@ class TestPlanCache:
         cache.invalidate()
         assert cache.get("k") is MISS
         assert cache.stats.invalidations == 1
+
+    def test_invalidate_leaves_a_shared_store_intact(self):
+        # the store may be a job class's: another companion still reads it
+        store = {}
+        cache, other = PlanCache("t"), PlanCache("t")
+        cache.share(store)
+        other.share(store)
+        cache.put("k", 1)
+        cache.invalidate()
+        assert cache.get("k") is MISS
+        assert other.get("k") == 1 and store == {"k": 1}
 
     def test_fifo_eviction(self):
         cache = PlanCache("t", maxsize=2)
@@ -302,6 +315,76 @@ class TestEquivalenceProperties:
                 gtype = draw(st.sampled_from(types))
                 comp.report_measurement(
                     gtype,
+                    estimated=draw(st.floats(0.5, 16.0)),
+                    measured=draw(st.floats(0.5, 16.0)),
+                )
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_shared_stores_equal_bruteforce_under_interleaving(self, data):
+        """Two to four companions, the first two (and maybe more) of one
+        class, interned through one ``InterJobScheduler``: queries on any
+        member interleave with capability writes on any member, and every
+        answer equals that member's brute-force oracle.  A member that was
+        written answers from private stores until it is interned again, so
+        its new answers never reach the class it left."""
+        draw = data.draw
+        types = draw(st.lists(st.sampled_from(KNOWN), min_size=1, max_size=3, unique=True))
+        base = _capabilities(draw, types)
+        max_p, homogeneous_only = draw(st.integers(1, 8)), draw(st.booleans())
+        agents = [
+            IntraJobScheduler(f"job-{i}", CompanionModule(
+                max_p=max_p, homogeneous_only=homogeneous_only, max_gpus_per_type=4,
+                capability=dict(base) if i < 2 or draw(st.booleans())
+                else _capabilities(draw, types),
+            ))
+            for i in range(draw(st.integers(2, 4)))
+        ]
+        inter = InterJobScheduler()
+        for agent in agents:
+            inter.job_class(agent)
+        # a few availabilities, reused: members of one class ask one question
+        pool = [
+            {t: draw(st.integers(0, 6)) for t in types} | {"a100": 2}
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        for _ in range(draw(st.integers(1, 12))):
+            op = draw(st.sampled_from(
+                ["intern", "enumerate", "topk", "delta", "write", "rejoin", "report"]
+            ))
+            if op == "intern":
+                inter.job_class(draw(st.sampled_from(agents)))
+                continue
+            # a write hits one member; a question is put to every member in turn
+            askers = [a.companion for a in draw(st.permutations(agents))]
+            writer = askers[0]
+            if op == "enumerate":
+                avail = draw(st.sampled_from(pool))
+                for member in askers:
+                    assert member.enumerate_plans(avail) == member.enumerate_plans_reference(avail)
+            elif op == "topk":
+                avail, k = draw(st.sampled_from(pool)), draw(st.integers(1, 3))
+                for member in askers:
+                    assert member.best_plans(avail, top_k=k) == (
+                        member.enumerate_plans_reference(avail)[:k]
+                    )
+            elif op == "delta":
+                owned = draw(st.sampled_from(pool))
+                gtype = draw(st.sampled_from(types))
+                chunk = draw(st.integers(1, 4))
+                hypothetical = {**owned, gtype: owned.get(gtype, 0) + chunk}
+                for member in askers:
+                    ranked = member.enumerate_plans_reference(hypothetical)
+                    assert member.best_plan_delta(owned, gtype, chunk) == (
+                        ranked[0] if ranked else None
+                    )
+            elif op == "write":
+                writer.capability[draw(st.sampled_from(types))] = draw(st.floats(0.25, 16.0))
+            elif op == "rejoin":
+                writer.capability |= base  # equal to the class's table again
+            elif op == "report":
+                writer.report_measurement(
+                    draw(st.sampled_from(types)),
                     estimated=draw(st.floats(0.5, 16.0)),
                     measured=draw(st.floats(0.5, 16.0)),
                 )

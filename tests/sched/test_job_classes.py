@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.sched.companion import CompanionModule
 from repro.sched.inter import InterJobScheduler
 from repro.sched.intra import IntraJobScheduler
+from repro.sched.plancache import availability_key
 
 TABLES = [
     {"v100": 10.0, "p100": 5.0, "t4": 3.0},
@@ -130,6 +131,9 @@ MUTATIONS = {
     "capability.pop(t)": lambda a: a.companion.capability.pop("t4"),
     "scaleout_chunks = (1, 2)": lambda a: setattr(a, "scaleout_chunks", (1, 2)),
     "top_k = 1": lambda a: setattr(a, "top_k", 1),
+    "companion = another": lambda a: setattr(
+        a, "companion", CompanionModule(max_p=8, capability={"v100": 4.0, "t4": 3.0})
+    ),
 }
 
 
@@ -177,3 +181,78 @@ def test_calibrating_back_rejoins_the_old_class():
         p for agent, owned in jobs for p in brute(agent, owned, FREE)
     ]
     assert (inter.proposal_memo_hits, inter.proposal_memo_misses) == (1, 1)
+
+
+def fresh_ask(inter, agent, owned):
+    """``ask``'s key derived from nothing it kept: a never-asked twin with the
+    agent's current parameters finds the class by content, and the ownership
+    is clamped from a copy."""
+    twin = make_agent(
+        "twin", agent.companion.capability, agent.companion.max_p,
+        agent.companion.homogeneous_only, agent.scaleout_chunks, agent.top_k,
+        agent.companion.max_gpus_per_type,
+    )
+    job_class = inter.job_class(twin)
+    assert inter.job_class(agent) is job_class
+    return job_class, availability_key(dict(owned), job_class.types, job_class.cap,
+                                       job_class.cap)
+
+
+def _in_place(edit):
+    def apply(owned):
+        edit(owned)
+        return owned
+    return apply
+
+
+# every way the simulator or a test can change what ``owned`` holds; each
+# returns the dict to ask with next (the same one, unless it is replaced)
+OWNED_EDITS = {
+    "increment": _in_place(lambda o: o.__setitem__("v100", o.get("v100", 0) + 1)),
+    "decrement to 0": _in_place(lambda o: o.__setitem__("t4", 0)),
+    "new type": _in_place(lambda o: o.__setitem__("p100", o.get("p100", 0) + 3)),
+    "pop": _in_place(lambda o: o.pop("t4", None)),
+    "replaced dict": lambda o: {"v100": 1},
+    "same contents, other order": lambda o: dict(reversed(o.items())),
+}
+STAMP_EDITS = {
+    "capability[t] = r": MUTATIONS["capability[t] = r"],
+    "scaleout_chunks = (1, 2)": MUTATIONS["scaleout_chunks = (1, 2)"],
+    "top_k = 1": MUTATIONS["top_k = 1"],
+}
+
+
+@pytest.mark.parametrize("how", sorted(OWNED_EDITS) + sorted(STAMP_EDITS))
+def test_an_ask_key_lives_exactly_as_long_as_its_ownership(how):
+    inter = InterJobScheduler()
+    agent, other = (make_agent(f"job-{i}", TABLES[0], 8, False) for i in range(2))
+    owned = dict(OWNED)
+    first = inter.ask(agent, owned)[2]
+    assert first == fresh_ask(inter, agent, owned)
+    # nothing moved: the kept key itself, not a re-derived equal one
+    assert inter.ask(agent, owned)[2] is first
+    inter.ask(other, dict(OWNED))
+    if how in OWNED_EDITS:
+        owned = OWNED_EDITS[how](owned)
+    else:
+        STAMP_EDITS[how](agent)
+    got = inter.ask(agent, owned)[2]
+    assert got == fresh_ask(inter, agent, owned)
+    assert got[0] is inter.job_class(agent)
+    assert inter.ask(other, dict(OWNED))[2] == first, "an untouched agent's key moved"
+
+
+@given(edits=st.lists(st.tuples(st.sampled_from(sorted(OWNED_EDITS) + sorted(STAMP_EDITS)),
+                                st.integers(0, 2)), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_ask_keys_follow_any_edit_sequence(edits):
+    inter = InterJobScheduler()
+    jobs = [[make_agent(f"job-{i}", TABLES[0], 8, False), dict(OWNED)] for i in range(3)]
+    for how, i in edits:
+        agent, owned = jobs[i]
+        if how in OWNED_EDITS:
+            jobs[i][1] = OWNED_EDITS[how](owned)
+        else:
+            STAMP_EDITS[how](agent)
+        for agent, owned in jobs:
+            assert inter.ask(agent, owned)[2] == fresh_ask(inter, agent, owned)

@@ -203,17 +203,20 @@ GOLDEN = {
 
 
 #: summed plan-cache ``(hits, misses)`` and proposal-memo ``(hits, misses)``
-#: of ``run()`` on the same cases, recorded at 32dd050 (before the class
-#: became Role-2's unit): the events pin *what* was decided, these pin how
-#: the caches and the memo are partitioned.  A change that shares or splits
-#: either on purpose re-records them and says by how much.
+#: of ``run()`` on the same cases: the events pin *what* was decided, these
+#: pin how the caches and the memo are partitioned.  A change that shares or
+#: splits either on purpose re-records them and says by how much.  The memo
+#: pairs date from 32dd050 (before the class became Role-2's unit).  The
+#: plan-cache pairs were re-recorded when the never-filled full-enumeration
+#: cache went (its probe was 449–548 misses a case) and the top-K and delta
+#: stores became per job class (−5 to −7 misses, +5 to +7 hits).
 GOLDEN_COUNTS = {
-    "homo": ((606, 652), (352, 73)),
-    "heter": ((606, 652), (352, 73)),
-    "coloc": ((642, 691), (433, 111)),
-    "heter+faults": ((714, 812), (432, 129)),
-    "heter+membership": ((606, 652), (372, 73)),
-    "heter+faults+membership": ((714, 812), (446, 129)),
+    "homo": ((612, 197), (352, 73)),
+    "heter": ((612, 197), (352, 73)),
+    "coloc": ((649, 202), (433, 111)),
+    "heter+faults": ((719, 259), (432, 129)),
+    "heter+membership": ((612, 197), (372, 73)),
+    "heter+faults+membership": ((719, 259), (446, 129)),
 }
 
 #: the plan of each ``heter+...`` golden case

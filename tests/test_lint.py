@@ -170,6 +170,45 @@ def test_the_class_key_and_the_ownership_clamp_live_once():
     ], key_defs
 
 
+def test_plan_stores_belong_to_classes_and_are_left_not_emptied():
+    # the lower-case -> cluster type table is spelled once (the simulator's
+    # _canonical; intra imports it); a PlanCache may read a store its job
+    # class shares, so invalidation moves it to a fresh store and never
+    # empties one in place; and the shared stores hang off the JobClass the
+    # scheduler interns — a module-level registry of plan stores would
+    # outlive every scheduler and couple two simulations in one process.
+    # (Spelled split so this file does not match itself.)
+    import ast
+
+    canonical_defs = [
+        path for path, line in _lines_of_code_and_docs()
+        if path.startswith("src/repro/sched/") and line.startswith("def _canon" + "ical(")
+    ]
+    assert canonical_defs == ["src/repro/sched/simulator.py"], canonical_defs
+    with open(os.path.join(SRC, "sched", "plancache.py"), encoding="utf-8") as handle:
+        assert ".clear" + "()" not in handle.read()
+
+    containers = {"dict", "defaultdict", "OrderedDict", "WeakKeyDictionary",
+                  "WeakValueDictionary", "list", "set"}
+    registries = []
+    for path in _python_files(os.path.join(SRC, "sched")):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in tree.body:
+            value = getattr(node, "value", None) if isinstance(
+                node, (ast.Assign, ast.AnnAssign)
+            ) else None
+            empty_display = isinstance(value, (ast.Dict, ast.List, ast.Set)) and not (
+                value.keys if isinstance(value, ast.Dict) else value.elts
+            )
+            constructed = isinstance(value, ast.Call) and getattr(
+                value.func, "id", getattr(value.func, "attr", None)
+            ) in containers
+            if empty_display or constructed:
+                registries.append((os.path.relpath(path, REPO_ROOT), ast.unparse(node)))
+    assert registries == [], registries
+
+
 def test_the_stale_window_is_a_rule():
     # under run() a running job's remaining work lives in the simulator's
     # mirror and the object lags it between fault/membership points, so no
