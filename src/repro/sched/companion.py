@@ -43,7 +43,11 @@ database memoizes aggressively:
 - :meth:`best_plan_delta` scores a scale-out hypothesis ``owned +
   chunk×gtype`` incrementally: the owned space's best (cached from
   Role-1) against only the *slab* of vectors using more than the owned
-  count of ``gtype``, with the owned best as the slab's starting floor.
+  count of ``gtype``.  One grid scores that slab up to the enumeration
+  cap and keeps the best plan of every prefix (the *frontier*), stored
+  under ``(owned key, gtype)``, so every chunk of the type is an index
+  into one search; vectors are pruned against the owned best, the one
+  floor every prefix shares.
 
 All three return **exactly** what the seed brute-force enumerator
 (:meth:`enumerate_plans_reference`) returns — same plans, same ranking —
@@ -313,6 +317,23 @@ class CompanionModule:
         total = grid.sum(axis=0)
         return grid[:, (total >= 1) & (total <= self.max_p)]
 
+    def _grid(self, ranges: Mapping[str, Tuple[int, int]]):
+        """``(types, counts, c, bound)``: the count grid of ``ranges``, the
+        capabilities as a ``(T, 1)`` column, and each vector's ``Σ N_i·C_i``."""
+        types = sorted(ranges)
+        counts = self._count_grid([ranges[t] for t in types])
+        capability = [self.capability[t] for t in types]
+        if min(capability) <= 0:
+            raise ValueError(f"capabilities must be positive, got {dict(self.capability)}")
+        c = np.array(capability)[:, None]
+        return types, counts, c, fold(counts * c)
+
+    def _tally(self, expanded: int, pruned: int) -> None:
+        self.vectors_scored += expanded
+        self.vectors_pruned += pruned
+        if pruned and obs.is_enabled():
+            obs.metrics().counter("sched_plan_vectors_pruned_total").inc(pruned)
+
     def _search(
         self, ranges: Mapping[str, Tuple[int, int]], top_k: int, best: List[ScoredPlan]
     ) -> List[ScoredPlan]:
@@ -327,13 +348,7 @@ class CompanionModule:
         ``best`` takes its floor from the ``_SEED_VECTORS`` highest-bound
         vectors, scored first.
         """
-        types = sorted(ranges)
-        counts = self._count_grid([ranges[t] for t in types])
-        capability = [self.capability[t] for t in types]
-        if min(capability) <= 0:
-            raise ValueError(f"capabilities must be positive, got {dict(self.capability)}")
-        c = np.array(capability)[:, None]
-        bound = fold(counts * c)
+        types, counts, c, bound = self._grid(ranges)
         stages = [np.ones_like(bound, dtype=bool)]
         if len(best) < top_k and bound.size > _SEED_VECTORS:
             head = bound >= np.partition(bound, -_SEED_VECTORS)[-_SEED_VECTORS]
@@ -344,23 +359,18 @@ class CompanionModule:
                 stage = stage & (bound >= best[-1].throughput)
             best = self._score(types, counts[:, stage], c, bound[stage], top_k, best)
             expanded += int(stage.sum())
-        pruned = bound.size - expanded
-        self.vectors_scored += expanded
-        self.vectors_pruned += pruned
-        if pruned and obs.is_enabled():
-            obs.metrics().counter("sched_plan_vectors_pruned_total").inc(pruned)
+        self._tally(expanded, bound.size - expanded)
         return best
 
-    def _score(self, types, counts, c, bound, top_k: int, best: List[ScoredPlan]):
-        """Expand ``counts`` into EST splits, score all, merge the top into ``best``.
+    def _splits(self, types, counts, c, bound):
+        """Eq. (1) over every floor/ceil EST split of every count vector.
 
         The array form of :meth:`_ests_for_counts` + Eq. (1): axes are
-        (GPU type, count vector, split), each type's ESTs-per-GPU is the
-        floor or the ceiling of its proportional-to-capability share, and
-        only the candidates that can enter the top K become ``Plan``s.
+        (GPU type, count vector, split), and each type's ESTs-per-GPU is
+        the floor or the ceiling of its proportional-to-capability share.
+        Returns ``(n, a, throughput)``; a ``(vector, split)`` cell that is
+        no plan scores ``-inf``.
         """
-        if not bound.size:
-            return best
         n, c = counts[:, :, None], c[:, :, None]
         used = n > 0
         # split k takes type i's floor (0) or ceiling (1): bit i of k
@@ -370,31 +380,95 @@ class CompanionModule:
         # no plan: a split "choice" for a type the vector does not use, or
         # nothing left after waste (infeasible candidates waste +inf)
         throughput[(ceil > used).any(axis=0) | (throughput <= 0)] = -np.inf
-        floor = best[-1].throughput if len(best) == top_k else 0.0
-        if throughput.size > top_k:
-            floor = max(floor, np.partition(throughput, -top_k, axis=None)[-top_k])
-        found = [
+        return n, a, throughput
+
+    def _plans(self, types, n, a, throughput, mask) -> List[ScoredPlan]:
+        """The :class:`ScoredPlan` of every ``(vector, split)`` cell in ``mask``."""
+        return [
             ScoredPlan(
                 Plan.build({t: (int(n[i, v, 0]), int(a[i, v, k])) for i, t in enumerate(types)},
                            self.max_p),
                 float(throughput[v, k]),
             )
-            for v, k in zip(*np.nonzero(throughput >= floor))
+            for v, k in zip(*np.nonzero(mask))
         ]
+
+    def _score(self, types, counts, c, bound, top_k: int, best: List[ScoredPlan]):
+        """Score ``counts``' EST splits and merge the top into ``best``.
+
+        Only the candidates that can enter the top K become ``Plan``s.
+        """
+        if not bound.size:
+            return best
+        n, a, throughput = self._splits(types, counts, c, bound)
+        floor = best[-1].throughput if len(best) == top_k else 0.0
+        if throughput.size > top_k:
+            floor = max(floor, np.partition(throughput, -top_k, axis=None)[-top_k])
+        found = self._plans(types, n, a, throughput, throughput >= floor)
         return sorted(best + found, key=_rank_key)[:top_k]
+
+    def _frontier(
+        self,
+        owned_key: Tuple[Tuple[str, int], ...],
+        gtype: str,
+        old_cap: int,
+        base: Optional[ScoredPlan],
+    ) -> Tuple[Optional[ScoredPlan], ...]:
+        """The best plan of every scale-out prefix of ``gtype``, from one grid.
+
+        Scores the whole slab ``old_cap < n_gtype <= min(maxP,
+        max_gpus_per_type)`` (every other type keeps its owned cap) and
+        returns, for each ``new_cap`` in that range, the best plan under
+        ``owned`` with ``gtype`` raised to ``new_cap`` — entry
+        ``new_cap - old_cap - 1``.  Layer ``L`` holds the vectors with
+        ``n_gtype == L``; its winner is the ``_rank_key`` minimum of the
+        candidates at its maximum throughput, and a prefix's answer is the
+        ``_rank_key`` minimum of the owned best and the winners of the
+        layers it covers.  Vectors are pruned against the owned best only:
+        it is the one floor every prefix shares.  A layer whose peak is
+        under an earlier layer's builds no ``Plan``: every prefix it
+        reaches covers that earlier layer too.
+        """
+        top = min(self.max_p, self.max_gpus_per_type)
+        # a homogeneous plan in the slab uses gtype alone
+        ranges = {} if self.homogeneous_only else {t: (0, cap) for t, cap in owned_key}
+        ranges[gtype] = (old_cap + 1, top)
+        types, counts, c, bound = self._grid(ranges)
+        floor = base.throughput if base is not None else 0.0
+        keep = bound >= floor
+        expanded = int(keep.sum())
+        self._tally(expanded, bound.size - expanded)
+        winners: List[Optional[ScoredPlan]] = [None] * (top - old_cap)
+        if expanded:
+            counts, bound = counts[:, keep], bound[keep]
+            n, a, throughput = self._splits(types, counts, c, bound)
+            layer = counts[types.index(gtype)] - old_cap - 1
+            peak = np.full(len(winners), floor)
+            np.maximum.at(peak, layer, throughput.max(axis=1))
+            reach = np.maximum.accumulate(peak)[layer][:, None]
+            for found in self._plans(types, n, a, throughput, throughput >= reach):
+                i = found.plan.gpus_of(gtype) - old_cap - 1
+                if winners[i] is None or _rank_key(found) < _rank_key(winners[i]):
+                    winners[i] = found
+        frontier, best = [], base
+        for winner in winners:
+            if winner is not None and (best is None or _rank_key(winner) < _rank_key(best)):
+                best = winner
+            frontier.append(best)
+        return tuple(frontier)
 
     def best_plan_delta(
         self, owned: Mapping[str, int], gtype: str, chunk: int
     ) -> Optional[ScoredPlan]:
-        """Best plan under ``owned + chunk×gtype``, scored incrementally.
+        """Best plan under ``owned + chunk×gtype``, read off a cached frontier.
 
-        Exactly ``best_plan({**owned, gtype: owned.get(gtype, 0) + chunk})``
-        — but instead of re-scoring the full hypothetical space, it takes
-        the better of (a) the cached best plan for ``owned`` and (b) the
-        best plan in the *slab* of count vectors with ``old_cap < n_gtype
-        <= new_cap`` (every other type keeps its owned cap); those two
-        sets partition the hypothetical space.  The owned best seeds the
-        slab's dominance bound.
+        Exactly ``best_plan({**owned, gtype: owned.get(gtype, 0) + chunk})``.
+        The hypothetical space is the owned space (its best is cached from
+        Role-1) plus the *slab* of count vectors with ``old_cap < n_gtype
+        <= new_cap``.  A miss scores the slab up to the enumeration cap in
+        one grid (:meth:`_frontier`) and stores the best plan of every
+        ``new_cap`` under ``(owned key, gtype)``, so every chunk of that
+        type — this agent's or any class member's — is an index into it.
         """
         if chunk <= 0:
             raise ValueError(f"chunk must be positive, got {chunk}")
@@ -402,24 +476,17 @@ class CompanionModule:
         if gtype not in self.capability:
             # unknown types never enter the enumeration: no new space
             return base
-        old_cap = min(int(owned.get(gtype, 0)), self.max_p, self.max_gpus_per_type)
-        if owned.get(gtype, 0) <= 0:
-            old_cap = 0
-        new_cap = min(int(owned.get(gtype, 0)) + chunk, self.max_p, self.max_gpus_per_type)
+        held = int(owned.get(gtype, 0))
+        old_cap = min(held, self.max_p, self.max_gpus_per_type) if held > 0 else 0
+        new_cap = min(held + chunk, self.max_p, self.max_gpus_per_type)
         if new_cap <= old_cap:
             return base  # caps already saturated: identical plan space
         owned_key = self._key(owned)
-        delta_key = (owned_key, gtype, old_cap, new_cap)
-        cached = self._delta_cache.get(delta_key)
-        if cached is not MISS:
-            return cached
-        # a homogeneous plan in the slab uses gtype alone
-        ranges = {} if self.homogeneous_only else {t: (0, cap) for t, cap in owned_key}
-        ranges[gtype] = (old_cap + 1, new_cap)
-        found = self._search(ranges, 1, [base] if base else [])
-        best = found[0] if found else None
-        self._delta_cache.put(delta_key, best)
-        return best
+        frontier = self._delta_cache.get((owned_key, gtype))
+        if frontier is MISS:
+            frontier = self._frontier(owned_key, gtype, old_cap, base)
+            self._delta_cache.put((owned_key, gtype), frontier)
+        return frontier[new_cap - old_cap - 1]
 
     # ------------------------------------------------------------------
     # bias correction

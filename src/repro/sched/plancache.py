@@ -14,7 +14,9 @@ jobs share one table.
 - keys are *normalized* availability vectors (per-type counts clamped to
   ``min(available, maxP, max_gpus_per_type)``, zero/unknown types
   dropped), so availability beyond the enumeration caps hits the same
-  entry;
+  entry — with the top-K depth for ``best_plans``, and with the GPU type
+  for ``best_plan_delta``, whose entry is that type's whole scale-out
+  frontier (the best plan of every chunk), so no chunk is in the key;
 - the entries live in a *store* (a plain dict) the cache does not own:
   :meth:`PlanCache.share` points it at a job class's store, so every
   companion of that class answers from one set of entries;
@@ -28,9 +30,9 @@ jobs share one table.
   whichever store it reads) *and* mirrored into the :mod:`repro.obs`
   metrics registry when observability is enabled.
 
-The cache stores only immutable :class:`~repro.sched.perfmodel.ScoredPlan`
-values; list values are copied on the way out so callers can never corrupt
-an entry.
+The cache stores only immutable values — :class:`~repro.sched.perfmodel.ScoredPlan`
+lists and frontier tuples of ``ScoredPlan`` or ``None``; list values are
+copied on the way out so callers can never corrupt an entry.
 """
 
 from __future__ import annotations

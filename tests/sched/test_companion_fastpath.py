@@ -198,9 +198,10 @@ class TestPruning:
         comp.best_plan(owned)
         scored, pruned = comp.vectors_scored, comp.vectors_pruned
         got = comp.best_plan_delta(owned, "p100", 4)
-        # slab: 1..4 p100 x 0..4 v100 x 0..4 t4 with sum <= 8 — all 80
-        # accounted for, most of them masked without expansion
-        assert (comp.vectors_scored - scored) + (comp.vectors_pruned - pruned) == 80
+        # the frontier's slab runs to the cap: 1..8 p100 x 0..4 v100 x
+        # 0..4 t4 with sum <= 8 — all 100 accounted for, most of them
+        # masked without expansion
+        assert (comp.vectors_scored - scored) + (comp.vectors_pruned - pruned) == 100
         assert comp.vectors_pruned - pruned > comp.vectors_scored - scored
         assert got == comp.enumerate_plans_reference({"v100": 4, "t4": 4, "p100": 4})[0]
 
@@ -215,6 +216,16 @@ class TestPruning:
         got = comp.best_plan_delta(owned, "t4", 2)
         expected = comp.enumerate_plans_reference({"v100": 2, "t4": 2})
         assert got == expected[0]
+
+    def test_frontier_layer_ties_break_by_rank_key(self):
+        # maxP 2 cuts the t4 = 1 layer to (k80, t4) and (t4, v100), tied
+        # with the owned (k80, v100) at 2.0: the layer's winner is the
+        # lower alloc, not the first one the grid reaches
+        comp = CompanionModule(max_p=2, capability=dict.fromkeys(["k80", "t4", "v100"], 1.0))
+        owned = {"k80": 1, "v100": 1}
+        got = comp.best_plan_delta(owned, "t4", 1)
+        assert got.plan.alloc == (("k80", 1, 1), ("t4", 1, 1))
+        assert got == comp.enumerate_plans_reference({**owned, "t4": 1})[0]
 
     def test_delta_unknown_type_returns_owned_best(self):
         comp = CompanionModule(max_p=4, capability=dict(CAP))
@@ -388,6 +399,39 @@ class TestEquivalenceProperties:
                     estimated=draw(st.floats(0.5, 16.0)),
                     measured=draw(st.floats(0.5, 16.0)),
                 )
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_chunk_of_every_type_reads_the_frontier(self, data):
+        """One ownership, every (type, chunk) question in a shuffled order:
+        each answer is a prefix of the frontier its type's first question
+        stored, and equals the brute-force best of ``owned + chunk×gtype``.
+        Equal capabilities tie whole layers on throughput, so a frontier
+        that skips the ``_rank_key`` tie-break, the fold over earlier
+        prefixes, or prunes against a later layer answers wrong here."""
+        draw = data.draw
+        types = draw(st.lists(st.sampled_from(KNOWN), min_size=1, max_size=4, unique=True))
+        cap = draw(st.integers(1, 4))
+        comp = CompanionModule(
+            max_p=draw(st.integers(1, 16)),
+            capability=dict.fromkeys(types, draw(st.sampled_from([0.25, 1.0, 3.0, 16.0]))),
+            homogeneous_only=draw(st.booleans()),
+            max_gpus_per_type=cap,
+        )
+        # counts up to just past the per-type cap: the maxP bound then cuts
+        # layers, which is where ties across allocs of one size arise
+        owned = {t: draw(st.integers(0, cap + 1)) for t in QUERYABLE if draw(st.booleans())}
+        oracle = {}
+        questions = [(gtype, chunk) for gtype in QUERYABLE for chunk in range(1, cap + 3)]
+        for gtype, chunk in draw(st.permutations(questions)):
+            hypothetical = dict(owned)
+            if gtype in comp.capability:
+                hypothetical[gtype] = owned.get(gtype, 0) + chunk
+            key = comp._key(hypothetical)
+            if key not in oracle:
+                ranked = comp.enumerate_plans_reference(hypothetical)
+                oracle[key] = ranked[0] if ranked else None
+            assert comp.best_plan_delta(owned, gtype, chunk) == oracle[key], (gtype, chunk)
 
     @given(
         seed_counts=st.lists(st.integers(0, 6), min_size=3, max_size=3),

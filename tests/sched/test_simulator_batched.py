@@ -209,14 +209,16 @@ GOLDEN = {
 #: pairs date from 32dd050 (before the class became Role-2's unit).  The
 #: plan-cache pairs were re-recorded when the never-filled full-enumeration
 #: cache went (its probe was 449–548 misses a case) and the top-K and delta
-#: stores became per job class (−5 to −7 misses, +5 to +7 hits).
+#: stores became per job class (−5 to −7 misses, +5 to +7 hits), and again
+#: when ``best_plan_delta`` began storing one frontier per (ownership, GPU
+#: type) instead of one slab per chunk (−94 to −131 misses, as many hits).
 GOLDEN_COUNTS = {
-    "homo": ((612, 197), (352, 73)),
-    "heter": ((612, 197), (352, 73)),
-    "coloc": ((649, 202), (433, 111)),
-    "heter+faults": ((719, 259), (432, 129)),
-    "heter+membership": ((612, 197), (372, 73)),
-    "heter+faults+membership": ((719, 259), (446, 129)),
+    "homo": ((707, 102), (352, 73)),
+    "heter": ((707, 102), (352, 73)),
+    "coloc": ((743, 108), (433, 111)),
+    "heter+faults": ((850, 128), (432, 129)),
+    "heter+membership": ((707, 102), (372, 73)),
+    "heter+faults+membership": ((850, 128), (446, 129)),
 }
 
 #: the plan of each ``heter+...`` golden case

@@ -209,6 +209,17 @@ def test_plan_stores_belong_to_classes_and_are_left_not_emptied():
     assert registries == [], registries
 
 
+def test_the_array_form_of_eq1_is_spelled_once():
+    # the top-K merge and the scale-out frontier score EST splits through
+    # one helper (CompanionModule._splits): the floor/ceil split bits and
+    # the Eq. (1a-1c) kernel call appear once in the companion, so the two
+    # searches cannot drift apart in float order
+    with open(os.path.join(SRC, "sched", "companion.py"), encoding="utf-8") as handle:
+        source = handle.read()
+    for spelling in ("grid_waste(", "1 << len(types)"):
+        assert source.count(spelling) == 1, spelling
+
+
 def test_the_stale_window_is_a_rule():
     # under run() a running job's remaining work lives in the simulator's
     # mirror and the object lags it between fault/membership points, so no
