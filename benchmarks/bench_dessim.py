@@ -25,7 +25,6 @@ from benchmarks.conftest import (
     SMOKE,
     print_header,
     print_table,
-    record_trajectory,
     smoke_scale,
 )
 
@@ -85,9 +84,3 @@ def test_dessim_month_trace_replay(run_once):
     print(f"\nmedian {median_s:.2f} s, {events / median_s:,.0f} events/s "
           f"({events} events, {len(result.completed)}/{NUM_JOBS} jobs completed)")
     assert len(result.completed) == NUM_JOBS
-
-    record_trajectory(
-        "dessim", "month_trace",
-        {"gpus": GPUS, "jobs": NUM_JOBS, "days": DAYS, "shape": "diurnal"},
-        {"batched_s": r["run_s"]},
-    )

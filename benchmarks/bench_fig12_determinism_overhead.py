@@ -32,7 +32,7 @@ from repro.optim import SGD
 from repro.tensor import kernels
 from repro.tensor.kernels import AGNOSTIC_SLOWDOWN, D0_POLICY, D2_POLICY
 
-from benchmarks.conftest import print_header, print_table, record_trajectory, smoke_scale
+from benchmarks.conftest import print_header, print_table, smoke_scale
 
 GPUS = (V100, P100, T4)
 CONV_MODELS = {"shufflenetv2", "resnet50", "vgg19", "yolov3"}
@@ -126,7 +126,7 @@ def run_experiment():
 
 
 def test_fig12_determinism_overhead(run_once):
-    rows, (measured_slowdown, vendor_s, agnostic_s), step_seconds = run_once(run_experiment)
+    rows, (measured_slowdown, _, _), step_seconds = run_once(run_experiment)
 
     print_header("Figure 12: per-iteration time normalized to stock PyTorch")
     print_table(
@@ -181,8 +181,3 @@ def test_fig12_determinism_overhead(run_once):
         # a whole-step D2 cost anywhere near the GPU figure would mean the
         # substrate's agnostic path regressed
         assert d1d2 / d1 < AGNOSTIC_SLOWDOWN["conv2d"], name
-
-    record_trajectory(
-        "determinism", "fig12_kernel_overhead", {"size": 192},
-        {"vendor_s": [vendor_s], "agnostic_s": [agnostic_s]},
-    )

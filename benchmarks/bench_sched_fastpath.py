@@ -25,7 +25,6 @@ from repro.sched.companion import CompanionModule
 from benchmarks.conftest import (
     print_header,
     print_table,
-    record_trajectory,
     smoke_scale,
 )
 
@@ -168,10 +167,3 @@ def test_sched_fastpath_cold_vs_warm(run_once):
     # acceptance bar: a warm scheduling round costs >= 5x less than a cold
     # one (in practice it is orders of magnitude: dict lookups vs search)
     assert r["warm"] * 5 <= r["cold"]
-
-    record_trajectory(
-        "sched", "fastpath_round",
-        {"jobs": NUM_JOBS, "max_p": MAX_P, "per_type": PER_TYPE},
-        {"reference_s": [r["reference"]], "cold_s": [r["cold"]],
-         "warm_s": [r["warm"]]},
-    )

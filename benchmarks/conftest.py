@@ -27,25 +27,6 @@ def smoke_scale(full, reduced):
     return reduced if SMOKE else full
 
 
-def record_trajectory(area, bench, params, metric_samples):
-    """Append wall-clock samples to the area's ``BENCH_<area>.json``.
-
-    Opt-in via ``REPRO_BENCH_RECORD=1``: figure regenerators time real
-    work anyway, so a recorded run feeds the same regression trajectories
-    as ``repro bench run`` (``repro bench gate`` then enforces them).
-    ``smoke`` is folded into the params — the comparator keys series by
-    (bench, params), so smoke timings never gate against full-scale ones.
-    Returns the appended record, or ``None`` when recording is off.
-    """
-    if os.environ.get("REPRO_BENCH_RECORD") != "1":
-        return None
-    from repro.obs.bench import record_samples
-
-    return record_samples(
-        area, bench, {**dict(params), "smoke": SMOKE}, metric_samples
-    )
-
-
 def print_header(title: str) -> None:
     bar = "=" * max(len(title), 20)
     print(f"\n{bar}\n{title}\n{bar}")

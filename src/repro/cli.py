@@ -24,12 +24,12 @@ Gives the repository's main entry points a shell surface:
   trails.  ``train --faults PLAN`` / ``--hosts PLAN`` train through the
   same controller.
 
-- ``bench`` — performance-regression observatory: ``bench run`` times
-  the built-in benches (sched plan round, determinism kernel, DES
-  trace replay) and appends schema-versioned records to the
-  repo-root ``BENCH_<area>.json`` trajectory files; ``bench compare``
-  prints the latest-vs-previous verdict per metric; ``bench gate``
-  exits non-zero on any regression, for CI (see docs/BENCHMARKS.md).
+- ``bench`` — performance-regression observatory: ``bench record``
+  appends one schema-versioned record per workload of a
+  ``benchmarks/e2e`` results file to the repo-root ``BENCH_e2e.json``
+  trajectory; ``bench compare`` prints the latest-vs-previous verdict per
+  metric; ``bench gate`` exits non-zero on any regression, for CI (see
+  docs/BENCHMARKS.md).
 
 Exit codes: README.md#cli-exit-codes is the table; the constants below spell it.
 """
@@ -563,9 +563,9 @@ def _load_calibration(path: str) -> dict:
         factors = {str(k).lower(): float(v) for k, v in scale.items()}
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed scale factor: {err}") from err
-    bad = {k: v for k, v in factors.items() if v <= 0 or v != v}
+    bad = {k: v for k, v in factors.items() if not 0 < v < float("inf")}
     if bad:
-        raise ValueError(f"{path}: scale factors must be positive, got {bad}")
+        raise ValueError(f"{path}: scale factors must be positive and finite, got {bad}")
     return factors
 
 
@@ -880,41 +880,23 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs import bench
 
-    areas = list(dict.fromkeys(args.area or ["all"]))  # dedupe, keep order
-    if "all" in areas:
-        areas = list(bench.AREAS)
-
-    if args.bench_command == "run":
-        results = bench.run_benches(
-            areas,
-            repeats=args.repeats,
-            smoke=args.smoke or None,
-            directory=args.dir,
-            threshold=args.threshold,
-        )
-        for result in results:
-            path = bench.trajectory_path(result.area, args.dir)
-            metrics = result.record["metrics"]
-            stats = "  ".join(
-                f"{name} {s['median']:.6f}{s['unit']} "
-                f"(p10 {s['p10']:.6f} p90 {s['p90']:.6f}, n={s['repeats']})"
-                for name, s in sorted(metrics.items())
-            )
-            print(f"{result.area}/{result.record['bench']}: {stats}")
-            print(f"  -> appended to {path} "
-                  f"({result.record['git_sha']} @ {result.record['timestamp']})")
-            for row in result.rows:
-                print(f"  {row.describe()}")
+    directory = args.dir or bench.bench_dir()
+    if args.bench_command == "record":
+        runs = _load(bench.load_results, args.results)
+        records = _load(lambda d: [bench.record_samples(bench.AREA, directory=d, **run)
+                                   for run in runs], directory)
+        for record in records:
+            stats = "  ".join(f"{name} {s['median']:.6g} {s['unit']} (n={s['repeats']})"
+                              for name, s in sorted(record["metrics"].items()))
+            print(f"{bench.AREA}/{record['bench']}: {stats}")
+        print(f"  -> appended {len(records)} records to "
+              f"{bench.trajectory_path(bench.AREA, directory)} "
+              f"({records[-1]['git_sha']} @ {records[-1]['timestamp']})")
         return OK
 
-    # compare and gate read the same trajectories; a directory with none
-    # in it is bad input (a gate with nothing to check must not pass)
-    rows, regressed = _load(
-        lambda directory: bench.gate_trajectories(
-            areas, directory=directory, threshold=args.threshold
-        ),
-        args.dir or bench.bench_dir(),
-    )
+    # compare and gate read the trajectory; a directory without one is
+    # bad input (a gate with nothing to check must not pass)
+    rows, regressed = _load(bench.gate_trajectory, directory, args.threshold)
     for row in rows:
         print(row.describe())
     if args.bench_command == "compare":
@@ -1168,40 +1150,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
 
-    def _bench_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--area", action="append", default=None,
-                       choices=["sched", "determinism", "dessim", "all"],
-                       help="bench area (repeatable; default all)")
+    def _bench_command(name: str, text: str, threshold: bool = True):
+        p = bench_sub.add_parser(name, help=text)
         p.add_argument("--dir", metavar="PATH", default=None,
                        help="trajectory directory (default: repo root, or "
                             "$REPRO_BENCH_DIR)")
-        p.add_argument("--threshold", type=_positive_float, default=0.30,
-                       help="relative regression tolerance before noise "
-                            "widening (default 0.30)")
+        if threshold:
+            p.add_argument("--threshold", type=_positive_float, default=0.30,
+                           help="relative regression tolerance before noise "
+                                "widening (default 0.30)")
+        return p
 
-    bench_run = bench_sub.add_parser(
-        "run", help="time the built-in benches and append trajectory records"
+    bench_record = _bench_command(
+        "record", "append one BENCH_e2e.json record per workload of a "
+                  "benchmarks/e2e results file (exit 2 if any workload failed)",
+        threshold=False,
     )
-    _bench_common(bench_run)
-    bench_run.add_argument("--repeats", type=_positive, default=5,
-                           help="samples per metric (default 5; medians and "
-                                "p10/p90 are computed over these)")
-    bench_run.add_argument("--smoke", action="store_true",
-                           help="reduced problem sizes (also via "
-                                "REPRO_BENCH_SMOKE=1); records are keyed by "
-                                "params so smoke never gates against full")
-
-    bench_compare = bench_sub.add_parser(
-        "compare", help="latest-vs-previous verdict for every recorded metric"
-    )
-    _bench_common(bench_compare)
-
-    bench_gate = bench_sub.add_parser(
-        "gate",
-        help="CI gate: exit 5 if any metric regressed beyond tolerance, "
-             "2 if no trajectory exists, 0 otherwise",
-    )
-    _bench_common(bench_gate)
+    bench_record.add_argument("results", metavar="PATH",
+                              help="results file of python -m benchmarks.e2e run "
+                                   "(benchmarks/e2e/out/results.json or its --out)")
+    _bench_command("compare", "latest-vs-previous verdict for every recorded metric")
+    _bench_command("gate", "CI gate: exit 5 if any metric regressed beyond tolerance, "
+                           "2 if no trajectory exists, 0 otherwise")
 
     return parser
 

@@ -46,13 +46,11 @@ from repro.obs.metrics import (
 )
 from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
-    BenchSpec,
     ComparisonRow,
     Trajectory,
     compare_trajectory,
-    gate_trajectories,
+    gate_trajectory,
     make_record,
-    run_benches,
 )
 from repro.obs.trace import (
     SimClock,
@@ -97,13 +95,11 @@ __all__ = [
     "export_child",
     "merge_child",
     "BENCH_SCHEMA_VERSION",
-    "BenchSpec",
     "ComparisonRow",
     "Trajectory",
     "compare_trajectory",
-    "gate_trajectories",
+    "gate_trajectory",
     "make_record",
-    "run_benches",
     "tracer",
     "metrics",
     "audit_trail",

@@ -1,18 +1,18 @@
-"""Benchmark telemetry and regression gating: the ``BENCH_*.json`` trajectory.
+"""Benchmark telemetry and regression gating: the ``BENCH_e2e.json`` trajectory.
 
-Every performance claim this repository makes — scheduling-round cost,
-determinism-kernel overhead, DES replay cost — is only worth the
-commit it rode in on if the *next* commit can prove it did not regress.
-This module is that proof chain:
+Every performance claim this repository makes is only worth the commit
+it rode in on if the *next* commit can prove it did not regress.  The
+stopwatch is the frozen whole-path benchmark ``benchmarks/e2e``; this
+module turns its results into that proof chain:
 
-- a **record**: one benchmark run summarized as median + p10/p90 over
-  repeats, stamped with the machine fingerprint, git SHA, and UTC time,
-  schema-versioned so old trajectories stay readable;
-- a **trajectory**: an append-only ``BENCH_<area>.json`` file at the repo
-  root (``BENCH_sched.json``, ``BENCH_determinism.json``,
-  ``BENCH_dessim.json``) holding those records in commit order
-  (``BENCH_parallel.json`` is retired history: the pool is timed by
-  ``benchmarks/e2e``);
+- a **record**: one workload's end-to-end metrics summarized as median +
+  p10/p90 over the run's repeats, stamped with the results file's own
+  machine record, the git SHA of the checkout that produced it, and the
+  UTC time, schema-versioned so old trajectories stay readable;
+- a **trajectory**: the append-only ``BENCH_e2e.json`` at the repo root
+  holding those records in commit order (``BENCH_sched.json``,
+  ``BENCH_determinism.json``, ``BENCH_dessim.json`` and
+  ``BENCH_parallel.json`` are retired history, kept byte-identical);
 - a **comparator**: noise-aware classification of each metric as
   improved / flat / regressed against the previous trajectory entry with
   the same bench name and parameters.  "Noise-aware" means the relative
@@ -22,30 +22,29 @@ This module is that proof chain:
 - a **gate**: ``repro bench gate`` exits non-zero (5) when any metric
   regressed — the CI hook that turns the trajectory into enforcement.
 
-The built-in benches (:data:`BENCHES`) are deliberately small — seconds,
-not minutes — because a per-PR gate that nobody runs gates nothing.  The
-full-scale figure regenerators under ``benchmarks/`` append to the same
-trajectories through :func:`record_samples` when ``REPRO_BENCH_RECORD=1``.
+``repro bench record PATH`` appends one record per workload of a
+``benchmarks/e2e`` results file (:func:`load_results`, then
+:func:`record_samples` per workload).
 
 Environment hooks:
 
-- ``REPRO_BENCH_SMOKE=1`` — reduced bench sizes (same as ``--smoke``);
 - ``REPRO_BENCH_DIR`` — trajectory directory override (default: repo root);
-- ``REPRO_BENCH_SCALE=<float>`` — multiply every recorded timing sample,
-  a test-only hook for proving the gate fails on an injected slowdown.
+- ``REPRO_BENCH_SCALE=<float>`` — multiply every recorded lower-is-better
+  sample, a test-only hook for proving the gate fails on an injected
+  slowdown.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Version stamped into every record; bump on incompatible layout changes.
 BENCH_SCHEMA_VERSION = 1
@@ -57,8 +56,17 @@ DEFAULT_THRESHOLD = 0.30
 #: comparison tolerance is doubled.
 MIN_TRUSTED_REPEATS = 3
 
-#: Trajectory areas and their repo-root file names.
-AREAS: Tuple[str, ...] = ("sched", "determinism", "dessim")
+#: The live trajectory's area: ``BENCH_e2e.json``.
+AREA = "e2e"
+
+#: ``BENCHMARK.json``'s end-to-end metrics as recorded: direction and unit.
+E2E_DIRECTIONS = {"setup_s": "lower", "wall_s": "lower", "work_per_s": "higher",
+                  "peak_rss_mb": "lower"}
+E2E_UNITS = {"setup_s": "s", "wall_s": "s", "work_per_s": "1/s", "peak_rss_mb": "MB"}
+
+#: ``work_per_s`` of a results file is the workload kind's own throughput
+#: (as ``benchmarks/e2e/run.py`` names it; ``src`` does not import the benchmark).
+WORK_PER_S = {"train": "train.samples_per_s", "sim": "sim.events_per_s"}
 
 STATUSES = ("improved", "flat", "regressed", "baseline")
 
@@ -146,9 +154,13 @@ def make_record(
     metric_samples: Mapping[str, Sequence[float]],
     directions: Optional[Mapping[str, str]] = None,
     units: Optional[Mapping[str, str]] = None,
+    machine: Optional[Mapping[str, Any]] = None,
+    sha: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Build one schema-valid trajectory record from raw repeat samples.
 
+    ``machine`` and ``sha`` default to this host and this checkout; a
+    record of someone else's run passes the run's own.
     ``REPRO_BENCH_SCALE`` (test hook) multiplies every *lower-is-better*
     sample, so a synthetic regression exercises the gate end to end.
     """
@@ -168,12 +180,17 @@ def make_record(
         "bench": str(bench),
         "params": dict(params),
         "metrics": metrics,
-        "machine": machine_fingerprint(),
-        "git_sha": git_sha(),
+        "machine": dict(machine) if machine is not None else machine_fingerprint(),
+        "git_sha": sha or git_sha(),
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     validate_record(record)
     return record
+
+
+def _finite(value: Any) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def validate_record(payload: Any) -> Dict[str, Any]:
@@ -205,8 +222,16 @@ def validate_record(payload: Any) -> Dict[str, Any]:
                 f"metric {name!r} direction must be 'lower' or 'higher', "
                 f"got {stats['direction']!r}"
             )
-        if stats["repeats"] < 1:
-            raise ValueError(f"metric {name!r} has repeats < 1")
+        for key in ("median", "p10", "p90"):
+            if not _finite(stats[key]):
+                raise ValueError(
+                    f"metric {name!r}: {key} must be a finite number, got {stats[key]!r}"
+                )
+        repeats = stats["repeats"]
+        if not isinstance(repeats, int) or isinstance(repeats, bool) or repeats < 1:
+            raise ValueError(
+                f"metric {name!r}: repeats must be an integer >= 1, got {repeats!r}"
+            )
         if not (stats["p10"] <= stats["median"] <= stats["p90"]):
             raise ValueError(
                 f"metric {name!r} quantiles out of order: "
@@ -239,7 +264,7 @@ class Trajectory:
                 payload = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{traj.path}: malformed trajectory JSON: {err}") from err
-        if not isinstance(payload, dict) or "entries" not in payload:
+        if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
             raise ValueError(f"{traj.path}: expected an object with an 'entries' list")
         if payload.get("schema") != BENCH_SCHEMA_VERSION:
             raise ValueError(
@@ -284,13 +309,82 @@ def record_samples(
     params: Mapping[str, Any],
     metric_samples: Mapping[str, Sequence[float]],
     directory: Optional[str] = None,
+    **stamp: Any,
 ) -> Dict[str, Any]:
-    """Build a record and append it to the area's trajectory file."""
-    record = make_record(area, bench, params, metric_samples)
+    """Build a record and append it to the area's trajectory file.
+
+    ``stamp`` is passed to :func:`make_record` (directions, units,
+    machine, sha).
+    """
+    record = make_record(area, bench, params, metric_samples, **stamp)
     traj = Trajectory.load(area, trajectory_path(area, directory))
     traj.append(record)
     traj.save()
     return record
+
+
+# ---------------------------------------------------------------------------
+# benchmarks/e2e results
+# ---------------------------------------------------------------------------
+
+
+def load_results(path: str) -> List[Dict[str, Any]]:
+    """Read a ``benchmarks/e2e`` results file into one run per workload.
+
+    A run is the keyword arguments of :func:`record_samples` for one
+    ``e2e`` record: the workload name as the bench; ``seed``, ``sizes``
+    and ``smoke`` as params, so a smoke run never gates against a full
+    one; the four end-to-end metrics over the file's repeats; the file's
+    own ``machine`` record and the commit of the checkout it lies in.
+    A workload whose checks failed is refused — such a run reports no
+    speed — so a bad file records nothing.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            results = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: malformed results JSON: {err}") from err
+    if not (isinstance(results, dict) and type(results.get("seed")) is int
+            and isinstance(results.get("smoke"), bool)
+            and isinstance(results.get("machine"), dict)
+            and isinstance(results.get("workloads"), dict) and results["workloads"]):
+        raise ValueError(f"{path}: expected a benchmarks/e2e results object: integer "
+                         "'seed', boolean 'smoke', object 'machine', non-empty "
+                         "object 'workloads'")
+    sha = git_sha(os.path.dirname(os.path.abspath(path)))
+    runs = []
+    for name, entry in results["workloads"].items():
+        where = f"{path}: workloads.{name}"
+        if not isinstance(entry, dict) or entry.get("kind") not in WORK_PER_S:
+            raise ValueError(f"{where}: expected an object with 'kind' one of "
+                             f"{sorted(WORK_PER_S)}")
+        if entry.get("failed") != 0:
+            raise ValueError(f"{where}: {entry.get('failed')!r} of {entry.get('attempted')!r} "
+                             "operations failed; a run whose checks failed reports no speed")
+        end_to_end = entry.get("end_to_end")
+        if not isinstance(end_to_end, dict):
+            raise ValueError(f"{where}: 'end_to_end' must be an object")
+        samples = {}
+        for metric in E2E_DIRECTIONS:
+            source = WORK_PER_S[entry["kind"]] if metric == "work_per_s" else metric
+            stats = end_to_end.get(source)
+            repeats = stats.get("repeats") if isinstance(stats, dict) else None
+            if not isinstance(repeats, list) or not repeats or not all(
+                    _finite(v) and v >= 0 for v in repeats):
+                raise ValueError(f"{where}: end_to_end.{source}.repeats must be a "
+                                 f"non-empty list of finite numbers >= 0, got {repeats!r}")
+            samples[metric] = repeats
+        runs.append({
+            "bench": name,
+            "params": {"seed": results["seed"], "sizes": entry.get("sizes"),
+                       "smoke": results["smoke"]},
+            "metric_samples": samples,
+            "directions": E2E_DIRECTIONS,
+            "units": E2E_UNITS,
+            "machine": results["machine"],
+            "sha": sha,
+        })
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +407,13 @@ class ComparisonRow:
     unit: str = "s"
 
     def describe(self) -> str:
+        name = f"{self.area}/{self.bench}.{self.metric}"
         if self.status == "baseline":
-            return (f"{self.area}/{self.bench}.{self.metric:<14} "
-                    f"{self.current:>12.6f}{self.unit}  baseline (no prior entry)")
+            return (f"{name:<34} {self.current:>12.6g} {self.unit:<3}  "
+                    "baseline (no prior entry)")
         sign = {"improved": "-", "regressed": "!", "flat": "="}[self.status]
-        return (f"{self.area}/{self.bench}.{self.metric:<14} "
-                f"{self.previous:>12.6f}{self.unit} -> {self.current:>12.6f}{self.unit}  "
+        return (f"{name:<34} {self.previous:>12.6g} {self.unit:<3} -> "
+                f"{self.current:>12.6g} {self.unit:<3}  "
                 f"x{self.ratio:.3f} (tol ±{self.tolerance:.0%}) {sign} {self.status}")
 
 
@@ -411,210 +506,20 @@ def compare_trajectory(
     return rows
 
 
-# ---------------------------------------------------------------------------
-# built-in benches
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchSpec:
-    """A runnable built-in bench: one callable per (area, name)."""
-
-    area: str
-    name: str
-    #: fn(smoke) -> (params, {metric: one_sample}); called once per repeat
-    fn: Callable[[bool], Tuple[Dict[str, Any], Dict[str, float]]]
-    description: str = ""
-
-
-def _bench_sched_plan_round(smoke: bool) -> Tuple[Dict[str, Any], Dict[str, float]]:
-    """Cold vs warm companion plan-search cost for one scheduling round."""
-    from repro.sched.companion import CompanionModule
-
-    max_p = 5 if smoke else 10
-    per_type = 5 if smoke else 10
-    chunks = (1, 2, 4)
-    types = ("v100", "p100", "t4")
-    jobs = 4
-    caps = [
-        {"v100": 9.0 * (1 + 0.07 * i), "p100": 4.0 * (1 + 0.07 * i),
-         "t4": 3.0 * (1 + 0.07 * i)}
-        for i in range(jobs)
-    ]
-    owned = [
-        {t: n for t, n in
-         {"v100": (i % 3) + 1, "p100": (2 * i) % 4, "t4": (3 * i) % 3}.items() if n}
-        for i in range(jobs)
-    ]
-    companions = [
-        CompanionModule(max_p=max_p, capability=caps[i], max_gpus_per_type=per_type)
-        for i in range(jobs)
-    ]
-
-    def one_round() -> None:
-        for i, comp in enumerate(companions):
-            comp.best_plans(owned[i], top_k=3)
-            for gtype in types:
-                for chunk in chunks:
-                    if chunk <= per_type:
-                        comp.best_plan_delta(owned[i], gtype, chunk)
-
-    t0 = time.perf_counter()
-    one_round()
-    cold = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    one_round()
-    warm = time.perf_counter() - t0
-    params = {"jobs": jobs, "max_p": max_p, "per_type": per_type,
-              "chunks": list(chunks), "smoke": smoke}
-    return params, {"cold_s": cold, "warm_s": warm}
-
-
-def _bench_determinism_kernel(smoke: bool) -> Tuple[Dict[str, Any], Dict[str, float]]:
-    """Vendor-dialect vs hardware-agnostic (D2) GEMM kernel cost."""
-    import numpy as np
-
-    from repro.tensor import kernels
-    from repro.tensor.kernels import D0_POLICY, D2_POLICY
-
-    size = 96 if smoke else 160
-    iters = 10
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(size, size)).astype(np.float32)
-    b = rng.normal(size=(size, size)).astype(np.float32)
-
-    def clock(policy) -> float:
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            kernels.matmul(a, b, dialect="p100", policy=policy)
-        return time.perf_counter() - t0
-
-    clock(D0_POLICY)  # warm-up both paths once
-    clock(D2_POLICY)
-    vendor = clock(D0_POLICY)
-    agnostic = clock(D2_POLICY)
-    params = {"size": size, "iters": iters, "dialect": "p100", "smoke": smoke}
-    return params, {"vendor_s": vendor, "agnostic_s": agnostic}
-
-
-def _bench_dessim_replay(smoke: bool) -> Tuple[Dict[str, Any], Dict[str, float]]:
-    """Month-shaped trace replay: ``run()`` vs ``run_reference()`` wall cost.
-
-    A scaled-down cousin of ``benchmarks/bench_dessim.py`` (which replays
-    the full 3,000-GPU month): a diurnal trace on a production-mix pool,
-    replayed under EasyScale-heter by the event core and by its oracle.
-    The two event logs must stay byte-identical — a timing is only worth
-    recording if it is the *same* simulation.
-    """
-    from repro.hw import microbench_cluster, production_cluster
-    from repro.sched import ClusterSimulator, EasyScalePolicy, diurnal_trace
-
-    if smoke:
-        jobs = diurnal_trace(num_jobs=60, seed=11, days=0.5)
-        build = microbench_cluster
-        gpus = 64
-    else:
-        jobs = diurnal_trace(num_jobs=240, seed=11, days=2)
-        build = lambda: production_cluster(256)
-        gpus = 256
-
-    def replay(core: str) -> Tuple[float, str]:
-        sim = ClusterSimulator(build(), jobs, EasyScalePolicy(True))
-        t0 = time.perf_counter()
-        result = getattr(sim, core)()
-        return time.perf_counter() - t0, result.events.fingerprint()
-
-    reference_s, reference_fp = replay("run_reference")
-    batched_s, batched_fp = replay("run")
-    if reference_fp != batched_fp:
-        raise RuntimeError(
-            f"run() diverged from run_reference(): {batched_fp} != {reference_fp}"
-        )
-    params = {"jobs": len(jobs), "gpus": gpus, "shape": "diurnal", "smoke": smoke}
-    return params, {"batched_s": batched_s, "reference_s": reference_s}
-
-
-#: The built-in per-PR benches, keyed by area.
-BENCHES: Dict[str, BenchSpec] = {
-    "sched": BenchSpec(
-        "sched", "plan_round", _bench_sched_plan_round,
-        "cold vs warm companion plan-search cost for one scheduling round",
-    ),
-    "determinism": BenchSpec(
-        "determinism", "kernel_overhead", _bench_determinism_kernel,
-        "vendor vs hardware-agnostic GEMM kernel cost",
-    ),
-    "dessim": BenchSpec(
-        "dessim", "trace_replay", _bench_dessim_replay,
-        "diurnal trace replay: event core vs reference core wall cost",
-    ),
-}
-
-
-@dataclass
-class BenchRunResult:
-    """What one ``repro bench run`` produced for one area."""
-
-    area: str
-    record: Dict[str, Any]
-    rows: List[ComparisonRow] = field(default_factory=list)
-
-
-def run_benches(
-    areas: Sequence[str],
-    repeats: int = 5,
-    smoke: Optional[bool] = None,
-    directory: Optional[str] = None,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> List[BenchRunResult]:
-    """Run built-in benches, append records, and compare against history."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if smoke is None:
-        smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-    results: List[BenchRunResult] = []
-    for area in areas:
-        spec = BENCHES.get(area)
-        if spec is None:
-            raise ValueError(f"unknown bench area {area!r}; available: {sorted(BENCHES)}")
-        samples: Dict[str, List[float]] = {}
-        params: Dict[str, Any] = {}
-        for _ in range(repeats):
-            params, metrics = spec.fn(smoke)
-            for name, value in metrics.items():
-                samples.setdefault(name, []).append(value)
-        record = record_samples(
-            area, spec.name, params, samples, directory=directory
-        )
-        traj = Trajectory.load(area, trajectory_path(area, directory))
-        rows = compare_trajectory(traj, threshold=threshold)
-        results.append(BenchRunResult(area=area, record=record, rows=rows))
-    return results
-
-
-def gate_trajectories(
-    areas: Sequence[str],
+def gate_trajectory(
     directory: Optional[str] = None,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> Tuple[List[ComparisonRow], List[ComparisonRow]]:
-    """All comparison rows plus the regressed subset, across areas.
+    """All comparison rows of ``BENCH_e2e.json`` plus the regressed subset.
 
-    Raises ``FileNotFoundError`` when no trajectory file exists for any
-    requested area — a gate with nothing to check must fail loudly, not
-    pass silently.
+    Raises ``FileNotFoundError`` when the trajectory does not exist — a
+    gate with nothing to check must fail loudly, not pass silently.
     """
-    rows: List[ComparisonRow] = []
-    seen_any = False
-    for area in areas:
-        path = trajectory_path(area, directory)
-        if not os.path.exists(path):
-            continue
-        seen_any = True
-        rows.extend(compare_trajectory(Trajectory.load(area, path), threshold=threshold))
-    if not seen_any:
+    path = trajectory_path(AREA, directory)
+    if not os.path.exists(path):
         raise FileNotFoundError(
-            f"{directory or bench_dir()}: no BENCH_*.json trajectory found for "
-            f"areas {list(areas)} (run: repro bench run)"
+            f"{directory or bench_dir()}: no BENCH_{AREA}.json trajectory found "
+            "(record one: repro bench record <results.json>)"
         )
-    regressed = [r for r in rows if r.status == "regressed"]
-    return rows, regressed
+    rows = compare_trajectory(Trajectory.load(AREA, path), threshold=threshold)
+    return rows, [r for r in rows if r.status == "regressed"]

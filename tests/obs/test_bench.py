@@ -6,18 +6,45 @@ import pytest
 
 from repro.cli import main
 from repro.obs.bench import (
-    AREAS,
+    AREA,
     BENCH_SCHEMA_VERSION,
     Trajectory,
     classify,
     compare_trajectory,
-    gate_trajectories,
+    gate_trajectory,
+    load_results,
     make_record,
     record_samples,
     summarize_samples,
     trajectory_path,
     validate_record,
 )
+
+
+def results_payload(failed=0):
+    """A minimal ``benchmarks/e2e`` results file: one train and one sim workload."""
+
+    def e2e(work_metric, work):
+        return {
+            "setup_s": {"value": 0.3, "repeats": [0.3, 0.31, 0.29]},
+            "wall_s": {"value": 1.0, "repeats": [1.0, 1.02, 0.98]},
+            "peak_rss_mb": {"value": 50.0, "repeats": [50.0, 50.5, 49.5]},
+            work_metric: {"value": work, "repeats": [work, work * 1.01, work * 0.99]},
+            "fail_ratio": {"value": 0.0, "repeats": [0.0, 0.0, 0.0]},
+        }
+
+    return {
+        "seed": 7, "smoke": True, "repeats": 3,
+        "machine": {"nproc": 2, "python": "3.11.0", "numpy": "1.26.4", "platform": "test"},
+        "workloads": {
+            "train_x": {"kind": "train", "sizes": {"steps": 4}, "attempted": 3,
+                        "failed": 0, "failures": [],
+                        "end_to_end": e2e("train.samples_per_s", 1000.0)},
+            "sim_x": {"kind": "sim", "sizes": {"jobs": 4}, "attempted": 12,
+                      "failed": failed, "failures": ["sim_x: output differs"] if failed else [],
+                      "end_to_end": e2e("sim.events_per_s", 2000.0)},
+        },
+    }
 
 
 def _stats(median, spread=0.0, repeats=5, direction="lower"):
@@ -86,6 +113,12 @@ class TestRecordSchema:
             lambda r: r.update(metrics={}),
             lambda r: r["metrics"]["t"].update(direction="sideways"),
             lambda r: r["metrics"]["t"].update(p10=5.0),  # > median
+            lambda r: r["metrics"]["t"].update(median="x"),
+            lambda r: r["metrics"]["t"].update(p90=float("inf")),
+            lambda r: r["metrics"]["t"].update(p10=None),
+            lambda r: r["metrics"]["t"].update(repeats="5"),
+            lambda r: r["metrics"]["t"].update(repeats=0),
+            lambda r: r["metrics"]["t"].update(repeats=2.5),
         ):
             broken = json.loads(json.dumps(good))
             mutate(broken)
@@ -114,6 +147,17 @@ class TestTrajectory:
         path.write_text('{"schema": 99, "area": "sched", "entries": []}')
         with pytest.raises(ValueError, match="unsupported trajectory schema"):
             Trajectory.load("sched", str(path))
+        path.write_text('{"schema": 1, "area": "sched", "entries": 5}')
+        with pytest.raises(ValueError, match="BENCH_sched.json: expected .* 'entries' list"):
+            Trajectory.load("sched", str(path))
+        good = make_record("sched", "b", {}, {"t": [1.0]})
+        for key, value, why in (("median", "x", "median must be a finite number"),
+                                ("repeats", "5", "repeats must be an integer")):
+            entry = json.loads(json.dumps(good))
+            entry["metrics"]["t"][key] = value
+            path.write_text(json.dumps({"schema": 1, "area": "sched", "entries": [entry]}))
+            with pytest.raises(ValueError, match=f"BENCH_sched.json: entry 0: metric 't': {why}"):
+                Trajectory.load("sched", str(path))
 
     def test_append_rejects_cross_area_record(self, tmp_path):
         traj = Trajectory("sched", str(tmp_path / "BENCH_sched.json"))
@@ -208,17 +252,18 @@ class TestCompareTrajectory:
 
 class TestGate:
     def test_gate_collects_regressions_across_areas(self, tmp_path):
-        for area, medians in (("sched", [1.0, 1.0]), ("dessim", [1.0, 2.0])):
+        # one trajectory, several series: each bench gates on its own history
+        for bench, medians in (("a", [1.0, 1.0]), ("b", [1.0, 2.0])):
             for median in medians:
-                record_samples(area, "b", {}, {"t": [median] * 5},
+                record_samples(AREA, bench, {}, {"t": [median] * 5},
                                directory=str(tmp_path))
-        rows, regressed = gate_trajectories(AREAS, directory=str(tmp_path))
+        rows, regressed = gate_trajectory(directory=str(tmp_path))
         assert len(rows) == 2
-        assert [r.area for r in regressed] == ["dessim"]
+        assert [(r.area, r.bench) for r in regressed] == [("e2e", "b")]
 
     def test_gate_without_trajectories_fails_loudly(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="BENCH_"):
-            gate_trajectories(AREAS, directory=str(tmp_path))
+        with pytest.raises(FileNotFoundError, match="BENCH_e2e.json"):
+            gate_trajectory(directory=str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +274,7 @@ class TestGate:
 class TestBenchCli:
     def _seed(self, tmp_path, medians):
         for median in medians:
-            record_samples("sched", "b", {}, {"t": [median] * 5},
+            record_samples(AREA, "b", {}, {"t": [median] * 5},
                            directory=str(tmp_path))
 
     def test_compare_prints_verdicts(self, tmp_path, capsys):
@@ -255,18 +300,60 @@ class TestBenchCli:
     def test_compare_without_trajectories_exits_2(self, tmp_path):
         assert main(["bench", "compare", "--dir", str(tmp_path)]) == 2
 
-    def test_run_smoke_appends_real_records(self, tmp_path, capsys):
-        # the fastest built-in bench, twice: baseline then a comparison
+    def test_record_results_twice_gates_flat_then_scaled_regresses(
+            self, tmp_path, monkeypatch, capsys):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps(results_payload()))
+        bench_dir = str(tmp_path / "bench")
         for _ in range(2):
-            code = main(["bench", "run", "--area", "determinism",
-                         "--repeats", "2", "--smoke", "--dir", str(tmp_path)])
-            assert code == 0
+            assert main(["bench", "record", str(results), "--dir", bench_dir]) == 0
+        assert "appended 2 records to" in capsys.readouterr().out
+        traj = Trajectory.load(AREA, trajectory_path(AREA, bench_dir))
+        assert [e["bench"] for e in traj.entries] == ["train_x", "sim_x"] * 2
+        entry = traj.entries[1]
+        assert entry["params"] == {"seed": 7, "sizes": {"jobs": 4}, "smoke": True}
+        assert entry["machine"] == results_payload()["machine"]  # the file's, not ours
+        assert entry["git_sha"] == "unknown"  # a tmp directory is no checkout
+        work = entry["metrics"]["work_per_s"]
+        assert work["median"] == 2000.0 and work["direction"] == "higher"
+        assert {m: s["direction"] for m, s in entry["metrics"].items()} == {
+            "setup_s": "lower", "wall_s": "lower", "work_per_s": "higher",
+            "peak_rss_mb": "lower"}
+        assert main(["bench", "gate", "--dir", bench_dir]) == 0
+
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "10")
+        assert main(["bench", "record", str(results), "--dir", bench_dir]) == 0
+        assert main(["bench", "gate", "--dir", bench_dir]) == 5
         out = capsys.readouterr().out
-        assert "appended to" in out
-        traj = Trajectory.load(
-            "determinism", trajectory_path("determinism", str(tmp_path))
-        )
-        assert len(traj) == 2
-        assert {"vendor_s", "agnostic_s"} <= set(traj.entries[0]["metrics"])
-        assert main(["bench", "gate", "--area", "determinism",
-                     "--dir", str(tmp_path)]) == 0
+        # every lower-is-better metric of both workloads, and nothing else
+        assert out.count("! regressed") == 6 and "work_per_s" in out
+
+    def test_record_refuses_a_failed_workload(self, tmp_path, capsys):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps(results_payload(failed=3)))
+        bench_dir = tmp_path / "bench"
+        assert main(["bench", "record", str(results), "--dir", str(bench_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {results}: workloads.sim_x: 3 of 12 operations failed")
+        assert not bench_dir.exists() and "appended" not in out
+
+
+def test_load_results_reads_the_checkout_of_the_file(tmp_path):
+    """``git_sha`` comes from ``git rev-parse`` where the results file lies."""
+    import subprocess
+
+    repo = tmp_path / "clone"
+    repo.mkdir()
+    try:
+        for argv in (["init", "-q"], ["-c", "user.name=t", "-c", "user.email=t@t",
+                                      "commit", "-q", "--allow-empty", "-m", "x"]):
+            subprocess.run(["git", *argv], cwd=repo, check=True, capture_output=True)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("git is not usable here")
+    sha = subprocess.run(["git", "rev-parse", "--short=12", "HEAD"], cwd=repo,
+                         capture_output=True, text=True).stdout.strip()
+    results = repo / "out" / "results.json"
+    results.parent.mkdir()
+    results.write_text(json.dumps(results_payload()))
+    runs = load_results(str(results))
+    assert [run["sha"] for run in runs] == [sha, sha]

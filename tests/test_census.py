@@ -49,6 +49,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.obs.test_bench import results_payload
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src" / "repro"
 HOOK_DIR = REPO_ROOT / "tests" / "census_hook"
@@ -254,9 +256,11 @@ CLI_LINES = [
     ("train resnet18 --hosts roll.json --samples 128 --verify", 0),
     ("train resnet18 --ests 4 --samples 256 --batch-size 8 --steps-per-stage 14 "
      "--schedule 4xV100 --determinism D1+D2 --hosts churn.json --faults plan.json --verify", 0),
-    # the regression observatory, in a directory of its own
-    ("bench run --smoke --repeats 2 --dir bench", 0),
-    ("bench run --area determinism --smoke --repeats 3 --dir bench", 0),
+    # the regression observatory, in a directory of its own, on a results
+    # file of benchmarks/e2e written by drive_entry_points
+    ("bench record results.json --dir bench", 0),
+    ("bench record results.json --dir bench", 0),
+    ("bench record failed.json --dir bench", 2),
     ("bench compare --dir bench", 0),
     ("bench gate --dir bench --threshold 1000", 0),
 ]
@@ -279,6 +283,8 @@ def drive_entry_points(out_dir, work_dir):
     cli_dir = work_dir / "cli"
     cli_dir.mkdir()
     (cli_dir / "cal.json").write_text('{"scale": {"t4": 0.5}}')
+    (cli_dir / "results.json").write_text(json.dumps(results_payload()))
+    (cli_dir / "failed.json").write_text(json.dumps(results_payload(failed=1)))
     _run(["-c", _SIM_FAULT_PLAN], env, cli_dir)
     for line, expect in CLI_LINES:
         _run(["-m", "repro.cli"] + line.split(), env, cli_dir, (expect,))

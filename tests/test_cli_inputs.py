@@ -31,6 +31,7 @@ FILES = {
     "event_log": "events.jsonl",
     "audit_trail": "audit.jsonl",
     "bundle": "postmortem-1.json",
+    "results": "results.json",
 }
 #: line-oriented logs: mid-file damage is located by line, a damaged tail is tolerated
 JSONL = {"span_trace", "telemetry", "event_log", "audit_trail"}
@@ -59,6 +60,7 @@ ROWS = [
     ("obs why bundle A", ["obs", "why", "{path}", "{bundle}"], "bundle"),
     ("obs why bundle B", ["obs", "why", "{bundle}", "{path}"], "bundle"),
     ("obs postmortem", ["obs", "postmortem", "{path}"], "bundle"),
+    ("bench record", ["bench", "record", "{path}", "--dir", "{bench_dir}"], "results"),
 ]
 DAMAGES = ["missing", "directory", "empty", "non_utf8", "mid_garbage",
            "truncated_tail", "wrong_type"]
@@ -121,6 +123,14 @@ def good(tmp_path_factory):
     rec.note_audit({"step": 0, "params": "p0", "buckets": {"0": "b0"}, "rng": "r",
                     "loader": {}, "policy": "D1", "dialects": ["v100"]})
     rec.dump("test", path=path["bundle"])
+
+    # a benchmarks/e2e results file; ``bench record`` rows append under
+    # ``bench_dir``, never at the repo root
+    from tests.obs.test_bench import results_payload
+
+    with open(path["results"], "w", encoding="utf-8") as fh:
+        json.dump(results_payload(), fh, indent=1)
+    path["bench_dir"] = str(root / "bench")
     return path
 
 
@@ -182,8 +192,10 @@ def test_damaged_input(row, how, good, tmp_path, capsys):
     if lineno is not None and role in JSONL:
         assert f"{path}:{lineno}:" in err
     # nothing was trained or simulated on the way to the error
-    for started in ("stage 0", "survived the plan", "avg JCT", "replay:", "contrast"):
+    for started in ("stage 0", "survived the plan", "avg JCT", "replay:", "contrast",
+                    "appended"):
         assert started not in out
+    assert not os.path.exists(good["bench_dir"])
 
 
 # plan files that are valid JSON objects but not valid plans: each entry is
@@ -225,6 +237,8 @@ BAD_PLANS = [
       "events": [{"kind": "drain", "host": "v0", "at_step": 2},
                  {"kind": "drain", "host": "v1", "at_step": 3}]},
      "events[1]: drain for 'v1' leaves no host"),
+    ("infinite calibration factor", "calibration", {"scale": {"t4": float("inf")}},
+     "scale factors must be"),
 ]
 
 
@@ -249,12 +263,14 @@ def test_bench_directory(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and missing in err
 
-    bad = tmp_path / "BENCH_sched.json"
-    bad.write_text('{"schema": 1, "entries": [\ngarbage\n]}')
-    assert main(["bench", command, "--dir", str(tmp_path)]) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error: ") and str(bad) in err
-    assert "Traceback" not in out + err
+    bad = tmp_path / "BENCH_e2e.json"
+    for damaged in ('{"schema": 1, "entries": [\ngarbage\n]}',
+                    '{"schema": 1, "area": "e2e", "entries": 5}'):
+        bad.write_text(damaged)
+        assert main(["bench", command, "--dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {bad}: ") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("argv, started", [
@@ -385,6 +401,7 @@ def test_good_files_are_good(good, tmp_path, capsys):
         ["obs", "postmortem", good["bundle"]],
         ["trace-sim", "--jobs", "2", "--policy", "homo", "--faults", good["sim_fault_plan"],
          "--calibrate", good["calibration"]],
+        ["bench", "record", good["results"], "--dir", str(tmp_path / "bench")],
     ):
         assert main(argv) == 0, argv
     out = capsys.readouterr().out

@@ -317,6 +317,20 @@ def test_one_road_through_the_pool():
     ], keyword_uses
 
 
+def test_one_stopwatch_for_the_trajectory():
+    # benchmarks/e2e is the only stopwatch and ``bench record`` the only
+    # writer of a live trajectory: the in-process timers, their CLI
+    # subcommand and the figure benches' recording hook are gone by name
+    # from everything a reader meets (spelled split so this file does not
+    # match itself; tests keep exit-2 rows for the removed subcommand)
+    gone = ["run_" + "benches", "Bench" + "Spec", "record_" + "trajectory",
+            "REPRO_BENCH_" + "RECORD", "bench " + "run"]
+    for path, line in _lines_of_code_and_docs():
+        if not path.startswith("tests" + os.sep):
+            for name in gone:
+                assert name not in line, (path, line)
+
+
 def test_one_node_per_layer_and_one_owner_rule():
     # Linear and the BCE loss are one fused node each (repro.tensor.ops);
     # their composed spellings live only in tests/tensor/reference_ops.py.
