@@ -1,10 +1,12 @@
 """repro.faults: deterministic scale events and bitwise-safe recovery.
 
-The subsystem has four layers, composing bottom-up:
+The subsystem has five layers, composing bottom-up:
 
 - :mod:`repro.faults.schedule` — seeded, JSON-round-trippable
   :class:`EventPlan`\\ s of timed :class:`PlanEvent`\\ s, every kind (fault
   or host) one row of the :data:`KINDS` table;
+- :mod:`repro.faults.lifecycle` — the host state machine both domains
+  apply: its ops (``OPS``), their windows (``WINDOWS``), one ``apply``;
 - :mod:`repro.faults.injector` — :class:`StepDeliverer` firing plan
   events inside the live engine/workers and its controllers, and
   :class:`SimDriver` for the cluster simulator's sim-time domain;
@@ -16,7 +18,7 @@ The subsystem has four layers, composing bottom-up:
 
 :mod:`repro.faults.contrast` runs the Fig-2-style experiment contrasting
 EasyScale's bitwise recovery against elastic baselines under the same
-plans.  :mod:`repro.membership` holds the host lifecycle state machine.
+plans.
 """
 
 from repro.faults.contrast import ContrastResult, run_contrast, segments_from_plan

@@ -19,9 +19,10 @@ event.  Its state machine:
 
 A plan with a roster (``initial_hosts``) adds the *anticipated* half of
 elasticity (docs/MEMBERSHIP.md, "With a roster"): the roster's
-:class:`~repro.membership.lifecycle.HostRegistry` is the only source of
-capacity, and every negotiated host change hands the live job to a worker
-set on the new pool (:meth:`EasyScaleEngine.reconfigure`) — zero lost work.
+:class:`~repro.faults.lifecycle.HostRegistry` is the only source of
+capacity, host events apply that module's ops and windows, and every op
+that changes what a host serves hands the live job to a worker set on
+the new pool (:meth:`EasyScaleEngine.reconfigure`) — zero lost work.
 
 Accounting is explicit, because the paper's JCT claims hinge on it: the
 controller's simulated clock decomposes exactly into ``compute_s`` (the
@@ -57,19 +58,11 @@ from repro.faults.injector import (
     StepDeliverer,
     WorkerCrashSignal,
 )
+from repro.faults.lifecycle import OPS, WINDOWS, Host, HostRegistry, op_for
 from repro.faults.manager import CheckpointManager
 from repro.faults.schedule import EventPlan, PlanEvent, kinds
 from repro.hw.gpu import GPUType, gpu_type
 from repro.hw.timing import static_capability
-from repro.membership.lifecycle import (
-    ACTIVE,
-    BLACKLISTED,
-    DRAINING,
-    REMOVED,
-    WARMING,
-    Host,
-    HostRegistry,
-)
 from repro.models.registry import WorkloadSpec
 from repro.obs import flightrec
 from repro.sched.companion import CompanionModule
@@ -78,13 +71,8 @@ from repro.sched.intra import IntraJobScheduler
 #: host kinds the controller applies at a step boundary
 _HOST_KINDS = kinds("host", graceful=True)
 
-#: the host kinds that open a window, and how it closes once the deadline
-#: passes: kind -> (state, deadline field, next state, op)
-_WINDOWS = {
-    "announce": (WARMING, "warm_until", ACTIVE, "join"),
-    "blacklist": (BLACKLISTED, "blacklist_until", ACTIVE, "rejoin"),
-    "reclaim_notice": (DRAINING, "drain_deadline", REMOVED, "reclaim"),
-}
+#: the op that closes the window of each window state once its deadline passes
+_CLOSERS = {state: op for op in WINDOWS.values() for state in OPS[op]}
 
 
 class RecoveryFailedError(RuntimeError):
@@ -252,9 +240,7 @@ class ResilienceController:
                 "the roster is the starting pool"
             )
         self.plan = plan
-        self.registry = HostRegistry()
-        for host in plan.initial_hosts:
-            self.registry.add(Host(host.host_id, host.gtype, host.slots, state=ACTIVE))
+        self.registry = HostRegistry(plan.initial_hosts)
         self.pool: List[GPUType] = self._active_pool() or [
             g if isinstance(g, GPUType) else gpu_type(str(g).upper()) for g in gpus or ()
         ]
@@ -400,43 +386,33 @@ class ResilienceController:
         if event.kind == "announce":
             self.registry.add(Host(event.host, event.gtype, event.slots))
         host = self.registry.get(event.host)
-        if event.kind == "ready":
-            if host.state == WARMING:
-                self._advance(host, "warm_until", ACTIVE, "join", step)
-            return  # promoted by its warm-up deadline, or gone: a no-op
-        state, deadline, _, _ = _WINDOWS[event.kind]
-        was_serving = host.serving
-        self.registry.transition(host.host_id, state)
-        self._note(event.kind, host, step)
-        if was_serving and not host.serving:  # a blacklisted serving host
-            self._reconfigure(event.kind, host, step)
+        self._apply(op_for(event.kind), host, step)
         # the window opens once the job runs without the host: stamped
         # before the restart delay, a short blacklist would expire inside
         # its own reconfigure
-        setattr(host, deadline, self.clock + event.magnitude)
+        if event.kind in WINDOWS and host.state in OPS[WINDOWS[event.kind]]:
+            host.deadline = self.clock + event.magnitude
 
     def _apply_deadlines(self, step: int) -> None:
         now = self.clock
         for host in list(self.registry):
-            for state, deadline, next_state, op in _WINDOWS.values():
-                due = getattr(host, deadline)
-                if host.state == state and due is not None and now >= due:
-                    self._advance(host, deadline, next_state, op, step)
+            if host.deadline is not None and now >= host.deadline:
+                self._apply(_CLOSERS[host.state], host, step)
 
-    def _advance(self, host: Host, deadline: str, state: str, op: str, step: int) -> None:
-        """Clear ``deadline``, move the host to ``state``, hand the job over."""
-        setattr(host, deadline, None)
-        self.registry.transition(host.host_id, state)
-        self._note(op, host, step)
-        self._reconfigure(op, host, step)
+    def _apply(self, op: str, host: Host, step: int) -> None:
+        """Apply ``op``; hand the job over when the host's serving changed."""
+        was_serving = host.serving
+        if self.registry.apply(op, host.host_id):
+            self._note(op, host, step)
+            if host.serving != was_serving:
+                self._reconfigure(op, host, step)
 
     def _release_drains(self, step: int) -> None:
         """Release at most ``max_unavailable`` queued drains (rolling wave)."""
         wave = self._drain_queue[: self.plan.max_unavailable]
         del self._drain_queue[: len(wave)]
         for host_id in wave:
-            self.registry.transition(host_id, DRAINING)
-            self._advance(self.registry.get(host_id), "drain_deadline", REMOVED, "drain", step)
+            self._apply("drain", self.registry.get(host_id), step)
         self.stats.deferred_drains += len(self._drain_queue)
 
     def _reconfigure(self, op: str, host: Host, step: int) -> None:
@@ -535,7 +511,7 @@ class ResilienceController:
         event = signal.event
         if event.kind == "forceful_remove":
             host = self.registry.get(event.host)
-            self.registry.transition(host.host_id, REMOVED)
+            self.registry.apply("forceful_remove", host.host_id)
             self._note("forceful_remove", host, self.engine.global_step)
             # recovered as the node_preempt of the host's GPUs
             event = PlanEvent(

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Collection, Iterator, List, Optional, Tuple
 
+from repro.faults.lifecycle import CANDIDATE, WINDOWS, Host, HostRegistry, op_for
 from repro.faults.schedule import EventPlan, PlanEvent, kinds
-from repro.membership.lifecycle import ACTIVE, CANDIDATE, Host, HostRegistry
 from repro.obs import flightrec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->faults cycle
@@ -175,15 +175,6 @@ class StepDeliverer:
         return due
 
 
-#: simulator operations a host event expands to: (at the event time, at
-#: ``at_time + magnitude``); any other kind is one operation of its own name
-_SIM_OPS = {
-    "announce": ("announce", "join"),  # appears; joins once warm
-    "ready": ("join", None),
-    "reclaim_notice": ("reclaim_notice", "reclaim"),  # serves, then drains
-    "blacklist": ("blacklist", "rejoin"),  # out; back after the expiry
-}
-
 #: one timed simulator operation: (time, op, host, event) — ``host`` is
 #: None for a fault, whose ``op`` is its kind
 SimAction = Tuple[float, str, Optional[str], PlanEvent]
@@ -192,12 +183,13 @@ SimAction = Tuple[float, str, Optional[str], PlanEvent]
 class SimDriver:
     """Time-domain delivery for the simulator: one static action list.
 
-    Each host event expands to its operation at ``at_time`` plus the
-    deadline it implies (warm-up completion, blacklist expiry, reclaim
-    deadline); each fault is one operation.  Every decision time is thus
-    derivable from the plan alone, which is what keeps the queue-driven
-    ``run`` and the reference scan byte-identical: neither core ever
-    discovers a new decision time at runtime.
+    Each host event expands to its op (:func:`~repro.faults.lifecycle.op_for`)
+    at ``at_time`` plus, when it opens a window, the op closing it at
+    ``at_time + magnitude`` (:data:`~repro.faults.lifecycle.WINDOWS`: warm-up
+    join, blacklist rejoin, reclaim); each fault is one operation.  Every
+    decision time is thus derivable from the plan alone, which is what
+    keeps the queue-driven ``run`` and the reference scan byte-identical:
+    neither core ever discovers a new decision time at runtime.
 
     At one decision point :meth:`due` yields host operations first — in
     ``(time, op, host)`` order, so a host that joins and a fault that
@@ -213,9 +205,7 @@ class SimDriver:
         self.reset()
 
     def reset(self) -> None:
-        self.registry = HostRegistry()
-        for spec in self.plan.initial_hosts:
-            self.registry.add(Host(spec.host_id, spec.gtype, spec.slots, state=ACTIVE))
+        self.registry = HostRegistry(self.plan.initial_hosts)
         hosts: List[SimAction] = []
         faults: List[SimAction] = []
         for event in self.plan.time_events:
@@ -225,10 +215,9 @@ class SimDriver:
                 continue
             if event.kind == "announce":
                 self.registry.add(Host(event.host, event.gtype, event.slots, state=CANDIDATE))
-            now, later = _SIM_OPS.get(event.kind, (event.kind, None))
-            hosts.append((t, now, event.host, event))
-            if later is not None:
-                hosts.append((t + event.magnitude, later, event.host, event))
+            hosts.append((t, op_for(event.kind), event.host, event))
+            if event.kind in WINDOWS:
+                hosts.append((t + event.magnitude, WINDOWS[event.kind], event.host, event))
         hosts.sort(key=lambda a: a[:3])
         faults.sort(key=lambda a: a[0])
         # stable: each family keeps its own order within one time

@@ -38,7 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.hw.cluster import Cluster
+from repro.hw.cluster import Cluster, Machine
+from repro.hw.gpu import gpu_type
 from repro.sched.perfmodel import fold
 from repro.sched.trace import TraceJob
 from repro.utils.events import EventLog
@@ -503,70 +504,26 @@ class ClusterSimulator:
         self.cluster.remove_free(canonical, min(slots, self.cluster.free_count(canonical)))
 
     def _add_host(self, host_id: str, gtype: str, slots: int) -> None:
-        from repro.hw.cluster import Machine
-        from repro.hw.gpu import gpu_type
-
         self.cluster.add_machine(Machine.build(host_id, gpu_type(_canonical(gtype)), slots))
 
     def _apply_membership(self, op: str, host_id: str, arrived: List[JobRuntime]) -> None:
-        """Apply one due host operation to registry, cluster, policy."""
-        from repro.membership.lifecycle import (
-            ACTIVE,
-            BLACKLISTED,
-            DRAINING,
-            REMOVED,
-            WARMING,
-        )
-
-        registry = self.driver.registry
-        host = registry.get(host_id)
+        """Apply one due host op to the registry, then to the capacity and
+        the policy when it changed what the host serves."""
+        host = self.driver.registry.get(host_id)
         was_serving = host.serving
-
-        def emit(kind: str) -> None:
-            self.events.emit(
-                self.now, kind, host=host.host_id, gtype=host.gtype, gpus=host.slots
-            )
-
-        if op == "announce":
-            registry.transition(host.host_id, WARMING)
-            emit("host_announce")
-        elif op in ("join", "rejoin"):
-            if op == "join" and host.state != WARMING:
-                return  # already promoted (ready raced its warm-up deadline)
-            if op == "rejoin" and host.state != BLACKLISTED:
-                return  # removed while blacklisted: the expiry is moot
-            registry.transition(host.host_id, ACTIVE)
+        if not self.driver.registry.apply(op, host_id):
+            return
+        kind = "host_remove" if op == "forceful_remove" else f"host_{op}"
+        joined = host.serving and not was_serving
+        if joined:
             self._add_host(host.host_id, host.gtype, host.slots)
-            emit(f"host_{op}")
+        elif was_serving and not host.serving:
+            self._evict_host_capacity(
+                host.gtype, host.slots, arrived, abrupt=op == "forceful_remove", kind=kind
+            )
+        self.events.emit(self.now, kind, host=host.host_id, gtype=host.gtype, gpus=host.slots)
+        if joined:
             self.policy.on_join(self, self.now, host.gtype, host.slots)
-        elif op == "reclaim_notice":
-            registry.transition(host.host_id, DRAINING)
-            emit("host_reclaim_notice")
-        elif op in ("drain", "reclaim"):
-            if op == "drain":
-                registry.transition(host.host_id, DRAINING)
-            elif host.state != DRAINING:
-                return  # removed during the notice window: nothing to reclaim
-            registry.transition(host.host_id, REMOVED)
-            if was_serving:
-                self._evict_host_capacity(
-                    host.gtype, host.slots, arrived, abrupt=False, kind=f"host_{op}"
-                )
-            emit(f"host_{op}")
-        elif op == "blacklist":
-            registry.transition(host.host_id, BLACKLISTED)
-            if was_serving:
-                self._evict_host_capacity(
-                    host.gtype, host.slots, arrived, abrupt=False, kind="host_blacklist"
-                )
-            emit("host_blacklist")
-        elif op == "forceful_remove":
-            registry.transition(host.host_id, REMOVED)
-            if was_serving:
-                self._evict_host_capacity(
-                    host.gtype, host.slots, arrived, abrupt=True, kind="host_remove"
-                )
-            emit("host_remove")
 
     # ------------------------------------------------------------------
     # decision-point pieces shared by both event cores

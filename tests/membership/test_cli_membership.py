@@ -84,6 +84,27 @@ class TestReplay:
         assert main(self.REPLAY_BASE + ["--plan", str(path)]) == 4
         assert "DIVERGED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("opener, host", [("announce", "c"), ("blacklist", "b")])
+    @pytest.mark.parametrize("leave", ["drain", "reclaim_notice"])
+    def test_replay_removes_a_host_that_serves_nothing(
+        self, tmp_path, capsys, opener, host, leave
+    ):
+        # a host still warming up or still blacklisted holds no GPUs: its
+        # drain or reclaim notice removes it at once, with no handover
+        path = tmp_path / "leave.json"
+        EventPlan(
+            initial_hosts=(HostSpec("a", "v100", 1), HostSpec("b", "v100", 1)),
+            events=(
+                PlanEvent(kind=opener, host=host, at_step=1, magnitude=1000.0,
+                          **({"gtype": "t4"} if opener == "announce" else {})),
+                PlanEvent(kind=leave, host=host, at_step=2, magnitude=10.0),
+            ),
+        ).save(path)
+        assert main(self.REPLAY_BASE + ["--plan", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "BITWISE-IDENTICAL" in out
+        assert f"step    2  {leave:<16} {host}" in out
+
     def test_replay_missing_plan_exits_two(self, tmp_path, capsys):
         assert main(["membership", "replay", "--plan",
                      str(tmp_path / "nope.json")]) == 2

@@ -24,7 +24,7 @@ from repro.faults import (
     rolling_upgrade_plan,
 )
 from repro.hw import gpu_type
-from repro.membership import ACTIVE, REMOVED
+from repro.faults.lifecycle import ACTIVE, REMOVED
 from repro.models import get_workload
 from repro.utils.fingerprint import fingerprint_state_dict
 from tests.conftest import assert_delivered_once, sgd_factory
@@ -123,7 +123,7 @@ class TestGracefulTransitions:
         assert controller.stats.lost_work_seconds == 0.0
         assert stats.incidents == []
         host = controller.registry.get("t4-host1")
-        assert host.state == ACTIVE and host.blacklist_until is None
+        assert host.state == ACTIVE and host.deadline is None
         assert controller.registry.serving_slots() == 4
         ops = [op for op, h, _ in controller.stats.log if h == "t4-host1"]
         assert ops == ["blacklist", "rejoin"]

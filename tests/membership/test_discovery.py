@@ -2,7 +2,7 @@
 simulator-time driver."""
 
 from repro.faults import EventPlan, HostSpec, PlanEvent, SimDriver, StepDeliverer, kinds
-from repro.membership.lifecycle import ACTIVE, CANDIDATE
+from repro.faults.lifecycle import ACTIVE, CANDIDATE
 
 ROSTER = (
     HostSpec("a", "v100", 1),

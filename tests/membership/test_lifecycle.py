@@ -2,18 +2,21 @@
 
 import pytest
 
-from repro.membership.lifecycle import (
+from repro.faults.lifecycle import (
     ACTIVE,
     BLACKLISTED,
     CANDIDATE,
     DRAINING,
     HOST_STATES,
+    OPS,
     REMOVED,
     TRANSITIONS,
     WARMING,
+    WINDOWS,
     Host,
     HostRegistry,
     InvalidTransitionError,
+    op_for,
 )
 
 
@@ -121,3 +124,80 @@ class TestRegistry:
         reg = self._registry()
         assert [h.host_id for h in reg] == ["a", "b", "c"]
         assert len(reg) == 3 and "a" in reg and "ghost" not in reg
+
+
+MOOT = None
+RAISES = InvalidTransitionError
+#: what each op does from each state, columns in HOST_STATES order: the
+#: states it passes through, MOOT, or RAISES
+OP_TABLE = {
+    #                  candidate       warming          active
+    #                  draining        blacklisted      removed
+    "announce": (
+        (WARMING,), RAISES, RAISES,
+        RAISES, RAISES, RAISES,
+    ),
+    "join": (
+        MOOT, (ACTIVE,), MOOT,
+        MOOT, MOOT, MOOT,
+    ),
+    "blacklist": (
+        (BLACKLISTED,), (BLACKLISTED,), (BLACKLISTED,),
+        RAISES, RAISES, RAISES,
+    ),
+    "rejoin": (
+        MOOT, MOOT, MOOT,
+        MOOT, (ACTIVE,), MOOT,
+    ),
+    "drain": (
+        RAISES, (REMOVED,), (DRAINING, REMOVED),
+        RAISES, (REMOVED,), RAISES,
+    ),
+    "reclaim_notice": (
+        RAISES, (REMOVED,), (DRAINING,),
+        RAISES, (REMOVED,), RAISES,
+    ),
+    "reclaim": (
+        MOOT, MOOT, MOOT,
+        (REMOVED,), MOOT, MOOT,
+    ),
+    "forceful_remove": (
+        (REMOVED,), (REMOVED,), (REMOVED,),
+        (REMOVED,), (REMOVED,), RAISES,
+    ),
+}
+
+
+class TestOps:
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("state", HOST_STATES)
+    def test_op_from_state(self, op, state):
+        expected = OP_TABLE[op][HOST_STATES.index(state)]
+        reg = HostRegistry()
+        host = reg.add(Host("h", "v100", state=state, deadline=5.0))
+        if expected is RAISES:
+            with pytest.raises(InvalidTransitionError):
+                reg.apply(op, "h")
+        elif expected is MOOT:
+            assert reg.apply(op, "h") is False
+        else:
+            assert reg.apply(op, "h") is True
+            rows = list(zip((state,) + expected, expected))
+            assert reg.history == [("h", a, b) for a, b in rows]
+            assert host.state == expected[-1] and host.deadline is None
+            return
+        # a moot or refused op leaves no trace
+        assert (host.state, host.deadline, reg.history) == (state, 5.0, [])
+
+    def test_paths_follow_the_graph_and_windows_close_by_ops(self):
+        assert set(OP_TABLE) == set(OPS)
+        for op, paths in OPS.items():
+            for state, path in paths.items():
+                for a, b in zip((state,) + path, path):
+                    assert b in TRANSITIONS[a], (op, state, path)
+        for kind, closer in WINDOWS.items():
+            (window,) = OPS[closer]  # moot outside its one window state
+            # the opener, from a serving or fresh host, leaves it in the window
+            start = CANDIDATE if kind == "announce" else ACTIVE
+            assert OPS[kind][start][-1] == window
+        assert op_for("ready") == "join" and op_for("drain") == "drain"

@@ -10,7 +10,7 @@ import pytest
 
 from repro.faults import EventPlan, HostSpec, PlanEvent
 from repro.hw import Cluster, Machine, gpu_type
-from repro.membership.lifecycle import ACTIVE, REMOVED
+from repro.faults.lifecycle import ACTIVE, REMOVED
 from repro.sched.easyscale_policy import EasyScalePolicy
 from repro.sched.simulator import ClusterSimulator
 from repro.sched.trace import TraceJob
@@ -239,3 +239,25 @@ class TestHeapMatchesReference:
             result = getattr(sim, runner)()
             for kind in kinds:
                 assert result.events.of_kind(kind), f"{runner}: no {kind}"
+
+    def test_drain_of_a_warming_host_removes_it(self):
+        # the announced host is still warming when its drain arrives: it
+        # leaves at once, holding nothing, and its warm-up join is moot
+        events = (
+            PlanEvent(kind="announce", host="spot", at_time=100.0, gtype="t4",
+                      slots=1, magnitude=1000.0),
+            PlanEvent(kind="drain", host="spot", at_time=200.0),
+        )
+        fingerprints = []
+        for runner in ("run", "run_reference"):
+            sim = ClusterSimulator(
+                base_cluster(), [job(work=2 * 9.0 * 600)],
+                YarnCapacityScheduler(), plan=plan(events),
+            )
+            result = getattr(sim, runner)()
+            fingerprints.append(result.events.fingerprint())
+            assert [e.time for e in result.events.of_kind("host_drain")] == [200.0]
+            assert not result.events.of_kind("host_join")
+            assert sim.cluster.total("T4") == 0
+            assert sim.driver.registry.get("spot").state == REMOVED
+        assert fingerprints[0] == fingerprints[1]

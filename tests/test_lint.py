@@ -505,13 +505,26 @@ def test_lint_walk_covers_flight_recorder_modules():
 
 
 def test_lint_walk_covers_membership_package():
-    # same pinning for the cluster-membership subsystem
+    # same pinning for the host lifecycle, which cluster membership runs on
     files = {os.path.relpath(p, SRC) for p in _python_files(SRC)}
-    for expected in (
-        "membership/__init__.py",
-        "membership/lifecycle.py",
-    ):
-        assert expected in files, f"lint gate does not see {expected}"
+    assert "faults/lifecycle.py" in files, "lint gate does not see faults/lifecycle.py"
+
+
+def test_one_host_lifecycle():
+    # the host rules live once, in repro.faults.lifecycle (OPS, WINDOWS,
+    # HostRegistry.apply): the old package, the simulator's own expansion
+    # table, the controller's window stepper and the three deadline fields
+    # are gone by name from everything a reader meets outside the tests,
+    # and only the registry itself walks a transition edge.  (Spelled
+    # split so this file does not match itself.)
+    gone = ["repro." + "membership", "_SIM" + "_OPS", "_adv" + "ance(", "warm" + "_until",
+            "blacklist" + "_until", "drain" + "_deadline", "attr(" + "host"]
+    for path, line in _lines_of_code_and_docs():
+        if not path.startswith("tests" + os.sep):
+            for name in gone:
+                assert name not in line, (path, line)
+            if ".trans" + "ition(" in line:
+                assert path == os.path.join("src", "repro", "faults", "lifecycle.py"), line
 
 
 def test_one_event_plan_and_one_deliverer_per_domain():
