@@ -19,7 +19,7 @@ Fast path
 ---------
 
 The full enumeration is ``O(max_gpus_per_type^|types|)`` and the §3.4
-proposal loop issues it once per (GPU-type × chunk) per round, so the
+proposal loop asks it once per GPU type per job per round, so the
 database memoizes aggressively:
 
 - results are cached under the *normalized* availability vector (see
@@ -40,14 +40,15 @@ database memoizes aggressively:
   aggregate capability ``Σ N_i·C_i`` — an upper bound on Eq. (1d)
   throughput, since waste ≥ 0 — is strictly below the current K-th best
   is dropped before its EST splits are expanded;
-- :meth:`best_plan_delta` scores a scale-out hypothesis ``owned +
-  chunk×gtype`` incrementally: the owned space's best (cached from
-  Role-1) against only the *slab* of vectors using more than the owned
-  count of ``gtype``.  One grid scores that slab up to the enumeration
-  cap and keeps the best plan of every prefix (the *frontier*), stored
-  under ``(owned key, gtype)``, so every chunk of the type is an index
-  into one search; vectors are pruned against the owned best, the one
-  floor every prefix shares.
+- :meth:`scale_out` scores every scale-out hypothesis ``owned +
+  chunk×gtype`` of one type incrementally: the owned space's best
+  (cached from Role-1) against only the *slab* of vectors using more
+  than the owned count of ``gtype``.  One grid scores that slab up to
+  the enumeration cap and keeps the best plan of every prefix (the
+  *frontier*), stored under ``(owned key, gtype)``, so every chunk of
+  the type is an index into one answer; vectors are pruned against the
+  owned best, the one floor every prefix shares.  ``best_plan_delta``
+  reads one chunk off it.
 
 All three return **exactly** what the seed brute-force enumerator
 (:meth:`enumerate_plans_reference`) returns — same plans, same ranking —
@@ -457,36 +458,43 @@ class CompanionModule:
             frontier.append(best)
         return tuple(frontier)
 
+    def scale_out(
+        self, owned: Mapping[str, int], gtype: str
+    ) -> Tuple[Optional[ScoredPlan], ...]:
+        """The best plan under ``owned`` with ``gtype`` raised to each count.
+
+        Entry ``n`` (``0 <= n <= min(maxP, max_gpus_per_type)``) is exactly
+        ``best_plan({**owned, gtype: max(owned.get(gtype, 0), n)})``: the
+        owned best up to the owned count, the scale-out frontier above it.
+        The hypothetical space is the owned space (its best is cached from
+        Role-1) plus the *slab* of count vectors with more than the owned
+        count of ``gtype``.  A miss scores the slab up to the cap in one
+        grid (:meth:`_frontier`) and stores it under ``(owned key, gtype)``,
+        so every chunk of that type — this agent's or any class member's —
+        is an index into one cached answer.
+        """
+        top = min(self.max_p, self.max_gpus_per_type)
+        held = min(max(owned.get(gtype, 0), 0), top)
+        if gtype not in self.capability or held == top:
+            # unknown types never enter the enumeration, and a saturated
+            # type's plan space is the owned one
+            return (self.best_plan(owned),) * (top + 1)
+        owned_key = self._key(owned)
+        plans = self._delta_cache.get((owned_key, gtype))
+        if plans is MISS:
+            base = self.best_plan(owned)
+            plans = (base,) * (held + 1) + self._frontier(owned_key, gtype, held, base)
+            self._delta_cache.put((owned_key, gtype), plans)
+        return plans
+
     def best_plan_delta(
         self, owned: Mapping[str, int], gtype: str, chunk: int
     ) -> Optional[ScoredPlan]:
-        """Best plan under ``owned + chunk×gtype``, read off a cached frontier.
-
-        Exactly ``best_plan({**owned, gtype: owned.get(gtype, 0) + chunk})``.
-        The hypothetical space is the owned space (its best is cached from
-        Role-1) plus the *slab* of count vectors with ``old_cap < n_gtype
-        <= new_cap``.  A miss scores the slab up to the enumeration cap in
-        one grid (:meth:`_frontier`) and stores the best plan of every
-        ``new_cap`` under ``(owned key, gtype)``, so every chunk of that
-        type — this agent's or any class member's — is an index into it.
-        """
+        """Best plan under ``owned + chunk×gtype``: one entry of :meth:`scale_out`."""
         if chunk <= 0:
             raise ValueError(f"chunk must be positive, got {chunk}")
-        base = self.best_plan(owned)
-        if gtype not in self.capability:
-            # unknown types never enter the enumeration: no new space
-            return base
-        held = int(owned.get(gtype, 0))
-        old_cap = min(held, self.max_p, self.max_gpus_per_type) if held > 0 else 0
-        new_cap = min(held + chunk, self.max_p, self.max_gpus_per_type)
-        if new_cap <= old_cap:
-            return base  # caps already saturated: identical plan space
-        owned_key = self._key(owned)
-        frontier = self._delta_cache.get((owned_key, gtype))
-        if frontier is MISS:
-            frontier = self._frontier(owned_key, gtype, old_cap, base)
-            self._delta_cache.put((owned_key, gtype), frontier)
-        return frontier[new_cap - old_cap - 1]
+        top = min(self.max_p, self.max_gpus_per_type)
+        return self.scale_out(owned, gtype)[min(owned.get(gtype, 0) + chunk, top)]
 
     # ------------------------------------------------------------------
     # bias correction

@@ -40,17 +40,13 @@ class JobClass:
     (capability *contents*, ``maxP``, per-type cap, plan shape) and proposal
     menu (``scaleout_chunks``, ``top_k``) are equal.  Identity is the id."""
 
-    __slots__ = ("types", "cap", "menu", "delta_memo", "topk_store", "delta_store")
+    __slots__ = ("types", "cap", "menu", "topk_store", "delta_store")
 
     def __init__(self, types: frozenset, cap: int, menu: Tuple[int, ...]) -> None:
         self.types = types
         #: the enumeration cap ``min(maxP, max_gpus_per_type)``
         self.cap = cap
         self.menu = menu
-        #: ``propose()``'s inner ``best_plan_delta`` searches, keyed by
-        #: (clamped owned, gtype, chunk): two proposal passes that differ
-        #: only in their free vectors share every search they have in common
-        self.delta_memo: Dict[tuple, object] = {}
         #: the plan-cache entries of every member companion (its top-K and
         #: delta caches read these while its generation is unchanged)
         self.topk_store: Dict[tuple, object] = {}
@@ -173,9 +169,7 @@ class InterJobScheduler:
                 cached = self._proposal_memo.get((key, free_key))
                 if cached is None:
                     misses += 1
-                    cached = self._proposal_memo[key, free_key] = agent.propose(
-                        owned, free, delta_cache=job_class.delta_memo
-                    )
+                    cached = self._proposal_memo[key, free_key] = agent.propose(owned, free)
                 answers[key] = cached
             if cached:
                 if cached[0].job_id == agent.job_id:

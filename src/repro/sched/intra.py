@@ -23,7 +23,6 @@ from repro.hw.gpu import gpu_type
 from repro.obs import flightrec
 from repro.sched.companion import CompanionModule
 from repro.sched.perfmodel import Plan, ScoredPlan, estimated_throughput
-from repro.sched.plancache import availability_key
 from repro.sched.simulator import _canonical
 
 
@@ -169,49 +168,26 @@ class IntraJobScheduler:
     # Role-2
     # ------------------------------------------------------------------
     def propose(
-        self,
-        owned: Mapping[str, int],
-        cluster_free: Mapping[str, int],
-        delta_cache: Optional[Dict[tuple, Optional[ScoredPlan]]] = None,
+        self, owned: Mapping[str, int], cluster_free: Mapping[str, int]
     ) -> List[ResourceProposal]:
         """Generate scale-out proposals with incremental homogeneous GPUs.
 
-        ``delta_cache``, when given, memoizes the inner
-        :meth:`CompanionModule.best_plan_delta` searches keyed by the
-        clamped ownership vector plus the probed ``(gtype, chunk)`` slab.
-        The caller owns the cache and its scope: the incremental
-        inter-job path hands over a per-job-class dict (keyed by the full
-        companion parameterization, so calibration invalidates it), which
-        lets two proposal passes that differ only in their *free* vectors
-        still share every plan search they have in common.
+        One :meth:`CompanionModule.scale_out` answer per GPU type serves
+        every chunk of that type: the chunk's plan is the entry at the
+        type's new count, clamped to the enumeration cap.
         """
         current_tp = self.current_throughput()
-        owned_key: Optional[tuple] = None
-        if delta_cache is not None:
-            owned_key = availability_key(
-                owned,
-                self.companion.capability,
-                self.companion.max_p,
-                self.companion.max_gpus_per_type,
-            )
+        cap = min(self.companion.max_p, self.companion.max_gpus_per_type)
         proposals: List[ResourceProposal] = []
         for gtype, free in sorted(cluster_free.items()):
-            if gtype not in self.companion.capability or free <= 0:
+            if gtype not in self.companion.capability or free < self.scaleout_chunks[0]:
                 continue
+            plans = self.companion.scale_out(owned, gtype)
+            held = owned.get(gtype, 0)
             for chunk in self.scaleout_chunks:
                 if chunk > free:
                     break  # menu is sorted ascending: larger chunks won't fit either
-                # incremental scoring: the hypothetical space is the owned
-                # space (cached from Role-1) plus the new-count slab only
-                if delta_cache is None:
-                    best = self.companion.best_plan_delta(owned, gtype, chunk)
-                else:
-                    cache_key = (owned_key, gtype, chunk)
-                    try:
-                        best = delta_cache[cache_key]
-                    except KeyError:
-                        best = self.companion.best_plan_delta(owned, gtype, chunk)
-                        delta_cache[cache_key] = best
+                best = plans[min(held + chunk, cap)]
                 if best is None:
                     continue
                 if best.throughput <= current_tp * 1.001:

@@ -1,7 +1,7 @@
 """Memoized plan storage for the companion database (§3.4 fast path).
 
-The §3.4 proposal loop queries the companion once per (GPU-type × chunk)
-per job per round; at Fig-8 cluster scale that is thousands of calls into
+The §3.4 proposal loop queries the companion once per GPU type per job
+per round; at Fig-8 cluster scale that is thousands of calls into
 an ``O(max_gpus_per_type^|types|)`` enumeration.  Almost all of them
 repeat: the free-GPU vector changes slowly, a job's capability table
 changes only when calibration or bias correction rewrites it, and many
@@ -9,14 +9,14 @@ jobs share one table.
 
 :class:`PlanCache` is the memo behind
 :meth:`~repro.sched.companion.CompanionModule.best_plans` and
-``best_plan_delta``:
+``scale_out``:
 
 - keys are *normalized* availability vectors (per-type counts clamped to
   ``min(available, maxP, max_gpus_per_type)``, zero/unknown types
   dropped), so availability beyond the enumeration caps hits the same
   entry — with the top-K depth for ``best_plans``, and with the GPU type
-  for ``best_plan_delta``, whose entry is that type's whole scale-out
-  frontier (the best plan of every chunk), so no chunk is in the key;
+  for ``scale_out``, whose entry is that type's whole scale-out
+  answer (the best plan at every count), so no chunk is in the key;
 - the entries live in a *store* (a plain dict) the cache does not own:
   :meth:`PlanCache.share` points it at a job class's store, so every
   companion of that class answers from one set of entries;

@@ -1,9 +1,11 @@
 """Intra-job scheduler: Roles 1-3 and plan concretization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sched.companion import CompanionModule
-from repro.sched.intra import IntraJobScheduler, plan_to_assignment
+from repro.sched.intra import IntraJobScheduler, ResourceProposal, plan_to_assignment
 from repro.sched.perfmodel import Plan
 
 CAP = {"v100": 9.0, "p100": 4.0, "t4": 3.0}
@@ -82,6 +84,59 @@ class TestRole2:
             make_sched(scaleout_chunks=())
         with pytest.raises(ValueError):
             make_sched(scaleout_chunks=(2, 0))
+
+
+def reference_proposals(sched, owned, free):
+    """Role-2 from the brute-force enumerator: one full search per
+    (type, chunk) hypothesis ``owned + chunk×gtype``."""
+    companion, current = sched.companion, sched.current_throughput()
+    proposals = []
+    for gtype, n in sorted(free.items()):
+        if gtype not in companion.capability:
+            continue
+        for chunk in sched.scaleout_chunks:
+            if chunk > n:
+                break
+            ranked = companion.enumerate_plans_reference(
+                {**owned, gtype: owned.get(gtype, 0) + chunk}
+            )
+            if ranked and ranked[0].throughput > current * 1.001:
+                proposals.append(ResourceProposal(
+                    sched.job_id, gtype, chunk, current, ranked[0].throughput, ranked[0].plan
+                ))
+    proposals.sort(key=lambda p: (-p.speedup_per_gpu, -p.extra_gpus))
+    return proposals[: sched.top_k]
+
+
+class TestRole2Reference:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_propose_equals_the_reference(self, data):
+        """``propose`` reads one scale-out answer per type at each chunk's
+        new count; the reference asks the brute-force enumerator for every
+        chunk.  Equal capabilities tie plans on throughput, owned counts
+        past the cap clamp, and unknown types on either side are ignored."""
+        draw = data.draw
+        types = draw(st.lists(st.sampled_from(sorted(CAP)), min_size=1, max_size=3, unique=True))
+        capability = {t: draw(st.sampled_from([1.0, 3.0, 9.0])) for t in types}
+        cap = draw(st.sampled_from([4, 16]))
+        sched = IntraJobScheduler(
+            "job-x",
+            CompanionModule(
+                max_p=draw(st.integers(1, 12)),
+                capability=capability,
+                homogeneous_only=draw(st.booleans()),
+                max_gpus_per_type=cap,
+            ),
+            scaleout_chunks=draw(st.sampled_from([(1, 2, 4, 8, 16), (2, 4), (3, 5), (8,)])),
+            top_k=draw(st.integers(1, 3)),
+        )
+        pool = sorted(CAP) + ["k80"]
+        owned = {t: draw(st.integers(0, cap + 2)) for t in pool if draw(st.booleans())}
+        free = {t: draw(st.integers(0, 17)) for t in pool if draw(st.booleans())}
+        if draw(st.booleans()):
+            sched.apply_best_plan(owned)
+        assert sched.propose(owned, free) == reference_proposals(sched, owned, free)
 
 
 class TestRole3:

@@ -42,8 +42,10 @@ from repro.sched import (
     generate_trace,
     heavy_tail_trace,
 )
+from repro.sched.intra import IntraJobScheduler
 from repro.sched.simulator import JobRuntime, _BatchedState
 from repro.sched.trace import GPU_DEMAND, TraceJob
+from tests.sched.test_intra import reference_proposals
 
 CORES = ("run", "run_reference")
 
@@ -209,16 +211,19 @@ GOLDEN = {
 #: pairs date from 32dd050 (before the class became Role-2's unit).  The
 #: plan-cache pairs were re-recorded when the never-filled full-enumeration
 #: cache went (its probe was 449–548 misses a case) and the top-K and delta
-#: stores became per job class (−5 to −7 misses, +5 to +7 hits), and again
+#: stores became per job class (−5 to −7 misses, +5 to +7 hits), again
 #: when ``best_plan_delta`` began storing one frontier per (ownership, GPU
-#: type) instead of one slab per chunk (−94 to −131 misses, as many hits).
+#: type) instead of one slab per chunk (−94 to −131 misses, as many hits),
+#: and again when Role-2 began reading one ``scale_out`` answer per type
+#: instead of one ``best_plan_delta`` per chunk (misses unchanged, hits
+#: −442 to −496: the per-chunk re-reads of the same entry are gone).
 GOLDEN_COUNTS = {
-    "homo": ((707, 102), (352, 73)),
-    "heter": ((707, 102), (352, 73)),
-    "coloc": ((743, 108), (433, 111)),
-    "heter+faults": ((850, 128), (432, 129)),
-    "heter+membership": ((707, 102), (372, 73)),
-    "heter+faults+membership": ((850, 128), (446, 129)),
+    "homo": ((211, 102), (352, 73)),
+    "heter": ((211, 102), (352, 73)),
+    "coloc": ((301, 108), (433, 111)),
+    "heter+faults": ((366, 128), (432, 129)),
+    "heter+membership": ((211, 102), (372, 73)),
+    "heter+faults+membership": ((366, 128), (446, 129)),
 }
 
 #: the plan of each ``heter+...`` golden case
@@ -667,15 +672,12 @@ class ScalarOracleCompanion(CompanionModule):
 
     searches = 0
 
-    def best_plans(self, available, top_k=3):
+    def enumerate_plans_reference(self, available):
         type(self).searches += 1
-        return self.enumerate_plans_reference(available)[:top_k]
+        return super().enumerate_plans_reference(available)
 
-    def best_plan_delta(self, owned, gtype, chunk):
-        hypothetical = dict(owned)
-        if gtype in self.capability:
-            hypothetical[gtype] = hypothetical.get(gtype, 0) + chunk
-        return self.best_plan(hypothetical)
+    def best_plans(self, available, top_k=3):
+        return self.enumerate_plans_reference(available)[:top_k]
 
 
 class TestPlanSearchOracle:
@@ -683,7 +685,9 @@ class TestPlanSearchOracle:
         # the whole-trace form of the fast-path property: 60 jobs on 32
         # GPUs queue for hours, so the scheduler searches at every arrival
         # and completion; one throughput bit or one tie broken differently
-        # anywhere would move a grant and with it the event stream
+        # anywhere would move a grant and with it the event stream.  The
+        # oracle's Role-2 is the per-(type, chunk) reference, so a wrong
+        # read of the per-type scale-out answer in propose() moves it too.
         jobs = diurnal_trace(num_jobs=60, seed=2023, days=0.5, demand=GPU_DEMAND)
 
         def replay():
@@ -691,11 +695,19 @@ class TestPlanSearchOracle:
             return sim.run()
 
         production = replay()
+        role2 = []
+
+        def scalar_propose(agent, owned, free):
+            role2.append(agent.job_id)
+            return reference_proposals(agent, owned, free)
+
         monkeypatch.setattr(
             "repro.sched.easyscale_policy.CompanionModule", ScalarOracleCompanion
         )
+        monkeypatch.setattr(IntraJobScheduler, "propose", scalar_propose)
         oracle = replay()
         assert ScalarOracleCompanion.searches > 500
+        assert len(role2) > 500
         assert len(production.completed) == len(jobs)
         assert production.average_jct > 10 * 3600  # contended: jobs wait for GPUs
         assert oracle.events.fingerprint() == production.events.fingerprint()

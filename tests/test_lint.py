@@ -209,6 +209,26 @@ def test_plan_stores_belong_to_classes_and_are_left_not_emptied():
     assert registries == [], registries
 
 
+def test_role2_asks_each_gpu_type_once():
+    # propose() reads one CompanionModule.scale_out answer per GPU type and
+    # indexes every chunk into it: no per-chunk companion call, and no
+    # per-chunk memo beside the class's delta store (nor the propose()
+    # parameter that carried one).  (Spelled split so this file does not
+    # match itself.)
+    import glob
+    import re
+
+    gone = re.compile(r"\bdelta_(" + "memo|" + "cache)\b")
+    paths = list(_python_files(SRC)) + glob.glob(os.path.join(REPO_ROOT, "docs", "*.md"))
+    paths.append(os.path.join(REPO_ROOT, ".claude", "skills", "verify", "SKILL.md"))
+    for path in filter(os.path.exists, paths):
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                assert not gone.search(line), (os.path.relpath(path, REPO_ROOT), line)
+    with open(os.path.join(SRC, "sched", "intra.py"), encoding="utf-8") as handle:
+        assert "best_plan_" + "delta(" not in handle.read()
+
+
 def test_the_array_form_of_eq1_is_spelled_once():
     # the top-K merge and the scale-out frontier score EST splits through
     # one helper (CompanionModule._splits): the floor/ceil split bits and
