@@ -533,7 +533,7 @@ _PLAN_COMMANDS = {
         help="cluster membership scenarios (plan generation, bitwise replay)",
         gen_help="generate a seeded membership plan (JSON)",
         replay_help="prove bitwise membership: run the static reference on the "
-                    "plan's initial roster and a membership-controller run under "
+                    "plan's initial roster and a resilience-controller run under "
                     "the plan, then diff their determinism audit trails "
                     "(exit 0 identical, 4 divergent)",
         plan_help="membership plan JSON (from: repro membership gen)",
@@ -978,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "pool, and --verify compares bitwise against "
                             "the fault-free run")
     train.add_argument("--hosts", metavar="PLAN", default=None,
-                       help="train through the membership controller under "
+                       help="train through the resilience controller under "
                             "this membership plan JSON (see: repro "
                             "membership gen); the plan's initial roster is "
                             "the starting pool (--schedule is ignored), "

@@ -61,7 +61,6 @@ class PortedTrainingSession:
         seed: int,
         assignment: WorkerAssignment,
         determinism: Optional[DeterminismConfig] = None,
-        bucket_capacity_elems: int = 2048,
     ) -> None:
         if assignment.num_ests != num_ests:
             raise ValueError(
@@ -79,7 +78,6 @@ class PortedTrainingSession:
             param_sizes={n: p.data.size for n, p in self._named_params.items()},
             param_shapes={n: p.data.shape for n, p in self._named_params.items()},
             num_ests=num_ests,
-            bucket_capacity_elems=bucket_capacity_elems,
             record_mapping=self.determinism.record_bucket_mapping,
         )
         self.ests = [EasyScaleThread(seed, v) for v in range(num_ests)]

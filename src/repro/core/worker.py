@@ -62,11 +62,13 @@ def execute_local_step(
 ) -> Tuple[float, Dict[str, np.ndarray], list]:
     """One EST's forward/backward over one mini-batch.
 
-    This is the single numerical definition of a local step: both the
-    in-process :class:`EasyScaleWorker` path and the process-pool
-    execution backend call exactly this function, which is what makes
-    the serial/parallel bitwise contract hold by construction rather
-    than by parallel-maintained copies of the math.
+    This is the single numerical definition of a local step: the
+    in-process :class:`EasyScaleWorker` path, the process-pool execution
+    backend and the TorchElastic / Pollux baseline trainer
+    (:class:`repro.elastic.base.ElasticBaselineTrainer`) all call exactly
+    this function, which is what makes the serial/parallel bitwise
+    contract hold by construction rather than by parallel-maintained
+    copies of the math.
 
     ``arrival_sink``, when given, records gradient readiness order during
     backward (callers gate it to virtual rank 0, matching DDP's bucket
@@ -118,15 +120,12 @@ class EasyScaleWorker:
         policy: KernelPolicy,
         validate_memory: bool = True,
         micro_batches: int = 1,
-        slowdown: float = 1.0,
         fault_hook: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         if not ests:
             raise ValueError(f"worker {worker_id} has no ESTs assigned")
         if micro_batches <= 0:
             raise ValueError("micro_batches must be positive")
-        if slowdown <= 0:
-            raise ValueError("slowdown must be positive")
         self.worker_id = worker_id
         self.gpu = gpu
         self.ests = list(ests)
@@ -137,7 +136,7 @@ class EasyScaleWorker:
         #: contended device); numerics are untouched, so a slowed worker
         #: still produces bitwise-identical gradients — it just lets the
         #: profiler's straggler detection be exercised deterministically
-        self.slowdown = slowdown
+        self.slowdown = 1.0
         #: called as ``fault_hook(worker_id, vrank)`` before every EST local
         #: step; a fault injector may raise from it to simulate the worker
         #: process dying mid-step (sibling ESTs have already staged state)

@@ -22,10 +22,10 @@ transform is about to draw from it (``int64`` inputs and transform-less
 jobs never do).  The queue entry is consumed either way, so ``pending()``
 and the checkpoint bytes do not depend on whether anything drew.
 
-The pool also carries an explicit *timing model* (worker launch latency,
-per-sample cost) so the benchmarks can report the paper's first-batch
-latency effect (§5.1.2: sharing cut first-mini-batch time by 67.1% by
-launching 4 instead of 32 workers).
+:class:`LoaderTiming` is a standalone cost model (worker launch latency,
+per-sample cost) that the Fig 11 bench builds to report the paper's
+first-batch latency effect (§5.1.2: sharing cut first-mini-batch time by
+67.1% by launching 4 instead of 32 workers).
 """
 
 from __future__ import annotations
@@ -151,24 +151,18 @@ class SharedDataLoader:
         seed: int,
         num_workers: int = 2,
         transform: Optional[Transform] = None,
-        shuffle: bool = True,
-        timing: LoaderTiming = LoaderTiming(),
     ) -> None:
         self.dataset = dataset
         self.num_replicas = num_replicas
         self.batch_size = batch_size
         self.seed = seed
         self.transform = transform
-        self.shuffle = shuffle
-        self.timing = timing
         self.workers = [DataWorker(i) for i in range(num_workers)]
         self._next_worker = 0
         self.queue = QueuingBuffer()
         self._plans: Dict[int, BatchPlan] = {
             sampler.rank: BatchPlan(sampler, batch_size)
-            for sampler in DistributedSampler.replicas(
-                len(dataset), num_replicas, shuffle=shuffle, seed=seed
-            )
+            for sampler in DistributedSampler.replicas(len(dataset), num_replicas, seed=seed)
         }
 
     @property

@@ -52,11 +52,11 @@ class DistributedSampler:
 
     @classmethod
     def replicas(
-        cls, dataset_len: int, num_replicas: int, shuffle: bool = True, seed: int = 0
+        cls, dataset_len: int, num_replicas: int, seed: int = 0
     ) -> List["DistributedSampler"]:
         """One sampler per rank, all reading the same per-epoch permutation."""
         samplers = [
-            cls(dataset_len, num_replicas, rank, shuffle=shuffle, seed=seed)
+            cls(dataset_len, num_replicas, rank, seed=seed)
             for rank in range(num_replicas)
         ]
         for sampler in samplers:

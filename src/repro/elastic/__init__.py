@@ -3,7 +3,6 @@
 from repro.elastic.base import ElasticBaselineTrainer, ScalingStrategy, TrainSegment
 from repro.elastic.torchelastic import TorchElasticScaling
 from repro.elastic.pollux import PolluxScaling
-from repro.elastic.virtualflow import VirtualFlowTrainer
 
 __all__ = [
     "ElasticBaselineTrainer",
@@ -11,5 +10,4 @@ __all__ = [
     "TrainSegment",
     "TorchElasticScaling",
     "PolluxScaling",
-    "VirtualFlowTrainer",
 ]

@@ -17,19 +17,17 @@ hyper-parameter policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.allreduce import allreduce_mean
+from repro.core.worker import execute_local_step
 from repro.data.dataloader import SharedDataLoader
 from repro.data.datasets import Dataset
 from repro.models.registry import WorkloadSpec
-from repro.nn.module import Module
-from repro.nn.runtime import collect_bn_stats, use_rng
 from repro.optim.lr_scheduler import LRScheduler, StepLR
 from repro.optim.sgd import SGD
-from repro.tensor.context import execution_context
 from repro.tensor.kernels import D0_POLICY
 from repro.utils.rng import RNGBundle, derive_seed
 
@@ -64,7 +62,6 @@ class ElasticBaselineTrainer:
         strategy: ScalingStrategy,
         base_lr: float = 0.05,
         base_batch: int = 8,
-        momentum: float = 0.9,
         seed: int = 0,
         gamma: float = 0.1,
         lr_step_epochs: int = 20,
@@ -74,10 +71,9 @@ class ElasticBaselineTrainer:
         self.strategy = strategy
         self.base_lr = base_lr
         self.base_batch = base_batch
-        self.momentum = momentum
         self.seed = seed
         self.model = spec.build_model(RNGBundle(derive_seed(seed, "model")))
-        self.optimizer = SGD(self.model.named_parameters(), lr=base_lr, momentum=momentum)
+        self.optimizer = SGD(self.model.named_parameters(), lr=base_lr, momentum=0.9)
         self.scheduler: LRScheduler = StepLR(self.optimizer, step_size=lr_step_epochs, gamma=gamma)
         self._named_params = dict(self.model.named_parameters())
         self.epoch = 0
@@ -132,20 +128,13 @@ class ElasticBaselineTrainer:
             journals: List[list] = []
             for rank in range(world_size):
                 x, y = loader.load(rank, self.epoch, step)
-                self.model.zero_grad()
-                with execution_context("v100", D0_POLICY), use_rng(
-                    rank_rngs[rank]
-                ), collect_bn_stats() as journal:
-                    loss = self.spec.forward_loss(self.model, x, y)
-                    loss.backward()
-                losses.append(loss.item())
-                per_rank_grads.append(
-                    {
-                        n: p.grad.copy()
-                        for n, p in self._named_params.items()
-                        if p.grad is not None
-                    }
+                loss, grads, journal = execute_local_step(
+                    self.model, self.spec, rank_rngs[rank], x, y,
+                    dialect="v100", policy=D0_POLICY, micro_batches=1,
+                    named_params=self._named_params,
                 )
+                losses.append(loss)
+                per_rank_grads.append(grads)
                 journals.append(journal)
             self._update_feedback(per_rank_grads)
             names = per_rank_grads[0].keys()

@@ -163,9 +163,9 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     # fault surface
     # ------------------------------------------------------------------
-    def corrupt_latest(self, bit: int = 7) -> Optional[Snapshot]:
+    def corrupt_latest(self) -> Optional[Snapshot]:
         """Flip one payload bit in the newest snapshot (the
-        ``checkpoint_corrupt`` fault).  Deterministic: always the same bit
+        ``checkpoint_corrupt`` fault).  Deterministic: always bit 7
         of the byte at 2/3 of the blob (inside the pickled payload, past
         the header, so the CRC — not the frame parser — must catch it)."""
         target = self.latest()
@@ -173,7 +173,7 @@ class CheckpointManager:
             return None
         blob = bytearray(target.data)
         pos = (len(blob) * 2) // 3
-        blob[pos] ^= 1 << (bit % 8)
+        blob[pos] ^= 1 << 7
         target.data = bytes(blob)
         if target.path is not None:
             with open(target.path, "wb") as fh:

@@ -567,7 +567,6 @@ def random_sim_plan(
     seed: int,
     horizon_s: float,
     max_events: int = 6,
-    kinds: Sequence[str] = FAULT_KINDS,
 ) -> EventPlan:
     """Generate a time-triggered fault plan for the cluster simulator."""
     if horizon_s <= 0:
@@ -575,7 +574,7 @@ def random_sim_plan(
     rng = random.Random(seed)
     events: List[PlanEvent] = []
     for _ in range(rng.randint(1, max(max_events, 1))):
-        kind = rng.choice(list(kinds))
+        kind = rng.choice(FAULT_KINDS)
         at_time = round(rng.uniform(0.05, 0.95) * horizon_s, 1)
         magnitude = 1.0
         if kind == "node_preempt":
@@ -622,7 +621,6 @@ def rolling_upgrade_plan(
 def random_membership_plan(
     seed: int,
     horizon_steps: int,
-    initial_hosts: Optional[Sequence[HostSpec]] = None,
     max_events: int = 4,
 ) -> EventPlan:
     """Generate a step-triggered membership plan a job survives.
@@ -637,15 +635,11 @@ def random_membership_plan(
     if max_events < 1:
         raise ValueError("max_events must be positive")
     rng = random.Random(seed)
-    roster: Tuple[HostSpec, ...] = tuple(
-        initial_hosts
-        if initial_hosts is not None
-        else (
-            HostSpec("v100-host0", "v100", 1),
-            HostSpec("v100-host1", "v100", 1),
-            HostSpec("t4-host0", "t4", 1),
-            HostSpec("t4-host1", "t4", 1),
-        )
+    roster = (
+        HostSpec("v100-host0", "v100", 1),
+        HostSpec("v100-host1", "v100", 1),
+        HostSpec("t4-host0", "t4", 1),
+        HostSpec("t4-host1", "t4", 1),
     )
     # only roster hosts receive removal events: an event may sort to an
     # earlier step than an elastic host's announce, and a host gets at

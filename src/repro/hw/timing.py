@@ -48,16 +48,13 @@ def minibatch_time(
     spec: WorkloadSpec,
     gpu: GPUType,
     policy: KernelPolicy | None = None,
-    elastic_determinism: bool = True,
 ) -> float:
-    """Seconds per mini-batch for one worker of ``spec`` on ``gpu``."""
+    """Seconds per mini-batch for one worker of ``spec`` on ``gpu``, D1 overhead included."""
     key = gpu.name.lower()
     rate = spec.throughput.get(key)
     if rate is None:
         rate = spec.throughput["v100"] * gpu.relative_speed
-    time = 1.0 / rate
-    if elastic_determinism:
-        time *= 1.0 + D1_OVERHEAD
+    time = 1.0 / rate * (1.0 + D1_OVERHEAD)
     if policy is not None and policy.hardware_agnostic:
         time *= 1.0 + (D2_CONV_OVERHEAD if spec.conv_heavy else D2_LIGHT_OVERHEAD)
     return time
@@ -66,7 +63,6 @@ def minibatch_time(
 def static_capability(
     spec: WorkloadSpec,
     policy: KernelPolicy | None = None,
-    elastic_determinism: bool = True,
 ) -> Dict[str, float]:
     """The static per-GPU-type capability table ``C_i`` (mini-batches/s).
 
@@ -76,7 +72,7 @@ def static_capability(
     Keys are lower-case type names, matching the scheduler's convention.
     """
     return {
-        name.lower(): 1.0 / minibatch_time(spec, gtype, policy, elastic_determinism)
+        name.lower(): 1.0 / minibatch_time(spec, gtype, policy)
         for name, gtype in GPU_TYPES.items()
     }
 

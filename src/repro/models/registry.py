@@ -102,7 +102,6 @@ def _spec(
     v100: float,
     conv_heavy: bool,
     dataset_kwargs: Optional[Dict[str, object]] = None,
-    p100_factor: float = 0.45,
     t4_factor: float = 0.33,
 ) -> WorkloadSpec:
     return WorkloadSpec(
@@ -114,7 +113,7 @@ def _spec(
         forward_loss=loss,
         params_gb=params_gb,
         act_gb_per_sample=act,
-        throughput={"v100": v100, "p100": v100 * p100_factor, "t4": v100 * t4_factor},
+        throughput={"v100": v100, "p100": v100 * 0.45, "t4": v100 * t4_factor},
         conv_heavy=conv_heavy,
     )
 

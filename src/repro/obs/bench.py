@@ -428,19 +428,18 @@ def classify(
     previous: Mapping[str, Any],
     current: Mapping[str, Any],
     threshold: float = DEFAULT_THRESHOLD,
-    min_repeats: int = MIN_TRUSTED_REPEATS,
 ) -> Tuple[str, float, float]:
     """Classify one metric: returns ``(status, ratio, tolerance)``.
 
     The tolerance is the relative ``threshold`` widened to the larger
     p10–p90 spread of the two entries (noise floor), and doubled when
-    either side has fewer than ``min_repeats`` repeats (variance cannot
-    be trusted from one or two samples).
+    either side has fewer than ``MIN_TRUSTED_REPEATS`` repeats (variance
+    cannot be trusted from one or two samples).
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     tolerance = max(threshold, _relative_spread(previous), _relative_spread(current))
-    if previous["repeats"] < min_repeats or current["repeats"] < min_repeats:
+    if min(previous["repeats"], current["repeats"]) < MIN_TRUSTED_REPEATS:
         tolerance = max(tolerance, 2 * threshold)
     prev = float(previous["median"])
     cur = float(current["median"])
@@ -468,7 +467,6 @@ def _entry_key(entry: Mapping[str, Any]) -> Tuple[str, str]:
 def compare_trajectory(
     traj: Trajectory,
     threshold: float = DEFAULT_THRESHOLD,
-    min_repeats: int = MIN_TRUSTED_REPEATS,
 ) -> List[ComparisonRow]:
     """Latest-vs-previous verdict for every (bench, params) series.
 
@@ -494,9 +492,7 @@ def compare_trajectory(
                     unit=cur_stats.get("unit", "s"),
                 ))
                 continue
-            status, ratio, tolerance = classify(
-                prev_stats, cur_stats, threshold=threshold, min_repeats=min_repeats
-            )
+            status, ratio, tolerance = classify(prev_stats, cur_stats, threshold=threshold)
             rows.append(ComparisonRow(
                 area=traj.area, bench=current["bench"], metric=metric,
                 status=status, current=float(cur_stats["median"]),

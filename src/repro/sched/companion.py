@@ -141,7 +141,6 @@ class CompanionModule:
         bias_threshold: float = 0.25,
         max_gpus_per_type: int = 16,
         correction_band: Tuple[float, float] = (0.5, 2.0),
-        cache_size: int = 512,
     ) -> None:
         if max_p <= 0:
             raise ValueError("maxP must be positive")
@@ -164,8 +163,8 @@ class CompanionModule:
         self.observations: List[Tuple[str, float, float, bool]] = []
         # --- fast path state ---
         self._generation = 0
-        self._topk_cache = PlanCache("companion_topk", maxsize=cache_size)
-        self._delta_cache = PlanCache("companion_delta", maxsize=cache_size)
+        self._topk_cache = PlanCache("companion_topk")
+        self._delta_cache = PlanCache("companion_delta")
         #: count vectors whose EST expansion the dominance bound skipped
         self.vectors_pruned = 0
         #: count vectors fully expanded and scored

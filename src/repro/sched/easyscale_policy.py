@@ -34,12 +34,10 @@ class EasyScalePolicy(SchedulingPolicy):
     def __init__(
         self,
         heterogeneous: bool,
-        max_ests_cap: int = 16,
         restrict_conv_heavy: bool = False,
         capability_scale: Optional[Mapping[str, float]] = None,
     ) -> None:
         self.heterogeneous = heterogeneous
-        self.max_ests_cap = max_ests_cap
         #: per-GPU-type multipliers applied to every job's static
         #: capability table — the hook through which profiler-calibrated
         #: rates reach the simulator (``trace-sim --calibrate``): a 0.8

@@ -149,7 +149,6 @@ MATMUL_VARIANTS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 def register_matmul_variant(
     name: str,
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    validate: bool = True,
 ) -> None:
     """Register a user-supplied deterministic GEMM as a D2 kernel.
 
@@ -159,22 +158,21 @@ def register_matmul_variant(
     because every device routes to the same function — it preserves D2's
     cross-device bitwise guarantee by construction.
 
-    ``validate`` runs two cheap checks before accepting the kernel:
-    numerical agreement with a float64 reference on a probe input, and
-    bitwise self-determinism across repeated calls.
+    Two cheap checks run before the kernel is accepted: numerical
+    agreement with a float64 reference on a probe input, and bitwise
+    self-determinism across repeated calls.
     """
     if name in VENDOR_DIALECTS or name == AGNOSTIC_DIALECT:
         raise ValueError(f"variant name {name!r} collides with a built-in dialect")
-    if validate:
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(13, 37)).astype(np.float32)
-        b = rng.normal(size=(37, 11)).astype(np.float32)
-        out = fn(a, b)
-        ref = a.astype(np.float64) @ b.astype(np.float64)
-        if out.shape != (13, 11) or not np.allclose(out, ref, rtol=1e-3, atol=1e-3):
-            raise ValueError(f"variant {name!r} failed numerical validation")
-        if fn(a, b).tobytes() != out.tobytes():
-            raise ValueError(f"variant {name!r} is not self-deterministic")
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(13, 37)).astype(np.float32)
+    b = rng.normal(size=(37, 11)).astype(np.float32)
+    out = fn(a, b)
+    ref = a.astype(np.float64) @ b.astype(np.float64)
+    if out.shape != (13, 11) or not np.allclose(out, ref, rtol=1e-3, atol=1e-3):
+        raise ValueError(f"variant {name!r} failed numerical validation")
+    if fn(a, b).tobytes() != out.tobytes():
+        raise ValueError(f"variant {name!r} is not self-deterministic")
     MATMUL_VARIANTS[name] = fn
 
 

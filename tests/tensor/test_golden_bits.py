@@ -12,7 +12,10 @@ fingerprint of the ``train_conv_serial`` benchmark configuration.  Two
 entries were added later, each recorded at the parent of the PR that first
 touched the code they pin (PR 24's parent, 784bf59, existing values
 reproduced in the same run): ``swintransformer`` and ``"engine neumf
-elastic"``, the ``train_rec_elastic`` configuration.
+elastic"``, the ``train_rec_elastic`` configuration.  The two ``"baseline
+..."`` entries pin the TorchElastic / Pollux trainer of Figs 2–4 (state,
+per-epoch losses and learning rates), recorded at 3957255 the same way,
+before that trainer moved onto the engine's one local step.
 
 GEMM bits depend on the BLAS build and the kernels it picks for this CPU,
 so the table carries a ``STAMP``; on any other stamp every test here
@@ -172,6 +175,35 @@ def neumf_elastic_fingerprint(steps: int = 20) -> str:
     return fingerprint_state_dict(engine.model.state_dict())
 
 
+#: ``(strategy, model)`` per baseline entry: one conv and one recommendation model
+BASELINES = (("te", "resnet18"), ("pollux", "neumf"))
+
+
+def baseline_fingerprint(strategy_name: str, model_name: str) -> str:
+    """``ElasticBaselineTrainer`` over a 2 → 1 worker schedule at seed 7.
+
+    One sha256 over the final state dict, every epoch's loss and every
+    epoch's learning rate (``float.hex``): the TE / Pollux side of Figs 2–4.
+    """
+    from repro.elastic import (
+        ElasticBaselineTrainer,
+        PolluxScaling,
+        TorchElasticScaling,
+        TrainSegment,
+    )
+
+    strategy = {"te": TorchElasticScaling, "pollux": PolluxScaling}[strategy_name]()
+    spec = get_workload(model_name)
+    trainer = ElasticBaselineTrainer(
+        spec, spec.build_dataset(32, seed=7), strategy, seed=7, base_batch=4
+    )
+    losses = trainer.run_schedule([TrainSegment(2, 1), TrainSegment(1, 1)])
+    digest = hashlib.sha256(fingerprint_state_dict(trainer.model.state_dict()).encode())
+    digest.update(" ".join(float(loss).hex() for loss in losses).encode())
+    digest.update(" ".join(float(lr).hex() for lr in trainer.lr_history).encode())
+    return digest.hexdigest()
+
+
 def _arrival_digest(arrival: List[str]) -> str:
     return hashlib.sha256(" ".join(arrival).encode()).hexdigest()[:16]
 
@@ -181,6 +213,10 @@ def record() -> Dict[str, object]:
         "engine": train_conv_serial_fingerprint(),
         "engine neumf elastic": neumf_elastic_fingerprint(),
     }
+    for strategy_name, model_name in BASELINES:
+        golden[f"baseline {strategy_name} {model_name}"] = baseline_fingerprint(
+            strategy_name, model_name
+        )
     for model_name in MODELS:
         arrivals = set()
         for label, (dialect, policy) in CONFIGS.items():
@@ -196,6 +232,8 @@ STAMP = "numpy 2.4.6 / scipy-openblas 0.3.31.188.0 / probe 79f563334e3a09cb"
 GOLDEN: Dict[str, str] = {
     "engine": "a57555d973cd08e452e763ceca359f92b0f4b48015105d4e599c89c2af74d93f",
     "engine neumf elastic": "0d26109ef43b19dd960b1e99d8d26b0525a7f4c076258c7d8217044e2108ce91",
+    "baseline te resnet18": "378b1043c5ade38facee8ebae817261156abb0f2e45688db09451a3f4d507ffb",
+    "baseline pollux neumf": "14198606e5024f2611f441e20cda571c19e49bca4d2d709f8ab84666e06a8ffc",
     "resnet18 v100/D0": "c1ad5030075159923c9c457f80d95426f344ce3336cfef012b6a1d8e9faf7c59",
     "resnet18 p100/D0": "094b9f46b8603a880fddfdfd291066e9692a17cdad14af59dd9ddd4451a1874b",
     "resnet18 t4/D0": "9df1c55dc7a417b4ee3f8c8bf2592233a55bea386db13c567b1cb708345d3db4",
@@ -264,6 +302,15 @@ def test_train_conv_serial_engine_fingerprint_unchanged():
 def test_train_rec_elastic_engine_fingerprint_unchanged():
     _require_stamp()
     assert neumf_elastic_fingerprint() == GOLDEN["engine neumf elastic"]
+
+
+@pytest.mark.parametrize("strategy_name,model_name", BASELINES)
+def test_baseline_trainer_fingerprint_unchanged(strategy_name, model_name):
+    _require_stamp()
+    assert (
+        baseline_fingerprint(strategy_name, model_name)
+        == GOLDEN[f"baseline {strategy_name} {model_name}"]
+    )
 
 
 if __name__ == "__main__":
