@@ -24,11 +24,11 @@ determinism argument, in the order things happen:
    gradients are bitwise what the serial path produced.
 4. **Fixed merge order.**  Results are assembled in *submission* order
    (worker 0 first), never completion order, and each worker's ESTs stay
-   in local order.  Finished buckets are *collected* in publication
-   order — overlapping the parent's unflatten copies with still-running
-   child compute — but collection fills a keyed staging map; the merge
-   that the engine's reduction sees is always the submission order, so
-   the association cannot depend on which child finished first.
+   in local order.  A task's result lists the buckets it wrote; the
+   parent reads them only after every task returned (the result pipe is
+   the cross-process happens-before for the slab bytes), walking the
+   results in submission order, so the association cannot depend on
+   which child finished first.
 5. **State write-back, every step.**  Advanced RNG states are restored
    into the parent's EST objects, gradients are staged, and BN journal
    entries are re-bound (by module name) to the parent's layers so
@@ -45,7 +45,6 @@ backend rejects such policies up front with a clear error.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -68,14 +67,9 @@ from repro.utils.rng import RNGBundle
 #: param-id->name, module-id->name).  Lives for the pool's lifetime.
 _REPLICAS: Dict[Tuple[str, int], Tuple[Any, Dict[str, Any], Dict[int, str], Dict[int, str]]] = {}
 
-#: the backend's bucket-publication queue, installed by the pool
-#: initializer
-_READY_QUEUE = None
 
-
-def _child_init(variants: Dict[str, Any], ready_queue) -> None:
-    """Pool initializer: re-hydrate user-registered D2 kernel variants and
-    install the bucket-publication queue.
+def _child_init(variants: Dict[str, Any]) -> None:
+    """Pool initializer: re-hydrate user-registered D2 kernel variants.
 
     Under the ``spawn`` start method the child's kernel registry holds
     only the built-in dialects; a D2 policy with ``custom_kernel`` set
@@ -85,8 +79,6 @@ def _child_init(variants: Dict[str, Any], ready_queue) -> None:
     """
     from repro.tensor.kernels import rehydrate_matmul_variants
 
-    global _READY_QUEUE
-    _READY_QUEUE = ready_queue
     rehydrate_matmul_variants(variants)
 
 
@@ -109,12 +101,13 @@ def _run_worker_task(task: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one physical worker's local steps in a pool child.
 
     Gradients leave through the slab: each bucket is flattened into this
-    vrank's region and published on the ready queue.  Returns
+    vrank's region, and the result only lists what was written.  Returns
     ``{"ests": [...], "obs": ...}``.  ``ests`` holds one payload per EST,
     in local order: the loss, the advanced RNG state, the BN journal
     keyed by module *name* (layer objects don't cross process
-    boundaries), and — for vrank 0 on a reconstruction step — the
-    gradient arrival order.  ``obs`` is :func:`repro.obs.export_child`.
+    boundaries), the ``(bucket_idx, names, elems)`` of every non-empty
+    bucket written to the slab, and — for vrank 0 on a reconstruction
+    step — the gradient arrival order.  ``obs`` is :func:`repro.obs.export_child`.
 
     Observability: the parent ships its :class:`~repro.obs.ObsConfig`
     snapshot with every task; the child bootstraps ``repro.obs`` from it
@@ -147,7 +140,6 @@ def _run_worker_task_inner(
     # views into this child's replica
     model.load_state_dict(shm_mod.child_read_state(desc))
     layout = BucketAssignment.from_state(task["layout"])
-    seq = task["seq"]
     out: List[Dict[str, Any]] = []
     for vrank, rng_state, x, y in task["ests"]:
         rng = RNGBundle(0)
@@ -186,18 +178,17 @@ def _run_worker_task_inner(
             obs.metrics().counter(
                 "exec_child_local_steps_total", gpu=task.get("gpu", "?")
             ).inc()
+        buckets = []
         for bucket_idx, names in enumerate(layout.buckets):
-            # flatten straight into this vrank's slab region, then publish
-            # through the queue — the queue send is the cross-process
-            # happens-before for the slab bytes
+            # flatten straight into this vrank's slab region; the parent
+            # reads it once this task's result has come back
             present = tuple(n for n in names if n in grads)
-            elems = sum(int(grads[n].size) for n in present)
             if present:
-                sub = BucketAssignment([list(present)])
-                sub.flatten_bucket_into(
+                elems = sum(int(grads[n].size) for n in present)
+                BucketAssignment([list(present)]).flatten_bucket_into(
                     0, grads, shm_mod.child_grad_view(desc, vrank, bucket_idx, elems)
                 )
-            _READY_QUEUE.put((seq, vrank, bucket_idx, present, elems))
+                buckets.append((bucket_idx, present, elems))
         out.append(
             {
                 "vrank": vrank,
@@ -206,6 +197,7 @@ def _run_worker_task_inner(
                 "journal": [
                     (modules_by_id[id(layer)], mean, var) for layer, mean, var in journal
                 ],
+                "buckets": buckets,
                 "arrival": arrival,
             }
         )
@@ -231,8 +223,9 @@ class ProcessPoolBackend(ExecutionBackend):
 
     The heavy per-step payloads travel through
     :class:`~repro.exec.shm.ShmTransport` slabs: model state is broadcast
-    and flat gradient buckets are collected zero-copy, with per-bucket
-    collection overlapped against still-running child compute.
+    and flat gradient buckets come back zero-copy: each task's result
+    lists the slab regions it wrote, and the parent reads them once every
+    task of the step has returned.
     ``transport`` names that one carrier: the keyword exists because the
     frozen ``benchmarks/e2e`` passes it, and any value but ``"shm"`` is a
     ``ValueError``.
@@ -275,12 +268,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._pool = None
         #: shm slab set (lazily built on the first step)
         self._shm: Optional[ShmTransport] = None
-        #: bucket-publication queue shared by every slot's child
-        self._ready_queue = None
-        #: per-step sequence number tagged onto every publication, so a
-        #: step aborted mid-collection can never leak stale buckets into
-        #: the next step's drain loop
-        self._seq = 0
 
     # -- lifecycle ------------------------------------------------------
     def _ensure_slot(self, index: int):
@@ -292,8 +279,6 @@ class ProcessPoolBackend(ExecutionBackend):
         """
         if self._pool is None:
             self._pool = []
-        if self._ready_queue is None:
-            self._ready_queue = self._ctx.Queue()
         while len(self._pool) <= index:
             from repro.tensor.kernels import export_matmul_variants
 
@@ -301,7 +286,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._ctx.Pool(
                     processes=1,
                     initializer=_child_init,
-                    initargs=(export_matmul_variants(), self._ready_queue),
+                    initargs=(export_matmul_variants(),),
                 )
             )
         return self._pool[index]
@@ -315,10 +300,6 @@ class ProcessPoolBackend(ExecutionBackend):
             for slot in self._pool:
                 slot.join()
             self._pool = None
-        if self._ready_queue is not None:
-            self._ready_queue.close()
-            self._ready_queue.join_thread()
-            self._ready_queue = None
         if self._shm is not None:
             # children are gone (slots joined above): unlink exactly once
             self._shm.close()
@@ -390,7 +371,6 @@ class ProcessPoolBackend(ExecutionBackend):
 
         # Phase 2: broadcast state (one slab write), then dispatch
         # everything (worker w -> slot w % max_workers)
-        self._seq += 1
         self._broadcast_state(request, tasks, est_by_vrank)
         handles = [
             self._ensure_slot(task["worker"] % self.max_workers).apply_async(
@@ -399,8 +379,7 @@ class ProcessPoolBackend(ExecutionBackend):
             for task in tasks
         ]
 
-        grads_by_vrank = self._collect_buckets(request, handles, est_by_vrank)
-        results = self._assemble(request, handles, est_by_vrank, grads_by_vrank)
+        results = self._assemble(request, handles, est_by_vrank)
         if obs.is_enabled():
             registry = obs.metrics()
             registry.counter("exec_steps_total", backend=self.name).inc()
@@ -442,64 +421,8 @@ class ProcessPoolBackend(ExecutionBackend):
         desc = self._shm.descriptor()
         for task in tasks:
             task["shm"] = desc
-            task["seq"] = self._seq
 
-    # -- phase 3: overlapped collection ----------------------------------
-    def _collect_buckets(
-        self, request, handles, est_by_vrank
-    ) -> Dict[int, Dict[str, np.ndarray]]:
-        """Drain bucket publications as children produce them.
-
-        Children publish each finished (vrank, bucket) through the ready
-        queue the moment its slab region is written; the parent unflattens
-        it immediately — overlapping its own copy-out with the remaining
-        child compute instead of blocking on whole-worker ``handle.get()``.
-        Publications land in the returned vrank-keyed map, so arrival
-        order never reaches the caller: :meth:`_assemble` walks submission
-        order regardless.  A failed child task ends the drain through
-        :meth:`_wait_all`, which re-raises its exception.
-        """
-        grads_by_vrank: Dict[int, Dict[str, np.ndarray]] = {}
-        param_shapes = {n: p.data.shape for n, p in request.named_params.items()}
-        expected = len(est_by_vrank) * self._shm.plan.num_buckets
-        got = 0
-        shm_bytes = 0
-        with obs.span(
-            "exec.overlap_collect", cat="exec", backend=self.name,
-            buckets=expected,
-        ):
-            while got < expected:
-                try:
-                    seq, vrank, bucket_idx, names, elems = self._ready_queue.get(
-                        timeout=0.05
-                    )
-                except queue_mod.Empty:
-                    # surface a failed child task instead of spinning
-                    if any(h.ready() and not h.successful() for h in handles):
-                        self._wait_all(request, handles)
-                    continue
-                if seq != self._seq:
-                    continue  # stale publication from an aborted step
-                got += 1
-                if not names:
-                    continue
-                with obs.span(
-                    "exec.collect_bucket", cat="exec", vrank=vrank,
-                    bucket=bucket_idx, elems=elems,
-                ):
-                    flat = self._shm.read_bucket(vrank, bucket_idx, elems)
-                    sub = BucketAssignment([list(names)])
-                    grads_by_vrank.setdefault(vrank, {}).update(
-                        sub.unflatten_bucket(0, flat, param_shapes)
-                    )
-                shm_bytes += elems * 4
-        if obs.is_enabled() and shm_bytes:
-            obs.metrics().counter(
-                "exec_shm_bytes_total", direction="gradients"
-            ).inc(shm_bytes)
-        return grads_by_vrank
-
-    # -- phase 4: fixed-order assembly + write-back ----------------------
+    # -- phase 3: fixed-order assembly + write-back ----------------------
     def _wait_all(self, request, handles) -> List[List[Dict[str, Any]]]:
         """Wait for every task of the step and merge each child's obs.
 
@@ -531,10 +454,12 @@ class ProcessPoolBackend(ExecutionBackend):
             raise failure
         return ests
 
-    def _assemble(self, request, handles, est_by_vrank, grads_by_vrank):
+    def _assemble(self, request, handles, est_by_vrank):
         from repro.core.worker import LocalStepResult
 
         parent_layers = dict(request.model.named_modules())
+        param_shapes = {n: p.data.shape for n, p in request.named_params.items()}
+        shm_bytes = 0
         arrival_seen = (
             set(request.arrival_sink) if request.arrival_sink is not None else None
         )
@@ -544,7 +469,15 @@ class ProcessPoolBackend(ExecutionBackend):
             switch = context_switch_time(worker.spec, worker.gpu) * worker.slowdown
             for position, payload in enumerate(payloads):
                 vrank = payload["vrank"]
-                grads = grads_by_vrank.get(vrank, {})
+                grads: Dict[str, np.ndarray] = {}
+                for bucket_idx, names, elems in payload["buckets"]:
+                    flat = self._shm.read_bucket(vrank, bucket_idx, elems)
+                    grads.update(
+                        BucketAssignment([list(names)]).unflatten_bucket(
+                            0, flat, param_shapes
+                        )
+                    )
+                    shm_bytes += elems * 4
                 est = est_by_vrank[vrank]
                 est.rng.set_state(payload["rng"])
                 est.staged_grads = grads
@@ -570,4 +503,8 @@ class ProcessPoolBackend(ExecutionBackend):
                         ),
                     )
                 )
+        if obs.is_enabled() and shm_bytes:
+            obs.metrics().counter(
+                "exec_shm_bytes_total", direction="gradients"
+            ).inc(shm_bytes)
         return results

@@ -17,11 +17,11 @@ Ownership is one-writer-per-region and phase-alternating
 between dispatches, children write their gradient regions only while
 their task runs, and a reader never touches a region until the writer
 has published it — the parent publishes by dispatching the task, a child
-publishes each bucket through the backend's ready-queue (an OS pipe,
-which gives the cross-process happens-before that a bare flag in shared
-memory would not).  Both sides hand out **read-only** views to the
-non-owner, so an ownership violation fails loudly instead of corrupting
-gradients.
+by returning the task's result, which lists the buckets it wrote (the
+result travels over the pool's OS pipe, which gives the cross-process
+happens-before that a bare flag in shared memory would not).  Both sides
+hand out **read-only** views to the non-owner, so an ownership violation
+fails loudly instead of corrupting gradients.
 
 Lifecycle: slabs are keyed by :meth:`SlabPlan.key` — bucket layout,
 state-array specs, and vrank set — and rebuilt wholesale when the key
@@ -267,8 +267,8 @@ class ShmTransport:
     def read_bucket(self, vrank: int, bucket_idx: int, elems: int) -> np.ndarray:
         """Read-only view of a published bucket region.
 
-        Only call after the owning child published (vrank, bucket) for
-        the current step through the ready-queue; the view aliases the
+        Only call after the task that owns ``vrank`` returned a result
+        listing (bucket, elems) for the current step; the view aliases the
         slab, so consumers that outlive the step must copy
         (:meth:`BucketAssignment.unflatten_bucket` already does).
         """
@@ -359,8 +359,8 @@ def child_grad_view(
     """Writable float32 view over the child's own bucket region.
 
     Flatten straight into this (``flatten_bucket_into``); no array is
-    built or sent back.  The write is NOT visible to the parent until the
-    caller publishes (vrank, bucket) through the backend's ready-queue.
+    built or sent back.  The parent reads the region only after the
+    task's result, which lists (bucket, elems), has come back.
     """
     plan: SlabPlan = desc["plan"]
     shm = _attach(desc["grad_names"][vrank])

@@ -10,7 +10,6 @@ from repro.sched.perfmodel import (
 )
 from repro.sched.aimaster import AIMaster, ThroughputMonitor
 from repro.sched.companion import CompanionModule
-from repro.sched.history import HistoryStore
 from repro.sched.plancache import PlanCache, PlanCacheStats, availability_key
 from repro.sched.intra import IntraJobScheduler, ResourceProposal, plan_to_assignment
 from repro.sched.inter import Grant, InterJobScheduler
@@ -40,7 +39,6 @@ __all__ = [
     "waste",
     "estimated_throughput",
     "CompanionModule",
-    "HistoryStore",
     "PlanCache",
     "PlanCacheStats",
     "availability_key",

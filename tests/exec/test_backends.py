@@ -285,6 +285,31 @@ def test_custom_kernel_bitwise_under_pool(env):
         unregister_matmul_variant("test_splitk8")
 
 
+def test_serial_equals_pool_under_spawn():
+    """A spawned child inherits nothing — registry, replica cache, slab
+    attachments all start cold from the pool initializer's arguments —
+    and still trains the parent's bits."""
+    spec = get_workload("neumf")
+    dataset = spec.build_dataset(64, seed=7)
+    config = EasyScaleJobConfig(
+        num_ests=4, seed=0, batch_size=8,
+        determinism=determinism_from_label("D1+D2"),
+    )
+    serial = EasyScaleEngine(
+        spec, dataset, config, sgd_factory(), _assignment(["V100", "T4"])
+    )
+    serial.train_steps(2)
+    with ProcessPoolBackend(max_workers=2, start_method="spawn") as backend:
+        pooled = EasyScaleEngine(
+            spec, dataset, config, sgd_factory(),
+            _assignment(["V100", "T4"]), backend=backend,
+        )
+        pooled.train_steps(2)
+    assert fingerprint_state_dict(
+        pooled.model.state_dict()
+    ) == fingerprint_state_dict(serial.model.state_dict())
+
+
 # ---------------------------------------------------------------------------
 # observability: per-backend labels
 # ---------------------------------------------------------------------------

@@ -295,8 +295,7 @@ class TestPoolIntegration:
                 ).value > 0
             records = obs.tracer().records
             assert [r for r in records if r["name"] == "exec.state_broadcast"]
-            assert [r for r in records if r["name"] == "exec.overlap_collect"]
-            assert [r for r in records if r["name"] == "exec.collect_bucket"]
+            assert [r for r in records if r["name"] == "exec.worker_task"]
         finally:
             obs.reset()
 

@@ -649,6 +649,33 @@ def test_surface_no_caller_uses_stays_gone():
             assert assignment not in handle.read(), (rel, assignment)
 
 
+def test_one_publication_per_pool_task():
+    # a pool task's result is the only word it sends back: the per-bucket
+    # ready queue, its drain loop and spans, and the capability-history
+    # store no entry point reached are gone by name from everything a
+    # reader meets, DESIGN.md and the verify notes included.  (Spelled
+    # split so this file does not match itself.)
+    gone = [
+        "_READY_" + "QUEUE", "ready_" + "queue", "_collect_" + "buckets",
+        "overlap_" + "collect", "collect_" + "bucket", "History" + "Store",
+    ]
+    for path, line in _lines_of_code_and_docs():
+        for name in gone:
+            assert name not in line, (path, line)
+    extra = [
+        os.path.join(REPO_ROOT, "DESIGN.md"),
+        os.path.join(REPO_ROOT, ".claude", "skills", "verify", "SKILL.md"),
+    ]
+    for path in extra:
+        if not os.path.exists(path):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        for name in gone:
+            assert name not in source, (os.path.relpath(path, REPO_ROOT), name)
+    assert not os.path.exists(os.path.join(SRC, "sched", "history.py"))
+
+
 def test_col2im_is_one_gather_over_a_cached_plan():
     # conv backward folds columns back through a per-geometry gather plan;
     # the padded buffer and its strided-add loop over kernel offsets live
