@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,6 +163,10 @@ class CompanionModule:
         self.observations: List[Tuple[str, float, float, bool]] = []
         # --- fast path state ---
         self._generation = 0
+        #: called after every generation bump: each agent holding this
+        #: companion registers here to push its moved class stamp
+        #: (:attr:`~repro.sched.intra.IntraJobScheduler.on_restamp`)
+        self.watchers: List[Callable[[], None]] = []
         self._topk_cache = PlanCache("companion_topk")
         self._delta_cache = PlanCache("companion_delta")
         #: count vectors whose EST expansion the dominance bound skipped
@@ -178,6 +182,8 @@ class CompanionModule:
         self._generation += 1
         self._topk_cache.invalidate()
         self._delta_cache.invalidate()
+        for watcher in self.watchers:
+            watcher()
 
     def share_caches(self, topk: dict, delta: dict) -> None:
         """Answer top-K and delta queries from a job class's stores.

@@ -14,10 +14,11 @@ a companion plan database) and the global
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Mapping, Optional
 
 from repro.sched.companion import CompanionModule
-from repro.sched.inter import Ask, InterJobScheduler
+from repro.sched.inter import InterJobScheduler
 from repro.sched.intra import IntraJobScheduler, ResourceProposal
 from repro.sched.perfmodel import estimated_throughput
 from repro.sched.simulator import ClusterSimulator, JobRuntime, SchedulingPolicy
@@ -56,6 +57,9 @@ class EasyScalePolicy(SchedulingPolicy):
         self.restrict_conv_heavy = restrict_conv_heavy
         self.name = "easyscale-heter" if heterogeneous else "easyscale-homo"
         self.inter = InterJobScheduler()
+        #: job id -> runtime of every admitted job (``run()`` drops the
+        #: finished ones): where a grant finds its job
+        self._jobs: Dict[str, JobRuntime] = {}
 
     # ------------------------------------------------------------------
     def on_job_arrival(self, sim: ClusterSimulator, runtime: JobRuntime) -> None:
@@ -75,53 +79,71 @@ class EasyScalePolicy(SchedulingPolicy):
             capability=capability,
             homogeneous_only=homogeneous_only,
         )
-        runtime.agent = IntraJobScheduler(job.job_id, companion)
+        agent = runtime.agent = IntraJobScheduler(job.job_id, companion)
+        self._jobs[job.job_id] = runtime
+        # a moved class stamp reaches the dirty set at the mutation (the
+        # simulator's touched set, read once per reschedule), and a new
+        # agent is dirty from the start
+        agent.on_restamp = partial(sim._touch, runtime)
+        agent.on_restamp()
 
     # ------------------------------------------------------------------
     def reschedule(self, sim: ClusterSimulator, now: float) -> None:
-        # the simulator's active set is the seed filter under
-        # run_reference and an incrementally maintained list under run()
-        # — identical contents either way
-        active = [
-            r for r in sim.active_jobs() if r.agent is not None and r.status != "done"
-        ]
-        # under run(), each job's (class, clamped ownership) key is re-derived
-        # only when its class or ownership moved since its last ask, and
-        # serves both the Role-1 skip test and the Role-2 memo.  run_reference
-        # leaves the flag off (no skip, no memo), so the brute branches
-        # below stay the memos' whole-trace oracle; its _apply_plan still
-        # asks, so its companions share the class plan stores as well.
-        incremental = sim.incremental_scheduling
-        asks = [self.inter.ask(r.agent, r.owned) if incremental else None for r in active]
+        if sim.incremental_scheduling:
+            self._update_book(sim)
+            collect = self.inter.proposals_for
+        else:
+            # run_reference: Role-1 on every active job and a fresh
+            # propose() from each every round — the book's whole-trace
+            # oracle (its _apply_plan still asks, so its companions share
+            # the class plan stores as well)
+            active = [
+                r for r in sim.active_jobs() if r.agent is not None and r.status != "done"
+            ]
+            for runtime in active:
+                self._apply_plan(runtime)
 
-        # Role-1: re-plan everyone on current ownership (idempotent); the
-        # incremental path skips jobs whose plan inputs are unchanged —
-        # their rate/current_plan are already the values a re-plan would
-        # produce, because apply_best_plan is deterministic in them
-        for runtime, ask in zip(active, asks):
-            if ask is None or runtime.agent.applied_plan_key != ask[2]:
-                self._apply_plan(runtime, ask)
+            def collect(free: Mapping[str, int]) -> List[ResourceProposal]:
+                return [p for r in active for p in r.agent.propose(r.owned, free)]
 
         # Role-2 + inter-job arbitration, iterated until the free pool is
-        # drained or nobody wants more
+        # drained or nobody wants more; a granted job re-plans at once
+        # (Role-3) and its new key stands in the book for the next round
+        # — or, when the loop stops here, for the next call
         for _ in range(64):  # bounded: each round grants >=1 GPU
             free = sim.free_by_type()
             if sum(free.values()) == 0:
                 break
-            if incremental:
-                proposals = self.inter.proposals_for(asks, free)
-            else:
-                proposals: List[ResourceProposal] = []
-                for runtime in active:
-                    proposals.extend(runtime.agent.propose(runtime.owned, free))
-            grants = self.inter.arbitrate(proposals, free)
+            grants = self.inter.arbitrate(collect(free), free)
             if not grants:
                 break
-            by_job = {r.job.job_id: i for i, r in enumerate(active)}
             for grant in grants:
-                i = by_job[grant.job_id]
-                sim.grant(active[i], grant.gtype, grant.gpus)
-                asks[i] = self._apply_plan(active[i])
+                runtime = self._jobs[grant.job_id]
+                sim.grant(runtime, grant.gtype, grant.gpus)
+                self._apply_plan(runtime)
+
+    def _update_book(self, sim: ClusterSimulator) -> None:
+        """Re-derive the keys of the jobs that changed, and only those.
+
+        The simulator's touched set is the dirty set: ``grant`` /
+        ``revoke`` / ``preempt`` / ``release_all`` mark an ownership edit,
+        and this policy's own pushes mark an arrival and a moved class
+        stamp (``on_restamp``).  Every other job's standing key and book
+        entry are still what a re-derivation would produce.  Role-1 runs
+        only where the key moved: ``apply_best_plan`` is deterministic in
+        it, so an unmoved job's rate and plan are already the re-plan's.
+        """
+        # once per job, in arrival order
+        dirty = {r.index: r for r in sim.touched_jobs() if r.agent is not None}
+        for index in sorted(dirty):
+            runtime = dirty[index]
+            if runtime.status == "done":
+                self.inter.forget(runtime.agent)
+                self._jobs.pop(runtime.job.job_id, None)
+                continue
+            key = self.inter.ask(runtime.agent, runtime.owned)
+            if runtime.agent.applied_plan_key != key:
+                self._apply_plan(runtime, key)
 
     # ------------------------------------------------------------------
     def on_preempt(self, sim: ClusterSimulator, runtime: JobRuntime, now: float) -> None:
@@ -138,12 +160,12 @@ class EasyScalePolicy(SchedulingPolicy):
                 runtime.rate = 0.0
 
     # ------------------------------------------------------------------
-    def _apply_plan(self, runtime: JobRuntime, ask: Optional[Ask] = None) -> Ask:
-        """Role-1 on the job's current ownership, stamped with the ask it
-        answers (derived here unless the caller already holds it)."""
+    def _apply_plan(self, runtime: JobRuntime, key: Optional[tuple] = None) -> None:
+        """Role-1 on the job's current ownership, stamped with the key it
+        answers (asked here unless the caller already holds it)."""
         agent = runtime.agent
         scored = agent.apply_best_plan(runtime.owned)
         runtime.rate = scored.throughput if scored else 0.0
-        ask = ask or self.inter.ask(agent, runtime.owned)
-        agent.applied_plan_key = ask[2]
-        return ask
+        if key is None:
+            key = self.inter.ask(agent, runtime.owned)
+        agent.applied_plan_key = key

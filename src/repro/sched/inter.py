@@ -40,22 +40,43 @@ class JobClass:
     (capability *contents*, ``maxP``, per-type cap, plan shape) and proposal
     menu (``scaleout_chunks``, ``top_k``) are equal.  Identity is the id."""
 
-    __slots__ = ("types", "cap", "menu", "topk_store", "delta_store")
+    __slots__ = ("types", "cap", "scope", "topk_store", "delta_store")
 
-    def __init__(self, types: frozenset, cap: int, menu: Tuple[int, ...]) -> None:
+    def __init__(self, types: frozenset, cap: int, scope: "FitScope") -> None:
         self.types = types
         #: the enumeration cap ``min(maxP, max_gpus_per_type)``
         self.cap = cap
-        self.menu = menu
+        #: the fit scope of every class with this menu and type set
+        self.scope = scope
         #: the plan-cache entries of every member companion (its top-K and
         #: delta caches read these while its generation is unchanged)
         self.topk_store: Dict[tuple, object] = {}
         self.delta_store: Dict[tuple, object] = {}
 
 
-#: one job's question to a round: its agent, its live ownership dict, and
-#: the ``(JobClass, clamped ownership)`` key every answer depends on
-Ask = Tuple[IntraJobScheduler, Mapping[str, int], tuple]
+class FitScope:
+    """The booked agents of every class with one ``(menu, type set)``.
+
+    ``propose()`` reads the free pool only through "which chunks of the
+    sorted menu fit this type", so one pool folds to one *fit key* for all
+    of them — 5, 6 and 7 free against menu (1, 2, 4, 8) are one pool.
+    ``fit`` is the key their book entries answer."""
+
+    __slots__ = ("menu", "types", "fit", "members")
+
+    def __init__(self, menu: Tuple[int, ...], types: frozenset) -> None:
+        self.menu = menu
+        self.types = types
+        self.fit: Optional[tuple] = None
+        self.members: Dict[IntraJobScheduler, None] = {}
+
+    def fits(self, pool: Sequence[Tuple[str, int]]) -> tuple:
+        """``pool`` (sorted ``free`` items) as per-type fit counts."""
+        return tuple(
+            (t, fits)
+            for t, v in pool
+            if t in self.types and (fits := bisect_right(self.menu, int(v))) > 0
+        )
 
 
 class InterJobScheduler:
@@ -65,9 +86,16 @@ class InterJobScheduler:
         self.grant_log: List[Grant] = []
         #: class key (by content) -> its one record
         self._classes: Dict[tuple, JobClass] = {}
-        #: agent -> [validity stamp, record, ownership snapshot, ask key]
-        #: of its last lookup (the last two belong to its last :meth:`ask`)
-        self._class_of: Dict[IntraJobScheduler, list] = {}
+        #: ``(menu, type set)`` -> its one fit scope
+        self._scopes: Dict[tuple, FitScope] = {}
+        #: the standing proposal book: agent -> [ownership, standing key]
+        #: for every agent asked and not forgotten
+        self._book: Dict[IntraJobScheduler, list] = {}
+        #: booked agents the next round re-answers (asked since their
+        #: entry was answered, or their scope's fit key moved)
+        self._stale: Dict[IntraJobScheduler, None] = {}
+        #: the non-empty answers of the book, one list per agent
+        self._offers: Dict[IntraJobScheduler, List[ResourceProposal]] = {}
         #: incremental-arbitration memo, shared across *all* jobs of a
         #: class: ``(ask key, free-pool fit key)`` -> the first asker's
         #: proposals
@@ -79,20 +107,15 @@ class InterJobScheduler:
     # incremental Role-2: the class, not the job, is what a round asks
     # ------------------------------------------------------------------
     def job_class(self, agent: IntraJobScheduler) -> JobClass:
-        """The agent's class, interned by content behind a validity stamp.
+        """The agent's class, interned by content.
 
-        The stamp is the companion and its ``generation`` (bumped by every
-        capability mutator; the companion's plan-shape scalars are
-        read-only) plus the agent's assignable menu, so no way of changing
-        an agent's class leaves a stale record; two companions with equal
-        tables and different generations still share one class.  Interning
-        points the companion's plan caches at the class's stores.
+        Read on every call, so no way of changing an agent's class leaves
+        a stale record (the companion's plan-shape scalars are read-only);
+        two companions with equal tables and different generations share
+        one class.  Interning points the companion's plan caches at the
+        class's stores.
         """
         companion = agent.companion
-        stamp = (companion, companion.generation, agent.scaleout_chunks, agent.top_k)
-        known = self._class_of.get(agent)
-        if known is not None and known[0] == stamp:
-            return known[1]
         key = (
             tuple(sorted(companion.capability.items())),
             companion.max_p,
@@ -103,80 +126,94 @@ class InterJobScheduler:
         )
         job_class = self._classes.get(key)
         if job_class is None:
+            types, menu = frozenset(companion.capability), agent.scaleout_chunks
+            scope = self._scopes.get((menu, types))
+            if scope is None:
+                scope = self._scopes[menu, types] = FitScope(menu, types)
             job_class = self._classes[key] = JobClass(
-                frozenset(companion.capability),
-                min(companion.max_p, companion.max_gpus_per_type),
-                agent.scaleout_chunks,
+                types, min(companion.max_p, companion.max_gpus_per_type), scope
             )
         companion.share_caches(job_class.topk_store, job_class.delta_store)
-        self._class_of[agent] = [stamp, job_class, None, None]
         return job_class
 
-    def ask(self, agent: IntraJobScheduler, owned: Mapping[str, int]) -> Ask:
-        """The agent's key for its current ownership.
+    def ask(self, agent: IntraJobScheduler, owned: Mapping[str, int]) -> tuple:
+        """Derive the agent's key for its current ownership and stand it in
+        the book; the next round re-answers the agent's proposals.
 
         Role-1's plan and Role-2's proposals are — apart from the job id
         — pure functions of the class and the ownership clamped to the
         enumeration cap (:func:`availability_key`; raw counts beyond the
-        cap cannot change any plan score).  The key is kept with the
-        ``tuple(owned.items())`` snapshot it was derived from and
-        re-derived only when the stamp or the snapshot differs: the
-        simulator edits ``owned`` in place, and a snapshot comparison sees
-        every such edit without a version counter at the mutation sites.
+        cap cannot change any plan score), so the key is
+        ``(JobClass, clamped ownership)``.  The caller asks when that may
+        have moved — an arrival, an ownership edit, a moved class stamp
+        — and the standing key serves every round until the next ask.
         """
         job_class = self.job_class(agent)
-        known = self._class_of[agent]
-        snapshot = tuple(owned.items())
-        if known[2] != snapshot:
-            cap = job_class.cap
-            known[2] = snapshot
-            known[3] = (job_class, availability_key(owned, job_class.types, cap, cap))
-        return agent, owned, known[3]
+        cap = job_class.cap
+        key = (job_class, availability_key(owned, job_class.types, cap, cap))
+        entry = self._book.get(agent)
+        if entry is None:
+            self._book[agent] = [owned, key]
+        else:
+            left = entry[1][0].scope
+            if left is not job_class.scope:
+                del left.members[agent]
+            entry[0], entry[1] = owned, key
+        job_class.scope.members[agent] = None
+        self._stale[agent] = None
+        return key
 
-    def proposals_for(
-        self, asks: Sequence[Ask], free: Mapping[str, int]
-    ) -> List[ResourceProposal]:
-        """One round's Role-2 proposals, every asker's in ask order.
+    def forget(self, agent: IntraJobScheduler) -> None:
+        """Take a finished job's agent out of the book (idempotent)."""
+        entry = self._book.pop(agent, None)
+        if entry is not None:
+            del entry[1][0].scope.members[agent]
+        self._stale.pop(agent, None)
+        self._offers.pop(agent, None)
 
-        ``propose()`` reads the free pool only through "which chunks of
-        the sorted menu fit this type" (the chunk loop breaks at the first
-        chunk > free), so the memo folds ``free`` down to per-type *fit
-        counts* — 5, 6 and 7 free against menu (1, 2, 4, 8) are one pool —
-        computed once per round per (menu, type set).  Asks with one key
-        share one memo lookup; every asker still counts as a hit or a miss
-        (the first of a class to ask a new question pays the plan search),
-        and the cached proposals are re-stamped with each asker's job id.
-        Memo hits skip the agent's ``sched.propose`` flight-recorder entry
-        (forensic telemetry, not part of the :class:`EventLog` surface).
+    def proposals_for(self, free: Mapping[str, int]) -> List[ResourceProposal]:
+        """One round's Role-2 proposals: every non-empty book entry.
+
+        Only two kinds of entry are re-answered: the agents asked since
+        their last answer, and the members of a scope whose fit key this
+        pool moves (computed once per round per scope).  Every other entry
+        answers this round already — its key and its fit key are the
+        ones it was answered for.  A re-answer is one lookup in the memo
+        ``(key, fit key) → proposals``; a miss runs the asker's
+        ``propose()``, and cached proposals are re-stamped with the
+        asker's job id.  The counters stay per job: every booked agent is
+        a hit or a miss each round — a standing entry was always a memo
+        hit — and the first of a class to ask a new question pays the
+        search.  Memo hits skip the agent's ``sched.propose``
+        flight-recorder entry (forensic telemetry, not part of the
+        :class:`EventLog` surface).  The proposals come in no promised
+        order: :meth:`arbitrate` ranks by a total order.
         """
-        fit_keys: Dict[tuple, tuple] = {}
-        answers: Dict[tuple, List[ResourceProposal]] = {}
-        proposals: List[ResourceProposal] = []
+        stale = self._stale
+        pool = sorted(free.items())
+        for scope in self._scopes.values():
+            if scope.members:
+                fit = scope.fits(pool)
+                if fit != scope.fit:
+                    scope.fit = fit
+                    stale.update(scope.members)
         misses = 0
-        for agent, owned, key in asks:
-            cached = answers.get(key)
+        offers = self._offers
+        for agent in stale:
+            owned, key = self._book[agent]
+            memo_key = (key, key[0].scope.fit)
+            cached = self._proposal_memo.get(memo_key)
             if cached is None:
-                job_class = key[0]
-                scope = (job_class.menu, job_class.types)
-                free_key = fit_keys.get(scope)
-                if free_key is None:
-                    free_key = fit_keys[scope] = tuple(
-                        (t, fits)
-                        for t, v in sorted(free.items())
-                        if t in job_class.types
-                        and (fits := bisect_right(job_class.menu, int(v))) > 0
-                    )
-                cached = self._proposal_memo.get((key, free_key))
-                if cached is None:
-                    misses += 1
-                    cached = self._proposal_memo[key, free_key] = agent.propose(owned, free)
-                answers[key] = cached
-            if cached:
-                if cached[0].job_id == agent.job_id:
-                    proposals.extend(cached)
-                else:
-                    proposals.extend(replace(p, job_id=agent.job_id) for p in cached)
-        hits = len(asks) - misses
+                misses += 1
+                cached = self._proposal_memo[memo_key] = agent.propose(owned, free)
+            if not cached:
+                offers.pop(agent, None)
+            elif cached[0].job_id == agent.job_id:
+                offers[agent] = cached
+            else:
+                offers[agent] = [replace(p, job_id=agent.job_id) for p in cached]
+        stale.clear()
+        hits = len(self._book) - misses
         self.proposal_memo_hits += hits
         self.proposal_memo_misses += misses
         if obs.is_enabled():
@@ -185,7 +222,7 @@ class InterJobScheduler:
                     obs.metrics().counter(
                         "sched_proposal_memo_total", result=result
                     ).inc(count)
-        return proposals
+        return [p for offer in offers.values() for p in offer]
 
     def arbitrate(
         self,

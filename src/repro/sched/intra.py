@@ -16,7 +16,7 @@ Three roles, verbatim from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.engine import WorkerAssignment
 from repro.hw.gpu import gpu_type
@@ -90,6 +90,12 @@ class IntraJobScheduler:
         top_k: int = 3,
     ) -> None:
         self.job_id = job_id
+        #: called whenever the agent's class stamp moves — a new companion,
+        #: a capability mutation (the companion's generation), the menu or
+        #: ``top_k`` — so a scheduler that keeps the agent's key hears of
+        #: it at the mutation instead of polling every agent
+        self.on_restamp: Optional[Callable[[], None]] = None
+        self._companion: Optional[CompanionModule] = None
         self.companion = companion
         self.scaleout_chunks = scaleout_chunks
         self.top_k = top_k
@@ -99,6 +105,31 @@ class IntraJobScheduler:
         #: were last computed from — lets the incremental scheduling path
         #: skip Role-1 replans whose inputs are unchanged
         self.applied_plan_key: Optional[tuple] = None
+
+    def _restamp(self) -> None:
+        if self.on_restamp is not None:
+            self.on_restamp()
+
+    @property
+    def companion(self) -> CompanionModule:
+        return self._companion
+
+    @companion.setter
+    def companion(self, companion: CompanionModule) -> None:
+        if self._companion is not None:
+            self._companion.watchers.remove(self._restamp)
+        companion.watchers.append(self._restamp)
+        self._companion = companion
+        self._restamp()
+
+    @property
+    def top_k(self) -> int:
+        return self._top_k
+
+    @top_k.setter
+    def top_k(self, top_k: int) -> None:
+        self._top_k = top_k
+        self._restamp()
 
     @property
     def scaleout_chunks(self) -> Tuple[int, ...]:
@@ -119,6 +150,7 @@ class IntraJobScheduler:
         if normalized[0] <= 0:
             raise ValueError(f"scale-out chunks must be positive, got {chunks}")
         self._scaleout_chunks = normalized
+        self._restamp()
 
     # ------------------------------------------------------------------
     # Role-1

@@ -244,10 +244,10 @@ class ClusterSimulator:
         #: :meth:`run_reference`
         self._touched: Optional[List[JobRuntime]] = None
         #: the sim→policy channel, set by the two cores and nothing else:
-        #: True under :meth:`run` (policies may skip unchanged Role-1
-        #: replans and answer Role-2 proposals from the inter-scheduler's
-        #: availability-keyed memo), False under :meth:`run_reference`
-        #: (brute arbitration — the memos' whole-trace oracle)
+        #: True under :meth:`run` (policies may re-plan only the jobs in
+        #: :meth:`touched_jobs` and answer Role-2 from the inter-scheduler's
+        #: standing proposal book), False under :meth:`run_reference`
+        #: (brute arbitration — the book's and memos' whole-trace oracle)
         self.incremental_scheduling = False
         #: :meth:`run`: True while the last reschedule emitted no events
         #: and nothing observable changed since (fixpoint policies only)
@@ -268,11 +268,22 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     def _touch(self, runtime: JobRuntime) -> None:
         """Mark a job whose ``status`` / ``rate`` / ``fault_slowdown`` /
-        ``reconfig_until`` this decision point may move — here or in the
-        policy code that called in: :meth:`run` point-edits its mirror row
-        once the policy returns."""
+        ``reconfig_until`` / ``owned`` this decision point may move — here
+        or in the policy code that called in: :meth:`run` point-edits its
+        mirror row once the policy returns, and the policy reads the same
+        set (:meth:`touched_jobs`) as the jobs whose scheduling inputs
+        moved.  A policy may push a job here itself (an arrival, a moved
+        class stamp)."""
         if self._touched is not None:
             self._touched.append(runtime)
+
+    def touched_jobs(self) -> List[JobRuntime]:
+        """The jobs :meth:`_touch` marked since the last reschedule, in
+        marking order, repeats included; empty under :meth:`run_reference`.
+
+        :meth:`run` clears the set after each decision point's policy
+        call, and skips that call only at points that touched nothing."""
+        return self._touched if self._touched is not None else []
 
     def grant(self, runtime: JobRuntime, gtype: str, count: int) -> None:
         """Allocate ``count`` GPUs of a type to a job (with restart cost)."""
@@ -303,6 +314,7 @@ class ClusterSimulator:
         )
 
     def release_all(self, runtime: JobRuntime) -> None:
+        self._touch(runtime)
         self.cluster.release_all(runtime.job.job_id)
         runtime.owned = {}
 
@@ -563,8 +575,7 @@ class ClusterSimulator:
         return changed
 
     def _complete(self, runtime: JobRuntime) -> None:
-        """Mark one running job finished."""
-        self._touch(runtime)
+        """Mark one running job finished (``release_all`` touches it)."""
         runtime.status = "done"
         runtime.completion_time = self.now
         runtime.rate = 0.0
@@ -696,9 +707,9 @@ class ClusterSimulator:
           decision point executes, instead of being popped and discarded
           one iteration at a time;
         - ``incremental_scheduling`` is switched on, letting
-          :class:`~repro.sched.easyscale_policy.EasyScalePolicy` reuse
-          memoized Role-2 proposals for jobs whose availability key and
-          capability-table generation did not change.
+          :class:`~repro.sched.easyscale_policy.EasyScalePolicy` re-derive
+          only the jobs a point touched (:meth:`touched_jobs`) and answer
+          Role-2 from its standing proposal book.
 
         Produces an :class:`EventLog` byte-for-byte identical to
         :meth:`run_reference` (asserted by the core-equivalence suite).

@@ -1,11 +1,14 @@
-"""The class, not the job, is the unit of Role-2: per-round memoized
-proposals equal a brute ``propose`` per job, and a class can never go stale.
+"""The class, not the job, is the unit of Role-2: the standing proposal
+book's answers equal a brute ``propose`` per job, and a class can never go
+stale.
 
-``InterJobScheduler.proposals_for`` answers one arbitration round: asks
-that share a ``(JobClass, clamped ownership)`` key share one memo lookup.
-The oracle is what ``run_reference`` does — a fresh agent per job, Role-1
-on its ownership, then ``agent.propose(owned, free)`` — so a wrong class
-key, fit key or group key shows up as one differing proposal.
+``InterJobScheduler.ask`` stands a job's ``(JobClass, clamped ownership)``
+key in the book; ``proposals_for`` answers one arbitration round from it,
+re-answering only the jobs asked since and the members of a scope whose
+free-pool fit key moved — each through one memo lookup.  The oracle is
+what ``run_reference`` does — a fresh agent per job, Role-1 on its
+ownership, then ``agent.propose(owned, free)`` — so a wrong class key, fit
+key, standing key or stale entry shows up as one differing proposal.
 """
 
 from bisect import bisect_right
@@ -52,11 +55,21 @@ def brute(agent, owned, free):
     return twin.propose(owned, free)
 
 
+def book_round(inter, jobs, free):
+    """One round's Role-2 from the book, in job order: the book promises no
+    order (``arbitrate`` ranks by a total order), so each job's run is put
+    back where the per-job loop had it, its own order kept."""
+    order = {agent.job_id: i for i, (agent, _) in enumerate(jobs)}
+    return sorted(inter.proposals_for(free), key=lambda p: order[p.job_id])
+
+
 def one_round(inter, jobs, free):
-    """Role-1 then the per-round Role-2, as ``EasyScalePolicy.reschedule`` does."""
+    """Role-1 and an ask for every job — all of them dirty, as at their
+    arrival in ``EasyScalePolicy.reschedule`` — then the book's round."""
     for agent, owned in jobs:
         agent.apply_best_plan(owned)
-    return inter.proposals_for([inter.ask(agent, owned) for agent, owned in jobs], free)
+        inter.ask(agent, owned)
+    return book_round(inter, jobs, free)
 
 
 # ownership runs past every cap (max_p <= 8, 16 per type) on purpose: the
@@ -83,7 +96,7 @@ def test_per_round_proposals_equal_brute_propose_per_job(tables, specs, free):
     # job by job and in ask order: one flat list, each job's run contiguous
     assert one_round(inter, jobs, free) == expected
     assert inter.proposal_memo_hits + inter.proposal_memo_misses == len(jobs)
-    groups = {inter.ask(agent, owned)[2] for agent, owned in jobs}
+    groups = {inter.ask(agent, owned) for agent, owned in jobs}
     assert inter.proposal_memo_misses == len(groups)
 
     # a different free vector with the same per-type fit counts against
@@ -227,32 +240,50 @@ def test_an_ask_key_lives_exactly_as_long_as_its_ownership(how):
     inter = InterJobScheduler()
     agent, other = (make_agent(f"job-{i}", TABLES[0], 8, False) for i in range(2))
     owned = dict(OWNED)
-    first = inter.ask(agent, owned)[2]
+    first = inter.ask(agent, owned)
     assert first == fresh_ask(inter, agent, owned)
-    # nothing moved: the kept key itself, not a re-derived equal one
-    assert inter.ask(agent, owned)[2] is first
+    assert inter.ask(agent, owned) == first
     inter.ask(other, dict(OWNED))
     if how in OWNED_EDITS:
         owned = OWNED_EDITS[how](owned)
     else:
         STAMP_EDITS[how](agent)
-    got = inter.ask(agent, owned)[2]
+    got = inter.ask(agent, owned)
     assert got == fresh_ask(inter, agent, owned)
     assert got[0] is inter.job_class(agent)
-    assert inter.ask(other, dict(OWNED))[2] == first, "an untouched agent's key moved"
+    assert standing_key(inter, agent) == got
+    assert standing_key(inter, other) == first, "an untouched agent's key moved"
+
+
+def standing_key(inter, agent):
+    """The key the book holds for ``agent`` — what every round answers
+    until the agent is asked again."""
+    return inter._book[agent][1]
 
 
 @given(edits=st.lists(st.tuples(st.sampled_from(sorted(OWNED_EDITS) + sorted(STAMP_EDITS)),
-                                st.integers(0, 2)), max_size=12))
+                                st.integers(0, 2),
+                                st.dictionaries(st.sampled_from(TYPES), st.integers(0, 20))),
+                      max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_ask_keys_follow_any_edit_sequence(edits):
+    # as in a reschedule, only the edited job is asked again (it is the
+    # dirty one); every other job's standing key and book entry must still
+    # be what a fresh derivation and a brute propose give, whatever pool
+    # the round brings
     inter = InterJobScheduler()
     jobs = [[make_agent(f"job-{i}", TABLES[0], 8, False), dict(OWNED)] for i in range(3)]
-    for how, i in edits:
+    one_round(inter, jobs, FREE)
+    for how, i, free in edits:
         agent, owned = jobs[i]
         if how in OWNED_EDITS:
-            jobs[i][1] = OWNED_EDITS[how](owned)
+            owned = jobs[i][1] = OWNED_EDITS[how](owned)
         else:
             STAMP_EDITS[how](agent)
+        agent.apply_best_plan(owned)
+        inter.ask(agent, owned)
         for agent, owned in jobs:
-            assert inter.ask(agent, owned)[2] == fresh_ask(inter, agent, owned)
+            assert standing_key(inter, agent) == fresh_ask(inter, agent, owned)
+        assert book_round(inter, jobs, free) == [
+            p for agent, owned in jobs for p in brute(agent, owned, free)
+        ]

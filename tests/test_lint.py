@@ -267,6 +267,48 @@ def test_the_stale_window_is_a_rule():
     assert rebuilders == ["refresh"], rebuilders
 
 
+def test_every_ownership_write_touches():
+    # the EasyScale policy's dirty set is the simulator's touched set: a
+    # simulator method that writes a job's ownership (``runtime.owned`` or
+    # ``runtime.owned[...]``) without calling _touch leaves that job's
+    # standing key and book entry stale.  The per-ask snapshot compare
+    # that once caught such a write anyway stays gone from inter.py.
+    # (Spelled split so this file does not match itself.)
+    import ast
+
+    def writes_owned(target):
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        return isinstance(target, ast.Attribute) and target.attr == "owned"
+
+    with open(os.path.join(SRC, "sched", "simulator.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    writers, untouched = set(), []
+    for method in ast.walk(tree):
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        targets = [
+            target for node in ast.walk(method)
+            for target in (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, ast.AugAssign) else []
+            )
+        ]
+        if not any(writes_owned(target) for target in targets):
+            continue
+        writers.add(method.name)
+        calls = {
+            node.func.attr for node in ast.walk(method)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        if "_touch" not in calls:
+            untouched.append(method.name)
+    assert writers >= {"grant", "revoke", "preempt", "release_all"}, writers
+    assert untouched == [], untouched
+    with open(os.path.join(SRC, "sched", "inter.py"), encoding="utf-8") as handle:
+        assert "tuple(owned." + "items())" not in handle.read()
+
+
 def test_the_decision_point_is_lean():
     # one decision point of run() is ~10 NumPy calls on ~130-element
     # vectors: per-call overhead is the cost, so the ETA and the advance
