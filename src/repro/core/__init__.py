@@ -1,38 +1,17 @@
 """EasyScale core: ESTs, determinism levels, ElasticDDP, engine, checkpoints."""
 
-from repro.core.checkpoint import Checkpoint, CheckpointCorruptError
-from repro.core.determinism import (
-    DeterminismConfig,
-    ScanReport,
-    allowed_gpu_heterogeneity,
-    determinism_from_label,
-    scan_model,
-)
-from repro.core.elastic_ddp import ElasticDDP
-from repro.core.engine import EasyScaleEngine, EasyScaleJobConfig, WorkerAssignment
-from repro.core.est import EasyScaleThread, ESTContext, est_rng
-from repro.core.porting import PortedTrainingSession
-from repro.core.selftest import SelfTestReport, run_selftest
-from repro.core.worker import EasyScaleWorker, LocalStepResult
+from repro._lazy import exports
 
-__all__ = [
-    "Checkpoint",
-    "CheckpointCorruptError",
-    "DeterminismConfig",
-    "ScanReport",
-    "scan_model",
-    "allowed_gpu_heterogeneity",
-    "determinism_from_label",
-    "ElasticDDP",
-    "EasyScaleEngine",
-    "EasyScaleJobConfig",
-    "WorkerAssignment",
-    "EasyScaleThread",
-    "ESTContext",
-    "est_rng",
-    "EasyScaleWorker",
-    "LocalStepResult",
-    "PortedTrainingSession",
-    "SelfTestReport",
-    "run_selftest",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "checkpoint": ["Checkpoint", "CheckpointCorruptError"],
+    "determinism": [
+        "DeterminismConfig", "ScanReport", "scan_model", "allowed_gpu_heterogeneity",
+        "determinism_from_label",
+    ],
+    "elastic_ddp": ["ElasticDDP"],
+    "engine": ["EasyScaleEngine", "EasyScaleJobConfig", "WorkerAssignment"],
+    "est": ["EasyScaleThread", "ESTContext", "est_rng"],
+    "worker": ["EasyScaleWorker", "LocalStepResult"],
+    "porting": ["PortedTrainingSession"],
+    "selftest": ["SelfTestReport", "run_selftest"],
+})

@@ -1,50 +1,19 @@
 """Datasets, samplers, and elastic data loading."""
 
-from repro.data.datasets import (
-    Dataset,
-    SyntheticDetectionDataset,
-    SyntheticImageDataset,
-    SyntheticQADataset,
-    SyntheticRatingsDataset,
-    Subset,
-    build_dataset,
-    train_eval_split,
-)
-from repro.data.sampler import BatchPlan, DistributedSampler
-from repro.data.dataloader import (
-    DataWorker,
-    LoaderTiming,
-    QueuingBuffer,
-    SharedDataLoader,
-    batch_rng_state,
-)
-from repro.data.transforms import (
-    compose,
-    default_image_augmentation,
-    gaussian_noise,
-    random_crop,
-    random_horizontal_flip,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "Dataset",
-    "SyntheticImageDataset",
-    "SyntheticDetectionDataset",
-    "SyntheticRatingsDataset",
-    "SyntheticQADataset",
-    "build_dataset",
-    "Subset",
-    "train_eval_split",
-    "DistributedSampler",
-    "BatchPlan",
-    "SharedDataLoader",
-    "DataWorker",
-    "QueuingBuffer",
-    "LoaderTiming",
-    "batch_rng_state",
-    "compose",
-    "default_image_augmentation",
-    "gaussian_noise",
-    "random_crop",
-    "random_horizontal_flip",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "datasets": [
+        "Dataset", "SyntheticImageDataset", "SyntheticDetectionDataset",
+        "SyntheticRatingsDataset", "SyntheticQADataset", "build_dataset", "Subset",
+        "train_eval_split",
+    ],
+    "sampler": ["DistributedSampler", "BatchPlan"],
+    "dataloader": [
+        "SharedDataLoader", "DataWorker", "QueuingBuffer", "LoaderTiming", "batch_rng_state",
+    ],
+    "transforms": [
+        "compose", "default_image_augmentation", "gaussian_noise", "random_crop",
+        "random_horizontal_flip",
+    ],
+})

@@ -1,14 +1,8 @@
 """Simulated PyTorch DDP baseline (the bitwise reference for EasyScale)."""
 
-from repro.ddp.ddp import DDPConfig, DDPTrainer, ddp_heter_config, ddp_homo_config, rank_rng
-from repro.ddp.metrics import evaluate_classification, evaluate_workload
+from repro._lazy import exports
 
-__all__ = [
-    "DDPConfig",
-    "DDPTrainer",
-    "ddp_homo_config",
-    "ddp_heter_config",
-    "rank_rng",
-    "evaluate_classification",
-    "evaluate_workload",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "ddp": ["DDPConfig", "DDPTrainer", "ddp_homo_config", "ddp_heter_config", "rank_rng"],
+    "metrics": ["evaluate_classification", "evaluate_workload"],
+})

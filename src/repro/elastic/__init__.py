@@ -1,13 +1,9 @@
 """Elastic-training baselines (TorchElastic-like, Pollux-like)."""
 
-from repro.elastic.base import ElasticBaselineTrainer, ScalingStrategy, TrainSegment
-from repro.elastic.torchelastic import TorchElasticScaling
-from repro.elastic.pollux import PolluxScaling
+from repro._lazy import exports
 
-__all__ = [
-    "ElasticBaselineTrainer",
-    "ScalingStrategy",
-    "TrainSegment",
-    "TorchElasticScaling",
-    "PolluxScaling",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "base": ["ElasticBaselineTrainer", "ScalingStrategy", "TrainSegment"],
+    "torchelastic": ["TorchElasticScaling"],
+    "pollux": ["PolluxScaling"],
+})

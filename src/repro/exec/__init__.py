@@ -7,12 +7,21 @@ preserving the bitwise serial/parallel contract (see ``docs/EXECUTION.md``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type, Union
+from typing import Dict, Type, Union
 
-from repro.exec.base import ExecutionBackend, StepRequest
+from repro._lazy import exports
+
+# the backend table and resolve_backend below need these three
+from repro.exec.base import ExecutionBackend
 from repro.exec.pool import ProcessPoolBackend
 from repro.exec.serial import SerialBackend
-from repro.exec.shm import ShmTransport, SlabPlan
+
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "base": ["ExecutionBackend", "StepRequest"],
+    "pool": ["ProcessPoolBackend"],
+    "serial": ["SerialBackend"],
+    "shm": ["ShmTransport", "SlabPlan"],
+}, own=["BACKENDS", "resolve_backend"])
 
 #: registry consulted by :func:`resolve_backend` and ``cli train --backend``
 #: ("pool" is an alias for the process-pool backend)
@@ -49,14 +58,3 @@ def resolve_backend(
         f"got {type(backend).__name__}"
     )
 
-
-__all__ = [
-    "BACKENDS",
-    "ExecutionBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "ShmTransport",
-    "SlabPlan",
-    "StepRequest",
-    "resolve_backend",
-]

@@ -21,61 +21,20 @@ EasyScale's bitwise recovery against elastic baselines under the same
 plans.
 """
 
-from repro.faults.contrast import ContrastResult, run_contrast, segments_from_plan
-from repro.faults.controller import (
-    RecoveryFailedError,
-    RecoveryIncident,
-    ResilienceController,
-    ResilienceStats,
-)
-from repro.faults.injector import (
-    FaultSignal,
-    NodePreemptSignal,
-    SimDriver,
-    StepDeliverer,
-    WorkerCrashSignal,
-)
-from repro.faults.manager import CheckpointManager, Snapshot
-from repro.faults.schedule import (
-    FAULT_KINDS,
-    KINDS,
-    MEMBERSHIP_KINDS,
-    PLAN_FORMAT_VERSION,
-    EventPlan,
-    HostSpec,
-    PlanEvent,
-    kinds,
-    random_membership_plan,
-    random_plan,
-    random_sim_plan,
-    rolling_upgrade_plan,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "KINDS",
-    "MEMBERSHIP_KINDS",
-    "PLAN_FORMAT_VERSION",
-    "CheckpointManager",
-    "ContrastResult",
-    "EventPlan",
-    "FaultSignal",
-    "HostSpec",
-    "NodePreemptSignal",
-    "PlanEvent",
-    "RecoveryFailedError",
-    "RecoveryIncident",
-    "ResilienceController",
-    "ResilienceStats",
-    "SimDriver",
-    "Snapshot",
-    "StepDeliverer",
-    "WorkerCrashSignal",
-    "kinds",
-    "random_membership_plan",
-    "random_plan",
-    "random_sim_plan",
-    "rolling_upgrade_plan",
-    "run_contrast",
-    "segments_from_plan",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "schedule": [
+        "FAULT_KINDS", "KINDS", "MEMBERSHIP_KINDS", "PLAN_FORMAT_VERSION", "EventPlan",
+        "HostSpec", "PlanEvent", "kinds", "random_membership_plan", "random_plan",
+        "random_sim_plan", "rolling_upgrade_plan",
+    ],
+    "manager": ["CheckpointManager", "Snapshot"],
+    "contrast": ["ContrastResult", "run_contrast", "segments_from_plan"],
+    "controller": [
+        "RecoveryFailedError", "RecoveryIncident", "ResilienceController", "ResilienceStats",
+    ],
+    "injector": [
+        "FaultSignal", "NodePreemptSignal", "SimDriver", "StepDeliverer", "WorkerCrashSignal",
+    ],
+})

@@ -1,49 +1,16 @@
 """Simulated heterogeneous GPU hardware: devices, memory, timing, clusters."""
 
-from repro.hw.gpu import CUDA_CONTEXT_GB, GPU, GPUType, GPU_TYPES, P100, T4, V100, gpu_type
-from repro.hw.memory import (
-    EST_CONTEXT_GB,
-    OutOfMemoryError,
-    check_fits,
-    easyscale_memory_gb,
-    max_easyscale_ests,
-    max_packed_workers,
-    packing_memory_gb,
-)
-from repro.hw.timing import (
-    context_switch_time,
-    easyscale_aggregate_throughput,
-    easyscale_step_time,
-    minibatch_time,
-    packing_aggregate_throughput,
-    static_capability,
-)
-from repro.hw.cluster import Cluster, Machine, microbench_cluster, production_cluster
+from repro._lazy import exports
 
-__all__ = [
-    "GPU",
-    "GPUType",
-    "GPU_TYPES",
-    "V100",
-    "P100",
-    "T4",
-    "gpu_type",
-    "CUDA_CONTEXT_GB",
-    "EST_CONTEXT_GB",
-    "OutOfMemoryError",
-    "check_fits",
-    "packing_memory_gb",
-    "easyscale_memory_gb",
-    "max_packed_workers",
-    "max_easyscale_ests",
-    "minibatch_time",
-    "static_capability",
-    "context_switch_time",
-    "easyscale_step_time",
-    "easyscale_aggregate_throughput",
-    "packing_aggregate_throughput",
-    "Cluster",
-    "Machine",
-    "microbench_cluster",
-    "production_cluster",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "gpu": ["GPU", "GPUType", "GPU_TYPES", "V100", "P100", "T4", "gpu_type", "CUDA_CONTEXT_GB"],
+    "memory": [
+        "EST_CONTEXT_GB", "OutOfMemoryError", "check_fits", "packing_memory_gb",
+        "easyscale_memory_gb", "max_packed_workers", "max_easyscale_ests",
+    ],
+    "timing": [
+        "minibatch_time", "static_capability", "context_switch_time", "easyscale_step_time",
+        "easyscale_aggregate_throughput", "packing_aggregate_throughput",
+    ],
+    "cluster": ["Cluster", "Machine", "microbench_cluster", "production_cluster"],
+})

@@ -13,9 +13,12 @@ CPU — so GPU memory is essentially flat in the number of ESTs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.hw.gpu import CUDA_CONTEXT_GB, GPUType
-from repro.models.registry import WorkloadSpec
+
+if TYPE_CHECKING:  # annotations only: hw loads no model module
+    from repro.models.registry import WorkloadSpec
 
 
 class OutOfMemoryError(RuntimeError):

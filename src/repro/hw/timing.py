@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from repro.hw.gpu import GPU_TYPES, GPUType
-from repro.models.registry import WorkloadSpec
-from repro.tensor.kernels import KernelPolicy
+
+if TYPE_CHECKING:  # annotations only: hw loads no model or kernel module
+    from repro.models.registry import WorkloadSpec
+    from repro.tensor.kernels import KernelPolicy
 
 #: multiplicative overheads calibrated to the paper
 D1_OVERHEAD = 0.005

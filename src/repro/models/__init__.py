@@ -1,36 +1,13 @@
 """The eight Table-1 workload models (scaled down, architecturally faithful)."""
 
-from repro.models.resnet import BasicBlock, Bottleneck, ResNet, resnet18_mini, resnet50_mini
-from repro.models.shufflenet import ShuffleNetV2, channel_shuffle, shufflenet_v2_mini
-from repro.models.vgg import VGG, vgg19_mini
-from repro.models.yolo import YOLOv3Mini, yolov3_mini
-from repro.models.neumf import NeuMF, neumf_mini
-from repro.models.transformer import BertMini, ElectraMini, SwinMini, bert_mini, electra_mini, swin_mini
-from repro.models.registry import TABLE1, WORKLOADS, WorkloadSpec, get_workload
+from repro._lazy import exports
 
-__all__ = [
-    "ResNet",
-    "BasicBlock",
-    "Bottleneck",
-    "resnet18_mini",
-    "resnet50_mini",
-    "ShuffleNetV2",
-    "channel_shuffle",
-    "shufflenet_v2_mini",
-    "VGG",
-    "vgg19_mini",
-    "YOLOv3Mini",
-    "yolov3_mini",
-    "NeuMF",
-    "neumf_mini",
-    "BertMini",
-    "ElectraMini",
-    "SwinMini",
-    "bert_mini",
-    "electra_mini",
-    "swin_mini",
-    "WORKLOADS",
-    "TABLE1",
-    "WorkloadSpec",
-    "get_workload",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "resnet": ["ResNet", "BasicBlock", "Bottleneck", "resnet18_mini", "resnet50_mini"],
+    "shufflenet": ["ShuffleNetV2", "channel_shuffle", "shufflenet_v2_mini"],
+    "vgg": ["VGG", "vgg19_mini"],
+    "yolo": ["YOLOv3Mini", "yolov3_mini"],
+    "neumf": ["NeuMF", "neumf_mini"],
+    "transformer": ["BertMini", "ElectraMini", "SwinMini", "bert_mini", "electra_mini", "swin_mini"],
+    "registry": ["WORKLOADS", "TABLE1", "WorkloadSpec", "get_workload"],
+})

@@ -19,34 +19,93 @@ transformer models relatively worse on T4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
 
-from repro.data.datasets import Dataset, build_dataset
-from repro.nn.loss import cross_entropy
-from repro.nn.module import Module
-from repro.tensor.tensor import Tensor
-from repro.utils.rng import RNGBundle
+if TYPE_CHECKING:
+    from repro.data.datasets import Dataset
+    from repro.nn.module import Module
+    from repro.tensor.tensor import Tensor
+    from repro.utils.rng import RNGBundle
 
-from repro.models.resnet import resnet18_mini, resnet50_mini
-from repro.models.shufflenet import shufflenet_v2_mini
-from repro.models.vgg import vgg19_mini
-from repro.models.yolo import yolov3_mini
-from repro.models.neumf import neumf_mini
-from repro.models.transformer import bert_mini, electra_mini, swin_mini
+
+# The table below is metadata the scheduler reads (Table 1's throughput and
+# memory), so nothing here imports the substrate at the top: a model, loss
+# or dataset module loads when a model is built or trained.  The builders
+# are module-level functions, not closures, because the process pool
+# pickles a spec into every task.
+def _shufflenetv2(rng: RNGBundle) -> Module:
+    from repro.models.shufflenet import shufflenet_v2_mini
+
+    return shufflenet_v2_mini(rng)
+
+
+def _resnet18(rng: RNGBundle) -> Module:
+    from repro.models.resnet import resnet18_mini
+
+    return resnet18_mini(rng)
+
+
+def _resnet50(rng: RNGBundle) -> Module:
+    from repro.models.resnet import resnet50_mini
+
+    return resnet50_mini(rng)
+
+
+def _vgg19(rng: RNGBundle) -> Module:
+    from repro.models.vgg import vgg19_mini
+
+    return vgg19_mini(rng)
+
+
+def _yolov3(rng: RNGBundle) -> Module:
+    from repro.models.yolo import yolov3_mini
+
+    return yolov3_mini(rng)
+
+
+def _neumf(rng: RNGBundle) -> Module:
+    from repro.models.neumf import neumf_mini
+
+    return neumf_mini(rng)
+
+
+def _bert(rng: RNGBundle) -> Module:
+    from repro.models.transformer import bert_mini
+
+    return bert_mini(rng)
+
+
+def _electra(rng: RNGBundle) -> Module:
+    from repro.models.transformer import electra_mini
+
+    return electra_mini(rng)
+
+
+def _swin(rng: RNGBundle) -> Module:
+    from repro.models.transformer import swin_mini
+
+    return swin_mini(rng)
 
 
 def _image_loss(model: Module, x: np.ndarray, y: np.ndarray) -> Tensor:
+    from repro.nn.loss import cross_entropy
+    from repro.tensor.tensor import Tensor
+
     return cross_entropy(model(Tensor(x)), y.astype(np.int64))
 
 
 def _token_loss(model: Module, x: np.ndarray, y: np.ndarray) -> Tensor:
+    from repro.nn.loss import cross_entropy
+
     return cross_entropy(model(x), y.astype(np.int64))
 
 
 def _task_loss(model: Module, x: np.ndarray, y: np.ndarray) -> Tensor:
+    from repro.tensor.tensor import Tensor
+
     if isinstance(x, np.ndarray) and x.dtype == np.int64:
         return model.loss(model(x), y)
     return model.loss(model(Tensor(x)), y)
@@ -75,6 +134,8 @@ class WorkloadSpec:
         return self.builder(rng)
 
     def build_dataset(self, n: int, seed: int = 0) -> Dataset:
+        from repro.data.datasets import build_dataset
+
         return build_dataset(self.dataset_name, n, seed=seed, **self.dataset_kwargs)
 
     def worker_memory_gb(
@@ -123,40 +184,40 @@ WORKLOADS: Dict[str, WorkloadSpec] = {
     spec.name: spec
     for spec in [
         _spec(
-            "shufflenetv2", shufflenet_v2_mini, "imagenet-like", 512, _image_loss,
+            "shufflenetv2", _shufflenetv2, "imagenet-like", 512, _image_loss,
             params_gb=0.009, act=0.028, v100=6.0, conv_heavy=True,
         ),
         _spec(
-            "resnet18", resnet18_mini, "cifar10-like", 128, _image_loss,
+            "resnet18", _resnet18, "cifar10-like", 128, _image_loss,
             params_gb=0.045, act=0.012, v100=11.0, conv_heavy=True,
         ),
         _spec(
-            "resnet50", resnet50_mini, "imagenet-like", 32, _image_loss,
+            "resnet50", _resnet50, "imagenet-like", 32, _image_loss,
             params_gb=0.102, act=0.085, v100=9.0, conv_heavy=True,
         ),
         _spec(
-            "vgg19", vgg19_mini, "imagenet-like", 32, _image_loss,
+            "vgg19", _vgg19, "imagenet-like", 32, _image_loss,
             params_gb=0.574, act=0.065, v100=5.5, conv_heavy=True,
         ),
         _spec(
-            "yolov3", yolov3_mini, "pascal-like", 16, _task_loss,
+            "yolov3", _yolov3, "pascal-like", 16, _task_loss,
             params_gb=0.248, act=0.110, v100=4.0, conv_heavy=True,
             dataset_kwargs={"num_classes": 5},
         ),
         _spec(
-            "neumf", neumf_mini, "movielens-like", 256, _task_loss,
+            "neumf", _neumf, "movielens-like", 256, _task_loss,
             params_gb=0.012, act=0.0004, v100=30.0, conv_heavy=False,
         ),
         _spec(
-            "bert", bert_mini, "squad-like", 16, _token_loss,
+            "bert", _bert, "squad-like", 16, _token_loss,
             params_gb=0.440, act=0.140, v100=3.0, conv_heavy=False, t4_factor=0.28,
         ),
         _spec(
-            "electra", electra_mini, "squad-like", 16, _token_loss,
+            "electra", _electra, "squad-like", 16, _token_loss,
             params_gb=0.055, act=0.070, v100=6.5, conv_heavy=False, t4_factor=0.28,
         ),
         _spec(
-            "swintransformer", swin_mini, "imagenet-like", 32, _image_loss,
+            "swintransformer", _swin, "imagenet-like", 32, _image_loss,
             params_gb=0.110, act=0.120, v100=3.5, conv_heavy=False, t4_factor=0.30,
         ),
     ]

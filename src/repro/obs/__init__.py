@@ -28,116 +28,42 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from repro.obs.audit import (
-    AuditDiff,
-    AuditRecord,
-    AuditTrail,
-    diff_audits,
-    fingerprint_rng_states,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-    time_into,
-)
-from repro.obs.bench import (
-    BENCH_SCHEMA_VERSION,
-    ComparisonRow,
-    Trajectory,
-    compare_trajectory,
-    gate_trajectory,
-    make_record,
-)
-from repro.obs.trace import (
-    SimClock,
-    SpanTracer,
-    flame_summary,
-    records_to_chrome_trace,
-)
+from repro._lazy import exports
+
+# the global state below is built from these three; every other submodule
+# (audit, bench, forensics, profiler, report) loads when first named
 from repro.obs import flightrec
-from repro.obs.flightrec import (
-    BUNDLE_FORMAT_VERSION,
-    FlightRecorder,
-    is_bundle_file,
-    load_bundle,
-    render_bundle,
-)
-from repro.obs.forensics import (
-    Cause,
-    ForensicsReport,
-    analyze_divergence,
-    trail_from_bundle,
-)
-from repro.obs.profiler import (
-    OnlineProfiler,
-    ProfilerConfig,
-    StragglerEvent,
-    profile_from_trace,
-)
-from repro.obs.report import (
-    ClusterUtilizationReport,
-    events_from_trace,
-    load_events_jsonl,
-    save_events_jsonl,
-)
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, NullRegistry
+from repro.obs.trace import SimClock, SpanTracer
 
-__all__ = [
-    "configure",
-    "reset",
-    "is_enabled",
-    "ObsConfig",
-    "config_snapshot",
-    "configure_from",
-    "export_child",
-    "merge_child",
-    "BENCH_SCHEMA_VERSION",
-    "ComparisonRow",
-    "Trajectory",
-    "compare_trajectory",
-    "gate_trajectory",
-    "make_record",
-    "tracer",
-    "metrics",
-    "audit_trail",
-    "span",
-    "instant",
+if TYPE_CHECKING:
+    from repro.obs.audit import AuditTrail
+
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "bench": [
+        "BENCH_SCHEMA_VERSION", "ComparisonRow", "Trajectory", "compare_trajectory",
+        "gate_trajectory", "make_record",
+    ],
+    "trace": ["SpanTracer", "SimClock", "flame_summary", "records_to_chrome_trace"],
+    "metrics": ["MetricsRegistry", "NullRegistry", "NULL_REGISTRY", "DEFAULT_BUCKETS", "time_into"],
+    "audit": ["AuditTrail", "AuditRecord", "AuditDiff", "diff_audits", "fingerprint_rng_states"],
+    "flightrec": [
+        "BUNDLE_FORMAT_VERSION", "FlightRecorder", "is_bundle_file", "load_bundle",
+        "render_bundle",
+    ],
+    "forensics": ["Cause", "ForensicsReport", "analyze_divergence", "trail_from_bundle"],
+    "profiler": ["OnlineProfiler", "ProfilerConfig", "StragglerEvent", "profile_from_trace"],
+    "report": [
+        "ClusterUtilizationReport", "events_from_trace", "load_events_jsonl",
+        "save_events_jsonl",
+    ],
+}, own=[
+    "configure", "reset", "is_enabled", "ObsConfig", "config_snapshot", "configure_from",
+    "export_child", "merge_child", "tracer", "metrics", "audit_trail", "span", "instant",
     "sim_clock",
-    "SpanTracer",
-    "SimClock",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "DEFAULT_BUCKETS",
-    "time_into",
-    "AuditTrail",
-    "AuditRecord",
-    "AuditDiff",
-    "diff_audits",
-    "fingerprint_rng_states",
-    "BUNDLE_FORMAT_VERSION",
-    "FlightRecorder",
-    "is_bundle_file",
-    "load_bundle",
-    "render_bundle",
-    "Cause",
-    "ForensicsReport",
-    "analyze_divergence",
-    "trail_from_bundle",
-    "flame_summary",
-    "records_to_chrome_trace",
-    "OnlineProfiler",
-    "ProfilerConfig",
-    "StragglerEvent",
-    "profile_from_trace",
-    "ClusterUtilizationReport",
-    "events_from_trace",
-    "load_events_jsonl",
-    "save_events_jsonl",
-]
+])
 
 
 class _NullSpan:
@@ -208,11 +134,11 @@ def configure(
     _enabled = bool(enabled)
     _tracer = SpanTracer(clock=clock, ring_size=ring_size)
     _metrics = MetricsRegistry()
-    _audit = (
-        AuditTrail(audit_path, allow_rewind=audit_rewind)
-        if (audit or audit_path is not None) and enabled
-        else None
-    )
+    _audit = None
+    if (audit or audit_path is not None) and enabled:
+        from repro.obs.audit import AuditTrail
+
+        _audit = AuditTrail(audit_path, allow_rewind=audit_rewind)
     _generation += 1
     _exported = 0
 

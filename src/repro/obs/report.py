@@ -23,7 +23,6 @@ disk, or on the ``cat="sched"`` instants inside a span trace
 
 from __future__ import annotations
 
-import html as _html
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -381,7 +380,8 @@ class ClusterUtilizationReport:
 
     def to_html(self, title: str = "Cluster utilization report") -> str:
         """Self-contained HTML (inline CSS, no external assets)."""
-        esc = _html.escape
+        from html import escape as esc
+
         rows = []
         for gtype in sorted(self.capacity):
             cap = self.capacity[gtype]

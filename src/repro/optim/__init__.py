@@ -1,17 +1,10 @@
 """Optimizers and LR schedulers (the reproduction's ``torch.optim``)."""
 
-from repro.optim.optimizer import Optimizer
-from repro.optim.sgd import SGD
-from repro.optim.adam import Adam, AdamW
-from repro.optim.lr_scheduler import CosineAnnealingLR, LRScheduler, MultiStepLR, StepLR
+from repro._lazy import exports
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "AdamW",
-    "LRScheduler",
-    "StepLR",
-    "MultiStepLR",
-    "CosineAnnealingLR",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "optimizer": ["Optimizer"],
+    "sgd": ["SGD"],
+    "adam": ["Adam", "AdamW"],
+    "lr_scheduler": ["LRScheduler", "StepLR", "MultiStepLR", "CosineAnnealingLR"],
+})

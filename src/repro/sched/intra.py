@@ -16,14 +16,16 @@ Three roles, verbatim from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.engine import WorkerAssignment
 from repro.hw.gpu import gpu_type
 from repro.obs import flightrec
 from repro.sched.companion import CompanionModule
 from repro.sched.perfmodel import Plan, ScoredPlan, estimated_throughput
 from repro.sched.simulator import _canonical
+
+if TYPE_CHECKING:
+    from repro.core.engine import WorkerAssignment
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,8 @@ def plan_to_assignment(plan: Plan) -> WorkerAssignment:
     simply go unused, and a GPU left with zero ESTs is dropped (its grant
     is wasted capacity the waste term already charged for).
     """
+    from repro.core.engine import WorkerAssignment
+
     gpus = []
     est_map: List[List[int]] = []
     cursor = 0

@@ -19,30 +19,14 @@ relies on:
   loader.
 """
 
-from repro.utils.rng import RNGBundle, derive_seed, SeedError
-from repro.utils.fingerprint import fingerprint_array, fingerprint_arrays, fingerprint_state_dict
-from repro.utils.serialization import (
-    state_dict_to_bytes,
-    state_dict_from_bytes,
-    flatten_state_dict,
-    unflatten_state_dict,
-)
-from repro.utils.events import EventLog, Event
-from repro.utils.telemetry import Record, RunLog
+from repro._lazy import exports
 
-__all__ = [
-    "RNGBundle",
-    "derive_seed",
-    "SeedError",
-    "fingerprint_array",
-    "fingerprint_arrays",
-    "fingerprint_state_dict",
-    "state_dict_to_bytes",
-    "state_dict_from_bytes",
-    "flatten_state_dict",
-    "unflatten_state_dict",
-    "EventLog",
-    "Event",
-    "Record",
-    "RunLog",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "rng": ["RNGBundle", "derive_seed", "SeedError"],
+    "fingerprint": ["fingerprint_array", "fingerprint_arrays", "fingerprint_state_dict"],
+    "serialization": [
+        "state_dict_to_bytes", "state_dict_from_bytes", "flatten_state_dict", "unflatten_state_dict",
+    ],
+    "events": ["EventLog", "Event"],
+    "telemetry": ["Record", "RunLog"],
+})

@@ -458,19 +458,66 @@ def test_child_observability_rides_the_task_result():
 
 def test_every_exported_name_resolves():
     # an ``__all__`` entry whose definition was deleted breaks
-    # ``from repro.x import *`` and nothing else, so nothing else notices
+    # ``from repro.x import *`` and nothing else, so nothing else notices;
+    # a package resolves its names on first use, so each star-import also
+    # runs in a fresh interpreter, where a table typo or an import cycle
+    # that a warm process has already loaded around still shows
     import importlib
     import pkgutil
+    import subprocess
 
     import repro
 
     exported = 0
+    packages = []
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         module = importlib.import_module(info.name)
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{info.name}.__all__ names missing {name!r}"
             exported += 1
-    assert exported > 300
+        if info.ispkg:
+            packages.append(info.name)
+    assert exported > 300 and len(packages) >= 15
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.dirname(SRC))
+    for package in packages:
+        done = subprocess.run(
+            [sys.executable, "-c", f"from {package} import *"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, f"from {package} import *: {done.stderr}"
+
+
+#: the ``from repro... import`` lines a package ``__init__`` may run at load
+#: time: the lazy-export helper, and what the package body itself uses
+EAGER_PACKAGE_IMPORTS = {
+    "*": {"repro._lazy"},
+    "exec": {"repro.exec.base", "repro.exec.pool", "repro.exec.serial"},
+    "obs": {"repro.obs", "repro.obs.metrics", "repro.obs.trace"},
+}
+
+
+def test_package_inits_import_only_what_their_body_uses():
+    # a package names its exports in its lazy table; an eager re-export
+    # would load a submodule (and all it imports) for every caller of any
+    # sibling -- the way trace-sim once compiled the whole training stack
+    import ast
+
+    for dirpath, _, filenames in os.walk(SRC):
+        if "__init__.py" not in filenames or "__pycache__" in dirpath:
+            continue
+        package = os.path.relpath(dirpath, SRC)
+        path = os.path.join(dirpath, "__init__.py")
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        allowed = EAGER_PACKAGE_IMPORTS["*"] | EAGER_PACKAGE_IMPORTS.get(package, set())
+        eager = {
+            node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro")
+        } | {
+            alias.name for node in tree.body if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.startswith("repro")
+        }
+        assert eager <= allowed, f"{package}/__init__.py imports {sorted(eager - allowed)} eagerly"
 
 
 def test_cli_has_one_bad_input_exit_and_reads_flags_as_attributes():
