@@ -62,6 +62,7 @@ def staging_check():
         engine.model,
         load_batch=lambda v: engine.loader.load(v, 0, 0),
         named_params=engine._named_params,
+        layout=engine.elastic_ddp.buckets,
     )
     exposed = [r.exposed_copy_time for r in results]
     return exposed

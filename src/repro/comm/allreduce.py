@@ -86,11 +86,12 @@ def ring_allreduce_sum(grads: Sequence[np.ndarray]) -> np.ndarray:
         lo, hi = int(bounds[c]), int(bounds[c + 1])
         if lo == hi:
             continue
-        acc = flats[(c + 1) % world][lo:hi].copy()
+        # the partial sum travels in out[lo:hi] itself: one write per
+        # element per hop, no temporary per rank
+        acc = out[lo:hi]
+        acc[...] = flats[(c + 1) % world][lo:hi]
         for step in range(2, world + 1):
-            rank = (c + step) % world
-            acc = acc + flats[rank][lo:hi]
-        out[lo:hi] = acc
+            acc += flats[(c + step) % world][lo:hi]
     return out
 
 
@@ -135,8 +136,9 @@ def allreduce_mean(grads: Sequence[np.ndarray], algorithm: str = "ring") -> np.n
         world=len(grads),
         elems=int(np.asarray(grads[0]).size) if len(grads) else 0,
     ):
-        total = ALGORITHMS[algorithm](grads)
-        result = total / np.float32(len(grads))
+        # every algorithm returns a fresh buffer: divide it in place
+        result = ALGORITHMS[algorithm](grads)
+        result /= np.float32(len(grads))
     if obs.is_enabled():
         obs.metrics().counter("comm_allreduce_total", algorithm=algorithm).inc()
     return result

@@ -17,12 +17,17 @@ implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 #: Hashable identity of one bucket layout (used as a cache key).
 LayoutKey = Tuple[Tuple[str, ...], ...]
+
+#: One EST's gradients as its local step hands them to the all-reduce:
+#: ``(bucket index, names packed in it) -> flat float32 bucket``, in layout
+#: order (:meth:`BucketAssignment.flatten_into_buckets`).
+FlatGrads = Dict[Tuple[int, Tuple[str, ...]], np.ndarray]
 
 
 @dataclass
@@ -64,9 +69,12 @@ class BucketAssignment:
         Writes the same bytes :meth:`flatten_bucket` would produce, but
         without allocating — the hot path when a
         :class:`FlatBufferCache` supplies a persistent staging buffer.
+        A parameter missing from ``grads`` is left out.
         """
         offset = 0
         for name in self.buckets[bucket_idx]:
+            if name not in grads:
+                continue
             part = np.asarray(grads[name], dtype=np.float32).reshape(-1)
             end = offset + part.size
             if end > out.size:
@@ -81,6 +89,26 @@ class BucketAssignment:
                 f"bucket {bucket_idx} flat size mismatch: {offset} vs {out.size}"
             )
         return out
+
+    def flatten_into_buckets(
+        self,
+        grads: Mapping[str, np.ndarray],
+        buffer: Callable[[int, int], np.ndarray],
+    ) -> FlatGrads:
+        """Flatten ``grads`` bucket by bucket into ``buffer(bucket_idx, elems)``.
+
+        The one way gradients leave a local step, into a serial worker's
+        staging buffers or a pool child's slab regions alike.  A parameter
+        missing from ``grads`` is left out of its bucket, and a bucket with
+        none present is skipped.
+        """
+        flats: FlatGrads = {}
+        for bucket_idx, names in enumerate(self.buckets):
+            present = tuple(n for n in names if n in grads)
+            if present:
+                out = buffer(bucket_idx, sum(grads[n].size for n in present))
+                flats[bucket_idx, present] = self.flatten_bucket_into(bucket_idx, grads, out)
+        return flats
 
     def unflatten_bucket(
         self,
@@ -117,18 +145,18 @@ class BucketAssignment:
 class FlatBufferCache:
     """Reusable flat float32 staging buffers, keyed by bucket layout.
 
-    Gradient synchronization flattens every bucket for every virtual rank
-    on every step; allocating (and concatenating into) fresh buffers each
-    time is pure churn, because the layout — and therefore every buffer
-    size — is pinned between reconstructions.  The cache hands out one
+    A serial worker stages every bucket of every EST it hosts on every
+    step (:class:`~repro.core.worker.EasyScaleWorker`); allocating fresh
+    buffers each time is pure churn, because the layout — and therefore
+    every buffer size — is pinned between reconstructions.  The cache hands out one
     persistent buffer per ``(layout, bucket, slot)``; when the layout
     changes (the one-time DDP arrival-order rebuild, or a D0 restore),
     the stale entries are dropped wholesale.
 
     Buffers are *reused, not shared*: callers must fully overwrite a
     buffer before reading it back, and must never hold one across a
-    layout change.  Consumers that need an owning result (e.g.
-    :meth:`BucketAssignment.unflatten_bucket`) copy out of it.
+    layout change or into the next step.  Consumers that need an owning
+    result (e.g. :meth:`BucketAssignment.unflatten_bucket`) copy out of it.
     """
 
     def __init__(self) -> None:

@@ -25,7 +25,7 @@ from repro import obs
 from repro.comm.allreduce import allreduce_mean
 from repro.comm.bucketing import (
     BucketAssignment,
-    FlatBufferCache,
+    FlatGrads,
     build_initial_buckets,
     rebuild_from_arrival,
 )
@@ -53,9 +53,6 @@ class ElasticDDP:
         self.capacity = bucket_capacity_elems
         self.algorithm = allreduce_algorithm
         self.record_mapping = record_mapping
-        #: persistent flatten staging buffers, one per (bucket, vrank);
-        #: invalidated automatically when the bucket layout changes
-        self._flat_cache = FlatBufferCache()
         self.forget_mapping()
 
     def forget_mapping(self) -> None:
@@ -72,42 +69,36 @@ class ElasticDDP:
     # ------------------------------------------------------------------
     # synchronization
     # ------------------------------------------------------------------
-    def synchronize(
-        self, grads_by_vrank: Sequence[Dict[str, np.ndarray]]
-    ) -> Dict[str, np.ndarray]:
-        """All-reduce-average gradients across virtual ranks.
+    def synchronize(self, flats_by_vrank: Sequence[FlatGrads]) -> Dict[str, np.ndarray]:
+        """All-reduce-average flat gradient buckets across virtual ranks.
 
-        ``grads_by_vrank[i]`` must be EST ``i``'s gradients; the list order
-        *is* the communication rank order, so callers must pass virtual
-        ranks 0..nEST-1 regardless of which workers produced them.
+        ``flats_by_vrank[i]`` must be EST ``i``'s buckets as its local step
+        handed them over (:meth:`BucketAssignment.flatten_into_buckets`);
+        the list order *is* the communication rank order, so callers must
+        pass virtual ranks 0..nEST-1 regardless of which workers produced
+        them.  The flats are only read, so they may be read-only views of
+        a transport's slab; the averaged gradients own their memory.
         """
-        if len(grads_by_vrank) != self.num_ests:
+        if len(flats_by_vrank) != self.num_ests:
             raise ValueError(
-                f"expected gradients from {self.num_ests} ESTs, got {len(grads_by_vrank)}"
+                f"expected gradients from {self.num_ests} ESTs, got {len(flats_by_vrank)}"
             )
         averaged: Dict[str, np.ndarray] = {}
-        layout = self.buckets.layout_key()
-        for bucket_idx, bucket_names in enumerate(self.buckets.buckets):
-            present = [n for n in bucket_names if n in grads_by_vrank[0]]
-            if not present:
-                continue
-            elems = sum(self.param_sizes[n] for n in present)
+        for (bucket_idx, names), first in flats_by_vrank[0].items():
+            elems = first.size
             with obs.span(
                 "ddp.bucket_reduce", cat="comm", bucket=bucket_idx, elems=elems
             ):
-                sub = BucketAssignment([present])
-                # flatten into persistent per-(bucket, vrank) buffers: same
-                # bytes as a fresh concatenate, without the per-step churn
-                flats = [
-                    sub.flatten_bucket_into(
-                        0, grads, self._flat_cache.buffer(layout, bucket_idx, slot, elems)
-                    )
-                    for slot, grads in enumerate(grads_by_vrank)
-                ]
+                # a vrank that packed this bucket otherwise is a KeyError
+                flats = [theirs[bucket_idx, names] for theirs in flats_by_vrank]
                 reduced = allreduce_mean(flats, self.algorithm)
-                # unflatten_bucket returns owning contiguous copies, so the
-                # averaged grads never alias the reused staging buffers
-                averaged.update(sub.unflatten_bucket(0, reduced, self.param_shapes))
+                # unflatten_bucket returns owning copies: the averaged grads
+                # outlive the flats, which the next step overwrites
+                averaged.update(
+                    BucketAssignment([list(names)]).unflatten_bucket(
+                        0, reduced, self.param_shapes
+                    )
+                )
             if obs.is_enabled():
                 obs.metrics().histogram(
                     "ddp_bucket_elems",

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-import numpy as np
-
+from repro.comm.bucketing import FlatGrads
 from repro.utils.rng import RNGBundle, derive_seed
 
 
@@ -66,9 +65,9 @@ class EasyScaleThread:
             raise ValueError(f"virtual rank must be non-negative, got {vrank}")
         self.vrank = vrank
         self.rng = est_rng(job_seed, vrank)
-        #: staged gradients of the current global step (worker-managed;
-        #: swapped to "CPU memory" between local steps)
-        self.staged_grads: Optional[Dict[str, np.ndarray]] = None
+        #: staged gradients of the current global step, as flat buckets
+        #: (worker-managed; swapped to "CPU memory" between local steps)
+        self.staged_grads: Optional[FlatGrads] = None
 
     # ------------------------------------------------------------------
     # context switching

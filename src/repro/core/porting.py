@@ -38,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.comm.bucketing import FlatGrads
 from repro.core.checkpoint import Checkpoint
 from repro.core.determinism import DeterminismConfig, determinism_from_label
 from repro.core.elastic_ddp import ElasticDDP
@@ -103,7 +104,7 @@ class PortedTrainingSession:
         policy = self.determinism.kernel_policy
         est_by_vrank = {est.vrank: est for est in self.ests}
         arrival: Optional[List[str]] = [] if not self.elastic_ddp.reconstructed else None
-        grads_by_vrank: Dict[int, Dict[str, np.ndarray]] = {}
+        grads_by_vrank: Dict[int, FlatGrads] = {}
         journals: Dict[int, list] = {}
         losses: Dict[int, float] = {}
 
@@ -127,11 +128,10 @@ class PortedTrainingSession:
                         loss = step_fn(batch)
                 losses[vrank] = loss.item()
                 journals[vrank] = journal
-                grads_by_vrank[vrank] = {
-                    n: p.grad.copy()
-                    for n, p in self._named_params.items()
-                    if p.grad is not None
-                }
+                grads_by_vrank[vrank] = self.elastic_ddp.buckets.flatten_into_buckets(
+                    {n: p.grad for n, p in self._named_params.items() if p.grad is not None},
+                    lambda _bucket, elems: np.empty(elems, np.float32),
+                )
 
         ordered = [grads_by_vrank[v] for v in range(self.num_ests)]
         averaged = self.elastic_ddp.synchronize(ordered)

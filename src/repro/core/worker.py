@@ -22,6 +22,7 @@ import numpy as np
 
 from repro import obs
 from repro.obs import flightrec
+from repro.comm.bucketing import BucketAssignment, FlatBufferCache, FlatGrads
 from repro.core.est import EasyScaleThread
 from repro.ddp.ddp import micro_slices
 from repro.hw.gpu import GPUType
@@ -40,7 +41,9 @@ class LocalStepResult:
 
     vrank: int
     loss: float
-    grads: Dict[str, np.ndarray]
+    #: the EST's gradients as flat buckets of the step's layout, valid
+    #: until the next step overwrites the staging area they live in
+    grads: FlatGrads
     bn_journal: list
     compute_time: float
     exposed_copy_time: float
@@ -141,6 +144,9 @@ class EasyScaleWorker:
         #: step; a fault injector may raise from it to simulate the worker
         #: process dying mid-step (sibling ESTs have already staged state)
         self.fault_hook = fault_hook
+        #: the gradient staging area: one flat buffer per (bucket, vrank),
+        #: rewritten every step
+        self._staging = FlatBufferCache()
         if validate_memory:
             check_fits(easyscale_memory_gb(spec, len(ests)), gpu)
 
@@ -153,18 +159,21 @@ class EasyScaleWorker:
         model: Module,
         load_batch: Callable[[int], Tuple[np.ndarray, np.ndarray]],
         named_params: Dict[str, object],
+        layout: BucketAssignment,
         arrival_sink: Optional[List[str]] = None,
         param_names_by_id: Optional[Dict[int, str]] = None,
     ) -> List[LocalStepResult]:
         """Execute one local step per EST, in local order, time-sliced.
 
         ``load_batch(vrank)`` supplies the EST's mini-batch; gradients are
-        staged on the EST ("swapped to CPU") and the model's grads cleared
-        between ESTs, which is exactly the context switch.  If
+        flattened into ``layout``'s buckets in the staging area, staged on
+        the EST ("swapped to CPU") and the model's grads cleared between
+        ESTs, which is exactly the context switch.  If
         ``arrival_sink`` is given, the first EST's backward records gradient
         arrival order into it (bucket-reconstruction observation).
         """
         results: List[LocalStepResult] = []
+        layout_key = layout.layout_key()
         per_batch = minibatch_time(self.spec, self.gpu, self.policy) * self.slowdown
         switch = context_switch_time(self.spec, self.gpu) * self.slowdown
         for position, est in enumerate(self.ests):
@@ -199,7 +208,13 @@ class EasyScaleWorker:
                     arrival_sink=arrival_sink if est.vrank == 0 else None,
                     param_names_by_id=param_names_by_id,
                 )
-                est.staged_grads = grads
+                flats = layout.flatten_into_buckets(
+                    grads,
+                    lambda bucket_idx, elems: self._staging.buffer(
+                        layout_key, bucket_idx, est.vrank, elems
+                    ),
+                )
+                est.staged_grads = flats
             # copy of this EST's grads overlaps the *next* EST's compute;
             # only the last EST in the slice exposes its staging latency,
             # and even that hides under gradient synchronization setup
@@ -217,7 +232,7 @@ class EasyScaleWorker:
                 LocalStepResult(
                     vrank=est.vrank,
                     loss=mean_loss,
-                    grads=grads,
+                    grads=flats,
                     bn_journal=journal,
                     compute_time=per_batch,
                     exposed_copy_time=exposed,

@@ -19,8 +19,9 @@ The contract every backend must honour, and the tests pin bitwise:
    workers' fault hooks mutate parent state (loader cursors, injector
    exactly-once bookkeeping); backends must invoke them in the serial
    order: worker 0's ESTs, then worker 1's, ...
-4. **State write-back, every step.**  EST RNG streams advance,
-   ``staged_grads`` are staged, and BN journals reference the *parent's*
+4. **State write-back, every step.**  EST RNG streams advance, the
+   ESTs' flat gradient buckets (one layout, ``request.layout``) are
+   staged as ``staged_grads``, and BN journals reference the *parent's*
    model layers on return — a checkpoint taken after any step is
    byte-identical across backends.
 """

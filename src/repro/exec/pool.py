@@ -19,9 +19,11 @@ determinism argument, in the order things happen:
    shipped RNG state.
 3. **Per-bucket flat shipping is byte-pure.**  Children flatten
    gradients into the engine's current bucket layout, straight into a
-   shared-memory slab (:mod:`repro.exec.shm`); flatten/unflatten are
-   pure byte moves (no arithmetic), so the reconstructed per-parameter
-   gradients are bitwise what the serial path produced.
+   shared-memory slab (:mod:`repro.exec.shm`), with the same
+   :meth:`~repro.comm.bucketing.BucketAssignment.flatten_into_buckets`
+   the serial worker stages with; flattening is a pure byte move (no
+   arithmetic), and the parent hands the read-only slab views to the
+   all-reduce as they are, so they are bitwise the serial path's flats.
 4. **Fixed merge order.**  Results are assembled in *submission* order
    (worker 0 first), never completion order, and each worker's ESTs stay
    in local order.  A task's result lists the buckets it wrote; the
@@ -105,7 +107,7 @@ def _run_worker_task(task: Dict[str, Any]) -> Dict[str, Any]:
     ``{"ests": [...], "obs": ...}``.  ``ests`` holds one payload per EST,
     in local order: the loss, the advanced RNG state, the BN journal
     keyed by module *name* (layer objects don't cross process
-    boundaries), the ``(bucket_idx, names, elems)`` of every non-empty
+    boundaries), the ``((bucket_idx, names), elems)`` of every non-empty
     bucket written to the slab, and — for vrank 0 on a reconstruction
     step — the gradient arrival order.  ``obs`` is :func:`repro.obs.export_child`.
 
@@ -178,17 +180,14 @@ def _run_worker_task_inner(
             obs.metrics().counter(
                 "exec_child_local_steps_total", gpu=task.get("gpu", "?")
             ).inc()
-        buckets = []
-        for bucket_idx, names in enumerate(layout.buckets):
-            # flatten straight into this vrank's slab region; the parent
-            # reads it once this task's result has come back
-            present = tuple(n for n in names if n in grads)
-            if present:
-                elems = sum(int(grads[n].size) for n in present)
-                BucketAssignment([list(present)]).flatten_bucket_into(
-                    0, grads, shm_mod.child_grad_view(desc, vrank, bucket_idx, elems)
-                )
-                buckets.append((bucket_idx, present, elems))
+        # flatten straight into this vrank's slab regions; the parent
+        # reads them once this task's result has come back
+        flats = layout.flatten_into_buckets(
+            grads,
+            lambda bucket_idx, elems: shm_mod.child_grad_view(
+                desc, vrank, bucket_idx, elems
+            ),
+        )
         out.append(
             {
                 "vrank": vrank,
@@ -197,7 +196,7 @@ def _run_worker_task_inner(
                 "journal": [
                     (modules_by_id[id(layer)], mean, var) for layer, mean, var in journal
                 ],
-                "buckets": buckets,
+                "buckets": [(key, flat.size) for key, flat in flats.items()],
                 "arrival": arrival,
             }
         )
@@ -224,8 +223,8 @@ class ProcessPoolBackend(ExecutionBackend):
     The heavy per-step payloads travel through
     :class:`~repro.exec.shm.ShmTransport` slabs: model state is broadcast
     and flat gradient buckets come back zero-copy: each task's result
-    lists the slab regions it wrote, and the parent reads them once every
-    task of the step has returned.
+    lists the slab regions it wrote, and once every task of the step has
+    returned the parent hands read-only views of them to the all-reduce.
     ``transport`` names that one carrier: the keyword exists because the
     frozen ``benchmarks/e2e`` passes it, and any value but ``"shm"`` is a
     ``ValueError``.
@@ -458,7 +457,6 @@ class ProcessPoolBackend(ExecutionBackend):
         from repro.core.worker import LocalStepResult
 
         parent_layers = dict(request.model.named_modules())
-        param_shapes = {n: p.data.shape for n, p in request.named_params.items()}
         shm_bytes = 0
         arrival_seen = (
             set(request.arrival_sink) if request.arrival_sink is not None else None
@@ -469,15 +467,13 @@ class ProcessPoolBackend(ExecutionBackend):
             switch = context_switch_time(worker.spec, worker.gpu) * worker.slowdown
             for position, payload in enumerate(payloads):
                 vrank = payload["vrank"]
-                grads: Dict[str, np.ndarray] = {}
-                for bucket_idx, names, elems in payload["buckets"]:
-                    flat = self._shm.read_bucket(vrank, bucket_idx, elems)
-                    grads.update(
-                        BucketAssignment([list(names)]).unflatten_bucket(
-                            0, flat, param_shapes
-                        )
-                    )
-                    shm_bytes += elems * 4
+                # the slab views themselves are the hand-off: synchronize
+                # reads them before the next step's children rewrite them
+                grads = {
+                    key: self._shm.read_bucket(vrank, key[0], elems)
+                    for key, elems in payload["buckets"]
+                }
+                shm_bytes += sum(flat.nbytes for flat in grads.values())
                 est = est_by_vrank[vrank]
                 est.rng.set_state(payload["rng"])
                 est.staged_grads = grads

@@ -28,6 +28,7 @@ class SerialBackend(ExecutionBackend):
                     request.model,
                     load_batch=request.load_batch,
                     named_params=request.named_params,
+                    layout=request.layout,
                     arrival_sink=request.arrival_sink,
                     param_names_by_id=request.param_names_by_id,
                 )

@@ -269,8 +269,10 @@ class ShmTransport:
 
         Only call after the task that owns ``vrank`` returned a result
         listing (bucket, elems) for the current step; the view aliases the
-        slab, so consumers that outlive the step must copy
-        (:meth:`BucketAssignment.unflatten_bucket` already does).
+        slab, which the next step's child rewrites and a re-keyed plan
+        unmaps (a view read after that faults), so consumers that outlive
+        the step must copy (``ElasticDDP.synchronize`` returns owning
+        arrays).
         """
         if self.plan is None:
             raise RuntimeError("transport has no live plan")

@@ -10,6 +10,8 @@ aggregate mini-batches — so the same trace is schedulable by YARN-CS
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -85,21 +87,34 @@ PRODUCTION_DEMAND = [
 ]
 
 
+def _cdf(weights: Sequence[float]) -> List[float]:
+    """The cumulative table ``Generator.choice(p=...)`` builds for ``weights``.
+
+    Normalised, summed and renormalised exactly as ``choice`` does, so
+    ``bisect_right(cdf, rng.random())`` draws the same index from the
+    same one double ``rng.choice(len(weights), p=...)`` would consume.
+    """
+    probs = np.array(weights, dtype=np.float64)
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def _mix_distributions(
     type_weights: Optional[Dict[str, float]],
     demand: Optional[Sequence[Tuple[int, float]]],
     default_demand: Sequence[Tuple[int, float]],
-) -> Tuple[List[str], np.ndarray, List[int], np.ndarray]:
-    """Normalise the GPU-type and GPU-count mixes into sampling tables."""
+) -> Tuple[List[str], List[float], List[int], List[float]]:
+    """The GPU-type and GPU-count mixes as values + cumulative tables."""
     weights = type_weights or {"v100": 0.6, "p100": 0.25, "t4": 0.15}
     type_names = sorted(weights)
-    type_probs = np.array([weights[t] for t in type_names])
-    type_probs = type_probs / type_probs.sum()
     demand_dist = list(demand) if demand is not None else list(default_demand)
-    demand_values = [d for d, _ in demand_dist]
-    demand_probs = np.array([p for _, p in demand_dist])
-    demand_probs = demand_probs / demand_probs.sum()
-    return type_names, type_probs, demand_values, demand_probs
+    return (
+        type_names,
+        _cdf([weights[t] for t in type_names]),
+        [d for d, _ in demand_dist],
+        _cdf([p for _, p in demand_dist]),
+    )
 
 
 def generate_trace(
@@ -123,7 +138,7 @@ def generate_trace(
     if num_jobs <= 0:
         raise ValueError("num_jobs must be positive")
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "trace")))
-    type_names, type_probs, demand_values, demand_probs = _mix_distributions(
+    type_names, type_cdf, demand_values, demand_cdf = _mix_distributions(
         type_weights, demand, GPU_DEMAND
     )
 
@@ -141,9 +156,9 @@ def generate_trace(
                 i,
                 t,
                 type_names,
-                type_probs,
+                type_cdf,
                 demand_values,
-                demand_probs,
+                demand_cdf,
                 mu,
                 sigma,
                 mean_duration_s,
@@ -158,9 +173,9 @@ def _sample_job(
     index: int,
     arrival: float,
     type_names: List[str],
-    type_probs: np.ndarray,
+    type_cdf: List[float],
     demand_values: List[int],
-    demand_probs: np.ndarray,
+    demand_cdf: List[float],
     mu: float,
     sigma: float,
     mean_duration_s: float,
@@ -169,16 +184,18 @@ def _sample_job(
 ) -> TraceJob:
     """Draw one job's (workload, demand, type, duration) tuple.
 
-    The draw order — ``integers``, ``choice`` (demand), ``choice``
-    (type), ``lognormal`` — is frozen: :func:`generate_trace`'s output
-    for a given seed is part of the repo's determinism surface (bench
-    fingerprints, recorded trajectories).  When ``duration`` is given
-    (heavy-tail traces draw Pareto durations up front) the lognormal
-    draw is skipped.
+    The draw order — ``integers``, demand, type, ``lognormal`` — is
+    frozen: :func:`generate_trace`'s output for a given seed is part of
+    the repo's determinism surface (bench fingerprints, recorded
+    trajectories).  Demand and type are each one ``rng.random()`` looked
+    up in a :func:`_cdf` table, the draw ``rng.choice(n, p=...)`` makes
+    without its per-call checks.  When ``duration`` is given (heavy-tail
+    traces draw Pareto durations up front) the lognormal draw is
+    skipped.
     """
     workload = TABLE1[int(rng.integers(0, len(TABLE1)))]
-    gpus = int(demand_values[int(rng.choice(len(demand_values), p=demand_probs))])
-    gtype = str(type_names[int(rng.choice(len(type_names), p=type_probs))])
+    gpus = int(demand_values[bisect_right(demand_cdf, rng.random())])
+    gtype = str(type_names[bisect_right(type_cdf, rng.random())])
     if duration is None:
         duration = float(rng.lognormal(mu, sigma))
         duration = min(max(duration, 60.0), max_duration_factor * mean_duration_s)
@@ -224,7 +241,7 @@ def diurnal_trace(
     if not 0.0 < trough_level <= 1.0:
         raise ValueError("trough_level must be in (0, 1]")
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "diurnal-trace")))
-    type_names, type_probs, demand_values, demand_probs = _mix_distributions(
+    type_names, type_cdf, demand_values, demand_cdf = _mix_distributions(
         type_weights, demand, PRODUCTION_DEMAND
     )
     sigma = duration_sigma
@@ -241,8 +258,8 @@ def diurnal_trace(
         gap = rng.exponential(base_gap / 20.0 if burst else base_gap)
         t += float(gap)
         hour = (t / 3600.0) % 24.0
-        phase = 2.0 * np.pi * (hour - peak_hour) / 24.0
-        intensity = trough_level + (1.0 - trough_level) * 0.5 * (1.0 + np.cos(phase))
+        phase = 2.0 * math.pi * (hour - peak_hour) / 24.0
+        intensity = trough_level + (1.0 - trough_level) * 0.5 * (1.0 + math.cos(phase))
         if rng.random() >= intensity:
             continue  # thinned: candidate point falls in a quiet hour
         jobs.append(
@@ -251,9 +268,9 @@ def diurnal_trace(
                 len(jobs),
                 t,
                 type_names,
-                type_probs,
+                type_cdf,
                 demand_values,
-                demand_probs,
+                demand_cdf,
                 mu,
                 sigma,
                 mean_duration_s,
@@ -286,7 +303,7 @@ def heavy_tail_trace(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "heavy-tail-trace")))
-    type_names, type_probs, demand_values, demand_probs = _mix_distributions(
+    type_names, type_cdf, demand_values, demand_cdf = _mix_distributions(
         type_weights, demand, PRODUCTION_DEMAND
     )
     jobs: List[TraceJob] = []
@@ -306,9 +323,9 @@ def heavy_tail_trace(
                 i,
                 t,
                 type_names,
-                type_probs,
+                type_cdf,
                 demand_values,
-                demand_probs,
+                demand_cdf,
                 0.0,
                 0.0,
                 0.0,

@@ -429,7 +429,9 @@ class Tensor:
         def _backward() -> None:
             if not self.requires_grad:
                 return
-            if axes_t is None:
+            if axes_t is None and out.grad.ndim == 2:
+                self._accumulate(_transposed_copy(out.grad), True)
+            elif axes_t is None:
                 self._accumulate(out.grad.transpose())
             else:
                 inverse = np.argsort(axes_t)
@@ -520,6 +522,33 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         return self**0.5
+
+
+#: edge of the square tiles :func:`_transposed_copy` moves at a time: a
+#: 128 x 128 float32 tile and its transposed destination stay in L2
+_TRANSPOSE_TILE = 128
+
+
+def _transposed_copy(a: np.ndarray) -> np.ndarray:
+    """An owned C-ordered copy of the 2-D ``a.T``, made tile by tile.
+
+    One strided copy of a large C-ordered ``a.T`` walks the source a
+    column at a time and misses cache on every element (a 768 x 1024
+    float32 weight gradient on a 2-vCPU x86 host: ~5 ms against ~1 ms
+    tiled).  Tiles move the
+    same bytes to the same places, so the result equals
+    ``np.ascontiguousarray(a.T)`` bit for bit.  An array with a side
+    shorter than a tile, or one that is not C-ordered, is one copy.
+    """
+    rows, cols = a.shape
+    t = _TRANSPOSE_TILE
+    if min(rows, cols) < t or not a.flags.c_contiguous:
+        return a.T.copy()
+    out = np.empty((cols, rows), dtype=a.dtype)
+    for i in range(0, rows, t):
+        for j in range(0, cols, t):
+            out[j : j + t, i : i + t] = a[i : i + t, j : j + t].T
+    return out
 
 
 def _swap_last(arr: np.ndarray) -> np.ndarray:

@@ -27,11 +27,16 @@ def grads_for(vrank, shapes, seed=0):
     return {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
 
 
+def flats_for(eddp, grads):
+    """One EST's hand-off: ``grads`` flattened into ``eddp``'s buckets."""
+    return eddp.buckets.flatten_into_buckets(grads, lambda _b, e: np.empty(e, np.float32))
+
+
 class TestSynchronize:
     def test_matches_manual_bucket_allreduce(self):
         eddp, shapes = make_eddp(3)
         all_grads = [grads_for(v, shapes) for v in range(3)]
-        out = eddp.synchronize(all_grads)
+        out = eddp.synchronize([flats_for(eddp, g) for g in all_grads])
         # manual: same buckets, same ring mean
         for bucket_idx, bucket in enumerate(eddp.buckets.buckets):
             sub = BucketAssignment([bucket])
@@ -50,16 +55,37 @@ class TestSynchronize:
         eddp_a, shapes = make_eddp(4)
         eddp_b, _ = make_eddp(4)
         grads = [grads_for(v, shapes) for v in range(4)]
-        out_a = eddp_a.synchronize(grads)
-        out_b = eddp_b.synchronize([dict(g) for g in grads])  # fresh dicts
+        out_a = eddp_a.synchronize([flats_for(eddp_a, g) for g in grads])
+        # fresh flats
+        out_b = eddp_b.synchronize([flats_for(eddp_b, dict(g)) for g in grads])
         for name in out_a:
             assert out_a[name].tobytes() == out_b[name].tobytes()
 
     def test_missing_param_bucket_skipped(self):
         eddp, shapes = make_eddp(2)
         partial = [{"w1": g["w1"]} for g in (grads_for(0, shapes), grads_for(1, shapes))]
-        out = eddp.synchronize(partial)
+        out = eddp.synchronize([flats_for(eddp, g) for g in partial])
         assert set(out) == {"w1"}
+
+    def test_bucket_missing_from_one_vrank_rejected(self):
+        eddp, shapes = make_eddp(2)
+        full = flats_for(eddp, grads_for(0, shapes))
+        partial = flats_for(eddp, {"w1": grads_for(1, shapes)["w1"]})
+        with pytest.raises(KeyError):
+            eddp.synchronize([full, partial])
+
+    def test_read_only_flats_accepted_and_result_owns_memory(self):
+        eddp, shapes = make_eddp(3)
+        flats = [flats_for(eddp, grads_for(v, shapes)) for v in range(3)]
+        for vrank_flats in flats:
+            for flat in vrank_flats.values():
+                flat.flags.writeable = False
+        out = eddp.synchronize(flats)
+        for grad in out.values():
+            assert grad.flags.writeable and grad.flags.c_contiguous
+            assert not any(
+                np.shares_memory(grad, flat) for fl in flats for flat in fl.values()
+            )
 
 
 class TestReconstruction:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.comm.bucketing import build_initial_buckets
 from repro.core.est import EasyScaleThread
 from repro.core.worker import EasyScaleWorker
 from repro.data.dataloader import SharedDataLoader
@@ -11,6 +12,11 @@ from repro.hw.memory import OutOfMemoryError
 from repro.models import get_workload
 from repro.tensor.kernels import D0_POLICY
 from repro.utils.rng import RNGBundle, derive_seed
+
+
+def _layout(model):
+    named = dict(model.named_parameters())
+    return build_initial_buckets(list(named), {n: p.data.size for n, p in named.items()})
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +41,7 @@ class TestRunGlobalStep:
             model,
             load_batch=lambda v: loader.load(v, 0, 0),
             named_params=dict(model.named_parameters()),
+            layout=_layout(model),
         )
         assert [r.vrank for r in results] == [0, 1, 2]
         assert all(np.isfinite(r.loss) for r in results)
@@ -46,6 +53,7 @@ class TestRunGlobalStep:
             model,
             load_batch=lambda v: loader.load(v, 0, 0),
             named_params=dict(model.named_parameters()),
+            layout=_layout(model),
         )
         # staged on the EST objects, cleared from the model
         assert ests[0].staged_grads is not None
@@ -61,6 +69,7 @@ class TestRunGlobalStep:
             model,
             load_batch=lambda v: loader.load(v, 0, 0),
             named_params=dict(model.named_parameters()),
+            layout=_layout(model),
         )
         # ESTs 0..n-2 expose their staging cost; the last one hides under sync
         assert all(r.exposed_copy_time > 0 for r in results[:-1])
@@ -75,6 +84,7 @@ class TestRunGlobalStep:
             model,
             load_batch=lambda v: loader.load(v, 0, 0),
             named_params=named,
+            layout=_layout(model),
             arrival_sink=arrival,
             param_names_by_id={id(p): n for n, p in named.items()},
         )

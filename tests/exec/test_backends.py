@@ -387,3 +387,31 @@ def test_pool_grads_never_alias_each_other(env):
         for i in range(len(arrays)):
             for j in range(i + 1, len(arrays)):
                 assert not np.shares_memory(arrays[i], arrays[j])
+
+
+def test_pool_hands_slab_views_straight_to_the_allreduce(env, monkeypatch):
+    """The parent copies no gradient byte before the reduce: every flat
+    ``allreduce_mean`` reads is vrank ``i``'s read-only slab region."""
+    import repro.core.elastic_ddp as elastic_ddp
+
+    spec, dataset, config = env
+    reduce = elastic_ddp.allreduce_mean
+    seen = []
+
+    def capture(flats, algorithm="ring"):
+        slabs = backend._shm._grad_shm
+        for vrank, flat in enumerate(flats):
+            slab = np.frombuffer(slabs[vrank].buf, dtype=np.uint8)
+            seen.append((np.shares_memory(flat, slab), flat.flags.writeable))
+        return reduce(flats, algorithm)
+
+    monkeypatch.setattr(elastic_ddp, "allreduce_mean", capture)
+    with ProcessPoolBackend(max_workers=2) as backend:
+        engine = EasyScaleEngine(
+            spec, dataset, config, sgd_factory(),
+            _assignment(POOL), backend=backend,
+        )
+        # the second step runs on the rebuilt layout, in re-keyed slabs
+        engine.train_steps(2)
+    assert seen
+    assert all(shared and not writable for shared, writable in seen)

@@ -162,3 +162,58 @@ class TestHeavyTailTrace:
         for job in jobs:
             duration = job.total_work / job.requested_rate()
             assert 300.0 - 1e-6 <= duration <= 7 * 86400.0 + 1e-6
+
+
+class TestFrozenDraws:
+    """The sampler's shortcuts consume and return exactly what the
+    ``numpy`` calls they replace did, so every frozen trace holds."""
+
+    def test_bisect_over_cdf_is_choice(self):
+        from bisect import bisect_right
+
+        from repro.sched.trace import _cdf
+
+        tables = []
+        for weights in ([p for _, p in GPU_DEMAND], [p for _, p in PRODUCTION_DEMAND],
+                        [0.6, 0.25, 0.15], [1, 3]):
+            probs = np.array(weights, dtype=np.float64)
+            tables.append((len(weights), probs / probs.sum(), _cdf(weights)))
+        a, b = (np.random.Generator(np.random.PCG64(2023)) for _ in range(2))
+        chosen, bisected = [], []
+        for draw in range(100_000):
+            n, probs, cdf = tables[draw % len(tables)]
+            if draw % 2:  # interleaved like _sample_job: integers() buffers 32-bit halves
+                chosen.append(int(a.integers(0, 9)))
+                bisected.append(int(b.integers(0, 9)))
+            chosen.append(int(a.choice(n, p=probs)))
+            bisected.append(bisect_right(cdf, b.random()))
+        assert chosen == bisected
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_math_cos_is_np_cos_on_the_phases_frozen_traces_visit(self, monkeypatch):
+        import math
+
+        import repro.sched.trace as trace
+
+        phases = []
+
+        class Recorder:
+            pi = math.pi
+
+            @staticmethod
+            def cos(x):
+                phases.append(x)
+                return math.cos(x)
+
+        monkeypatch.setattr(trace, "math", Recorder)
+        # the benchmark's sim traces (seed 2023, full and check sizes) and
+        # the fingerprinted test traces
+        for jobs, seed, days, demand in [
+            (150, 2023, 3, GPU_DEMAND), (12, 2023, 1, GPU_DEMAND), (24, 2023, 1, GPU_DEMAND),
+            (8, 2023, 1, GPU_DEMAND), (700, 2023, 4, None), (4000, 2023, 6, None),
+            (40, 2023, 2, None), (60, 2023, 2, None), (40, 2023, 1, None), (10, 2023, 1, None),
+            (30, 7, 0.5, None), (24, 1, 0.5, None), (60, 2023, 0.5, GPU_DEMAND),
+        ]:
+            trace.diurnal_trace(num_jobs=jobs, seed=seed, days=days, demand=demand)
+        assert len(phases) > 6000
+        assert [float(np.cos(x)) for x in phases] == [math.cos(x) for x in phases]

@@ -499,6 +499,7 @@ class TestGradientOwnership:
                 assert not np.shares_memory(node.grad, other.data)
 
     def test_staged_gradients_of_two_ests_never_alias(self):
+        from repro.comm.bucketing import build_initial_buckets
         from repro.core.est import EasyScaleThread
         from repro.core.worker import EasyScaleWorker
         from repro.data.dataloader import SharedDataLoader
@@ -512,9 +513,13 @@ class TestGradientOwnership:
         ests = [EasyScaleThread(5, vrank) for vrank in range(2)]
         worker = EasyScaleWorker(0, V100, ests, spec, D2_POLICY, validate_memory=False)
         named = dict(model.named_parameters())
-        worker.run_global_step(model, load_batch=lambda v: loader.load(v, 0, 0), named_params=named)
+        layout = build_initial_buckets(list(named), {n: p.data.size for n, p in named.items()}, 4096)
+        worker.run_global_step(
+            model, load_batch=lambda v: loader.load(v, 0, 0), named_params=named, layout=layout
+        )
         first, second = (est.staged_grads for est in ests)
-        assert first.keys() == second.keys() == named.keys()
+        assert first.keys() == second.keys()
+        assert sorted(n for _, names in first for n in names) == sorted(named)
         arrays = list(first.values()) + list(second.values())
         for i, grad in enumerate(arrays):
             for other in arrays[i + 1:]:

@@ -89,3 +89,32 @@ class TestGradMode:
             out = (a * 2 + 1).sum()
         assert out._prev == ()
         assert out._backward is None
+
+
+class TestTransposedCopy:
+    """``Transpose``'s backward hands over a tiled copy: the same bytes."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(300, 200), (768, 1024), (129, 257), (128, 128), (1, 5000), (5000, 1), (127, 4000), (3, 4)],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_ascontiguousarray_byte_for_byte(self, shape, dtype):
+        from repro.tensor.tensor import _transposed_copy
+
+        a = np.random.default_rng(sum(shape)).standard_normal(shape).astype(dtype)
+        for source in (a, np.asfortranarray(a), a[:, ::-1]):
+            got = _transposed_copy(source)
+            want = np.ascontiguousarray(source.T)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, source)
+
+    def test_weight_gradient_is_owned_and_exact(self):
+        w = Tensor(np.random.default_rng(1).standard_normal((300, 260)).astype(np.float32),
+                   requires_grad=True)
+        g = np.random.default_rng(2).standard_normal((260, 300)).astype(np.float32)
+        out = w.T
+        out.backward(g)
+        assert w.grad.flags.c_contiguous and w.grad.tobytes() == np.ascontiguousarray(g.T).tobytes()
+        assert not np.shares_memory(w.grad, out.grad)
