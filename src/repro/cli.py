@@ -952,12 +952,14 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--backend", default="serial",
                        choices=["serial", "process", "pool"],
                        help="execution backend: 'serial' steps workers "
-                            "in-process; 'process' (alias 'pool') runs each "
-                            "worker's compute in a persistent process pool "
+                            "in-process; 'process' (alias 'pool') runs worker "
+                            "0 in-process and each further worker's compute "
+                            "in a persistent process pool "
                             "(bitwise-identical results; see docs/EXECUTION.md)")
     train.add_argument("--workers", type=_positive, default=None, metavar="N",
                        help="process-pool slots for --backend process; "
-                            "worker w runs in slot w mod N (default: 4)")
+                            "worker w >= 1 runs in slot (w - 1) mod N "
+                            "(default: 4)")
     train.add_argument("--verify", action="store_true", help="compare bitwise vs DDP")
     train.add_argument("--trace", metavar="PATH", default=None,
                        help="record a span trace (JSONL) of the run")

@@ -376,41 +376,45 @@ class EasyScaleEngine:
             arrival_sink=arrival,
             layout=self.elastic_ddp.buckets,
         )
-        results = self.backend.run_step(request)
-        step_time = 0.0
-        for worker in self.workers:
-            step_time = max(step_time, worker.step_time())
-            if self.profiler is not None:
-                self.profiler.observe_worker_step(
-                    self.global_step,
-                    worker.worker_id,
-                    worker.gpu.name,
-                    len(worker.ests),
-                    worker.step_time(),
-                )
-                hosted = set(worker.vranks)
-                for result in results:
-                    if result.vrank in hosted:
-                        self.profiler.observe_est_step(
-                            self.global_step, result.vrank, result.compute_time
-                        )
+        try:
+            results = self.backend.run_step(request)
+            step_time = 0.0
+            for worker in self.workers:
+                step_time = max(step_time, worker.step_time())
+                if self.profiler is not None:
+                    self.profiler.observe_worker_step(
+                        self.global_step,
+                        worker.worker_id,
+                        worker.gpu.name,
+                        len(worker.ests),
+                        worker.step_time(),
+                    )
+                    hosted = set(worker.vranks)
+                    for result in results:
+                        if result.vrank in hosted:
+                            self.profiler.observe_est_step(
+                                self.global_step, result.vrank, result.compute_time
+                            )
 
-        results.sort(key=lambda r: r.vrank)
-        # simulated time: slowest worker (sync barrier) + a simple
-        # bandwidth-model term for the cross-worker all-reduce
-        comm = self.spec.params_gb / 5.0 if len(self.workers) > 1 else self.spec.params_gb / 20.0
-        with obs.span("engine.sync", cat="engine", est=comm, num_ests=self.config.num_ests):
-            averaged = self.elastic_ddp.synchronize([r.grads for r in results])
-        with obs.span("engine.optimizer", cat="engine"):
-            for name, grad in averaged.items():
-                self._named_params[name].grad = grad
-            for result in results:  # virtual-rank order: canonical BN folding
-                for layer, mean, var in result.bn_journal:
-                    layer.fold_stats(mean, var)
-            self.optimizer.step()
-            self.model.zero_grad()
-        for est in self.ests:
-            est.staged_grads = None
+            results.sort(key=lambda r: r.vrank)
+            # simulated time: slowest worker (sync barrier) + a simple
+            # bandwidth-model term for the cross-worker all-reduce
+            comm = self.spec.params_gb / 5.0 if len(self.workers) > 1 else self.spec.params_gb / 20.0
+            with obs.span("engine.sync", cat="engine", est=comm, num_ests=self.config.num_ests):
+                averaged = self.elastic_ddp.synchronize([r.grads for r in results])
+            with obs.span("engine.optimizer", cat="engine"):
+                for name, grad in averaged.items():
+                    self._named_params[name].grad = grad
+                for result in results:  # virtual-rank order: canonical BN folding
+                    for layer, mean, var in result.bn_journal:
+                        layer.fold_stats(mean, var)
+                self.optimizer.step()
+                self.model.zero_grad()
+        finally:
+            # staged gradients may be views of the backend's slabs: none
+            # outlives the step, even one that raised
+            for est in self.ests:
+                est.staged_grads = None
 
         if arrival is not None:
             self.elastic_ddp.maybe_reconstruct(arrival)

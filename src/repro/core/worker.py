@@ -165,87 +165,120 @@ class EasyScaleWorker:
     ) -> List[LocalStepResult]:
         """Execute one local step per EST, in local order, time-sliced.
 
-        ``load_batch(vrank)`` supplies the EST's mini-batch; gradients are
-        flattened into ``layout``'s buckets in the staging area, staged on
-        the EST ("swapped to CPU") and the model's grads cleared between
-        ESTs, which is exactly the context switch.  If
-        ``arrival_sink`` is given, the first EST's backward records gradient
-        arrival order into it (bucket-reconstruction observation).
+        The sequencing half of a step: each EST's fault hook fires, then
+        :meth:`run_local_step` loads its mini-batch and computes it.  The
+        process pool runs the same two halves apart — every hook and load
+        first, in this order, then worker 0's compute in the parent — so
+        both backends share one per-EST compute.
         """
         results: List[LocalStepResult] = []
-        layout_key = layout.layout_key()
-        per_batch = minibatch_time(self.spec, self.gpu, self.policy) * self.slowdown
-        switch = context_switch_time(self.spec, self.gpu) * self.slowdown
-        for position, est in enumerate(self.ests):
+        for est in self.ests:
             if self.fault_hook is not None:
                 self.fault_hook(self.worker_id, est.vrank)
-            flightrec.record(
-                "worker.local_step",
-                worker=self.worker_id,
-                vrank=est.vrank,
-                gpu=self.gpu.name,
-                dialect=self.gpu.dialect,
-            )
-            with obs.span(
-                "worker.local_step",
-                cat="worker",
-                est=per_batch,
-                worker=self.worker_id,
-                vrank=est.vrank,
-                gpu=self.gpu.name,
-            ):
-                x, y = load_batch(est.vrank)
-                mean_loss, grads, journal = execute_local_step(
+            results.append(
+                self.run_local_step(
                     model,
-                    self.spec,
-                    est.rng,
-                    x,
-                    y,
-                    dialect=self.gpu.dialect,
-                    policy=self.policy,
-                    micro_batches=self.micro_batches,
-                    named_params=named_params,
-                    arrival_sink=arrival_sink if est.vrank == 0 else None,
+                    est,
+                    load_batch,
+                    named_params,
+                    layout,
+                    arrival_sink=arrival_sink,
                     param_names_by_id=param_names_by_id,
                 )
-                flats = layout.flatten_into_buckets(
-                    grads,
-                    lambda bucket_idx, elems: self._staging.buffer(
-                        layout_key, bucket_idx, est.vrank, elems
-                    ),
-                )
-                est.staged_grads = flats
-            # copy of this EST's grads overlaps the *next* EST's compute;
-            # only the last EST in the slice exposes its staging latency,
-            # and even that hides under gradient synchronization setup
-            exposed = switch if position < len(self.ests) - 1 else 0.0
-            if exposed and obs.is_enabled():
-                with obs.span(
-                    "worker.context_switch",
-                    cat="worker",
-                    est=exposed,
-                    worker=self.worker_id,
-                    from_vrank=est.vrank,
-                ):
-                    pass
-            results.append(
-                LocalStepResult(
-                    vrank=est.vrank,
-                    loss=mean_loss,
-                    grads=flats,
-                    bn_journal=journal,
-                    compute_time=per_batch,
-                    exposed_copy_time=exposed,
-                )
             )
+        self.end_global_step(model)
+        return results
+
+    def run_local_step(
+        self,
+        model: Module,
+        est: EasyScaleThread,
+        load_batch: Callable[[int], Tuple[np.ndarray, np.ndarray]],
+        named_params: Dict[str, object],
+        layout: BucketAssignment,
+        arrival_sink: Optional[List[str]] = None,
+        param_names_by_id: Optional[Dict[int, str]] = None,
+    ) -> LocalStepResult:
+        """One EST's local step: load, compute, stage; the context switch.
+
+        ``load_batch(vrank)`` supplies the EST's mini-batch; gradients are
+        flattened into ``layout``'s buckets in the staging area and staged
+        on the EST ("swapped to CPU"), which is exactly the context
+        switch.  If ``arrival_sink`` is given, vrank 0's backward records
+        gradient arrival order into it (bucket-reconstruction
+        observation).  Call :meth:`end_global_step` after the last EST.
+        """
+        per_batch = minibatch_time(self.spec, self.gpu, self.policy) * self.slowdown
+        flightrec.record(
+            "worker.local_step",
+            worker=self.worker_id,
+            vrank=est.vrank,
+            gpu=self.gpu.name,
+            dialect=self.gpu.dialect,
+        )
+        with obs.span(
+            "worker.local_step",
+            cat="worker",
+            est=per_batch,
+            worker=self.worker_id,
+            vrank=est.vrank,
+            gpu=self.gpu.name,
+        ):
+            x, y = load_batch(est.vrank)
+            mean_loss, grads, journal = execute_local_step(
+                model,
+                self.spec,
+                est.rng,
+                x,
+                y,
+                dialect=self.gpu.dialect,
+                policy=self.policy,
+                micro_batches=self.micro_batches,
+                named_params=named_params,
+                arrival_sink=arrival_sink if est.vrank == 0 else None,
+                param_names_by_id=param_names_by_id,
+            )
+            layout_key = layout.layout_key()
+            flats = layout.flatten_into_buckets(
+                grads,
+                lambda bucket_idx, elems: self._staging.buffer(
+                    layout_key, bucket_idx, est.vrank, elems
+                ),
+            )
+            est.staged_grads = flats
+        # copy of this EST's grads overlaps the *next* EST's compute;
+        # only the last EST in the slice exposes its staging latency,
+        # and even that hides under gradient synchronization setup
+        exposed = 0.0
+        if est is not self.ests[-1]:
+            exposed = context_switch_time(self.spec, self.gpu) * self.slowdown
+        if exposed and obs.is_enabled():
+            with obs.span(
+                "worker.context_switch",
+                cat="worker",
+                est=exposed,
+                worker=self.worker_id,
+                from_vrank=est.vrank,
+            ):
+                pass
+        return LocalStepResult(
+            vrank=est.vrank,
+            loss=mean_loss,
+            grads=flats,
+            bn_journal=journal,
+            compute_time=per_batch,
+            exposed_copy_time=exposed,
+        )
+
+    def end_global_step(self, model: Module) -> None:
+        """Clear the model's gradients after this worker's last EST."""
         model.zero_grad()
         if obs.is_enabled():
             registry = obs.metrics()
             registry.counter("worker_local_steps_total", gpu=self.gpu.name).inc(len(self.ests))
             registry.histogram("worker_minibatch_sim_seconds", gpu=self.gpu.name).observe(
-                per_batch
+                minibatch_time(self.spec, self.gpu, self.policy) * self.slowdown
             )
-        return results
 
     def step_time(self) -> float:
         """Simulated wall-clock of one global step on this worker."""

@@ -20,7 +20,7 @@ __all__, __getattr__, __dir__ = exports(__name__, {
     "base": ["ExecutionBackend", "StepRequest"],
     "pool": ["ProcessPoolBackend"],
     "serial": ["SerialBackend"],
-    "shm": ["ShmTransport", "SlabPlan"],
+    "shm": ["ShmTransport", "SlabInUseError", "SlabPlan"],
 }, own=["BACKENDS", "resolve_backend"])
 
 #: registry consulted by :func:`resolve_backend` and ``cli train --backend``

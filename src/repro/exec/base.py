@@ -2,15 +2,19 @@
 
 The engine decides *what* runs (one local step per EST, on each physical
 worker, in virtual-rank order within the worker) — a backend decides
-*where* it runs: in-process (:class:`~repro.exec.serial.SerialBackend`)
-or across a persistent process pool
+*where* it runs: every worker in-process
+(:class:`~repro.exec.serial.SerialBackend`), or worker 0 in-process and
+workers 1…n−1 in a persistent process pool
 (:class:`~repro.exec.pool.ProcessPoolBackend`).
 
 The contract every backend must honour, and the tests pin bitwise:
 
 1. **Same numerics.**  Each EST's local step is
    :func:`repro.core.worker.execute_local_step` — the single definition
-   of forward/backward — regardless of which process executes it.
+   of forward/backward — regardless of which process executes it.  In
+   the calling process it runs through
+   :meth:`~repro.core.worker.EasyScaleWorker.run_local_step`, the one
+   per-EST compute both backends share.
 2. **Fixed merge order.**  The returned :class:`LocalStepResult` list is
    ordered by (worker, EST-position), exactly like the serial loop, so
    the engine's virtual-rank sort and the downstream reduction order are
@@ -23,7 +27,8 @@ The contract every backend must honour, and the tests pin bitwise:
    ESTs' flat gradient buckets (one layout, ``request.layout``) are
    staged as ``staged_grads``, and BN journals reference the *parent's*
    model layers on return — a checkpoint taken after any step is
-   byte-identical across backends.
+   byte-identical across backends.  Staged buckets live for the step
+   only: the engine clears them when the step ends, raised or not.
 """
 
 from __future__ import annotations

@@ -1,8 +1,12 @@
 """ProcessPoolBackend: real parallel worker execution, bitwise-equal to serial.
 
-Each physical worker's per-step compute (one local step per hosted EST)
-runs as one task in a persistent :mod:`multiprocessing` pool.  The
-determinism argument, in the order things happen:
+A step over ``n`` physical workers runs on the parent plus ``n - 1``
+children: workers 1…n−1 each run their per-step compute (one local step
+per hosted EST) as one task in a persistent :mod:`multiprocessing` pool,
+while the parent — which holds the authoritative model and would
+otherwise sit idle waiting for them — runs worker 0's ESTs itself.  A
+single-worker stage therefore starts no child at all.  The determinism
+argument, in the order things happen:
 
 1. **Parent-side sequencing.**  Fault hooks and ``load_batch`` calls
    mutate parent state (injector exactly-once bookkeeping, loader
@@ -10,12 +14,15 @@ determinism argument, in the order things happen:
    the exact serial order — worker 0's ESTs, then worker 1's — *before*
    dispatching any compute, so that state evolves identically to the
    serial loop.
-2. **Identical numerics in children.**  A child keeps a cached model
-   replica (rebuilt deterministically from the workload spec + job seed,
-   so its construction cost is paid once per process), loads the
-   parent's ``state_dict`` for the step, and runs
-   :func:`repro.core.worker.execute_local_step` — the same function the
-   serial path calls — under the worker's dialect/policy and the EST's
+2. **Identical numerics on both sides.**  Worker 0 runs
+   :meth:`repro.core.worker.EasyScaleWorker.run_local_step` — the serial
+   path's own per-EST step — on the parent's model, so it needs no state
+   load and no slab.  A child keeps a cached model replica (rebuilt
+   deterministically from the workload spec + job seed, so its
+   construction cost is paid once per process), loads the parent's
+   ``state_dict`` for the step, and runs
+   :func:`repro.core.worker.execute_local_step` — the function that
+   per-EST step calls — under the worker's dialect/policy and the EST's
    shipped RNG state.
 3. **Per-bucket flat shipping is byte-pure.**  Children flatten
    gradients into the engine's current bucket layout, straight into a
@@ -30,11 +37,15 @@ determinism argument, in the order things happen:
    parent reads them only after every task returned (the result pipe is
    the cross-process happens-before for the slab bytes), walking the
    results in submission order, so the association cannot depend on
-   which child finished first.
+   which child finished first.  If worker 0's step raises, the parent
+   still collects every child task first — no slab is unmapped under a
+   running child, and the postmortem holds each child's flight events.
 5. **State write-back, every step.**  Advanced RNG states are restored
    into the parent's EST objects, gradients are staged, and BN journal
    entries are re-bound (by module name) to the parent's layers so
    folding happens on the authoritative replica in virtual-rank order.
+   Worker 0 advances, stages and journals on the parent's objects
+   directly, as the serial loop does.
 
 What cannot be parallelized: policies that keep *process-global* mutable
 kernel state — the autotuner's profiling counters and the "atomic"
@@ -57,7 +68,7 @@ from repro.obs import flightrec
 from repro.comm.bucketing import BucketAssignment
 from repro.exec import shm as shm_mod
 from repro.exec.base import ExecutionBackend, StepRequest
-from repro.exec.shm import ShmTransport, SlabPlan, state_specs_of
+from repro.exec.shm import ShmTransport, SlabInUseError, SlabPlan, state_specs_of
 from repro.hw.timing import context_switch_time, minibatch_time
 from repro.utils.rng import RNGBundle
 
@@ -209,39 +220,44 @@ def _run_worker_task_inner(
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Run each physical worker's step compute in a persistent process pool.
+    """Run a step on the parent plus one pooled child per further worker.
 
-    ``max_workers`` caps the slot row (default 4).  Slots are placement
-    units, not throughput units: one child per *physical worker*, created
-    lazily as worker ids appear, even on a single-core machine — the
-    children idle between steps, and per-process isolation (replica
-    cache, flight ring, trace lane) is the point.  ``start_method``
-    defaults to ``fork`` where available — cheapest, and it inherits
-    registered kernels — falling back to ``spawn``, where
-    :func:`_child_init` re-hydrates them.
+    Worker 0 runs in the calling process, on the authoritative model;
+    workers 1…n−1 run in persistent children, so a step over ``n``
+    workers starts ``min(n - 1, max_workers)`` children and a
+    single-worker stage none.  ``max_workers`` caps the slot row
+    (default 4).  Slots are placement units, not throughput units: one
+    child per dispatched worker, created lazily as worker ids appear,
+    even on a single-core machine — the children idle between steps, and
+    per-process isolation (replica cache, flight ring, trace lane) is the
+    point.  ``start_method`` defaults to ``fork`` where available —
+    cheapest, and it inherits registered kernels — falling back to
+    ``spawn``, where :func:`_child_init` re-hydrates them.
 
-    The heavy per-step payloads travel through
+    The heavy per-step payloads of the children travel through
     :class:`~repro.exec.shm.ShmTransport` slabs: model state is broadcast
     and flat gradient buckets come back zero-copy: each task's result
     lists the slab regions it wrote, and once every task of the step has
     returned the parent hands read-only views of them to the all-reduce.
-    ``transport`` names that one carrier: the keyword exists because the
-    frozen ``benchmarks/e2e`` passes it, and any value but ``"shm"`` is a
-    ``ValueError``.
+    Worker 0's buckets are its own staging buffers, as under the serial
+    backend.  ``transport`` names that one carrier: the keyword exists
+    because the frozen ``benchmarks/e2e`` passes it, and any value but
+    ``"shm"`` is a ``ValueError``.
 
     Placement is *sticky*: the pool is a row of single-child slots and
-    physical worker ``w`` always dispatches to slot ``w % max_workers``.
-    A shared task queue would let one hot child drain every task (tiny
-    steps finish before sibling processes wake), which both defeats the
-    per-child replica cache — a cold child rebuilds the model — and
-    collapses the trace into one process lane.  Sticky slots give each
-    child exactly one replica build and a stable pid lane in the merged
-    Chrome trace.
+    physical worker ``w >= 1`` always dispatches to slot
+    ``(w - 1) % max_workers``.  A shared task queue would let one hot
+    child drain every task (tiny steps finish before sibling processes
+    wake), which both defeats the per-child replica cache — a cold child
+    rebuilds the model — and collapses the trace into one process lane.
+    Sticky slots give each child exactly one replica build and a stable
+    pid lane in the merged Chrome trace; worker 0's spans sit on the
+    parent's lane.
 
-    The pool is created lazily on the first step and survives engine
-    rebuilds (reconfigure / fault recovery): pass the same backend object
-    to every engine and ``close()`` it once at the end of the job.  The
-    shm slabs survive rebuilds the same way and are re-keyed
+    The pool is created lazily on the first step that dispatches and
+    survives engine rebuilds (reconfigure / fault recovery): pass the same
+    backend object to every engine and ``close()`` it once at the end of
+    the job.  The shm slabs survive rebuilds the same way and are re-keyed
     automatically when the bucket layout (or the model's state plan)
     changes; ``close()`` unlinks them exactly once.
     """
@@ -301,8 +317,18 @@ class ProcessPoolBackend(ExecutionBackend):
             self._pool = None
         if self._shm is not None:
             # children are gone (slots joined above): unlink exactly once
-            self._shm.close()
-            self._shm = None
+            shm, self._shm = self._shm, None
+            shm.close()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self.close()
+        except SlabInUseError:
+            if exc is None:
+                raise
+            # the failing step's traceback still holds its slab views: the
+            # step's error is the one to report, and the slabs' mappings
+            # go with the traceback
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
         try:
@@ -344,14 +370,17 @@ class ProcessPoolBackend(ExecutionBackend):
         est_by_vrank = {
             est.vrank: est for worker in request.workers for est in worker.ests
         }
+        own, *dispatched = request.workers
         tasks = []
         for worker in request.workers:
-            ests = []
+            batches = {}
             for est in worker.ests:
                 if worker.fault_hook is not None:
                     worker.fault_hook(worker.worker_id, est.vrank)
-                x, y = request.load_batch(est.vrank)
-                ests.append((est.vrank, est.rng.get_state(), x, y))
+                batches[est.vrank] = request.load_batch(est.vrank)
+            if worker is own:
+                own_batches = batches
+                continue
             tasks.append(
                 {
                     "spec": request.spec,
@@ -359,7 +388,10 @@ class ProcessPoolBackend(ExecutionBackend):
                     "dialect": worker.gpu.dialect,
                     "policy": worker.policy,
                     "micro_batches": worker.micro_batches,
-                    "ests": ests,
+                    "ests": [
+                        (est.vrank, est.rng.get_state(), *batches[est.vrank])
+                        for est in worker.ests
+                    ],
                     "layout": layout_state,
                     "need_arrival": need_arrival,
                     "worker": worker.worker_id,
@@ -368,22 +400,65 @@ class ProcessPoolBackend(ExecutionBackend):
                 }
             )
 
-        # Phase 2: broadcast state (one slab write), then dispatch
-        # everything (worker w -> slot w % max_workers)
-        self._broadcast_state(request, tasks, est_by_vrank)
-        handles = [
-            self._ensure_slot(task["worker"] % self.max_workers).apply_async(
-                _run_worker_task, (task,)
-            )
-            for task in tasks
-        ]
+        # Phase 2: broadcast state (one slab write), then dispatch workers
+        # 1..n-1 (worker w -> slot (w - 1) % max_workers); a single-worker
+        # stage needs neither
+        handles = []
+        if tasks:
+            self._broadcast_state(request, tasks, est_by_vrank)
+            handles = [
+                self._ensure_slot(k % self.max_workers).apply_async(
+                    _run_worker_task, (task,)
+                )
+                for k, task in enumerate(tasks)
+            ]
 
-        results = self._assemble(request, handles, est_by_vrank)
+        # Phase 3: while the children run, the parent runs worker 0's
+        # ESTs on its own model, through the serial path's local step
+        try:
+            with self._task_span(own):
+                own_results = [
+                    own.run_local_step(
+                        request.model,
+                        est,
+                        own_batches.__getitem__,
+                        request.named_params,
+                        request.layout,
+                        arrival_sink=request.arrival_sink,
+                        param_names_by_id=request.param_names_by_id,
+                    )
+                    for est in own.ests
+                ]
+                own.end_global_step(request.model)
+        except BaseException:
+            # no slab may be unmapped under a running child, and the
+            # postmortem wants every child's evidence: collect them all
+            try:
+                self._wait_all(dispatched, handles)
+            except Exception:
+                pass  # worker 0's failure comes first in submission order
+            raise
+
+        results = own_results + self._assemble(
+            request, dispatched, self._wait_all(dispatched, handles), est_by_vrank
+        )
         if obs.is_enabled():
             registry = obs.metrics()
             registry.counter("exec_steps_total", backend=self.name).inc()
-            registry.counter("exec_pool_tasks_total", backend=self.name).inc(len(tasks))
+            registry.counter("exec_pool_tasks_total", backend=self.name).inc(
+                len(request.workers)
+            )
         return results
+
+    def _task_span(self, worker):
+        """The ``exec.worker_task`` span of one worker's share of a step."""
+        return obs.span(
+            "exec.worker_task",
+            cat="exec",
+            backend=self.name,
+            worker=worker.worker_id,
+            gpu=worker.gpu.name,
+        )
 
     # -- phase 2 helper: broadcast --------------------------------------
     def _broadcast_state(self, request, tasks, est_by_vrank) -> None:
@@ -421,9 +496,9 @@ class ProcessPoolBackend(ExecutionBackend):
         for task in tasks:
             task["shm"] = desc
 
-    # -- phase 3: fixed-order assembly + write-back ----------------------
-    def _wait_all(self, request, handles) -> List[List[Dict[str, Any]]]:
-        """Wait for every task of the step and merge each child's obs.
+    # -- phase 4: fixed-order assembly + write-back ----------------------
+    def _wait_all(self, workers, handles) -> List[List[Dict[str, Any]]]:
+        """Wait for every dispatched task of the step and merge each child's obs.
 
         Merges run in submission order and cover failed tasks too (their
         export rides the exception as ``child_obs``), so a crash
@@ -433,14 +508,8 @@ class ProcessPoolBackend(ExecutionBackend):
         """
         ests: List[List[Dict[str, Any]]] = []
         failure: Optional[BaseException] = None
-        for worker, handle in zip(request.workers, handles):
-            with obs.span(
-                "exec.worker_task",
-                cat="exec",
-                backend=self.name,
-                worker=worker.worker_id,
-                gpu=worker.gpu.name,
-            ):
+        for worker, handle in zip(workers, handles):
+            with self._task_span(worker):
                 try:
                     result = handle.get()
                 except Exception as exc:
@@ -453,7 +522,7 @@ class ProcessPoolBackend(ExecutionBackend):
             raise failure
         return ests
 
-    def _assemble(self, request, handles, est_by_vrank):
+    def _assemble(self, request, workers, task_payloads, est_by_vrank):
         from repro.core.worker import LocalStepResult
 
         parent_layers = dict(request.model.named_modules())
@@ -462,7 +531,7 @@ class ProcessPoolBackend(ExecutionBackend):
             set(request.arrival_sink) if request.arrival_sink is not None else None
         )
         results: List[LocalStepResult] = []
-        for worker, payloads in zip(request.workers, self._wait_all(request, handles)):
+        for worker, payloads in zip(workers, task_payloads):
             per_batch = minibatch_time(worker.spec, worker.gpu, worker.policy) * worker.slowdown
             switch = context_switch_time(worker.spec, worker.gpu) * worker.slowdown
             for position, payload in enumerate(payloads):

@@ -127,16 +127,21 @@ class SlabPlan:
         return owners
 
     # -- views ----------------------------------------------------------
+    # Every view is made with ``np.frombuffer``, which holds an export of
+    # the slab's buffer for as long as the view (or anything derived from
+    # it) lives: closing the slab then fails with ``BufferError`` instead
+    # of unmapping memory a live array still points into.
     def state_views(
         self, buf: memoryview, writable: bool
     ) -> Dict[str, np.ndarray]:
         """Per-array views into a state slab buffer."""
         views: Dict[str, np.ndarray] = {}
         for name, dtype, shape in self.state_specs:
-            view = np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=buf,
+            view = np.frombuffer(
+                buf, dtype=np.dtype(dtype),
+                count=int(np.prod(shape, dtype=np.int64)),
                 offset=self.state_offsets[name],
-            )
+            ).reshape(shape)
             view.flags.writeable = writable
             views[name] = view
         return views
@@ -152,17 +157,53 @@ class SlabPlan:
                 f"bucket {bucket_idx} holds {self.bucket_elems[bucket_idx]} "
                 f"elems, {elems} requested"
             )
-        view = np.ndarray(
-            (elems,), dtype=np.float32, buffer=buf,
+        view = np.frombuffer(
+            buf, dtype=np.float32, count=elems,
             offset=self.grad_offsets[bucket_idx],
         )
         view.flags.writeable = writable
         return view
 
 
+def _close(shm) -> bool:
+    """Close one attachment; False when a live view still pins it.
+
+    A pinned slab's mapping is handed to the views that pin it: the
+    ``SharedMemory`` object lets go of its buffer, mapping and file
+    descriptor, and the mapping is unmapped when the last view is
+    dropped, so neither a read through a view nor the object's own
+    finalizer can meet an unmapped or busy slab.
+    """
+    try:
+        shm.close()
+        return True
+    except BufferError:
+        shm._buf = shm._mmap = None  # the views' buffer export keeps the mmap
+        if getattr(shm, "_fd", -1) >= 0:
+            os.close(shm._fd)
+            shm._fd = -1
+        return False
+    except OSError:  # pragma: no cover - already-closed mapping
+        return True
+
+
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
+
+
+class SlabInUseError(RuntimeError):
+    """A slab was torn down while an array outside the transport still
+    viewed it.  The slab's name is unlinked, but its mapping stays until
+    the last such view is gone, so reading the view stays safe."""
+
+    def __init__(self, names: Sequence[str]) -> None:
+        self.names = list(names)
+        super().__init__(
+            "slab(s) " + ", ".join(self.names) + " still viewed at teardown: "
+            "a gradient or state view outlived its step (unlinked; the "
+            "mapping is released when the last view is dropped)"
+        )
 
 
 class ShmTransport:
@@ -214,6 +255,7 @@ class ShmTransport:
         self._teardown_slabs()
 
     def _teardown_slabs(self) -> None:
+        # the transport's own views go first: they are exports too
         self._state_views = {}
         self.plan = None
         slabs = list(self._grad_shm.values())
@@ -221,20 +263,24 @@ class ShmTransport:
             slabs.append(self._state_shm)
         self._state_shm = None
         self._grad_shm = {}
+        busy = []
         for shm in slabs:
             # the parent created these, so it closes AND unlinks; a slab
             # torn down here is gone and can never be unlinked twice
-            try:
-                shm.close()
-            except OSError:  # pragma: no cover - already-closed mapping
-                pass
+            if not _close(shm):
+                busy.append(shm.name)
             try:
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover - racing cleanup
                 pass
+        if busy:
+            raise SlabInUseError(busy)
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
         try:
+            # the state views pin the state slab, whose own finalizer
+            # would fail under them: drop them first, even at shutdown
+            self._state_views = {}
             if sys.is_finalizing():
                 return
             self.close()
@@ -269,10 +315,10 @@ class ShmTransport:
 
         Only call after the task that owns ``vrank`` returned a result
         listing (bucket, elems) for the current step; the view aliases the
-        slab, which the next step's child rewrites and a re-keyed plan
-        unmaps (a view read after that faults), so consumers that outlive
-        the step must copy (``ElasticDDP.synchronize`` returns owning
-        arrays).
+        slab, which the next step's child rewrites, so consumers that
+        outlive the step must copy (``ElasticDDP.synchronize`` returns
+        owning arrays).  The view pins the slab's mapping: a re-key or
+        ``close()`` while it lives raises :class:`SlabInUseError`.
         """
         if self.plan is None:
             raise RuntimeError("transport has no live plan")
@@ -335,10 +381,7 @@ def _attach(name: str):
 def _evict_stale(live_names: Sequence[str]) -> None:
     """Close cached attachments whose slabs were rebuilt away."""
     for name in [n for n in _ATTACHED if n not in live_names]:
-        try:
-            _ATTACHED.pop(name).close()
-        except OSError:  # pragma: no cover - parent already unlinked it
-            pass
+        _close(_ATTACHED.pop(name))
 
 
 def child_read_state(desc: Mapping[str, Any]) -> Dict[str, np.ndarray]:

@@ -9,6 +9,8 @@ pool (:class:`ProcessPoolBackend`).  Tier-1 keeps the pool capped at two
 processes; the wider sweeps live under ``-m parallel``.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -363,35 +365,42 @@ def test_serial_backend_counts_steps(env):
 
 
 def test_pool_grads_never_alias_each_other(env):
-    """Unflattened per-parameter gradients from the pool own their memory."""
+    """Unflattened per-parameter gradients from the pool own their memory.
+
+    Checked while the step runs: a slab view may not outlive its step
+    (closing the backend under one raises ``SlabInUseError``)."""
     spec, dataset, config = env
     with ProcessPoolBackend(max_workers=2) as backend:
         engine = EasyScaleEngine(
             spec, dataset, config, sgd_factory(),
             _assignment(POOL), backend=backend,
         )
-        request_grads = []
+        aliased = []  # per result: does any pair of its buckets alias?
 
         original = backend.run_step
 
         def capture(request):
             results = original(request)
-            request_grads.extend(r.grads for r in results)
+            for result in results:
+                arrays = list(result.grads.values())
+                assert len(arrays) > 1
+                aliased.append(any(
+                    np.shares_memory(arrays[i], arrays[j])
+                    for i in range(len(arrays))
+                    for j in range(i + 1, len(arrays))
+                ))
             return results
 
         backend.run_step = capture
         engine.run_global_step()
-    assert request_grads
-    for grads in request_grads:
-        arrays = list(grads.values())
-        for i in range(len(arrays)):
-            for j in range(i + 1, len(arrays)):
-                assert not np.shares_memory(arrays[i], arrays[j])
+    assert aliased == [False] * len(POOL)
 
 
 def test_pool_hands_slab_views_straight_to_the_allreduce(env, monkeypatch):
     """The parent copies no gradient byte before the reduce: every flat
-    ``allreduce_mean`` reads is vrank ``i``'s read-only slab region."""
+    ``allreduce_mean`` reads is the array its EST staged — vrank ``i``'s
+    read-only slab region when a child hosts it, worker 0's own staging
+    buffer (no slab) when the parent ran it."""
     import repro.core.elastic_ddp as elastic_ddp
 
     spec, dataset, config = env
@@ -400,9 +409,16 @@ def test_pool_hands_slab_views_straight_to_the_allreduce(env, monkeypatch):
 
     def capture(flats, algorithm="ring"):
         slabs = backend._shm._grad_shm
+        own = set(engine.workers[0].vranks)
         for vrank, flat in enumerate(flats):
+            staged = engine.ests[vrank].staged_grads.values()
             slab = np.frombuffer(slabs[vrank].buf, dtype=np.uint8)
-            seen.append((np.shares_memory(flat, slab), flat.flags.writeable))
+            seen.append((
+                vrank in own,
+                any(flat is array for array in staged),
+                np.shares_memory(flat, slab),
+                flat.flags.writeable,
+            ))
         return reduce(flats, algorithm)
 
     monkeypatch.setattr(elastic_ddp, "allreduce_mean", capture)
@@ -414,4 +430,64 @@ def test_pool_hands_slab_views_straight_to_the_allreduce(env, monkeypatch):
         # the second step runs on the rebuilt layout, in re-keyed slabs
         engine.train_steps(2)
     assert seen
-    assert all(shared and not writable for shared, writable in seen)
+    assert {own for own, *_ in seen} == {True, False}
+    for own, is_staged, in_slab, writable in seen:
+        assert is_staged
+        assert (in_slab, writable) == ((False, True) if own else (True, False))
+
+
+# ---------------------------------------------------------------------------
+# placement: the parent runs worker 0, children run workers 1..n-1
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gpus, children", [
+    (["V100"], 0),                      # a single-worker stage: no child at all
+    (["V100", "T4"], 1),                # a 2-worker step: exactly one child
+    (["V100", "V100", "T4", "T4"], 2),  # n - 1 = 3, capped by max_workers
+])
+def test_a_step_over_n_workers_starts_min_n_minus_1_children(gpus, children):
+    spec = get_workload("neumf")
+    dataset = spec.build_dataset(32, seed=7)
+    config = EasyScaleJobConfig(
+        num_ests=4, seed=0, batch_size=8,
+        determinism=determinism_from_label("D1+D2"),
+    )
+    before = set(multiprocessing.active_children())
+    with ProcessPoolBackend(max_workers=2) as backend:
+        engine = EasyScaleEngine(
+            spec, dataset, config, sgd_factory(), _assignment(gpus),
+            backend=backend,
+        )
+        engine.train_steps(2)
+        started = set(multiprocessing.active_children()) - before
+        assert len(started) == children
+        # nothing to broadcast to when no child runs
+        assert (backend._pool is None, backend._shm is None) == (not children,) * 2
+    assert not set(multiprocessing.active_children()) - before
+
+
+def test_serial_equals_pool_under_spawn_on_three_workers():
+    """Two spawned children and the parent's own worker 0 train the
+    serial loop's bits: model, RNG streams and the whole checkpoint."""
+    spec = get_workload("neumf")
+    dataset = spec.build_dataset(64, seed=7)
+    config = EasyScaleJobConfig(
+        num_ests=4, seed=0, batch_size=8,
+        determinism=determinism_from_label("D1+D2"),
+    )
+    gpus = ["V100", "V100", "T4"]
+    serial = EasyScaleEngine(spec, dataset, config, sgd_factory(), _assignment(gpus))
+    serial_losses = serial.train_steps(2)
+    with ProcessPoolBackend(max_workers=2, start_method="spawn") as backend:
+        pooled = EasyScaleEngine(
+            spec, dataset, config, sgd_factory(), _assignment(gpus),
+            backend=backend,
+        )
+        pooled_losses = pooled.train_steps(2)
+        assert len(backend._pool) == 2
+    assert pooled_losses == serial_losses
+    assert fingerprint_state_dict(
+        pooled.model.state_dict()
+    ) == fingerprint_state_dict(serial.model.state_dict())
+    assert pooled.checkpoint().to_bytes() == serial.checkpoint().to_bytes()

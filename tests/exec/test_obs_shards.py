@@ -31,6 +31,10 @@ from repro.obs import flightrec
 from tests.conftest import sgd_factory
 
 POOL = ["V100", "V100", "T4", "T4"]
+#: worker 0 (vranks 0, 1) runs in the parent; workers 1 and 2 (vranks 2
+#: and 3) are the two children
+THREE = ["V100", "V100", "T4"]
+PARENT_VRANKS, CHILD_VRANKS = [0, 1], [2, 3]
 
 
 @pytest.fixture(autouse=True)
@@ -66,6 +70,13 @@ def _child_sum(prefix, field="counters"):
     picked = {k: v for k, v in series.items() if k.startswith(prefix)}
     assert all('pid="' in key for key in picked)
     return sum(picked.values())
+
+
+def _parent_local_steps(events):
+    """Worker 0's ``worker.local_step`` flight events on the parent lane."""
+    steps = [e for e in events if e["kind"] == "worker.local_step"]
+    assert all("pid" not in e and e["worker"] == 0 for e in steps)
+    return [e["vrank"] for e in steps]
 
 
 # ---------------------------------------------------------------------------
@@ -178,25 +189,32 @@ class TestFlushAndCollect:
 def test_pool_run_merges_spans_from_multiple_children(env):
     obs.configure(enabled=True)
     with ProcessPoolBackend(max_workers=2) as backend:
-        _engine(env, backend).train_steps(2)
+        _engine(env, backend, gpus=THREE).train_steps(2)
         # merged as each step returned, not on close()
-        assert _child_sum("exec_child_local_steps_total") == 4 * 2
+        assert _child_sum("exec_child_local_steps_total") == len(CHILD_VRANKS) * 2
 
     records = obs.tracer().records
     child_spans = [r for r in records if r["name"] == "exec.child_local_step"]
     child_pids = {r["pid"] for r in child_spans}
-    assert len(child_pids) >= 2  # sticky slots: one process lane per worker
-    # every EST's local step of every global step appears exactly once
-    assert len(child_spans) == 4 * 2
+    assert len(child_pids) == 2  # sticky slots: one process lane per child
+    # every child-hosted EST's local step of every global step appears once
+    assert sorted(r["args"]["vrank"] for r in child_spans) == sorted(CHILD_VRANKS * 2)
     # child metrics arrive keyed by pid, summing to the dispatched steps
-    assert _child_sum("exec_child_local_steps_total") == 4 * 2
+    assert _child_sum("exec_child_local_steps_total") == len(CHILD_VRANKS) * 2
+    # worker 0 ran in the parent: its local steps are spans on the parent
+    # lane (no pid) and its counter carries no pid label
+    own_spans = [r for r in records if r["name"] == "worker.local_step"]
+    assert sorted(r["args"]["vrank"] for r in own_spans) == sorted(PARENT_VRANKS * 2)
+    assert all(r.get("pid", 0) == 0 and r["args"]["worker"] == 0 for r in own_spans)
+    counters = obs.metrics().snapshot()["counters"]
+    assert counters['worker_local_steps_total{gpu="V100"}'] == len(PARENT_VRANKS) * 2
 
     # the merged record set exports as one Chrome trace with a lane per pid
     chrome = obs.tracer().to_chrome_trace()
     lanes = {e["args"]["name"] for e in chrome["traceEvents"]
              if e["ph"] == "M" and e["name"] == "process_name"}
     assert "parent" in lanes
-    assert sum(1 for lane in lanes if lane.startswith("pool worker pid ")) >= 2
+    assert sum(1 for lane in lanes if lane.startswith("pool worker pid ")) == 2
 
 
 def test_pool_with_obs_disabled_leaves_no_shards(env, monkeypatch):
@@ -204,13 +222,17 @@ def test_pool_with_obs_disabled_leaves_no_shards(env, monkeypatch):
     # nothing else; capture what the parent merges
     payloads = []
     monkeypatch.setattr(obs, "merge_child", payloads.append)
+    flightrec.reset()
     with ProcessPoolBackend(max_workers=2) as backend:
-        _engine(env, backend).train_steps(1)
-    assert len(payloads) == len(POOL)  # one per dispatched worker task
+        _engine(env, backend, gpus=THREE).train_steps(1)
+    assert len(payloads) == len(THREE) - 1  # one per dispatched worker task
     for payload in payloads:
         assert payload["spans"] == [] and payload["metrics"] == []
         assert [e["kind"] for e in payload["flight"]] == ["exec.child_local_step"]
         assert all(e["pid"] == payload["pid"] for e in payload["flight"])
+    assert sorted(e["vrank"] for p in payloads for e in p["flight"]) == CHILD_VRANKS
+    # worker 0's evidence never left the parent: its own ring holds it
+    assert _parent_local_steps(flightrec.recorder().events) == PARENT_VRANKS
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +247,8 @@ def _fork_only():
 
 def test_child_metrics_do_not_double_count_when_read_mid_run(env, monkeypatch):
     """Children used to re-ship their cumulative metrics on every flush,
-    so reading after each of two steps gave 4 then 12; deltas give 4, 8."""
+    so reading after each of two steps gave 2 then 6; deltas give 2, 4.
+    Worker 0's own series, kept in the parent, count 2 then 4 as well."""
     _fork_only()
     import repro.core.worker as worker_mod
 
@@ -235,45 +258,51 @@ def test_child_metrics_do_not_double_count_when_read_mid_run(env, monkeypatch):
         obs.metrics().gauge("child_probe").set(float("nan"))  # a nonfinite
         return real(*args, **kwargs)
 
-    # installed before the pool forks, so every child runs the probe
+    # installed before the pool forks, so every child runs the probe (and
+    # so does the parent, for worker 0)
     monkeypatch.setattr(worker_mod, "execute_local_step", probed)
     obs.configure(enabled=True)
 
-    def nonfinite():
+    def nonfinite(in_children):
         return sum(row["nonfinite"] for row in obs.metrics().to_state()
-                   if row["name"] == "child_probe")
+                   if row["name"] == "child_probe"
+                   and ("pid" in row["labels"]) == in_children)
+
+    def own_steps():
+        return obs.metrics().snapshot()["counters"]['worker_local_steps_total{gpu="V100"}']
 
     backend = ProcessPoolBackend(max_workers=2, start_method="fork")
-    engine = _engine(env, backend)
+    engine = _engine(env, backend, gpus=THREE)
+    engine.train_steps(1)
+    assert _child_sum("exec_child_local_steps_total") == 2
+    assert nonfinite(in_children=True) == 2
+    assert (own_steps(), nonfinite(in_children=False)) == (2, 2)
     engine.train_steps(1)
     assert _child_sum("exec_child_local_steps_total") == 4
-    assert nonfinite() == 4
-    engine.train_steps(1)
-    assert _child_sum("exec_child_local_steps_total") == 8
-    assert nonfinite() == 8
+    assert nonfinite(in_children=True) == 4
+    assert (own_steps(), nonfinite(in_children=False)) == (4, 4)
     backend.close()
-    assert _child_sum("exec_child_local_steps_total") == 8
-    assert nonfinite() == 8
+    assert _child_sum("exec_child_local_steps_total") == 4
+    assert nonfinite(in_children=True) == 4
+    assert (own_steps(), nonfinite(in_children=False)) == (4, 4)
 
 
 class _ChildBoom(RuntimeError):
     pass
 
 
-def test_failed_child_task_reaches_the_postmortem(env, monkeypatch, tmp_path):
-    """A child whose local step raises still ships its flight events, and
-    the parent waits for the sibling task before re-raising: the crash
-    bundle holds evidence from both children of the step."""
+def _run_failing_step(env, monkeypatch, tmp_path, failing_vrank):
+    """One step over THREE whose ``failing_vrank`` raises in its local
+    step, wherever it runs; returns the postmortem bundle."""
     _fork_only()
     import repro.core.worker as worker_mod
 
     real = worker_mod.execute_local_step
-    failing_vrank = 3  # worker 1's second EST (2 workers x 2 ESTs)
 
     def flaky(*args, **kwargs):
-        # the child records which EST it is about to run just before this call
+        # each side records which EST it is about to run just before this call
         if flightrec.recorder().events[-1]["vrank"] == failing_vrank:
-            raise _ChildBoom("injected child failure")
+            raise _ChildBoom("injected local-step failure")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(worker_mod, "execute_local_step", flaky)
@@ -281,16 +310,44 @@ def test_failed_child_task_reaches_the_postmortem(env, monkeypatch, tmp_path):
     flightrec.reset()
     backend = ProcessPoolBackend(max_workers=2, start_method="fork")
     try:
-        engine = _engine(env, backend, gpus=["V100", "V100"])
+        engine = _engine(env, backend, gpus=THREE)
         with pytest.raises(_ChildBoom):
             engine.train_steps(1)
     finally:
         backend.close()
 
     bundle = flightrec.load_bundle(flightrec.recorder().last_dump)
-    child_events = [e for e in bundle["events"] if e["kind"] == "exec.child_local_step"]
-    assert sorted(e["vrank"] for e in child_events) == [0, 1, 2, 3]
-    by_worker = {e["worker"]: e["pid"] for e in child_events}
-    # the failed child's events and its succeeding sibling's, each its own pid
-    assert set(by_worker) == {0, 1} and len(set(by_worker.values())) == 2
     assert bundle["exception"]["type"] == "_ChildBoom"
+    return bundle
+
+
+def _child_lanes(bundle):
+    child_events = [e for e in bundle["events"] if e["kind"] == "exec.child_local_step"]
+    assert sorted(e["vrank"] for e in child_events) == CHILD_VRANKS
+    by_worker = {e["worker"]: e["pid"] for e in child_events}
+    return by_worker
+
+
+def test_failed_child_task_reaches_the_postmortem(env, monkeypatch, tmp_path):
+    """A child whose local step raises still ships its flight events, and
+    the parent waits for the sibling task before re-raising: the crash
+    bundle holds evidence from both children of the step, and worker 0's
+    from the parent."""
+    bundle = _run_failing_step(env, monkeypatch, tmp_path, failing_vrank=3)
+    by_worker = _child_lanes(bundle)
+    # the failed child's events and its succeeding sibling's, each its own pid
+    assert set(by_worker) == {1, 2} and len(set(by_worker.values())) == 2
+    assert _parent_local_steps(bundle["events"]) == PARENT_VRANKS
+
+
+def test_failed_parent_worker_waits_for_every_child(env, monkeypatch, tmp_path):
+    """Worker 0 raising in the parent does not abandon the dispatched
+    tasks: the parent collects both children (no slab is unmapped under a
+    running one) before re-raising, so the bundle holds their events."""
+    bundle = _run_failing_step(env, monkeypatch, tmp_path, failing_vrank=1)
+    by_worker = _child_lanes(bundle)
+    assert set(by_worker) == {1, 2} and len(set(by_worker.values())) == 2
+    # the parent got as far as the failing EST, and no further
+    assert _parent_local_steps(bundle["events"]) == PARENT_VRANKS
+    crash = [e for e in bundle["events"] if e["kind"] == "engine.crash"]
+    assert [e["step"] for e in crash] == [0]

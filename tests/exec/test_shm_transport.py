@@ -12,6 +12,7 @@ The transport's contract is carried by three layers, each pinned here:
   only transport, and any other name is refused.
 """
 
+import os
 import pickle
 import subprocess
 import sys
@@ -350,17 +351,20 @@ def test_del_during_interpreter_shutdown_is_silent():
         spec = get_workload("resnet18")
         dataset = spec.build_dataset(16, seed=0)
         config = EasyScaleJobConfig(
-            num_ests=1, seed=0, batch_size=8,
+            num_ests=2, seed=0, batch_size=8,
             determinism=determinism_from_label("D1+D2"),
         )
         backend = ProcessPoolBackend(max_workers=1)
+        # two workers: the parent runs worker 0, so worker 1 is the live
+        # child (and the slabs) the dying backend still owns
         engine = EasyScaleEngine(
             spec, dataset, config,
             lambda m: SGD(m.named_parameters(), lr=0.05, momentum=0.9),
-            WorkerAssignment.balanced([gpu_type("V100")], 1),
+            WorkerAssignment.balanced([gpu_type("V100")] * 2, 2),
             backend=backend,
         )
         engine.train_steps(1)
+        assert len(backend._pool) == 1 and backend._shm is not None
         print("STEP-OK")
         # no close(): the backend object dies with the interpreter
         """
@@ -374,4 +378,97 @@ def test_del_during_interpreter_shutdown_is_silent():
     assert proc.returncode == 0, proc.stderr
     assert "STEP-OK" in proc.stdout
     assert "Traceback" not in proc.stderr, proc.stderr
+    assert "Exception ignored" not in proc.stderr, proc.stderr
+
+
+def test_a_view_that_outlives_its_step_is_an_error_not_a_signal(tmp_path):
+    """A step raises after the parent read its slab views, then the backend
+    closes.  The ESTs' staged buckets were cleared by the engine, and a
+    view kept on purpose still pins its slab: ``close()`` names the slab,
+    the view stays readable, and its mapping goes with it.  Leaving
+    a ``with`` block on the failed step reports the step's own error, not
+    the views its traceback still holds.  Run in
+    a subprocess because the failure this pins is the interpreter dying
+    on a signal (a view over an unmapped slab)."""
+    script = textwrap.dedent(
+        """
+        import numpy as np
+
+        import repro.core.elastic_ddp as elastic_ddp
+        from repro.core import (
+            EasyScaleEngine, EasyScaleJobConfig, WorkerAssignment,
+            determinism_from_label,
+        )
+        from repro.exec import ProcessPoolBackend
+        from repro.hw import gpu_type
+        from repro.models import get_workload
+        from repro.optim import SGD
+
+        HELD = []
+
+        def boom(self, flats_by_vrank):
+            HELD.append(dict(flats_by_vrank[-1]))  # vrank 1: a child's slab
+            raise RuntimeError("boom after assembly")
+
+        elastic_ddp.ElasticDDP.synchronize = boom
+        spec = get_workload("neumf")
+        config = EasyScaleJobConfig(
+            num_ests=2, seed=0, batch_size=8,
+            determinism=determinism_from_label("D1+D2"),
+        )
+        backend = ProcessPoolBackend(max_workers=1)
+        engine = EasyScaleEngine(
+            spec, spec.build_dataset(32, seed=0), config,
+            lambda m: SGD(m.named_parameters(), lr=0.05),
+            WorkerAssignment.balanced([gpu_type("V100"), gpu_type("T4")], 2),
+            backend=backend,
+        )
+        try:
+            engine.run_global_step()
+        except RuntimeError as exc:
+            print("RAISED", exc)
+        try:
+            backend.close()
+        except Exception as err:
+            print("PINNED", type(err).__name__, err.names)
+        staged = [est.staged_grads for est in engine.ests]
+        if all(flats is None for flats in staged):
+            print("CLEARED")
+        else:
+            print("TOUCHED", sum(float(v.sum()) for f in staged for v in f.values()))
+        print("HELD", all(np.isfinite(v).all() for v in HELD[0].values()))
+        HELD.clear()
+        backend.close()
+        print("CLOSED", backend._shm is None)
+
+        # closing on the way out of a failed step: the traceback still
+        # holds the step's views, and the step's own error is reported
+        try:
+            with ProcessPoolBackend(max_workers=1) as pool:
+                EasyScaleEngine(
+                    spec, spec.build_dataset(32, seed=0), config,
+                    lambda m: SGD(m.named_parameters(), lr=0.05),
+                    WorkerAssignment.balanced([gpu_type("V100"), gpu_type("T4")], 2),
+                    backend=pool,
+                ).run_global_step()
+        except Exception as exc:
+            print("WITH", type(exc).__name__, exc)
+        print("DROPPED", pool._shm is None)
+        """
+    )
+    from repro.obs import flightrec
+
+    env = dict(os.environ, **{flightrec.POSTMORTEM_DIR_ENV: str(tmp_path)})
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=240, env=env,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stdout, proc.stderr)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "RAISED boom after assembly"
+    assert lines[1].startswith("PINNED SlabInUseError ['repro-"), lines[1]
+    assert lines[2:] == [
+        "CLEARED", "HELD True", "CLOSED True",
+        "WITH RuntimeError boom after assembly", "DROPPED True",
+    ]
     assert "Exception ignored" not in proc.stderr, proc.stderr

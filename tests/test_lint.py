@@ -765,6 +765,42 @@ def test_one_publication_per_pool_task():
     assert not os.path.exists(os.path.join(SRC, "sched", "history.py"))
 
 
+def test_one_road_to_the_local_step():
+    # forward/backward of one EST is execute_local_step, called from three
+    # places only: the worker's per-EST compute (serial, and worker 0 of
+    # the pool in the parent), the pool child's task, and the TorchElastic
+    # / Pollux baseline trainer.  A fourth caller is a second copy of the
+    # per-EST loop.  Calls are found by name, so an alias still counts.
+    import ast
+
+    sites = []
+    roots = [SRC, os.path.join(REPO_ROOT, "examples")]
+    for path in (p for root in roots for p in _python_files(root)):
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        if "execute_local_step" not in text:
+            continue
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = scope + [child.name]
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name == "execute_local_step":
+                        sites.append((os.path.relpath(path, REPO_ROOT), ".".join(scope)))
+                visit(child, inner)
+
+        visit(ast.parse(text), [])
+    assert sorted(sites) == [
+        ("src/repro/core/worker.py", "EasyScaleWorker.run_local_step"),
+        ("src/repro/elastic/base.py", "ElasticBaselineTrainer.train_epoch"),
+        ("src/repro/exec/pool.py", "_run_worker_task_inner"),
+    ], sites
+
+
 def test_col2im_is_one_gather_over_a_cached_plan():
     # conv backward folds columns back through a per-geometry gather plan;
     # the padded buffer and its strided-add loop over kernel offsets live
