@@ -33,7 +33,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from repro.hw.gpu import gpu_type
 from repro.sched.perfmodel import fold
 from repro.sched.trace import TraceJob
 from repro.utils.events import EventLog
+
+if TYPE_CHECKING:
+    from repro.sched.intra import IntraJobScheduler
 
 #: sort key of the active set and of the running-set mirror's rows
 _INDEX = attrgetter("index")
@@ -68,8 +71,8 @@ class JobRuntime:
     fault_slowdown: float = 1.0
     #: faults that hit this job (kind, time) — JCT forensics
     faults: List[Tuple[str, float]] = field(default_factory=list)
-    #: policy-private state (e.g. the intra-job scheduler)
-    agent: object = None
+    #: the EasyScale policies' intra-job scheduler; None under YARN-CS
+    agent: Optional["IntraJobScheduler"] = None
     #: position in the simulator's arrival-sorted ``runtimes``: the sort
     #: key of the active set and of the running-set mirror's rows
     index: int = 0

@@ -331,6 +331,11 @@ BAD_FLAGS = [
     ["obs", "profile", "{span_trace}", "--consecutive", "0"],
     ["obs", "profile", "{span_trace}", "--workload", "nosuchmodel"],
     ["obs", "why", "{audit_trail}", "{audit_trail}", "--window", "0"],
+    # a count flag of obs summarize / postmortem below 1 used to exit 0:
+    # ``--tail 0`` printed the whole ring, ``--limit -1`` dropped a path
+    ["obs", "summarize", "{span_trace}", "--limit", "0"],
+    ["obs", "postmortem", "{bundle}", "--tail", "0"],
+    ["obs", "postmortem", "{bundle}", "--tail", "-1"],
     ["train", "resnet18", "--lr", "0"],
     ["train", "resnet18", "--lr", "nan"],
     ["train", "resnet18", "--ests", "2", "--steps-per-stage", "2"],

@@ -22,6 +22,7 @@ import pytest
 
 import benchmarks.e2e.workloads as e2e
 import repro.cli as cli
+import repro.commands.sim as sim_commands
 from repro.models.registry import WORKLOADS
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -67,7 +68,7 @@ def test_scheduler_side_loads_no_training_substrate():
         "import repro.cli",
         _imports_of(
             e2e.run_sim, e2e.reference_sim, e2e._trace, e2e._policy,
-            e2e._install_sim_wrappers, cli._cmd_trace_sim, cli._plan_cache_totals,
+            e2e._install_sim_wrappers, sim_commands.trace_sim, cli._plan_cache_totals,
         ),
         # and a run through every policy, so a runtime import counts too
         "import contextlib, io",
@@ -79,6 +80,12 @@ def test_scheduler_side_loads_no_training_substrate():
     models = [m for m in loaded if m.startswith("repro.models.") and m != "repro.models.registry"]
     assert substrate == [] and models == [], (substrate, models)
     assert "repro.sched.simulator" in loaded  # the check saw the path it pins
+
+
+def test_cli_import_loads_no_runner():
+    # the sim_* workloads import repro.cli for _plan_cache_totals: the
+    # command table, not the runners behind it, is what they compile
+    assert _loaded_after("import repro.cli") == ["repro", "repro.cli"]
 
 
 def test_training_side_loads_no_simulator_or_offline_readers():

@@ -524,13 +524,20 @@ def test_cli_has_one_bad_input_exit_and_reads_flags_as_attributes():
     # the input contract lives once: loads become _BadInput at the _load
     # boundary, and main() holds the only handler that turns an exception
     # into an exit status — so no command can grow its own "except
-    # FileNotFoundError: return 2" copy, and anything else stays a traceback
+    # FileNotFoundError: return 2" copy, and anything else stays a traceback.
+    # cli.py and the runner modules of repro.commands are one surface.
     import ast
 
-    with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as handle:
-        source = handle.read()
+    paths = [os.path.join(SRC, "cli.py")]
+    paths += sorted(_python_files(os.path.join(SRC, "commands")))
+    assert len(paths) > 2  # the walk saw the runners
+    sources = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            sources.append(handle.read())
+    source = "\n".join(sources)
     returning = [
-        node for node in ast.walk(ast.parse(source))
+        node for text in sources for node in ast.walk(ast.parse(text))
         if isinstance(node, ast.ExceptHandler)
         and any(isinstance(inner, ast.Return) for inner in ast.walk(node))
     ]
