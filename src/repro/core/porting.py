@@ -44,11 +44,12 @@ from repro.core.determinism import DeterminismConfig, determinism_from_label
 from repro.core.elastic_ddp import ElasticDDP
 from repro.core.est import EasyScaleThread
 from repro.core.engine import WorkerAssignment
+from repro.core.worker import record_arrival
 from repro.nn.module import Module
 from repro.nn.runtime import collect_bn_stats, use_rng
 from repro.optim.optimizer import Optimizer
 from repro.tensor.context import execution_context
-from repro.tensor.tensor import Tensor, leaf_grad_hook
+from repro.tensor.tensor import Tensor
 
 
 class PortedTrainingSession:
@@ -115,17 +116,10 @@ class PortedTrainingSession:
                 self.model.zero_grad()
                 with execution_context(gpu.dialect, policy), use_rng(
                     est.rng
-                ), collect_bn_stats() as journal:
-                    if arrival is not None and vrank == 0:
-                        def on_grad(tensor) -> None:
-                            name = self._param_names_by_id.get(id(tensor))
-                            if name is not None and name not in arrival:
-                                arrival.append(name)
-
-                        with leaf_grad_hook(on_grad):
-                            loss = step_fn(batch)
-                    else:
-                        loss = step_fn(batch)
+                ), collect_bn_stats() as journal, record_arrival(
+                    arrival if vrank == 0 else None, self._param_names_by_id
+                ):
+                    loss = step_fn(batch)
                 losses[vrank] = loss.item()
                 journals[vrank] = journal
                 grads_by_vrank[vrank] = self.elastic_ddp.buckets.flatten_into_buckets(

@@ -15,14 +15,15 @@ legitimate because replicas are bitwise identical between global steps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.obs import flightrec
-from repro.comm.bucketing import BucketAssignment, FlatBufferCache, FlatGrads
+from repro.comm.bucketing import BucketAssignment, FlatBufferCache, FlatGrads, LayoutKey
 from repro.core.est import EasyScaleThread
 from repro.ddp.ddp import micro_slices
 from repro.hw.gpu import GPUType
@@ -33,6 +34,7 @@ from repro.nn.module import Module
 from repro.nn.runtime import collect_bn_stats, use_rng
 from repro.tensor.context import execution_context
 from repro.tensor.kernels import KernelPolicy
+from repro.tensor.tensor import leaf_grad_hook
 
 
 @dataclass
@@ -47,6 +49,31 @@ class LocalStepResult:
     bn_journal: list
     compute_time: float
     exposed_copy_time: float
+
+
+@contextmanager
+def record_arrival(
+    sink: Optional[List[str]], names_by_id: Mapping[int, str]
+) -> Iterator[None]:
+    """Append each parameter's name to ``sink`` when its gradient first arrives.
+
+    DDP's bucket-reconstruction observer around a backward pass; a name
+    already in ``sink`` is not appended again, and ``sink=None`` observes
+    nothing.
+    """
+    if sink is None:
+        yield
+        return
+    seen = set(sink)
+
+    def on_grad(tensor) -> None:
+        name = names_by_id.get(id(tensor))
+        if name is not None and name not in seen:
+            seen.add(name)
+            sink.append(name)
+
+    with leaf_grad_hook(on_grad):
+        yield
 
 
 def execute_local_step(
@@ -66,40 +93,29 @@ def execute_local_step(
     """One EST's forward/backward over one mini-batch.
 
     This is the single numerical definition of a local step: the
-    in-process :class:`EasyScaleWorker` path, the process-pool execution
-    backend and the TorchElastic / Pollux baseline trainer
-    (:class:`repro.elastic.base.ElasticBaselineTrainer`) all call exactly
-    this function, which is what makes the serial/parallel bitwise
-    contract hold by construction rather than by parallel-maintained
-    copies of the math.
+    :class:`EasyScaleWorker` per-EST step — which every backend runs, in
+    the parent and in pool children alike — and the TorchElastic /
+    Pollux baseline trainer
+    (:class:`repro.elastic.base.ElasticBaselineTrainer`) both call
+    exactly this function, which is what makes the serial/parallel
+    bitwise contract hold by construction rather than by
+    parallel-maintained copies of the math.
 
     ``arrival_sink``, when given, records gradient readiness order during
-    backward (callers gate it to virtual rank 0, matching DDP's bucket
-    reconstruction observer).  Returns ``(mean micro loss, grads by
-    parameter name, BN journal)``; gradients are scaled for gradient
-    accumulation.  A leaf's ``.grad`` is an array nothing else refers to
-    (``Tensor._accumulate``) and the next ``zero_grad`` only drops the
-    model's reference, so it is handed over as it is, not copied.
+    backward (:func:`record_arrival`; callers gate it to virtual rank 0,
+    matching DDP's bucket reconstruction observer).  Returns ``(mean
+    micro loss, grads by parameter name, BN journal)``; gradients are
+    scaled for gradient accumulation.  A leaf's ``.grad`` is an array
+    nothing else refers to (``Tensor._accumulate``) and the next
+    ``zero_grad`` only drops the model's reference, so it is handed over
+    as it is, not copied.
     """
-    from repro.tensor.tensor import leaf_grad_hook
-
     model.zero_grad()
     micro_losses = []
     with execution_context(dialect, policy), use_rng(rng), collect_bn_stats() as journal:
         for micro_x, micro_y in micro_slices(x, y, micro_batches):
             loss = spec.forward_loss(model, micro_x, micro_y)
-            if arrival_sink is not None:
-                arrived = set(arrival_sink)
-
-                def on_grad(tensor) -> None:
-                    name = (param_names_by_id or {}).get(id(tensor))
-                    if name is not None and name not in arrived:
-                        arrived.add(name)
-                        arrival_sink.append(name)
-
-                with leaf_grad_hook(on_grad):
-                    loss.backward()
-            else:
+            with record_arrival(arrival_sink, param_names_by_id or {}):
                 loss.backward()
             micro_losses.append(loss.item())
     scale = np.float32(1.0 / micro_batches)
@@ -124,6 +140,7 @@ class EasyScaleWorker:
         validate_memory: bool = True,
         micro_batches: int = 1,
         fault_hook: Optional[Callable[[int, int], None]] = None,
+        staging: Optional[Callable[[LayoutKey, int, int, int], np.ndarray]] = None,
     ) -> None:
         if not ests:
             raise ValueError(f"worker {worker_id} has no ESTs assigned")
@@ -144,9 +161,12 @@ class EasyScaleWorker:
         #: step; a fault injector may raise from it to simulate the worker
         #: process dying mid-step (sibling ESTs have already staged state)
         self.fault_hook = fault_hook
-        #: the gradient staging area: one flat buffer per (bucket, vrank),
-        #: rewritten every step
-        self._staging = FlatBufferCache()
+        #: the gradient staging area, rewritten every step:
+        #: ``staging(layout_key, bucket_idx, vrank, elems)`` is the buffer
+        #: an EST's bucket is flattened into — by default one persistent
+        #: buffer per (bucket, vrank) of the worker's own cache; a pool
+        #: child stages into its shared-memory slab regions
+        self._staging = staging or FlatBufferCache().buffer
         if validate_memory:
             check_fits(easyscale_memory_gb(spec, len(ests)), gpu)
 
@@ -168,8 +188,10 @@ class EasyScaleWorker:
         The sequencing half of a step: each EST's fault hook fires, then
         :meth:`run_local_step` loads its mini-batch and computes it.  The
         process pool runs the same two halves apart — every hook and load
-        first, in this order, then worker 0's compute in the parent — so
-        both backends share one per-EST compute.
+        first, in this order, in the parent, then the compute: worker 0's
+        in the parent, each other worker's through this method in its
+        child, where the rebuilt worker has no hook — so both backends
+        share one per-EST compute.
         """
         results: List[LocalStepResult] = []
         for est in self.ests:
@@ -241,7 +263,7 @@ class EasyScaleWorker:
             layout_key = layout.layout_key()
             flats = layout.flatten_into_buckets(
                 grads,
-                lambda bucket_idx, elems: self._staging.buffer(
+                lambda bucket_idx, elems: self._staging(
                     layout_key, bucket_idx, est.vrank, elems
                 ),
             )

@@ -10,11 +10,10 @@ workers 1…n−1 in a persistent process pool
 The contract every backend must honour, and the tests pin bitwise:
 
 1. **Same numerics.**  Each EST's local step is
-   :func:`repro.core.worker.execute_local_step` — the single definition
-   of forward/backward — regardless of which process executes it.  In
-   the calling process it runs through
-   :meth:`~repro.core.worker.EasyScaleWorker.run_local_step`, the one
-   per-EST compute both backends share.
+   :meth:`~repro.core.worker.EasyScaleWorker.run_local_step` — the one
+   per-EST compute every backend shares, around
+   :func:`repro.core.worker.execute_local_step`, the single definition
+   of forward/backward — regardless of which process executes it.
 2. **Fixed merge order.**  The returned :class:`LocalStepResult` list is
    ordered by (worker, EST-position), exactly like the serial loop, so
    the engine's virtual-rank sort and the downstream reduction order are

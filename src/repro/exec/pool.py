@@ -14,19 +14,21 @@ argument, in the order things happen:
    the exact serial order — worker 0's ESTs, then worker 1's — *before*
    dispatching any compute, so that state evolves identically to the
    serial loop.
-2. **Identical numerics on both sides.**  Worker 0 runs
+2. **One per-EST step in every process.**  Every EST runs
    :meth:`repro.core.worker.EasyScaleWorker.run_local_step` — the serial
-   path's own per-EST step — on the parent's model, so it needs no state
-   load and no slab.  A child keeps a cached model replica (rebuilt
-   deterministically from the workload spec + job seed, so its
-   construction cost is paid once per process), loads the parent's
-   ``state_dict`` for the step, and runs
-   :func:`repro.core.worker.execute_local_step` — the function that
-   per-EST step calls — under the worker's dialect/policy and the EST's
-   shipped RNG state.
-3. **Per-bucket flat shipping is byte-pure.**  Children flatten
-   gradients into the engine's current bucket layout, straight into a
-   shared-memory slab (:mod:`repro.exec.shm`), with the same
+   path's own per-EST step.  Worker 0 runs it on the parent's model, so
+   it needs no state load and no slab.  A child keeps a cached model
+   replica (rebuilt deterministically from the workload spec + job
+   seed, so its construction cost is paid once per process), loads the
+   parent's ``state_dict`` for the step, rebuilds the worker from its
+   shipped id, GPU type, policy, micro-batch count and slowdown, and its
+   ESTs from their shipped contexts
+   (:meth:`~repro.core.est.EasyScaleThread.from_context`), and runs the
+   worker's global step: with no fault hook (the parent fired them), that
+   is the same per-EST step, then ``end_global_step``, as the parent's.
+3. **Per-bucket flat shipping is byte-pure.**  A child's worker stages
+   into its shared-memory slab regions (:mod:`repro.exec.shm`) instead
+   of its own buffers, with the same
    :meth:`~repro.comm.bucketing.BucketAssignment.flatten_into_buckets`
    the serial worker stages with; flattening is a pure byte move (no
    arithmetic), and the parent hands the read-only slab views to the
@@ -40,7 +42,7 @@ argument, in the order things happen:
    which child finished first.  If worker 0's step raises, the parent
    still collects every child task first — no slab is unmapped under a
    running child, and the postmortem holds each child's flight events.
-5. **State write-back, every step.**  Advanced RNG states are restored
+5. **State write-back, every step.**  Advanced EST contexts are loaded
    into the parent's EST objects, gradients are staged, and BN journal
    entries are re-bound (by module name) to the parent's layers so
    folding happens on the authoritative replica in virtual-rank order.
@@ -69,7 +71,6 @@ from repro.comm.bucketing import BucketAssignment
 from repro.exec import shm as shm_mod
 from repro.exec.base import ExecutionBackend, StepRequest
 from repro.exec.shm import ShmTransport, SlabInUseError, SlabPlan, state_specs_of
-from repro.hw.timing import context_switch_time, minibatch_time
 from repro.utils.rng import RNGBundle
 
 # ---------------------------------------------------------------------------
@@ -115,36 +116,38 @@ def _run_worker_task(task: Dict[str, Any]) -> Dict[str, Any]:
 
     Gradients leave through the slab: each bucket is flattened into this
     vrank's region, and the result only lists what was written.  Returns
-    ``{"ests": [...], "obs": ...}``.  ``ests`` holds one payload per EST,
-    in local order: the loss, the advanced RNG state, the BN journal
-    keyed by module *name* (layer objects don't cross process
-    boundaries), the ``((bucket_idx, names), elems)`` of every non-empty
-    bucket written to the slab, and — for vrank 0 on a reconstruction
-    step — the gradient arrival order.  ``obs`` is :func:`repro.obs.export_child`.
+    ``{"ests": [...], "arrival": ..., "obs": ...}``.  ``ests`` holds one
+    payload per EST, in local order: its advanced context, the loss, the
+    modeled times, the ``((bucket_idx, names), elems)`` of every
+    non-empty bucket written to the slab, and the BN journal keyed by
+    module *name* (layer objects don't cross process boundaries).
+    ``arrival`` is the gradient arrival order when the task hosts vrank 0
+    on a reconstruction step.  ``obs`` is :func:`repro.obs.export_child`.
 
     Observability: the parent ships its :class:`~repro.obs.ObsConfig`
     snapshot with every task; the child bootstraps ``repro.obs`` from it
-    (a per-process global the pool would otherwise leave disabled) and
-    spans its per-EST compute.  A failed task attaches its export to the
+    (a per-process global the pool would otherwise leave disabled), and
+    the worker's own spans, flight events and metrics land on this
+    child's pid lane.  A failed task attaches its export to the
     exception as ``child_obs``, so the parent's postmortem still sees
     this child's flight events.  Pure observation — none of it touches
     the numerics.
     """
-    from repro.core.worker import execute_local_step
-
     obs.configure_from(task.get("obs"))
     flightrec.ensure_child()
     try:
-        ests = _run_worker_task_inner(task, execute_local_step)
+        result = _run_worker_task_inner(task)
     except Exception as exc:
         exc.child_obs = obs.export_child()
         raise
-    return {"ests": ests, "obs": obs.export_child()}
+    result["obs"] = obs.export_child()
+    return result
 
 
-def _run_worker_task_inner(
-    task: Dict[str, Any], execute_local_step
-) -> List[Dict[str, Any]]:
+def _run_worker_task_inner(task: Dict[str, Any]) -> Dict[str, Any]:
+    from repro.core.est import EasyScaleThread
+    from repro.core.worker import EasyScaleWorker
+
     spec = task["spec"]
     model, named_params, names_by_id, modules_by_id = _get_replica(spec, task["seed"])
     desc = task["shm"]
@@ -152,66 +155,51 @@ def _run_worker_task_inner(
     # for the whole step; load_state_dict copies out of the read-only
     # views into this child's replica
     model.load_state_dict(shm_mod.child_read_state(desc))
+    # the parent's worker, rebuilt here; it stages straight into this
+    # task's slab regions, which the parent reads once the result is back
+    worker = EasyScaleWorker(
+        task["worker"],
+        task["gpu"],
+        [EasyScaleThread.from_context(task["seed"], ctx) for ctx in task["contexts"]],
+        spec,
+        task["policy"],
+        validate_memory=False,
+        micro_batches=task["micro_batches"],
+        staging=lambda _layout, bucket_idx, vrank, elems: shm_mod.child_grad_view(
+            desc, vrank, bucket_idx, elems
+        ),
+    )
+    worker.slowdown = task["slowdown"]
     layout = BucketAssignment.from_state(task["layout"])
-    out: List[Dict[str, Any]] = []
-    for vrank, rng_state, x, y in task["ests"]:
-        rng = RNGBundle(0)
-        rng.set_state(rng_state)
-        arrival: Optional[List[str]] = (
-            [] if (task["need_arrival"] and vrank == 0) else None
-        )
-        flightrec.record(
-            "exec.child_local_step",
-            worker=task.get("worker", -1),
-            vrank=vrank,
-            gpu=task.get("gpu", "?"),
-            dialect=task["dialect"],
-        )
-        with obs.span(
-            "exec.child_local_step",
-            cat="exec",
-            worker=task.get("worker", -1),
-            vrank=vrank,
-            gpu=task.get("gpu", "?"),
-        ):
-            loss, grads, journal = execute_local_step(
-                model,
-                spec,
-                rng,
-                x,
-                y,
-                dialect=task["dialect"],
-                policy=task["policy"],
-                micro_batches=task["micro_batches"],
-                named_params=named_params,
-                arrival_sink=arrival,
-                param_names_by_id=names_by_id,
-            )
-        if obs.is_enabled():
-            obs.metrics().counter(
-                "exec_child_local_steps_total", gpu=task.get("gpu", "?")
-            ).inc()
-        # flatten straight into this vrank's slab regions; the parent
-        # reads them once this task's result has come back
-        flats = layout.flatten_into_buckets(
-            grads,
-            lambda bucket_idx, elems: shm_mod.child_grad_view(
-                desc, vrank, bucket_idx, elems
-            ),
-        )
-        out.append(
+    arrival: Optional[List[str]] = [] if task["need_arrival"] else None
+    # the parent fired the fault hooks and loaded the batches; this worker
+    # has no hook, so its global step is run_local_step per EST, then
+    # end_global_step
+    results = worker.run_global_step(
+        model,
+        task["batches"].__getitem__,
+        named_params,
+        layout,
+        arrival_sink=arrival,
+        param_names_by_id=names_by_id,
+    )
+    return {
+        "ests": [
             {
-                "vrank": vrank,
-                "loss": loss,
-                "rng": rng.get_state(),
+                "context": est.save_context(),
+                "loss": result.loss,
+                "compute_time": result.compute_time,
+                "exposed_copy_time": result.exposed_copy_time,
+                "buckets": [(key, flat.size) for key, flat in result.grads.items()],
                 "journal": [
-                    (modules_by_id[id(layer)], mean, var) for layer, mean, var in journal
+                    (modules_by_id[id(layer)], mean, var)
+                    for layer, mean, var in result.bn_journal
                 ],
-                "buckets": [(key, flat.size) for key, flat in flats.items()],
-                "arrival": arrival,
             }
-        )
-    return out
+            for est, result in zip(worker.ests, results)
+        ],
+        "arrival": arrival,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +373,15 @@ class ProcessPoolBackend(ExecutionBackend):
                 {
                     "spec": request.spec,
                     "seed": request.seed,
-                    "dialect": worker.gpu.dialect,
+                    "worker": worker.worker_id,
+                    "gpu": worker.gpu,
                     "policy": worker.policy,
                     "micro_batches": worker.micro_batches,
-                    "ests": [
-                        (est.vrank, est.rng.get_state(), *batches[est.vrank])
-                        for est in worker.ests
-                    ],
+                    "slowdown": worker.slowdown,
+                    "contexts": [est.save_context() for est in worker.ests],
+                    "batches": batches,
                     "layout": layout_state,
                     "need_arrival": need_arrival,
-                    "worker": worker.worker_id,
-                    "gpu": worker.gpu.name,
                     "obs": obs_snapshot,
                 }
             )
@@ -440,7 +426,7 @@ class ProcessPoolBackend(ExecutionBackend):
             raise
 
         results = own_results + self._assemble(
-            request, dispatched, self._wait_all(dispatched, handles), est_by_vrank
+            request, self._wait_all(dispatched, handles), est_by_vrank
         )
         if obs.is_enabled():
             registry = obs.metrics()
@@ -497,16 +483,16 @@ class ProcessPoolBackend(ExecutionBackend):
             task["shm"] = desc
 
     # -- phase 4: fixed-order assembly + write-back ----------------------
-    def _wait_all(self, workers, handles) -> List[List[Dict[str, Any]]]:
+    def _wait_all(self, workers, handles) -> List[Dict[str, Any]]:
         """Wait for every dispatched task of the step and merge each child's obs.
 
         Merges run in submission order and cover failed tasks too (their
         export rides the exception as ``child_obs``), so a crash
         postmortem holds every child's flight events.  The first failure
         is re-raised only once the last handle is in.  Returns each
-        task's per-EST payloads, in submission order.
+        task's result, in submission order.
         """
-        ests: List[List[Dict[str, Any]]] = []
+        results: List[Dict[str, Any]] = []
         failure: Optional[BaseException] = None
         for worker, handle in zip(workers, handles):
             with self._task_span(worker):
@@ -514,58 +500,46 @@ class ProcessPoolBackend(ExecutionBackend):
                     result = handle.get()
                 except Exception as exc:
                     failure = failure or exc
-                    result = {"ests": [], "obs": getattr(exc, "child_obs", None)}
+                    result = {"obs": getattr(exc, "child_obs", None)}
             if result["obs"] is not None:
                 obs.merge_child(result["obs"])
-            ests.append(result["ests"])
+            results.append(result)
         if failure is not None:
             raise failure
-        return ests
+        return results
 
-    def _assemble(self, request, workers, task_payloads, est_by_vrank):
+    def _assemble(self, request, task_results, est_by_vrank):
         from repro.core.worker import LocalStepResult
 
         parent_layers = dict(request.model.named_modules())
         shm_bytes = 0
-        arrival_seen = (
-            set(request.arrival_sink) if request.arrival_sink is not None else None
-        )
         results: List[LocalStepResult] = []
-        for worker, payloads in zip(workers, task_payloads):
-            per_batch = minibatch_time(worker.spec, worker.gpu, worker.policy) * worker.slowdown
-            switch = context_switch_time(worker.spec, worker.gpu) * worker.slowdown
-            for position, payload in enumerate(payloads):
-                vrank = payload["vrank"]
+        for task_result in task_results:
+            if task_result["arrival"]:
+                # only vrank 0 records: its task's list is the step's order
+                request.arrival_sink.extend(task_result["arrival"])
+            for payload in task_result["ests"]:
+                est = est_by_vrank[payload["context"].vrank]
+                est.load_context(payload["context"])
                 # the slab views themselves are the hand-off: synchronize
                 # reads them before the next step's children rewrite them
                 grads = {
-                    key: self._shm.read_bucket(vrank, key[0], elems)
+                    key: self._shm.read_bucket(est.vrank, key[0], elems)
                     for key, elems in payload["buckets"]
                 }
                 shm_bytes += sum(flat.nbytes for flat in grads.values())
-                est = est_by_vrank[vrank]
-                est.rng.set_state(payload["rng"])
                 est.staged_grads = grads
-                if payload["arrival"] is not None and request.arrival_sink is not None:
-                    # seen-set merge: the sink stays an ordered list, but
-                    # membership checks no longer rescan it per parameter
-                    for name in payload["arrival"]:
-                        if name not in arrival_seen:
-                            arrival_seen.add(name)
-                            request.arrival_sink.append(name)
                 results.append(
                     LocalStepResult(
-                        vrank=vrank,
+                        vrank=est.vrank,
                         loss=payload["loss"],
                         grads=grads,
                         bn_journal=[
                             (parent_layers[name], mean, var)
                             for name, mean, var in payload["journal"]
                         ],
-                        compute_time=per_batch,
-                        exposed_copy_time=(
-                            switch if position < len(payloads) - 1 else 0.0
-                        ),
+                        compute_time=payload["compute_time"],
+                        exposed_copy_time=payload["exposed_copy_time"],
                     )
                 )
         if obs.is_enabled() and shm_bytes:

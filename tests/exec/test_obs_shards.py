@@ -67,15 +67,13 @@ def _engine(env, backend, gpus=POOL):
 def _child_sum(prefix, field="counters"):
     """Sum of the parent's ``pid``-labelled child series named ``prefix``."""
     series = obs.metrics().snapshot()[field]
-    picked = {k: v for k, v in series.items() if k.startswith(prefix)}
-    assert all('pid="' in key for key in picked)
-    return sum(picked.values())
+    return sum(v for k, v in series.items() if k.startswith(prefix) and 'pid="' in k)
 
 
 def _parent_local_steps(events):
     """Worker 0's ``worker.local_step`` flight events on the parent lane."""
-    steps = [e for e in events if e["kind"] == "worker.local_step"]
-    assert all("pid" not in e and e["worker"] == 0 for e in steps)
+    steps = [e for e in events if e["kind"] == "worker.local_step" and "pid" not in e]
+    assert all(e["worker"] == 0 for e in steps)
     return [e["vrank"] for e in steps]
 
 
@@ -152,7 +150,7 @@ class TestFlushAndCollect:
         # obs off: no spans, no metrics — but the always-on flight ring
         # still ships its new events
         flightrec.reset()
-        flightrec.record("exec.child_local_step", vrank=0)
+        flightrec.record("child.step", vrank=0)
         payload = obs.export_child()
         assert payload["spans"] == [] and payload["metrics"] == []
         assert [e["vrank"] for e in payload["flight"]] == [0]
@@ -169,7 +167,7 @@ class TestFlushAndCollect:
                            "t0": 0.0, "t1": 1.0, "pid": fake_pid}],
                 "metrics": [{"kind": "counter", "name": "child_steps_total",
                              "labels": {}, "value": 2}],
-                "flight": [{"kind": "exec.child_local_step", "seq": 1, "pid": fake_pid}],
+                "flight": [{"kind": "child.step", "seq": 1, "pid": fake_pid}],
             })
         pids = {r.get("pid") for r in obs.tracer().records}
         assert pids == {111, 222}
@@ -191,19 +189,20 @@ def test_pool_run_merges_spans_from_multiple_children(env):
     with ProcessPoolBackend(max_workers=2) as backend:
         _engine(env, backend, gpus=THREE).train_steps(2)
         # merged as each step returned, not on close()
-        assert _child_sum("exec_child_local_steps_total") == len(CHILD_VRANKS) * 2
+        assert _child_sum("worker_local_steps_total") == len(CHILD_VRANKS) * 2
 
     records = obs.tracer().records
-    child_spans = [r for r in records if r["name"] == "exec.child_local_step"]
+    steps = [r for r in records if r["name"] == "worker.local_step"]
+    child_spans = [r for r in steps if r.get("pid", 0)]
     child_pids = {r["pid"] for r in child_spans}
     assert len(child_pids) == 2  # sticky slots: one process lane per child
     # every child-hosted EST's local step of every global step appears once
     assert sorted(r["args"]["vrank"] for r in child_spans) == sorted(CHILD_VRANKS * 2)
     # child metrics arrive keyed by pid, summing to the dispatched steps
-    assert _child_sum("exec_child_local_steps_total") == len(CHILD_VRANKS) * 2
+    assert _child_sum("worker_local_steps_total") == len(CHILD_VRANKS) * 2
     # worker 0 ran in the parent: its local steps are spans on the parent
     # lane (no pid) and its counter carries no pid label
-    own_spans = [r for r in records if r["name"] == "worker.local_step"]
+    own_spans = [r for r in steps if not r.get("pid", 0)]
     assert sorted(r["args"]["vrank"] for r in own_spans) == sorted(PARENT_VRANKS * 2)
     assert all(r.get("pid", 0) == 0 and r["args"]["worker"] == 0 for r in own_spans)
     counters = obs.metrics().snapshot()["counters"]
@@ -217,6 +216,30 @@ def test_pool_run_merges_spans_from_multiple_children(env):
     assert sum(1 for lane in lanes if lane.startswith("pool worker pid ")) == 2
 
 
+def test_pool_trace_profiles_every_worker_like_serial(env):
+    """A pool child runs the worker's own local step, so its
+    ``worker.local_step`` spans are the serial run's, on the child's pid
+    lane: the profile of a pool trace covers every worker, step for step
+    and with the same modeled ``est``, as the serial twin's does."""
+    from repro.exec import SerialBackend
+    from repro.obs.profiler import profile_from_trace
+
+    def profile(backend):
+        obs.reset()
+        obs.configure(enabled=True)
+        with backend:
+            _engine(env, backend, gpus=["V100", "T4"]).train_steps(2)
+        return profile_from_trace(obs.tracer().records).summary()
+
+    pool = profile(ProcessPoolBackend(max_workers=2))
+    serial = profile(SerialBackend())
+    assert sorted(serial["workers"]) == ["0", "1"]
+    assert [w["steps"] for w in serial["workers"].values()] == [4, 4]
+    # steps, ESTs, gpu and the est-derived quantiles, worker by worker
+    assert pool["workers"] == serial["workers"]
+    assert pool["ests"] == serial["ests"]
+
+
 def test_pool_with_obs_disabled_leaves_no_shards(env, monkeypatch):
     # with obs off a child's payload carries its flight events and
     # nothing else; capture what the parent merges
@@ -228,7 +251,7 @@ def test_pool_with_obs_disabled_leaves_no_shards(env, monkeypatch):
     assert len(payloads) == len(THREE) - 1  # one per dispatched worker task
     for payload in payloads:
         assert payload["spans"] == [] and payload["metrics"] == []
-        assert [e["kind"] for e in payload["flight"]] == ["exec.child_local_step"]
+        assert [e["kind"] for e in payload["flight"]] == ["worker.local_step"]
         assert all(e["pid"] == payload["pid"] for e in payload["flight"])
     assert sorted(e["vrank"] for p in payloads for e in p["flight"]) == CHILD_VRANKS
     # worker 0's evidence never left the parent: its own ring holds it
@@ -274,15 +297,15 @@ def test_child_metrics_do_not_double_count_when_read_mid_run(env, monkeypatch):
     backend = ProcessPoolBackend(max_workers=2, start_method="fork")
     engine = _engine(env, backend, gpus=THREE)
     engine.train_steps(1)
-    assert _child_sum("exec_child_local_steps_total") == 2
+    assert _child_sum("worker_local_steps_total") == 2
     assert nonfinite(in_children=True) == 2
     assert (own_steps(), nonfinite(in_children=False)) == (2, 2)
     engine.train_steps(1)
-    assert _child_sum("exec_child_local_steps_total") == 4
+    assert _child_sum("worker_local_steps_total") == 4
     assert nonfinite(in_children=True) == 4
     assert (own_steps(), nonfinite(in_children=False)) == (4, 4)
     backend.close()
-    assert _child_sum("exec_child_local_steps_total") == 4
+    assert _child_sum("worker_local_steps_total") == 4
     assert nonfinite(in_children=True) == 4
     assert (own_steps(), nonfinite(in_children=False)) == (4, 4)
 
@@ -322,7 +345,9 @@ def _run_failing_step(env, monkeypatch, tmp_path, failing_vrank):
 
 
 def _child_lanes(bundle):
-    child_events = [e for e in bundle["events"] if e["kind"] == "exec.child_local_step"]
+    child_events = [
+        e for e in bundle["events"] if e["kind"] == "worker.local_step" and "pid" in e
+    ]
     assert sorted(e["vrank"] for e in child_events) == CHILD_VRANKS
     by_worker = {e["worker"]: e["pid"] for e in child_events}
     return by_worker

@@ -326,7 +326,7 @@ def test_close_collects_shards_even_after_obs_disabled(env):
         child_spans = [
             r
             for r in tracer.records
-            if r["name"] == "exec.child_local_step"
+            if r["name"] == "worker.local_step" and r.get("pid", 0)
         ]
         assert child_spans, "child spans were dropped"
         assert not obs.tracer().records  # close() merges nothing late

@@ -148,13 +148,13 @@ def test_bundle_includes_open_spans_when_obs_enabled(tmp_path):
 
 def test_flush_and_collect_shards_roundtrip():
     child = flightrec.FlightRecorder()
-    child.record("exec.child_local_step", vrank=0)
-    child.record("exec.child_local_step", vrank=1)
+    child.record("child.step", vrank=0)
+    child.record("child.step", vrank=1)
     first = child.export()
     assert [e["vrank"] for e in first] == [0, 1]
     # a second export with nothing new ships nothing
     assert child.export() == []
-    child.record("exec.child_local_step", vrank=2)
+    child.record("child.step", vrank=2)
     second = child.export()
 
     parent = flightrec.FlightRecorder()
@@ -170,7 +170,7 @@ def test_flush_and_collect_shards_roundtrip():
 def test_dump_merges_attached_shard_dirs(tmp_path):
     # what a child exported before the parent's dump is in the bundle
     child = flightrec.FlightRecorder()
-    child.record("exec.child_local_step", vrank=5)
+    child.record("child.step", vrank=5)
     parent = flightrec.FlightRecorder(directory=str(tmp_path))
     parent.ingest(child.export())
     parent.record("engine.step", step=2)

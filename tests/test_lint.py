@@ -350,17 +350,19 @@ def test_the_decision_point_is_lean():
 
 
 def test_one_road_through_the_pool():
-    # shm is the transport and every step writes back: the switches, the
-    # banked state and the fallback are gone by name, not just unused.  The
-    # frozen benchmarks/e2e still names the shm transport by keyword and
-    # calls the backend's commit hook; ProcessPoolBackend keeps that one
-    # keyword value and ExecutionBackend that one no-op for it, and nothing
-    # here may lean on either.  (Spelled split so this file does not match
-    # itself.)
+    # shm is the transport, every step writes back and a child runs the
+    # worker's own local step: the switches, the banked state, the fallback
+    # and the child's separate span and counter are gone by name, not just
+    # unused.  The frozen benchmarks/e2e still names the shm transport by
+    # keyword and calls the backend's commit hook; ProcessPoolBackend keeps
+    # that one keyword value and ExecutionBackend that one no-op for it,
+    # and nothing here may lean on either.  (Spelled split so this file
+    # does not match itself.)
     gone = [
         "batches_per_" + "commit", "commit_" + "every", "discard_" + "pending",
         "_pending_" + "rng", "_pending_" + "journal", "TRANS" + "PORTS",
         "shm_" + "available", "exec_pickle_" + "bytes_total", "backend.commit" + "(",
+        "exec_child_" + "local_steps_total", "exec.child_" + "local_step",
     ]
     flags = ["--trans" + "port", "--commit-" + "every"]
     keyword = "transport" + "="
@@ -773,11 +775,11 @@ def test_one_publication_per_pool_task():
 
 
 def test_one_road_to_the_local_step():
-    # forward/backward of one EST is execute_local_step, called from three
-    # places only: the worker's per-EST compute (serial, and worker 0 of
-    # the pool in the parent), the pool child's task, and the TorchElastic
-    # / Pollux baseline trainer.  A fourth caller is a second copy of the
-    # per-EST loop.  Calls are found by name, so an alias still counts.
+    # forward/backward of one EST is execute_local_step, called from two
+    # places only: the worker's per-EST compute (every backend runs it, in
+    # the parent and in pool children alike) and the TorchElastic / Pollux
+    # baseline trainer.  A third caller is a second copy of the per-EST
+    # loop.  Calls are found by name, so an alias still counts.
     import ast
 
     sites = []
@@ -804,7 +806,6 @@ def test_one_road_to_the_local_step():
     assert sorted(sites) == [
         ("src/repro/core/worker.py", "EasyScaleWorker.run_local_step"),
         ("src/repro/elastic/base.py", "ElasticBaselineTrainer.train_epoch"),
-        ("src/repro/exec/pool.py", "_run_worker_task_inner"),
     ], sites
 
 
