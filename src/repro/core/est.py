@@ -61,10 +61,14 @@ class EasyScaleThread:
     """A logical training worker, relocatable across physical workers."""
 
     def __init__(self, job_seed: int, vrank: int) -> None:
+        self._attach(vrank, est_rng(job_seed, vrank))
+
+    def _attach(self, vrank: int, rng: RNGBundle) -> None:
+        """Set the EST's attributes: the one place both constructors use."""
         if vrank < 0:
             raise ValueError(f"virtual rank must be non-negative, got {vrank}")
         self.vrank = vrank
-        self.rng = est_rng(job_seed, vrank)
+        self.rng = rng
         #: staged gradients of the current global step, as flat buckets
         #: (worker-managed; swapped to "CPU memory" between local steps)
         self.staged_grads: Optional[FlatGrads] = None
@@ -85,9 +89,15 @@ class EasyScaleThread:
         self.rng.set_state(context.rng_state)
 
     @classmethod
-    def from_context(cls, job_seed: int, context: ESTContext) -> "EasyScaleThread":
-        est = cls(job_seed, context.vrank)
-        est.load_context(context)
+    def from_context(cls, context: ESTContext) -> "EasyScaleThread":
+        """The EST a saved context describes, its streams built from the state.
+
+        Equal to ``EasyScaleThread(job_seed, vrank)`` followed by
+        :meth:`load_context`, without first seeding streams that the
+        context then overwrites.
+        """
+        est = cls.__new__(cls)
+        est._attach(context.vrank, RNGBundle.from_state(context.rng_state))
         return est
 
     def __repr__(self) -> str:

@@ -160,7 +160,7 @@ def _run_worker_task_inner(task: Dict[str, Any]) -> Dict[str, Any]:
     worker = EasyScaleWorker(
         task["worker"],
         task["gpu"],
-        [EasyScaleThread.from_context(task["seed"], ctx) for ctx in task["contexts"]],
+        [EasyScaleThread.from_context(ctx) for ctx in task["contexts"]],
         spec,
         task["policy"],
         validate_memory=False,

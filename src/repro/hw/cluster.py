@@ -12,6 +12,11 @@ position) and an owner map make ``free_by_type``/``allocated_count``/
 ``owned_by`` independent of cluster size, which is what lets the
 discrete-event simulator replay month-long traces on 3,000-GPU pools —
 the seed implementation rescanned every GPU on each of those queries.
+``allocated_count()`` over the whole pool — read at every decision
+point, for the allocation timeline — is a counter: registering a held
+GPU, ``allocate`` and ``_refile`` (so ``release``, ``release_all``)
+keep it equal to ``total() - free_count()``, which ``remove_free``
+(free GPUs only) leaves unchanged.
 The sorted order is kept by insertion, never by re-sorting: a released
 GPU is bisected into its free list (``insort`` on the pool position, so
 refiling a gang costs O(log n) comparisons per GPU, not a keyed sort of
@@ -64,6 +69,8 @@ class Cluster:
         self._free_lists: Dict[str, List[GPU]] = {}
         #: job id -> held GPUs, sorted ascending by pool position
         self._owned: Dict[str, List[GPU]] = {}
+        #: GPUs not in a free list, over every type
+        self._allocated = 0
         for gpu in self.gpus:
             self._register(gpu)
 
@@ -76,6 +83,7 @@ class Cluster:
             self._free_lists.setdefault(name, []).append(gpu)
         else:
             insort(self._owned.setdefault(gpu.owner, []), gpu, key=_pool_position)
+            self._allocated += 1
 
     # ------------------------------------------------------------------
     # inventory queries
@@ -91,6 +99,8 @@ class Cluster:
         return len(self._free_lists.get(type_name, ()))
 
     def allocated_count(self, type_name: Optional[str] = None) -> int:
+        if type_name is None:
+            return self._allocated
         return self.total(type_name) - self.free_count(type_name)
 
     def free_by_type(self) -> Dict[str, int]:
@@ -150,6 +160,7 @@ class Cluster:
             )
         taken = available[:count]
         del available[:count]
+        self._allocated += len(taken)
         for gpu in taken:
             gpu.allocate(job_id)
         owned = self._owned.setdefault(job_id, [])
@@ -191,6 +202,7 @@ class Cluster:
         free_lists = self._free_lists
         for gpu in gpus:
             insort(free_lists.setdefault(gpu.type.name, []), gpu, key=_pool_position)
+        self._allocated -= len(gpus)
 
 
 def microbench_cluster() -> Cluster:

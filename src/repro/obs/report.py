@@ -475,14 +475,15 @@ def save_events_jsonl(events: Iterable[Any], path: str) -> int:
 
     One encoder for the file: ``json.dumps(row, sort_keys=True)`` would
     build a fresh :class:`json.JSONEncoder` per line (it caches only the
-    default one), for the same bytes.
+    default one), for the same bytes.  An event's payload is encoded as it
+    is, not copied: the encoder does not mutate it.
     """
     encode = json.JSONEncoder(sort_keys=True).encode
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for event in events:
             if hasattr(event, "kind") and hasattr(event, "time"):
-                row = {"time": event.time, "kind": event.kind, "payload": dict(event.payload)}
+                row = {"time": event.time, "kind": event.kind, "payload": event.payload}
             else:
                 row = dict(event)
             fh.write(encode(row) + "\n")

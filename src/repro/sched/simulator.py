@@ -50,6 +50,8 @@ if TYPE_CHECKING:
 #: sort key of the active set and of the running-set mirror's rows
 _INDEX = attrgetter("index")
 _INF = float("inf")
+#: the ufunc reduction behind ``ndarray.min``, minus the method's dispatch
+_minimum = np.minimum.reduce
 
 
 @dataclass
@@ -1007,7 +1009,7 @@ class _BatchedState:
         """Running jobs at/below the completion epsilon, in arrival order."""
         if not self.jobs or self.remaining.min() > ClusterSimulator.WORK_EPS:
             return []
-        idx = np.nonzero(self.remaining <= ClusterSimulator.WORK_EPS)[0]
+        (idx,) = (self.remaining <= ClusterSimulator.WORK_EPS).nonzero()
         return [self.jobs[i] for i in idx.tolist()]
 
     def min_eta(self, now: float) -> Optional[float]:
@@ -1032,12 +1034,12 @@ class _BatchedState:
         self._start_at = now
         np.divide(self.remaining, self.divisor, out=etas)
         np.add(start, etas, out=etas)
-        earliest = etas.min()
+        earliest = _minimum(etas)
         if not earliest > now:
             later = etas[etas > now]
             if not later.size:
                 return None
-            earliest = later.min()
+            earliest = _minimum(later)
         earliest = float(earliest)
         return earliest if earliest != _INF else None
 

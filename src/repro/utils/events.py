@@ -9,25 +9,34 @@ paper plots (allocated GPUs over time, JCT distribution, etc.).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Event:
-    """A single timestamped simulator event.
+class _EventFields(NamedTuple):
+    time: float
+    kind: str
+    payload: Dict[str, Any]
+
+
+class Event(_EventFields):
+    """A single timestamped simulator event: an immutable tuple record.
 
     ``kind`` is a short machine-readable tag (``"job_submit"``,
     ``"scale_out"``, ``"preempt"``, ...), ``payload`` carries the details.
+    A month-long simulation emits ~12k of these, so the record is a tuple
+    (C field getters, no per-instance dict) rather than a frozen
+    dataclass; like any tuple it compares equal to a plain tuple of its
+    fields.
     """
 
-    time: float
-    kind: str
-    payload: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"event time must be non-negative, got {self.time}")
+    def __new__(cls, time: float, kind: str, payload: Optional[Dict[str, Any]] = None) -> "Event":
+        if time < 0:
+            raise ValueError(f"event time must be non-negative, got {time}")
+        return _tuple_new(cls, (time, kind, {} if payload is None else payload))
 
     def as_tuple(self) -> Tuple[float, str, Tuple[Tuple[str, Any], ...]]:
         """Canonical hashable form: ``(time, kind, sorted payload items)``.
@@ -49,13 +58,14 @@ class EventLog:
     def __init__(self, tracer: Optional[Any] = None) -> None:
         self._events: List[Event] = []
         self._tracer = tracer
+        #: the latest emitted time (an event's time is never negative)
+        self._last = 0.0
 
     def emit(self, time: float, kind: str, **payload: Any) -> Event:
-        event = Event(time=time, kind=kind, payload=payload)
-        if self._events and time < self._events[-1].time:
-            raise ValueError(
-                f"event out of order: {kind} at t={time} after t={self._events[-1].time}"
-            )
+        event = Event(time, kind, payload)
+        if time < self._last:
+            raise ValueError(f"event out of order: {kind} at t={time} after t={self._last}")
+        self._last = time
         self._events.append(event)
         if self._tracer is not None:
             self._tracer.instant(kind, ts=time, cat="sched", **payload)

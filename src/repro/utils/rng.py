@@ -16,6 +16,7 @@ changed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -115,11 +116,30 @@ class RNGBundle:
         self.numpy.bit_generator.state = state["numpy"]
         self.framework.bit_generator.state = state["framework"]
 
+    @classmethod
+    def from_state(cls, state: Dict[str, Any]) -> "RNGBundle":
+        """A bundle positioned at a :meth:`get_state` snapshot, built from it.
+
+        Nothing is derived from a seed: :meth:`set_state` overwrites every
+        word of each stream's state, so the Mersenne Twister is allocated
+        unseeded and both PCG64 streams start from one fixed
+        ``SeedSequence``.  Seeding first would be thrown away, and it is
+        most of the cost of rebuilding an EST in a pool child.  Every draw
+        matches a seeded bundle that loaded ``state``; only NumPy's own
+        ``Generator.spawn`` would differ (it reads that placeholder), and
+        sub-streams come from :meth:`spawn`, which derives from ``seed``.
+        """
+        placeholder = _placeholder_seed()
+        bundle = cls.__new__(cls)
+        bundle.python = random.Random.__new__(random.Random)
+        bundle.numpy = np.random.Generator(np.random.PCG64(placeholder))
+        bundle.framework = np.random.Generator(np.random.PCG64(placeholder))
+        bundle.set_state(state)
+        return bundle
+
     def clone(self) -> "RNGBundle":
         """An independent copy positioned at the same point in all streams."""
-        other = RNGBundle(self.seed)
-        other.set_state(self.get_state())
-        return other
+        return RNGBundle.from_state(self.get_state())
 
     def spawn(self, *scopes: Any) -> "RNGBundle":
         """Derive an independent child bundle for a sub-component.
@@ -151,6 +171,14 @@ class RNGBundle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RNGBundle(seed={self.seed})"
+
+
+@functools.cache
+def _placeholder_seed() -> np.random.SeedSequence:
+    """What a PCG64 stream starts from before :meth:`RNGBundle.from_state`
+    overwrites its state (made on first use: importing this module must
+    not load ``numpy.random``)."""
+    return np.random.SeedSequence(0)
 
 
 def _as_python_state(state: Any) -> tuple:

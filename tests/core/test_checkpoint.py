@@ -81,5 +81,5 @@ class TestSerialization:
         )
         restored = Checkpoint.from_bytes(ckpt.to_bytes())
         for v in range(num_ests):
-            est = EasyScaleThread.from_context(seed, restored.context_for(v))
+            est = EasyScaleThread.from_context(restored.context_for(v))
             np.testing.assert_array_equal(est.rng.normal((3,)), expected[v])

@@ -38,8 +38,26 @@ class TestContextSwitching:
         ctx = original.save_context()
         expected = original.rng.normal((6,))
 
-        relocated = EasyScaleThread.from_context(7, ctx)
+        relocated = EasyScaleThread.from_context(ctx)
         np.testing.assert_array_equal(relocated.rng.normal((6,)), expected)
+
+    def test_from_context_equals_seeded_then_loaded(self):
+        """Built from the state alone, every stream is where a seeded EST
+        that loaded the context would be, the gaussian cache included."""
+        original = EasyScaleThread(11, 2)
+        original.rng.python.gauss(0.0, 1.0)  # leaves a cached second gaussian
+        original.rng.normal((5,))
+        original.rng.permutation(9)
+        ctx = original.save_context()
+        loaded = EasyScaleThread(11, 2)
+        loaded.load_context(ctx)
+        rebuilt = EasyScaleThread.from_context(ctx)
+        assert rebuilt.vrank == 2 and rebuilt.staged_grads is None
+        assert vars(rebuilt).keys() == vars(loaded).keys()
+        assert rebuilt.rng.get_state() == loaded.rng.get_state()
+        assert rebuilt.rng.python.gauss(0.0, 1.0) == loaded.rng.python.gauss(0.0, 1.0)
+        np.testing.assert_array_equal(rebuilt.rng.normal((4,)), loaded.rng.normal((4,)))
+        np.testing.assert_array_equal(rebuilt.rng.permutation(7), loaded.rng.permutation(7))
 
     def test_vrank_mismatch_rejected(self):
         est = EasyScaleThread(7, 1)

@@ -79,6 +79,14 @@ class TestAllocation:
         cluster.allocate("b", "V100", 3)
         assert len(cluster.owned_by("a")) == 2
 
+    def test_a_held_gpu_counts_as_allocated_from_registration(self):
+        held = Machine.build("v0", V100, 4)
+        held.gpus[1].allocate("early")
+        cluster = Cluster([held, Machine.build("t0", T4, 2)])
+        assert cluster.allocated_count() == 1 and cluster.allocated_count("V100") == 1
+        assert cluster.release_all("early") == 1
+        assert cluster.allocated_count() == 0
+
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
             Cluster([])
@@ -95,6 +103,7 @@ class KeyedSortCluster(Cluster):
         return taken
 
     def _refile(self, gpus):
+        self._allocated -= len(gpus)
         by_type = {}
         for gpu in gpus:
             by_type.setdefault(gpu.type.name, []).append(gpu)
@@ -168,6 +177,14 @@ class TestFreeListOrder:
                 assert all(a < b for a, b in zip(indices, indices[1:])), (op, job)
                 assert indices == positions(twin.owned_by(job)), (op, job)
             assert cluster.free_by_type() == twin.free_by_type()
+            # allocated_count() is a counter every inventory edit keeps
+            for inventory in (cluster, twin):
+                assert inventory.allocated_count() == inventory.total() - inventory.free_count()
+                for name in ("V100", "P100", "T4"):
+                    assert inventory.allocated_count(name) == (
+                        inventory.total(name) - inventory.free_count(name)
+                    ), (op, name)
+            assert cluster.allocated_count() == twin.allocated_count(), op
 
 
 class TestProductionCluster:

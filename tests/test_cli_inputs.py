@@ -295,86 +295,102 @@ def test_unwritable_output_is_reported_before_any_work(argv, started, good, tmp_
     assert started not in out and "Traceback" not in out + err
 
 
+def _flag(id_, *argv):
+    """One row of BAD_FLAGS, under an explicit id: an id derived from the
+    argv could collide with a later row's and renumber both."""
+    return pytest.param(list(argv), id=id_)
+
+
 # a flag value no run could use (or a flag that no longer exists) is bad
 # input too: argparse's own exit for the ones a ``type`` can judge,
 # ``_BadInput`` for a name or a bound between two flags (``--ests`` under
 # the width of a pool it must cover).  ``nan``/``inf`` are floats to
 # ``float()``: two of these rows used to exit 0 printing ``completed 0/5``
 BAD_FLAGS = [
-    ["train", "resnet18", "--transport", "shm"],
-    ["train", "resnet18", "--commit-every", "2"],
-    ["train", "resnet18", "--ests", "0"],
-    ["train", "resnet18", "--batch-size", "0"],
-    ["train", "resnet18", "--samples", "0"],
-    ["train", "resnet18", "--steps-per-stage", "0"],
-    ["train", "resnet18", "--backend", "pool", "--workers", "0"],
-    ["train", "resnet18", "--backend", "pool", "--workers", "-1"],
-    ["train", "resnet18", "--schedule", "0xV100"],
-    ["train", "resnet18", "--schedule", "2xH100"],
-    ["train", "resnet18", "--schedule", "twoxV100"],
-    ["train", "nosuchmodel"],
-    ["scan", "nosuchmodel"],
-    ["trace-sim", "--jobs", "0"],
-    ["trace-sim", "--jobs", "2", "--cluster-gpus", "0"],
-    ["faults", "gen", "--steps", "0"],
-    ["faults", "gen", "--steps", "1"],
-    ["faults", "gen", "--gpus", "0"],
-    ["faults", "gen", "--events", "0"],
-    ["faults", "replay", "--plan", "{fault_plan}", "--gpus", "0xV100"],
-    ["faults", "replay", "--plan", "{fault_plan}", "--steps", "0"],
-    ["faults", "replay", "--plan", "{fault_plan}", "--snapshot-interval", "0"],
-    ["membership", "gen", "--steps", "1"],
-    ["membership", "gen", "--events", "0"],
-    ["membership", "gen", "--rolling", "3", "--max-unavailable", "0"],
-    ["colocation", "--gpus", "0"],
-    ["obs", "profile", "{span_trace}", "--window", "0"],
-    ["obs", "profile", "{span_trace}", "--consecutive", "0"],
-    ["obs", "profile", "{span_trace}", "--workload", "nosuchmodel"],
-    ["obs", "why", "{audit_trail}", "{audit_trail}", "--window", "0"],
+    _flag("train --transport shm", "train", "resnet18", "--transport", "shm"),
+    _flag("train --commit-every 2", "train", "resnet18", "--commit-every", "2"),
+    _flag("train --ests 0", "train", "resnet18", "--ests", "0"),
+    _flag("train --batch-size 0", "train", "resnet18", "--batch-size", "0"),
+    _flag("train --samples 0", "train", "resnet18", "--samples", "0"),
+    _flag("train --steps-per-stage 0", "train", "resnet18", "--steps-per-stage", "0"),
+    _flag("train --workers 0", "train", "resnet18", "--backend", "pool", "--workers", "0"),
+    _flag("train --workers -1", "train", "resnet18", "--backend", "pool", "--workers", "-1"),
+    _flag("train --schedule 0xV100", "train", "resnet18", "--schedule", "0xV100"),
+    _flag("train --schedule 2xH100", "train", "resnet18", "--schedule", "2xH100"),
+    _flag("train --schedule twoxV100", "train", "resnet18", "--schedule", "twoxV100"),
+    _flag("train train nosuchmodel", "train", "nosuchmodel"),
+    _flag("scan scan nosuchmodel", "scan", "nosuchmodel"),
+    _flag("trace-sim --jobs 0", "trace-sim", "--jobs", "0"),
+    _flag("trace-sim --cluster-gpus 0", "trace-sim", "--jobs", "2", "--cluster-gpus", "0"),
+    _flag("faults --steps 0_0", "faults", "gen", "--steps", "0"),
+    _flag("faults --steps 1", "faults", "gen", "--steps", "1"),
+    _flag("faults --gpus 0", "faults", "gen", "--gpus", "0"),
+    _flag("faults --events 0", "faults", "gen", "--events", "0"),
+    _flag("faults --gpus 0xV100", "faults", "replay", "--plan", "{fault_plan}", "--gpus", "0xV100"),
+    _flag("faults --steps 0_1", "faults", "replay", "--plan", "{fault_plan}", "--steps", "0"),
+    _flag("faults --snapshot-interval 0",
+          "faults", "replay", "--plan", "{fault_plan}", "--snapshot-interval", "0"),
+    _flag("membership --steps 1", "membership", "gen", "--steps", "1"),
+    _flag("membership --events 0", "membership", "gen", "--events", "0"),
+    _flag("membership --max-unavailable 0",
+          "membership", "gen", "--rolling", "3", "--max-unavailable", "0"),
+    _flag("colocation --gpus 0", "colocation", "--gpus", "0"),
+    _flag("obs --window 0_0", "obs", "profile", "{span_trace}", "--window", "0"),
+    _flag("obs --consecutive 0", "obs", "profile", "{span_trace}", "--consecutive", "0"),
+    _flag("obs --workload nosuchmodel",
+          "obs", "profile", "{span_trace}", "--workload", "nosuchmodel"),
+    _flag("obs --window 0_1", "obs", "why", "{audit_trail}", "{audit_trail}", "--window", "0"),
     # a count flag of obs summarize / postmortem below 1 used to exit 0:
     # ``--tail 0`` printed the whole ring, ``--limit -1`` dropped a path
-    ["obs", "summarize", "{span_trace}", "--limit", "0"],
-    ["obs", "postmortem", "{bundle}", "--tail", "0"],
-    ["obs", "postmortem", "{bundle}", "--tail", "-1"],
-    ["train", "resnet18", "--lr", "0"],
-    ["train", "resnet18", "--lr", "nan"],
-    ["train", "resnet18", "--ests", "2", "--steps-per-stage", "2"],
-    ["train", "resnet18", "--ests", "2", "--trace", "t.jsonl", "--telemetry", "run.jsonl"],
-    ["train", "resnet18", "--schedule", "2xV100", "8xV100"],
-    ["train", "resnet18", "--ests", "2", "--faults", "{fault_plan}", "--verify"],
-    ["train", "resnet18", "--ests", "1", "--hosts", "{membership_plan}", "--verify"],
-    ["trace-sim", "--jobs", "5", "--duration", "-5"],
-    ["trace-sim", "--jobs", "5", "--duration", "0"],
-    ["trace-sim", "--jobs", "5", "--duration", "inf"],
-    ["trace-sim", "--jobs", "5", "--shape", "diurnal", "--days", "nan"],
-    ["trace-sim", "--jobs", "5", "--shape", "diurnal", "--days", "0"],
-    ["trace-sim", "--jobs", "5", "--shape", "diurnal", "--days", "-2"],
-    ["trace-sim", "--jobs", "5", "--interarrival", "0"],
-    ["trace-sim", "--jobs", "5", "--interarrival", "nan"],
-    ["faults", "replay", "--plan", "{fault_plan}", "--ests", "2"],
-    ["faults", "replay", "--plan", "{fault_plan}", "--lr", "-1"],
-    ["membership", "replay", "--plan", "{membership_plan}", "--ests", "1", "--audit", "aud"],
-    ["obs", "profile", "{span_trace}", "--factor", "1.0"],
-    ["obs", "profile", "{span_trace}", "--factor", "nan"],
-    ["bench", "gate", "--threshold", "0"],
-    ["bench", "compare", "--threshold", "inf"],
-    ["bench", "run", "--repeats", "0"],
-    ["bench", "run", "--area", "parallel"],
+    _flag("obs --limit 0", "obs", "summarize", "{span_trace}", "--limit", "0"),
+    _flag("obs --tail 0", "obs", "postmortem", "{bundle}", "--tail", "0"),
+    _flag("obs --tail -1", "obs", "postmortem", "{bundle}", "--tail", "-1"),
+    _flag("train --lr 0", "train", "resnet18", "--lr", "0"),
+    _flag("train --lr nan", "train", "resnet18", "--lr", "nan"),
+    _flag("train --steps-per-stage 2",
+          "train", "resnet18", "--ests", "2", "--steps-per-stage", "2"),
+    _flag("train --telemetry run.jsonl",
+          "train", "resnet18", "--ests", "2", "--trace", "t.jsonl", "--telemetry", "run.jsonl"),
+    _flag("train 2xV100 8xV100", "train", "resnet18", "--schedule", "2xV100", "8xV100"),
+    _flag("train {fault_plan} --verify",
+          "train", "resnet18", "--ests", "2", "--faults", "{fault_plan}", "--verify"),
+    _flag("train {membership_plan} --verify",
+          "train", "resnet18", "--ests", "1", "--hosts", "{membership_plan}", "--verify"),
+    _flag("trace-sim --duration -5", "trace-sim", "--jobs", "5", "--duration", "-5"),
+    _flag("trace-sim --duration 0", "trace-sim", "--jobs", "5", "--duration", "0"),
+    _flag("trace-sim --duration inf", "trace-sim", "--jobs", "5", "--duration", "inf"),
+    _flag("trace-sim --days nan",
+          "trace-sim", "--jobs", "5", "--shape", "diurnal", "--days", "nan"),
+    _flag("trace-sim --days 0", "trace-sim", "--jobs", "5", "--shape", "diurnal", "--days", "0"),
+    _flag("trace-sim --days -2", "trace-sim", "--jobs", "5", "--shape", "diurnal", "--days", "-2"),
+    _flag("trace-sim --interarrival 0", "trace-sim", "--jobs", "5", "--interarrival", "0"),
+    _flag("trace-sim --interarrival nan", "trace-sim", "--jobs", "5", "--interarrival", "nan"),
+    _flag("faults --ests 2", "faults", "replay", "--plan", "{fault_plan}", "--ests", "2"),
+    _flag("faults --lr -1", "faults", "replay", "--plan", "{fault_plan}", "--lr", "-1"),
+    _flag("membership --audit aud",
+          "membership", "replay", "--plan", "{membership_plan}", "--ests", "1", "--audit", "aud"),
+    _flag("obs --factor 1.0", "obs", "profile", "{span_trace}", "--factor", "1.0"),
+    _flag("obs --factor nan", "obs", "profile", "{span_trace}", "--factor", "nan"),
+    _flag("bench --threshold 0", "bench", "gate", "--threshold", "0"),
+    _flag("bench --threshold inf", "bench", "compare", "--threshold", "inf"),
+    _flag("bench --repeats 0", "bench", "run", "--repeats", "0"),
+    _flag("bench --area parallel", "bench", "run", "--area", "parallel"),
     # every --seed is the range repro.utils.rng accepts (these four were
     # SeedError tracebacks, exit 1); a negative --training-demand used to
     # exit 0 printing a shrunken "alloc ratio"
-    ["train", "resnet18", "--steps", "1", "--seed", "-1"],
-    ["trace-sim", "--jobs", "5", "--seed", "-1"],
-    ["trace-sim", "--jobs", "5", "--seed", "99999999999999999999"],
-    ["trace-sim", "--jobs", "5", "--seed", "1.5"],
-    ["faults", "gen", "--seed", "-1"],
-    ["membership", "gen", "--seed", "-1"],
-    ["colocation", "--seed", "-1"],
-    ["colocation", "--training-demand", "-3"],
+    _flag("train --seed -1", "train", "resnet18", "--steps", "1", "--seed", "-1"),
+    _flag("trace-sim --seed -1", "trace-sim", "--jobs", "5", "--seed", "-1"),
+    _flag("trace-sim --seed 99999999999999999999",
+          "trace-sim", "--jobs", "5", "--seed", "99999999999999999999"),
+    _flag("trace-sim --seed 1.5", "trace-sim", "--jobs", "5", "--seed", "1.5"),
+    _flag("faults --seed -1", "faults", "gen", "--seed", "-1"),
+    _flag("membership --seed -1", "membership", "gen", "--seed", "-1"),
+    _flag("colocation --seed -1", "colocation", "--seed", "-1"),
+    _flag("colocation --training-demand -3", "colocation", "--training-demand", "-3"),
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_FLAGS, ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+@pytest.mark.parametrize("argv", BAD_FLAGS)
 def test_bad_flag_value(argv, good, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # ``gen`` writes its default --out here if it gets that far
     try:

@@ -9,6 +9,32 @@ class TestEvent:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             Event(time=-1.0, kind="x")
+        with pytest.raises(ValueError, match="non-negative"):
+            EventLog().emit(-1.0, "x")
+
+    def test_keywords_and_default_payload(self):
+        event = Event(time=2.0, kind="job_submit")
+        assert (event.time, event.kind, event.payload) == (2.0, "job_submit", {})
+        assert Event(time=2.0, kind="x").payload is not event.payload
+        assert Event(2.0, "x", {"job": "a"}).payload == {"job": "a"}
+
+    def test_immutable(self):
+        event = Event(time=1.0, kind="x")
+        with pytest.raises(AttributeError):
+            event.time = 2.0
+        with pytest.raises(AttributeError):
+            event.payload = {}
+        with pytest.raises(AttributeError):
+            event.extra = 1  # no per-instance dict
+
+    def test_a_tuple_record(self):
+        # an Event equals the plain tuple of its fields: readers take its
+        # fields by name, never by comparing against a tuple
+        log = EventLog()
+        event = log.emit(3.0, "scale_out", job="a", gpus=2)
+        assert type(event) is Event and list(log) == [event]
+        assert event == (3.0, "scale_out", {"job": "a", "gpus": 2})
+        assert event.as_tuple() == (3.0, "scale_out", (("gpus", 2), ("job", "a")))
 
 
 class TestEventLog:
