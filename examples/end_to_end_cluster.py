@@ -54,8 +54,10 @@ class Job:
             num_ests=num_ests, seed=SEED, batch_size=8,
             determinism=determinism_from_label("D1+D2"),
         )
+        #: the job's own book of its holdings: lower-case type -> GPUs
+        self.held = {}
         # bootstrap on one V100 (EasyScale jobs start with whatever exists)
-        self.cluster.allocate(job_id, "V100", 1)
+        self.take("v100", 1)
         self.engine = EasyScaleEngine(
             self.spec, self.dataset, config, make_optimizer,
             WorkerAssignment.balanced([V100], num_ests),
@@ -63,13 +65,14 @@ class Job:
         self.scheduler.apply_best_plan(self.owned())
 
     def owned(self):
-        counts = {}
-        for gpu in self.cluster.owned_by(self.job_id):
-            counts[gpu.type.name.lower()] = counts.get(gpu.type.name.lower(), 0) + 1
-        return counts
+        return dict(self.held)
+
+    def take(self, gtype, count):
+        self.cluster.allocate(gtype.upper(), count)
+        self.held[gtype] = self.held.get(gtype, 0) + count
 
     def apply_grant(self, gtype, count):
-        self.cluster.allocate(self.job_id, gtype.upper(), count)
+        self.take(gtype, count)
         scored = self.scheduler.apply_best_plan(self.owned())
         assignment = plan_to_assignment(scored.plan)
         self.engine = self.engine.reconfigure(assignment)
@@ -84,12 +87,14 @@ class Job:
         return self.remaining <= 0
 
     def release_all(self):
-        self.cluster.release_all(self.job_id)
+        for gtype, count in self.held.items():
+            self.cluster.release(gtype.upper(), count)
+        self.held = {}
 
 
 def main() -> None:
     cluster = Cluster(
-        [Machine.build("v100-node", V100, 4), Machine.build("p100-node", P100, 2)]
+        [Machine("v100-node", V100, 4), Machine("p100-node", P100, 2)]
     )
     jobs = {
         "job-conv": Job("job-conv", "resnet50", num_ests=4, total_steps=8, cluster=cluster),
@@ -117,7 +122,7 @@ def main() -> None:
             total_steps[name] = job.engine.global_step
             if done:
                 print(f"  {name}: finished after {job.engine.global_step} steps; "
-                      f"releasing {len(cluster.owned_by(name))} GPUs")
+                      f"releasing {sum(job.held.values())} GPUs")
                 job.release_all()
 
     print("\nverifying bitwise consistency against fixed DDP references ...")

@@ -1,4 +1,4 @@
-"""Simulated GPU device types and instances.
+"""Simulated GPU device types.
 
 Device types carry the two properties the paper's experiments depend on:
 
@@ -15,9 +15,8 @@ context cost — the constant that makes naive worker packing so expensive.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 #: GPU memory consumed by one process's CUDA context (framework + CUDA),
 #: §3.1: "around 750MB per context".
@@ -52,35 +51,3 @@ def gpu_type(name: str) -> GPUType:
         return GPU_TYPES[name]
     except KeyError:
         raise KeyError(f"unknown GPU type {name!r}; options: {sorted(GPU_TYPES)}") from None
-
-
-_gpu_ids = itertools.count()
-
-
-@dataclass
-class GPU:
-    """One physical GPU instance in the simulated cluster."""
-
-    type: GPUType
-    machine: str = "local"
-    gpu_id: int = field(default_factory=lambda: next(_gpu_ids))
-    #: job id currently holding this GPU, or None if free
-    owner: Optional[str] = None
-
-    @property
-    def free(self) -> bool:
-        return self.owner is None
-
-    def allocate(self, job_id: str) -> None:
-        if self.owner is not None:
-            raise RuntimeError(f"GPU {self.gpu_id} already owned by {self.owner}")
-        self.owner = job_id
-
-    def release(self, job_id: str) -> None:
-        if self.owner != job_id:
-            raise RuntimeError(f"GPU {self.gpu_id} owned by {self.owner}, not {job_id}")
-        self.owner = None
-
-    def __repr__(self) -> str:
-        status = self.owner or "free"
-        return f"GPU({self.type.name}#{self.gpu_id}@{self.machine}, {status})"

@@ -31,6 +31,7 @@ exercises the same EST-reassignment path as any other elastic event.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -461,6 +462,15 @@ class OnlineProfiler:
         return "\n".join(lines)
 
 
+#: the worker spans :func:`profile_from_trace` reads
+_WORKER_SPANS = ("worker.local_step", "worker.context_switch")
+
+
+def _observe_est(profiler: OnlineProfiler, step: int, vrank: Any, duration: float) -> None:
+    if vrank is not None:
+        profiler.observe_est_step(step, int(vrank), duration)
+
+
 def profile_from_trace(
     records: Iterable[Mapping[str, Any]],
     config: Optional[ProfilerConfig] = None,
@@ -468,32 +478,61 @@ def profile_from_trace(
 ) -> OnlineProfiler:
     """Rebuild an :class:`OnlineProfiler` from recorded span records.
 
-    Consumes ``worker.local_step`` spans (as produced by the instrumented
-    :class:`~repro.core.worker.EasyScaleWorker`).  Each span carries the
-    modeled per-mini-batch seconds in ``args["est"]``; wall-clock spans
-    without an estimate fall back to their measured ``t1 - t0``.  Local
-    steps are treated as single-EST worker observations, so observed
-    capability is ``1 / per-batch-time`` — exactly ``C_i``.
+    Consumes the ``worker.local_step`` and ``worker.context_switch`` spans
+    of the instrumented :class:`~repro.core.worker.EasyScaleWorker`.  Each
+    span carries its modeled seconds in ``args["est"]``; wall-clock spans
+    without an estimate fall back to their measured ``t1 - t0``.
+
+    A worker's spans inside one ``engine.global_step`` span are one worker
+    step, read as the live profiler reads it: ``num_ests`` is the count of
+    its local steps there, and the step time is their ``est`` plus its
+    context switches' — what ``EasyScaleWorker.step_time()`` feeds
+    :meth:`OnlineProfiler.observe_worker_step`.  A local step outside
+    every global-step span is a single-EST worker step of its own, so its
+    observed capability is ``1 / per-batch-time`` — exactly ``C_i``.
     """
+    records = list(records)
+    steps = sorted(
+        (float(r.get("t0", 0.0)), float(r.get("t1", 0.0)))
+        for r in records
+        if r.get("kind") == "span" and r.get("name") == "engine.global_step"
+    )
+    starts = [t0 for t0, _ in steps]
     profiler = OnlineProfiler(config=config, static_capability=static_capability)
+    #: global-step index -> worker -> [gpu, local steps, seconds, (vrank, seconds)...]
+    grouped: Dict[int, Dict[int, List[Any]]] = {}
     step = 0
     for record in records:
-        if record.get("kind") != "span" or record.get("name") != "worker.local_step":
+        name = record.get("name")
+        if record.get("kind") != "span" or name not in _WORKER_SPANS:
             continue
         args = record.get("args", {})
         worker = args.get("worker")
         if worker is None:
             continue
-        duration = args.get("est")
-        if duration is None:
-            duration = float(record.get("t1", 0.0)) - float(record.get("t0", 0.0))
-        duration = float(duration)
+        t0, t1 = float(record.get("t0", 0.0)), float(record.get("t1", 0.0))
+        est = args.get("est")
+        duration = float(t1 - t0 if est is None else est)
         if duration <= 0:
             continue
-        profiler.observe_worker_step(step, int(worker), str(args.get("gpu", "?")), 1, duration)
-        vrank = args.get("vrank")
-        if vrank is not None:
-            profiler.observe_est_step(step, int(vrank), duration)
+        index = bisect_right(starts, t0) - 1
+        if index >= 0 and t1 <= steps[index][1]:
+            entry = grouped.setdefault(index, {}).setdefault(int(worker), ["?", 0, 0.0])
+            entry[2] += duration
+            if name == "worker.local_step":
+                entry[0] = str(args.get("gpu", "?"))
+                entry[1] += 1
+                entry.append((args.get("vrank"), duration))
+        elif name == "worker.local_step":
+            profiler.observe_worker_step(step, int(worker), str(args.get("gpu", "?")), 1, duration)
+            _observe_est(profiler, step, args.get("vrank"), duration)
+            step += 1
+    for index in sorted(grouped):
+        for worker, (gpu, num_ests, seconds, *local) in sorted(grouped[index].items()):
+            profiler.observe_worker_step(step, worker, gpu, num_ests, seconds)
+            for vrank, duration in local:
+                _observe_est(profiler, step, vrank, duration)
         step += 1
     profiler.flush()
     return profiler
+

@@ -26,10 +26,9 @@ class ServingColocationPolicy(EasyScalePolicy):
     ``serving_demand(now)`` returns GPUs the serving tenant needs *per
     type* at a given time (e.g. derived from
     :class:`~repro.sched.serving.ServingLoadModel`).  The serving tenant
-    is modelled as reservations held by a pseudo-job.
+    is modelled as reservations the policy takes from the cluster and
+    books itself, per type, in ``_serving_held``.
     """
-
-    SERVING_JOB_ID = "__serving__"
 
     # serving demand varies with simulated time, so rescheduling is never
     # skippable: a quiet-looking decision point may still need to revoke
@@ -59,14 +58,7 @@ class ServingColocationPolicy(EasyScalePolicy):
         for gtype, held in list(self._serving_held.items()):
             needed = demand.get(gtype, 0)
             if held > needed:
-                surplus = held - needed
-                canonical = _canonical(gtype)
-                gpus = [
-                    g
-                    for g in sim.cluster.owned_by(self.SERVING_JOB_ID)
-                    if g.type.name == canonical
-                ][:surplus]
-                sim.cluster.release(self.SERVING_JOB_ID, gpus)
+                sim.cluster.release(_canonical(gtype), held - needed)
                 self._serving_held[gtype] = needed
 
         # acquire what serving now needs, reclaiming from elastic jobs
@@ -82,7 +74,7 @@ class ServingColocationPolicy(EasyScalePolicy):
                 free = sim.cluster.free_count(canonical)
             take = min(shortfall, free)
             if take > 0:
-                sim.cluster.allocate(self.SERVING_JOB_ID, canonical, take)
+                sim.cluster.allocate(canonical, take)
                 self._serving_held[gtype] = held + take
 
     def _reclaim_from_elastic(

@@ -293,8 +293,7 @@ class ClusterSimulator:
     def grant(self, runtime: JobRuntime, gtype: str, count: int) -> None:
         """Allocate ``count`` GPUs of a type to a job (with restart cost)."""
         self._touch(runtime)
-        canonical = _canonical(gtype)
-        self.cluster.allocate(runtime.job.job_id, canonical, count)
+        self.cluster.allocate(_canonical(gtype), count)
         runtime.owned[gtype] = runtime.owned.get(gtype, 0) + count
         runtime.reconfig_until = self.now + self.reconfig_delay
         if runtime.status == "pending":
@@ -306,12 +305,10 @@ class ClusterSimulator:
 
     def revoke(self, runtime: JobRuntime, gtype: str, count: int) -> None:
         self._touch(runtime)
-        canonical = _canonical(gtype)
         held = runtime.owned.get(gtype, 0)
         if count > held:
             raise ValueError(f"cannot revoke {count} {gtype} from {runtime.job.job_id}")
-        gpus = [g for g in self.cluster.owned_by(runtime.job.job_id) if g.type.name == canonical]
-        self.cluster.release(runtime.job.job_id, gpus[:count])
+        self.cluster.release(_canonical(gtype), count)
         runtime.owned[gtype] = held - count
         runtime.reconfig_until = self.now + self.reconfig_delay
         self.events.emit(
@@ -320,7 +317,8 @@ class ClusterSimulator:
 
     def release_all(self, runtime: JobRuntime) -> None:
         self._touch(runtime)
-        self.cluster.release_all(runtime.job.job_id)
+        for gtype, count in runtime.owned.items():
+            self.cluster.release(_canonical(gtype), count)
         runtime.owned = {}
 
     def free_by_type(self) -> Dict[str, int]:
@@ -402,13 +400,7 @@ class ClusterSimulator:
             take = min(remaining, runtime.owned.get(owned_type, 0))
             if take <= 0:
                 continue
-            canonical = _canonical(owned_type)
-            gpus = [
-                g
-                for g in self.cluster.owned_by(runtime.job.job_id)
-                if g.type.name == canonical
-            ]
-            self.cluster.release(runtime.job.job_id, gpus[:take])
+            self.cluster.release(_canonical(owned_type), take)
             runtime.owned[owned_type] -= take
             removed.append((owned_type, take))
             remaining -= take
@@ -521,7 +513,7 @@ class ClusterSimulator:
         self.cluster.remove_free(canonical, min(slots, self.cluster.free_count(canonical)))
 
     def _add_host(self, host_id: str, gtype: str, slots: int) -> None:
-        self.cluster.add_machine(Machine.build(host_id, gpu_type(_canonical(gtype)), slots))
+        self.cluster.add_machine(Machine(host_id, gpu_type(_canonical(gtype)), slots))
 
     def _apply_membership(self, op: str, host_id: str, arrived: List[JobRuntime]) -> None:
         """Apply one due host op to the registry, then to the capacity and

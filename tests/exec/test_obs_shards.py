@@ -220,7 +220,9 @@ def test_pool_trace_profiles_every_worker_like_serial(env):
     """A pool child runs the worker's own local step, so its
     ``worker.local_step`` spans are the serial run's, on the child's pid
     lane: the profile of a pool trace covers every worker, step for step
-    and with the same modeled ``est``, as the serial twin's does."""
+    and with the same modeled ``est``, as the serial twin's does.  Each
+    worker step is one engine step: its two ESTs' local steps read as one
+    two-EST worker step, as the live profiler reads them."""
     from repro.exec import SerialBackend
     from repro.obs.profiler import profile_from_trace
 
@@ -234,7 +236,8 @@ def test_pool_trace_profiles_every_worker_like_serial(env):
     pool = profile(ProcessPoolBackend(max_workers=2))
     serial = profile(SerialBackend())
     assert sorted(serial["workers"]) == ["0", "1"]
-    assert [w["steps"] for w in serial["workers"].values()] == [4, 4]
+    assert [w["steps"] for w in serial["workers"].values()] == [2, 2]
+    assert [w["num_ests"] for w in serial["workers"].values()] == [2, 2]
     # steps, ESTs, gpu and the est-derived quantiles, worker by worker
     assert pool["workers"] == serial["workers"]
     assert pool["ests"] == serial["ests"]

@@ -1,13 +1,11 @@
-"""Cluster inventory: composition, allocation bookkeeping."""
-
-import random
+"""Cluster inventory: composition, allocation counts, membership edits."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import Cluster, Machine, P100, T4, V100, microbench_cluster, production_cluster
-from repro.hw.gpu import GPU, gpu_type
+from repro.hw.gpu import gpu_type
 
 
 class TestGPUTypes:
@@ -21,14 +19,17 @@ class TestGPUTypes:
         assert P100.memory_gb == 16.0 and T4.memory_gb == 16.0
 
     def test_gpu_allocate_release(self):
-        gpu = GPU(type=V100)
-        gpu.allocate("job-a")
+        cluster = Cluster([Machine("v0", V100, 2)])
+        cluster.allocate("V100", 2)
+        # over-allocation and over-release raise and leave the counts alone
         with pytest.raises(RuntimeError):
-            gpu.allocate("job-b")
+            cluster.allocate("V100", 1)
+        cluster.release("V100", 1)
         with pytest.raises(RuntimeError):
-            gpu.release("job-b")
-        gpu.release("job-a")
-        assert gpu.free
+            cluster.release("V100", 2)
+        assert (cluster.free_count("V100"), cluster.allocated_count()) == (1, 1)
+        cluster.release("V100", 1)
+        assert cluster.free_count("V100") == 2 and cluster.allocated_count() == 0
 
 
 class TestMicrobenchCluster:
@@ -44,7 +45,7 @@ class TestMicrobenchCluster:
         by_prefix = {}
         for machine in cluster.machines:
             prefix = machine.name.rsplit("-", 1)[0]
-            by_prefix.setdefault(prefix, []).append(len(machine.gpus))
+            by_prefix.setdefault(prefix, []).append(machine.slots)
         assert by_prefix["v100"] == [8, 8, 8, 8]
         assert by_prefix["p100"] == [2] * 8
         assert by_prefix["t4"] == [4] * 4
@@ -53,138 +54,139 @@ class TestMicrobenchCluster:
 class TestAllocation:
     def test_allocate_and_release(self):
         cluster = microbench_cluster()
-        taken = cluster.allocate("job", "V100", 5)
-        assert len(taken) == 5
+        cluster.allocate("V100", 5)
         assert cluster.free_count("V100") == 27
         assert cluster.allocated_count() == 5
-        cluster.release("job", taken[:2])
+        cluster.release("V100", 2)
         assert cluster.free_count("V100") == 29
-        assert cluster.release_all("job") == 3
+        cluster.release("V100", 3)
         assert cluster.allocated_count() == 0
 
     def test_all_or_nothing(self):
         cluster = microbench_cluster()
         with pytest.raises(RuntimeError):
-            cluster.allocate("job", "P100", 17)
+            cluster.allocate("P100", 17)
         assert cluster.free_count("P100") == 16
 
     def test_free_by_type(self):
         cluster = microbench_cluster()
-        cluster.allocate("j", "T4", 10)
+        cluster.allocate("T4", 10)
         assert cluster.free_by_type() == {"V100": 32, "P100": 16, "T4": 6}
-
-    def test_owned_by(self):
-        cluster = microbench_cluster()
-        cluster.allocate("a", "V100", 2)
-        cluster.allocate("b", "V100", 3)
-        assert len(cluster.owned_by("a")) == 2
-
-    def test_a_held_gpu_counts_as_allocated_from_registration(self):
-        held = Machine.build("v0", V100, 4)
-        held.gpus[1].allocate("early")
-        cluster = Cluster([held, Machine.build("t0", T4, 2)])
-        assert cluster.allocated_count() == 1 and cluster.allocated_count("V100") == 1
-        assert cluster.release_all("early") == 1
-        assert cluster.allocated_count() == 0
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
             Cluster([])
 
 
-class KeyedSortCluster(Cluster):
-    """The inventory as it kept its lists before insertion: released GPUs
-    appended to the free list and the whole list re-sorted by pool
-    position, and an owner's list re-sorted after every grant."""
+class PerGPUInventory:
+    """The inventory one device at a time, as it was kept before it became
+    counts: one ``[type, machine, held]`` record per GPU in pool order.
+    ``allocate`` holds the lowest free records of a type and ``release``
+    frees the highest held ones.  ``remove_free`` deletes the type's last
+    records (the newest machines' slots) and, GPUs being fungible, moves
+    the holdings that sat on them onto surviving free records."""
 
-    def allocate(self, job_id, type_name, count):
-        taken = super().allocate(job_id, type_name, count)
-        self._owned[job_id].sort(key=lambda gpu: gpu._pool_index)
-        return taken
+    def __init__(self, machines):
+        self.gpus = []
+        for name, gtype, slots in machines:
+            self.add_machine(name, gtype, slots)
 
-    def _refile(self, gpus):
-        self._allocated -= len(gpus)
-        by_type = {}
-        for gpu in gpus:
-            by_type.setdefault(gpu.type.name, []).append(gpu)
-        for name, batch in by_type.items():
-            free_list = self._free_lists.setdefault(name, [])
-            free_list.extend(batch)
-            free_list.sort(key=lambda gpu: gpu._pool_index)
+    def of_type(self, name, held):
+        return [g for g in self.gpus if g[0] == name and g[2] == held]
+
+    def allocate(self, name, count):
+        free = self.of_type(name, False)
+        if not 0 <= count <= len(free):
+            raise RuntimeError
+        for gpu in free[:count]:
+            gpu[2] = True
+
+    def release(self, name, count):
+        held = self.of_type(name, True)
+        if not 0 <= count <= len(held):
+            raise RuntimeError
+        for gpu in held[len(held) - count:]:
+            gpu[2] = False
+
+    def remove_free(self, name, count):
+        if count <= 0:
+            return 0
+        if len(self.of_type(name, False)) < count or len(self.gpus) == count:
+            raise RuntimeError
+        victims = [g for g in self.gpus if g[0] == name][-count:]
+        moved = sum(g[2] for g in victims)
+        self.gpus = [g for g in self.gpus if not any(g is v for v in victims)]
+        for gpu in self.of_type(name, False)[:moved]:
+            gpu[2] = True
+        return count
+
+    def add_machine(self, name, gtype, slots):
+        if slots <= 0:
+            raise ValueError
+        self.gpus.extend([gtype, name, False] for _ in range(slots))
+
+    def machines(self):
+        shapes = []
+        for _, machine, _ in self.gpus:
+            if shapes and shapes[-1][0] == machine:
+                shapes[-1][1] += 1
+            else:
+                shapes.append([machine, 1])
+        return [tuple(shape) for shape in shapes]
+
+    def counts(self, name):
+        free, held = len(self.of_type(name, False)), len(self.of_type(name, True))
+        return free, free + held, held
 
 
-def small_pool(cls):
-    return cls(
-        [Machine.build(f"v{i}", V100, 8) for i in range(2)]
-        + [Machine.build(f"p{i}", P100, 2) for i in range(3)]
-        + [Machine.build(f"t{i}", T4, 4) for i in range(2)]
-    )
-
-
-TYPES = st.sampled_from(["V100", "P100", "T4"])
-JOBS = st.sampled_from(["a", "b", "c"])
+SMALL_POOL = (
+    [(f"v{i}", "V100", 8) for i in range(2)]
+    + [(f"p{i}", "P100", 2) for i in range(3)]
+    + [(f"t{i}", "T4", 4) for i in range(2)]
+)
+GTYPES = {"V100": V100, "P100": P100, "T4": T4}
+TYPES = st.sampled_from(sorted(GTYPES))
 INVENTORY_OPS = st.one_of(
-    st.tuples(st.just("allocate"), JOBS, TYPES, st.integers(1, 9)),
-    st.tuples(st.just("release"), JOBS, st.integers(0, 2**16)),
-    st.tuples(st.just("release_all"), JOBS),
-    st.tuples(st.just("remove_free"), TYPES, st.integers(0, 4)),
-    st.tuples(st.just("add_machine"), TYPES, st.integers(1, 4)),
+    st.tuples(st.just("allocate"), TYPES, st.integers(-1, 9)),
+    st.tuples(st.just("release"), TYPES, st.integers(-1, 9)),
+    st.tuples(st.just("remove_free"), TYPES, st.integers(-1, 5)),
+    st.tuples(st.just("add_machine"), TYPES, st.integers(0, 4)),
 )
 
 
-def positions(gpus):
-    return [gpu._pool_index for gpu in gpus]
-
-
-def apply_inventory_op(cluster, op, serial):
-    """Run one op; return what it handed back (pool positions) or the
-    exception type it raised."""
-    name, *args = op
+def apply_inventory_op(inventory, op, serial):
+    """Run one op on either inventory; return its result or the type of
+    the exception it raised."""
+    name, gtype, count = op
     try:
-        if name == "allocate":
-            return positions(cluster.allocate(*args))
-        if name == "release":
-            job, seed = args
-            owned = cluster.owned_by(job)
-            picked = random.Random(seed).sample(owned, random.Random(seed).randint(0, len(owned)))
-            cluster.release(job, picked)
-            return positions(picked)
-        if name == "release_all":
-            return cluster.release_all(*args)
-        if name == "remove_free":
-            return cluster.remove_free(*args)
-        gtype = {"V100": V100, "P100": P100, "T4": T4}[args[0]]
-        cluster.add_machine(Machine.build(f"joined{serial}", gtype, args[1]))
-        return None
-    except RuntimeError as exc:
+        if name != "add_machine":
+            return getattr(inventory, name)(gtype, count)
+        if isinstance(inventory, Cluster):
+            return inventory.add_machine(Machine(f"joined{serial}", GTYPES[gtype], count))
+        return inventory.add_machine(f"joined{serial}", gtype, count)
+    except (RuntimeError, ValueError) as exc:
         return type(exc)
 
 
-class TestFreeListOrder:
+class TestCountInventory:
     @given(ops=st.lists(INVENTORY_OPS, max_size=40))
-    @settings(max_examples=100, deadline=None)
-    def test_lists_stay_sorted_and_hand_out_the_keyed_sort_gpus(self, ops):
-        cluster, twin = small_pool(Cluster), small_pool(KeyedSortCluster)
+    @settings(max_examples=150, deadline=None)
+    def test_counts_match_a_per_gpu_reference(self, ops):
+        cluster = Cluster([Machine(name, GTYPES[gtype], slots) for name, gtype, slots in SMALL_POOL])
+        twin = PerGPUInventory(SMALL_POOL)
         for serial, op in enumerate(ops):
             got = apply_inventory_op(cluster, op, serial)
             assert got == apply_inventory_op(twin, op, serial), op
-            for name, free_list in cluster._free_lists.items():
-                indices = positions(free_list)
-                assert all(a < b for a, b in zip(indices, indices[1:])), (op, name)
-                assert indices == positions(twin._free_lists[name]), (op, name)
-            for job in "abc":
-                indices = positions(cluster.owned_by(job))
-                assert all(a < b for a, b in zip(indices, indices[1:])), (op, job)
-                assert indices == positions(twin.owned_by(job)), (op, job)
-            assert cluster.free_by_type() == twin.free_by_type()
-            # allocated_count() is a counter every inventory edit keeps
-            for inventory in (cluster, twin):
-                assert inventory.allocated_count() == inventory.total() - inventory.free_count()
-                for name in ("V100", "P100", "T4"):
-                    assert inventory.allocated_count(name) == (
-                        inventory.total(name) - inventory.free_count(name)
-                    ), (op, name)
-            assert cluster.allocated_count() == twin.allocated_count(), op
+            for name in GTYPES:
+                assert (
+                    cluster.free_count(name), cluster.total(name), cluster.allocated_count(name)
+                ) == twin.counts(name), (op, name)
+            assert [(m.name, m.slots) for m in cluster.machines] == twin.machines(), op
+            assert cluster.free_by_type() == {
+                name: twin.counts(name)[0] for name in GTYPES if twin.counts(name)[0]
+            }, op
+            # the pool-wide counter agrees with the per-type counts
+            assert cluster.allocated_count() == cluster.total() - cluster.free_count(), op
 
 
 class TestProductionCluster:

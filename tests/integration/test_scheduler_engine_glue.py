@@ -28,7 +28,7 @@ SEED = 31
 
 
 def small_cluster():
-    return Cluster([Machine.build("v", V100, 3), Machine.build("p", P100, 2)])
+    return Cluster([Machine("v", V100, 3), Machine("p", P100, 2)])
 
 
 class TestSchedulerDrivenTraining:
@@ -42,7 +42,7 @@ class TestSchedulerDrivenTraining:
         intra = IntraJobScheduler("job", companion)
         inter = InterJobScheduler()
 
-        cluster.allocate("job", "V100", 1)
+        cluster.allocate("V100", 1)
         config = EasyScaleJobConfig(
             num_ests=num_ests, seed=SEED, batch_size=8,
             determinism=determinism_from_label("D1+D2"),
@@ -51,19 +51,18 @@ class TestSchedulerDrivenTraining:
             spec, dataset, config, sgd_factory(lr=0.03),
             WorkerAssignment.balanced([V100], num_ests),
         )
-        intra.apply_best_plan({"v100": 1})
+        # the job's own book of its holdings (the cluster keeps counts)
+        owned = {"v100": 1}
+        intra.apply_best_plan(owned)
 
         total_steps = 0
         for _ in range(4):
             engine.train_steps(2)
             total_steps += 2
             free = {k.lower(): v for k, v in cluster.free_by_type().items()}
-            owned = {"v100": len([g for g in cluster.owned_by("job") if g.type.name == "V100"]),
-                     "p100": len([g for g in cluster.owned_by("job") if g.type.name == "P100"])}
-            owned = {k: v for k, v in owned.items() if v}
             grants = inter.arbitrate(intra.propose(owned, free), free)
             for grant in grants:
-                cluster.allocate("job", grant.gtype.upper(), grant.gpus)
+                cluster.allocate(grant.gtype.upper(), grant.gpus)
                 owned[grant.gtype] = owned.get(grant.gtype, 0) + grant.gpus
                 scored = intra.apply_best_plan(owned)
                 engine = engine.reconfigure(plan_to_assignment(scored.plan))
@@ -112,7 +111,7 @@ class TestSchedulerDrivenTraining:
             if not grants:
                 break
             for grant in grants:
-                cluster.allocate(grant.job_id, grant.gtype.upper(), grant.gpus)
+                cluster.allocate(grant.gtype.upper(), grant.gpus)
                 owned[grant.job_id][grant.gtype] = (
                     owned[grant.job_id].get(grant.gtype, 0) + grant.gpus
                 )

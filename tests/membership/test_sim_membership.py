@@ -30,7 +30,7 @@ def job(job_id="j0", arrival=0.0, gpus=2, gtype="v100", work=100.0,
 
 
 def base_cluster():
-    return Cluster([Machine.build("base0", gpu_type("V100"), 2)])
+    return Cluster([Machine("base0", gpu_type("V100"), 2)])
 
 
 ROSTER = (HostSpec("member-v", "v100", 2),)
@@ -43,18 +43,18 @@ def plan(events=(), roster=ROSTER, **kwargs):
 class TestClusterInventory:
     def test_add_machine_grows_totals(self):
         cluster = base_cluster()
-        cluster.add_machine(Machine.build("t4-0", gpu_type("T4"), 3))
+        cluster.add_machine(Machine("t4-0", gpu_type("T4"), 3))
         assert cluster.total("V100") == 2
         assert cluster.total("T4") == 3
         assert cluster.free_count("T4") == 3
 
     def test_add_empty_machine_rejected(self):
         with pytest.raises(ValueError, match="no GPUs"):
-            base_cluster().add_machine(Machine(name="husk", gpus=[]))
+            base_cluster().add_machine(Machine("husk", gpu_type("V100"), 0))
 
     def test_remove_free_takes_newest_and_prunes_machine(self):
         cluster = base_cluster()
-        cluster.add_machine(Machine.build("late", gpu_type("V100"), 1))
+        cluster.add_machine(Machine("late", gpu_type("V100"), 1))
         cluster.remove_free("V100", 1)
         # the newest host's GPU went first; its empty machine is pruned
         assert cluster.total("V100") == 2
@@ -62,7 +62,7 @@ class TestClusterInventory:
 
     def test_remove_free_needs_free_capacity(self):
         cluster = base_cluster()
-        cluster.allocate("j0", "V100", 2)
+        cluster.allocate("V100", 2)
         with pytest.raises(RuntimeError, match="only 0 free"):
             cluster.remove_free("V100", 1)
 

@@ -267,6 +267,35 @@ class TestTraceReplay:
         # per-EST percentiles came along
         assert p.summary()["ests"]["2"]["steps"] == 12
 
+    def test_replay_reads_one_worker_step_per_global_step(self):
+        # worker 0 hosts two ESTs, worker 1 one: inside an engine step,
+        # worker 0's step is its two local steps plus its context switch,
+        # the quantity EasyScaleWorker.step_time() feeds the live profiler
+        def span(name, t0, t1, **args):
+            return {"kind": "span", "name": name, "t0": t0, "t1": t1, "args": args}
+
+        records = []
+        for step in range(4):
+            base = 10.0 * step
+            records += [
+                span("worker.local_step", base + 1, base + 2,
+                     worker=0, gpu="V100", vrank=0, est=0.1),
+                span("worker.context_switch", base + 2, base + 3, worker=0, est=0.01),
+                span("worker.local_step", base + 3, base + 4,
+                     worker=0, gpu="V100", vrank=1, est=0.1),
+                span("worker.local_step", base + 1, base + 2,
+                     worker=1, gpu="T4", vrank=2, est=0.3),
+                span("engine.global_step", base, base + 5, step=step),
+            ]
+        # outside every engine step a local step is read alone
+        records.append(span("worker.local_step", 100.0, 101.0, worker=1, gpu="T4", est=0.3))
+        p = profile_from_trace(records, ProfilerConfig(window_size=2))
+        workers = p.summary()["workers"]
+        assert [(w["num_ests"], w["steps"]) for w in workers.values()] == [(2, 4), (1, 5)]
+        assert workers["0"]["mean_s"] == pytest.approx(0.21)
+        assert p.observed_capability["v100"] == pytest.approx(2 / 0.21)
+        assert p.summary()["ests"]["1"]["steps"] == 4
+
     def test_replay_falls_back_to_wall_time(self):
         records = [
             {

@@ -23,6 +23,7 @@ the ones the floor lists (``ThreeCore`` dates from the third core).
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import EventPlan, HostSpec, PlanEvent, random_sim_plan
-from repro.hw import microbench_cluster, production_cluster
+from repro.hw import GPU_TYPES, microbench_cluster, production_cluster
 from repro.sched import (
     ClusterSimulator,
     CompanionModule,
@@ -43,7 +44,7 @@ from repro.sched import (
     heavy_tail_trace,
 )
 from repro.sched.intra import IntraJobScheduler
-from repro.sched.simulator import JobRuntime, _BatchedState
+from repro.sched.simulator import JobRuntime, _BatchedState, _canonical
 from repro.sched.trace import GPU_DEMAND, TraceJob
 from tests.sched.test_intra import reference_proposals
 
@@ -103,11 +104,53 @@ def combined_plan():
     ).merged(FIXED_PLAN)
 
 
+def serving_held(sim):
+    """GPUs a serving tenant's policy holds in its own book, by type."""
+    return getattr(sim.policy, "_serving_held", {})
+
+
+def assert_conserved(sim, where):
+    """GPU conservation: per type, the free GPUs plus every job's book
+    (``JobRuntime.owned``) plus a serving tenant's reservations are the
+    type's total.  The inventory keeps counts and no owner tags, so this
+    is what catches a holding booked but never taken, or released twice."""
+    held = Counter()
+    for book in [r.owned for r in sim.runtimes] + [serving_held(sim)]:
+        for gtype, count in book.items():
+            assert count >= 0, (where, gtype, count)
+            held[_canonical(gtype)] += count
+    cluster = sim.cluster
+    for name in GPU_TYPES:
+        assert cluster.free_count(name) + held[name] == cluster.total(name), (where, name)
+    assert cluster.allocated_count() == sum(held.values()), where
+
+
+class ConservingTimeline(list):
+    """An allocation timeline that checks :func:`assert_conserved` at each
+    append: both cores append once, at the end of every decision point."""
+
+    def __init__(self, sim):
+        super().__init__()
+        self.sim = sim
+
+    def append(self, point):
+        super().append(point)
+        assert_conserved(self.sim, f"{self.sim.policy.name} t={self.sim.now}")
+
+
+def run_reference_checking_conservation(sim, **kwargs):
+    """``sim.run_reference()`` with :func:`assert_conserved` after every
+    decision point."""
+    sim._timeline = ConservingTimeline(sim)
+    return sim.run_reference(**kwargs)
+
+
 def run_checking_mirror(sim, **kwargs):
     """``sim.run()``, with the edited running-set mirror compared against a
     rebuilt one (``_BatchedState().refresh(active)``) after every decision
     point: the same job objects in the same order, ``eff_rate`` /
-    ``reconfig`` equal by bytes, ``any_running`` equal.
+    ``reconfig`` equal by bytes, ``any_running`` equal.  GPU conservation
+    (:func:`assert_conserved`) is checked at the same points.
 
     ``remaining`` is compared against the objects wherever the staleness
     flag says they are authoritative.  Where the mirror is ahead of them a
@@ -130,6 +173,7 @@ def run_checking_mirror(sim, **kwargs):
         rebuilt = _BatchedState()
         rebuilt.refresh(sim.active_jobs())
         where = f"{sim.policy.name} t={sim.now}"
+        assert_conserved(sim, where)
         assert [id(r) for r in state.jobs] == [id(r) for r in rebuilt.jobs], where
         assert state.any_running == rebuilt.any_running, where
         assert state.eff_rate.tobytes() == rebuilt.eff_rate.tobytes(), where
@@ -151,7 +195,8 @@ def run_checking_mirror(sim, **kwargs):
 
 
 def assert_cores_identical(policy_factory, jobs, plan=None, max_time=10_000_000.0, label=""):
-    """Replay on both cores (``run()`` under :func:`run_checking_mirror`),
+    """Replay on both cores (``run()`` under :func:`run_checking_mirror`,
+    the reference under :func:`run_reference_checking_conservation`),
     compare everything a caller can observe, and check GPU conservation on
     each; returns ``run()``'s result."""
     results = {}
@@ -162,15 +207,15 @@ def assert_cores_identical(policy_factory, jobs, plan=None, max_time=10_000_000.
         ceiling = sim.cluster.total() + sum(
             e.slots for e in (plan.events if plan else ()) if e.kind == "announce"
         )
-        replay = run_checking_mirror if core == "run" else ClusterSimulator.run_reference
+        replay = run_checking_mirror if core == "run" else run_reference_checking_conservation
         result = results[core] = replay(sim, max_time=max_time)
         assert all(0 <= gpus <= ceiling for _, gpus in result.allocation_timeline), (
             f"{label} {core}: allocation outside [0, {ceiling}]"
         )
         if len(result.completed) == len(jobs):
             # only the colocation policy's serving tenant may still hold GPUs
-            serving = sim.cluster.owned_by(ServingColocationPolicy.SERVING_JOB_ID)
-            assert sim.cluster.allocated_count() == len(serving), (
+            serving = sum(serving_held(sim).values())
+            assert sim.cluster.allocated_count() == serving, (
                 f"{label} {core}: finished jobs still hold GPUs"
             )
     fast, reference = results["run"], results["run_reference"]
@@ -409,7 +454,7 @@ class TestMirrorEdits:
                 sim._iterate = spying
                 results[core] = run_checking_mirror(sim)
             else:
-                results[core] = sim.run_reference()
+                results[core] = run_reference_checking_conservation(sim)
         fast, reference = results["run"], results["run_reference"]
         assert fast.events.fingerprint() == reference.events.fingerprint()
         assert [r.remaining_work for r in fast.jobs] == [r.remaining_work for r in reference.jobs]

@@ -381,6 +381,20 @@ def test_one_road_through_the_pool():
     ], keyword_uses
 
 
+def test_the_inventory_counts_gpus():
+    # hw.Cluster keeps totals and free counts per type, and a holder's own
+    # book (JobRuntime.owned, a serving tenant's reservations) is the one
+    # record of who holds what: the per-GPU owner lookup, free lists, pool
+    # positions and machine builder are gone from the program by name.
+    # (Spelled split so this file does not match itself.)
+    gone = ["owned" + "_by", "_re" + "file", "_free" + "_lists", "_pool" + "_index",
+            "Machine" + ".build"]
+    for path, line in _lines_of_code_and_docs():
+        if path.startswith("src/"):
+            for name in gone:
+                assert name not in line, (path, line)
+
+
 def test_one_stopwatch_for_the_trajectory():
     # benchmarks/e2e is the only stopwatch and ``bench record`` the only
     # writer of a live trajectory: the in-process timers, their CLI
