@@ -44,7 +44,7 @@ def model_table():
         spec = get_workload(name)
         row = {"model": name}
         for gpu in GPUS:
-            base = 1.0 / spec.throughput[gpu.name.lower()]
+            base = 1.0 / spec.throughput[gpu.key]
             row[f"{gpu.name}_d1"] = minibatch_time(spec, gpu, D0_POLICY) / base
             row[f"{gpu.name}_d1d2"] = minibatch_time(spec, gpu, D2_POLICY) / base
         rows.append(row)

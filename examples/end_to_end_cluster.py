@@ -54,7 +54,7 @@ class Job:
             num_ests=num_ests, seed=SEED, batch_size=8,
             determinism=determinism_from_label("D1+D2"),
         )
-        #: the job's own book of its holdings: lower-case type -> GPUs
+        #: the job's own book of its holdings: type key -> GPUs
         self.held = {}
         # bootstrap on one V100 (EasyScale jobs start with whatever exists)
         self.take("v100", 1)
@@ -68,7 +68,7 @@ class Job:
         return dict(self.held)
 
     def take(self, gtype, count):
-        self.cluster.allocate(gtype.upper(), count)
+        self.cluster.allocate(gtype, count)
         self.held[gtype] = self.held.get(gtype, 0) + count
 
     def apply_grant(self, gtype, count):
@@ -88,7 +88,7 @@ class Job:
 
     def release_all(self):
         for gtype, count in self.held.items():
-            self.cluster.release(gtype.upper(), count)
+            self.cluster.release(gtype, count)
         self.held = {}
 
 
@@ -108,7 +108,7 @@ def main() -> None:
         active = {n: j for n, j in jobs.items() if j.remaining > 0}
         if not active:
             break
-        free = {k.lower(): v for k, v in cluster.free_by_type().items()}
+        free = cluster.free_by_type()
         proposals = []
         for job in active.values():
             proposals.extend(job.scheduler.propose(job.owned(), free))

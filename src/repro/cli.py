@@ -64,18 +64,16 @@ def _workload(name: str):
 
 
 def _parse_stage(stage: str):
-    """Parse '2xV100' / 'V100' / '1xV100+2xP100' into a GPU list."""
+    """Parse '2xV100' / 'v100' / '1xV100+2xP100' into a GPU list; counts >= 1."""
     from repro.hw import gpu_type
 
     gpus = []
     for part in stage.split("+"):
-        part = part.strip()
-        if "x" in part:
-            count_str, type_name = part.split("x", 1)
-            count = int(count_str)
-        else:
-            count, type_name = 1, part
-        gpus.extend([gpu_type(type_name.upper())] * count)
+        count_str, x, type_name = part.strip().rpartition("x")
+        count = int(count_str) if x else 1
+        if count < 1:
+            raise ValueError(f"{part!r} asks for {count} GPUs; a count is at least 1")
+        gpus.extend([gpu_type(type_name)] * count)
     return gpus
 
 
@@ -131,13 +129,11 @@ def _above_one(text: str) -> float:
 
 def _stage(text: str) -> str:
     """argparse ``type`` of a ``--schedule`` stage or ``--gpus`` pool: the
-    text itself once :func:`_parse_stage` accepts it and it names a GPU."""
+    text itself once :func:`_parse_stage` accepts it."""
     try:
-        gpus = _parse_stage(text)
+        _parse_stage(text)
     except (ValueError, KeyError) as err:
         raise argparse.ArgumentTypeError(f"bad GPU stage {text!r}: {err.args[0]}") from None
-    if not gpus:
-        raise argparse.ArgumentTypeError(f"GPU stage {text!r} names no GPU")
     return text
 
 

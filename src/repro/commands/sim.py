@@ -21,7 +21,7 @@ def _load_calibration(path: str) -> dict:
     if not isinstance(scale, dict) or not scale:
         raise ValueError(f"{path}: no per-GPU-type scale factors found")
     try:
-        factors = {str(k).lower(): float(v) for k, v in scale.items()}
+        factors = {str(k): float(v) for k, v in scale.items()}
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed scale factor: {err}") from err
     bad = {k: v for k, v in factors.items() if not 0 < v < float("inf")}

@@ -11,7 +11,7 @@ def roster_pool(plan):
     """The GPU pool a membership plan's initial roster provides."""
     from repro.hw import gpu_type
 
-    return [gpu_type(h.gtype.upper()) for h in plan.initial_hosts for _ in range(h.slots)]
+    return [gpu_type(h.gtype) for h in plan.initial_hosts for _ in range(h.slots)]
 
 
 def ests_cover(args: argparse.Namespace, *pools) -> None:

@@ -385,7 +385,7 @@ class EasyScaleEngine:
                     self.profiler.observe_worker_step(
                         self.global_step,
                         worker.worker_id,
-                        worker.gpu.name,
+                        worker.gpu.key,
                         len(worker.ests),
                         worker.step_time(),
                     )

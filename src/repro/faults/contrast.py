@@ -188,7 +188,7 @@ def run_contrast(
     if total_steps < 1:
         raise ValueError("total_steps must be positive")
     pool: List[GPUType] = [
-        g if isinstance(g, GPUType) else gpu_type(str(g).upper()) for g in gpus
+        g if isinstance(g, GPUType) else gpu_type(str(g)) for g in gpus
     ]
     if not pool:
         raise ValueError("need at least one GPU")

@@ -242,7 +242,7 @@ class ResilienceController:
         self.plan = plan
         self.registry = HostRegistry(plan.initial_hosts)
         self.pool: List[GPUType] = self._active_pool() or [
-            g if isinstance(g, GPUType) else gpu_type(str(g).upper()) for g in gpus or ()
+            g if isinstance(g, GPUType) else gpu_type(str(g)) for g in gpus or ()
         ]
         if not self.pool:
             raise ValueError("controller needs at least one GPU")
@@ -310,7 +310,7 @@ class ResilienceController:
     def _active_pool(self) -> List[GPUType]:
         """The serving roster's GPUs, in registration order."""
         hosts = self.registry.serving_hosts()
-        return [gpu_type(h.gtype.upper()) for h in hosts for _ in range(h.slots)]
+        return [gpu_type(h.gtype) for h in hosts for _ in range(h.slots)]
 
     def _build_engine(
         self, assignment: WorkerAssignment, ckpt: Optional[Checkpoint] = None
@@ -329,8 +329,7 @@ class ResilienceController:
     def _owned(self) -> Dict[str, int]:
         owned: Dict[str, int] = {}
         for gpu in self.pool:
-            key = gpu.name.lower()
-            owned[key] = owned.get(key, 0) + 1
+            owned[gpu.key] = owned.get(gpu.key, 0) + 1
         return owned
 
     def _plan_assignment(self) -> WorkerAssignment:
@@ -549,7 +548,7 @@ class ResilienceController:
             idx = len(self.pool) - 1
             if preferred is not None:
                 for i in range(len(self.pool) - 1, -1, -1):
-                    if self.pool[i].name.lower() == preferred:
+                    if self.pool[i].key == preferred:
                         idx = i
                         break
             self.pool.pop(idx)

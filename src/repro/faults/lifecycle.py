@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.hw.gpu import type_key
+
 __all__ = [
     "ACTIVE",
     "BLACKLISTED",
@@ -130,7 +132,7 @@ class Host:
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
-        self.gtype = self.gtype.lower()
+        self.gtype = type_key(self.gtype)
         if self.slots < 1:
             raise ValueError(f"{self.host_id}: slots must be positive")
         if self.state not in HOST_STATES:
@@ -214,7 +216,7 @@ class HostRegistry:
         return sum(h.slots for h in self.serving_hosts())
 
     def capacity_by_type(self) -> Dict[str, int]:
-        """Serving slots per (lower-case) GPU type."""
+        """Serving slots per GPU type key."""
         counts: Dict[str, int] = {}
         for host in self.serving_hosts():
             counts[host.gtype] = counts.get(host.gtype, 0) + host.slots

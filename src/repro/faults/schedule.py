@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.hw.gpu import GPU_TYPES
+from repro.hw.gpu import GPU_TYPES, type_key
 
 PLAN_FORMAT_VERSION = 1
 
@@ -112,12 +112,9 @@ MEMBERSHIP_KINDS = kinds("host")
 
 
 def _check_gtype(gtype: str, who: str) -> str:
-    if gtype.upper() not in GPU_TYPES:
-        raise ValueError(
-            f"{who}: unknown GPU type {gtype!r}; "
-            f"expected one of {sorted(t.lower() for t in GPU_TYPES)}"
-        )
-    return gtype.lower()
+    if type_key(gtype) not in GPU_TYPES:
+        raise ValueError(f"{who}: unknown GPU type {gtype!r}; expected one of {sorted(GPU_TYPES)}")
+    return type_key(gtype)
 
 
 def _field(state: Dict[str, Any], key: str, kind: type, default: Any = None) -> Any:
@@ -258,12 +255,12 @@ class PlanEvent:
         return None
 
     def target_gtype(self) -> Optional[str]:
-        """The explicit victim GPU type (lower-case), if any."""
+        """The explicit victim GPU type (its key), if any."""
         if self.target is None:
             return None
         if self.target.startswith(("worker:", "job:")):
             return None
-        return self.target.lower()
+        return type_key(self.target)
 
     def describe(self) -> str:
         where = (

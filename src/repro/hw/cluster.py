@@ -7,9 +7,10 @@ Two canonical configurations mirror the paper's testbeds:
 - :func:`production_cluster` — a parameterized large pool for the §5.3
   co-location experiment (3,000+ GPUs).
 
-The inventory is a set of *counts*: per GPU type a total and a free
-count, plus one counter of allocated GPUs over the whole pool (read at
-every decision point, for the allocation timeline).  No GPU has an
+The inventory is a set of *counts*: per GPU type key (``"v100"``, see
+:mod:`repro.hw.gpu`; every method takes and returns keys) a total and a
+free count, plus one counter of allocated GPUs over the whole pool (read
+at every decision point, for the allocation timeline).  No GPU has an
 identity the simulator can observe — events, policies, the allocation
 timeline and every report read counts — so ``allocate`` and ``release``
 are O(1) whatever the cluster size, which is what lets the
@@ -46,7 +47,7 @@ class Machine:
 
 
 class Cluster:
-    """GPU inventory: totals and free counts per type."""
+    """GPU inventory: totals and free counts per type key."""
 
     def __init__(self, machines: Iterable[Machine]) -> None:
         self.machines: List[Machine] = []
@@ -91,7 +92,7 @@ class Cluster:
         if machine.slots <= 0:
             raise ValueError(f"machine {machine.name!r} has no GPUs")
         self.machines.append(machine)
-        name = machine.type.name
+        name = machine.type.key
         self._totals[name] = self._totals.get(name, 0) + machine.slots
         self._free[name] = self._free.get(name, 0) + machine.slots
 
@@ -114,7 +115,7 @@ class Cluster:
         self._totals[type_name] -= count
         left = count
         for machine in reversed(self.machines):
-            if left and machine.type.name == type_name:
+            if left and machine.type.key == type_name:
                 taken = min(left, machine.slots)
                 machine.slots -= taken
                 left -= taken

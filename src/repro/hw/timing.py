@@ -52,8 +52,7 @@ def minibatch_time(
     policy: KernelPolicy | None = None,
 ) -> float:
     """Seconds per mini-batch for one worker of ``spec`` on ``gpu``, D1 overhead included."""
-    key = gpu.name.lower()
-    rate = spec.throughput.get(key)
+    rate = spec.throughput.get(gpu.key)
     if rate is None:
         rate = spec.throughput["v100"] * gpu.relative_speed
     time = 1.0 / rate * (1.0 + D1_OVERHEAD)
@@ -71,12 +70,9 @@ def static_capability(
     This is the analytical prior the Eq. (1) scheduler starts from; the
     online profiler (``repro.obs.profiler``) refines it with measured
     rates, and calibration-aware consumers prefer the refined values.
-    Keys are lower-case type names, matching the scheduler's convention.
+    Keyed by type key (``"v100"``), like every table the scheduler reads.
     """
-    return {
-        name.lower(): 1.0 / minibatch_time(spec, gtype, policy)
-        for name, gtype in GPU_TYPES.items()
-    }
+    return {key: 1.0 / minibatch_time(spec, gtype, policy) for key, gtype in GPU_TYPES.items()}
 
 
 def context_switch_time(spec: WorkloadSpec, gpu: GPUType) -> float:

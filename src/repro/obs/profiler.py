@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import obs
+from repro.hw.gpu import type_key
 from repro.obs.metrics import Histogram
 
 #: finer-grained bounds than DEFAULT_BUCKETS so p50/p99 interpolation on
@@ -131,11 +132,11 @@ class OnlineProfiler:
         static_capability: Optional[Mapping[str, float]] = None,
     ) -> None:
         self.config = config or ProfilerConfig()
-        #: analytical prior ``C_i`` (lower-case type -> mini-batches/s);
+        #: analytical prior ``C_i`` (type key -> mini-batches/s);
         #: used to normalize straggler comparisons across GPU types and as
         #: the base table :meth:`calibrated_capability` refines
         self.static_capability: Dict[str, float] = {
-            k.lower(): float(v) for k, v in (static_capability or {}).items()
+            type_key(k): float(v) for k, v in (static_capability or {}).items()
         }
         self._workers: Dict[int, _WorkerStats] = {}
         self._est_hist: Dict[int, Histogram] = {}
@@ -162,7 +163,7 @@ class OnlineProfiler:
         against the Eq. (1b)/(1c) predictions for this plan.
         """
         self._plan = plan
-        self._plan_capability = {k.lower(): float(v) for k, v in capability.items()}
+        self._plan_capability = {type_key(k): float(v) for k, v in capability.items()}
 
     # ------------------------------------------------------------------
     # observation
@@ -182,10 +183,9 @@ class OnlineProfiler:
     def observe_worker_step(
         self, step: int, worker_id: int, gpu: str, num_ests: int, step_time: float
     ) -> None:
-        """One worker's simulated/measured seconds for one global step."""
+        """One worker's seconds for one global step, on a GPU of type key ``gpu``."""
         if step_time <= 0 or num_ests <= 0:
             return
-        gpu = gpu.lower()
         stats = self._workers.get(worker_id)
         if stats is None or stats.gpu != gpu:
             stats = self._workers[worker_id] = _WorkerStats(
@@ -347,10 +347,8 @@ class OnlineProfiler:
         self, static: Optional[Mapping[str, float]] = None
     ) -> Dict[str, float]:
         """The static table with observed types replaced by EWMA values."""
-        base = {
-            k.lower(): float(v)
-            for k, v in (static if static is not None else self.static_capability).items()
-        }
+        table = static if static is not None else self.static_capability
+        base = {type_key(k): float(v) for k, v in table.items()}
         base.update(self._ewma)
         return base
 
@@ -466,11 +464,6 @@ class OnlineProfiler:
 _WORKER_SPANS = ("worker.local_step", "worker.context_switch")
 
 
-def _observe_est(profiler: OnlineProfiler, step: int, vrank: Any, duration: float) -> None:
-    if vrank is not None:
-        profiler.observe_est_step(step, int(vrank), duration)
-
-
 def profile_from_trace(
     records: Iterable[Mapping[str, Any]],
     config: Optional[ProfilerConfig] = None,
@@ -479,9 +472,10 @@ def profile_from_trace(
     """Rebuild an :class:`OnlineProfiler` from recorded span records.
 
     Consumes the ``worker.local_step`` and ``worker.context_switch`` spans
-    of the instrumented :class:`~repro.core.worker.EasyScaleWorker`.  Each
-    span carries its modeled seconds in ``args["est"]``; wall-clock spans
-    without an estimate fall back to their measured ``t1 - t0``.
+    of the instrumented :class:`~repro.core.worker.EasyScaleWorker` and the
+    engine's ``engine.scale_event`` instants.  Each span carries its
+    modeled seconds in ``args["est"]``; wall-clock spans without an
+    estimate fall back to their measured ``t1 - t0``.
 
     A worker's spans inside one ``engine.global_step`` span are one worker
     step, read as the live profiler reads it: ``num_ests`` is the count of
@@ -490,6 +484,7 @@ def profile_from_trace(
     :meth:`OnlineProfiler.observe_worker_step`.  A local step outside
     every global-step span is a single-EST worker step of its own, so its
     observed capability is ``1 / per-batch-time`` — exactly ``C_i``.
+    Scale events replay in time order with the steps, as the live profiler saw them.
     """
     records = list(records)
     steps = sorted(
@@ -501,9 +496,13 @@ def profile_from_trace(
     profiler = OnlineProfiler(config=config, static_capability=static_capability)
     #: global-step index -> worker -> [gpu, local steps, seconds, (vrank, seconds)...]
     grouped: Dict[int, Dict[int, List[Any]]] = {}
-    step = 0
+    #: (time, 0 for a scale event / 1 for a step, that step's workers or None)
+    timeline: List[Tuple[float, int, Any]] = []
     for record in records:
         name = record.get("name")
+        if record.get("kind") == "instant" and name == "engine.scale_event":
+            timeline.append((float(record.get("t0", 0.0)), 0, None))
+            continue
         if record.get("kind") != "span" or name not in _WORKER_SPANS:
             continue
         args = record.get("args", {})
@@ -515,23 +514,29 @@ def profile_from_trace(
         duration = float(t1 - t0 if est is None else est)
         if duration <= 0:
             continue
+        gpu = type_key(str(args.get("gpu", "?")))
         index = bisect_right(starts, t0) - 1
         if index >= 0 and t1 <= steps[index][1]:
             entry = grouped.setdefault(index, {}).setdefault(int(worker), ["?", 0, 0.0])
             entry[2] += duration
             if name == "worker.local_step":
-                entry[0] = str(args.get("gpu", "?"))
+                entry[0] = gpu
                 entry[1] += 1
                 entry.append((args.get("vrank"), duration))
         elif name == "worker.local_step":
-            profiler.observe_worker_step(step, int(worker), str(args.get("gpu", "?")), 1, duration)
-            _observe_est(profiler, step, args.get("vrank"), duration)
-            step += 1
-    for index in sorted(grouped):
-        for worker, (gpu, num_ests, seconds, *local) in sorted(grouped[index].items()):
+            alone = [gpu, 1, duration, (args.get("vrank"), duration)]
+            timeline.append((t0, 1, {int(worker): alone}))
+    timeline += [(steps[index][0], 1, workers) for index, workers in grouped.items()]
+    step = 0
+    for _, _, workers in sorted(timeline, key=lambda item: item[:2]):
+        if workers is None:
+            profiler.on_scale_event(())
+            continue
+        for worker, (gpu, num_ests, seconds, *local) in sorted(workers.items()):
             profiler.observe_worker_step(step, worker, gpu, num_ests, seconds)
             for vrank, duration in local:
-                _observe_est(profiler, step, vrank, duration)
+                if vrank is not None:
+                    profiler.observe_est_step(step, int(vrank), duration)
         step += 1
     profiler.flush()
     return profiler

@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.hw.gpu import type_key
 from repro.utils.jsonl import read_jsonl
 
 #: event kinds the report understands; anything else is ignored
@@ -83,7 +84,7 @@ class _JobLane:
     submit_time: Optional[float] = None
     first_grant: Optional[float] = None
     done_time: Optional[float] = None
-    #: currently-held GPUs by type (lower-case)
+    #: currently-held GPUs by type key
     held: Dict[str, int] = field(default_factory=dict)
     #: (time, total GPUs held) step series
     timeline: List[Tuple[float, int]] = field(default_factory=list)
@@ -151,9 +152,7 @@ class ClusterUtilizationReport:
         rows = [n for n in (_normalize(e) for e in events) if n is not None]
         rows.sort(key=lambda r: r[0])
 
-        cap: Dict[str, int] = {
-            k.lower(): int(v) for k, v in (capacity or {}).items()
-        }
+        cap = {type_key(k): int(v) for k, v in (capacity or {}).items()}
         jobs: Dict[str, _JobLane] = {}
         total_allocated = 0
         allocation_timeline: List[Tuple[float, int]] = []
@@ -179,7 +178,7 @@ class ClusterUtilizationReport:
 
             if kind == "cluster_capacity":
                 if not capacity:
-                    cap = {str(k).lower(): int(v) for k, v in payload.items()}
+                    cap = {type_key(str(k)): int(v) for k, v in payload.items()}
                 continue
             if kind not in _ALLOC_KINDS:
                 continue
@@ -190,7 +189,7 @@ class ClusterUtilizationReport:
             if kind == "job_submit":
                 j.submit_time = time
             elif kind == "scale_out":
-                gtype = str(payload.get("gtype", "?")).lower()
+                gtype = type_key(str(payload.get("gtype", "?")))
                 count = int(payload.get("gpus", 0))
                 if j.first_grant is None and count > 0:
                     j.first_grant = time
@@ -201,7 +200,7 @@ class ClusterUtilizationReport:
                 j.timeline.append((time, j.total_held))
                 allocation_timeline.append((time, total_allocated))
             elif kind in ("scale_in", "preempt"):
-                gtype = str(payload.get("gtype", "?")).lower()
+                gtype = type_key(str(payload.get("gtype", "?")))
                 count = int(payload.get("gpus", 0))
                 if count:
                     j.held[gtype] = max(0, j.held.get(gtype, 0) - count)

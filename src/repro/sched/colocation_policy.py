@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
+from repro.hw.gpu import type_key
 from repro.sched.easyscale_policy import EasyScalePolicy
 from repro.sched.inter import InterJobScheduler
-from repro.sched.simulator import ClusterSimulator, JobRuntime, _canonical
+from repro.sched.simulator import ClusterSimulator, JobRuntime
 
 
 class ServingColocationPolicy(EasyScalePolicy):
@@ -53,12 +54,12 @@ class ServingColocationPolicy(EasyScalePolicy):
         super().reschedule(sim, now)
 
     def _serve_first(self, sim: ClusterSimulator, now: float) -> None:
-        demand = {k.lower(): int(v) for k, v in self.serving_demand(now).items()}
+        demand = {type_key(k): int(v) for k, v in self.serving_demand(now).items()}
         # release serving GPUs no longer needed
         for gtype, held in list(self._serving_held.items()):
             needed = demand.get(gtype, 0)
             if held > needed:
-                sim.cluster.release(_canonical(gtype), held - needed)
+                sim.cluster.release(gtype, held - needed)
                 self._serving_held[gtype] = needed
 
         # acquire what serving now needs, reclaiming from elastic jobs
@@ -67,14 +68,13 @@ class ServingColocationPolicy(EasyScalePolicy):
             if needed <= held:
                 continue
             shortfall = needed - held
-            canonical = _canonical(gtype)
-            free = sim.cluster.free_count(canonical)
+            free = sim.cluster.free_count(gtype)
             if free < shortfall:
                 self._reclaim_from_elastic(sim, now, gtype, shortfall - free)
-                free = sim.cluster.free_count(canonical)
+                free = sim.cluster.free_count(gtype)
             take = min(shortfall, free)
             if take > 0:
-                sim.cluster.allocate(canonical, take)
+                sim.cluster.allocate(gtype, take)
                 self._serving_held[gtype] = held + take
 
     def _reclaim_from_elastic(

@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Mapping, Optional
 
+from repro.hw.gpu import type_key
 from repro.sched.companion import CompanionModule
 from repro.sched.inter import InterJobScheduler
 from repro.sched.intra import IntraJobScheduler, ResourceProposal
@@ -43,9 +44,7 @@ class EasyScalePolicy(SchedulingPolicy):
         #: capability table — the hook through which profiler-calibrated
         #: rates reach the simulator (``trace-sim --calibrate``): a 0.8
         #: entry for ``t4`` means "T4s measured 20% slower than the prior"
-        self.capability_scale = {
-            k.lower(): float(v) for k, v in (capability_scale or {}).items()
-        }
+        self.capability_scale = {type_key(k): float(v) for k, v in (capability_scale or {}).items()}
         for gtype, factor in self.capability_scale.items():
             if factor <= 0:
                 raise ValueError(f"capability scale for {gtype} must be positive")
@@ -111,7 +110,7 @@ class EasyScalePolicy(SchedulingPolicy):
         # (Role-3) and its new key stands in the book for the next round
         # — or, when the loop stops here, for the next call
         for _ in range(64):  # bounded: each round grants >=1 GPU
-            free = sim.free_by_type()
+            free = sim.cluster.free_by_type()
             if sum(free.values()) == 0:
                 break
             grants = self.inter.arbitrate(collect(free), free)

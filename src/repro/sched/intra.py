@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.hw.gpu import gpu_type
+from repro.hw.gpu import gpu_type, type_key
 from repro.obs import flightrec
 from repro.sched.companion import CompanionModule
 from repro.sched.perfmodel import Plan, ScoredPlan, estimated_throughput
-from repro.sched.simulator import _canonical
 
 if TYPE_CHECKING:
     from repro.core.engine import WorkerAssignment
@@ -69,7 +68,7 @@ def plan_to_assignment(plan: Plan) -> WorkerAssignment:
             take = min(a, plan.max_p - cursor)
             if take <= 0:
                 continue
-            gpus.append(gpu_type(_canonical(gtype_name)))
+            gpus.append(gpu_type(gtype_name))
             est_map.append(list(range(cursor, cursor + take)))
             cursor += take
     if cursor != plan.max_p:
@@ -185,7 +184,7 @@ class IntraJobScheduler:
         """
         previous = dict(self.companion.capability)
         for gtype, rate in calibrated.items():
-            key = gtype.lower()
+            key = type_key(gtype)
             if key in self.companion.capability and rate > 0:
                 self.companion.capability[key] = float(rate)
         return previous

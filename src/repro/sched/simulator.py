@@ -265,7 +265,7 @@ class ClusterSimulator:
         self.events.emit(
             0.0,
             "cluster_capacity",
-            **{name.lower(): cluster.total(name) for name in cluster.type_names()},
+            **{name: cluster.total(name) for name in cluster.type_names()},
         )
 
     # ------------------------------------------------------------------
@@ -293,7 +293,7 @@ class ClusterSimulator:
     def grant(self, runtime: JobRuntime, gtype: str, count: int) -> None:
         """Allocate ``count`` GPUs of a type to a job (with restart cost)."""
         self._touch(runtime)
-        self.cluster.allocate(_canonical(gtype), count)
+        self.cluster.allocate(gtype, count)
         runtime.owned[gtype] = runtime.owned.get(gtype, 0) + count
         runtime.reconfig_until = self.now + self.reconfig_delay
         if runtime.status == "pending":
@@ -308,7 +308,7 @@ class ClusterSimulator:
         held = runtime.owned.get(gtype, 0)
         if count > held:
             raise ValueError(f"cannot revoke {count} {gtype} from {runtime.job.job_id}")
-        self.cluster.release(_canonical(gtype), count)
+        self.cluster.release(gtype, count)
         runtime.owned[gtype] = held - count
         runtime.reconfig_until = self.now + self.reconfig_delay
         self.events.emit(
@@ -318,11 +318,8 @@ class ClusterSimulator:
     def release_all(self, runtime: JobRuntime) -> None:
         self._touch(runtime)
         for gtype, count in runtime.owned.items():
-            self.cluster.release(_canonical(gtype), count)
+            self.cluster.release(gtype, count)
         runtime.owned = {}
-
-    def free_by_type(self) -> Dict[str, int]:
-        return {k.lower(): v for k, v in self.cluster.free_by_type().items()}
 
     def active_jobs(self) -> List[JobRuntime]:
         """Arrived, unfinished jobs in arrival order — the policies' working set.
@@ -400,7 +397,7 @@ class ClusterSimulator:
             take = min(remaining, runtime.owned.get(owned_type, 0))
             if take <= 0:
                 continue
-            self.cluster.release(_canonical(owned_type), take)
+            self.cluster.release(owned_type, take)
             runtime.owned[owned_type] -= take
             removed.append((owned_type, take))
             remaining -= take
@@ -497,8 +494,7 @@ class ClusterSimulator:
         lost work), abruptly for forceful removals (progress since the
         last periodic checkpoint is lost).
         """
-        canonical = _canonical(gtype)
-        while self.cluster.free_count(canonical) < slots:
+        while self.cluster.free_count(gtype) < slots:
             holders = [
                 r
                 for r in arrived
@@ -507,13 +503,13 @@ class ClusterSimulator:
             if not holders:
                 break
             victim = max(holders, key=lambda r: (r.owned.get(gtype, 0), r.job.job_id))
-            need = slots - self.cluster.free_count(canonical)
+            need = slots - self.cluster.free_count(gtype)
             take = min(need, victim.owned.get(gtype, 0))
             self.preempt(victim, take, gtype, abrupt=abrupt, kind=kind)
-        self.cluster.remove_free(canonical, min(slots, self.cluster.free_count(canonical)))
+        self.cluster.remove_free(gtype, min(slots, self.cluster.free_count(gtype)))
 
     def _add_host(self, host_id: str, gtype: str, slots: int) -> None:
-        self.cluster.add_machine(Machine(host_id, gpu_type(_canonical(gtype)), slots))
+        self.cluster.add_machine(Machine(host_id, gpu_type(gtype), slots))
 
     def _apply_membership(self, op: str, host_id: str, arrived: List[JobRuntime]) -> None:
         """Apply one due host op to the registry, then to the capacity and
@@ -1034,11 +1030,3 @@ class _BatchedState:
             earliest = _minimum(later)
         earliest = float(earliest)
         return earliest if earliest != _INF else None
-
-
-#: lower-case policy spelling -> cluster type name
-_CANONICAL = {"v100": "V100", "p100": "P100", "t4": "T4"}
-
-
-def _canonical(name: str) -> str:
-    return _CANONICAL.get(name.lower(), name)

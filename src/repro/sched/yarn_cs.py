@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.sched.simulator import ClusterSimulator, JobRuntime, SchedulingPolicy, _canonical
+from repro.sched.simulator import ClusterSimulator, JobRuntime, SchedulingPolicy
 
 
 class YarnCapacityScheduler(SchedulingPolicy):
@@ -38,7 +38,7 @@ class YarnCapacityScheduler(SchedulingPolicy):
                 self._queue.pop(0)
                 continue
             gtype = head.job.requested_type
-            free = sim.cluster.free_count(_canonical(gtype))
+            free = sim.cluster.free_count(gtype)
             if free < head.job.requested_gpus:
                 return  # head blocks the queue: no backfill
             self._queue.pop(0)

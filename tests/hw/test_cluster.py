@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import Cluster, Machine, P100, T4, V100, microbench_cluster, production_cluster
-from repro.hw.gpu import gpu_type
+from repro.hw.gpu import GPU_TYPES, gpu_type
 
 
 class TestGPUTypes:
@@ -14,31 +14,38 @@ class TestGPUTypes:
         with pytest.raises(KeyError):
             gpu_type("A100")
 
+    @pytest.mark.parametrize("gtype", [V100, P100, T4], ids=lambda t: t.key)
+    def test_either_spelling_names_one_type(self, gtype):
+        assert gpu_type(gtype.key) is gpu_type(gtype.name) is gtype
+        assert GPU_TYPES[gtype.key] is gtype
+        with pytest.raises(KeyError, match="unknown GPU type"):
+            gpu_type(gtype.key + "x")
+
     def test_memory_profile(self):
         assert V100.memory_gb == 32.0
         assert P100.memory_gb == 16.0 and T4.memory_gb == 16.0
 
     def test_gpu_allocate_release(self):
         cluster = Cluster([Machine("v0", V100, 2)])
-        cluster.allocate("V100", 2)
+        cluster.allocate("v100", 2)
         # over-allocation and over-release raise and leave the counts alone
         with pytest.raises(RuntimeError):
-            cluster.allocate("V100", 1)
-        cluster.release("V100", 1)
+            cluster.allocate("v100", 1)
+        cluster.release("v100", 1)
         with pytest.raises(RuntimeError):
-            cluster.release("V100", 2)
-        assert (cluster.free_count("V100"), cluster.allocated_count()) == (1, 1)
-        cluster.release("V100", 1)
-        assert cluster.free_count("V100") == 2 and cluster.allocated_count() == 0
+            cluster.release("v100", 2)
+        assert (cluster.free_count("v100"), cluster.allocated_count()) == (1, 1)
+        cluster.release("v100", 1)
+        assert cluster.free_count("v100") == 2 and cluster.allocated_count() == 0
 
 
 class TestMicrobenchCluster:
     def test_paper_composition(self):
         cluster = microbench_cluster()
         assert cluster.total() == 64
-        assert cluster.total("V100") == 32
-        assert cluster.total("P100") == 16
-        assert cluster.total("T4") == 16
+        assert cluster.total("v100") == 32
+        assert cluster.total("p100") == 16
+        assert cluster.total("t4") == 16
 
     def test_machine_shapes(self):
         cluster = microbench_cluster()
@@ -54,24 +61,24 @@ class TestMicrobenchCluster:
 class TestAllocation:
     def test_allocate_and_release(self):
         cluster = microbench_cluster()
-        cluster.allocate("V100", 5)
-        assert cluster.free_count("V100") == 27
+        cluster.allocate("v100", 5)
+        assert cluster.free_count("v100") == 27
         assert cluster.allocated_count() == 5
-        cluster.release("V100", 2)
-        assert cluster.free_count("V100") == 29
-        cluster.release("V100", 3)
+        cluster.release("v100", 2)
+        assert cluster.free_count("v100") == 29
+        cluster.release("v100", 3)
         assert cluster.allocated_count() == 0
 
     def test_all_or_nothing(self):
         cluster = microbench_cluster()
         with pytest.raises(RuntimeError):
-            cluster.allocate("P100", 17)
-        assert cluster.free_count("P100") == 16
+            cluster.allocate("p100", 17)
+        assert cluster.free_count("p100") == 16
 
     def test_free_by_type(self):
         cluster = microbench_cluster()
-        cluster.allocate("T4", 10)
-        assert cluster.free_by_type() == {"V100": 32, "P100": 16, "T4": 6}
+        cluster.allocate("t4", 10)
+        assert cluster.free_by_type() == {"v100": 32, "p100": 16, "t4": 6}
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
@@ -140,11 +147,11 @@ class PerGPUInventory:
 
 
 SMALL_POOL = (
-    [(f"v{i}", "V100", 8) for i in range(2)]
-    + [(f"p{i}", "P100", 2) for i in range(3)]
-    + [(f"t{i}", "T4", 4) for i in range(2)]
+    [(f"v{i}", "v100", 8) for i in range(2)]
+    + [(f"p{i}", "p100", 2) for i in range(3)]
+    + [(f"t{i}", "t4", 4) for i in range(2)]
 )
-GTYPES = {"V100": V100, "P100": P100, "T4": T4}
+GTYPES = {"v100": V100, "p100": P100, "t4": T4}
 TYPES = st.sampled_from(sorted(GTYPES))
 INVENTORY_OPS = st.one_of(
     st.tuples(st.just("allocate"), TYPES, st.integers(-1, 9)),
@@ -193,9 +200,9 @@ class TestProductionCluster:
     def test_size_and_mix(self):
         cluster = production_cluster(1000)
         assert cluster.total() == 1000
-        assert cluster.total("T4") == 500
-        assert cluster.total("P100") == 250
-        assert cluster.total("V100") == 250
+        assert cluster.total("t4") == 500
+        assert cluster.total("p100") == 250
+        assert cluster.total("v100") == 250
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):

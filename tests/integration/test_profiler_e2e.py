@@ -17,6 +17,7 @@ from repro.hw import T4, V100
 from repro.hw.timing import static_capability
 from repro.models import get_workload
 from repro.obs import OnlineProfiler, ProfilerConfig, diff_audits
+from repro.obs.profiler import profile_from_trace
 from repro.sched.companion import CompanionModule
 from repro.sched.intra import IntraJobScheduler
 from repro.sched.perfmodel import overload_factor
@@ -194,3 +195,36 @@ class TestBitwiseNoOp:
         engine.train_steps(3)
         assert profiler.windows_closed == 3
         assert "v100" in profiler.observed_capability
+
+
+class TestTraceReplayAcrossScaleEvents:
+    def test_replay_matches_the_live_profile_over_two_stages(self, spec, dataset):
+        """A scale event restarts the live profiler's per-worker windows;
+        the replay of the run's trace restarts them at the recorded
+        ``engine.scale_event``, so both read the same windows and the same
+        steps and ESTs per worker and per EST."""
+        obs.configure(enabled=True)
+        live = OnlineProfiler()
+        config = EasyScaleJobConfig(num_ests=4, seed=SEED, batch_size=4)
+        engine = EasyScaleEngine(
+            spec, dataset, config, sgd_factory(),
+            WorkerAssignment.balanced([V100, V100], 4), profiler=live,
+        )
+        engine.train_steps(3)
+        engine.reconfigure(WorkerAssignment.balanced([V100, T4], 4)).train_steps(3)
+        live.flush()
+        replay = profile_from_trace(obs.tracer().records)
+
+        def shape(profiler):
+            summary = profiler.summary()
+            workers = {
+                wid: (w["gpu"], w["num_ests"], w["steps"])
+                for wid, w in summary["workers"].items()
+            }
+            ests = {vrank: e["steps"] for vrank, e in summary["ests"].items()}
+            return summary["windows"], workers, ests
+
+        assert shape(replay) == shape(live)
+        windows, workers, _ = shape(live)
+        assert windows == 2  # one per stage
+        assert workers == {"0": ("v100", 2, 3), "1": ("t4", 2, 3)}

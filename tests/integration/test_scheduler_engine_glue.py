@@ -42,7 +42,7 @@ class TestSchedulerDrivenTraining:
         intra = IntraJobScheduler("job", companion)
         inter = InterJobScheduler()
 
-        cluster.allocate("V100", 1)
+        cluster.allocate("v100", 1)
         config = EasyScaleJobConfig(
             num_ests=num_ests, seed=SEED, batch_size=8,
             determinism=determinism_from_label("D1+D2"),
@@ -59,10 +59,10 @@ class TestSchedulerDrivenTraining:
         for _ in range(4):
             engine.train_steps(2)
             total_steps += 2
-            free = {k.lower(): v for k, v in cluster.free_by_type().items()}
+            free = cluster.free_by_type()
             grants = inter.arbitrate(intra.propose(owned, free), free)
             for grant in grants:
-                cluster.allocate(grant.gtype.upper(), grant.gpus)
+                cluster.allocate(grant.gtype, grant.gpus)
                 owned[grant.gtype] = owned.get(grant.gtype, 0) + grant.gpus
                 scored = intra.apply_best_plan(owned)
                 engine = engine.reconfigure(plan_to_assignment(scored.plan))
@@ -102,7 +102,7 @@ class TestSchedulerDrivenTraining:
         inter = InterJobScheduler()
         owned = {"a": {}, "b": {}}
         for _ in range(4):
-            free = {k.lower(): v for k, v in cluster.free_by_type().items()}
+            free = cluster.free_by_type()
             proposals = []
             for name, intra in intras.items():
                 intra.apply_best_plan(owned[name])
@@ -111,7 +111,7 @@ class TestSchedulerDrivenTraining:
             if not grants:
                 break
             for grant in grants:
-                cluster.allocate(grant.gtype.upper(), grant.gpus)
+                cluster.allocate(grant.gtype, grant.gpus)
                 owned[grant.job_id][grant.gtype] = (
                     owned[grant.job_id].get(grant.gtype, 0) + grant.gpus
                 )

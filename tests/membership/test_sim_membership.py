@@ -44,9 +44,9 @@ class TestClusterInventory:
     def test_add_machine_grows_totals(self):
         cluster = base_cluster()
         cluster.add_machine(Machine("t4-0", gpu_type("T4"), 3))
-        assert cluster.total("V100") == 2
-        assert cluster.total("T4") == 3
-        assert cluster.free_count("T4") == 3
+        assert cluster.total("v100") == 2
+        assert cluster.total("t4") == 3
+        assert cluster.free_count("t4") == 3
 
     def test_add_empty_machine_rejected(self):
         with pytest.raises(ValueError, match="no GPUs"):
@@ -55,21 +55,21 @@ class TestClusterInventory:
     def test_remove_free_takes_newest_and_prunes_machine(self):
         cluster = base_cluster()
         cluster.add_machine(Machine("late", gpu_type("V100"), 1))
-        cluster.remove_free("V100", 1)
+        cluster.remove_free("v100", 1)
         # the newest host's GPU went first; its empty machine is pruned
-        assert cluster.total("V100") == 2
+        assert cluster.total("v100") == 2
         assert [m.name for m in cluster.machines] == ["base0"]
 
     def test_remove_free_needs_free_capacity(self):
         cluster = base_cluster()
-        cluster.allocate("V100", 2)
+        cluster.allocate("v100", 2)
         with pytest.raises(RuntimeError, match="only 0 free"):
-            cluster.remove_free("V100", 1)
+            cluster.remove_free("v100", 1)
 
     def test_remove_free_refuses_to_empty_the_cluster(self):
         cluster = base_cluster()
         with pytest.raises(RuntimeError, match="last GPUs"):
-            cluster.remove_free("V100", 2)
+            cluster.remove_free("v100", 2)
 
 
 class TestCapacityLifecycle:
@@ -80,7 +80,7 @@ class TestCapacityLifecycle:
         first = next(iter(sim.events))
         assert first.kind == "cluster_capacity"
         assert first.payload == {"v100": 4}
-        assert sim.cluster.total("V100") == 4
+        assert sim.cluster.total("v100") == 4
 
     def test_announced_host_joins_and_grows_capacity(self):
         events = [PlanEvent(kind="announce", host="spot", at_time=100.0,
@@ -94,7 +94,7 @@ class TestCapacityLifecycle:
         assert [(e.time, e.payload) for e in joins] == [
             (150.0, {"host": "spot", "gtype": "t4", "gpus": 2})
         ]
-        assert sim.cluster.total("T4") == 2
+        assert sim.cluster.total("t4") == 2
         assert sim.driver.registry.get("spot").state == ACTIVE
 
     def test_drain_preempts_holder_gracefully(self):
@@ -112,7 +112,7 @@ class TestCapacityLifecycle:
         assert preempts[0].payload["abrupt"] is False
         assert preempts[0].payload["lost_s"] == 0.0
         assert sim.lost_work_seconds == 0.0
-        assert sim.cluster.total("V100") == 2
+        assert sim.cluster.total("v100") == 2
         assert sim.driver.registry.get("member-v").state == REMOVED
         drains = result.events.of_kind("host_drain")
         assert [e.time for e in drains] == [200.0]
@@ -145,7 +145,7 @@ class TestCapacityLifecycle:
         assert result.events.of_kind("host_blacklist")
         assert not result.events.of_kind("preempt")
         assert sim.lost_work_seconds == 0.0
-        assert sim.cluster.total("V100") == 2
+        assert sim.cluster.total("v100") == 2
 
     def test_reclaim_notice_then_deadline(self):
         events = [PlanEvent(kind="reclaim_notice", host="member-v",
@@ -160,7 +160,7 @@ class TestCapacityLifecycle:
         assert [e.time for e in notice] == [100.0]
         assert [e.time for e in reclaim] == [130.0]
         # capacity survives the notice window, leaves at the deadline
-        assert sim.cluster.total("V100") == 2
+        assert sim.cluster.total("v100") == 2
 
 
 class RecordingPolicy(YarnCapacityScheduler):
@@ -258,6 +258,6 @@ class TestHeapMatchesReference:
             fingerprints.append(result.events.fingerprint())
             assert [e.time for e in result.events.of_kind("host_drain")] == [200.0]
             assert not result.events.of_kind("host_join")
-            assert sim.cluster.total("T4") == 0
+            assert sim.cluster.total("t4") == 0
             assert sim.driver.registry.get("spot").state == REMOVED
         assert fingerprints[0] == fingerprints[1]

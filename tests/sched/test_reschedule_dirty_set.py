@@ -99,7 +99,7 @@ class BookCheckingPolicy(EasyScalePolicy):
             assert standing_key(inter, runtime.agent) == fresh_ask(
                 inter, runtime.agent, runtime.owned
             ), (now, runtime.job.job_id)
-        free = sim.free_by_type()
+        free = sim.cluster.free_by_type()
         counters = inter.proposal_memo_hits, inter.proposal_memo_misses
         book = {}
         for proposal in inter.proposals_for(free):

@@ -131,9 +131,9 @@ class TestSimulatorValidation:
         sim = ClusterSimulator(microbench_cluster(), [job()], EasyScalePolicy(False))
         rt = sim.runtimes[0]
         sim.grant(rt, "v100", 3)
-        assert sim.cluster.allocated_count("V100") == 3
+        assert sim.cluster.allocated_count("v100") == 3
         sim.revoke(rt, "v100", 2)
         assert rt.owned["v100"] == 1
-        assert sim.cluster.allocated_count("V100") == 1
+        assert sim.cluster.allocated_count("v100") == 1
         with pytest.raises(ValueError):
             sim.revoke(rt, "v100", 5)

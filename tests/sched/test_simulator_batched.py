@@ -44,7 +44,7 @@ from repro.sched import (
     heavy_tail_trace,
 )
 from repro.sched.intra import IntraJobScheduler
-from repro.sched.simulator import JobRuntime, _BatchedState, _canonical
+from repro.sched.simulator import JobRuntime, _BatchedState
 from repro.sched.trace import GPU_DEMAND, TraceJob
 from tests.sched.test_intra import reference_proposals
 
@@ -113,12 +113,14 @@ def assert_conserved(sim, where):
     """GPU conservation: per type, the free GPUs plus every job's book
     (``JobRuntime.owned``) plus a serving tenant's reservations are the
     type's total.  The inventory keeps counts and no owner tags, so this
-    is what catches a holding booked but never taken, or released twice."""
+    is what catches a holding booked but never taken, or released twice.
+    The books' keys are summed into the inventory's as they are: a book,
+    an event or an inventory that spelled a type another way fails here."""
     held = Counter()
     for book in [r.owned for r in sim.runtimes] + [serving_held(sim)]:
         for gtype, count in book.items():
             assert count >= 0, (where, gtype, count)
-            held[_canonical(gtype)] += count
+            held[gtype] += count
     cluster = sim.cluster
     for name in GPU_TYPES:
         assert cluster.free_count(name) + held[name] == cluster.total(name), (where, name)

@@ -317,6 +317,8 @@ BAD_FLAGS = [
     _flag("train --workers -1", "train", "resnet18", "--backend", "pool", "--workers", "-1"),
     _flag("train --schedule 0xV100", "train", "resnet18", "--schedule", "0xV100"),
     _flag("train --schedule 2xH100", "train", "resnet18", "--schedule", "2xH100"),
+    _flag("train --schedule 1xV100+-1xT4", "train", "resnet18", "--schedule", "1xV100+-1xT4"),
+    _flag("train --schedule 1xV100+0xT4", "train", "resnet18", "--schedule", "1xV100+0xT4"),
     _flag("train --schedule twoxV100", "train", "resnet18", "--schedule", "twoxV100"),
     _flag("train train nosuchmodel", "train", "nosuchmodel"),
     _flag("scan scan nosuchmodel", "scan", "nosuchmodel"),

@@ -171,20 +171,22 @@ def test_the_class_key_and_the_ownership_clamp_live_once():
 
 
 def test_plan_stores_belong_to_classes_and_are_left_not_emptied():
-    # the lower-case -> cluster type table is spelled once (the simulator's
-    # _canonical; intra imports it); a PlanCache may read a store its job
-    # class shares, so invalidation moves it to a fresh store and never
-    # empties one in place; and the shared stores hang off the JobClass the
-    # scheduler interns — a module-level registry of plan stores would
-    # outlive every scheduler and couple two simulations in one process.
+    # a GPU type has one key, stated in repro.hw.gpu: no module keeps a
+    # second spelling table or a helper that converts to one; a PlanCache
+    # may read a store its job class shares, so invalidation moves it to a
+    # fresh store and never empties one in place; and the shared stores
+    # hang off the JobClass the scheduler interns — a module-level registry
+    # of plan stores would outlive every scheduler and couple two
+    # simulations in one process.
     # (Spelled split so this file does not match itself.)
     import ast
 
-    canonical_defs = [
-        path for path, line in _lines_of_code_and_docs()
-        if path.startswith("src/repro/sched/") and line.startswith("def _canon" + "ical(")
-    ]
-    assert canonical_defs == ["src/repro/sched/simulator.py"], canonical_defs
+    spellings = ["_canon" + "ical", "_CANON" + "ICAL"]
+    for path in _python_files(SRC):
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        for name in spellings:
+            assert name not in text, (os.path.relpath(path, REPO_ROOT), name)
     with open(os.path.join(SRC, "sched", "plancache.py"), encoding="utf-8") as handle:
         assert ".clear" + "()" not in handle.read()
 
@@ -393,6 +395,17 @@ def test_the_inventory_counts_gpus():
         if path.startswith("src/"):
             for name in gone:
                 assert name not in line, (path, line)
+
+
+def test_only_repro_hw_gpu_upper_cases_a_name():
+    # a GPU type travels as its key ("v100"); repro.hw.gpu is the one place
+    # that folds a spelling to it, so no other module upper-cases a name to
+    # meet the inventory (determinism labels are parsed upper-case).
+    # (Spelled split so this file does not match itself.)
+    allowed = {"src/repro/hw/gpu.py", "src/repro/core/determinism.py"}
+    for path, line in _lines_of_code_and_docs():
+        if path.startswith("src/") and path not in allowed:
+            assert ".upper" + "()" not in line, (path, line)
 
 
 def test_one_stopwatch_for_the_trajectory():
