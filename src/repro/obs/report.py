@@ -30,6 +30,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.hw.gpu import type_key
 from repro.utils.jsonl import read_jsonl
 
+_INF = float("inf")
+
 #: event kinds the report understands; anything else is ignored
 _ALLOC_KINDS = (
     "cluster_capacity",
@@ -472,19 +474,23 @@ def load_events_jsonl(path: str) -> List[Dict[str, Any]]:
 def save_events_jsonl(events: Iterable[Any], path: str) -> int:
     """Write an event stream (Event objects or dicts) as JSON lines.
 
-    One encoder for the file: ``json.dumps(row, sort_keys=True)`` would
-    build a fresh :class:`json.JSONEncoder` per line (it caches only the
-    default one), for the same bytes.  An event's payload is encoded as it
-    is, not copied: the encoder does not mutate it.
+    Each line is ``json.dumps(row, sort_keys=True)``, through one encoder
+    (``json.dumps`` builds one per call).  An event with a finite
+    ``float`` time is written from its fields: a cached ``{"kind": …,
+    "payload": `` prefix per kind, the payload as it is (not copied) and
+    the time as the encoder spells it; anything else is encoded whole.
     """
     encode = json.JSONEncoder(sort_keys=True).encode
+    prefixes: Dict[str, str] = {}
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            if hasattr(event, "kind") and hasattr(event, "time"):
-                row = {"time": event.time, "kind": event.kind, "payload": event.payload}
+        for count, event in enumerate(events, 1):
+            if not (hasattr(event, "kind") and hasattr(event, "time")):
+                fh.write(encode(dict(event)) + "\n")
+            elif type(event.time) is float and -_INF < event.time < _INF:
+                if event.kind not in prefixes:
+                    prefixes[event.kind] = '{"kind": ' + encode(event.kind) + ', "payload": '
+                fh.write(f'{prefixes[event.kind]}{encode(event.payload)}, "time": {event.time!r}}}\n')
             else:
-                row = dict(event)
-            fh.write(encode(row) + "\n")
-            count += 1
+                fh.write(encode({"time": event.time, "kind": event.kind, "payload": event.payload}) + "\n")
     return count

@@ -412,25 +412,14 @@ class ClusterSimulator:
         self.recovery_seconds += delay
         self.preemptions += 1
         runtime.faults.append((kind, self.now))
-        for removed_type, taken in removed:
+        # a crash without GPU loss still restarts the job: one typeless event
+        for removed_type, taken in removed or [(None, 0)]:
             self.events.emit(
                 self.now,
                 "preempt",
                 job=runtime.job.job_id,
                 gtype=removed_type,
                 gpus=taken,
-                fault=kind,
-                abrupt=abrupt,
-                lost_s=round(lost, 3),
-            )
-        if not removed:
-            # crash without GPU loss still restarts the job
-            self.events.emit(
-                self.now,
-                "preempt",
-                job=runtime.job.job_id,
-                gtype=None,
-                gpus=0,
                 fault=kind,
                 abrupt=abrupt,
                 lost_s=round(lost, 3),
@@ -692,9 +681,10 @@ class ClusterSimulator:
           decision point;
         - a **structure-of-arrays mirror** of the running jobs turns
           per-job ``advance``/``predicted_completion``/completion checks
-          into vectorized NumPy float64 expressions (elementwise IEEE
-          ops: bit-identical to the scalar arithmetic), and is edited row
-          by row for the jobs a decision point moved, not rebuilt;
+          into NumPy float64 expressions bit-identical to the scalar
+          ones (``eff_rate * dt`` steps, ``now + min(remaining / rate)``;
+          rows in a restart pause as scalars), edited row by row for the
+          jobs a decision point moved, not rebuilt;
         - runs of coincident events are **drained in one pass**: every
           queue entry at the chosen timestamp is consumed before the
           decision point executes, instead of being popped and discarded
@@ -872,44 +862,37 @@ class _BatchedState:
     objects — the path of the rare scalar points, and what an edited
     mirror must equal (``tests/sched/test_simulator_batched.py``).
 
-    Four vectors per running job: ``remaining``, ``eff_rate`` (the
-    :meth:`advance` multiplier), ``divisor`` and ``reconfig`` (the ETA
-    inputs).  A zero-rate row carries a ``divisor`` of ``+inf`` and a
-    ``reconfig`` of ``-inf``: its ETA is then exactly ``now``, never a
-    candidate, so :meth:`min_eta` needs no mask and no division by zero.
-    ``max(now, reconfig)`` is computed once per decision point, by
-    :meth:`min_eta`, and reused by the next :meth:`advance` from that
-    same ``now``; any edit of the rows drops it.
-
-    Every array op mirrors the scalar arithmetic of
-    :meth:`JobRuntime.advance` / :meth:`JobRuntime.predicted_completion`
-    elementwise in float64 — IEEE-identical (NumPy does not fuse or
-    reassociate elementwise expressions), so fingerprints are bit-exact.
+    Three vectors per running job: ``remaining``, ``eff_rate`` (the
+    :meth:`advance` multiplier) and ``divisor`` (``+inf`` on a zero-rate
+    row, whose ETA is then exactly ``now``, never a candidate).  A restart
+    pause is not a vector: ``paused`` maps the arrival index of each
+    positive-rate row whose pause ends after the mirror's ``now`` to its
+    ``reconfig_until`` (a few rows at most), and :meth:`advance` /
+    :meth:`min_eta` redo those rows as scalars.  Every op is the scalar
+    arithmetic of :meth:`JobRuntime.advance` / ``predicted_completion``
+    in float64 (NumPy does not fuse or reassociate), so fingerprints are
+    bit-exact.
     """
 
     __slots__ = (
-        "jobs", "_rows", "remaining", "eff_rate", "divisor", "reconfig",
-        "_start", "_start_at", "_scratch", "any_running", "stale",
+        "jobs", "_rows", "remaining", "eff_rate", "divisor", "_scratch",
+        "paused", "now", "any_running", "stale",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, now: float = -_INF) -> None:
         self.jobs: List[JobRuntime] = []
-        #: (remaining, eff_rate, divisor, reconfig, start, scratch) x
-        #: capacity; the six vectors are views of its first ``len(jobs)``
-        #: columns, the last two are buffers
-        self._rows = np.empty((6, 0), dtype=np.float64)
+        #: (remaining, eff_rate, divisor, scratch) x capacity, viewed up to ``len(jobs)``
+        self._rows = np.empty((4, 0), dtype=np.float64)
         self._view()
+        self.paused: Dict[int, float] = {}
+        #: the ``t_to`` of the last :meth:`advance`
+        self.now = now
         #: True while the remaining-work vector is ahead of the objects
         self.stale = False
 
     def _view(self) -> None:
         n = len(self.jobs)
-        (
-            self.remaining, self.eff_rate, self.divisor, self.reconfig,
-            self._start, self._scratch,
-        ) = self._rows[:, :n]
-        #: the ``now`` that ``_start`` holds ``max(now, reconfig)`` for
-        self._start_at: Optional[float] = None
+        self.remaining, self.eff_rate, self.divisor, self._scratch = self._rows[:, :n]
         self.any_running = n > 0
 
     def refresh(self, active: List[JobRuntime]) -> None:
@@ -917,14 +900,14 @@ class _BatchedState:
         self.writeback()
         jobs = self.jobs = [r for r in active if r.status == "running"]
         n = len(jobs)
-        rows = self._rows = np.empty((6, n), dtype=np.float64)
+        rows = self._rows = np.empty((4, n), dtype=np.float64)
         rows[0] = np.fromiter((r.remaining_work for r in jobs), dtype=np.float64, count=n)
         rows[1] = np.fromiter((r.effective_rate for r in jobs), dtype=np.float64, count=n)
-        rows[3] = np.fromiter((r.reconfig_until for r in jobs), dtype=np.float64, count=n)
-        idle = rows[1] <= 0.0
         rows[2] = rows[1]
-        rows[2, idle] = _INF
-        rows[3, idle] = -_INF
+        rows[2, rows[1] <= 0.0] = _INF
+        now = self.now
+        self.paused = {r.index: r.reconfig_until for r in jobs
+                       if r.reconfig_until > now and r.effective_rate > 0.0}
         self._view()
 
     def sync(self, touched: List[JobRuntime]) -> None:
@@ -935,36 +918,39 @@ class _BatchedState:
         ``effective_rate`` / ``reconfig_until`` (its ``remaining`` is the
         mirror's to keep); a row whose job left is written back to the
         object and deleted.  Driven by each job's final state, so a job
-        touched twice is edited to the same row twice.
+        touched twice is edited to the same row twice.  The row views are
+        re-sliced only when a row was inserted or deleted.
         """
         if not touched:
             return
-        jobs, rows = self.jobs, self._rows
+        jobs, rows, paused, now = self.jobs, self._rows, self.paused, self.now
+        moved = False
         for runtime in touched:
             n = len(jobs)
             row = bisect_left(jobs, runtime.index, key=_INDEX)
             present = row < n and jobs[row] is runtime
+            paused.pop(runtime.index, None)
             if runtime.status == "running":
                 if not present:
                     if n == rows.shape[1]:
-                        rows = np.empty((6, max(8, 2 * n)), dtype=np.float64)
+                        rows = np.empty((4, max(8, 2 * n)), dtype=np.float64)
                         rows[:, :n] = self._rows[:, :n]
                         self._rows = rows
                     rows[:, row + 1 : n + 1] = rows[:, row:n]
                     rows[0, row] = runtime.remaining_work
                     jobs.insert(row, runtime)
+                    moved = True
                 rate = rows[1, row] = runtime.effective_rate
-                if rate > 0.0:
-                    rows[2, row] = rate
-                    rows[3, row] = runtime.reconfig_until
-                else:
-                    rows[2, row] = _INF
-                    rows[3, row] = -_INF
+                rows[2, row] = rate if rate > 0.0 else _INF
+                if rate > 0.0 and runtime.reconfig_until > now:
+                    paused[runtime.index] = runtime.reconfig_until
             elif present:
                 runtime.remaining_work = rows.item(0, row)
                 rows[:, row : n - 1] = rows[:, row + 1 : n]
                 del jobs[row]
-        self._view()
+                moved = True
+        if moved:
+            self._view()
 
     def writeback(self) -> None:
         """Scatter the advanced remaining-work values back to the objects."""
@@ -977,18 +963,23 @@ class _BatchedState:
     def advance(self, t_from: float, t_to: float) -> None:
         """Vectorized :meth:`JobRuntime.advance` over the running jobs.
 
-        Unmasked: a row that does not advance (zero rate, or still in its
-        reconfiguration pause) subtracts an exact ``0.0``, which leaves a
-        non-negative ``remaining`` bit-for-bit unchanged.
+        Every row steps by ``eff_rate * (t_to - t_from)``, a paused row by
+        the scalar step from its pause's end.  A step of an exact ``0.0``
+        (zero rate, or paused throughout) leaves ``remaining`` unchanged.
         """
+        self.now = t_to
         if not self.jobs:
             return
-        start, step, remaining = self._start, self._scratch, self.remaining
-        if self._start_at != t_from:
-            np.maximum(t_from, self.reconfig, out=start)
-        np.subtract(t_to, start, out=step)
-        np.maximum(step, 0.0, out=step)
-        np.multiply(self.eff_rate, step, out=step)
+        step, remaining = self._scratch, self.remaining
+        np.multiply(self.eff_rate, t_to - t_from, out=step)
+        if self.paused:
+            jobs, rates, paused = self.jobs, self.eff_rate, self.paused
+            for index, until in list(paused.items()):
+                row = bisect_left(jobs, index, key=_INDEX)
+                dt = t_to - max(t_from, until)
+                step[row] = rates.item(row) * dt if dt > 0 else 0.0
+                if until <= t_to:
+                    del paused[index]
         np.subtract(remaining, step, out=remaining)
         np.maximum(0.0, remaining, out=remaining)
         self.stale = True
@@ -1003,30 +994,33 @@ class _BatchedState:
     def min_eta(self, now: float) -> Optional[float]:
         """The earliest predicted completion strictly after ``now``.
 
-        ``run()`` enqueues only this single candidate per decision
-        point (generation-stamped, so older minima are discarded on pop)
-        instead of one entry per running job: the next decision point is
-        the *minimum* over all candidate times, and every later ETA is
-        recomputed afresh once that point executes.  Per-element ETA math
-        is identical to :meth:`JobRuntime.predicted_completion`, so the
-        minimum is the exact float the reference core would have stepped
-        to.  Predictions at or before ``now`` are not candidates, exactly
-        like the reference core's strictly-future candidate scan: a
-        zero-rate row predicts exactly ``now``, so only when the plain
-        minimum is not after ``now`` is a masked minimum taken.
+        ``run()`` enqueues only this single candidate per decision point
+        (generation-stamped): the next decision point is the minimum over
+        all candidates, and every ETA is re-predicted once it executes.
+        An unpaused row predicts ``now + q``, ``q = remaining / divisor``;
+        rounding is monotone, so their minimum is ``now + min(q)``.  A row
+        paused past ``now`` predicts ``until + q``, a scalar, with its
+        ``q`` masked to ``+inf``.  Predictions at or before ``now`` are not
+        candidates, as in the reference core's scan: a zero-rate row
+        predicts exactly ``now``, so only when the plain minimum is not
+        after ``now`` is a masked minimum taken.
         """
         if not self.jobs:
             return None
-        start, etas = self._start, self._scratch
-        np.maximum(now, self.reconfig, out=start)
-        self._start_at = now
-        np.divide(self.remaining, self.divisor, out=etas)
-        np.add(start, etas, out=etas)
-        earliest = _minimum(etas)
+        q = self._scratch
+        np.divide(self.remaining, self.divisor, out=q)
+        earliest_paused = _INF
+        if self.paused:
+            jobs = self.jobs
+            for index, until in self.paused.items():
+                if until > now:
+                    row = bisect_left(jobs, index, key=_INDEX)
+                    earliest_paused = min(earliest_paused, until + q.item(row))
+                    q[row] = _INF
+        earliest = now + float(_minimum(q))
         if not earliest > now:
-            later = etas[etas > now]
-            if not later.size:
-                return None
-            earliest = _minimum(later)
-        earliest = float(earliest)
+            np.add(q, now, out=q)
+            later = q[q > now]
+            earliest = float(_minimum(later)) if later.size else _INF
+        earliest = min(earliest, earliest_paused)
         return earliest if earliest != _INF else None

@@ -218,14 +218,22 @@ class TestRoundTrip:
         assert reloaded.summary() == direct.summary()
 
     def test_saved_bytes_are_the_per_line_dumps_spelling(self, tmp_path):
-        # the file is written through one shared encoder; its bytes must be
-        # exactly what json.dumps(row, sort_keys=True) per line would give
+        # the file is written through one shared encoder, float-timed events
+        # from a cached per-kind prefix; its bytes must be exactly what
+        # json.dumps(row, sort_keys=True) per line would give — repeated
+        # and non-ASCII kinds, and times that are not finite floats, too
         import json
+
+        import numpy as np
 
         log = EventLog()
         log.emit(-0.0, "fault", job="j\u00e9", detail={"lost": -0.0, "zeta": [1.5, {"b": 2, "a": None}]})
         log.emit(1e-7, "scale_out", job="作业-ü", gtype="t4", gpus=3.0)
         log.emit(12.0, "job_done", job="\U0001f680", released=2, ratio=1 / 3)
+        log.emit(12.5, "scale_out", job="b", gtype="v100", gpus=1)
+        log.emit(13, "ré\"sumé", job="c")
+        log.emit(np.float64(14.25), "job_done", job="c", released=1)
+        log.emit(float("inf"), "job_done", job="d", released=0)
         rows = [
             {"time": event.time, "kind": event.kind, "payload": dict(event.payload)}
             for event in log

@@ -149,9 +149,9 @@ def run_reference_checking_conservation(sim, **kwargs):
 
 def run_checking_mirror(sim, **kwargs):
     """``sim.run()``, with the edited running-set mirror compared against a
-    rebuilt one (``_BatchedState().refresh(active)``) after every decision
-    point: the same job objects in the same order, ``eff_rate`` /
-    ``reconfig`` equal by bytes, ``any_running`` equal.  GPU conservation
+    rebuilt one (``_BatchedState(now).refresh(active)``) after every
+    decision point: the same job objects in the same order, ``eff_rate``
+    equal by bytes, the same paused map, ``any_running`` equal.  GPU conservation
     (:func:`assert_conserved`) is checked at the same points.
 
     ``remaining`` is compared against the objects wherever the staleness
@@ -172,14 +172,14 @@ def run_checking_mirror(sim, **kwargs):
             twin[runtime.index] = copy.remaining_work
         before = list(state.jobs)
         iterate(t_next, state, arrival, scalar)
-        rebuilt = _BatchedState()
+        rebuilt = _BatchedState(sim.now)
         rebuilt.refresh(sim.active_jobs())
         where = f"{sim.policy.name} t={sim.now}"
         assert_conserved(sim, where)
         assert [id(r) for r in state.jobs] == [id(r) for r in rebuilt.jobs], where
         assert state.any_running == rebuilt.any_running, where
         assert state.eff_rate.tobytes() == rebuilt.eff_rate.tobytes(), where
-        assert state.reconfig.tobytes() == rebuilt.reconfig.tobytes(), where
+        assert state.paused == rebuilt.paused, where
         if state.stale:
             for runtime in before:
                 if runtime.status != "running":
@@ -492,13 +492,14 @@ class MirrorHarness:
             for i, work in enumerate(works)
         ]
         self.twins = [replace(r) for r in self.jobs]
-        self.state = _BatchedState()
+        self.state = _BatchedState(now)
         self.touched = []
-        #: ``now`` of the last ``min_eta`` while the start it cached is live
+        #: ``now`` of the last ``min_eta`` until the mirror is edited or
+        #: advanced
         self.eta_at = None
-        #: what the run covered: masked-minimum ETAs, and starts dropped
-        #: by an edit between ``min_eta`` and the ``advance`` after it
-        self.fallbacks = self.dropped_starts = 0
+        #: what the run covered: masked-minimum ETAs, and edits between
+        #: ``min_eta`` and the ``advance`` after it
+        self.fallbacks = self.late_edits = 0
 
     def running(self):
         return [r for r in self.jobs if self.twins[r.index].status == "running"]
@@ -521,7 +522,7 @@ class MirrorHarness:
 
     def _edited(self):
         if self.eta_at == self.now:
-            self.dropped_starts += 1
+            self.late_edits += 1
         self.eta_at = None
 
     def sync(self):
@@ -539,11 +540,13 @@ class MirrorHarness:
             self._edited()
         self.touched.clear()
         self.check_rows()
-        # an edited mirror equals a rebuilt one, pads included
-        rebuilt = _BatchedState()
+        # an edited mirror equals a rebuilt one at the same mirror time,
+        # pads and paused map included
+        rebuilt = _BatchedState(self.state.now)
         rebuilt.refresh(self.jobs)
-        for name in ("eff_rate", "divisor", "reconfig"):
+        for name in ("eff_rate", "divisor"):
             assert getattr(self.state, name).tobytes() == getattr(rebuilt, name).tobytes(), name
+        assert self.state.paused == rebuilt.paused
 
     def refresh(self):
         self.state.refresh(self.jobs)
@@ -618,9 +621,9 @@ MIRROR_POINTS = st.builds(
 
 class TestMirrorArithmetic:
     """``_BatchedState`` call by call against scalar twins
-    (:class:`MirrorHarness`): the unmasked advance, the ``±inf`` pads of
-    zero-rate rows, the masked-minimum fallback and the start vector
-    ``min_eta`` shares with the next ``advance``."""
+    (:class:`MirrorHarness`): the one-step advance, the ``+inf`` divisor
+    of zero-rate rows, the masked-minimum fallback and the paused rows
+    both calls redo as scalars."""
 
     @staticmethod
     def replay(now, works, ops):
@@ -680,9 +683,9 @@ class TestMirrorArithmetic:
 
     @pytest.mark.parametrize("edit", ["sync", "refresh"])
     def test_an_edit_between_min_eta_and_advance_drops_the_start(self, edit):
-        # min_eta caches max(now, reconfig); the grant below moves a row's
-        # reconfig_until into the future before the advance from that same
-        # `now`, which must not reuse the cached start
+        # the grant below moves a row's reconfig_until into the future
+        # after min_eta, before the advance from that same `now`: the row
+        # enters the paused set then, and the advance honours its pause
         ops = [
             ("edit", 0, "running", 1.0, 1.0, 0.0, 100.0),
             ("sync",), ("eta",),
@@ -690,8 +693,53 @@ class TestMirrorArithmetic:
             (edit,), ("advance", 60.0),
         ]
         harness = self.replay(3.0, [0.0] * 6, ops)
-        assert harness.dropped_starts == 1
+        assert harness.late_edits == 1
         assert harness.state.remaining[0] == 80.0
+
+    def test_a_pause_ending_exactly_at_an_advance_point(self):
+        # the step up to the pause's end is an exact 0.0 and the row leaves
+        # the paused set there; the next step is the plain vector one
+        ops = [
+            ("edit", 0, "running", 2.0, 1.0, 5.0, 100.0),
+            ("edit", 1, "running", 1.0, 1.0, 0.0, 100.0),
+            ("sync",), ("eta",), ("advance", 5.0),
+        ]
+        harness = self.replay(0.0, [0.0] * 6, ops)
+        assert harness.state.paused == {}
+        assert harness.state.remaining.tolist() == [100.0, 95.0]
+        harness.apply(("advance", 2.0))
+        assert harness.state.remaining.tolist() == [96.0, 93.0]
+
+    def test_a_row_paused_across_several_advances(self):
+        # three points fall inside the pause (no progress, the ETA counts
+        # from the pause's end); the fourth step straddles its end
+        ops = [
+            ("edit", 0, "running", 1.0, 1.0, 40.0, 100.0),
+            ("edit", 1, "running", 0.5, 1.0, 0.0, 100.0),
+            ("sync",),
+            ("eta",), ("advance", 10.0), ("eta",), ("advance", 10.0),
+            ("eta",), ("advance", 10.0),
+        ]
+        harness = self.replay(0.0, [0.0] * 6, ops)
+        assert harness.state.paused == {0: 40.0}
+        assert harness.state.remaining[0] == 100.0
+        assert harness.eta() == 140.0
+        harness.apply(("advance", 15.0))
+        assert harness.state.paused == {}
+        assert harness.state.remaining.tolist() == [95.0, 77.5]
+
+    def test_every_row_paused_the_scalar_eta_answers(self):
+        # the vector minimum is +inf once every row is masked, so the
+        # earliest paused ETA is the answer, to the bit
+        ops = [
+            ("edit", i, "running", 0.25 * (i + 1), 1.5, 5.0 + 7.0 * i, 10.0 + i)
+            for i in range(6)
+        ] + [("sync",)]
+        harness = self.replay(1e7, [0.0] * 6, ops)
+        assert len(harness.state.paused) == 6
+        want = min(t.predicted_completion(1e7) for t in harness.twins)
+        assert harness.eta().hex() == want.hex() and harness.fallbacks == 0
+        harness.apply(("to_eta",))
 
 
 class TestDeferredDrains:

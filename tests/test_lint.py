@@ -312,10 +312,11 @@ def test_every_ownership_write_touches():
 
 
 def test_the_decision_point_is_lean():
-    # one decision point of run() is ~10 NumPy calls on ~130-element
+    # one decision point of run() is ~6 NumPy calls on ~130-element
     # vectors: per-call overhead is the cost, so the ETA and the advance
     # carry no error-state context, no masks and no allocating select —
-    # zero-rate rows are padded instead (docs/SCHEDULING.md, "Vectorized
+    # zero-rate rows are padded instead, and the few rows in a restart
+    # pause are scalars, not a vector (docs/SCHEDULING.md, "Vectorized
     # advance/ETA").  The one index scan is completed_jobs', behind a
     # minimum test.  The inventory keeps its lists sorted by insertion,
     # never by a keyed re-sort of a whole list.
@@ -331,6 +332,11 @@ def test_the_decision_point_is_lean():
     module = parse("sched", "simulator.py")
     (state,) = [n for n in module.body if getattr(n, "name", "") == "_BatchedState"]
     methods = {n.name: n for n in state.body if isinstance(n, ast.FunctionDef)}
+    slots = next(
+        n.value for n in state.body
+        if isinstance(n, ast.Assign) and n.targets[0].id == "__slots__"
+    )
+    assert not {"reconfig", "_start", "_start_at"} & set(ast.literal_eval(slots))
     banned = {"errstate", "where", "nonzero"}
     for name in ("advance", "min_eta"):
         assert not attrs(methods[name]) & banned, name
