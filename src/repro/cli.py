@@ -315,8 +315,8 @@ TABLE = (
                 "profiler-measured corrections to the static "
                 "capability table"),
         _a("--core", default="batched", choices=["batched", "reference"],
-           help="discrete-event core: 'batched' (default: one "
-                "event queue, coalesced event drain, vectorized "
+           help="discrete-event core: 'batched' (default: the "
+                "reference loop with O(1) candidates, vectorized "
                 "job advance, memoized arbitration) or "
                 "'reference' (its oracle: linear candidate scan, "
                 "scalar advance, brute arbitration — slow at "

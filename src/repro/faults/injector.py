@@ -187,9 +187,9 @@ class SimDriver:
     at ``at_time`` plus, when it opens a window, the op closing it at
     ``at_time + magnitude`` (:data:`~repro.faults.lifecycle.WINDOWS`: warm-up
     join, blacklist rejoin, reclaim); each fault is one operation.  Every
-    decision time is thus derivable from the plan alone, which is what
-    keeps the queue-driven ``run`` and the reference scan byte-identical:
-    neither core ever discovers a new decision time at runtime.
+    decision time is thus derivable from the plan alone, and both
+    simulator cores read the next one from :meth:`next_time`: neither
+    ever discovers a new decision time at runtime.
 
     At one decision point :meth:`due` yields host operations first — in
     ``(time, op, host)`` order, so a host that joins and a fault that
@@ -227,18 +227,11 @@ class SimDriver:
         self._cursor = 0
         #: drains held back by ``max_unavailable``, released FIFO
         self.deferred: List[SimAction] = []
-        #: drains pushed past a decision point by ``max_unavailable``
-        self.deferrals = 0
 
     # ------------------------------------------------------------------
     @property
     def exhausted(self) -> bool:
         return self._cursor >= len(self.actions) and not self.deferred
-
-    def times(self) -> Iterator[float]:
-        """Every static decision time (``run()`` pre-enqueues them)."""
-        for action in self.actions:
-            yield action[0]
 
     def next_time(self, after: float) -> Optional[float]:
         """The earliest pending action time strictly after ``after``."""
@@ -263,5 +256,4 @@ class SimDriver:
                 hosts.append(action)
         cap = self.plan.max_unavailable
         self.deferred = drains[cap:]
-        self.deferrals += len(self.deferred)
         return hosts + drains[:cap] + faults

@@ -51,8 +51,8 @@ def _normalize(event: Any) -> Optional[Tuple[float, str, Dict[str, Any]]]:
         kind = event.get("kind")
         if kind not in _ALLOC_KINDS:
             return None
-        time = event.get("time", event.get("t0"))
-        payload = event.get("payload", event.get("args", {}))
+        time = event.get("time")
+        payload = event.get("payload", {})
         if time is None:
             return None
         return float(time), str(kind), dict(payload)

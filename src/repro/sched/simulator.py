@@ -13,12 +13,13 @@ Reconfiguration is not free: a job whose allocation changed pauses for
 paper's "scale in seconds" granularity.
 
 Two event cores produce identical :class:`EventLog` streams for the same
-trace.  :meth:`ClusterSimulator.run` is the production core: one
-``heapq`` priority queue of arrival/fault/membership/round/completion
-events (lazily invalidated, ``(time, seq)``-ordered) under a NumPy
-structure-of-arrays mirror of the running jobs (vectorized
+trace.  Both step to the minimum of the same four candidates (head
+arrival, next plan action, earliest predicted completion, next round).
+:meth:`ClusterSimulator.run` is the production core: it takes each
+candidate in O(1), the completion one from a NumPy structure-of-arrays
+mirror of the running jobs (vectorized
 ``advance``/``predicted_completion``, point-edited for the jobs a decision
-point moved), an incrementally maintained active set, and memoized
+point moved), with an incrementally maintained active set and memoized
 inter-job arbitration.
 :meth:`ClusterSimulator.run_reference` is its oracle: the original linear
 candidate scan with scalar per-job arithmetic and un-memoized
@@ -29,7 +30,6 @@ so ``run`` is bit-exact against the reference, not merely close.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -112,7 +112,8 @@ class SchedulingPolicy:
     :meth:`~ClusterSimulator.grant`, :meth:`~ClusterSimulator.revoke` or
     :meth:`~ClusterSimulator.preempt` (those mark the job for the
     running-set mirror's point edit), and never reads ``remaining_work``,
-    which under ``run()`` lags the mirror between fault/membership points.
+    which under ``run()`` lags the mirror between the points where a
+    fault or membership action is due.
     """
 
     name = "abstract"
@@ -596,25 +597,27 @@ class ClusterSimulator:
         )
 
     # ------------------------------------------------------------------
-    # the event core (heap queue + vectorized decision points)
+    # the event core (O(1) candidates + vectorized decision points)
     # ------------------------------------------------------------------
     def _iterate(
-        self, t_next: float, state: "_BatchedState", arrival: bool, scalar: bool
+        self, t_next: float, state: "_BatchedState", arrival: bool, due: bool
     ) -> None:
         """One decision point of :meth:`run`.
 
         Identical observable behavior to the loop body of
         :meth:`run_reference`, but:
 
-        - progress accrual runs vectorized over the persistent SoA mirror.
-          Only a ``scalar`` point (a plan entry is due, a drain was
-          deferred, or the first point) writes it back first — scalar code is about to
-          read and move ``remaining_work`` — scans the objects for
-          completions and rebuilds the mirror afterwards;
-        - every other point (``arrival``, completion, round) reads the
-          completions off the mirror and then point-edits the rows of the
-          jobs it touched (:meth:`_touch`), leaving the mirror ahead of
-          the objects;
+        - progress accrual runs vectorized over the persistent SoA mirror,
+          and completions are read off it.  A ``due`` point (a plan
+          action is due, a drain was deferred, or the first point) writes
+          it back first, because the plan's actions read and move
+          ``remaining_work``; from then until the next advance the objects
+          are authoritative and :meth:`_BatchedState.sync` re-reads them;
+        - admissions and plan actions run only at an ``arrival`` or
+          ``due`` point, and the rows of the jobs they touched
+          (:meth:`_touch`) are edited before the completion read; the
+          rows of every job the point touched are edited again once the
+          policy returns;
         - the policy is *skipped* at decision points where nothing
           observable changed since a reschedule that emitted no events —
           valid only for ``fixpoint_reschedule`` policies, whose
@@ -626,22 +629,14 @@ class ClusterSimulator:
         touched = self._touched
         state.advance(self.now, t_next)
         self.now = t_next
-
-        if scalar:
+        if due:
             state.writeback()
-            changed = self._apply_due(arrived)
-            done = [
-                r
-                for r in arrived
-                if r.status == "running" and r.remaining_work <= self.WORK_EPS
-            ]
-        else:
-            changed = arrival and self._apply_due(arrived)
-            # an arrival hook may have started a job: its row must exist
-            # before the mirror is asked which rows are finished (the
-            # closing sync below edits it again, to the policy's last word)
+        changed = (arrival or due) and self._apply_due(arrived)
+        if changed:
+            # an arrival hook may have started a job, a plan action moved
+            # one: their rows must be current before the completion read
             state.sync(touched)
-            done = state.completed_jobs()
+        done = state.completed_jobs()
         for runtime in done:
             self._complete(runtime)
             del arrived[bisect_left(arrived, runtime.index, key=_INDEX)]
@@ -654,26 +649,20 @@ class ClusterSimulator:
             self._quiescent = (
                 self.policy.fixpoint_reschedule and len(self.events) == events_before
             )
-        if scalar:
-            state.refresh(arrived)
-        else:
-            state.sync(touched)
+        state.sync(touched)
         touched.clear()
         self._timeline.append((self.now, self.cluster.allocated_count()))
 
     def run(self, max_time: float = 10_000_000.0) -> SimResult:
         """Run the trace on the event core.
 
-        Arrival, fault, membership, periodic-round, and predicted-completion
-        events live in one priority queue ordered by ``(time, seq)`` —
-        ``seq`` is a monotone push counter, so ties are deterministic and
-        never compare payloads.  Completion predictions are *lazily
-        invalidated* (a popped entry from an older generation is
-        discarded), and entries at or before the last processed decision
-        point are likewise discarded — the iteration body already handled
-        everything due at that time, mirroring the seed semantics of
-        batching coincident events into one decision point.  On top of
-        the queue, the scale enablers:
+        The loop of :meth:`run_reference` with each of its four candidates
+        taken in O(1): the head arrival from the arrival cursor, the next
+        plan action from :meth:`SimDriver.next_time`, the earliest
+        predicted completion as the one number the mirror computed at the
+        end of the last point (:meth:`_BatchedState.min_eta`), and the
+        next round while any job runs.  On top of that loop, the scale
+        enablers:
 
         - an incrementally maintained **active set** (append on arrival,
           prune on completion) replaces the seed's scan over every job
@@ -684,11 +673,7 @@ class ClusterSimulator:
           into NumPy float64 expressions bit-identical to the scalar
           ones (``eff_rate * dt`` steps, ``now + min(remaining / rate)``;
           rows in a restart pause as scalars), edited row by row for the
-          jobs a decision point moved, not rebuilt;
-        - runs of coincident events are **drained in one pass**: every
-          queue entry at the chosen timestamp is consumed before the
-          decision point executes, instead of being popped and discarded
-          one iteration at a time;
+          jobs a decision point moved, never rebuilt;
         - ``incremental_scheduling`` is switched on, letting
           :class:`~repro.sched.easyscale_policy.EasyScalePolicy` re-derive
           only the jobs a point touched (:meth:`touched_jobs`) and answer
@@ -703,86 +688,36 @@ class ClusterSimulator:
         arrived = self._active = []
         self._touched = []
         self.incremental_scheduling = True
-        runtimes = self.runtimes
-
-        seeds = [(r.job.arrival_time, "arrival") for r in runtimes]
-        # a plan action at exactly t=0 is never its own decision point in
-        # the reference core (candidates are strictly after `now`); it
-        # fires via due() at the first real decision point, so it is not
-        # enqueued
-        if self.driver is not None:
-            seeds.extend((t, "plan") for t in self.driver.times() if t > 0.0)
-        heap: List[Tuple[float, int, str, object]] = [
-            (t, seq, kind, None) for seq, (t, kind) in enumerate(seeds)
-        ]
-        seq = len(heap)
-        heapq.heapify(heap)
-        last_round_pushed: Optional[float] = None
-        processed_until: Optional[float] = None
+        runtimes, driver = self.runtimes, self.driver
         state = _BatchedState()
-        #: generation counter for the single min-ETA completion entry;
-        #: entries stamped with an older generation are stale predictions
-        eta_gen = 0
+        eta: Optional[float] = None
+        first = True
 
         while True:
-            t_next: Optional[float] = None
-            arrival = scalar = False
-            while heap:
-                time, _, kind, data = heapq.heappop(heap)
-                if processed_until is not None and time <= processed_until:
-                    continue  # this decision point already handled it
-                if kind == "completion":
-                    if data != eta_gen:
-                        continue  # superseded prediction
-                elif kind == "round":
-                    # the reference only schedules rounds while work runs;
-                    # statuses cannot change between the last mirror edit
-                    # and this pop, so the mirror's liveness flag is exact
-                    if not state.any_running:
-                        continue
-                t_next = time
-                arrival, scalar = kind == "arrival", kind == "plan"
+            t_next = eta if eta is not None else _INF
+            head = self._arrival_cursor
+            if head < len(runtimes):
+                t_next = min(t_next, max(runtimes[head].job.arrival_time, self.now))
+            plan_time = driver.next_time(self.now) if driver is not None else None
+            if plan_time is not None:
+                t_next = min(t_next, plan_time)
+            if state.any_running:
+                next_round = (int(self.now / self.round_interval) + 1) * self.round_interval
+                t_next = min(t_next, next_round)
+            if t_next == _INF or t_next > max_time:
                 break
-            if t_next is None or t_next > max_time:
-                break
-            # drain the whole run of coincident entries now: the decision
-            # point below batches everything due at t_next regardless of
-            # which entry surfaced it.  Every arrival and every plan action
-            # time after t=0 has a queue entry, so the drained kinds tell
-            # exactly whether a job arrives and whether the plan's scalar
-            # code can fire at this point.  Two points are scalar without
-            # an entry: the first, because t<=0 actions fire via due()
-            # there, and the one after a drain was deferred, because the
-            # reference core releases it at its next decision point
-            while heap and heap[0][0] == t_next:
-                kind = heapq.heappop(heap)[2]
-                arrival = arrival or kind == "arrival"
-                scalar = scalar or kind == "plan"
-            if processed_until is None or (self.driver is not None and self.driver.deferred):
-                scalar = True
 
-            self._iterate(t_next, state, arrival, scalar)
-            processed_until = t_next
+            # the reference applies the plan at every point; only these
+            # can fire anything: a t<=0 action fires at the first point,
+            # and a deferred drain at the point after its deferral
+            due = first or plan_time == t_next or bool(driver is not None and driver.deferred)
+            arrival = head < len(runtimes) and runtimes[head].job.arrival_time <= t_next
+            self._iterate(t_next, state, arrival, due)
+            first = False
 
             if self._arrival_cursor >= len(runtimes) and not arrived:
                 break
-
-            # one generation-stamped candidate for the earliest predicted
-            # completion — the only future ETA that can become the next
-            # decision point; everything is re-predicted after it fires
             eta = state.min_eta(self.now)
-            if eta is not None:
-                eta_gen += 1
-                heapq.heappush(heap, (eta, seq, "completion", eta_gen))
-                seq += 1
-            if state.any_running:
-                next_round = (
-                    int(self.now / self.round_interval) + 1
-                ) * self.round_interval
-                if next_round != last_round_pushed:
-                    last_round_pushed = next_round
-                    heapq.heappush(heap, (next_round, seq, "round", None))
-                    seq += 1
 
         state.writeback()
         return self._result()
@@ -859,8 +794,8 @@ class _BatchedState:
     place and the objects lag it (``stale``) until a row leaves or
     :meth:`writeback` runs; :meth:`sync` edits the rows of the jobs a
     decision point touched; :meth:`refresh` rebuilds everything from the
-    objects — the path of the rare scalar points, and what an edited
-    mirror must equal (``tests/sched/test_simulator_batched.py``).
+    objects — what an edited mirror must equal
+    (``tests/sched/test_simulator_batched.py``), never called by ``run()``.
 
     Three vectors per running job: ``remaining``, ``eff_rate`` (the
     :meth:`advance` multiplier) and ``divisor`` (``+inf`` on a zero-rate
@@ -915,15 +850,20 @@ class _BatchedState:
 
         A job that became ``running`` gets a row at its arrival position,
         with the object's ``remaining_work``; a row that stays re-reads
-        ``effective_rate`` / ``reconfig_until`` (its ``remaining`` is the
-        mirror's to keep); a row whose job left is written back to the
-        object and deleted.  Driven by each job's final state, so a job
-        touched twice is edited to the same row twice.  The row views are
-        re-sliced only when a row was inserted or deleted.
+        ``effective_rate`` / ``reconfig_until``; a row whose job left is
+        deleted.  While the mirror is ``stale`` its ``remaining`` is ahead:
+        a row that stays keeps it, and a row that leaves writes it back to
+        the object.  Otherwise the objects are authoritative (plan actions
+        may have moved them): a row that stays re-reads ``remaining_work``,
+        and a row that leaves does not overwrite it.  Driven by each job's
+        final state, so a job touched twice is edited to the same row
+        twice.  The row views are re-sliced only when a row was inserted or
+        deleted.
         """
         if not touched:
             return
         jobs, rows, paused, now = self.jobs, self._rows, self.paused, self.now
+        stale = self.stale
         moved = False
         for runtime in touched:
             n = len(jobs)
@@ -937,15 +877,17 @@ class _BatchedState:
                         rows[:, :n] = self._rows[:, :n]
                         self._rows = rows
                     rows[:, row + 1 : n + 1] = rows[:, row:n]
-                    rows[0, row] = runtime.remaining_work
                     jobs.insert(row, runtime)
                     moved = True
+                if not (present and stale):
+                    rows[0, row] = runtime.remaining_work
                 rate = rows[1, row] = runtime.effective_rate
                 rows[2, row] = rate if rate > 0.0 else _INF
                 if rate > 0.0 and runtime.reconfig_until > now:
                     paused[runtime.index] = runtime.reconfig_until
             elif present:
-                runtime.remaining_work = rows.item(0, row)
+                if stale:
+                    runtime.remaining_work = rows.item(0, row)
                 rows[:, row : n - 1] = rows[:, row + 1 : n]
                 del jobs[row]
                 moved = True
@@ -994,9 +936,10 @@ class _BatchedState:
     def min_eta(self, now: float) -> Optional[float]:
         """The earliest predicted completion strictly after ``now``.
 
-        ``run()`` enqueues only this single candidate per decision point
-        (generation-stamped): the next decision point is the minimum over
-        all candidates, and every ETA is re-predicted once it executes.
+        ``run()`` keeps this one number from each decision point as the
+        completion candidate of the next: the reference core's minimum
+        over every running job's prediction, and every ETA is re-predicted
+        once the next point executes.
         An unpaused row predicts ``now + q``, ``q = remaining / divisor``;
         rounding is monotone, so their minimum is ``now + min(q)``.  A row
         paused past ``now`` predicts ``until + q``, a scalar, with its

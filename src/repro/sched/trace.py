@@ -294,8 +294,8 @@ def heavy_tail_trace(
     """A trace whose runtimes are Pareto-distributed (no lognormal cap).
 
     Most jobs finish in minutes but a small fraction run for days — the
-    regime that stresses long-horizon event scheduling (stale-completion
-    invalidation, month-long heaps).  GPU demand defaults to
+    regime that stresses long-horizon event scheduling (completion
+    predictions spanning a month).  GPU demand defaults to
     :data:`PRODUCTION_DEMAND` (up to 64-GPU jobs).
     """
     if num_jobs <= 0:

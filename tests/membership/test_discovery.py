@@ -124,7 +124,7 @@ class TestSimMembershipDriver:
         driver = SimDriver(time_plan(max_unavailable=1))
         due = driver.due(200.0)
         assert [a[2] for a in due if a[1] == "drain"] == ["a"]
-        assert driver.deferrals == 1
+        assert len(driver.deferred) == 1
         # the deferred drain piggybacks on the next decision point, FIFO
         assert [a[2] for a in driver.due(250.0)] == ["b"]
         assert driver.due(300.0) == []
@@ -133,7 +133,7 @@ class TestSimMembershipDriver:
         driver = SimDriver(time_plan(max_unavailable=2))
         due = driver.due(200.0)
         assert [a[2] for a in due if a[1] == "drain"] == ["a", "b"]
-        assert driver.deferrals == 0
+        assert len(driver.deferred) == 0
 
     def test_exhausted(self):
         driver = SimDriver(time_plan())

@@ -1,6 +1,6 @@
 """``ClusterSimulator.run()`` vs ``run_reference()``: identical event streams.
 
-The event core (one queue, coincident-event draining, vectorized
+The event core (the reference loop's candidates in O(1) each, vectorized
 advance/ETA, quiescent reschedule skipping, memoized arbitration) must
 reproduce its oracle (seed linear scan, scalar advance, brute
 arbitration) byte-for-byte: same ``EventLog`` fingerprint and the same
@@ -150,9 +150,10 @@ def run_reference_checking_conservation(sim, **kwargs):
 def run_checking_mirror(sim, **kwargs):
     """``sim.run()``, with the edited running-set mirror compared against a
     rebuilt one (``_BatchedState(now).refresh(active)``) after every
-    decision point: the same job objects in the same order, ``eff_rate``
-    equal by bytes, the same paused map, ``any_running`` equal.  GPU conservation
-    (:func:`assert_conserved`) is checked at the same points.
+    decision point, fault and membership points included: the same job
+    objects in the same order, ``eff_rate`` equal by bytes, the same paused
+    map, ``any_running`` equal.  GPU conservation (:func:`assert_conserved`)
+    is checked at the same points.
 
     ``remaining`` is compared against the objects wherever the staleness
     flag says they are authoritative.  Where the mirror is ahead of them a
@@ -165,13 +166,13 @@ def run_checking_mirror(sim, **kwargs):
     iterate = sim._iterate
     twin = {}  # arrival index -> remaining work by scalar arithmetic
 
-    def checked(t_next, state, arrival, scalar):
+    def checked(t_next, state, arrival, due):
         for runtime in state.jobs:
             copy = replace(runtime, remaining_work=twin[runtime.index])
             copy.advance(sim.now, t_next)
             twin[runtime.index] = copy.remaining_work
         before = list(state.jobs)
-        iterate(t_next, state, arrival, scalar)
+        iterate(t_next, state, arrival, due)
         rebuilt = _BatchedState(sim.now)
         rebuilt.refresh(sim.active_jobs())
         where = f"{sim.policy.name} t={sim.now}"
@@ -425,6 +426,26 @@ class TestMirrorEdits:
         assert_cores_identical(POLICIES["heter"], jobs)
         assert middle
 
+    @pytest.mark.parametrize("policy", ["yarn", "heter"])
+    def test_one_sync_per_point_plus_one_per_admitting_point(self, policy, monkeypatch):
+        # the closing edit runs at every decision point; the edit before
+        # the completion read only where an arrival (or a plan action)
+        # fired, never on an empty touched list of its own making
+        calls = []
+        sync = _BatchedState.sync
+
+        def counting(state, touched):
+            calls.append(len(touched))
+            sync(state, touched)
+
+        monkeypatch.setattr(_BatchedState, "sync", counting)
+        jobs = generate_trace(num_jobs=30, seed=3)
+        result = ClusterSimulator(microbench_cluster(), jobs, POLICIES[policy]()).run()
+        points = len(result.allocation_timeline)
+        admitting = len({e.time for e in result.events.of_kind("job_submit")})
+        assert len(result.completed) == len(jobs) and admitting < points
+        assert len(calls) == points + admitting
+
     def test_preempted_gang_job_reenters_with_the_objects_remaining_work(self):
         # a gang job evicted by a vanishing host waits (pending, out of the
         # mirror) until a completion frees its full gang, then is granted
@@ -432,7 +453,7 @@ class TestMirrorEdits:
         # its row must start from the object's value, lost work included.
         # (FIXED_PLAN's node_preempt cannot show this: the victim's own
         # GPUs return to the free pool, so it is re-admitted at the fault
-        # point itself, through ``refresh``.)
+        # point itself, where the objects are authoritative.)
         jobs = [
             TraceJob("gang", "resnet50", 0.0, 32, "v100", 32 * 9.0 * 3000),
             TraceJob("small", "resnet50", 10.0, 2, "v100", 2 * 9.0 * 1500),
@@ -448,10 +469,10 @@ class TestMirrorEdits:
                 gang, seen = sim.runtimes[0], []
                 iterate = sim._iterate
 
-                def spying(t_next, state, arrival, scalar):
-                    iterate(t_next, state, arrival, scalar)
+                def spying(t_next, state, arrival, due):
+                    iterate(t_next, state, arrival, due)
                     row = [float(v) for r, v in zip(state.jobs, state.remaining) if r is gang]
-                    seen.append((sim.now, scalar, row, gang.status, gang.remaining_work))
+                    seen.append((sim.now, due, row, gang.status, gang.remaining_work))
 
                 sim._iterate = spying
                 results[core] = run_checking_mirror(sim)
@@ -747,7 +768,7 @@ class TestDeferredDrains:
     def test_a_deferred_drain_is_released_at_the_next_point_on_both_cores(self, seed):
         # three drains due at once under max_unavailable 1: the reference
         # core releases a held-back drain at its very next decision point,
-        # whatever kind it is, so run() must make that point scalar too
+        # whatever kind it is, so run() must make that point due too
         # (it used to wait for the next arrival or plan entry)
         roster = (HostSpec("a", "t4", 1), HostSpec("b", "t4", 1), HostSpec("c", "v100", 2))
         plan = EventPlan(

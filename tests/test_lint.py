@@ -348,6 +348,18 @@ def test_the_decision_point_is_lean():
     guard = methods["completed_jobs"].body[1]  # after the docstring
     assert isinstance(guard, ast.If) and "min" in attrs(guard.test), ast.unparse(guard)
     assert isinstance(guard.body[0], ast.Return), ast.unparse(guard)
+    # run() steps to the minimum of the reference core's four candidates,
+    # with no event queue beside it, and a decision point edits the
+    # mirror, never rebuilds it (refresh is the tests' oracle)
+    imported = {
+        alias.name for node in ast.walk(module)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } | {node.module for node in ast.walk(module) if isinstance(node, ast.ImportFrom)}
+    assert "heapq" not in imported, imported
+    (sim,) = [n for n in module.body if getattr(n, "name", "") == "ClusterSimulator"]
+    (iterate,) = [n for n in sim.body if getattr(n, "name", "") == "_iterate"]
+    assert "refresh" not in attrs(iterate), ast.unparse(iterate)
 
     resorts = [
         ast.unparse(node) for node in ast.walk(parse("hw", "cluster.py"))
